@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CAPS, DEFAULT_TOL, Caps, Tolerances
-from .errors import CapExceeded, DimensionMismatch, EmptySet, SchemaError
+from .errors import CapExceeded, DimensionMismatch, EmptySet, NumericalBreakdown, SchemaError
 from .optkernel import LinearProgram, QpProjectionProblem, solve_lp, solve_projection_qp
-from .polyhedra import PolyhedralSet, cone_generators, is_nonempty
+from .polyhedra import PolyhedralSet, cone_generators, is_nonempty, pair_opposites
 from .sets import _as_matrix, _as_vector
 
 
@@ -137,7 +137,8 @@ def is_solution(inst: AviInstance, x, tol: Tolerances = DEFAULT_TOL) -> bool:
             ),
         )
         res = solve_lp(boxed, tol)
-    assert res.is_optimal  # C is nonempty by construction
+    if not res.is_optimal:  # C is nonempty by construction
+        raise NumericalBreakdown(f"solution-test LP reported {res.status}")
     return res.value >= float(w @ x) - tol.cmp * scale
 
 
@@ -205,19 +206,7 @@ class _PieceTemplate:
             generators = cone_generators(A[list(active)], caps, tol)
         else:
             generators = [row for j in range(n) for row in (np.eye(n)[j], -np.eye(n)[j])]
-        cone_eq, cone_ineq = [], []
-        used = [False] * len(generators)
-        for i, w in enumerate(generators):
-            if used[i]:
-                continue
-            used[i] = True
-            paired = False
-            for j in range(i + 1, len(generators)):
-                if not used[j] and np.linalg.norm(generators[j] + w) <= tol.cmp:
-                    used[j] = True
-                    paired = True
-                    break
-            (cone_eq if paired else cone_ineq).append(w)
+        cone_eq, cone_ineq = pair_opposites(generators, n, tol)
         M = inst.m_op
         q = inst.q
         # row w of the polar contributes (-M^T w) . x <= w . (q - y)

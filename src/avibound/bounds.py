@@ -18,8 +18,7 @@ import numpy as np
 
 from .avi import AviInstance, inverse_residual, residual
 from .config import DEFAULT_CAPS, DEFAULT_TOL, Caps, Tolerances
-from .errors import DegenerateSampler, NoSolution
-from .parallel import pmap
+from .errors import CapExceeded, DegenerateSampler, NoSolution
 from .polyhedra import distance, enumerate_vertices, feasible_point, union_distance
 from .rng import SplitMix64, derive_seed
 from .sets import _as_vector
@@ -60,7 +59,7 @@ class SolutionGeometry:
             try:
                 vs = enumerate_vertices(piece, caps, tol)
                 anchors.extend(vs.vertices)
-            except Exception:
+            except CapExceeded:
                 anchors.append(feasible_point(piece, tol))
         dedup = []
         for a in anchors:
@@ -202,19 +201,18 @@ class ErrorBoundSample:
 
 
 def _sample_error_bound_table(inst, geometry, num_samples, master_seed,
-                              noise_scales, tol, threads=1):
+                              noise_scales, tol):
     anchors = geometry.anchors
-
-    def draw(i):
+    table = []
+    for i in range(num_samples):
         stream = SplitMix64(derive_seed(master_seed, i))
         anchor = anchors[stream.randint(0, len(anchors) - 1)]
         scale = noise_scales[stream.randint(0, len(noise_scales) - 1)]
         x = anchor + scale * np.array(stream.normals(inst.dim))
         rnorm = residual(inst, x, tol).norm
         dist = geometry.distance(x)
-        return ErrorBoundSample(point=x, residual_norm=rnorm, distance=dist)
-
-    return pmap(draw, range(num_samples), threads)
+        table.append(ErrorBoundSample(point=x, residual_norm=rnorm, distance=dist))
+    return table
 
 
 def _reduce_error_bound(table, epsilon, tol):
@@ -244,8 +242,7 @@ def verify_error_bound(inst: AviInstance, epsilon: float,
                        geometry: SolutionGeometry | None = None,
                        noise_scales=DEFAULT_NOISE_SCALES,
                        caps: Caps = DEFAULT_CAPS,
-                       tol: Tolerances = DEFAULT_TOL,
-                       threads: int = 1) -> BoundReport:
+                       tol: Tolerances = DEFAULT_TOL) -> BoundReport:
     """Estimate the constant in d(x, solutions) <= c ||R(x)|| near solutions.
 
     Samples are anchor points of the solution set plus Gaussian noise at the
@@ -256,7 +253,7 @@ def verify_error_bound(inst: AviInstance, epsilon: float,
     """
     geometry = geometry or SolutionGeometry.from_instance(inst, caps, tol)
     table = _sample_error_bound_table(
-        inst, geometry, num_samples, master_seed, noise_scales, tol, threads
+        inst, geometry, num_samples, master_seed, noise_scales, tol
     )
     ratios, c_emp, witness, excluded_floor, filtered_eps = _reduce_error_bound(
         table, epsilon, tol
@@ -432,8 +429,7 @@ def find_local_radius(inst: AviInstance,
                       noise_scales=DEFAULT_NOISE_SCALES,
                       epsilons=EPSILON_LADDER,
                       caps: Caps = DEFAULT_CAPS,
-                      tol: Tolerances = DEFAULT_TOL,
-                      threads: int = 1) -> LocalRadiusResult:
+                      tol: Tolerances = DEFAULT_TOL) -> LocalRadiusResult:
     """Largest epsilon in the halving ladder with a stabilized ratio trace.
 
     One sample table is drawn and every epsilon filters it, so the curve is
@@ -441,7 +437,7 @@ def find_local_radius(inst: AviInstance,
     """
     geometry = geometry or SolutionGeometry.from_instance(inst, caps, tol)
     table = _sample_error_bound_table(
-        inst, geometry, num_samples, master_seed, noise_scales, tol, threads
+        inst, geometry, num_samples, master_seed, noise_scales, tol
     )
     curve = []
     chosen = None

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -222,7 +221,6 @@ def cmd_verify_error_bound(args) -> int:
         num_samples=args.samples,
         master_seed=args.seed,
         tol=_tolerances(args),
-        threads=args.threads,
     )
     print(
         f"verify-error-bound: passed={report.passed} c_emp={report.c_emp:g} "
@@ -326,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, default=200)
         p.add_argument("--tol", type=float, default=None, help="comparison tolerance")
         p.add_argument("--out", default=None, help="report output directory")
-        p.add_argument("--threads", type=int, default=1, help="worker pool size (0 = auto)")
 
     p = sub.add_parser("generate", help="generate a random instance + manifest")
     p.add_argument("--n", type=int, required=True)
@@ -336,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--name", default=None)
     p.add_argument("--out", default="data")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(handler=cmd_generate)
 
     p = sub.add_parser("project", help="project a point onto the constraint set")
@@ -523,14 +519,12 @@ def _run_truncation_entry(entry, seed, out_dir, tol):
     return not failures
 
 
-def run_suite(seed: int, out_dir: str, threads: int = 1,
-              tol: Tolerances = DEFAULT_TOL) -> dict:
+def run_suite(seed: int, out_dir: str, tol: Tolerances = DEFAULT_TOL) -> dict:
     """Run every canned entry; returns the summary payload."""
     entries = instgen.canned_suite()
     os.makedirs(out_dir, exist_ok=True)
-
-    def run_one(indexed):
-        index, entry = indexed
+    results = []
+    for index, entry in enumerate(entries):
         entry_seed = derive_seed(seed, index)
         if entry.kind == "avi":
             ok = _run_avi_entry(entry, entry_seed, out_dir, tol)
@@ -538,16 +532,7 @@ def run_suite(seed: int, out_dir: str, threads: int = 1,
             ok = _run_gpm_entry(entry, entry_seed, out_dir, tol)
         else:
             ok = _run_truncation_entry(entry, entry_seed, out_dir, tol)
-        return entry.name, ok
-
-    indexed = list(enumerate(entries))
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, indexed))
-    else:
-        results = [run_one(item) for item in indexed]
+        results.append((entry.name, ok))
     summary = {
         "kind": "suite_summary",
         "seed": seed,
@@ -560,7 +545,7 @@ def run_suite(seed: int, out_dir: str, threads: int = 1,
 
 def cmd_suite(args) -> int:
     out_dir = args.out or "reports"
-    summary = run_suite(args.seed, out_dir, threads=args.threads, tol=_tolerances(args))
+    summary = run_suite(args.seed, out_dir, tol=_tolerances(args))
     for entry in summary["entries"]:
         print(f"suite[{entry['name']}]: {'pass' if entry['passed'] else 'FAIL'}")
     print(f"suite: passed={summary['passed']} reports={out_dir}")

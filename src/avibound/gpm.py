@@ -21,7 +21,6 @@ import numpy as np
 from .config import DEFAULT_CAPS, DEFAULT_TOL, Caps, Tolerances
 from .errors import DegenerateSampler, DimensionMismatch, SchemaError
 from .optkernel import LinearProgram, solve_feasibility, solve_lp
-from .parallel import pmap
 from .polyhedra import PolyhedralSet, hausdorff
 from .rng import SplitMix64, derive_seed
 from .sets import _as_matrix, _as_vector
@@ -335,8 +334,8 @@ class SectionSamplerConfig:
 
     Points are rejection-sampled from Gaussians centered at a feasibility
     witness, with the radius drawn from `radius_ladder` so both nearby and
-    far-apart pairs occur.  Every pair gets its own derived seed, which makes
-    the max reduction order-independent.
+    far-apart pairs occur.  Every pair gets its own derived seed, so a
+    larger `num_pairs` extends the sample instead of redrawing it.
     """
 
     num_pairs: int = 500
@@ -399,20 +398,6 @@ def _sample_domain_point(f, center, stream, cfg, tol):
     return None
 
 
-def sample_domain_pairs(f: GpMultifunction, cfg: SectionSamplerConfig,
-                        tol: Tolerances = DEFAULT_TOL):
-    """Deterministic stream of pairs in dom F (None marks a rejected pair)."""
-    center = _domain_witness(f, tol)
-    for index in range(cfg.num_pairs):
-        stream = SplitMix64(derive_seed(cfg.master_seed, index))
-        x1 = _sample_domain_point(f, center, stream, cfg, tol)
-        x2 = _sample_domain_point(f, center, stream, cfg, tol)
-        if x1 is None or x2 is None:
-            yield None
-        else:
-            yield (x1, x2)
-
-
 def _measure_pair(f, center, index, cfg, caps, tol):
     """One pair's (x1, x2, h, ratio) or a rejection tag; order-independent."""
     stream = SplitMix64(derive_seed(cfg.master_seed, index))
@@ -432,21 +417,15 @@ def _measure_pair(f, center, index, cfg, caps, tol):
 def estimate_lipschitz_modulus(f: GpMultifunction,
                                cfg: SectionSamplerConfig = SectionSamplerConfig(),
                                caps: Caps = DEFAULT_CAPS,
-                               tol: Tolerances = DEFAULT_TOL,
-                               threads: int = 1):
+                               tol: Tolerances = DEFAULT_TOL):
     """Empirical modulus sup h(F(x1), F(x2)) / ||x1 - x2|| over sampled pairs.
 
     Pairs whose Hausdorff distance is infinite or only certified as a lower
     bound (unbounded sections) are excluded from the maximum and counted in
-    the report.  Pairs are measured independently (their seeds derive from
-    the pair index) and reduced in canonical order.  Returns (c_emp, report).
+    the report.  Each pair's seed derives from its index.  Returns
+    (c_emp, report).
     """
     center = _domain_witness(f, tol)
-    results = pmap(
-        lambda index: _measure_pair(f, center, index, cfg, caps, tol),
-        range(cfg.num_pairs),
-        threads,
-    )
     c_emp = 0.0
     witness_pair = None
     ratios = 0
@@ -454,7 +433,8 @@ def estimate_lipschitz_modulus(f: GpMultifunction,
     excluded = 0
     trace = []
     next_checkpoint = 1
-    for result in results:
+    for index in range(cfg.num_pairs):
+        result = _measure_pair(f, center, index, cfg, caps, tol)
         if result == "rejected":
             rejected += 1
             continue
@@ -512,20 +492,20 @@ def check_lipschitz_holdout(f: GpMultifunction, c_emp: float,
                             slack: float = 1.05,
                             caps: Caps = DEFAULT_CAPS,
                             tol: Tolerances = DEFAULT_TOL) -> HoldoutReport:
-    """Fresh-sample check that h(F(x1), F(x2)) <= slack * c_emp * ||x1 - x2||."""
+    """Fresh-sample check that h(F(x1), F(x2)) <= slack * c_emp * ||x1 - x2||.
+
+    Pairs are drawn and filtered exactly as in `estimate_lipschitz_modulus`,
+    so for the same `cfg` `num_checked` equals the estimate's `num_ratios`.
+    """
+    center = _domain_witness(f, tol)
     violations = []
     checked = 0
-    for pair in sample_domain_pairs(f, cfg, tol):
-        if pair is None:
+    for index in range(cfg.num_pairs):
+        result = _measure_pair(f, center, index, cfg, caps, tol)
+        if isinstance(result, str):  # rejected or excluded
             continue
-        x1, x2 = pair
-        gap = float(np.linalg.norm(x1 - x2))
-        if gap <= 1e-9:
-            continue
-        h = hausdorff(evaluate(f, x1), evaluate(f, x2), caps, tol)
-        if h.is_infinite or h.is_lower_bound:
-            continue
+        x1, x2, h_value, _ = result
         checked += 1
-        if h.value > slack * c_emp * gap + tol.cmp:
-            violations.append((x1, x2, h.value, h.value / gap))
+        if h_value > slack * c_emp * float(np.linalg.norm(x1 - x2)) + tol.cmp:
+            violations.append(result)
     return HoldoutReport(c_emp=c_emp, slack=slack, num_checked=checked, violations=violations)

@@ -16,7 +16,7 @@ import numpy as np
 from .avi import AviInstance
 from .errors import CapExceeded, SchemaError
 from .gpm import GpMultifunction
-from .polyhedra import PolyhedralSet, is_nonempty, nonnegative_orthant
+from .polyhedra import PolyhedralSet, nonnegative_orthant
 from .rng import SplitMix64, derive_seed
 
 SCHEMA_VERSION = "1"
@@ -123,7 +123,6 @@ def generate_random_avi(n: int, m: int, monotonicity: str, seed: int) -> AviInst
         rows.append(a)
         rhs.append(float(a @ witness) + abs(rng.normal()) + 0.1)
     C = PolyhedralSet(n, ineq_lhs=np.array(rows), ineq_rhs=np.array(rhs))
-    assert is_nonempty(C)
     return AviInstance(m_op=M, q=q, c_set=C)
 
 

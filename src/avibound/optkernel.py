@@ -115,8 +115,8 @@ def _bland_iterate(A, b, c, basis, enterable, tol, max_pivots):
         B = A[:, basis]
         try:
             lu = lu_factor(B)
-        except Exception as exc:  # singular basis: numerical degeneration
-            raise NumericalBreakdown(f"singular simplex basis: {exc}") from exc
+        except ValueError as exc:  # non-finite basis: numerical degeneration
+            raise NumericalBreakdown(f"non-finite simplex basis: {exc}") from exc
         x_b = lu_solve(lu, b)
         y = lu_solve(lu, c[basis], trans=1)
         reduced = c - A.T @ y
@@ -162,7 +162,8 @@ def _phase_one(A, b, tol, max_pivots):
     cost = np.concatenate([np.zeros(n), np.ones(m)])
     basis = list(range(n, n + m))
     status = _bland_iterate(full, b, cost, basis, range(n), tol, max_pivots)
-    assert status == "optimal"  # phase-one objective is bounded below by 0
+    if status != "optimal":  # the phase-one objective is bounded below by 0
+        raise NumericalBreakdown(f"phase one reported {status}")
     if m:
         lu = lu_factor(full[:, basis])
         x_b = lu_solve(lu, b)
@@ -196,7 +197,8 @@ def _phase_one(A, b, tol, max_pivots):
         A = A[keep]
         b = b[keep]
         basis = [basis[i] for i in keep]
-    assert all(v < n for v in basis)
+    if any(v >= n for v in basis):
+        raise NumericalBreakdown("an artificial variable stayed in the phase-one basis")
     return True, A, b, basis, keep
 
 
@@ -385,9 +387,3 @@ def solve_projection_qp(problem: QpProjectionProblem,
             working.append(blocking)
             working.sort()
     raise NumericalBreakdown("projection active-set iteration cap exhausted")
-
-
-def project(target, feasible_set: PolyhedralSet,
-            tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Convenience wrapper around solve_projection_qp."""
-    return solve_projection_qp(QpProjectionProblem(target, feasible_set), tol)

@@ -28,13 +28,13 @@ __all__ = [
     "HausdorffDistance",
     "box",
     "nonnegative_orthant",
-    "contains",
     "is_nonempty",
     "feasible_point",
     "enumerate_vertices",
     "distance",
     "hausdorff",
     "union_distance",
+    "pair_opposites",
     "from_generators",
     "cone_generators",
 ]
@@ -51,8 +51,8 @@ class VertexSet:
     recession_rays: list
 
     def __post_init__(self):
-        if self.is_bounded:
-            assert not self.recession_rays
+        if self.is_bounded and self.recession_rays:
+            raise ValueError("a bounded vertex set cannot have recession rays")
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,6 @@ class HausdorffDistance:
     @property
     def certified(self) -> bool:
         return not self.is_lower_bound
-
-
-def contains(S: PolyhedralSet, x, tol: float = DEFAULT_TOL.feas) -> bool:
-    return S.contains(x, tol)
 
 
 def is_nonempty(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -282,6 +278,34 @@ def cone_generators(rows: np.ndarray,
     return vs.recession_rays
 
 
+def pair_opposites(generators, n: int, tol: Tolerances = DEFAULT_TOL):
+    """Split cone generators into opposite pairs and singletons.
+
+    Generators are visited in order; each unused one pairs with the first
+    later unused generator within tol.cmp of its negative.  Returns
+    (paired, single): the first member of every pair, which spans a
+    lineality direction and so gives an equality row, and the generators
+    left single, which give inequality rows.  A generator whose first `n`
+    entries vanish is dropped without taking a partner.
+    """
+    paired, single = [], []
+    used = [False] * len(generators)
+    for i, g in enumerate(generators):
+        if used[i]:
+            continue
+        used[i] = True
+        if np.linalg.norm(g[:n]) <= tol.cmp:
+            continue
+        for j in range(i + 1, len(generators)):
+            if not used[j] and np.linalg.norm(generators[j] + g) <= tol.cmp:
+                used[j] = True
+                paired.append(g)
+                break
+        else:
+            single.append(g)
+    return paired, single
+
+
 def from_generators(vertices, rays=(),
                     caps: Caps = DEFAULT_CAPS,
                     tol: Tolerances = DEFAULT_TOL) -> PolyhedralSet:
@@ -304,29 +328,14 @@ def from_generators(vertices, rays=(),
         [np.concatenate([v, [1.0]]) for v in vertices]
         + [np.concatenate([r, [0.0]]) for r in rays]
     )
-    generators = cone_generators(lifted, caps, tol)
+    # generators with a = 0 are dropped: the trivial 0.x <= const face
+    paired, single = pair_opposites(cone_generators(lifted, caps, tol), n, tol)
     eq_rows, eq_rhs, ineq_rows, ineq_rhs = [], [], [], []
-    used = [False] * len(generators)
-    for i, g in enumerate(generators):
-        if used[i]:
-            continue
-        used[i] = True
-        a, beta = g[:n], g[n]
-        if np.linalg.norm(a) <= tol.cmp:
-            continue  # trivial 0.x <= const face from the homogenization
-        paired = False
-        for j in range(i + 1, len(generators)):
-            if not used[j] and np.linalg.norm(generators[j] + g) <= tol.cmp:
-                used[j] = True
-                paired = True
-                break
-        scale = np.linalg.norm(a)
-        if paired:
-            eq_rows.append(a / scale)
-            eq_rhs.append(-beta / scale)
-        else:
-            ineq_rows.append(a / scale)
-            ineq_rhs.append(-beta / scale)
+    for group, rows, rhs in ((paired, eq_rows, eq_rhs), (single, ineq_rows, ineq_rhs)):
+        for g in group:
+            scale = np.linalg.norm(g[:n])
+            rows.append(g[:n] / scale)
+            rhs.append(-g[n] / scale)
     return PolyhedralSet(
         n,
         ineq_lhs=np.array(ineq_rows) if ineq_rows else None,

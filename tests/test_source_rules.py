@@ -1,0 +1,52 @@
+"""Static rules on the library source.
+
+Every failure in the library is a typed `AviboundError` (or a built-in such
+as `ValueError` for malformed arguments).  An `assert` vanishes under
+`python -O`, and a broad `except` swallows real bugs, so neither may appear
+in `src/avibound`.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "avibound"
+MODULES = sorted(SRC.glob("*.py"))
+BROAD = {"Exception", "BaseException"}
+
+
+def _violations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            yield node.lineno, "assert statement"
+        elif isinstance(node, ast.ExceptHandler):
+            caught = node.type
+            names = caught.elts if isinstance(caught, ast.Tuple) else [caught]
+            if caught is None:
+                yield node.lineno, "bare except"
+            elif any(isinstance(n, ast.Name) and n.id in BROAD for n in names):
+                yield node.lineno, "broad except"
+
+
+def test_modules_found():
+    assert len(MODULES) >= 10
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_or_broad_except(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [f"{path.name}:{line}: {what}" for line, what in _violations(tree)]
+    assert not found, found
+
+
+def test_rules_catch_each_form():
+    source = (
+        "assert x\n"
+        "try:\n    pass\nexcept:\n    pass\n"
+        "try:\n    pass\nexcept Exception:\n    pass\n"
+        "try:\n    pass\nexcept (KeyError, BaseException):\n    pass\n"
+        "try:\n    pass\nexcept ValueError:\n    pass\n"
+    )
+    kinds = [what for _, what in _violations(ast.parse(source))]
+    assert kinds == ["assert statement", "bare except", "broad except", "broad except"]
