@@ -8,9 +8,12 @@ classification over speed:
 - `solve_lp`: two-phase dense simplex with Bland's rule for anti-cycling.
 - `solve_feasibility`: phase one only, returning a witness point.
 - `solve_projection_qp`: primal active-set method for the strictly convex
-  problem min ||z - u||^2 over a polyhedron, warm-started at u.
+  problem min ||z - u||^2 over a polyhedron, started from a caller's point
+  of the set or from its phase-one witness.
 
-All solves are pure functions of their inputs and safe to run concurrently.
+`feasible_witness` runs phase one at most once per set and feasibility
+tolerance, and keeps the point, or the fact that the set is empty, in the
+set's cache; every other solve is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -112,13 +115,11 @@ def _bland_iterate(A, b, c, basis, enterable, tol, max_pivots):
     if m == 0:
         return "optimal" if np.all(c[enterable] >= -tol) else "unbounded"
     for _ in range(max_pivots):
-        B = A[:, basis]
-        try:
-            lu = lu_factor(B)
-        except ValueError as exc:  # non-finite basis: numerical degeneration
-            raise NumericalBreakdown(f"non-finite simplex basis: {exc}") from exc
-        x_b = lu_solve(lu, b)
-        y = lu_solve(lu, c[basis], trans=1)
+        lu = lu_factor(A[:, basis], check_finite=False)
+        x_b = lu_solve(lu, b, check_finite=False)
+        if not np.all(np.isfinite(x_b)):  # a singular basis solves to inf/nan
+            raise NumericalBreakdown("singular or non-finite simplex basis")
+        y = lu_solve(lu, c[basis], trans=1, check_finite=False)
         reduced = c - A.T @ y
         in_basis = np.zeros(n, dtype=bool)
         in_basis[basis] = True
@@ -129,7 +130,7 @@ def _bland_iterate(A, b, c, basis, enterable, tol, max_pivots):
                 break
         if entering < 0:
             return "optimal"
-        direction = lu_solve(lu, A[:, entering])
+        direction = lu_solve(lu, A[:, entering], check_finite=False)
         best_ratio = math.inf
         leave_row = -1
         for i in range(m):
@@ -165,8 +166,8 @@ def _phase_one(A, b, tol, max_pivots):
     if status != "optimal":  # the phase-one objective is bounded below by 0
         raise NumericalBreakdown(f"phase one reported {status}")
     if m:
-        lu = lu_factor(full[:, basis])
-        x_b = lu_solve(lu, b)
+        lu = lu_factor(full[:, basis], check_finite=False)
+        x_b = lu_solve(lu, b, check_finite=False)
     else:
         x_b = np.zeros(0)
     infeas = sum(max(x_b[i], 0.0) for i in range(m) if basis[i] >= n)
@@ -178,10 +179,10 @@ def _phase_one(A, b, tol, max_pivots):
     for row in range(m):
         if basis[row] < n:
             continue
-        lu = lu_factor(full[:, basis])
+        lu = lu_factor(full[:, basis], check_finite=False)
         e_row = np.zeros(m)
         e_row[row] = 1.0
-        w = lu_solve(lu, e_row, trans=1)
+        w = lu_solve(lu, e_row, trans=1, check_finite=False)
         tableau_row = full[:, :n].T @ w
         in_basis = set(basis)
         pivot_col = -1
@@ -220,9 +221,9 @@ def _solve_standard_form(A, b, c, tol, max_pivots=None):
     if status == "unbounded":
         return "unbounded", None, None, None, None
     if A1.shape[0]:
-        lu = lu_factor(A1[:, basis])
-        x_b = lu_solve(lu, b1)
-        y = lu_solve(lu, c[basis], trans=1)
+        lu = lu_factor(A1[:, basis], check_finite=False)
+        x_b = lu_solve(lu, b1, check_finite=False)
+        y = lu_solve(lu, c[basis], trans=1, check_finite=False)
     else:
         x_b = np.zeros(0)
         y = np.zeros(0)
@@ -292,14 +293,35 @@ def solve_feasibility(eq_lhs, eq_rhs, ineq_lhs, ineq_rhs,
     if not feasible:
         return SolveStatus(status="infeasible", value=math.inf)
     if A1.shape[0]:
-        lu = lu_factor(A1[:, basis])
-        x_b = lu_solve(lu, b1)
+        lu = lu_factor(A1[:, basis], check_finite=False)
+        x_b = lu_solve(lu, b1, check_finite=False)
     else:
         x_b = np.zeros(0)
     v = np.zeros(A_std.shape[1])
     v[basis] = np.maximum(x_b, 0.0)
     x = v[:n] - v[n : 2 * n]
     return SolveStatus(status="optimal", value=0.0, point=x)
+
+
+def feasible_witness(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
+    """Phase-one point of S under `tol`, or None when S is empty.
+
+    Phase one reads only `tol.feas`, so it runs once per (S, tol.feas); the
+    outcome stays in `S._cache`.  The point is the cached array itself,
+    read-only: copy it before handing it out.  A set without rows is
+    witnessed by the origin.
+    """
+    key = ("witness", tol.feas)
+    if key not in S._cache:
+        if S.num_eq + S.num_ineq == 0:
+            point = np.zeros(S.ambient_dim)
+        else:
+            res = solve_feasibility(S.eq_lhs, S.eq_rhs, S.ineq_lhs, S.ineq_rhs, tol)
+            point = res.point
+        if point is not None:
+            point.setflags(write=False)
+        S._cache[key] = point
+    return S._cache[key]
 
 
 def _active_rows(A, b, z, tol):
@@ -311,14 +333,17 @@ def _active_rows(A, b, z, tol):
 
 def solve_projection_qp(problem: QpProjectionProblem,
                         tol: Tolerances = DEFAULT_TOL,
-                        initial_active=None) -> np.ndarray:
+                        start=None) -> np.ndarray:
     """Euclidean projection of `problem.target` onto `problem.feasible_set`.
 
-    Primal active-set method warm-started at the unconstrained minimizer u:
-    if u is feasible it is returned at once, otherwise the iteration starts
-    from a phase-one witness.  Ties in blocking-constraint selection and in
-    the drop rule are broken by lowest row index, and a pure box constraint
-    system short-circuits to coordinate clipping.
+    If the target u is feasible it is returned at once, and a pure box
+    constraint system short-circuits to coordinate clipping.  Otherwise a
+    primal active-set method runs from `start`, a point of the set whose
+    tight rows form the first working set.  When `start` is None or lies
+    outside the set by more than tol.feas * (1 + ||u||), the iteration
+    starts from the set's cached phase-one witness (`feasible_witness`)
+    instead.  Ties in blocking-constraint selection and in the drop rule
+    are broken by lowest row index.
 
     Raises EmptySet when the feasible set is empty.
     """
@@ -335,16 +360,12 @@ def solve_projection_qp(problem: QpProjectionProblem,
         return np.minimum(np.maximum(u, lo), np.minimum(hi, np.maximum(lo, hi)))
     E, d = S.eq_lhs, S.eq_rhs
     A, b = S.ineq_lhs, S.ineq_rhs
-    witness = solve_feasibility(E, d, A, b, tol)
-    if not witness.is_optimal:
-        raise EmptySet("projection onto an empty polyhedron")
-    z = witness.point
-    if initial_active is not None:
-        working = sorted(
-            i for i in initial_active if abs(b[i] - A[i] @ z) <= tol.feas * scale
-        )
-    else:
-        working = _active_rows(A, b, z, tol.feas * scale)
+    if start is None or not S.contains(start, tol.feas * scale):
+        start = feasible_witness(S, tol)
+        if start is None:
+            raise EmptySet("projection onto an empty polyhedron")
+    z = np.array(start, dtype=float)
+    working = _active_rows(A, b, z, tol.feas * scale)
     k_eq = E.shape[0]
     step_tol = 1e-11 * scale
     max_iters = 50 * (A.shape[0] + k_eq + u.size + 10)

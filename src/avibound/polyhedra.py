@@ -19,7 +19,7 @@ from scipy.linalg import null_space
 
 from .config import DEFAULT_CAPS, DEFAULT_TOL, Caps, Tolerances
 from .errors import CapExceeded, EmptySet
-from .optkernel import QpProjectionProblem, solve_feasibility, solve_projection_qp
+from .optkernel import QpProjectionProblem, feasible_witness, solve_projection_qp
 from .sets import PolyhedralSet, box, nonnegative_orthant  # re-export
 
 __all__ = [
@@ -73,37 +73,21 @@ class HausdorffDistance:
 
 
 def is_nonempty(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> bool:
-    cached = S._cache.get("nonempty")
-    if cached is None:
-        if S.num_eq + S.num_ineq == 0:
-            cached = True
-        else:
-            bounds = S.box_bounds()
-            if bounds is not None:
-                lo, hi = bounds
-                cached = bool(np.all(lo <= hi + tol.feas))
-            else:
-                res = solve_feasibility(S.eq_lhs, S.eq_rhs, S.ineq_lhs, S.ineq_rhs, tol)
-                cached = res.is_optimal
-        S._cache["nonempty"] = cached
-    return cached
+    """Whether S has a point within `tol.feas`; a box is read off its bounds,
+    any other set shares its phase-one witness with the projection."""
+    bounds = S.box_bounds()
+    if bounds is not None:
+        lo, hi = bounds
+        return bool(np.all(lo <= hi + tol.feas))
+    return feasible_witness(S, tol) is not None
 
 
 def feasible_point(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """A witness point of S; raises EmptySet when S is empty."""
-    cached = S._cache.get("witness")
-    if cached is not None:
-        return cached
-    if S.num_eq + S.num_ineq == 0:
-        w = np.zeros(S.ambient_dim)
-    else:
-        res = solve_feasibility(S.eq_lhs, S.eq_rhs, S.ineq_lhs, S.ineq_rhs, tol)
-        if not res.is_optimal:
-            raise EmptySet("no feasible point")
-        w = res.point
-    S._cache["witness"] = w
-    S._cache["nonempty"] = True
-    return w
+    """A witness point of S (a fresh copy); raises EmptySet when S is empty."""
+    w = feasible_witness(S, tol)
+    if w is None:
+        raise EmptySet("no feasible point")
+    return w.copy()
 
 
 def _lineality_basis(S: PolyhedralSet) -> np.ndarray:

@@ -130,8 +130,8 @@ def solve(inst: AviInstance, cfg: SolverConfig = SolverConfig(),
     step = cfg.step if cfg.step is not None else default_step(inst)
     M, q, C = inst.m_op, inst.q, inst.c_set
 
-    def proj(u):
-        return solve_projection_qp(QpProjectionProblem(u, C), tol)
+    def proj(u, start):
+        return solve_projection_qp(QpProjectionProblem(u, C), tol, start)
 
     records = []
     points = []
@@ -149,11 +149,12 @@ def solve(inst: AviInstance, cfg: SolverConfig = SolverConfig(),
         if np.linalg.norm(x) > DIVERGENCE_NORM:
             diverged = True
             break
+        # Warm starts: x (once past x0) and midpoint already lie in C.
         if cfg.method == "projected_fixed_point":
-            x = proj(x - step * (M @ x + q))
+            x = proj(x - step * (M @ x + q), x)
         else:
-            midpoint = proj(x - step * (M @ x + q))
-            x = proj(x - step * (M @ midpoint + q))
+            midpoint = proj(x - step * (M @ x + q), x)
+            x = proj(x - step * (M @ midpoint + q), midpoint)
     return SolveTrace(
         method=cfg.method,
         step=step,

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from avibound import EmptySet, PolyhedralSet, box, nonnegative_orthant
+from avibound import EmptySet, PolyhedralSet, box, nonnegative_orthant, optkernel
+from avibound.config import DEFAULT_TOL, Tolerances
 from avibound.optkernel import (
     LinearProgram,
     QpProjectionProblem,
@@ -14,6 +15,7 @@ from avibound.optkernel import (
     solve_lp,
     solve_projection_qp,
 )
+from avibound.polyhedra import enumerate_vertices, feasible_point, is_nonempty
 from avibound.rng import SplitMix64
 
 
@@ -234,7 +236,9 @@ class TestProjectionQp:
             project_onto([0.0], S)
 
     def test_two_starts_agree(self):
+        # no start, a start at a vertex and a start at an earlier projection
         rng = SplitMix64(5)
+        compared = 0
         for _ in range(50):
             n = rng.randint(1, 5)
             m = rng.randint(1, 8)
@@ -244,9 +248,14 @@ class TestProjectionQp:
             if solve_feasibility([], [], A, b).status != "optimal":
                 continue
             u = np.array([3.0 * rng.normal() for _ in range(n)])
-            z1 = project_onto(u, S, initial_active=[])
-            z2 = project_onto(u, S, initial_active=list(range(m)))
-            assert np.linalg.norm(z1 - z2) <= 1e-6
+            earlier = project_onto([3.0 * rng.normal() for _ in range(n)], S)
+            starts = [earlier] + enumerate_vertices(S).vertices[:1]
+            z1 = project_onto(u, S)
+            for start in starts:
+                z2 = project_onto(u, S, start=start)
+                assert np.linalg.norm(z1 - z2) <= 1e-6
+            compared += len(starts)
+        assert compared > 50
 
     def test_variational_characterization_random(self):
         # <u - z*, y - z*> <= 0 for all vertices y of the feasible set.
@@ -298,6 +307,91 @@ class TestProjectionQp:
                     if val < best_v:
                         best, best_v = cand, val
             np.testing.assert_allclose(z, best, atol=1e-8)
+
+
+def _triangle():
+    # {x1 + x2 <= 1, x >= 0}: the first row keeps it off the box fast path
+    return PolyhedralSet(
+        2,
+        ineq_lhs=[[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+        ineq_rhs=[1.0, 0.0, 0.0],
+    )
+
+
+@pytest.fixture
+def feasibility_calls(monkeypatch):
+    """Arguments of every phase-one solve made while the test runs."""
+    calls = []
+    original = optkernel.solve_feasibility
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(optkernel, "solve_feasibility", counting)
+    return calls
+
+
+class TestWitnessCache:
+    def test_one_phase_one_solve_per_set_and_tolerance(self, feasibility_calls):
+        S = _triangle()
+        # phase one reads only tol.feas, so the cmp-only variant shares an entry
+        loose = Tolerances(feas=1e-7)
+        for tol in (DEFAULT_TOL, loose, DEFAULT_TOL.with_cmp(1e-8)):
+            assert is_nonempty(S, tol)
+            feasible_point(S, tol)
+            for u in ([2.0, 2.0], [-1.0, 3.0], [3.0, -1.0], [-2.0, -2.0], [1.0, 1.0]):
+                project_onto(u, S, tol=tol)
+            assert is_nonempty(S, tol)
+        assert len(feasibility_calls) == 2
+
+    def test_returned_points_do_not_alias_the_cache(self):
+        S = _triangle()
+        w = feasible_point(S)
+        # u - w lies in the normal cone at w, so the projection of u is w
+        tight_rows = np.abs(S.ineq_rhs - S.ineq_lhs @ w) <= 1e-9
+        u = w + S.ineq_lhs[tight_rows].sum(axis=0)
+        z = project_onto(u, S)
+        np.testing.assert_allclose(z, w, atol=1e-12)
+        z += 5.0
+        p = feasible_point(S)
+        p += 7.0
+        np.testing.assert_array_equal(project_onto(u, S), w)
+        np.testing.assert_array_equal(feasible_point(S), w)
+
+    def test_start_outside_the_set_falls_back_to_the_witness(self):
+        S = _triangle()
+        for u in ([2.0, 2.0], [-1.0, 3.0], [3.0, -1.0]):
+            np.testing.assert_array_equal(
+                project_onto(u, S, start=[5.0, 5.0]), project_onto(u, S)
+            )
+
+    def test_empty_set_cached_as_empty(self, feasibility_calls):
+        S = PolyhedralSet(2, ineq_lhs=[[1.0, 1.0], [-1.0, -1.0]], ineq_rhs=[-1.0, 0.0])
+        assert not is_nonempty(S)
+        with pytest.raises(EmptySet):
+            project_onto([0.5, 0.5], S)
+        with pytest.raises(EmptySet):
+            feasible_point(S)
+        assert len(feasibility_calls) == 1
+
+    @pytest.mark.parametrize("two_rows", [False, True])
+    def test_nonempty_verdict_follows_the_tolerance(self, two_rows):
+        # {x <= -1e-8, -x <= 0} is empty at feas = 1e-9 and nonempty at 1e-7,
+        # in either call order; two_rows puts it in 2-D off the box path
+        loose = Tolerances(feas=1e-7)
+
+        def make():
+            if two_rows:
+                return PolyhedralSet(
+                    2, ineq_lhs=[[1.0, 1.0], [-1.0, -1.0]], ineq_rhs=[-1e-8, 0.0]
+                )
+            return PolyhedralSet(1, ineq_lhs=[[1.0], [-1.0]], ineq_rhs=[-1e-8, 0.0])
+
+        S = make()
+        assert (is_nonempty(S, loose), is_nonempty(S)) == (True, False)
+        S = make()
+        assert (is_nonempty(S), is_nonempty(S, loose)) == (False, True)
 
 
 class TestDegenerateInputs:

@@ -118,6 +118,30 @@ class TestSolve:
         check_tol = solution_check_tolerance(inst, cfg)
         assert is_solution(inst, trace.final_x, tol=Tolerances(cmp=check_tol))
 
+    @pytest.mark.parametrize("method", ["extragradient", "projected_fixed_point"])
+    def test_no_phase_one_after_construction(self, method, monkeypatch):
+        # C is not a box, so each projection needs a start point in C; the
+        # emptiness test in AviInstance already solved phase one for it
+        from avibound import optkernel
+        from avibound.bounds import SolutionGeometry
+
+        inst = generate_random_avi(n=3, m=5, monotonicity="strongly_monotone", seed=4)
+        assert inst.c_set.box_bounds() is None
+        calls = []
+        original = optkernel.solve_feasibility
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(optkernel, "solve_feasibility", counting)
+        cfg = SolverConfig(method=method, stop_residual=1e-8, x0=np.full(3, 10.0))
+        trace = solve(inst, cfg, tol=tight(1e-8))
+        assert calls == []
+        assert trace.converged
+        (solution,) = SolutionGeometry.from_instance(inst).anchors
+        assert np.linalg.norm(trace.final_x - solution) <= 1e-6
+
     def test_divergence_aborts(self):
         # expansive operator pushed away from the solution diverges under
         # plain fixed-point iteration with an oversized step
