@@ -4,8 +4,14 @@ An instance is the data (M, q, C): find x in C with <Mx + q, v - x> >= 0
 for all v in C.  The residual R(x) = x - P_C(x - Mx - q) vanishes exactly on
 the solution set, and both the solution set and every preimage R^{-1}(y)
 decompose into finitely many polyhedral pieces indexed by the active set of
-the projection's KKT system.  The decomposition is enumerated exhaustively
-over the 2^m active patterns, which is what the desk-scale cap protects.
+the projection's KKT system.  The piece of pattern I at level y lies in
+y + F_I, where F_I = {x in C : A_I x = alpha_I} is a face of C that does not
+depend on y, and F_I is empty for every superset of a pattern whose face is
+empty.  So one depth-first search per instance, adding rows in increasing
+index and pruning at empty faces, finds the patterns worth testing (the face
+enumeration behind reverse search, Avis & Fukuda 1992); each level y then
+tests only those patterns.  `Caps.subset_budget` bounds the patterns the
+search may test.
 """
 
 from __future__ import annotations
@@ -16,7 +22,13 @@ import numpy as np
 
 from .config import DEFAULT_CAPS, DEFAULT_TOL, Caps, Tolerances
 from .errors import CapExceeded, DimensionMismatch, EmptySet, NumericalBreakdown, SchemaError
-from .optkernel import LinearProgram, QpProjectionProblem, solve_lp, solve_projection_qp
+from .optkernel import (
+    LinearProgram,
+    QpProjectionProblem,
+    feasible_witness,
+    solve_lp,
+    solve_projection_qp,
+)
 from .polyhedra import PolyhedralSet, cone_generators, is_nonempty, pair_opposites
 from .sets import _as_matrix, _as_vector
 
@@ -43,7 +55,7 @@ class AviInstance:
         q.setflags(write=False)
         object.__setattr__(self, "m_op", M)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "_piece_templates", {})
+        object.__setattr__(self, "_face_templates", {})
 
     @property
     def dim(self) -> int:
@@ -256,18 +268,59 @@ class _PieceTemplate:
         )
 
 
-def _piece_template(inst: AviInstance, active: tuple,
-                    caps: Caps, tol: Tolerances) -> _PieceTemplate:
-    cache = inst._piece_templates
-    if active not in cache:
-        cache[active] = _PieceTemplate(inst, active, caps, tol)
-    return cache[active]
+def _face(inst: AviInstance, active: tuple) -> PolyhedralSet:
+    """F_I = {x in C : A_I x = alpha_I}; C itself for the empty pattern."""
+    if not active:
+        return inst.c_set
+    A = inst.c_set.ineq_lhs
+    alpha = inst.c_set.ineq_rhs
+    inactive = [i for i in range(inst.num_constraints) if i not in active]
+    return PolyhedralSet(
+        inst.dim,
+        ineq_lhs=A[inactive] if inactive else None,
+        ineq_rhs=alpha[inactive] if inactive else None,
+        eq_lhs=A[list(active)],
+        eq_rhs=alpha[list(active)],
+    )
 
 
-def active_patterns(m: int):
-    """All subsets of {0..m-1} ordered by subset rank (bit pattern)."""
-    for rank in range(1 << m):
-        yield tuple(i for i in range(m) if rank >> i & 1)
+def _face_templates(inst: AviInstance, caps: Caps, tol: Tolerances) -> list:
+    """Templates of the patterns with a nonempty face, ordered by subset rank.
+
+    Depth-first over patterns, adding rows in increasing index; a pattern
+    whose face is empty is not extended.  A point of the parent face on
+    which the added row is tight (within tol.feas) already witnesses the
+    child face; phase one runs only when it is not.  Cached on the instance
+    per (caps, tol).  Raises CapExceeded when the search needs to test more
+    than caps.subset_budget patterns.
+    """
+    key = (caps, tol)
+    cache = inst._face_templates
+    if key not in cache:
+        m = inst.num_constraints
+        A = inst.c_set.ineq_lhs
+        alpha = inst.c_set.ineq_rhs
+        templates = []
+        stack = [((), None)]
+        tested = 0
+        while stack:
+            active, point = stack.pop()
+            if tested == caps.subset_budget:
+                raise CapExceeded(
+                    f"face search needs more than {tested} active patterns, "
+                    f"budget {caps.subset_budget}"
+                )
+            tested += 1
+            if point is None or abs(A[active[-1]] @ point - alpha[active[-1]]) > tol.feas:
+                point = feasible_witness(_face(inst, active), tol)
+                if point is None:
+                    continue
+            templates.append(_PieceTemplate(inst, active, caps, tol))
+            first = active[-1] + 1 if active else 0
+            stack.extend((active + (i,), point) for i in range(first, m))
+        templates.sort(key=lambda t: sum(1 << i for i in t.active))
+        cache[key] = templates
+    return cache[key]
 
 
 def inverse_residual(inst: AviInstance, y,
@@ -276,21 +329,18 @@ def inverse_residual(inst: AviInstance, y,
                      keep_active: bool = False):
     """Pieces of R^{-1}(y), one x-space polyhedron per feasible active pattern.
 
-    The union of the returned sets is exactly the preimage; overlapping or
-    repeated pieces are kept as-is.  With keep_active=True, (active, piece)
-    pairs are returned instead.
+    Only patterns whose face of C is nonempty are tested, in subset-rank
+    order (bit i set when row i is active).  The union of the returned sets
+    is exactly the preimage; overlapping or repeated pieces are kept as-is.
+    With keep_active=True, (active, piece) pairs are returned instead.
     """
     y = _as_vector(y, inst.dim, "y")
-    m = inst.num_constraints
-    if m > caps.active_set_cap:
-        raise CapExceeded(f"{m} constraint rows exceed active-set cap {caps.active_set_cap}")
     pieces = []
-    for active in active_patterns(m):
-        template = _piece_template(inst, active, caps, tol)
+    for template in _face_templates(inst, caps, tol):
         piece = template.section(y, tol)
         if piece is None or not is_nonempty(piece, tol):
             continue
-        pieces.append((active, piece) if keep_active else piece)
+        pieces.append((template.active, piece) if keep_active else piece)
     return pieces
 
 

@@ -35,7 +35,7 @@ class SolutionGeometry:
     The default construction enumerates the polyhedral pieces of the
     solution set.  Separable instances (diagonal operator on the nonnegative
     orthant) get a product-form oracle instead, which keeps the truncation
-    experiment tractable far beyond the active-set cap.
+    experiment tractable although all 2^n faces of the orthant are nonempty.
     """
 
     def __init__(self, distance_fn, anchors, num_pieces=None):
@@ -505,7 +505,8 @@ def truncation_study(family, dims, num_samples: int = 400, master_seed: int = 0,
 
     `family` must provide `spectrum_name`, `instance(n)` and `diagonal(n)` /
     `shift(n)` (see instgen.TruncationFamily).  The product-form solution
-    geometry keeps dimensions beyond the active-set cap tractable.
+    geometry keeps large dimensions tractable, where the face search would
+    visit all 2^n nonempty faces of the orthant.
     """
     rows = []
     for index, n in enumerate(dims):

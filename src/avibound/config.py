@@ -29,17 +29,16 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class Caps:
-    """Caps that keep the exhaustive combinatorial routines desk-scale.
+    """Caps that keep the combinatorial routines desk-scale.
 
-    dim_cap / row_cap bound vertex enumeration inputs; active_set_cap bounds
-    the number of constraint rows whose 2^m active patterns are enumerated;
-    subset_budget bounds the number of candidate bases one enumeration may
-    inspect.
+    dim_cap / row_cap bound vertex enumeration inputs; subset_budget bounds
+    the number of candidate bases one vertex enumeration may inspect and the
+    number of active patterns the face search of `avi.inverse_residual` may
+    test on one instance.
     """
 
     dim_cap: int = 10
     row_cap: int = 24
-    active_set_cap: int = 16
     subset_budget: int = 2_000_000
 
 

@@ -18,7 +18,7 @@ class NumericalBreakdown(AviboundError):
 
 
 class CapExceeded(AviboundError):
-    """A combinatorial cap (dimension, row count, active-set size) was hit."""
+    """A combinatorial cap (dimension, row count, subset budget) was hit."""
 
 
 class DegenerateSampler(AviboundError):

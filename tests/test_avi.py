@@ -1,10 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
+from test_acceptance import _avi_corpus
 
 from avibound import CapExceeded, EmptySet, PolyhedralSet
 from avibound.avi import (
     AviInstance,
-    active_patterns,
+    _PieceTemplate,
     build_kkt_piece,
     enumerate_solution_set,
     inverse_residual,
@@ -12,7 +15,14 @@ from avibound.avi import (
     piece_section_points,
     residual,
 )
-from avibound.polyhedra import enumerate_vertices, nonnegative_orthant, union_distance
+from avibound.config import DEFAULT_CAPS, DEFAULT_TOL, Caps
+from avibound.instgen import canned_suite, generate_random_avi
+from avibound.polyhedra import (
+    enumerate_vertices,
+    is_nonempty,
+    nonnegative_orthant,
+    union_distance,
+)
 from avibound.rng import SplitMix64
 
 
@@ -162,7 +172,11 @@ class TestKktPiece:
 
     def test_row_count_structure(self):
         inst = ray_2d()
-        for active in active_patterns(inst.num_constraints):
+        rows = range(inst.num_constraints)
+        patterns = itertools.chain.from_iterable(
+            itertools.combinations(rows, k) for k in range(len(rows) + 1)
+        )
+        for active in patterns:
             piece = build_kkt_piece(inst, active)
             assert piece.polyhedron_yxl.num_eq == inst.dim
             assert piece.polyhedron_yxl.num_ineq == 3 * inst.num_constraints
@@ -268,11 +282,92 @@ class TestInverseResidual:
                     assert kkt.polyhedron_yxl.contains(triple, 1e-7)
 
     def test_cap_enforced(self):
+        # the root pattern and its three one-row children exceed a budget of 2
         inst = random_instance(3, n=2, m=3)
-        from avibound.config import Caps
+        with pytest.raises(CapExceeded, match="more than 2 active patterns, budget 2"):
+            inverse_residual(inst, np.zeros(2), caps=Caps(subset_budget=2))
 
-        with pytest.raises(CapExceeded):
-            inverse_residual(inst, np.zeros(2), caps=Caps(active_set_cap=2))
+    def test_template_cache_respects_caps(self):
+        # templates built under the default caps must not answer a call
+        # whose smaller dim_cap rules the instance out, in either call order
+        small = Caps(dim_cap=2)
+        for small_first in (True, False):
+            inst = generate_random_avi(
+                n=3, m=5, monotonicity="strongly_monotone", seed=4
+            )
+            if small_first:
+                with pytest.raises(CapExceeded, match="exceeds cap 2"):
+                    inverse_residual(inst, np.zeros(3), caps=small)
+            assert len(inverse_residual(inst, np.zeros(3))) == 1
+            with pytest.raises(CapExceeded, match="exceeds cap 2"):
+                inverse_residual(inst, np.zeros(3), caps=small)
+
+
+def _brute_force_pieces(inst, levels):
+    """Reference decomposition at each level: all 2^m patterns in subset-rank
+    order."""
+    m = inst.num_constraints
+    templates = [
+        _PieceTemplate(
+            inst, tuple(i for i in range(m) if rank >> i & 1), DEFAULT_CAPS, DEFAULT_TOL
+        )
+        for rank in range(1 << m)
+    ]
+    per_level = []
+    for y in levels:
+        found = []
+        for t in templates:
+            piece = t.section(y, DEFAULT_TOL)
+            if piece is not None and is_nonempty(piece, DEFAULT_TOL):
+                found.append((t.active, piece))
+        per_level.append(found)
+    return per_level
+
+
+def _row_bytes(piece):
+    arrays = (piece.ineq_lhs, piece.ineq_rhs, piece.eq_lhs, piece.eq_rhs)
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+def test_face_search_matches_brute_force():
+    corpus = [e.payload for e in canned_suite() if e.kind == "avi"]
+    corpus += [inst for _, _, inst in _avi_corpus()]
+    rng = SplitMix64(47)
+    compared = 0
+    for inst in corpus:
+        levels = [np.zeros(inst.dim)]
+        for _ in range(2):
+            x = np.array([2.0 * rng.normal() for _ in range(inst.dim)])
+            levels.append(residual(inst, x).r)
+        for y, expected in zip(levels, _brute_force_pieces(inst, levels)):
+            got = inverse_residual(inst, y, keep_active=True)
+            assert [a for a, _ in got] == [a for a, _ in expected]
+            for (_, piece), (_, ref) in zip(got, expected):
+                assert _row_bytes(piece) == _row_bytes(ref)
+            compared += len(expected)
+    assert compared > 100
+
+
+def test_twenty_rows_beyond_the_old_cap():
+    # 16 generated rows plus 4 far rows; the face search visits only the
+    # nonempty faces, so 20 rows at n = 3 stay desk-scale
+    base = generate_random_avi(n=3, m=16, monotonicity="strongly_monotone", seed=1)
+    extra = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+    inst = AviInstance(
+        m_op=base.m_op,
+        q=base.q,
+        c_set=PolyhedralSet(
+            3,
+            ineq_lhs=np.vstack([base.c_set.ineq_lhs, extra]),
+            ineq_rhs=np.concatenate([base.c_set.ineq_rhs, np.full(4, 100.0)]),
+        ),
+    )
+    assert inst.num_constraints == 20
+    pieces = enumerate_solution_set(inst)
+    assert pieces
+    vertices = [v for p in pieces for v in enumerate_vertices(p).vertices]
+    assert vertices
+    assert all(is_solution(inst, v) for v in vertices)
 
 
 class TestSolutionSet:

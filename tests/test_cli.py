@@ -74,22 +74,27 @@ class TestExitCodes:
         )
         assert result.returncode == 2
 
-    def test_cap_exceeded_exits_3(self, tmp_path):
-        # 17 constraint rows exceed the active-set cap of 16
+    def test_cap_exceeded_exits_3(self, tmp_path, capsys):
+        # 25 constraint rows: the solution pieces keep the inactive rows, so
+        # their vertex enumeration exceeds the row cap of 24
         inst = instgen.generate_random_avi(n=2, m=16, monotonicity="indefinite", seed=1)
         import numpy as np
 
         from avibound.avi import AviInstance
         from avibound.polyhedra import PolyhedralSet
 
-        A = np.vstack([inst.c_set.ineq_lhs, [[0.0, 1.0]]])
-        b = np.concatenate([inst.c_set.ineq_rhs, [100.0]])
+        extra = [[0.0, 1.0], [1.0, 0.0], [0.0, -1.0], [-1.0, 0.0],
+                 [1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, 2.0]]
+        A = np.vstack([inst.c_set.ineq_lhs, extra])
+        b = np.concatenate([inst.c_set.ineq_rhs, np.full(len(extra), 100.0)])
         fat = AviInstance(
             m_op=inst.m_op, q=inst.q, c_set=PolyhedralSet(2, ineq_lhs=A, ineq_rhs=b)
         )
+        assert fat.num_constraints == 25
         path = tmp_path / "fat.json"
         instgen.save(fat, str(path))
         assert main(["enumerate", "--instance", str(path)]) == 3
+        assert "inequality rows exceed cap 24" in capsys.readouterr().err
 
     def test_missing_instance_exits_2(self, tmp_path):
         assert main(["residual", "--instance", str(tmp_path / "nope.json"), "--x", "1"]) == 2

@@ -3,13 +3,17 @@
 Every failure in the library is a typed `AviboundError` (or a built-in such
 as `ValueError` for malformed arguments).  An `assert` vanishes under
 `python -O`, and a broad `except` swallows real bugs, so neither may appear
-in `src/avibound`.
+in `src/avibound`.  Every field of `Caps` and `Tolerances` must be read
+somewhere in `src/avibound`, so no dead knob survives its last reader.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
+
+from avibound.config import Caps, Tolerances
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "avibound"
 MODULES = sorted(SRC.glob("*.py"))
@@ -50,3 +54,25 @@ def test_rules_catch_each_form():
     )
     kinds = [what for _, what in _violations(ast.parse(source))]
     assert kinds == ["assert statement", "bare except", "broad except", "broad except"]
+
+
+def _attributes_read(tree):
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+@pytest.mark.parametrize("cls", [Caps, Tolerances], ids=lambda c: c.__name__)
+def test_every_config_field_is_read(cls):
+    read = set()
+    for path in MODULES:
+        read |= _attributes_read(ast.parse(path.read_text(encoding="utf-8")))
+    unread = [f.name for f in dataclasses.fields(cls) if f.name not in read]
+    assert not unread, f"{cls.__name__} fields never read in src/avibound: {unread}"
+
+
+def test_attribute_scan_ignores_stores():
+    tree = ast.parse("caps.row_cap\ncaps.dim_cap = 3\nf(caps.subset_budget)\n")
+    assert _attributes_read(tree) == {"row_cap", "subset_budget"}
