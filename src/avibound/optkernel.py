@@ -2,14 +2,22 @@
 
 Everything downstream (geometry, multifunction gaps, piece enumeration)
 reduces to the three solvers in this module.  Instances are desk-scale
-(n + m up to ~100), so the implementation favors determinism and exact
-classification over speed:
+(n + m up to ~100), so the pivots are chosen for determinism and exact
+classification, and each pivot is kept cheap:
 
-- `solve_lp`: two-phase dense simplex with Bland's rule for anti-cycling.
+- `solve_lp`: two-phase dense revised simplex with Bland's rule for
+  anti-cycling.
 - `solve_feasibility`: phase one only, returning a witness point.
 - `solve_projection_qp`: primal active-set method for the strictly convex
   problem min ||z - u||^2 over a polyhedron, started from a caller's point
   of the set or from its phase-one witness.
+
+Every simplex basis is factored by `lu_factor` and solved by `lu_solve`,
+which call LAPACK getrf/getrs directly, without scipy's batching and
+array-API checks; the factors, and hence the pivots, are those of
+`scipy.linalg.lu_factor`/`lu_solve`.  A pivot then costs one
+factorization, three solves with its factors, one vectorized scan for the
+entering column and a ratio test over Python floats.
 
 `feasible_witness` runs phase one at most once per set and feasibility
 tolerance, and keeps the point, or the fact that the set is empty, in the
@@ -22,13 +30,36 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DimensionMismatch, EmptySet, NumericalBreakdown
 from .sets import PolyhedralSet, _as_matrix, _as_vector
 
 _PIVOT_TOL = 1e-10
+
+_getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
+
+
+def lu_factor(a):
+    """LU factors (lu, piv) of the square matrix `a`, as scipy's lu_factor.
+
+    An exactly zero pivot is not an error here: solving with the factors
+    then yields inf/nan, which the simplex turns into NumericalBreakdown.
+    """
+    lu, piv, info = _getrf(a)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrf")
+    return lu, piv
+
+
+def lu_solve(lu_piv, b, trans=0):
+    """Solve a x = b (trans=0) or a^T x = b (trans=1) from `lu_factor(a)`."""
+    lu, piv = lu_piv
+    x, info = _getrs(lu, piv, b, trans=trans)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrs")
+    return x
 
 
 @dataclass(frozen=True)
@@ -106,31 +137,30 @@ class SolveStatus:
         return self.status == "optimal"
 
 
-def _bland_iterate(A, b, c, basis, enterable, tol, max_pivots):
+def _bland_iterate(A, b, c, basis, num_enterable, tol, max_pivots):
     """Revised simplex loop on min c.v s.t. Av = b, v >= 0 with Bland's rule.
 
-    `basis` is mutated in place.  Returns "optimal" or "unbounded".
+    Only the first `num_enterable` columns may enter the basis.  `basis` is
+    mutated in place.  Returns "optimal" or "unbounded".
     """
     m, n = A.shape
     if m == 0:
-        return "optimal" if np.all(c[enterable] >= -tol) else "unbounded"
+        return "optimal" if np.all(c[:num_enterable] >= -tol) else "unbounded"
+    nonbasic = np.ones(n, dtype=bool)
+    nonbasic[basis] = False
     for _ in range(max_pivots):
-        lu = lu_factor(A[:, basis], check_finite=False)
-        x_b = lu_solve(lu, b, check_finite=False)
-        if not np.all(np.isfinite(x_b)):  # a singular basis solves to inf/nan
+        lu = lu_factor(A[:, basis])
+        x_b = lu_solve(lu, b)
+        if not np.isfinite(x_b).all():  # a singular basis solves to inf/nan
             raise NumericalBreakdown("singular or non-finite simplex basis")
-        y = lu_solve(lu, c[basis], trans=1, check_finite=False)
+        y = lu_solve(lu, c[basis], trans=1)
         reduced = c - A.T @ y
-        in_basis = np.zeros(n, dtype=bool)
-        in_basis[basis] = True
-        entering = -1
-        for j in enterable:
-            if not in_basis[j] and reduced[j] < -tol:
-                entering = j
-                break
-        if entering < 0:
+        candidates = nonbasic[:num_enterable] & (reduced[:num_enterable] < -tol)
+        entering = int(candidates.argmax())
+        if not candidates[entering]:
             return "optimal"
-        direction = lu_solve(lu, A[:, entering], check_finite=False)
+        direction = lu_solve(lu, A[:, entering]).tolist()
+        x_b = x_b.tolist()
         best_ratio = math.inf
         leave_row = -1
         for i in range(m):
@@ -145,6 +175,8 @@ def _bland_iterate(A, b, c, basis, enterable, tol, max_pivots):
                     leave_row = i
         if leave_row < 0:
             return "unbounded"
+        nonbasic[basis[leave_row]] = True
+        nonbasic[entering] = False
         basis[leave_row] = entering
     raise NumericalBreakdown("simplex pivot budget exhausted")
 
@@ -162,12 +194,12 @@ def _phase_one(A, b, tol, max_pivots):
     full = np.hstack([A, np.eye(m)])
     cost = np.concatenate([np.zeros(n), np.ones(m)])
     basis = list(range(n, n + m))
-    status = _bland_iterate(full, b, cost, basis, range(n), tol, max_pivots)
+    status = _bland_iterate(full, b, cost, basis, n, tol, max_pivots)
     if status != "optimal":  # the phase-one objective is bounded below by 0
         raise NumericalBreakdown(f"phase one reported {status}")
     if m:
-        lu = lu_factor(full[:, basis], check_finite=False)
-        x_b = lu_solve(lu, b, check_finite=False)
+        lu = lu_factor(full[:, basis])
+        x_b = lu_solve(lu, b)
     else:
         x_b = np.zeros(0)
     infeas = sum(max(x_b[i], 0.0) for i in range(m) if basis[i] >= n)
@@ -179,11 +211,11 @@ def _phase_one(A, b, tol, max_pivots):
     for row in range(m):
         if basis[row] < n:
             continue
-        lu = lu_factor(full[:, basis], check_finite=False)
+        lu = lu_factor(full[:, basis])
         e_row = np.zeros(m)
         e_row[row] = 1.0
-        w = lu_solve(lu, e_row, trans=1, check_finite=False)
-        tableau_row = full[:, :n].T @ w
+        w = lu_solve(lu, e_row, trans=1)
+        tableau_row = (full[:, :n].T @ w).tolist()
         in_basis = set(basis)
         pivot_col = -1
         for j in range(n):
@@ -217,13 +249,13 @@ def _solve_standard_form(A, b, c, tol, max_pivots=None):
     feasible, A1, b1, basis, kept = _phase_one(A.copy(), b.copy(), tol, max_pivots)
     if not feasible:
         return "infeasible", None, None, None, None
-    status = _bland_iterate(A1, b1, c, basis, range(n), tol, max_pivots)
+    status = _bland_iterate(A1, b1, c, basis, n, tol, max_pivots)
     if status == "unbounded":
         return "unbounded", None, None, None, None
     if A1.shape[0]:
-        lu = lu_factor(A1[:, basis], check_finite=False)
-        x_b = lu_solve(lu, b1, check_finite=False)
-        y = lu_solve(lu, c[basis], trans=1, check_finite=False)
+        lu = lu_factor(A1[:, basis])
+        x_b = lu_solve(lu, b1)
+        y = lu_solve(lu, c[basis], trans=1)
     else:
         x_b = np.zeros(0)
         y = np.zeros(0)
@@ -293,8 +325,8 @@ def solve_feasibility(eq_lhs, eq_rhs, ineq_lhs, ineq_rhs,
     if not feasible:
         return SolveStatus(status="infeasible", value=math.inf)
     if A1.shape[0]:
-        lu = lu_factor(A1[:, basis], check_finite=False)
-        x_b = lu_solve(lu, b1, check_finite=False)
+        lu = lu_factor(A1[:, basis])
+        x_b = lu_solve(lu, b1)
     else:
         x_b = np.zeros(0)
     v = np.zeros(A_std.shape[1])

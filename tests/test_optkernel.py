@@ -1,12 +1,24 @@
 import itertools
+import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from avibound import EmptySet, PolyhedralSet, box, nonnegative_orthant, optkernel
+from avibound import (
+    EmptySet,
+    NumericalBreakdown,
+    PolyhedralSet,
+    avi,
+    box,
+    nonnegative_orthant,
+    optkernel,
+)
 from avibound.config import DEFAULT_TOL, Tolerances
 from avibound.optkernel import (
     LinearProgram,
@@ -394,6 +406,63 @@ class TestWitnessCache:
         assert (is_nonempty(S), is_nonempty(S, loose)) == (False, True)
 
 
+class TestLapackHelpers:
+    """`optkernel.lu_factor`/`lu_solve` call getrf/getrs themselves; their
+    results must be those of scipy's wrappers, bit for bit."""
+
+    @staticmethod
+    def _assert_same(a, rhs):
+        lu, piv = optkernel.lu_factor(a)
+        ref_lu, ref_piv = scipy.linalg.lu_factor(a)
+        assert lu.tobytes() == ref_lu.tobytes()
+        np.testing.assert_array_equal(piv, ref_piv)
+        for trans in (0, 1):
+            x = optkernel.lu_solve((lu, piv), rhs, trans=trans)
+            ref = scipy.linalg.lu_solve((ref_lu, ref_piv), rhs, trans=trans)
+            assert x.tobytes() == ref.tobytes()
+
+    def test_random_square_systems(self):
+        rng = SplitMix64(41)
+        for n in (2, 5, 12):
+            a = np.array([rng.normals(n) for _ in range(n)])
+            self._assert_same(a, np.array(rng.normals(n)))
+
+    def test_fancy_indexed_column_slice(self):
+        # the simplex factors A[:, basis], a Fortran-ordered copy
+        rng = SplitMix64(43)
+        A = np.array([rng.normals(9) for _ in range(4)])
+        basis = [7, 2, 5, 0]
+        a = A[:, basis]
+        assert not a.flags.c_contiguous
+        self._assert_same(a, np.array(rng.normals(4)))
+        # a column of A is a strided right-hand side
+        self._assert_same(a, A[:, 3])
+
+    def test_one_by_one(self):
+        self._assert_same(np.array([[3.0]]), np.array([-7.0]))
+
+    def test_inputs_are_left_alone(self):
+        a = np.array([[0.0, 2.0], [1.0, 1.0]], order="F")
+        b = np.array([1.0, 3.0])
+        lu = optkernel.lu_factor(a)
+        optkernel.lu_solve(lu, b)
+        np.testing.assert_array_equal(a, [[0.0, 2.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(b, [1.0, 3.0])
+
+
+def test_singular_basis_raises_numerical_breakdown():
+    # the two columns of A are equal, so the starting basis is exactly
+    # singular; the simplex must say so without a LinAlgWarning first
+    A = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalBreakdown, match="singular"):
+            optkernel._bland_iterate(
+                A, np.array([1.0, 2.0]), np.array([0.0, 0.0, -1.0]), [0, 1], 3,
+                DEFAULT_TOL.feas, 10,
+            )
+
+
 class TestDegenerateInputs:
     def test_duplicate_and_scaled_rows(self):
         # exactly duplicated and positively rescaled constraint rows must not
@@ -461,3 +530,158 @@ def test_projection_idempotent(u):
     p1 = project_onto(u, S)
     p2 = project_onto(p1, S)
     assert np.linalg.norm(p1 - p2) <= 1e-6
+
+
+# --- pivot-sequence regression -------------------------------------------
+#
+# A fixed seeded corpus of LPs and feasibility systems.  For each problem the
+# number of `optkernel.lu_factor` calls (one per simplex pivot plus the
+# refactorizations) and the exact bytes of every result are recorded in
+# tests/data/pivot_sequence.json; any drift in the chosen pivots changes
+# them.  Regenerate the file only for an intended change of the pivot rule:
+#     PYTHONPATH=src python tests/test_optkernel.py
+
+_PIVOT_RECORD = Path(__file__).parent / "data" / "pivot_sequence.json"
+
+
+def _random_lp(seed, n, num_eq=0):
+    """Feasible LP with 4n random rows (bounded or not, as the draw falls)."""
+    rng = SplitMix64(seed)
+    m = 4 * n
+    witness = np.array(rng.normals(n))
+    A = np.array([rng.normals(n) for _ in range(m)])
+    b = A @ witness + np.array([abs(rng.normal()) + 0.1 for _ in range(m)])
+    E = np.array([rng.normals(n) for _ in range(num_eq)]).reshape(num_eq, n)
+    return LinearProgram(
+        objective=rng.normals(n), ineq_lhs=A, ineq_rhs=b, eq_lhs=E, eq_rhs=E @ witness
+    )
+
+
+def _random_system(seed, n, num_eq, shift):
+    """(E, d, A, b) with m = 3n rows; a negative `shift` may make it empty."""
+    rng = SplitMix64(seed)
+    A = np.array([rng.normals(n) for _ in range(3 * n)])
+    b = np.array([rng.normal() + shift for _ in range(3 * n)])
+    E = np.array([rng.normals(n) for _ in range(num_eq)]).reshape(num_eq, n)
+    d = np.array(rng.normals(num_eq))
+    return E, d, A, b
+
+
+def _beale_lp():
+    # Beale's example: the textbook rule cycles on it, Bland's rule must
+    # break the ratio-test ties at the degenerate origin.
+    return LinearProgram(
+        objective=[0.75, -20.0, 0.5, -6.0],
+        ineq_lhs=[
+            [0.25, -8.0, -1.0, 9.0],
+            [0.5, -12.0, -0.5, 3.0],
+            [0.0, 0.0, 1.0, 0.0],
+        ] + (-np.eye(4)).tolist(),
+        ineq_rhs=[0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+        sense="maximize",
+    )
+
+
+def _pivot_corpus():
+    """(name, thunk) pairs; each thunk runs its problem through optkernel."""
+    corpus = []
+    for n in (3, 6, 10):
+        for k in range(3):
+            lp = _random_lp(1000 * n + k, n, num_eq=k % 2)
+            corpus.append((f"lp_n{n}_{k}", lambda lp=lp: [solve_lp(lp)]))
+        for k, shift in enumerate((1.0, 1.0, -0.5)):
+            E, d, A, b = _random_system(2000 * n + k, n, num_eq=k, shift=shift)
+            corpus.append(
+                (f"feas_n{n}_{k}", lambda s=(E, d, A, b): [solve_feasibility(*s)])
+            )
+    corpus.append(("beale_degenerate", lambda: [solve_lp(_beale_lp())]))
+    infeasible = LinearProgram(
+        objective=[1.0, 1.0],
+        ineq_lhs=[[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+        ineq_rhs=[-1.0, 0.0, 0.0],
+    )
+    corpus.append(("lp_infeasible", lambda: [solve_lp(infeasible)]))
+    unbounded = LinearProgram(
+        objective=[-1.0, 0.5],
+        ineq_lhs=[[-1.0, 1.0], [0.0, -1.0]],
+        ineq_rhs=[1.0, 0.0],
+    )
+    corpus.append(("lp_unbounded", lambda: [solve_lp(unbounded)]))
+    redundant = ([[1.0, 1.0], [2.0, 2.0], [1.0, -1.0]], [2.0, 4.0, 0.0],
+                 [[-1.0, 0.0]], [0.0])
+    corpus.append(("feas_redundant_rows", lambda: [solve_feasibility(*redundant)]))
+    corpus.append(("is_solution_ray", _is_solution_ray_solves))
+    return corpus
+
+
+def _is_solution_ray_solves():
+    # On the ray instance F(x) = (0, x2 - 1) over R^2_+, the point (5, 1 - 1e-8)
+    # leaves a drift of -1e-8 along e2: the LP over C reports "unbounded"
+    # and `is_solution` re-solves over C intersected with a huge box.
+    inst = avi.AviInstance(
+        m_op=[[0.0, 0.0], [0.0, 1.0]], q=[0.0, -1.0], c_set=nonnegative_orthant(2)
+    )
+    results = []
+
+    def recording(lp, tol=DEFAULT_TOL):
+        results.append(solve_lp(lp, tol))
+        return results[-1]
+
+    original = avi.solve_lp
+    avi.solve_lp = recording
+    try:
+        avi.is_solution(inst, [5.0, 1.0 - 1e-8])
+    finally:
+        avi.solve_lp = original
+    return results
+
+
+def _hex(arr):
+    return None if arr is None else [float(v).hex() for v in arr]
+
+
+def _run_pivot_corpus():
+    record = {}
+    original = optkernel.lu_factor
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    optkernel.lu_factor = counting
+    try:
+        for name, thunk in _pivot_corpus():
+            calls[0] = 0
+            solves = thunk()
+            record[name] = {
+                "lu_factor": calls[0],
+                "solves": [
+                    {"status": r.status, "point": _hex(r.point), "dual": _hex(r.dual)}
+                    for r in solves
+                ],
+            }
+    finally:
+        optkernel.lu_factor = original
+    return record
+
+
+def test_pivot_sequence_is_unchanged():
+    expected = json.loads(_PIVOT_RECORD.read_text())
+    actual = _run_pivot_corpus()
+    assert list(actual) == list(expected)
+    for name in expected:
+        assert actual[name] == expected[name], name
+
+
+def test_pivot_corpus_covers_every_outcome():
+    record = json.loads(_PIVOT_RECORD.read_text())
+    statuses = {s["status"] for entry in record.values() for s in entry["solves"]}
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+    ray = [s["status"] for s in record["is_solution_ray"]["solves"]]
+    assert ray == ["unbounded", "optimal"]
+
+
+if __name__ == "__main__":
+    _PIVOT_RECORD.parent.mkdir(exist_ok=True)
+    _PIVOT_RECORD.write_text(json.dumps(_run_pivot_corpus(), indent=1) + "\n")
