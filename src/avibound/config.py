@@ -32,9 +32,9 @@ class Caps:
     """Caps that keep the combinatorial routines desk-scale.
 
     dim_cap / row_cap bound vertex enumeration inputs; subset_budget bounds
-    the number of candidate bases one vertex enumeration may inspect and the
-    number of active patterns the face search of `avi.inverse_residual` may
-    test on one instance.
+    the number of active patterns the face search of `avi.inverse_residual`
+    may test on one instance.  Vertex enumeration needs no subset budget:
+    double description solves only the row subsets tight at a vertex or ray.
     """
 
     dim_cap: int = 10

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -65,16 +63,13 @@ def grid_gap_oracle(f, x, lo=-30.0, hi=30.0, steps=240001):
     """Brute-force section gap for output_dim == 1 on a fine y-grid."""
     assert f.output_dim == 1
     x = np.asarray(x, dtype=float)
-    best = math.inf
-    for y in np.linspace(lo, hi, steps):
-        yv = np.array([y])
-        worst = 0.0
-        if f.num_eq:
-            worst = max(worst, float(np.max(np.abs(f.a1 @ x + f.a2 @ yv - f.z))))
-        if f.num_ineq:
-            worst = max(worst, float(np.max(f.row_x @ x + f.row_y @ yv - f.rhs)))
-        best = min(best, worst)
-    return best
+    ys = np.linspace(lo, hi, steps)[:, None]
+    worst = np.zeros(steps)
+    if f.num_eq:
+        worst = np.maximum(worst, np.max(np.abs(f.a1 @ x + ys * f.a2[:, 0] - f.z), axis=1))
+    if f.num_ineq:
+        worst = np.maximum(worst, np.max(f.row_x @ x + ys * f.row_y[:, 0] - f.rhs, axis=1))
+    return float(np.min(worst))
 
 
 class TestEvaluate:

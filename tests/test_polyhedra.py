@@ -1,15 +1,24 @@
 import itertools
 import math
 
+import os
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import null_space
+from test_acceptance import _avi_corpus
 
-from avibound import CapExceeded, EmptySet, PolyhedralSet
-from avibound.config import Caps
+from avibound import CapExceeded, EmptySet, NumericalBreakdown, PolyhedralSet, optkernel, polyhedra
+from avibound.avi import _face_templates
+from avibound.config import DEFAULT_CAPS, DEFAULT_TOL, Caps
+from avibound.gpm import evaluate
+from avibound.instgen import canned_suite
 from avibound.polyhedra import (
     box,
+    cone_generators,
     distance,
     enumerate_vertices,
     from_generators,
@@ -19,6 +28,9 @@ from avibound.polyhedra import (
     union_distance,
 )
 from avibound.rng import SplitMix64
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+import workloads  # noqa: E402
 
 
 def brute_force_vertices(A, b):
@@ -344,3 +356,295 @@ def test_hausdorff_symmetry_and_triangle(lo1, w1, lo2, w2, lo3, w3):
     hcb = hausdorff(c, b).value
     assert hab == pytest.approx(hba, abs=1e-6)
     assert hab <= hac + hcb + 1e-6
+
+
+# --- double description against the exhaustive subset scan -----------------
+
+
+def _dedup(points, tol, relative):
+    kept = []
+    for p in points:
+        if all(
+            np.linalg.norm(p - q) > tol * ((1.0 + np.linalg.norm(q)) if relative else 1.0)
+            for q in kept
+        ):
+            kept.append(p)
+    return kept
+
+
+def exhaustive_scan(S, tol=DEFAULT_TOL):
+    """Reference: the subset scan `enumerate_vertices` ran before double
+    description.  Every `free`-subset of inequality rows is tried for a
+    vertex and every `free - 1`-subset for a recession ray, in lexicographic
+    order.  Returns (vertices, recession_rays)."""
+    n = S.ambient_dim
+    rows = np.vstack([S.eq_lhs, S.ineq_lhs])
+    L = null_space(rows, rcond=1e-9) if rows.shape[0] else np.eye(n)
+    E0 = np.vstack([S.eq_lhs, L.T])
+    d0 = np.concatenate([S.eq_rhs, np.zeros(L.shape[1])])
+    A, b = S.ineq_lhs, S.ineq_rhs
+    m = A.shape[0]
+    free = n - (np.linalg.matrix_rank(E0, tol=1e-9) if E0.size else 0)
+    vertices = []
+    if free == 0:
+        x = np.linalg.lstsq(E0, d0, rcond=None)[0]
+        if np.linalg.norm(E0 @ x - d0) <= tol.feas * (1 + np.linalg.norm(d0)):
+            if m == 0 or np.max(A @ x - b) <= tol.feas * (1 + np.linalg.norm(x)):
+                vertices.append(x)
+    else:
+        for subset in itertools.combinations(range(m), free):
+            M = np.vstack([E0, A[list(subset)]])
+            if np.linalg.matrix_rank(M, tol=1e-9) < n:
+                continue
+            rhs = np.concatenate([d0, b[list(subset)]])
+            x = np.linalg.lstsq(M, rhs, rcond=None)[0]
+            if np.linalg.norm(M @ x - rhs) > tol.feas * (1 + np.linalg.norm(rhs)):
+                continue
+            if m and np.max(A @ x - b) > tol.feas * (1 + np.linalg.norm(x)):
+                continue
+            vertices.append(x)
+    rays = []
+    if free >= 1:
+        for subset in itertools.combinations(range(m), free - 1):
+            M = np.vstack([E0, A[list(subset)]])
+            ns = null_space(M, rcond=1e-9) if M.size else np.eye(n)
+            if ns.shape[1] != 1:
+                continue
+            v = ns[:, 0]
+            if m and np.max(A @ v) <= tol.feas:
+                rays.append(v)
+            elif m and np.max(A @ (-v)) <= tol.feas:
+                rays.append(-v)
+            elif m == 0:
+                rays.extend([v, -v])
+    rays = _dedup(rays, tol.cmp, relative=False)
+    for j in range(L.shape[1]):
+        rays.extend([L[:, j], -L[:, j]])
+    return _dedup(vertices, tol.cmp, relative=True), rays
+
+
+def assert_same_bits(got, expected):
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g.shape == e.shape and g.tobytes() == e.tobytes()
+
+
+def assert_matches_scan(S):
+    vs = enumerate_vertices(S)
+    vertices, rays = exhaustive_scan(S)
+    assert_same_bits(vs.vertices, vertices)
+    assert_same_bits(vs.recession_rays, rays)
+    assert vs.is_bounded == (not rays)
+
+
+def assert_cone_matches_scan(rows):
+    rows = np.asarray(rows, dtype=float)
+    cone = PolyhedralSet(rows.shape[1], ineq_lhs=rows, ineq_rhs=np.zeros(len(rows)))
+    assert_same_bits(cone_generators(rows), exhaustive_scan(cone)[1])
+
+
+def _normals(rng, rows, cols):
+    return np.array([[rng.normal() for _ in range(cols)] for _ in range(rows)])
+
+
+def _random_sets(seed, count):
+    """Seeded H-polyhedra with n = 2..5: every other one boxed (bounded)."""
+    rng = SplitMix64(seed)
+    sets = []
+    while len(sets) < count:
+        n = rng.randint(2, 5)
+        m = rng.randint(n + 1, n + 6)
+        A = _normals(rng, m, n)
+        b = np.array([rng.normal() + 1.0 for _ in range(m)])
+        if len(sets) % 2:
+            A = np.vstack([A, np.eye(n), -np.eye(n)])
+            b = np.concatenate([b, np.full(2 * n, 2.0)])
+        S = PolyhedralSet(n, ineq_lhs=A, ineq_rhs=b)
+        if is_nonempty(S):
+            sets.append(S)
+    return sets
+
+
+def _section_points(f, seed, count=4):
+    rng = SplitMix64(seed)
+    sections = []
+    for _ in range(count):
+        section = evaluate(f, [rng.normal() for _ in range(f.input_dim)])
+        if is_nonempty(section):
+            sections.append(section)
+    return sections
+
+
+class TestDoubleDescriptionMatchesScan:
+    """Same vertices and rays as the exhaustive scan, in the same order and
+    bit for bit."""
+
+    def test_canned_sets(self):
+        compared = 0
+        for i, entry in enumerate(canned_suite()):
+            if entry.kind == "avi":
+                sets = [entry.payload.c_set]
+            elif entry.kind == "gpm":
+                sets = _section_points(entry.payload, 90 + i)
+            else:
+                continue
+            for S in sets:
+                assert_matches_scan(S)
+                compared += 1
+        assert compared >= 20
+
+    def test_random_polyhedra(self):
+        sets = _random_sets(5, 64)
+        bounded = 0
+        for S in sets:
+            assert_matches_scan(S)
+            bounded += enumerate_vertices(S).is_bounded
+        assert 20 <= bounded <= 60
+
+    def test_duplicate_and_tangent_rows(self):
+        for A, b in (
+            ([[1, 0], [1, 0], [0, 1], [-1, 0], [0, -1], [0.5, 0]], [1, 1, 1, 0, 0, 0.5]),
+            ([[1, 1], [1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 1, 0, 0]),
+            # a pyramid apex: four facets through one vertex
+            ([[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1], [0, 0, -1]], [1, 1, 1, 1, 0]),
+        ):
+            A = np.asarray(A, dtype=float)
+            assert_matches_scan(PolyhedralSet(A.shape[1], ineq_lhs=A, ineq_rhs=b))
+        for S in _random_sets(11, 12):
+            A = np.vstack([S.ineq_lhs, S.ineq_lhs[:2], 2.0 * S.ineq_lhs[2:3]])
+            b = np.concatenate([S.ineq_rhs, S.ineq_rhs[:2], 2.0 * S.ineq_rhs[2:3]])
+            assert_matches_scan(PolyhedralSet(S.ambient_dim, ineq_lhs=A, ineq_rhs=b))
+
+    def test_near_parallel_rows(self):
+        # a copy of one row tilted by 1e-3 .. 1e-10, with the same or a
+        # shifted right-hand side; a zero threshold of 1e-9 or looser
+        # (instead of _ZERO_TOL) loses a vertex or ray on one of these
+        rng = SplitMix64(13)
+        compared = broken = 0
+        for k, S in enumerate(_random_sets(42, 40)):
+            n = S.ambient_dim
+            j = rng.randint(0, S.num_ineq - 1)
+            scale = 10.0 ** -(3 + k % 8)
+            tilt = np.ones(n) if k % 3 == 0 else np.array([rng.normal() for _ in range(n)])
+            rhs = S.ineq_rhs[j] + (scale * rng.normal() if k % 2 else 0.0)
+            S = PolyhedralSet(
+                n,
+                ineq_lhs=np.vstack([S.ineq_lhs, S.ineq_lhs[j] + scale * tilt]),
+                ineq_rhs=np.concatenate([S.ineq_rhs, [rhs]]),
+            )
+            try:
+                is_nonempty(S)
+            except NumericalBreakdown:
+                # phase one breaks down on some near-parallel pairs; that is
+                # a fault of the simplex kernel, not of the enumeration
+                broken += 1
+                continue
+            assert_matches_scan(S)
+            compared += 1
+        assert compared >= 34, broken
+
+    def test_equality_rows_and_lineality(self):
+        rng = SplitMix64(19)
+        for k, S in enumerate(_random_sets(23, 24)):
+            n = S.ambient_dim
+            if k % 2:
+                E = _normals(rng, 1 + k % (n - 1), n)
+                d = E @ np.array([0.1 * rng.normal() for _ in range(n)])
+                S = PolyhedralSet(n, ineq_lhs=S.ineq_lhs, ineq_rhs=S.ineq_rhs, eq_lhs=E, eq_rhs=d)
+            else:
+                # rows confined to a hyperplane: one lineality direction
+                Q = np.linalg.qr(_normals(rng, n, n))[0][:, : n - 1]
+                S = PolyhedralSet(n, ineq_lhs=S.ineq_lhs @ Q @ Q.T, ineq_rhs=S.ineq_rhs)
+            if is_nonempty(S):
+                assert_matches_scan(S)
+
+    def test_sets_empty_up_to_the_tolerance(self):
+        # exactly empty, but within tol.feas of a point: no vertex of the
+        # homogenized cone has t > 0, so every subset is scanned
+        for A, b in (
+            ([[1.0], [-1.0]], [-1e-10, 0.0]),
+            ([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]],
+             [1e-10, 0.0, 1e-10, 0.0, -1e-10]),
+        ):
+            S = PolyhedralSet(len(A[0]), ineq_lhs=A, ineq_rhs=b)
+            assert is_nonempty(S)
+            assert_matches_scan(S)
+
+    def test_box_gpm_sections(self):
+        compared = 0
+        for j in range(9):
+            f = workloads.box_gpm(4000 + j, 2 + (j // 3) % 2, 2 + j % 3)
+            for S in _section_points(f, 60 + j):
+                assert_matches_scan(S)
+                compared += 1
+        assert compared >= 20
+
+    def test_lifted_cones_of_from_generators(self):
+        compared = 0
+        for S in _random_sets(29, 24):
+            vs = enumerate_vertices(S)
+            lifted = [np.concatenate([v, [1.0]]) for v in vs.vertices]
+            lifted += [np.concatenate([r, [0.0]]) for r in vs.recession_rays]
+            if len(lifted) <= DEFAULT_CAPS.row_cap:
+                assert_cone_matches_scan(lifted)
+                compared += 1
+        assert compared >= 12
+
+    def test_avi_face_templates(self):
+        cones = 0
+        for _, _, inst in _avi_corpus():
+            A = inst.c_set.ineq_lhs
+            for template in _face_templates(inst, DEFAULT_CAPS, DEFAULT_TOL):
+                if template.active:
+                    assert_cone_matches_scan(A[list(template.active)])
+                    cones += 1
+                piece = template.section(np.zeros(inst.dim), DEFAULT_TOL)
+                if piece is not None and is_nonempty(piece):
+                    assert_matches_scan(piece)
+        assert cones > 300
+
+
+def _count_calls(monkeypatch, module, name, counter):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counter[name] = counter.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_cone_generators_run_no_phase_one(monkeypatch):
+    calls = {}
+    _count_calls(monkeypatch, optkernel, "solve_feasibility", calls)
+    rng = SplitMix64(31)
+    for _ in range(20):
+        rows = _normals(rng, rng.randint(1, 6), rng.randint(2, 4))
+        cone_generators(rows)
+    from_generators([np.array(p, dtype=float) for p in [(0, 0), (1, 0), (0, 1), (1, 1)]])
+    from_generators([np.zeros(2)], [np.array([1.0, 0.0]), np.array([0.0, 1.0])])
+    assert calls == {}
+    # the counter does see the phase-one solve of a non-box set
+    assert is_nonempty(PolyhedralSet(2, ineq_lhs=[[1, 1], [-1, 0], [0, -1]], ineq_rhs=[1, 0, 0]))
+    assert calls == {"solve_feasibility": 1}
+
+
+def test_redundant_rows_cost_nothing(monkeypatch):
+    # the unit cube plus 18 far rows: the scan tried C(24, 3) = 2024 bases
+    # and C(24, 2) = 276 null spaces; double description solves only at the
+    # 8 vertices
+    rng = SplitMix64(37)
+    far = _normals(rng, 18, 3)
+    far /= np.linalg.norm(far, axis=1)[:, None]
+    cube = PolyhedralSet(
+        3,
+        ineq_lhs=np.vstack([np.eye(3), -np.eye(3), far]),
+        ineq_rhs=np.concatenate([np.ones(3), np.zeros(3), np.full(18, 100.0)]),
+    )
+    calls = {}
+    _count_calls(monkeypatch, np.linalg, "matrix_rank", calls)
+    _count_calls(monkeypatch, np.linalg, "lstsq", calls)
+    _count_calls(monkeypatch, polyhedra, "null_space", calls)
+    vs = enumerate_vertices(cube)
+    assert len(vs.vertices) == 8 and vs.is_bounded
+    assert sum(calls.values()) <= 3 * 8
