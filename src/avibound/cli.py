@@ -117,7 +117,7 @@ def cmd_generate(args) -> int:
         params={"n": args.n, "m": args.m, "monotonicity": args.monotonicity},
         path=instance_path,
     )
-    instgen.save_manifest(manifest, manifest_path)
+    instgen.save(manifest, manifest_path)
     print(f"generate: wrote {instance_path} (+ manifest)")
     return EXIT_PASS
 

@@ -21,7 +21,7 @@ import numpy as np
 from .config import DEFAULT_CAPS, DEFAULT_TOL, Caps, Tolerances
 from .errors import DegenerateSampler, DimensionMismatch, SchemaError
 from .optkernel import LinearProgram, solve_feasibility, solve_lp
-from .polyhedra import PolyhedralSet, hausdorff
+from .polyhedra import PolyhedralSet, hausdorff, is_nonempty
 from .rng import SplitMix64, derive_seed
 from .sets import _as_matrix, _as_vector
 
@@ -115,16 +115,6 @@ class DualMultiplier:
     def ball_norm(self) -> float:
         return float(np.sum(np.abs(self.lam)) + np.sum(self.gamma))
 
-    def annihilator_residual(self, f: GpMultifunction) -> float:
-        """Max-norm of a2^T lam + sum_i gamma_i row_y_i (0 on the dual
-        feasible set)."""
-        vec = np.zeros(f.output_dim)
-        if f.num_eq:
-            vec += f.a2.T @ self.lam
-        if f.num_ineq:
-            vec += f.row_y.T @ self.gamma
-        return float(np.max(np.abs(vec))) if vec.size else 0.0
-
 
 def evaluate(f: GpMultifunction, x) -> PolyhedralSet:
     """Section F(x) as a polyhedral set in the output space (may be empty)."""
@@ -139,13 +129,8 @@ def evaluate(f: GpMultifunction, x) -> PolyhedralSet:
 
 
 def domain_contains(f: GpMultifunction, x, tol: Tolerances = DEFAULT_TOL) -> bool:
-    section = evaluate(f, x)
-    if section.num_eq + section.num_ineq == 0:
-        return True
-    res = solve_feasibility(
-        section.eq_lhs, section.eq_rhs, section.ineq_lhs, section.ineq_rhs, tol
-    )
-    return res.is_optimal
+    """Whether x lies in dom F, that is whether the section F(x) is nonempty."""
+    return is_nonempty(evaluate(f, x), tol)
 
 
 def gap_primal(f: GpMultifunction, x, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -346,6 +331,15 @@ class SectionSamplerConfig:
 
 @dataclass(frozen=True)
 class LipschitzEstimateReport:
+    """Outcome of `estimate_lipschitz_modulus`.
+
+    `num_excluded_unbounded` counts the pairs whose Hausdorff distance is
+    +inf, which happens only when the two sections have different recession
+    cones.  Every nonempty section of one multifunction has the cone
+    {y : a2 y = 0, row_y y <= 0}, so the count is 0 up to rounding.  The
+    field stays because the report schema and `perfbench/tracing.py` read it.
+    """
+
     c_emp: float
     witness_pair: tuple | None
     num_pairs_requested: int
@@ -390,28 +384,32 @@ def _domain_witness(f: GpMultifunction, tol: Tolerances) -> np.ndarray:
 
 
 def _sample_domain_point(f, center, stream, cfg, tol):
+    """(x, F(x)) for the first sampled x with a nonempty section, or None.
+    The section keeps its phase-one witness for the Hausdorff distance."""
     for _ in range(cfg.max_rejects):
         radius = cfg.radius_ladder[stream.randint(0, len(cfg.radius_ladder) - 1)]
         x = center + radius * np.array(stream.normals(f.input_dim))
-        if domain_contains(f, x, tol):
-            return x
+        section = evaluate(f, x)
+        if is_nonempty(section, tol):
+            return x, section
     return None
 
 
 def _measure_pair(f, center, index, cfg, caps, tol):
     """One pair's (x1, x2, h, ratio) or a rejection tag; order-independent."""
     stream = SplitMix64(derive_seed(cfg.master_seed, index))
-    x1 = _sample_domain_point(f, center, stream, cfg, tol)
-    x2 = _sample_domain_point(f, center, stream, cfg, tol)
-    if x1 is None or x2 is None:
+    first = _sample_domain_point(f, center, stream, cfg, tol)
+    second = _sample_domain_point(f, center, stream, cfg, tol)
+    if first is None or second is None:
         return "rejected"
+    (x1, section1), (x2, section2) = first, second
     gap = float(np.linalg.norm(x1 - x2))
     if gap <= 1e-9:
         return "rejected"
-    h = hausdorff(evaluate(f, x1), evaluate(f, x2), caps, tol)
-    if h.is_infinite or h.is_lower_bound:
+    h = hausdorff(section1, section2, caps, tol)
+    if math.isinf(h):
         return "excluded"
-    return (x1, x2, h.value, h.value / gap)
+    return (x1, x2, h, h / gap)
 
 
 def estimate_lipschitz_modulus(f: GpMultifunction,
@@ -420,10 +418,11 @@ def estimate_lipschitz_modulus(f: GpMultifunction,
                                tol: Tolerances = DEFAULT_TOL):
     """Empirical modulus sup h(F(x1), F(x2)) / ||x1 - x2|| over sampled pairs.
 
-    Pairs whose Hausdorff distance is infinite or only certified as a lower
-    bound (unbounded sections) are excluded from the maximum and counted in
-    the report.  Each pair's seed derives from its index.  Returns
-    (c_emp, report).
+    Each ratio uses the exact Hausdorff distance, for unbounded sections as
+    well as bounded ones.  A pair whose distance is +inf (sections with
+    different recession cones, which one multifunction does not produce) is
+    left out of the maximum and counted in `num_excluded_unbounded`.  Each
+    pair's seed derives from its index.  Returns (c_emp, report).
     """
     center = _domain_witness(f, tol)
     c_emp = 0.0
@@ -495,7 +494,8 @@ def check_lipschitz_holdout(f: GpMultifunction, c_emp: float,
     """Fresh-sample check that h(F(x1), F(x2)) <= slack * c_emp * ||x1 - x2||.
 
     Pairs are drawn and filtered exactly as in `estimate_lipschitz_modulus`,
-    so for the same `cfg` `num_checked` equals the estimate's `num_ratios`.
+    unbounded sections included, so for the same `cfg` `num_checked` equals
+    the estimate's `num_ratios`.
     """
     center = _domain_witness(f, tol)
     violations = []

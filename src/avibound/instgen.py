@@ -324,11 +324,45 @@ def canned_suite() -> list:
 
 # --- serialization ----------------------------------------------------------
 
+@dataclass(frozen=True)
+class InstanceManifest:
+    """Recipe from which a stored instance regenerates byte-for-byte."""
+
+    name: str
+    seed: int
+    params: dict
+    path: str
+
+    def to_json_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "seed": self.seed,
+            "params": self.params,
+            "path": self.path,
+        }
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "InstanceManifest":
+        try:
+            return cls(
+                name=data["name"],
+                seed=int(data["seed"]),
+                params=dict(data["params"]),
+                path=data["path"],
+            )
+        except (KeyError, TypeError) as exc:
+            raise SchemaError(f"malformed manifest payload: {exc}") from exc
+
+    def regenerate(self) -> AviInstance:
+        return generate_random_avi(seed=self.seed, **self.params)
+
+
 _KINDS = {
     "avi": AviInstance,
     "gpm": GpMultifunction,
     "polyhedral_set": PolyhedralSet,
     "truncation_family": TruncationFamily,
+    "manifest": InstanceManifest,
 }
 
 
@@ -372,56 +406,8 @@ def load(path: str):
     return cls.from_json_dict(data)
 
 
-@dataclass(frozen=True)
-class InstanceManifest:
-    """Recipe from which a stored instance regenerates byte-for-byte."""
-
-    name: str
-    seed: int
-    params: dict
-    path: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "params": self.params,
-            "path": self.path,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "InstanceManifest":
-        try:
-            return cls(
-                name=data["name"],
-                seed=int(data["seed"]),
-                params=dict(data["params"]),
-                path=data["path"],
-            )
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"malformed manifest payload: {exc}") from exc
-
-    def regenerate(self) -> AviInstance:
-        return generate_random_avi(seed=self.seed, **self.params)
-
-
-def save_manifest(manifest: InstanceManifest, path: str) -> None:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "manifest",
-        **manifest.to_json_dict(),
-    }
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(canonical_json(payload))
-
-
 def load_manifest(path: str) -> InstanceManifest:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from exc
-    if data.get("schema_version") != SCHEMA_VERSION or data.get("kind") != "manifest":
+    manifest = load(path)
+    if not isinstance(manifest, InstanceManifest):
         raise SchemaError(f"{path}: not a manifest file")
-    return InstanceManifest.from_json_dict(data)
+    return manifest

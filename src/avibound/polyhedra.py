@@ -33,7 +33,6 @@ from .sets import PolyhedralSet, box, nonnegative_orthant  # re-export
 __all__ = [
     "PolyhedralSet",
     "VertexSet",
-    "HausdorffDistance",
     "box",
     "nonnegative_orthant",
     "is_nonempty",
@@ -69,23 +68,6 @@ class VertexSet:
     def __post_init__(self):
         if self.is_bounded and self.recession_rays:
             raise ValueError("a bounded vertex set cannot have recession rays")
-
-
-@dataclass(frozen=True)
-class HausdorffDistance:
-    """Hausdorff distance value; `is_lower_bound` marks uncertified unbounded
-    cases where only the vertex formula was evaluated."""
-
-    value: float
-    is_lower_bound: bool = False
-
-    @property
-    def is_infinite(self) -> bool:
-        return math.isinf(self.value)
-
-    @property
-    def certified(self) -> bool:
-        return not self.is_lower_bound
 
 
 def is_nonempty(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -312,26 +294,32 @@ def _recession_cones_match(va: VertexSet, vb: VertexSet,
 
 def hausdorff(a: PolyhedralSet, b: PolyhedralSet,
               caps: Caps = DEFAULT_CAPS,
-              tol: Tolerances = DEFAULT_TOL) -> HausdorffDistance:
-    """Hausdorff distance via the vertex formula.
+              tol: Tolerances = DEFAULT_TOL) -> float:
+    """Hausdorff distance between two nonempty polyhedra, bounded or not.
 
-    d(., convex set) is convex, so its maximum over a polytope sits at a
-    vertex; that makes the vertex formula exact for bounded sets.  When the
-    recession cones differ the distance is +inf.  For unbounded sets with
-    matching cones the vertex formula is still evaluated but the result is
-    flagged as a lower bound rather than certified.
+    When the recession cones differ the distance is +inf: a ray of one set
+    that is not in the cone of the other leaves it at a linear rate.
+    Otherwise write a = conv V_a + K with K = rec a = rec b.  Each point of
+    a is p + k with p in conv V_a and k in K, and b + k lies in b, so
+    d(p + k, b) <= d(p, b): the nearest point q of b to p gives the point
+    q + k of b at the same distance from p + k.  d(., b) is convex, so its
+    maximum over conv V_a sits at a vertex.  With the roles of a and b
+    swapped as well, the vertex formula
+
+        max(max_{v in V_a} d(v, b), max_{w in V_b} d(w, a))
+
+    is the distance itself, not a bound on it.
     """
     va = enumerate_vertices(a, caps, tol)
     vb = enumerate_vertices(b, caps, tol)
     if not _recession_cones_match(va, vb, a, b, tol):
-        return HausdorffDistance(value=math.inf, is_lower_bound=False)
+        return math.inf
     value = 0.0
     for v in va.vertices:
         value = max(value, distance(b, v, tol)[0])
     for w in vb.vertices:
         value = max(value, distance(a, w, tol)[0])
-    certified = va.is_bounded and vb.is_bounded
-    return HausdorffDistance(value=value, is_lower_bound=not certified)
+    return value
 
 
 def union_distance(pieces, x, tol: Tolerances = DEFAULT_TOL) -> float:

@@ -2,17 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
+from reference_oracles import build_kkt_piece, piece_section_points
 from test_acceptance import _avi_corpus
 
 from avibound import CapExceeded, EmptySet, PolyhedralSet
 from avibound.avi import (
     AviInstance,
     _PieceTemplate,
-    build_kkt_piece,
     enumerate_solution_set,
     inverse_residual,
     is_solution,
-    piece_section_points,
     residual,
 )
 from avibound.config import DEFAULT_CAPS, DEFAULT_TOL, Caps

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference_oracles import annihilator_residual
 
 from avibound import DegenerateSampler
 from avibound.gpm import (
@@ -142,7 +143,7 @@ class TestGap:
         value, mult = gap_dual(f, [-1.0], return_multiplier=True)
         assert value == pytest.approx(1.0, abs=1e-9)
         assert mult.ball_norm() <= 1.0 + 1e-9
-        assert mult.annihilator_residual(f) <= 1e-9
+        assert annihilator_residual(mult, f) <= 1e-9
         assert np.all(mult.gamma >= -1e-12)
         assert gap_dual(f, [5.0]) >= -1e-12
 
@@ -244,13 +245,20 @@ class TestLipschitzModulus:
         with pytest.raises(DegenerateSampler):
             estimate_lipschitz_modulus(f, SectionSamplerConfig(num_pairs=5))
 
-    def test_unbounded_sections_are_excluded(self):
-        # F(x) = {y : y >= x} has unbounded sections; no ratio survives.
+    def test_unbounded_sections_modulus_one(self):
+        # F(x) = {y : y >= x}: every section is a half-line with the same
+        # recession cone, and h(F(x1), F(x2)) = |x1 - x2| exactly
         f = GpMultifunction(
             input_dim=1, output_dim=1, row_x=[[1.0]], row_y=[[-1.0]], rhs=[0.0]
         )
-        with pytest.raises(DegenerateSampler):
-            estimate_lipschitz_modulus(f, SectionSamplerConfig(num_pairs=10, master_seed=5))
+        cfg = SectionSamplerConfig(num_pairs=10, master_seed=5)
+        c, report = estimate_lipschitz_modulus(f, cfg)
+        assert c == pytest.approx(1.0, abs=1e-9)
+        assert report.num_ratios == 10
+        assert report.num_excluded_unbounded == 0
+        holdout = check_lipschitz_holdout(f, c, cfg, slack=1.0)
+        assert holdout.num_checked == 10
+        assert holdout.violations == []
 
     def test_holdout_has_no_violations_for_identity(self):
         f = identity_graph(2)

@@ -16,9 +16,8 @@ from avibound.instgen import (
     load,
     load_manifest,
     save,
-    save_manifest,
 )
-from avibound.polyhedra import enumerate_vertices, is_nonempty
+from avibound.polyhedra import box, enumerate_vertices, is_nonempty
 from avibound.rng import SplitMix64
 
 
@@ -161,11 +160,24 @@ class TestSerialization:
         )
         save(manifest.regenerate(), manifest.path)
         first = open(manifest.path, "rb").read()
-        save_manifest(manifest, str(tmp_path / "demo.manifest.json"))
+        save(manifest, str(tmp_path / "demo.manifest.json"))
         loaded = load_manifest(str(tmp_path / "demo.manifest.json"))
+        assert loaded == manifest
         save(loaded.regenerate(), loaded.path)
         second = open(loaded.path, "rb").read()
         assert first == second
+
+    def test_manifest_reader_rejects_json_array(self, tmp_path):
+        path = tmp_path / "list.manifest.json"
+        path.write_text(json.dumps([{"schema_version": "1", "kind": "manifest"}]))
+        with pytest.raises(SchemaError, match="top-level JSON must be an object"):
+            load_manifest(str(path))
+
+    def test_manifest_reader_rejects_other_kinds(self, tmp_path):
+        path = tmp_path / "c.json"
+        save(box([0.0], [1.0]), str(path))
+        with pytest.raises(SchemaError, match="not a manifest file"):
+            load_manifest(str(path))
 
     def test_canonical_json_is_stable(self):
         payload = {"b": 1, "a": [1.5, 2.25]}

@@ -227,13 +227,11 @@ class TestDistance:
 class TestHausdorff:
     def test_identical(self):
         S = box([0, 0], [1, 1])
-        h = hausdorff(S, S)
-        assert h.value == pytest.approx(0.0, abs=1e-10)
-        assert not h.is_lower_bound
+        assert hausdorff(S, S) == pytest.approx(0.0, abs=1e-10)
 
     def test_intervals(self):
         h = hausdorff(box([0.0], [1.0]), box([0.0], [2.0]))
-        assert h.value == pytest.approx(1.0, abs=1e-10)
+        assert h == pytest.approx(1.0, abs=1e-10)
 
     def test_shifted_squares_matches_brute_force(self):
         a = box([0, 0], [1, 1])
@@ -245,18 +243,46 @@ class TestHausdorff:
             max(distance(a, w)[0] for w in vb),
         )
         assert oracle == pytest.approx(1.0, abs=1e-10)
-        assert hausdorff(a, b).value == pytest.approx(oracle, abs=1e-9)
+        assert hausdorff(a, b) == pytest.approx(oracle, abs=1e-9)
 
     def test_recession_mismatch_is_infinite(self):
-        h = hausdorff(nonnegative_orthant(1), box([0.0], [1.0]))
-        assert h.is_infinite
+        assert hausdorff(nonnegative_orthant(1), box([0.0], [1.0])) == math.inf
 
-    def test_matching_cones_flags_lower_bound(self):
+    def test_matching_cones_give_exact_distance(self):
         a = nonnegative_orthant(1)
         shifted = PolyhedralSet(1, ineq_lhs=[[-1.0]], ineq_rhs=[-1.0])  # x >= 1
-        h = hausdorff(a, shifted)
-        assert h.is_lower_bound
-        assert h.value == pytest.approx(1.0, abs=1e-9)
+        assert hausdorff(a, shifted) == pytest.approx(1.0, abs=1e-9)
+
+    def test_unbounded_pairs_attain_the_vertex_value(self):
+        # sets with the same rows and different right-hand sides share their
+        # recession cone, so the vertex formula is the distance: points of
+        # either set pushed far out along its rays never lie farther from the
+        # other set than the returned value
+        rng = SplitMix64(0x4A05)
+        pairs = unbounded = 0
+        while pairs < 60:
+            n, m = rng.randint(1, 3), rng.randint(1, 4)
+            A = np.array([[rng.normal() for _ in range(n)] for _ in range(m)])
+            sets = [
+                PolyhedralSet(n, ineq_lhs=A, ineq_rhs=[rng.normal() for _ in range(m)])
+                for _ in range(2)
+            ]
+            if not all(is_nonempty(S) for S in sets):
+                continue
+            pairs += 1
+            h = hausdorff(*sets)
+            assert h == pytest.approx(hausdorff(*reversed(sets)), abs=1e-9)
+            assert h < math.inf
+            for S, other in (sets, reversed(sets)):
+                vs = enumerate_vertices(S)
+                unbounded += not vs.is_bounded
+                for _ in range(20):
+                    weights = np.array([rng.uniform() for _ in vs.vertices])
+                    p = weights @ np.array(vs.vertices) / weights.sum()
+                    for ray in vs.recession_rays:
+                        p = p + 10.0 ** rng.uniform_in(0.0, 4.0) * ray
+                    assert distance(other, p)[0] <= h + 1e-9
+        assert unbounded >= 60
 
 
 class TestUnionDistance:
@@ -350,10 +376,10 @@ def test_hausdorff_symmetry_and_triangle(lo1, w1, lo2, w2, lo3, w3):
     a = box([lo1], [lo1 + w1])
     b = box([lo2], [lo2 + w2])
     c = box([lo3], [lo3 + w3])
-    hab = hausdorff(a, b).value
-    hba = hausdorff(b, a).value
-    hac = hausdorff(a, c).value
-    hcb = hausdorff(c, b).value
+    hab = hausdorff(a, b)
+    hba = hausdorff(b, a)
+    hac = hausdorff(a, c)
+    hcb = hausdorff(c, b)
     assert hab == pytest.approx(hba, abs=1e-6)
     assert hab <= hac + hcb + 1e-6
 

@@ -4,7 +4,9 @@ Every failure in the library is a typed `AviboundError` (or a built-in such
 as `ValueError` for malformed arguments).  An `assert` vanishes under
 `python -O`, and a broad `except` swallows real bugs, so neither may appear
 in `src/avibound`.  Every field of `Caps` and `Tolerances` must be read
-somewhere in `src/avibound`, so no dead knob survives its last reader.
+somewhere in `src/avibound`, so no dead knob survives its last reader.  Every
+name a module lists in `__all__` must be bound in that module, so no export
+outlives the code it named.
 """
 
 import ast
@@ -88,3 +90,38 @@ def test_one_factorization_name():
                 names = {alias.name for alias in node.names}
                 imported += [f"{path.name}: {n}" for n in names & {"lu_factor", "lu_solve"}]
     assert not imported, imported
+
+
+def _stale_exports(tree):
+    """Names listed in a module's `__all__` that its top level never binds."""
+    bound, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            bound |= names
+            if "__all__" in names:
+                exported = [elt.value for elt in node.value.elts]
+    return [name for name in exported if name not in bound]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_export_exists(path):
+    stale = _stale_exports(ast.parse(path.read_text(encoding="utf-8")))
+    assert not stale, f"{path.name}: __all__ names nothing bound: {stale}"
+
+
+def test_export_rule_catches_stale_name():
+    source = (
+        "import numpy as np\n"
+        "from .sets import box\n"
+        "LIMIT: int = 3\n"
+        "def f():\n    pass\n"
+        "class C:\n    pass\n"
+        "__all__ = ['np', 'box', 'LIMIT', 'f', 'C', 'Removed']\n"
+    )
+    assert _stale_exports(ast.parse(source)) == ["Removed"]
