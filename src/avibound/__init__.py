@@ -8,7 +8,7 @@ bound and upper-Lipschitz verification), `solvers` (projection-type
 iterations), `instgen` (instance corpus and serialization) and `cli`.
 """
 
-from .config import Caps, Tolerances, DEFAULT_CAPS, DEFAULT_TOL
+from .config import Tolerances, DEFAULT_TOL
 from .errors import (
     AviboundError,
     CapExceeded,
@@ -23,9 +23,7 @@ from .sets import PolyhedralSet, box, nonnegative_orthant
 
 __all__ = [
     "AviboundError",
-    "Caps",
     "CapExceeded",
-    "DEFAULT_CAPS",
     "DEFAULT_TOL",
     "DegenerateSampler",
     "DimensionMismatch",

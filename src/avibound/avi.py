@@ -10,8 +10,9 @@ depend on y, and F_I is empty for every superset of a pattern whose face is
 empty.  So one depth-first search per instance, adding rows in increasing
 index and pruning at empty faces, finds the patterns worth testing (the face
 enumeration behind reverse search, Avis & Fukuda 1992); each level y then
-tests only those patterns.  `Caps.subset_budget` bounds the patterns the
-search may test.
+tests only those patterns.  The search is exponential in the worst case and
+instance files come from outside the program, so it stops after
+`_PATTERN_BUDGET` patterns with CapExceeded.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_CAPS, DEFAULT_TOL, Caps, Tolerances
+from .config import DEFAULT_TOL, Tolerances
 from .errors import CapExceeded, DimensionMismatch, EmptySet, NumericalBreakdown, SchemaError
 from .optkernel import (
     LinearProgram,
@@ -149,7 +150,7 @@ class _PieceTemplate:
     polar.  Only right-hand sides depend on y afterwards.
     """
 
-    def __init__(self, inst: AviInstance, active: tuple, caps: Caps, tol: Tolerances):
+    def __init__(self, inst: AviInstance, active: tuple, tol: Tolerances):
         n, m = inst.dim, inst.num_constraints
         A = inst.c_set.ineq_lhs
         alpha = inst.c_set.ineq_rhs
@@ -162,7 +163,7 @@ class _PieceTemplate:
         self.eq_base = alpha[list(active)] if active else np.zeros(0)
         self.eq_shift = self.eq_lhs_x
         if active:
-            generators = cone_generators(A[list(active)], caps, tol)
+            generators = cone_generators(A[list(active)], tol)
         else:
             generators = [row for j in range(n) for row in (np.eye(n)[j], -np.eye(n)[j])]
         cone_eq, cone_ineq = pair_opposites(generators, n, tol)
@@ -231,19 +232,21 @@ def _face(inst: AviInstance, active: tuple) -> PolyhedralSet:
     )
 
 
-def _face_templates(inst: AviInstance, caps: Caps, tol: Tolerances) -> list:
+_PATTERN_BUDGET = 2_000_000
+
+
+def _face_templates(inst: AviInstance, tol: Tolerances) -> list:
     """Templates of the patterns with a nonempty face, ordered by subset rank.
 
     Depth-first over patterns, adding rows in increasing index; a pattern
     whose face is empty is not extended.  A point of the parent face on
     which the added row is tight (within tol.feas) already witnesses the
     child face; phase one runs only when it is not.  Cached on the instance
-    per (caps, tol).  Raises CapExceeded when the search needs to test more
-    than caps.subset_budget patterns.
+    per tol.  Raises CapExceeded when the search needs to test more than
+    _PATTERN_BUDGET (2,000,000) patterns.
     """
-    key = (caps, tol)
     cache = inst._face_templates
-    if key not in cache:
+    if tol not in cache:
         m = inst.num_constraints
         A = inst.c_set.ineq_lhs
         alpha = inst.c_set.ineq_rhs
@@ -252,26 +255,25 @@ def _face_templates(inst: AviInstance, caps: Caps, tol: Tolerances) -> list:
         tested = 0
         while stack:
             active, point = stack.pop()
-            if tested == caps.subset_budget:
+            if tested == _PATTERN_BUDGET:
                 raise CapExceeded(
                     f"face search needs more than {tested} active patterns, "
-                    f"budget {caps.subset_budget}"
+                    f"budget {_PATTERN_BUDGET}"
                 )
             tested += 1
             if point is None or abs(A[active[-1]] @ point - alpha[active[-1]]) > tol.feas:
                 point = feasible_witness(_face(inst, active), tol)
                 if point is None:
                     continue
-            templates.append(_PieceTemplate(inst, active, caps, tol))
+            templates.append(_PieceTemplate(inst, active, tol))
             first = active[-1] + 1 if active else 0
             stack.extend((active + (i,), point) for i in range(first, m))
         templates.sort(key=lambda t: sum(1 << i for i in t.active))
-        cache[key] = templates
-    return cache[key]
+        cache[tol] = templates
+    return cache[tol]
 
 
 def inverse_residual(inst: AviInstance, y,
-                     caps: Caps = DEFAULT_CAPS,
                      tol: Tolerances = DEFAULT_TOL,
                      keep_active: bool = False):
     """Pieces of R^{-1}(y), one x-space polyhedron per feasible active pattern.
@@ -283,7 +285,7 @@ def inverse_residual(inst: AviInstance, y,
     """
     y = _as_vector(y, inst.dim, "y")
     pieces = []
-    for template in _face_templates(inst, caps, tol):
+    for template in _face_templates(inst, tol):
         piece = template.section(y, tol)
         if piece is None or not is_nonempty(piece, tol):
             continue
@@ -291,8 +293,6 @@ def inverse_residual(inst: AviInstance, y,
     return pieces
 
 
-def enumerate_solution_set(inst: AviInstance,
-                           caps: Caps = DEFAULT_CAPS,
-                           tol: Tolerances = DEFAULT_TOL):
+def enumerate_solution_set(inst: AviInstance, tol: Tolerances = DEFAULT_TOL):
     """Polyhedral pieces whose union is the solution set (preimage of 0)."""
-    return inverse_residual(inst, np.zeros(inst.dim), caps, tol)
+    return inverse_residual(inst, np.zeros(inst.dim), tol)

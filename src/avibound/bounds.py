@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .avi import AviInstance, inverse_residual, residual
-from .config import DEFAULT_CAPS, DEFAULT_TOL, Caps, Tolerances
+from .config import DEFAULT_TOL, Tolerances
 from .errors import CapExceeded, DegenerateSampler, NoSolution
 from .polyhedra import distance, enumerate_vertices, feasible_point, union_distance
 from .rng import SplitMix64, derive_seed
@@ -49,15 +49,14 @@ class SolutionGeometry:
         return float(self._distance_fn(np.asarray(x, dtype=float)))
 
     @classmethod
-    def from_pieces(cls, pieces, caps: Caps = DEFAULT_CAPS,
-                    tol: Tolerances = DEFAULT_TOL) -> "SolutionGeometry":
+    def from_pieces(cls, pieces, tol: Tolerances = DEFAULT_TOL) -> "SolutionGeometry":
         pieces = list(pieces)
         if not pieces:
             raise NoSolution("empty solution set")
         anchors = []
         for piece in pieces:
             try:
-                vs = enumerate_vertices(piece, caps, tol)
+                vs = enumerate_vertices(piece, tol)
                 anchors.extend(vs.vertices)
             except CapExceeded:
                 anchors.append(feasible_point(piece, tol))
@@ -72,14 +71,14 @@ class SolutionGeometry:
         )
 
     @classmethod
-    def from_instance(cls, inst: AviInstance, caps: Caps = DEFAULT_CAPS,
+    def from_instance(cls, inst: AviInstance,
                       tol: Tolerances = DEFAULT_TOL) -> "SolutionGeometry":
         from .avi import enumerate_solution_set
 
-        return cls.from_pieces(enumerate_solution_set(inst, caps, tol), caps, tol)
+        return cls.from_pieces(enumerate_solution_set(inst, tol), tol)
 
     @classmethod
-    def separable_orthant(cls, diagonal, q, caps: Caps = DEFAULT_CAPS,
+    def separable_orthant(cls, diagonal, q,
                           tol: Tolerances = DEFAULT_TOL) -> "SolutionGeometry":
         """Product geometry for M = diag(diagonal), C = orthant.
 
@@ -98,11 +97,11 @@ class SolutionGeometry:
             inst_1d = AviInstance(
                 m_op=[[diagonal[i]]], q=[q[i]], c_set=nonnegative_orthant(1)
             )
-            pieces = enumerate_solution_set(inst_1d, caps, tol)
+            pieces = enumerate_solution_set(inst_1d, tol)
             if not pieces:
                 raise NoSolution(f"coordinate {i} has no solution")
             axis_pieces.append(pieces)
-            anchor[i] = enumerate_vertices(pieces[0], caps, tol).vertices[0][0]
+            anchor[i] = enumerate_vertices(pieces[0], tol).vertices[0][0]
 
         def dist(x):
             total = 0.0
@@ -241,7 +240,6 @@ def verify_error_bound(inst: AviInstance, epsilon: float,
                        num_samples: int = 400, master_seed: int = 0,
                        geometry: SolutionGeometry | None = None,
                        noise_scales=DEFAULT_NOISE_SCALES,
-                       caps: Caps = DEFAULT_CAPS,
                        tol: Tolerances = DEFAULT_TOL) -> BoundReport:
     """Estimate the constant in d(x, solutions) <= c ||R(x)|| near solutions.
 
@@ -251,7 +249,7 @@ def verify_error_bound(inst: AviInstance, epsilon: float,
     Raises NoSolution when the solution set is empty and DegenerateSampler
     when no sample survives the residual filter.
     """
-    geometry = geometry or SolutionGeometry.from_instance(inst, caps, tol)
+    geometry = geometry or SolutionGeometry.from_instance(inst, tol)
     table = _sample_error_bound_table(
         inst, geometry, num_samples, master_seed, noise_scales, tol
     )
@@ -307,7 +305,6 @@ class LipschitzCheckConfig:
 
 
 def verify_upper_lipschitz_inverse(inst: AviInstance, cfg: LipschitzCheckConfig,
-                                   caps: Caps = DEFAULT_CAPS,
                                    tol: Tolerances = DEFAULT_TOL) -> BoundReport:
     """Check R^{-1}(y) subset R^{-1}(y0) + c ||y - y0|| B on sampled y.
 
@@ -319,7 +316,7 @@ def verify_upper_lipschitz_inverse(inst: AviInstance, cfg: LipschitzCheckConfig,
     as long as sampled neighbors stay outside too.
     """
     y0 = _as_vector(cfg.base_point, inst.dim, "base_point")
-    base_labelled = inverse_residual(inst, y0, caps, tol, keep_active=True)
+    base_labelled = inverse_residual(inst, y0, tol, keep_active=True)
     base_pieces = [piece for _, piece in base_labelled]
     base_by_active = dict(base_labelled)
     ratios = []
@@ -333,7 +330,7 @@ def verify_upper_lipschitz_inverse(inst: AviInstance, cfg: LipschitzCheckConfig,
         for j in range(cfg.samples_per_radius):
             stream = SplitMix64(derive_seed(cfg.master_seed, r_index, j))
             y = y0 + radius * np.array(stream.normals(inst.dim))
-            labelled = inverse_residual(inst, y, caps, tol, keep_active=True)
+            labelled = inverse_residual(inst, y, tol, keep_active=True)
             if not labelled:
                 outside_domain += 1
                 continue
@@ -344,7 +341,7 @@ def verify_upper_lipschitz_inverse(inst: AviInstance, cfg: LipschitzCheckConfig,
             if dy <= 1e-12:
                 continue
             for active, piece in labelled:
-                vs = enumerate_vertices(piece, caps, tol)
+                vs = enumerate_vertices(piece, tol)
                 for v in vs.vertices:
                     dist = union_distance(base_pieces, v, tol)
                     ratio = dist / dy
@@ -427,21 +424,19 @@ def find_local_radius(inst: AviInstance,
                       num_samples: int = 400, master_seed: int = 0,
                       geometry: SolutionGeometry | None = None,
                       noise_scales=DEFAULT_NOISE_SCALES,
-                      epsilons=EPSILON_LADDER,
-                      caps: Caps = DEFAULT_CAPS,
                       tol: Tolerances = DEFAULT_TOL) -> LocalRadiusResult:
     """Largest epsilon in the halving ladder with a stabilized ratio trace.
 
     One sample table is drawn and every epsilon filters it, so the curve is
     a monotone reduction of the same data rather than fresh noise per level.
     """
-    geometry = geometry or SolutionGeometry.from_instance(inst, caps, tol)
+    geometry = geometry or SolutionGeometry.from_instance(inst, tol)
     table = _sample_error_bound_table(
         inst, geometry, num_samples, master_seed, noise_scales, tol
     )
     curve = []
     chosen = None
-    for eps in epsilons:
+    for eps in EPSILON_LADDER:
         ratios, c_emp, _, _, _ = _reduce_error_bound(table, eps, tol)
         stable = _is_stable(ratios)
         curve.append((eps, c_emp, len(ratios), stable))
@@ -499,7 +494,6 @@ class TruncationTable:
 
 
 def truncation_study(family, dims, num_samples: int = 400, master_seed: int = 0,
-                     caps: Caps = DEFAULT_CAPS,
                      tol: Tolerances = DEFAULT_TOL) -> TruncationTable:
     """Error-bound constants along a family of growing diagonal instances.
 
@@ -512,14 +506,13 @@ def truncation_study(family, dims, num_samples: int = 400, master_seed: int = 0,
     for index, n in enumerate(dims):
         inst = family.instance(n)
         geometry = SolutionGeometry.separable_orthant(
-            family.diagonal(n), family.shift(n), caps, tol
+            family.diagonal(n), family.shift(n), tol
         )
         result = find_local_radius(
             inst,
             num_samples=num_samples,
             master_seed=derive_seed(master_seed, index),
             geometry=geometry,
-            caps=caps,
             tol=tol,
         )
         rows.append(

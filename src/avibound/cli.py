@@ -20,7 +20,7 @@ from . import gpm as gpm_mod
 from . import instgen
 from . import solvers as solvers_mod
 from .avi import AviInstance, enumerate_solution_set, is_solution, residual
-from .config import DEFAULT_CAPS, DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL, Tolerances
 from .errors import (
     AviboundError,
     CapExceeded,
@@ -88,12 +88,12 @@ def _load_gpm(path: str) -> GpMultifunction:
     return obj
 
 
-def _piece_payload(pieces, caps, tol) -> list:
+def _piece_payload(pieces, tol) -> list:
     payload = []
     for piece in pieces:
         entry = {"set": piece.to_json_dict()}
         try:
-            vs = enumerate_vertices(piece, caps, tol)
+            vs = enumerate_vertices(piece, tol)
             entry["vertices"] = [[float(v) for v in vert] for vert in vs.vertices]
             entry["rays"] = [[float(v) for v in ray] for ray in vs.recession_rays]
             entry["bounded"] = vs.is_bounded
@@ -193,11 +193,11 @@ def cmd_solve(args) -> int:
 def cmd_enumerate(args) -> int:
     inst = _load_avi(args.instance)
     tol = _tolerances(args)
-    pieces = enumerate_solution_set(inst, DEFAULT_CAPS, tol)
+    pieces = enumerate_solution_set(inst, tol)
     sound = all(
         is_solution(inst, v, tol)
         for piece in pieces
-        for v in enumerate_vertices(piece, DEFAULT_CAPS, tol).vertices
+        for v in enumerate_vertices(piece, tol).vertices
     )
     print(f"enumerate: pieces={len(pieces)} vertex_check={'pass' if sound else 'fail'}")
     if args.out:
@@ -206,7 +206,7 @@ def cmd_enumerate(args) -> int:
                 "kind": "solution_set",
                 "num_pieces": len(pieces),
                 "vertex_check": sound,
-                "pieces": _piece_payload(pieces, DEFAULT_CAPS, tol),
+                "pieces": _piece_payload(pieces, tol),
             },
             os.path.join(args.out, "solution_set.json"),
         )
@@ -394,11 +394,11 @@ def _run_avi_entry(entry, seed, out_dir, tol):
     inst = entry.payload
     expectations = entry.expectations
     failures = []
-    pieces = enumerate_solution_set(inst, DEFAULT_CAPS, tol)
+    pieces = enumerate_solution_set(inst, tol)
     vertex_ok = True
     found_points = []
     for piece in pieces:
-        vs = enumerate_vertices(piece, DEFAULT_CAPS, tol)
+        vs = enumerate_vertices(piece, tol)
         for v in vs.vertices:
             found_points.append(v)
             if not is_solution(inst, v, tol):

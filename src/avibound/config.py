@@ -1,13 +1,17 @@
-"""Global numerical tolerances and combinatorial caps.
+"""Global numerical tolerances.
 
 All comparisons in the library go through a single `Tolerances` instance so
 that a batch run can tighten or loosen everything in one place.  The defaults
-assume double precision and dense factorizations.
+assume double precision and dense factorizations.  The limits that keep the
+exponential enumerations desk-scale are not settings: each is a constant in
+the routine it guards (`polyhedra._DIM_CAP` and `_ROW_CAP`,
+`avi._PATTERN_BUDGET`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass(frozen=True)
@@ -23,24 +27,14 @@ class Tolerances:
     opt: float = 1e-7
     cmp: float = 1e-6
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"tolerance {f.name} must be finite and positive, got {value}")
+
     def with_cmp(self, cmp: float) -> "Tolerances":
         return replace(self, cmp=cmp)
 
 
-@dataclass(frozen=True)
-class Caps:
-    """Caps that keep the combinatorial routines desk-scale.
-
-    dim_cap / row_cap bound vertex enumeration inputs; subset_budget bounds
-    the number of active patterns the face search of `avi.inverse_residual`
-    may test on one instance.  Vertex enumeration needs no subset budget:
-    double description solves only the row subsets tight at a vertex or ray.
-    """
-
-    dim_cap: int = 10
-    row_cap: int = 24
-    subset_budget: int = 2_000_000
-
-
 DEFAULT_TOL = Tolerances()
-DEFAULT_CAPS = Caps()

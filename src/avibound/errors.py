@@ -18,7 +18,9 @@ class NumericalBreakdown(AviboundError):
 
 
 class CapExceeded(AviboundError):
-    """A combinatorial cap (dimension, row count, subset budget) was hit."""
+    """A fixed combinatorial guard was hit: `polyhedra._DIM_CAP` or
+    `_ROW_CAP` in vertex enumeration, or `avi._PATTERN_BUDGET` in the face
+    search.  The guards are constants, not settings."""
 
 
 class DegenerateSampler(AviboundError):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_CAPS, DEFAULT_TOL, Caps, Tolerances
+from .config import DEFAULT_TOL, Tolerances
 from .errors import DegenerateSampler, DimensionMismatch, SchemaError
 from .optkernel import LinearProgram, solve_feasibility, solve_lp
 from .polyhedra import PolyhedralSet, hausdorff, is_nonempty
@@ -318,15 +318,18 @@ class SectionSamplerConfig:
     """Sampling plan for modulus estimation over dom F.
 
     Points are rejection-sampled from Gaussians centered at a feasibility
-    witness, with the radius drawn from `radius_ladder` so both nearby and
-    far-apart pairs occur.  Every pair gets its own derived seed, so a
-    larger `num_pairs` extends the sample instead of redrawing it.
+    witness, with the radius drawn from `_SAMPLE_RADII` so both nearby and
+    far-apart pairs occur; a point gives up after `_MAX_REJECTS` draws.
+    Every pair gets its own derived seed, so a larger `num_pairs` extends
+    the sample instead of redrawing it.
     """
 
     num_pairs: int = 500
     master_seed: int = 0
-    radius_ladder: tuple = (0.1, 1.0, 10.0)
-    max_rejects: int = 200
+
+
+_SAMPLE_RADII = (0.1, 1.0, 10.0)
+_MAX_REJECTS = 200
 
 
 @dataclass(frozen=True)
@@ -383,11 +386,11 @@ def _domain_witness(f: GpMultifunction, tol: Tolerances) -> np.ndarray:
     return res.point[:n]
 
 
-def _sample_domain_point(f, center, stream, cfg, tol):
+def _sample_domain_point(f, center, stream, tol):
     """(x, F(x)) for the first sampled x with a nonempty section, or None.
     The section keeps its phase-one witness for the Hausdorff distance."""
-    for _ in range(cfg.max_rejects):
-        radius = cfg.radius_ladder[stream.randint(0, len(cfg.radius_ladder) - 1)]
+    for _ in range(_MAX_REJECTS):
+        radius = _SAMPLE_RADII[stream.randint(0, len(_SAMPLE_RADII) - 1)]
         x = center + radius * np.array(stream.normals(f.input_dim))
         section = evaluate(f, x)
         if is_nonempty(section, tol):
@@ -395,18 +398,18 @@ def _sample_domain_point(f, center, stream, cfg, tol):
     return None
 
 
-def _measure_pair(f, center, index, cfg, caps, tol):
+def _measure_pair(f, center, index, cfg, tol):
     """One pair's (x1, x2, h, ratio) or a rejection tag; order-independent."""
     stream = SplitMix64(derive_seed(cfg.master_seed, index))
-    first = _sample_domain_point(f, center, stream, cfg, tol)
-    second = _sample_domain_point(f, center, stream, cfg, tol)
+    first = _sample_domain_point(f, center, stream, tol)
+    second = _sample_domain_point(f, center, stream, tol)
     if first is None or second is None:
         return "rejected"
     (x1, section1), (x2, section2) = first, second
     gap = float(np.linalg.norm(x1 - x2))
     if gap <= 1e-9:
         return "rejected"
-    h = hausdorff(section1, section2, caps, tol)
+    h = hausdorff(section1, section2, tol)
     if math.isinf(h):
         return "excluded"
     return (x1, x2, h, h / gap)
@@ -414,7 +417,6 @@ def _measure_pair(f, center, index, cfg, caps, tol):
 
 def estimate_lipschitz_modulus(f: GpMultifunction,
                                cfg: SectionSamplerConfig = SectionSamplerConfig(),
-                               caps: Caps = DEFAULT_CAPS,
                                tol: Tolerances = DEFAULT_TOL):
     """Empirical modulus sup h(F(x1), F(x2)) / ||x1 - x2|| over sampled pairs.
 
@@ -433,7 +435,7 @@ def estimate_lipschitz_modulus(f: GpMultifunction,
     trace = []
     next_checkpoint = 1
     for index in range(cfg.num_pairs):
-        result = _measure_pair(f, center, index, cfg, caps, tol)
+        result = _measure_pair(f, center, index, cfg, tol)
         if result == "rejected":
             rejected += 1
             continue
@@ -489,7 +491,6 @@ class HoldoutReport:
 def check_lipschitz_holdout(f: GpMultifunction, c_emp: float,
                             cfg: SectionSamplerConfig,
                             slack: float = 1.05,
-                            caps: Caps = DEFAULT_CAPS,
                             tol: Tolerances = DEFAULT_TOL) -> HoldoutReport:
     """Fresh-sample check that h(F(x1), F(x2)) <= slack * c_emp * ||x1 - x2||.
 
@@ -501,7 +502,7 @@ def check_lipschitz_holdout(f: GpMultifunction, c_emp: float,
     violations = []
     checked = 0
     for index in range(cfg.num_pairs):
-        result = _measure_pair(f, center, index, cfg, caps, tol)
+        result = _measure_pair(f, center, index, cfg, tol)
         if isinstance(result, str):  # rejected or excluded
             continue
         x1, x2, h_value, _ = result

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import null_space
 
-from .config import DEFAULT_CAPS, DEFAULT_TOL, Caps, Tolerances
+from .config import DEFAULT_TOL, Tolerances
 from .errors import CapExceeded, EmptySet
 from .optkernel import (
     QpProjectionProblem,
@@ -55,6 +55,10 @@ _RANK_TOL = 1e-9
 # the exhaustive scan in tests/test_polyhedra.py.
 _ZERO_TOL = 1e-11
 _TIGHT_TOL = 1e-6
+# Vertex enumeration is exponential in the dimension and the row count, so
+# it refuses sets beyond these: instance files come from outside the program.
+_DIM_CAP = 10
+_ROW_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -104,11 +108,11 @@ def _dedup_rays(rays, tol: float):
     return kept
 
 
-def _check_caps(S: PolyhedralSet, caps: Caps):
-    if S.ambient_dim > caps.dim_cap:
-        raise CapExceeded(f"ambient dimension {S.ambient_dim} exceeds cap {caps.dim_cap}")
-    if S.num_ineq > caps.row_cap:
-        raise CapExceeded(f"{S.num_ineq} inequality rows exceed cap {caps.row_cap}")
+def _check_caps(S: PolyhedralSet):
+    if S.ambient_dim > _DIM_CAP:
+        raise CapExceeded(f"ambient dimension {S.ambient_dim} exceeds cap {_DIM_CAP}")
+    if S.num_ineq > _ROW_CAP:
+        raise CapExceeded(f"{S.num_ineq} inequality rows exceed cap {_ROW_CAP}")
 
 
 def _pointed_part(S: PolyhedralSet):
@@ -211,9 +215,7 @@ def _scan_rays(E0: np.ndarray, A: np.ndarray, free: int, subsets, L: np.ndarray,
     return rays
 
 
-def enumerate_vertices(S: PolyhedralSet,
-                       caps: Caps = DEFAULT_CAPS,
-                       tol: Tolerances = DEFAULT_TOL) -> VertexSet:
+def enumerate_vertices(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> VertexSet:
     """All basic feasible points plus recession-cone generators of S.
 
     The extreme rays of the homogenized cone {(x, t) : E0 x - d0 t = 0,
@@ -224,10 +226,10 @@ def enumerate_vertices(S: PolyhedralSet,
     lexicographic subset order, so the output is the one of an exhaustive
     scan over all row subsets.
 
-    Raises CapExceeded when the ambient dimension or row count exceeds its
-    cap and EmptySet when S is empty.
+    Raises CapExceeded when the ambient dimension exceeds 10 or the row
+    count exceeds 24, and EmptySet when S is empty.
     """
-    _check_caps(S, caps)
+    _check_caps(S)
     if not is_nonempty(S, tol):
         raise EmptySet("cannot enumerate vertices of an empty set")
     n = S.ambient_dim
@@ -293,7 +295,6 @@ def _recession_cones_match(va: VertexSet, vb: VertexSet,
 
 
 def hausdorff(a: PolyhedralSet, b: PolyhedralSet,
-              caps: Caps = DEFAULT_CAPS,
               tol: Tolerances = DEFAULT_TOL) -> float:
     """Hausdorff distance between two nonempty polyhedra, bounded or not.
 
@@ -310,8 +311,8 @@ def hausdorff(a: PolyhedralSet, b: PolyhedralSet,
 
     is the distance itself, not a bound on it.
     """
-    va = enumerate_vertices(a, caps, tol)
-    vb = enumerate_vertices(b, caps, tol)
+    va = enumerate_vertices(a, tol)
+    vb = enumerate_vertices(b, tol)
     if not _recession_cones_match(va, vb, a, b, tol):
         return math.inf
     value = 0.0
@@ -334,9 +335,7 @@ def union_distance(pieces, x, tol: Tolerances = DEFAULT_TOL) -> float:
     return best
 
 
-def cone_generators(rows: np.ndarray,
-                    caps: Caps = DEFAULT_CAPS,
-                    tol: Tolerances = DEFAULT_TOL) -> list:
+def cone_generators(rows: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> list:
     """Generators of the cone {x : rows @ x <= 0}.
 
     The extreme rays of its pointed part, then the lineality basis in both
@@ -348,7 +347,7 @@ def cone_generators(rows: np.ndarray,
     rows = np.asarray(rows, dtype=float)
     n = rows.shape[1]
     cone = PolyhedralSet(n, ineq_lhs=rows, ineq_rhs=np.zeros(rows.shape[0]))
-    _check_caps(cone, caps)
+    _check_caps(cone)
     L, E0, _, free = _pointed_part(cone)
     A = cone.ineq_lhs
     ray_subsets = []
@@ -389,9 +388,7 @@ def pair_opposites(generators, n: int, tol: Tolerances = DEFAULT_TOL):
     return paired, single
 
 
-def from_generators(vertices, rays=(),
-                    caps: Caps = DEFAULT_CAPS,
-                    tol: Tolerances = DEFAULT_TOL) -> PolyhedralSet:
+def from_generators(vertices, rays=(), tol: Tolerances = DEFAULT_TOL) -> PolyhedralSet:
     """H-representation of conv(vertices) + cone(rays).
 
     Works through the polar of the homogenization cone: each generator of
@@ -412,7 +409,7 @@ def from_generators(vertices, rays=(),
         + [np.concatenate([r, [0.0]]) for r in rays]
     )
     # generators with a = 0 are dropped: the trivial 0.x <= const face
-    paired, single = pair_opposites(cone_generators(lifted, caps, tol), n, tol)
+    paired, single = pair_opposites(cone_generators(lifted, tol), n, tol)
     eq_rows, eq_rhs, ineq_rows, ineq_rhs = [], [], [], []
     for group, rows, rhs in ((paired, eq_rows, eq_rhs), (single, ineq_rows, ineq_rhs)):
         for g in group:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .avi import AviInstance, residual
 from .bounds import SolutionGeometry
-from .config import DEFAULT_CAPS, DEFAULT_TOL, Caps, Tolerances
+from .config import DEFAULT_TOL, Tolerances
 from .sets import _as_vector
 
 DIVERGENCE_NORM = 1e9
@@ -56,6 +56,8 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.step is not None and self.step <= 0:
             raise ValueError("step must be positive")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be nonnegative")
         if self.stop_residual <= 0:
             raise ValueError("stop_residual must be positive")
 
@@ -168,10 +170,9 @@ def solve(inst: AviInstance, cfg: SolverConfig = SolverConfig(),
 
 def annotate_distances(inst: AviInstance, trace: SolveTrace,
                        geometry: SolutionGeometry | None = None,
-                       caps: Caps = DEFAULT_CAPS,
                        tol: Tolerances = DEFAULT_TOL) -> SolveTrace:
     """Fill distance-to-solution-set for every recorded iterate."""
-    geometry = geometry or SolutionGeometry.from_instance(inst, caps, tol)
+    geometry = geometry or SolutionGeometry.from_instance(inst, tol)
     annotated = [
         replace(rec, distance_to_solutions=geometry.distance(point))
         for rec, point in zip(trace.records, trace.points)

@@ -15,7 +15,7 @@ import numpy as np
 
 from avibound import DimensionMismatch, PolyhedralSet
 from avibound.avi import AviInstance
-from avibound.config import DEFAULT_CAPS, DEFAULT_TOL, Caps, Tolerances
+from avibound.config import DEFAULT_TOL, Tolerances
 from avibound.gpm import DualMultiplier, GpMultifunction
 from avibound.polyhedra import enumerate_vertices, is_nonempty
 from avibound.sets import _as_vector
@@ -75,7 +75,6 @@ def build_kkt_piece(inst: AviInstance, active) -> KktPiece:
 
 
 def piece_section_points(inst: AviInstance, active: tuple, y,
-                         caps: Caps = DEFAULT_CAPS,
                          tol: Tolerances = DEFAULT_TOL):
     """Sample (x, lambda) points of one KKT piece at level y.
 
@@ -112,7 +111,7 @@ def piece_section_points(inst: AviInstance, active: tuple, y,
     )
     if not is_nonempty(lifted, tol):
         return []
-    vs = enumerate_vertices(lifted, caps, tol)
+    vs = enumerate_vertices(lifted, tol)
     points = list(vs.vertices)
     for v in vs.vertices[:1]:
         for ray in vs.recession_rays:

@@ -5,16 +5,17 @@ import pytest
 from reference_oracles import build_kkt_piece, piece_section_points
 from test_acceptance import _avi_corpus
 
-from avibound import CapExceeded, EmptySet, PolyhedralSet
+from avibound import CapExceeded, EmptySet, PolyhedralSet, avi
 from avibound.avi import (
     AviInstance,
+    _face_templates,
     _PieceTemplate,
     enumerate_solution_set,
     inverse_residual,
     is_solution,
     residual,
 )
-from avibound.config import DEFAULT_CAPS, DEFAULT_TOL, Caps
+from avibound.config import DEFAULT_TOL, Tolerances
 from avibound.instgen import canned_suite, generate_random_avi
 from avibound.polyhedra import (
     enumerate_vertices,
@@ -280,26 +281,33 @@ class TestInverseResidual:
                     triple = np.concatenate([y, x_part, lam])
                     assert kkt.polyhedron_yxl.contains(triple, 1e-7)
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
         # the root pattern and its three one-row children exceed a budget of 2
         inst = random_instance(3, n=2, m=3)
+        monkeypatch.setattr(avi, "_PATTERN_BUDGET", 2)
         with pytest.raises(CapExceeded, match="more than 2 active patterns, budget 2"):
-            inverse_residual(inst, np.zeros(2), caps=Caps(subset_budget=2))
+            inverse_residual(inst, np.zeros(2))
 
-    def test_template_cache_respects_caps(self):
-        # templates built under the default caps must not answer a call
-        # whose smaller dim_cap rules the instance out, in either call order
-        small = Caps(dim_cap=2)
-        for small_first in (True, False):
-            inst = generate_random_avi(
-                n=3, m=5, monotonicity="strongly_monotone", seed=4
+    def test_template_cache_answers_per_tolerance(self):
+        # row 2 sits 5e-8 beyond row 0, so its face {x = 1 + 5e-8} is empty
+        # at feas 1e-9 and nonempty at feas 1e-7: templates cached under one
+        # tolerance must not answer the other, in either call order
+        def instance():
+            C = PolyhedralSet(
+                1, ineq_lhs=[[1.0], [-1.0], [1.0]], ineq_rhs=[1.0, 0.0, 1.0 + 5e-8]
             )
-            if small_first:
-                with pytest.raises(CapExceeded, match="exceeds cap 2"):
-                    inverse_residual(inst, np.zeros(3), caps=small)
-            assert len(inverse_residual(inst, np.zeros(3))) == 1
-            with pytest.raises(CapExceeded, match="exceeds cap 2"):
-                inverse_residual(inst, np.zeros(3), caps=small)
+            return AviInstance(m_op=[[1.0]], q=[-0.5], c_set=C)
+
+        def actives(inst, tol):
+            return [t.active for t in _face_templates(inst, tol)]
+
+        tight, loose = Tolerances(feas=1e-9), Tolerances(feas=1e-7)
+        fresh = {tol: actives(instance(), tol) for tol in (tight, loose)}
+        assert len(fresh[tight]) != len(fresh[loose])
+        for order in ((tight, loose), (loose, tight)):
+            inst = instance()
+            for tol in order:
+                assert actives(inst, tol) == fresh[tol]
 
 
 def _brute_force_pieces(inst, levels):
@@ -308,7 +316,7 @@ def _brute_force_pieces(inst, levels):
     m = inst.num_constraints
     templates = [
         _PieceTemplate(
-            inst, tuple(i for i in range(m) if rank >> i & 1), DEFAULT_CAPS, DEFAULT_TOL
+            inst, tuple(i for i in range(m) if rank >> i & 1), DEFAULT_TOL
         )
         for rank in range(1 << m)
     ]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -9,6 +10,12 @@ from avibound import instgen
 from avibound.cli import main
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
+
+# sha256 of every report that `avibound suite --seed 3` writes.  Any change to
+# a verdict, a sampled value or the serialization changes a digest.
+# Regenerate the file only for an intended change of the report bytes:
+#     PYTHONPATH=src python tests/test_cli.py
+_SUITE_RECORD = Path(__file__).parent / "data" / "suite_seed3_sha256.json"
 
 KIND_TO_SCHEMA = {
     "avi": "avi_instance.schema.json",
@@ -95,6 +102,29 @@ class TestExitCodes:
         instgen.save(fat, str(path))
         assert main(["enumerate", "--instance", str(path)]) == 3
         assert "inequality rows exceed cap 24" in capsys.readouterr().err
+
+    def test_dimension_cap_exits_3(self, tmp_path, capsys):
+        inst = instgen.generate_random_avi(
+            n=11, m=3, monotonicity="strongly_monotone", seed=1
+        )
+        path = tmp_path / "n11.json"
+        instgen.save(inst, str(path))
+        assert main(["enumerate", "--instance", str(path)]) == 3
+        assert "ambient dimension 11 exceeds cap 10" in capsys.readouterr().err
+
+    def test_negative_max_iters_exits_2(self, lcp_file, capsys):
+        code = main(["solve", "--instance", lcp_file, "--x0", "4", "--max-iters", "-1"])
+        assert code == 2
+        assert "max_iters must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_invalid_tolerance_exits_2(self, lcp_file, tol, capsys):
+        code = main([
+            "verify-error-bound", "--instance", lcp_file, "--eps", "1.0",
+            "--samples", "40", "--tol", tol,
+        ])
+        assert code == 2
+        assert "tolerance cmp must be finite and positive" in capsys.readouterr().err
 
     def test_missing_instance_exits_2(self, tmp_path):
         assert main(["residual", "--instance", str(tmp_path / "nope.json"), "--x", "1"]) == 2
@@ -193,3 +223,24 @@ class TestSuite:
         assert "suite_summary.json" in names
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
+        expected = json.loads(_SUITE_RECORD.read_text())
+        actual = _suite_digests(first)
+        assert list(actual) == list(expected)
+        for name in expected:
+            assert actual[name] == expected[name], name
+
+
+def _suite_digests(out: Path) -> dict:
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.iterdir())
+    }
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        if main(["suite", "--seed", "3", "--out", tmp]) != 0:
+            raise SystemExit("suite --seed 3 failed")
+        _SUITE_RECORD.write_text(json.dumps(_suite_digests(Path(tmp)), indent=1) + "\n")

@@ -13,7 +13,7 @@ from test_acceptance import _avi_corpus
 
 from avibound import CapExceeded, EmptySet, NumericalBreakdown, PolyhedralSet, optkernel, polyhedra
 from avibound.avi import _face_templates
-from avibound.config import DEFAULT_CAPS, DEFAULT_TOL, Caps
+from avibound.config import DEFAULT_TOL
 from avibound.gpm import evaluate
 from avibound.instgen import canned_suite
 from avibound.polyhedra import (
@@ -141,7 +141,6 @@ class TestEnumerateVertices:
         S = nonnegative_orthant(12)
         with pytest.raises(CapExceeded):
             enumerate_vertices(S)
-        enumerate_vertices(S, caps=Caps(dim_cap=12, row_cap=24))
 
     def test_duplicate_facets_dedup(self):
         S = PolyhedralSet(
@@ -611,7 +610,7 @@ class TestDoubleDescriptionMatchesScan:
             vs = enumerate_vertices(S)
             lifted = [np.concatenate([v, [1.0]]) for v in vs.vertices]
             lifted += [np.concatenate([r, [0.0]]) for r in vs.recession_rays]
-            if len(lifted) <= DEFAULT_CAPS.row_cap:
+            if len(lifted) <= polyhedra._ROW_CAP:
                 assert_cone_matches_scan(lifted)
                 compared += 1
         assert compared >= 12
@@ -620,7 +619,7 @@ class TestDoubleDescriptionMatchesScan:
         cones = 0
         for _, _, inst in _avi_corpus():
             A = inst.c_set.ineq_lhs
-            for template in _face_templates(inst, DEFAULT_CAPS, DEFAULT_TOL):
+            for template in _face_templates(inst, DEFAULT_TOL):
                 if template.active:
                     assert_cone_matches_scan(A[list(template.active)])
                     cones += 1

@@ -3,8 +3,8 @@
 Every failure in the library is a typed `AviboundError` (or a built-in such
 as `ValueError` for malformed arguments).  An `assert` vanishes under
 `python -O`, and a broad `except` swallows real bugs, so neither may appear
-in `src/avibound`.  Every field of `Caps` and `Tolerances` must be read
-somewhere in `src/avibound`, so no dead knob survives its last reader.  Every
+in `src/avibound`.  Every field of `Tolerances`, the one config object, must
+be read somewhere in `src/avibound`, so no dead knob survives its last reader.  Every
 name a module lists in `__all__` must be bound in that module, so no export
 outlives the code it named.
 """
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from avibound.config import Caps, Tolerances
+from avibound.config import Tolerances
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "avibound"
 MODULES = sorted(SRC.glob("*.py"))
@@ -66,7 +66,7 @@ def _attributes_read(tree):
     }
 
 
-@pytest.mark.parametrize("cls", [Caps, Tolerances], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", [Tolerances], ids=lambda c: c.__name__)
 def test_every_config_field_is_read(cls):
     read = set()
     for path in MODULES:
@@ -76,8 +76,8 @@ def test_every_config_field_is_read(cls):
 
 
 def test_attribute_scan_ignores_stores():
-    tree = ast.parse("caps.row_cap\ncaps.dim_cap = 3\nf(caps.subset_budget)\n")
-    assert _attributes_read(tree) == {"row_cap", "subset_budget"}
+    tree = ast.parse("tol.feas\ntol.opt = 3\nf(tol.cmp)\n")
+    assert _attributes_read(tree) == {"feas", "cmp"}
 
 
 def test_one_factorization_name():
