@@ -10,9 +10,12 @@ depend on y, and F_I is empty for every superset of a pattern whose face is
 empty.  So one depth-first search per instance, adding rows in increasing
 index and pruning at empty faces, finds the patterns worth testing (the face
 enumeration behind reverse search, Avis & Fukuda 1992); each level y then
-tests only those patterns.  The search is exponential in the worst case and
-instance files come from outside the program, so it stops after
-`_PATTERN_BUDGET` patterns with CapExceeded.
+tests only those patterns.  A pattern's template (`_PieceTemplate`) keeps
+the face it was found with and builds its piece's constraint matrices
+`ineq_lhs` and `eq_lhs` once; a level y moves only the right-hand sides,
+affinely, so `section(y)` evaluates those and nothing else.  The search is
+exponential in the worst case and instance files come from outside the
+program, so it stops after `_PATTERN_BUDGET` patterns with CapExceeded.
 """
 
 from __future__ import annotations
@@ -142,77 +145,63 @@ def is_solution(inst: AviInstance, x, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 
 class _PieceTemplate:
-    """y-independent structure of one active pattern's x-space piece.
+    """One active pattern's piece of R^{-1}(y): fixed rows, moving right-hand side.
 
     The multiplier block is eliminated analytically: lambda >= 0 supported on
     the active rows exists iff y - q - Mx lies in the cone spanned by those
-    rows, and that cone's H-description comes from the generators of its
-    polar.  Only right-hand sides depend on y afterwards.
+    rows, and that cone's H-description comes from the generators W of its
+    polar, each giving the row (-w M) x <= w (q - y).  With the rows of the
+    face F_I, shifted by y, the piece at level y is
+    {x : ineq_lhs x <= ineq_rhs(y), eq_lhs x = eq_rhs(y)}: face rows first,
+    then polar rows.  `ineq_lhs` and `eq_lhs` are built once; `section`
+    evaluates only the right-hand sides, which are affine in y.  A row whose
+    coefficients all vanish (M singular) constrains y alone; it stays out of
+    the matrices, and `section` checks it against tol.feas.
     """
 
-    def __init__(self, inst: AviInstance, active: tuple, tol: Tolerances):
-        n, m = inst.dim, inst.num_constraints
-        A = inst.c_set.ineq_lhs
-        alpha = inst.c_set.ineq_rhs
+    def __init__(self, inst: AviInstance, face: PolyhedralSet, active: tuple,
+                 tol: Tolerances):
+        n = inst.dim
         self.active = active
-        inactive = [i for i in range(m) if i not in set(active)]
-        self.ineq_lhs_x = A[inactive] if inactive else np.zeros((0, n))
-        self.ineq_base = alpha[inactive] if inactive else np.zeros(0)
-        self.ineq_shift = self.ineq_lhs_x  # rhs grows by A[i] . y
-        self.eq_lhs_x = A[list(active)] if active else np.zeros((0, n))
-        self.eq_base = alpha[list(active)] if active else np.zeros(0)
-        self.eq_shift = self.eq_lhs_x
+        self._face = face
+        self._q = inst.q
+        self._feas = tol.feas
         if active:
-            generators = cone_generators(A[list(active)], tol)
+            generators = cone_generators(face.eq_lhs, tol)
         else:
             generators = [row for j in range(n) for row in (np.eye(n)[j], -np.eye(n)[j])]
         cone_eq, cone_ineq = pair_opposites(generators, n, tol)
-        M = inst.m_op
-        q = inst.q
-        # row w of the polar contributes (-M^T w) . x <= w . (q - y)
-        self.cone_ineq_lhs = (
-            -np.array(cone_ineq) @ M if cone_ineq else np.zeros((0, n))
-        )
-        self.cone_ineq_w = np.array(cone_ineq) if cone_ineq else np.zeros((0, n))
-        self.cone_eq_lhs = -np.array(cone_eq) @ M if cone_eq else np.zeros((0, n))
-        self.cone_eq_w = np.array(cone_eq) if cone_eq else np.zeros((0, n))
-        self.q = q
+        self._w_ineq = np.array(cone_ineq).reshape(-1, n)
+        self._w_eq = np.array(cone_eq).reshape(-1, n)
+        ineq = np.vstack([face.ineq_lhs, -self._w_ineq @ inst.m_op])
+        eq = np.vstack([face.eq_lhs, -self._w_eq @ inst.m_op])
+        ineq_zero = np.max(np.abs(ineq), axis=1) <= 1e-12
+        eq_zero = np.max(np.abs(eq), axis=1) <= 1e-12
+        self._ineq_kept = np.flatnonzero(~ineq_zero)
+        self._ineq_y_only = np.flatnonzero(ineq_zero)
+        self._eq_kept = np.flatnonzero(~eq_zero)
+        self._eq_y_only = np.flatnonzero(eq_zero)
+        self.ineq_lhs = ineq[self._ineq_kept]
+        self.eq_lhs = eq[self._eq_kept]
+        self.ineq_lhs.setflags(write=False)
+        self.eq_lhs.setflags(write=False)
 
-    def section(self, y, tol: Tolerances) -> PolyhedralSet | None:
-        """x-space piece at level y; None when trivially empty."""
-        ineq_lhs = [self.ineq_lhs_x, self.cone_ineq_lhs]
-        ineq_rhs = [
-            self.ineq_base + self.ineq_shift @ y,
-            self.cone_ineq_w @ (self.q - y),
-        ]
-        eq_lhs = [self.eq_lhs_x, self.cone_eq_lhs]
-        eq_rhs = [
-            self.eq_base + self.eq_shift @ y,
-            self.cone_eq_w @ (self.q - y),
-        ]
-        A = np.vstack(ineq_lhs)
-        b = np.concatenate(ineq_rhs)
-        E = np.vstack(eq_lhs)
-        d = np.concatenate(eq_rhs)
-        keep_ineq, keep_eq = [], []
-        for idx in range(A.shape[0]):
-            if np.max(np.abs(A[idx])) <= 1e-12:
-                if b[idx] < -tol.feas:
-                    return None
-            else:
-                keep_ineq.append(idx)
-        for idx in range(E.shape[0]):
-            if np.max(np.abs(E[idx])) <= 1e-12:
-                if abs(d[idx]) > tol.feas:
-                    return None
-            else:
-                keep_eq.append(idx)
+    def section(self, y) -> PolyhedralSet | None:
+        """x-space piece at level y; None when a row on y alone fails."""
+        face, q = self._face, self._q
+        ineq_rhs = np.concatenate(
+            [face.ineq_rhs + face.ineq_lhs @ y, self._w_ineq @ (q - y)]
+        )
+        eq_rhs = np.concatenate([face.eq_rhs + face.eq_lhs @ y, self._w_eq @ (q - y)])
+        if (np.any(ineq_rhs[self._ineq_y_only] < -self._feas)
+                or np.any(np.abs(eq_rhs[self._eq_y_only]) > self._feas)):
+            return None
         return PolyhedralSet(
-            self.ineq_lhs_x.shape[1],
-            ineq_lhs=A[keep_ineq] if keep_ineq else None,
-            ineq_rhs=b[keep_ineq] if keep_ineq else None,
-            eq_lhs=E[keep_eq] if keep_eq else None,
-            eq_rhs=d[keep_eq] if keep_eq else None,
+            face.ambient_dim,
+            ineq_lhs=self.ineq_lhs,
+            ineq_rhs=ineq_rhs[self._ineq_kept],
+            eq_lhs=self.eq_lhs,
+            eq_rhs=eq_rhs[self._eq_kept],
         )
 
 
@@ -261,11 +250,12 @@ def _face_templates(inst: AviInstance, tol: Tolerances) -> list:
                     f"budget {_PATTERN_BUDGET}"
                 )
             tested += 1
+            face = _face(inst, active)
             if point is None or abs(A[active[-1]] @ point - alpha[active[-1]]) > tol.feas:
-                point = feasible_witness(_face(inst, active), tol)
+                point = feasible_witness(face, tol)
                 if point is None:
                     continue
-            templates.append(_PieceTemplate(inst, active, tol))
+            templates.append(_PieceTemplate(inst, face, active, tol))
             first = active[-1] + 1 if active else 0
             stack.extend((active + (i,), point) for i in range(first, m))
         templates.sort(key=lambda t: sum(1 << i for i in t.active))
@@ -286,7 +276,7 @@ def inverse_residual(inst: AviInstance, y,
     y = _as_vector(y, inst.dim, "y")
     pieces = []
     for template in _face_templates(inst, tol):
-        piece = template.section(y, tol)
+        piece = template.section(y)
         if piece is None or not is_nonempty(piece, tol):
             continue
         pieces.append((template.active, piece) if keep_active else piece)

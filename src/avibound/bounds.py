@@ -246,9 +246,12 @@ def verify_error_bound(inst: AviInstance, epsilon: float,
     Samples are anchor points of the solution set plus Gaussian noise at the
     given scales; only samples with residual norm in (10 tol.cmp, epsilon]
     enter the ratio.  The verdict passes when the running maximum stabilized.
-    Raises NoSolution when the solution set is empty and DegenerateSampler
-    when no sample survives the residual filter.
+    Raises ValueError unless epsilon is finite and positive, NoSolution when
+    the solution set is empty and DegenerateSampler when no sample survives
+    the residual filter.
     """
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     geometry = geometry or SolutionGeometry.from_instance(inst, tol)
     table = _sample_error_bound_table(
         inst, geometry, num_samples, master_seed, noise_scales, tol
@@ -299,8 +302,9 @@ class LipschitzCheckConfig:
         base.setflags(write=False)
         object.__setattr__(self, "base_point", base)
         radii = tuple(float(r) for r in self.radius_ladder)
-        if any(r <= 0 for r in radii) or list(radii) != sorted(radii):
-            raise ValueError("radius ladder must be positive and increasing")
+        positive = all(math.isfinite(r) and r > 0 for r in radii)
+        if not positive or list(radii) != sorted(radii):
+            raise ValueError("radius ladder must be finite, positive and increasing")
         object.__setattr__(self, "radius_ladder", radii)
 
 

@@ -235,7 +235,7 @@ def _phase_one(A, b, tol, max_pivots):
     return True, A, b, basis, keep
 
 
-def _solve_standard_form(A, b, c, tol, max_pivots=None):
+def _solve_standard_form(A, b, c, tol):
     """min c.v s.t. Av = b, v >= 0.
 
     Returns (status, v, y, row_kept, signs) where y are duals of the reduced
@@ -243,8 +243,7 @@ def _solve_standard_form(A, b, c, tol, max_pivots=None):
     the +-1 row flips applied to make the right-hand side nonnegative.
     """
     m, n = A.shape
-    if max_pivots is None:
-        max_pivots = 200 + 50 * (m + n)
+    max_pivots = 200 + 50 * (m + n)
     signs = np.where(b < 0, -1.0, 1.0)
     feasible, A1, b1, basis, kept = _phase_one(A.copy(), b.copy(), tol, max_pivots)
     if not feasible:

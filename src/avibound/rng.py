@@ -74,9 +74,6 @@ class SplitMix64:
     def normals(self, count: int) -> list[float]:
         return [self.normal() for _ in range(count)]
 
-    def choice(self, items):
-        return items[self.randint(0, len(items) - 1)]
-
 
 def derive_seed(master_seed: int, *indices: int) -> int:
     """Child seed for a subtask, stable in (master_seed, indices).

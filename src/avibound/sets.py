@@ -9,7 +9,6 @@ Instances are immutable after construction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,9 +153,6 @@ class PolyhedralSet:
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"malformed polyhedral set payload: {exc}") from exc
         return cls(ambient_dim=n, ineq_lhs=A, ineq_rhs=b, eq_lhs=E, eq_rhs=d)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def __repr__(self) -> str:  # keep array dumps out of test failure output
         return (

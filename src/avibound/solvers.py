@@ -9,6 +9,7 @@ the solution set is provably proportional to it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,18 +20,19 @@ from .config import DEFAULT_TOL, Tolerances
 from .sets import _as_vector
 
 DIVERGENCE_NORM = 1e9
+# Power-iteration rounds for operator_norm; plenty at desk scale.
+_POWER_ROUNDS = 50
 
 
-def operator_norm(M, iterations: int = 50) -> float:
+def operator_norm(M) -> float:
     """Spectral norm estimate by power iteration on M^T M.
 
-    Deterministic start (all-ones direction); 50 rounds are plenty at desk
-    scale.
+    Deterministic start (all-ones direction), `_POWER_ROUNDS` rounds.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
     v = np.ones(n) / np.sqrt(n)
-    for _ in range(iterations):
+    for _ in range(_POWER_ROUNDS):
         w = M.T @ (M @ v)
         norm = np.linalg.norm(w)
         if norm <= 1e-300:
@@ -54,12 +56,14 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in ("extragradient", "projected_fixed_point"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.step is not None and self.step <= 0:
-            raise ValueError("step must be positive")
+        if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError(f"step must be finite and positive, got {self.step}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        if self.stop_residual <= 0:
-            raise ValueError("stop_residual must be positive")
+        if not (math.isfinite(self.stop_residual) and self.stop_residual > 0):
+            raise ValueError(
+                f"stop_residual must be finite and positive, got {self.stop_residual}"
+            )
 
 
 @dataclass(frozen=True)
@@ -82,10 +86,6 @@ class SolveTrace:
     @property
     def iterations(self) -> int:
         return self.records[-1].iteration if self.records else 0
-
-    @property
-    def best_residual(self) -> float:
-        return min(r.residual_norm for r in self.records)
 
     def to_csv(self) -> str:
         lines = ["iter,residual,distance"]

@@ -4,9 +4,11 @@ algorithms.
 `build_kkt_piece` writes the projection's KKT system for one active pattern
 in (y, x, lambda)-space, before any elimination, and `piece_section_points`
 enumerates the vertices of a lifted section in (x, lambda_active)-space: the
-tests check the library's polar elimination of the multipliers
-(`avi._PieceTemplate`) against both.  `annihilator_residual` measures how
-far a gap-dual multiplier is from dual feasibility.
+tests check the library's polar elimination of the multipliers against both.
+That elimination is `avi._PieceTemplate`: its fixed matrices `ineq_lhs` and
+`eq_lhs`, with the right-hand sides `section(y)` evaluates at each level.
+`annihilator_residual` measures how far a gap-dual multiplier is from dual
+feasibility.
 """
 
 from dataclasses import dataclass

@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from test_acceptance import _avi_corpus
 from avibound import CapExceeded, EmptySet, PolyhedralSet, avi
 from avibound.avi import (
     AviInstance,
+    _face,
     _face_templates,
     _PieceTemplate,
     enumerate_solution_set,
@@ -314,17 +318,16 @@ def _brute_force_pieces(inst, levels):
     """Reference decomposition at each level: all 2^m patterns in subset-rank
     order."""
     m = inst.num_constraints
+    patterns = [tuple(i for i in range(m) if rank >> i & 1) for rank in range(1 << m)]
     templates = [
-        _PieceTemplate(
-            inst, tuple(i for i in range(m) if rank >> i & 1), DEFAULT_TOL
-        )
-        for rank in range(1 << m)
+        _PieceTemplate(inst, _face(inst, active), active, DEFAULT_TOL)
+        for active in patterns
     ]
     per_level = []
     for y in levels:
         found = []
         for t in templates:
-            piece = t.section(y, DEFAULT_TOL)
+            piece = t.section(y)
             if piece is not None and is_nonempty(piece, DEFAULT_TOL):
                 found.append((t.active, piece))
         per_level.append(found)
@@ -414,3 +417,97 @@ class TestSolutionSet:
             for piece in enumerate_solution_set(inst):
                 for v in enumerate_vertices(piece).vertices:
                     assert is_solution(inst, v), builder.__name__
+
+
+# --- piece-row regression -------------------------------------------------
+#
+# The active set and the exact row bytes of every piece that
+# `inverse_residual(..., keep_active=True)` returns, hashed per instance and
+# tolerance, are recorded in tests/data/preimage_rows_sha256.json; any change
+# to a piece's rows, their order or the patterns kept changes a digest.  The
+# corpus covers the canned AVIs, the criterion-4 corpus and rank-deficient M
+# on sets that are not boxes, where some cone rows -w M vanish and only y
+# moves their right-hand side.  Regenerate the file only for an intended
+# change of the piece rows:
+#     PYTHONPATH=src python tests/test_avi.py
+
+_PIECE_RECORD = Path(__file__).parent / "data" / "preimage_rows_sha256.json"
+_PIECE_TOLERANCES = {"default": DEFAULT_TOL, "feas1e-7": Tolerances(feas=1e-7)}
+
+
+def _singular_corpus():
+    """Ten instances with singular M on a simplex cut by one random row."""
+    corpus = []
+    for seed in range(10):
+        rng = SplitMix64(5000 + seed)
+        n = 2 + seed % 3
+        a = np.array(rng.normals(n))
+        a /= np.linalg.norm(a)
+        center = np.full(n, 0.2)
+        A = np.vstack([-np.eye(n), np.ones((1, n)), a])
+        b = np.concatenate([np.zeros(n), [1.5], [a @ center + 0.3]])
+        k = seed % n
+        if seed % 3 == 0:
+            M = np.zeros((n, n))
+        elif seed % 3 == 1:
+            M = np.array([rng.normals(n) for _ in range(n)])
+            M[k] = 0.0
+        else:
+            u = np.array(rng.normals(n))
+            u[k] = 0.0
+            M = np.outer(u, u)
+        q = np.array(rng.normals(n))
+        corpus.append(
+            (f"singular{seed}", AviInstance(m_op=M, q=q, c_set=PolyhedralSet(n, A, b)))
+        )
+    return corpus
+
+
+def _piece_corpus():
+    corpus = [(e.name, e.payload) for e in canned_suite() if e.kind == "avi"]
+    corpus += [(f"random{seed}", inst) for seed, _, inst in _avi_corpus()]
+    return corpus + _singular_corpus()
+
+
+def _piece_levels(inst, seed, singular):
+    """y = 0 and two residual levels, where vanishing rows hold.  For the
+    singular corpus also a residual level moved by 5e-8, where they hold at
+    feas 1e-7 but not at 1e-9, and an arbitrary point, where most fail."""
+    rng = SplitMix64(seed)
+    levels = [np.zeros(inst.dim)]
+    for _ in range(2):
+        x = np.array([2.0 * rng.normal() for _ in range(inst.dim)])
+        levels.append(residual(inst, x).r)
+    if singular:
+        levels += [levels[1] + 5e-8, np.array(rng.normals(inst.dim))]
+    return levels
+
+
+def _run_piece_corpus():
+    record = {}
+    for index, (name, inst) in enumerate(_piece_corpus()):
+        levels = _piece_levels(inst, 6000 + index, name.startswith("singular"))
+        for label, tol in _PIECE_TOLERANCES.items():
+            digest = hashlib.sha256()
+            count = 0
+            for y in levels:
+                digest.update(b"level")
+                for active, piece in inverse_residual(inst, y, tol, keep_active=True):
+                    digest.update(repr(active).encode())
+                    for shape, raw in _row_bytes(piece):
+                        digest.update(repr(shape).encode() + raw)
+                    count += 1
+            record[f"{name}/{label}"] = {"pieces": count, "sha256": digest.hexdigest()}
+    return record
+
+
+def test_piece_rows_are_unchanged():
+    expected = json.loads(_PIECE_RECORD.read_text())
+    actual = _run_piece_corpus()
+    assert list(actual) == list(expected)
+    for name in expected:
+        assert actual[name] == expected[name], name
+
+
+if __name__ == "__main__":
+    _PIECE_RECORD.write_text(json.dumps(_run_piece_corpus(), indent=1) + "\n")

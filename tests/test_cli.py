@@ -126,6 +126,36 @@ class TestExitCodes:
         assert code == 2
         assert "tolerance cmp must be finite and positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1", "0"])
+    def test_invalid_epsilon_exits_2(self, lcp_file, eps, capsys):
+        code = main([
+            "verify-error-bound", "--instance", lcp_file, "--eps", eps, "--samples", "40",
+        ])
+        assert code == 2
+        assert "epsilon must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,field", [
+        ("--stop-residual", "stop_residual"), ("--step", "step"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_invalid_solver_setting_exits_2(self, lcp_file, flag, field, value, capsys):
+        code = main([
+            "solve", "--instance", lcp_file, "--x0", "4", "--max-iters", "50", flag, value,
+        ])
+        assert code == 2
+        assert f"{field} must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("radii", ["nan", "0.05,nan", "0.05,inf", "-1,0.2", "0.2,0.05"])
+    def test_invalid_radius_ladder_exits_2(self, lcp_file, radii, capsys):
+        code = main([
+            "verify-lipschitz", "--instance", lcp_file, "--ybar", "0",
+            "--samples", "6", f"--radii={radii}",
+        ])
+        assert code == 2
+        assert "radius ladder must be finite, positive and increasing" in (
+            capsys.readouterr().err
+        )
+
     def test_missing_instance_exits_2(self, tmp_path):
         assert main(["residual", "--instance", str(tmp_path / "nope.json"), "--x", "1"]) == 2
 

@@ -623,7 +623,7 @@ class TestDoubleDescriptionMatchesScan:
                 if template.active:
                     assert_cone_matches_scan(A[list(template.active)])
                     cones += 1
-                piece = template.section(np.zeros(inst.dim), DEFAULT_TOL)
+                piece = template.section(np.zeros(inst.dim))
                 if piece is not None and is_nonempty(piece):
                     assert_matches_scan(piece)
         assert cones > 300

@@ -6,7 +6,9 @@ as `ValueError` for malformed arguments).  An `assert` vanishes under
 in `src/avibound`.  Every field of `Tolerances`, the one config object, must
 be read somewhere in `src/avibound`, so no dead knob survives its last reader.  Every
 name a module lists in `__all__` must be bound in that module, so no export
-outlives the code it named.
+outlives the code it named.  Every public function, method and class in
+`src/avibound` must be referenced by name somewhere in `src/`, `tests/` or
+`scripts/`, so no dead code outlives its last caller.
 """
 
 import ast
@@ -17,7 +19,8 @@ import pytest
 
 from avibound.config import Tolerances
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "avibound"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "avibound"
 MODULES = sorted(SRC.glob("*.py"))
 BROAD = {"Exception", "BaseException"}
 
@@ -125,3 +128,59 @@ def test_export_rule_catches_stale_name():
         "__all__ = ['np', 'box', 'LIMIT', 'f', 'C', 'Removed']\n"
     )
     assert _stale_exports(ast.parse(source)) == ["Removed"]
+
+
+def _names_referenced(tree):
+    """Every name a Name, an Attribute or an import alias mentions."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+    return names
+
+
+def _unreferenced(tree, referenced):
+    """Public functions, methods and classes of `tree` not in `referenced`."""
+    return [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in referenced
+    ]
+
+
+def test_every_public_definition_is_referenced():
+    referenced = set()
+    for folder in ("src", "tests", "scripts"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            referenced |= _names_referenced(ast.parse(path.read_text(encoding="utf-8")))
+    dead = [
+        f"{path.name}: {name}"
+        for path in MODULES
+        for name in _unreferenced(ast.parse(path.read_text(encoding="utf-8")), referenced)
+    ]
+    assert not dead, f"public definitions nothing references: {dead}"
+
+
+def test_reference_rule_catches_dead_definitions():
+    defined = ast.parse(
+        "def called():\n    pass\n"
+        "def dead():\n    pass\n"
+        "def imported():\n    pass\n"
+        "def aliased():\n    pass\n"
+        "class Box:\n"
+        "    def method(self):\n        pass\n"
+        "    def orphan(self):\n        pass\n"
+        "    def _private(self):\n        pass\n"
+    )
+    using = ast.parse(
+        "from m import imported\n"
+        "import pkg.aliased as other\n"
+        "called(Box().method)\n"
+    )
+    assert _unreferenced(defined, _names_referenced(using)) == ["dead", "orphan"]
