@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from avibound.bounds import find_local_radius
+from avibound.config import DEFAULT_TOL
 from avibound.instgen import generate_random_avi
 from avibound.solvers import SolverConfig, annotate_distances, check_tail_bound, solve
 
@@ -33,8 +34,6 @@ def main() -> int:
     radius = find_local_radius(inst, num_samples=300, master_seed=args.seed)
     print(f"empirical bound: epsilon={radius.epsilon:g} c={radius.c_emp:.4g} "
           f"(stabilized={radius.stabilized})")
-    from avibound.config import DEFAULT_TOL
-
     trace = solve(
         inst,
         SolverConfig(stop_residual=1e-8, x0=np.zeros(args.n)),

@@ -1,11 +1,13 @@
 """Residual-based local error bounds for affine variational inequalities.
 
 Layers, bottom to top: `optkernel` (LP / feasibility / projection solves),
-`polyhedra` (vertex enumeration, distances, Hausdorff), `gpm` (generalized
-polyhedral multifunctions and their Lipschitz moduli), `avi` (residual map
-and active-set decomposition of solution sets), `bounds` (empirical error
-bound and upper-Lipschitz verification), `solvers` (projection-type
-iterations), `instgen` (instance corpus and serialization) and `cli`.
+`polyhedra` (vertex enumeration, distances, Hausdorff), `ratios` (the
+running maximum, witness, trace, stability verdict and holdout check shared
+by every sampled verdict), `gpm` (generalized polyhedral multifunctions and
+their Lipschitz moduli), `avi` (residual map and active-set decomposition of
+solution sets), `bounds` (empirical error bound and upper-Lipschitz
+verification), `solvers` (projection-type iterations), `instgen` (instance
+corpus and serialization) and `cli`.
 """
 
 from .config import Tolerances, DEFAULT_TOL

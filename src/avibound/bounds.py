@@ -1,12 +1,11 @@
 """Empirical verification of the residual error bound and of the upper
 Lipschitz continuity of the inverse residual map.
 
-Both checks sample deterministically (per-sample derived seeds), reduce by a
-running maximum of distance/residual ratios, and report a trace of that
-maximum versus sample count.  "Stabilized" means the running maximum moved
-by at most `STABLE_REL_CHANGE` over the final doubling of samples; the
-theory asserts a finite constant exists, not its value, so a stable plateau
-is the strongest checkable signal.
+Both checks sample deterministically (per-sample derived seeds) and hand
+their distance ratios to `ratios.running_max`, which gives the constant, the
+witness, the trace of the running maximum versus sample count and, for the
+error bound, the stability verdict.  This module only draws and filters the
+samples.
 """
 
 from __future__ import annotations
@@ -16,15 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .avi import AviInstance, inverse_residual, residual
+from .avi import AviInstance, enumerate_solution_set, inverse_residual, residual
 from .config import DEFAULT_TOL, Tolerances
 from .errors import CapExceeded, DegenerateSampler, NoSolution
 from .polyhedra import distance, enumerate_vertices, feasible_point, union_distance
+from .ratios import running_max, zero_over_zero_floor
 from .rng import SplitMix64, derive_seed
-from .sets import _as_vector
+from .sets import _as_vector, nonnegative_orthant
 
-STABLE_REL_CHANGE = 0.05
-RESIDUAL_FLOOR_FACTOR = 10.0  # ratios below 10 * tol.cmp are 0/0 noise
 DEFAULT_NOISE_SCALES = (0.01, 0.1, 1.0)
 EPSILON_LADDER = tuple(2.0 ** (-k) for k in range(11))  # 1, 1/2, ..., 2^-10
 
@@ -73,8 +71,6 @@ class SolutionGeometry:
     @classmethod
     def from_instance(cls, inst: AviInstance,
                       tol: Tolerances = DEFAULT_TOL) -> "SolutionGeometry":
-        from .avi import enumerate_solution_set
-
         return cls.from_pieces(enumerate_solution_set(inst, tol), tol)
 
     @classmethod
@@ -86,9 +82,6 @@ class SolutionGeometry:
         is the product of the per-axis solution sets and distances add in
         squares.
         """
-        from .avi import enumerate_solution_set
-        from .sets import nonnegative_orthant
-
         diagonal = np.asarray(diagonal, dtype=float)
         q = np.asarray(q, dtype=float)
         axis_pieces = []
@@ -166,32 +159,6 @@ def _jsonable(value):
     return value
 
 
-def _running_max_trace(values):
-    trace = []
-    best = 0.0
-    checkpoint = 1
-    for count, v in enumerate(values, start=1):
-        best = max(best, v)
-        if count >= checkpoint:
-            trace.append((count, best))
-            checkpoint *= 2
-    if values and (not trace or trace[-1][0] != len(values)):
-        trace.append((len(values), best))
-    return trace, best
-
-
-def _is_stable(ratios, min_samples=8):
-    """Running max changed <= 5% over the final doubling of samples."""
-    if len(ratios) < min_samples:
-        return False
-    running = np.maximum.accumulate(ratios)
-    half = running[len(ratios) // 2 - 1]
-    full = running[-1]
-    if full <= 0.0:
-        return True
-    return (full - half) / full <= STABLE_REL_CHANGE
-
-
 @dataclass(frozen=True)
 class ErrorBoundSample:
     point: np.ndarray
@@ -199,14 +166,13 @@ class ErrorBoundSample:
     distance: float
 
 
-def _sample_error_bound_table(inst, geometry, num_samples, master_seed,
-                              noise_scales, tol):
+def _sample_error_bound_table(inst, geometry, num_samples, master_seed, tol):
     anchors = geometry.anchors
     table = []
     for i in range(num_samples):
         stream = SplitMix64(derive_seed(master_seed, i))
         anchor = anchors[stream.randint(0, len(anchors) - 1)]
-        scale = noise_scales[stream.randint(0, len(noise_scales) - 1)]
+        scale = DEFAULT_NOISE_SCALES[stream.randint(0, len(DEFAULT_NOISE_SCALES) - 1)]
         x = anchor + scale * np.array(stream.normals(inst.dim))
         rnorm = residual(inst, x, tol).norm
         dist = geometry.distance(x)
@@ -214,75 +180,69 @@ def _sample_error_bound_table(inst, geometry, num_samples, master_seed,
     return table
 
 
-def _reduce_error_bound(table, epsilon, tol):
-    floor = RESIDUAL_FLOOR_FACTOR * tol.cmp
-    ratios = []
-    witness = None
-    c_emp = 0.0
+def _filter_error_bound(table, epsilon, tol):
+    """The samples with residual norm in [floor, epsilon], where floor is the
+    0/0 floor, and the counts left out below the floor and above epsilon."""
+    floor = zero_over_zero_floor(tol)
+    kept = []
     excluded_floor = 0
     filtered_eps = 0
     for sample in table:
         if sample.residual_norm < floor:
             excluded_floor += 1
-            continue
-        if sample.residual_norm > epsilon:
+        elif sample.residual_norm > epsilon:
             filtered_eps += 1
-            continue
-        ratio = sample.distance / sample.residual_norm
-        ratios.append(ratio)
-        if ratio > c_emp:
-            c_emp = ratio
-            witness = sample.point
-    return ratios, c_emp, witness, excluded_floor, filtered_eps
+        else:
+            kept.append(sample)
+    return kept, excluded_floor, filtered_eps
+
+
+def _ratio_max(kept):
+    return running_max([s.distance / s.residual_norm for s in kept])
 
 
 def verify_error_bound(inst: AviInstance, epsilon: float,
                        num_samples: int = 400, master_seed: int = 0,
                        geometry: SolutionGeometry | None = None,
-                       noise_scales=DEFAULT_NOISE_SCALES,
                        tol: Tolerances = DEFAULT_TOL) -> BoundReport:
     """Estimate the constant in d(x, solutions) <= c ||R(x)|| near solutions.
 
     Samples are anchor points of the solution set plus Gaussian noise at the
-    given scales; only samples with residual norm in (10 tol.cmp, epsilon]
-    enter the ratio.  The verdict passes when the running maximum stabilized.
-    Raises ValueError unless epsilon is finite and positive, NoSolution when
-    the solution set is empty and DegenerateSampler when no sample survives
-    the residual filter.
+    scales `DEFAULT_NOISE_SCALES`; only samples with residual norm in
+    [10 tol.cmp, epsilon] enter the ratio.  The verdict passes when the
+    running maximum stabilized.  Raises ValueError unless epsilon is finite
+    and positive, NoSolution when the solution set is empty and
+    DegenerateSampler when no sample survives the residual filter.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     geometry = geometry or SolutionGeometry.from_instance(inst, tol)
-    table = _sample_error_bound_table(
-        inst, geometry, num_samples, master_seed, noise_scales, tol
-    )
-    ratios, c_emp, witness, excluded_floor, filtered_eps = _reduce_error_bound(
-        table, epsilon, tol
-    )
-    if not ratios:
+    table = _sample_error_bound_table(inst, geometry, num_samples, master_seed, tol)
+    kept, excluded_floor, filtered_eps = _filter_error_bound(table, epsilon, tol)
+    if not kept:
         raise DegenerateSampler(
             f"no sample passed the residual filter (epsilon={epsilon})"
         )
-    trace, _ = _running_max_trace(ratios)
+    reduced = _ratio_max(kept)
     violations = []
-    if not math.isfinite(c_emp):
+    if not math.isfinite(reduced.c_emp):
         violations.append("ratio diverged")
-    if not _is_stable(ratios):
+    if not reduced.stable:
         violations.append(
             "ratio trace not stabilized over the final doubling of samples"
         )
     return BoundReport(
         kind="error_bound",
-        c_emp=c_emp,
+        c_emp=reduced.c_emp,
         epsilon=epsilon,
-        num_samples=len(ratios),
-        worst_ratio_witness=witness,
+        num_samples=len(kept),
+        worst_ratio_witness=None if reduced.witness is None else kept[reduced.witness].point,
         violations=violations,
-        ratio_trace=trace,
+        ratio_trace=reduced.trace,
         notes={
             "excluded_zero_residual": excluded_floor,
             "filtered_above_epsilon": filtered_eps,
-            "noise_scales": list(noise_scales),
+            "noise_scales": list(DEFAULT_NOISE_SCALES),
             "master_seed": master_seed,
         },
     )
@@ -324,8 +284,7 @@ def verify_upper_lipschitz_inverse(inst: AviInstance, cfg: LipschitzCheckConfig,
     base_pieces = [piece for _, piece in base_labelled]
     base_by_active = dict(base_labelled)
     ratios = []
-    witness = None
-    c_emp = 0.0
+    vertices = []
     per_family: dict = {}
     outside_domain = 0
     near_domain_hits = 0
@@ -348,11 +307,8 @@ def verify_upper_lipschitz_inverse(inst: AviInstance, cfg: LipschitzCheckConfig,
                 vs = enumerate_vertices(piece, tol)
                 for v in vs.vertices:
                     dist = union_distance(base_pieces, v, tol)
-                    ratio = dist / dy
-                    ratios.append(ratio)
-                    if ratio > c_emp:
-                        c_emp = ratio
-                        witness = v
+                    ratios.append(dist / dy)
+                    vertices.append(v)
                     if active in base_by_active:
                         fam_dist = distance(base_by_active[active], v, tol)[0]
                         key = active
@@ -383,17 +339,17 @@ def verify_upper_lipschitz_inverse(inst: AviInstance, cfg: LipschitzCheckConfig,
         )
     if not ratios:
         raise DegenerateSampler("all sampled y landed outside dom R^{-1}")
-    trace, _ = _running_max_trace(ratios)
-    if not math.isfinite(c_emp):
+    reduced = running_max(ratios)
+    if not math.isfinite(reduced.c_emp):
         violations.append("ratio diverged")
     return BoundReport(
         kind="upper_lipschitz_inverse",
-        c_emp=c_emp,
+        c_emp=reduced.c_emp,
         epsilon=None,
         num_samples=len(ratios),
-        worst_ratio_witness=witness,
+        worst_ratio_witness=None if reduced.witness is None else vertices[reduced.witness],
         violations=violations,
-        ratio_trace=trace,
+        ratio_trace=reduced.trace,
         notes=notes,
         per_family=per_family,
     )
@@ -406,28 +362,10 @@ class LocalRadiusResult:
     stabilized: bool
     curve: list  # (epsilon, c_emp, samples kept, stabilized)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "local_radius",
-            "epsilon": self.epsilon,
-            "c_emp": self.c_emp,
-            "stabilized": self.stabilized,
-            "curve": [
-                {
-                    "epsilon": e,
-                    "c_emp": c,
-                    "num_samples": int(k),
-                    "stabilized": bool(s),
-                }
-                for e, c, k, s in self.curve
-            ],
-        }
-
 
 def find_local_radius(inst: AviInstance,
                       num_samples: int = 400, master_seed: int = 0,
                       geometry: SolutionGeometry | None = None,
-                      noise_scales=DEFAULT_NOISE_SCALES,
                       tol: Tolerances = DEFAULT_TOL) -> LocalRadiusResult:
     """Largest epsilon in the halving ladder with a stabilized ratio trace.
 
@@ -435,17 +373,15 @@ def find_local_radius(inst: AviInstance,
     a monotone reduction of the same data rather than fresh noise per level.
     """
     geometry = geometry or SolutionGeometry.from_instance(inst, tol)
-    table = _sample_error_bound_table(
-        inst, geometry, num_samples, master_seed, noise_scales, tol
-    )
+    table = _sample_error_bound_table(inst, geometry, num_samples, master_seed, tol)
     curve = []
     chosen = None
     for eps in EPSILON_LADDER:
-        ratios, c_emp, _, _, _ = _reduce_error_bound(table, eps, tol)
-        stable = _is_stable(ratios)
-        curve.append((eps, c_emp, len(ratios), stable))
-        if stable and chosen is None:
-            chosen = (eps, c_emp, True)
+        kept, _, _ = _filter_error_bound(table, eps, tol)
+        reduced = _ratio_max(kept)
+        curve.append((eps, reduced.c_emp, len(kept), reduced.stable))
+        if reduced.stable and chosen is None:
+            chosen = (eps, reduced.c_emp, True)
     if chosen is None:
         # no level stabilized: report the largest epsilon that kept samples
         # (the estimate itself, not the plateau verdict) rather than nothing

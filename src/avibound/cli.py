@@ -32,7 +32,7 @@ from .errors import (
     SchemaError,
 )
 from .gpm import GpMultifunction
-from .polyhedra import PolyhedralSet, enumerate_vertices
+from .polyhedra import PolyhedralSet, distance, enumerate_vertices
 from .rng import SplitMix64, derive_seed
 
 EXIT_PASS = 0
@@ -132,8 +132,6 @@ def cmd_project(args) -> int:
         raise SchemaError("project needs an AVI instance or a polyhedral set")
     x = _parse_vector(args.x)
     tol = _tolerances(args)
-    from .polyhedra import distance
-
     dist, point = distance(target_set, x, tol)
     formatted = "[" + ", ".join(f"{v:g}" for v in point) + "]"
     print(f"project: point={formatted} distance={dist:g}")

@@ -9,6 +9,10 @@ smallest worst-case violation ``inf_y max(||a1 x + a2 y - z||_inf, max_i
 on dom F.  With the max-norm on the equality residual both the gap and its
 concave dual are linear programs, so the primal/dual equality reduces to LP
 duality and is checkable to solver precision.
+
+The Lipschitz modulus is estimated from sampled pairs of domain points; the
+running maximum of their ratios and the holdout check on fresh pairs are
+`ratios.running_max` and `ratios.holdout`.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .config import DEFAULT_TOL, Tolerances
 from .errors import DegenerateSampler, DimensionMismatch, SchemaError
 from .optkernel import LinearProgram, solve_feasibility, solve_lp
 from .polyhedra import PolyhedralSet, hausdorff, is_nonempty
+from .ratios import HoldoutReport, holdout, running_max
 from .rng import SplitMix64, derive_seed
 from .sets import _as_matrix, _as_vector
 
@@ -415,6 +420,15 @@ def _measure_pair(f, center, index, cfg, tol):
     return (x1, x2, h, h / gap)
 
 
+def _measure_pairs(f, cfg, tol):
+    """The plan's (x1, x2, h, ratio) pairs in index order, and the numbers
+    of pairs rejected and excluded."""
+    center = _domain_witness(f, tol)
+    results = [_measure_pair(f, center, index, cfg, tol) for index in range(cfg.num_pairs)]
+    pairs = [r for r in results if not isinstance(r, str)]
+    return pairs, results.count("rejected"), results.count("excluded")
+
+
 def estimate_lipschitz_modulus(f: GpMultifunction,
                                cfg: SectionSamplerConfig = SectionSamplerConfig(),
                                tol: Tolerances = DEFAULT_TOL):
@@ -426,66 +440,20 @@ def estimate_lipschitz_modulus(f: GpMultifunction,
     left out of the maximum and counted in `num_excluded_unbounded`.  Each
     pair's seed derives from its index.  Returns (c_emp, report).
     """
-    center = _domain_witness(f, tol)
-    c_emp = 0.0
-    witness_pair = None
-    ratios = 0
-    rejected = 0
-    excluded = 0
-    trace = []
-    next_checkpoint = 1
-    for index in range(cfg.num_pairs):
-        result = _measure_pair(f, center, index, cfg, tol)
-        if result == "rejected":
-            rejected += 1
-            continue
-        if result == "excluded":
-            excluded += 1
-            continue
-        x1, x2, h_value, ratio = result
-        ratios += 1
-        if ratio > c_emp:
-            c_emp = ratio
-            witness_pair = (x1, x2, h_value, ratio)
-        if ratios >= next_checkpoint:
-            trace.append((ratios, c_emp))
-            next_checkpoint *= 2
-    if ratios == 0:
+    pairs, rejected, excluded = _measure_pairs(f, cfg, tol)
+    if not pairs:
         raise DegenerateSampler("fewer than 2 usable domain points were found")
-    if not trace or trace[-1][0] != ratios:
-        trace.append((ratios, c_emp))
+    reduced = running_max([pair[3] for pair in pairs])
     report = LipschitzEstimateReport(
-        c_emp=c_emp,
-        witness_pair=witness_pair,
+        c_emp=reduced.c_emp,
+        witness_pair=None if reduced.witness is None else pairs[reduced.witness],
         num_pairs_requested=cfg.num_pairs,
-        num_ratios=ratios,
+        num_ratios=len(pairs),
         num_rejected_domain=rejected,
         num_excluded_unbounded=excluded,
-        trace=trace,
+        trace=reduced.trace,
     )
-    return c_emp, report
-
-
-@dataclass(frozen=True)
-class HoldoutReport:
-    c_emp: float
-    slack: float
-    num_checked: int
-    violations: list
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "lipschitz_holdout",
-            "c_emp": self.c_emp,
-            "slack": self.slack,
-            "num_checked": self.num_checked,
-            "num_violations": len(self.violations),
-            "passed": self.passed,
-        }
+    return reduced.c_emp, report
 
 
 def check_lipschitz_holdout(f: GpMultifunction, c_emp: float,
@@ -498,15 +466,7 @@ def check_lipschitz_holdout(f: GpMultifunction, c_emp: float,
     unbounded sections included, so for the same `cfg` `num_checked` equals
     the estimate's `num_ratios`.
     """
-    center = _domain_witness(f, tol)
-    violations = []
-    checked = 0
-    for index in range(cfg.num_pairs):
-        result = _measure_pair(f, center, index, cfg, tol)
-        if isinstance(result, str):  # rejected or excluded
-            continue
-        x1, x2, h_value, _ = result
-        checked += 1
-        if h_value > slack * c_emp * float(np.linalg.norm(x1 - x2)) + tol.cmp:
-            violations.append(result)
-    return HoldoutReport(c_emp=c_emp, slack=slack, num_checked=checked, violations=violations)
+    pairs, _, _ = _measure_pairs(f, cfg, tol)
+    samples = [(h, float(np.linalg.norm(x1 - x2)), (x1, x2, h, ratio))
+               for x1, x2, h, ratio in pairs]
+    return holdout(samples, c_emp, slack, tol)

@@ -4,7 +4,8 @@ Two methods: the projected fixed-point iteration x+ = P_C(x - t(Mx + q))
 and the extragradient variant that re-evaluates the operator at the
 predicted point.  The residual norm is the stopping rule, which is what ties
 the solver to the error bound: once the residual is small, the distance to
-the solution set is provably proportional to it.
+the solution set is provably proportional to it.  `check_tail_bound` checks
+that proportionality on the iterates with `ratios.holdout`.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import numpy as np
 from .avi import AviInstance, residual
 from .bounds import SolutionGeometry
 from .config import DEFAULT_TOL, Tolerances
+from .optkernel import QpProjectionProblem, solve_projection_qp
+from .ratios import HoldoutReport, holdout, zero_over_zero_floor
 from .sets import _as_vector
 
 DIVERGENCE_NORM = 1e9
@@ -117,8 +120,6 @@ def solve(inst: AviInstance, cfg: SolverConfig = SolverConfig(),
     than raising.  The stopping threshold may not undercut the comparison
     tolerance in use (pass a tighter `tol` to stop at tighter residuals).
     """
-    from .optkernel import QpProjectionProblem, solve_projection_qp
-
     if cfg.stop_residual < tol.cmp:
         raise ValueError(
             f"stop_residual {cfg.stop_residual:g} is below the comparison "
@@ -180,55 +181,21 @@ def annotate_distances(inst: AviInstance, trace: SolveTrace,
     return replace(trace, records=annotated)
 
 
-@dataclass(frozen=True)
-class TailBoundReport:
-    c_emp: float
-    epsilon: float
-    slack: float
-    num_checked: int
-    violations: list
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "tail_bound",
-            "c_emp": self.c_emp,
-            "epsilon": self.epsilon,
-            "slack": self.slack,
-            "num_checked": self.num_checked,
-            "num_violations": len(self.violations),
-            "passed": self.passed,
-        }
-
-
 def check_tail_bound(trace: SolveTrace, c_emp: float, epsilon: float,
                      slack: float = 1.05,
-                     tol: Tolerances = DEFAULT_TOL) -> TailBoundReport:
-    """Every annotated iterate with residual <= epsilon must satisfy
-    distance <= slack * c_emp * residual (up to the 0/0 floor)."""
-    floor = 10.0 * tol.cmp
-    violations = []
-    checked = 0
-    for rec in trace.records:
-        if rec.distance_to_solutions is None:
-            continue
-        if rec.residual_norm > epsilon or rec.residual_norm < floor:
-            continue
-        checked += 1
-        if rec.distance_to_solutions > slack * c_emp * rec.residual_norm + tol.cmp:
-            violations.append(
-                (rec.iteration, rec.residual_norm, rec.distance_to_solutions)
-            )
-    return TailBoundReport(
-        c_emp=c_emp,
-        epsilon=epsilon,
-        slack=slack,
-        num_checked=checked,
-        violations=violations,
-    )
+                     tol: Tolerances = DEFAULT_TOL) -> HoldoutReport:
+    """Every annotated iterate with residual in [10 tol.cmp, epsilon] must
+    satisfy distance <= slack * c_emp * residual.  Each violation is recorded
+    as (iteration, residual, distance)."""
+    floor = zero_over_zero_floor(tol)
+    samples = [
+        (rec.distance_to_solutions, rec.residual_norm,
+         (rec.iteration, rec.residual_norm, rec.distance_to_solutions))
+        for rec in trace.records
+        if rec.distance_to_solutions is not None
+        and floor <= rec.residual_norm <= epsilon
+    ]
+    return holdout(samples, c_emp, slack, tol)
 
 
 def solution_check_tolerance(inst: AviInstance, cfg: SolverConfig) -> float:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from avibound import DegenerateSampler, NoSolution, PolyhedralSet
+from avibound import DegenerateSampler, NoSolution, PolyhedralSet, bounds
 from avibound.avi import AviInstance, enumerate_solution_set, residual
 from avibound.bounds import (
     LipschitzCheckConfig,
@@ -58,12 +58,12 @@ class TestVerifyErrorBound:
         assert report.passed
         assert report.c_emp == pytest.approx(1.0, abs=1e-7)
 
-    def test_solutions_are_excluded_as_zero_over_zero(self):
+    def test_solutions_are_excluded_as_zero_over_zero(self, monkeypatch):
         # noise this small leaves every sample inside the 0/0 guard band
+        monkeypatch.setattr(bounds, "DEFAULT_NOISE_SCALES", (1e-9,))
         with pytest.raises(DegenerateSampler):
             verify_error_bound(
                 lcp_1d(), epsilon=1.0, num_samples=100, master_seed=11,
-                noise_scales=(1e-9,),
             )
 
     def test_no_solution_raises(self):

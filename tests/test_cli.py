@@ -26,7 +26,6 @@ KIND_TO_SCHEMA = {
     "minimax_report": "minimax_report.schema.json",
     "domain_report": "domain_report.schema.json",
     "lipschitz_estimate": "lipschitz_estimate.schema.json",
-    "local_radius": "local_radius.schema.json",
     "truncation_table": "truncation_table.schema.json",
     "solve_trace": "solve_trace.schema.json",
     "solution_set": "solution_set.schema.json",

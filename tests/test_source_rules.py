@@ -8,7 +8,9 @@ be read somewhere in `src/avibound`, so no dead knob survives its last reader.  
 name a module lists in `__all__` must be bound in that module, so no export
 outlives the code it named.  Every public function, method and class in
 `src/avibound` must be referenced by name somewhere in `src/`, `tests/` or
-`scripts/`, so no dead code outlives its last caller.
+`scripts/`, so no dead code outlives its last caller.  No function in
+`src/avibound` imports: every import sits at the top of its module, where
+the layering between modules shows.
 """
 
 import ast
@@ -184,3 +186,34 @@ def test_reference_rule_catches_dead_definitions():
         "called(Box().method)\n"
     )
     assert _unreferenced(defined, _names_referenced(using)) == ["dead", "orphan"]
+
+
+def _function_imports(tree):
+    """(line, innermost function) of every import inside a function body."""
+    found = {}
+    for node in ast.walk(tree):  # breadth first: inner functions come later
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                    found[inner.lineno] = node.name
+    return sorted(found.items())
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    found = _function_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert not found, [f"{path.name}:{line} in {name}" for line, name in found]
+
+
+def test_import_rule_catches_function_imports():
+    source = (
+        "import math\n"
+        "from .sets import box\n"
+        "def f():\n    import json\n"
+        "class C:\n"
+        "    import os\n"
+        "    def method(self):\n"
+        "        def inner():\n            from .avi import residual\n"
+        "async def g():\n    from . import bounds\n"
+    )
+    assert _function_imports(ast.parse(source)) == [(4, "f"), (9, "inner"), (11, "g")]
