@@ -36,10 +36,9 @@ class SolutionGeometry:
     experiment tractable although all 2^n faces of the orthant are nonempty.
     """
 
-    def __init__(self, distance_fn, anchors, num_pieces=None):
+    def __init__(self, distance_fn, anchors):
         self._distance_fn = distance_fn
         self.anchors = [np.asarray(a, dtype=float) for a in anchors]
-        self.num_pieces = num_pieces
         if not self.anchors:
             raise NoSolution("solution geometry needs at least one anchor point")
 
@@ -62,11 +61,7 @@ class SolutionGeometry:
         for a in anchors:
             if all(np.linalg.norm(a - b) > tol.cmp for b in dedup):
                 dedup.append(a)
-        return cls(
-            distance_fn=lambda x: union_distance(pieces, x, tol),
-            anchors=dedup,
-            num_pieces=len(pieces),
-        )
+        return cls(distance_fn=lambda x: union_distance(pieces, x, tol), anchors=dedup)
 
     @classmethod
     def from_instance(cls, inst: AviInstance,
@@ -103,7 +98,7 @@ class SolutionGeometry:
                 total += di * di
             return math.sqrt(total)
 
-        return cls(distance_fn=dist, anchors=[anchor], num_pieces=None)
+        return cls(distance_fn=dist, anchors=[anchor])
 
 
 @dataclass(frozen=True)
@@ -281,8 +276,6 @@ def verify_upper_lipschitz_inverse(inst: AviInstance, cfg: LipschitzCheckConfig,
     """
     y0 = _as_vector(cfg.base_point, inst.dim, "base_point")
     base_labelled = inverse_residual(inst, y0, tol, keep_active=True)
-    base_pieces = [piece for _, piece in base_labelled]
-    base_by_active = dict(base_labelled)
     ratios = []
     vertices = []
     per_family: dict = {}
@@ -297,7 +290,7 @@ def verify_upper_lipschitz_inverse(inst: AviInstance, cfg: LipschitzCheckConfig,
             if not labelled:
                 outside_domain += 1
                 continue
-            if not base_pieces:
+            if not base_labelled:
                 near_domain_hits += 1
                 continue
             dy = float(np.linalg.norm(y - y0))
@@ -306,13 +299,14 @@ def verify_upper_lipschitz_inverse(inst: AviInstance, cfg: LipschitzCheckConfig,
             for active, piece in labelled:
                 vs = enumerate_vertices(piece, tol)
                 for v in vs.vertices:
-                    dist = union_distance(base_pieces, v, tol)
-                    ratios.append(dist / dy)
+                    # one projection per base piece; each is nonempty, as
+                    # inverse_residual kept only nonempty pieces
+                    dists = {key: distance(base, v, tol)[0] for key, base in base_labelled}
+                    ratios.append(min(dists.values()) / dy)
                     vertices.append(v)
-                    if active in base_by_active:
-                        fam_dist = distance(base_by_active[active], v, tol)[0]
-                        key = active
-                        per_family[key] = max(per_family.get(key, 0.0), fam_dist / dy)
+                    if active in dists:
+                        per_family[active] = max(per_family.get(active, 0.0),
+                                                 dists[active] / dy)
                     else:
                         family_mismatches += 1
     notes = {
@@ -324,7 +318,7 @@ def verify_upper_lipschitz_inverse(inst: AviInstance, cfg: LipschitzCheckConfig,
         "family_mismatches": family_mismatches,
     }
     violations = []
-    if not base_pieces:
+    if not base_labelled:
         notes["empty_base_preimage"] = True
         notes["near_domain_hits"] = near_domain_hits
         return BoundReport(

@@ -315,11 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
     parser.set_defaults(command=None)
 
-    def common(p, instance=True):
+    def common(p, instance=True, seed=False, samples=False):
         if instance:
             p.add_argument("--instance", required=True, help="instance JSON path")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=200)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        if samples:
+            p.add_argument("--samples", type=int, default=200)
         p.add_argument("--tol", type=float, default=None, help="comparison tolerance")
         p.add_argument("--out", default=None, help="report output directory")
 
@@ -358,28 +360,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_enumerate)
 
     p = sub.add_parser("verify-error-bound", help="empirical local error bound check")
-    common(p)
+    common(p, seed=True, samples=True)
     p.add_argument("--eps", type=float, default=1.0)
     p.set_defaults(handler=cmd_verify_error_bound)
 
     p = sub.add_parser("verify-lipschitz", help="upper Lipschitz check of the inverse residual")
-    common(p)
+    common(p, seed=True, samples=True)
     p.add_argument("--ybar", default=None, help="base point (default origin)")
     p.add_argument("--radii", default=None, help="comma-separated radius ladder")
     p.set_defaults(handler=cmd_verify_lipschitz)
 
     p = sub.add_parser("verify-minimax", help="primal/dual section-gap equality check")
-    common(p)
+    common(p, seed=True, samples=True)
     p.set_defaults(handler=cmd_verify_minimax)
 
     p = sub.add_parser("truncation-study", help="error-bound constants along a diagonal family")
-    common(p, instance=False)
+    common(p, instance=False, seed=True, samples=True)
     p.add_argument("--family", choices=("harmonic", "constant"), required=True)
     p.add_argument("--dims", default="5,10,20,40")
     p.set_defaults(handler=cmd_truncation_study)
 
     p = sub.add_parser("suite", help="run the canned verification suite")
-    common(p, instance=False)
+    common(p, instance=False, seed=True)
     p.set_defaults(handler=cmd_suite)
 
     return parser

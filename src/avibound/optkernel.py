@@ -12,6 +12,11 @@ classification, and each pivot is kept cheap:
   problem min ||z - u||^2 over a polyhedron, started from a caller's point
   of the set or from its phase-one witness.
 
+The two simplex solves share one pipeline: `_standard_form` writes the
+rows once as {A_std v = rhs, v >= 0} with its pivot budget, `_phase_one`
+finds a feasible basis (and is all `solve_feasibility` runs), and
+`_basic_point` reads x off the final basis.
+
 Every simplex basis is factored by `lu_factor` and solved by `lu_solve`,
 which call LAPACK getrf/getrs directly, without scipy's batching and
 array-API checks; the factors, and hence the pivots, are those of
@@ -235,67 +240,60 @@ def _phase_one(A, b, tol, max_pivots):
     return True, A, b, basis, keep
 
 
-def _solve_standard_form(A, b, c, tol):
-    """min c.v s.t. Av = b, v >= 0.
+def _standard_form(E, d, A, b):
+    """{Ex = d, Ax <= b} as {A_std v = rhs, v >= 0}, with its pivot budget.
 
-    Returns (status, v, y, row_kept, signs) where y are duals of the reduced
-    row system, row_kept maps reduced rows to original rows, and signs holds
-    the +-1 row flips applied to make the right-hand side nonnegative.
+    The free x splits as x+ - x- and a slack closes each inequality, so
+    v = [x+, x-, slack] and the inequality rows come first.
     """
-    m, n = A.shape
-    max_pivots = 200 + 50 * (m + n)
-    signs = np.where(b < 0, -1.0, 1.0)
-    feasible, A1, b1, basis, kept = _phase_one(A.copy(), b.copy(), tol, max_pivots)
-    if not feasible:
-        return "infeasible", None, None, None, None
-    status = _bland_iterate(A1, b1, c, basis, n, tol, max_pivots)
-    if status == "unbounded":
-        return "unbounded", None, None, None, None
-    if A1.shape[0]:
-        lu = lu_factor(A1[:, basis])
-        x_b = lu_solve(lu, b1)
-        y = lu_solve(lu, c[basis], trans=1)
-    else:
-        x_b = np.zeros(0)
-        y = np.zeros(0)
-    v = np.zeros(n)
-    v[basis] = np.maximum(x_b, 0.0)
-    return "optimal", v, y, np.array(kept, dtype=int), signs
+    m_ineq = A.shape[0]
+    rows = np.vstack([A, E])
+    slack = np.vstack([np.eye(m_ineq), np.zeros((E.shape[0], m_ineq))])
+    A_std = np.hstack([rows, -rows, slack])
+    return A_std, np.concatenate([b, d]), 200 + 50 * (A_std.shape[0] + A_std.shape[1])
+
+
+def _basic_point(A, b, basis, n):
+    """(x, LU factors of A[:, basis]) for the basic point of `basis`.
+
+    x = x+ - x- over the first 2n standard-form columns, with each basic
+    value clipped at 0.  The factors are None when no row is left.
+    """
+    v = np.zeros(A.shape[1])
+    lu = None
+    if A.shape[0]:
+        lu = lu_factor(A[:, basis])
+        v[basis] = np.maximum(lu_solve(lu, b), 0.0)
+    return v[:n] - v[n : 2 * n], lu
 
 
 def solve_lp(lp: LinearProgram, tol: Tolerances = DEFAULT_TOL) -> SolveStatus:
     """Solve a dense LP, classifying optimal / infeasible / unbounded exactly.
 
-    Free variables are split into positive and negative parts and slack
-    variables close the inequalities; see the class docstring of
-    `SolveStatus` for the dual convention.
+    Phase one on the standard form, then Bland pivots on the objective; see
+    the class docstring of `SolveStatus` for the dual convention.
     """
     n = lp.num_vars
-    m_ineq = lp.ineq_lhs.shape[0]
-    m_eq = lp.eq_lhs.shape[0]
     c_user = lp.objective if lp.sense == "minimize" else -lp.objective
-    A_rows = np.vstack([lp.ineq_lhs, lp.eq_lhs])
-    rhs = np.concatenate([lp.ineq_rhs, lp.eq_rhs])
-    slack = np.vstack([np.eye(m_ineq), np.zeros((m_eq, m_ineq))])
-    A_std = np.hstack([A_rows, -A_rows, slack])
-    c_std = np.concatenate([c_user, -c_user, np.zeros(m_ineq)])
-    status, v, y_red, row_kept, signs = _solve_standard_form(A_std, rhs, c_std, tol.feas)
-    if status == "infeasible":
+    A_std, rhs, budget = _standard_form(lp.eq_lhs, lp.eq_rhs, lp.ineq_lhs, lp.ineq_rhs)
+    c_std = np.concatenate([c_user, -c_user, np.zeros(lp.ineq_lhs.shape[0])])
+    feasible, A1, b1, basis, kept = _phase_one(A_std, rhs, tol.feas, budget)
+    if not feasible:
         inf_value = math.inf if lp.sense == "minimize" else -math.inf
         return SolveStatus(status="infeasible", value=inf_value)
-    if status == "unbounded":
+    if _bland_iterate(A1, b1, c_std, basis, A_std.shape[1], tol.feas, budget) == "unbounded":
         unb_value = -math.inf if lp.sense == "minimize" else math.inf
         return SolveStatus(status="unbounded", value=unb_value)
-    x = v[:n] - v[n : 2 * n]
-    value_internal = float(c_user @ x)
-    duals = np.zeros(m_ineq + m_eq)
-    for pos, orig_row in enumerate(row_kept):
-        duals[orig_row] = signs[orig_row] * y_red[pos]
+    x, lu = _basic_point(A1, b1, basis, n)
+    value = float(c_user @ x)
+    # duals of the kept rows, undoing phase one's flips to a nonnegative rhs
+    duals = np.zeros(A_std.shape[0])
+    if lu is not None:
+        signs = np.where(rhs < 0, -1.0, 1.0)
+        duals[kept] = signs[kept] * lu_solve(lu, c_std[basis], trans=1)
     if lp.sense == "maximize":
         duals = -duals
-        value = -value_internal
-    else:
-        value = value_internal
+        value = -value
     return SolveStatus(status="optimal", value=value, point=x, dual=duals)
 
 
@@ -314,24 +312,11 @@ def solve_feasibility(eq_lhs, eq_rhs, ineq_lhs, ineq_rhs,
     d = _as_vector(eq_rhs if E.shape[0] else [], E.shape[0], "eq_rhs")
     A = _as_matrix(A if A.size else [], n, "ineq_lhs")
     b = _as_vector(ineq_rhs if A.shape[0] else [], A.shape[0], "ineq_rhs")
-    m_ineq = A.shape[0]
-    rows = np.vstack([A, E])
-    rhs = np.concatenate([b, d])
-    slack = np.vstack([np.eye(m_ineq), np.zeros((E.shape[0], m_ineq))])
-    A_std = np.hstack([rows, -rows, slack])
-    max_pivots = 200 + 50 * (A_std.shape[0] + A_std.shape[1])
-    feasible, A1, b1, basis, _ = _phase_one(A_std, rhs.copy(), tol.feas, max_pivots)
+    A_std, rhs, budget = _standard_form(E, d, A, b)
+    feasible, A1, b1, basis, _ = _phase_one(A_std, rhs, tol.feas, budget)
     if not feasible:
         return SolveStatus(status="infeasible", value=math.inf)
-    if A1.shape[0]:
-        lu = lu_factor(A1[:, basis])
-        x_b = lu_solve(lu, b1)
-    else:
-        x_b = np.zeros(0)
-    v = np.zeros(A_std.shape[1])
-    v[basis] = np.maximum(x_b, 0.0)
-    x = v[:n] - v[n : 2 * n]
-    return SolveStatus(status="optimal", value=0.0, point=x)
+    return SolveStatus(status="optimal", value=0.0, point=_basic_point(A1, b1, basis, n)[0])
 
 
 def feasible_witness(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
@@ -373,8 +358,11 @@ def solve_projection_qp(problem: QpProjectionProblem,
     tight rows form the first working set.  When `start` is None or lies
     outside the set by more than tol.feas * (1 + ||u||), the iteration
     starts from the set's cached phase-one witness (`feasible_witness`)
-    instead.  Ties in blocking-constraint selection and in the drop rule
-    are broken by lowest row index.
+    instead.  Each iteration makes one least-squares solve, of the Gram
+    system of the working rows G, for the multipliers nu of min ||z - u||
+    over {G z = h}.  When the step vanishes, u - z = G^T nu, so nu also
+    gives the drop rule its multipliers.  Ties in blocking-constraint
+    selection and in the drop rule are broken by lowest row index.
 
     Raises EmptySet when the feasible set is empty.
     """
@@ -413,10 +401,9 @@ def solve_projection_qp(problem: QpProjectionProblem,
         if np.linalg.norm(p) <= step_tol:
             if not working:
                 return z
-            w = np.linalg.lstsq(G.T, u - z, rcond=None)[0]
             drop = -1
             for pos, row in enumerate(working):
-                if w[k_eq + pos] < -tol.opt:
+                if nu[k_eq + pos] < -tol.opt:
                     drop = row
                     break
             if drop < 0:

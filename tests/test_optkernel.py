@@ -320,6 +320,34 @@ class TestProjectionQp:
                         best, best_v = cand, val
             np.testing.assert_allclose(z, best, atol=1e-8)
 
+    def test_one_gram_solve_per_iteration(self, monkeypatch):
+        # Every lstsq of the active-set method is its Gram solve on G G^T,
+        # a square matrix; the drop rule reads its multipliers from that
+        # solve, with no second one on G^T.  A working set that shrinks
+        # between two solves shows the drop rule fired.
+        shapes = []
+        original = np.linalg.lstsq
+
+        def recording(a, b, rcond=None):
+            shapes.append(a.shape)
+            return original(a, b, rcond=rcond)
+
+        monkeypatch.setattr(np.linalg, "lstsq", recording)
+        rng = SplitMix64(23)
+        iterated = drops = 0
+        for _ in range(40):
+            n = rng.randint(2, 4)
+            A = np.array([rng.normals(n) for _ in range(3 * n)])
+            b = np.array([abs(rng.normal()) + 0.5 for _ in range(3 * n)])
+            S = PolyhedralSet(n, ineq_lhs=A, ineq_rhs=b)
+            shapes.clear()
+            z = project_onto(10.0 * np.array(rng.normals(n)), S)
+            assert S.contains(z, 1e-7)
+            assert all(rows == cols for rows, cols in shapes), shapes
+            iterated += bool(shapes)
+            drops += sum(after[0] < before[0] for before, after in zip(shapes, shapes[1:]))
+        assert iterated >= 30 and drops > 0
+
 
 def _triangle():
     # {x1 + x2 <= 1, x >= 0}: the first row keeps it off the box fast path

@@ -10,15 +10,22 @@ outlives the code it named.  Every public function, method and class in
 `src/avibound` must be referenced by name somewhere in `src/`, `tests/` or
 `scripts/`, so no dead code outlives its last caller.  No function in
 `src/avibound` imports: every import sits at the top of its module, where
-the layering between modules shows.
+the layering between modules shows.  Every flag a CLI subcommand defines
+must be read by that subcommand's handler, so no option is parsed and
+then ignored.
 """
 
+import argparse
 import ast
 import dataclasses
+import inspect
+import textwrap
 from pathlib import Path
 
 import pytest
 
+from avibound import cli
+from avibound.cli import _tolerances
 from avibound.config import Tolerances
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -217,3 +224,45 @@ def test_import_rule_catches_function_imports():
         "async def g():\n    from . import bounds\n"
     )
     assert _function_imports(ast.parse(source)) == [(4, "f"), (9, "inner"), (11, "g")]
+
+
+def _handler_reads(handler):
+    """Names the handler reads as `args.<name>`; `tol` when it calls `_tolerances`."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(handler)))
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "args":
+            read.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "_tolerances":
+            read.add("tol")
+    return read
+
+
+def _unread_flags(parser):
+    """(subcommand, dest) of every flag that its subcommand's handler never reads."""
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    unread = []
+    for name, sub in subparsers.choices.items():
+        read = _handler_reads(sub.get_default("handler"))
+        unread += [(name, a.dest) for a in sub._actions if a.dest != "help" and a.dest not in read]
+    return unread
+
+
+def test_every_cli_flag_is_read():
+    unread = _unread_flags(cli.build_parser())
+    assert not unread, f"flags their subcommand never reads: {unread}"
+
+
+def _toy_handler(args):
+    return args.used, _tolerances(args)
+
+
+def test_flag_rule_catches_an_unread_flag():
+    parser = argparse.ArgumentParser()
+    p = parser.add_subparsers().add_parser("toy")
+    for flag in ("--used", "--unused", "--tol"):
+        p.add_argument(flag)
+    p.set_defaults(handler=_toy_handler)
+    assert _unread_flags(parser) == [("toy", "unused")]
