@@ -1,9 +1,9 @@
 """Geometry of polyhedral convex sets.
 
-Vertices and recession rays come from double description: the extreme rays
-of the homogenized cone of a set give its candidate vertices and rays, and
-each is then solved from the row subsets tight at it, so the output is that
-of an exhaustive scan over all row subsets at a fraction of the solves.
+Vertices and recession rays come from double description: each extreme ray
+of the homogenized cone of a set is read off as a vertex or a recession ray,
+and both lists come in the order of an exhaustive scan over row subsets
+without solving a single subset.
 Non-pointed sets are handled by splitting off the lineality space: reported
 "vertices" are then points of the minimal faces and the lineality directions
 appear as opposite pairs of recession rays, so conv(vertices) + cone(rays)
@@ -12,7 +12,6 @@ always reproduces the set.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +19,7 @@ import numpy as np
 from scipy.linalg import null_space
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import CapExceeded, EmptySet
+from .errors import CapExceeded, EmptySet, NumericalBreakdown
 from .optkernel import (
     QpProjectionProblem,
     feasible_witness,
@@ -48,11 +47,12 @@ __all__ = [
 
 _RANK_TOL = 1e-9
 # Double description on unit rays: a row value within _ZERO_TOL of the row
-# norm counts as zero.  Small enough to keep near-parallel rows apart, large
-# enough for the rounding of joined rays.  A row is tight at a candidate,
-# and so may enter a subset the scan solves, within _TIGHT_TOL of its norm;
-# that covers the tol.feas slack the scan accepts.  Both are checked against
-# the exhaustive scan in tests/test_polyhedra.py.
+# norm counts as zero, and so does a homogenizing coordinate t: a ray with
+# t <= _ZERO_TOL is a recession ray.  Small enough to keep near-parallel rows
+# apart, large enough for the rounding of joined rays.  A row is tight at a
+# ray, for the sort order only, within _TIGHT_TOL of its norm; that covers
+# the tol.feas slack of a vertex.  Both are checked against the exhaustive
+# scan in tests/test_polyhedra.py.
 _ZERO_TOL = 1e-11
 _TIGHT_TOL = 1e-6
 # Vertex enumeration is exponential in the dimension and the row count, so
@@ -97,14 +97,6 @@ def _dedup_points(points, tol: float):
     for p in points:
         if all(np.linalg.norm(p - q) > tol * (1.0 + np.linalg.norm(q)) for q in kept):
             kept.append(p)
-    return kept
-
-
-def _dedup_rays(rays, tol: float):
-    kept = []
-    for r in rays:
-        if all(np.linalg.norm(r - q) > tol for q in kept):
-            kept.append(r)
     return kept
 
 
@@ -179,55 +171,41 @@ def _extreme_rays(H: np.ndarray, G: np.ndarray):
     return W @ N.T
 
 
-def _tight_subsets(rows: np.ndarray, points: np.ndarray, size: int) -> list:
-    """The distinct `size`-subsets, in lexicographic order, of the rows tight
-    within _TIGHT_TOL (relative to the row norm) at some unit point."""
-    scale = _TIGHT_TOL * np.linalg.norm(rows, axis=1)
-    subsets = set()
-    for z in points:
-        tight = np.flatnonzero(rows @ z >= -scale).tolist()
-        subsets.update(itertools.combinations(tight, size))
-    return sorted(subsets)
+def _by_tight_rows(rows: np.ndarray, points: np.ndarray) -> list:
+    """The points (rows of an array) sorted by the index tuple of the rows
+    tight at each, within _TIGHT_TOL of the row norm; at a nondegenerate
+    vertex that tuple is its basis, so the order is lexicographic in bases."""
+    slack = -_TIGHT_TOL * np.linalg.norm(rows, axis=1)
+    return sorted(points, key=lambda z: np.flatnonzero(rows @ z >= slack).tolist())
 
 
-def _scan_rays(E0: np.ndarray, A: np.ndarray, free: int, subsets, L: np.ndarray,
-               tol: Tolerances) -> list:
-    """Extreme rays of {E0 x = 0, A x <= 0}, each the null space of one of
-    the candidate (free - 1)-subsets of rows, then the lineality basis L in
-    both signs."""
-    n, m = A.shape[1], A.shape[0]
-    rays = []
-    for subset in subsets:
-        M = np.vstack([E0, A[list(subset)]])
-        ns = null_space(M, rcond=_RANK_TOL) if M.size else np.eye(n)
-        if ns.shape[1] != 1:
-            continue
-        v = ns[:, 0]
-        if m and np.max(A @ v) <= tol.feas:
-            rays.append(v)
-        elif m and np.max(A @ (-v)) <= tol.feas:
-            rays.append(-v)
-        elif m == 0:
-            rays.extend([v, -v])
-    rays = _dedup_rays(rays, tol.cmp)
+def _with_lineality(rays, L: np.ndarray, tol: Tolerances) -> list:
+    """The rays without repeats (within tol.cmp), then the lineality basis L
+    (columns) in both signs."""
+    kept = []
+    for r in rays:
+        if all(np.linalg.norm(r - q) > tol.cmp for q in kept):
+            kept.append(r)
     for j in range(L.shape[1]):
-        rays.extend([L[:, j], -L[:, j]])
-    return rays
+        kept.extend([L[:, j], -L[:, j]])
+    return kept
 
 
 def enumerate_vertices(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> VertexSet:
-    """All basic feasible points plus recession-cone generators of S.
+    """All vertices plus recession-cone generators of S.
 
-    The extreme rays of the homogenized cone {(x, t) : E0 x - d0 t = 0,
-    A x - b t <= 0, t >= 0} (pointed once the lineality is split off) give
-    the candidates: a ray with t > 0 is a vertex, one with t = 0 a recession
-    ray.  Each vertex is then solved from every `free`-subset of the rows
-    tight at a candidate, and each ray from every `free - 1`-subset, in
-    lexicographic subset order, so the output is the one of an exhaustive
-    scan over all row subsets.
+    Both are read off the extreme rays z = (x, t) of the homogenized cone
+    {(x, t) : E0 x - d0 t = 0, A x - b t <= 0, t >= 0}, pointed once the
+    lineality is split off: a ray with t > _ZERO_TOL gives the vertex x / t,
+    one with t <= _ZERO_TOL the unit recession ray x / |x|.  Each list is
+    sorted by the rows tight at its members (`_by_tight_rows`), which is the
+    order of an exhaustive scan over row subsets.  A set that is empty but
+    within tol.feas of a point has no ray with t > 0; its one vertex is its
+    feasible point.
 
     Raises CapExceeded when the ambient dimension exceeds 10 or the row
-    count exceeds 24, and EmptySet when S is empty.
+    count exceeds 24, EmptySet when S is empty and NumericalBreakdown when
+    the homogenized cone is not pointed in floating point.
     """
     _check_caps(S)
     if not is_nonempty(S, tol):
@@ -237,8 +215,7 @@ def enumerate_vertices(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> Verte
     A, b = S.ineq_lhs, S.ineq_rhs
     m = A.shape[0]
 
-    vertices = []
-    ray_subsets = []
+    vertices, rays = [], []
     if free == 0:
         x = np.linalg.lstsq(E0, d0, rcond=None)[0]
         if np.linalg.norm(E0 @ x - d0) <= tol.feas * (1 + np.linalg.norm(d0)):
@@ -247,31 +224,20 @@ def enumerate_vertices(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> Verte
     else:
         G = np.vstack([np.hstack([A, -b[:, None]]), -np.eye(1, n + 1, n)])
         Z = _extreme_rays(np.hstack([E0, -d0[:, None]]), G)
-        if Z is None or not np.any(Z[:, n] > _ZERO_TOL):
-            # S is empty but for the tol.feas slack, or not pointed in
-            # floating point: scan every subset
-            vertex_subsets = itertools.combinations(range(m), free)
-            ray_subsets = itertools.combinations(range(m), free - 1)
+        if Z is None:
+            raise NumericalBreakdown("homogenized cone numerically non-pointed")
+        t = Z[:, n]
+        points = Z[t > _ZERO_TOL]
+        if points.size:
+            vertices = [z[:n] / z[n] for z in _by_tight_rows(G[:m], points)]
         else:
-            t = Z[:, n]
-            vertex_subsets = _tight_subsets(G[:m], Z[t > _ZERO_TOL], free)
-            ray_subsets = _tight_subsets(A, Z[t <= _TIGHT_TOL, :n], free - 1)
-        for subset in vertex_subsets:
-            M = np.vstack([E0, A[list(subset)]])
-            if np.linalg.matrix_rank(M, tol=_RANK_TOL) < n:
-                continue
-            rhs = np.concatenate([d0, b[list(subset)]])
-            x = np.linalg.lstsq(M, rhs, rcond=None)[0]
-            if np.linalg.norm(M @ x - rhs) > tol.feas * (1 + np.linalg.norm(rhs)):
-                continue
-            if m and np.max(A @ x - b) > tol.feas * (1 + np.linalg.norm(x)):
-                continue
-            vertices.append(x)
+            vertices = [feasible_point(S, tol)]
+        directions = Z[t <= _ZERO_TOL, :n]
+        directions /= np.linalg.norm(directions, axis=1)[:, None]
+        rays = _by_tight_rows(A, directions)
     vertices = _dedup_points(vertices, tol.cmp)
-
-    rays = _scan_rays(E0, A, free, ray_subsets, L, tol)
-    bounded = not rays
-    return VertexSet(vertices=vertices, is_bounded=bounded, recession_rays=rays)
+    rays = _with_lineality(rays, L, tol)
+    return VertexSet(vertices=vertices, is_bounded=not rays, recession_rays=rays)
 
 
 def distance(S: PolyhedralSet, x, tol: Tolerances = DEFAULT_TOL):
@@ -338,26 +304,24 @@ def union_distance(pieces, x, tol: Tolerances = DEFAULT_TOL) -> float:
 def cone_generators(rows: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> list:
     """Generators of the cone {x : rows @ x <= 0}.
 
-    The extreme rays of its pointed part, then the lineality basis in both
+    The unit extreme rays of its pointed part as double description finds
+    them, sorted by their tight rows, then the lineality basis in both
     signs, so their conic hull is the cone: the recession rays that
-    `enumerate_vertices` reports for it, from the same double description.
-    A cone always holds the origin, so no emptiness test and no vertex
-    search runs.
+    `enumerate_vertices` reports for it.  A cone always holds the origin, so
+    no emptiness test and no vertex search runs.  Raises NumericalBreakdown
+    when the pointed part is not pointed in floating point.
     """
     rows = np.asarray(rows, dtype=float)
-    n = rows.shape[1]
-    cone = PolyhedralSet(n, ineq_lhs=rows, ineq_rhs=np.zeros(rows.shape[0]))
+    cone = PolyhedralSet(rows.shape[1], ineq_lhs=rows, ineq_rhs=np.zeros(rows.shape[0]))
     _check_caps(cone)
     L, E0, _, free = _pointed_part(cone)
-    A = cone.ineq_lhs
-    ray_subsets = []
-    if free >= 1:
-        Z = _extreme_rays(E0, A)
+    rays = []
+    if free:
+        Z = _extreme_rays(E0, cone.ineq_lhs)
         if Z is None:
-            ray_subsets = itertools.combinations(range(A.shape[0]), free - 1)
-        else:
-            ray_subsets = _tight_subsets(A, Z, free - 1)
-    return _scan_rays(E0, A, free, ray_subsets, L, tol)
+            raise NumericalBreakdown("cone numerically non-pointed")
+        rays = _by_tight_rows(cone.ineq_lhs, Z)
+    return _with_lineality(rays, L, tol)
 
 
 def pair_opposites(generators, n: int, tol: Tolerances = DEFAULT_TOL):

@@ -8,7 +8,8 @@ be read somewhere in `src/avibound`, so no dead knob survives its last reader.  
 name a module lists in `__all__` must be bound in that module, so no export
 outlives the code it named.  Every public function, method and class in
 `src/avibound` must be referenced by name somewhere in `src/`, `tests/` or
-`scripts/`, so no dead code outlives its last caller.  No function in
+`scripts/`, and every module-level private function, class and constant
+must be read there, so no dead code outlives its last caller.  No function in
 `src/avibound` imports: every import sits at the top of its module, where
 the layering between modules shows.  Every flag a CLI subcommand defines
 must be read by that subcommand's handler, so no option is parsed and
@@ -140,12 +141,13 @@ def test_export_rule_catches_stale_name():
 
 
 def _names_referenced(tree):
-    """Every name a Name, an Attribute or an import alias mentions."""
+    """Every name a Name or an Attribute reads (Load context, so an
+    assignment does not count) and every name an import alias mentions."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name.split(".")[-1])
@@ -163,17 +165,46 @@ def _unreferenced(tree, referenced):
     ]
 
 
-def test_every_public_definition_is_referenced():
+def _unread_private(tree, referenced):
+    """Module-level private functions, classes and constants of `tree` not in `referenced`."""
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [
+        name for name in defined
+        if name.startswith("_") and not name.startswith("__") and name not in referenced
+    ]
+
+
+def _referenced_anywhere():
     referenced = set()
     for folder in ("src", "tests", "scripts"):
         for path in sorted((ROOT / folder).rglob("*.py")):
             referenced |= _names_referenced(ast.parse(path.read_text(encoding="utf-8")))
-    dead = [
+    return referenced
+
+
+def _dead(rule):
+    referenced = _referenced_anywhere()
+    return [
         f"{path.name}: {name}"
         for path in MODULES
-        for name in _unreferenced(ast.parse(path.read_text(encoding="utf-8")), referenced)
+        for name in rule(ast.parse(path.read_text(encoding="utf-8")), referenced)
     ]
+
+
+def test_every_public_definition_is_referenced():
+    dead = _dead(_unreferenced)
     assert not dead, f"public definitions nothing references: {dead}"
+
+
+def test_every_private_definition_is_read():
+    dead = _dead(_unread_private)
+    assert not dead, f"module-level private definitions nothing reads: {dead}"
 
 
 def test_reference_rule_catches_dead_definitions():
@@ -193,6 +224,17 @@ def test_reference_rule_catches_dead_definitions():
         "called(Box().method)\n"
     )
     assert _unreferenced(defined, _names_referenced(using)) == ["dead", "orphan"]
+    private = ast.parse(
+        "_LIMIT = 3\n"
+        "_STORED: int = 4\n"
+        "def _helper():\n    return _LIMIT\n"
+        "def _dead():\n    _STORED = 5\n"
+        "class _Box:\n"
+        "    def _orphan(self):\n        pass\n"
+        "__all__ = []\n"
+        "_helper()\n"
+    )
+    assert _unread_private(private, _names_referenced(private)) == ["_STORED", "_dead", "_Box"]
 
 
 def _function_imports(tree):
