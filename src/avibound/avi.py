@@ -33,7 +33,7 @@ from .optkernel import (
     solve_lp,
     solve_projection_qp,
 )
-from .polyhedra import PolyhedralSet, cone_generators, is_nonempty, pair_opposites
+from .polyhedra import PolyhedralSet, cone_generators, is_nonempty
 from .sets import _as_matrix, _as_vector
 
 
@@ -149,8 +149,12 @@ class _PieceTemplate:
 
     The multiplier block is eliminated analytically: lambda >= 0 supported on
     the active rows exists iff y - q - Mx lies in the cone spanned by those
-    rows, and that cone's H-description comes from the generators W of its
-    polar, each giving the row (-w M) x <= w (q - y).  With the rows of the
+    rows, cone(A_I^T).  That cone's H-description comes from its polar
+    {w : A_I w <= 0} = cone(W_ineq) + span(W_eq), as `cone_generators`
+    returns it: each extreme ray w in W_ineq gives the row
+    (-w M) x <= w (q - y), and each vector w of the lineality basis W_eq the
+    row (-w M) x = w (q - y).  The empty pattern has the whole space as
+    polar, so W_eq is the identity and W_ineq is empty.  With the rows of the
     face F_I, shifted by y, the piece at level y is
     {x : ineq_lhs x <= ineq_rhs(y), eq_lhs x = eq_rhs(y)}: face rows first,
     then polar rows.  `ineq_lhs` and `eq_lhs` are built once; `section`
@@ -161,18 +165,11 @@ class _PieceTemplate:
 
     def __init__(self, inst: AviInstance, face: PolyhedralSet, active: tuple,
                  tol: Tolerances):
-        n = inst.dim
         self.active = active
         self._face = face
         self._q = inst.q
         self._feas = tol.feas
-        if active:
-            generators = cone_generators(face.eq_lhs, tol)
-        else:
-            generators = [row for j in range(n) for row in (np.eye(n)[j], -np.eye(n)[j])]
-        cone_eq, cone_ineq = pair_opposites(generators, n, tol)
-        self._w_ineq = np.array(cone_ineq).reshape(-1, n)
-        self._w_eq = np.array(cone_eq).reshape(-1, n)
+        self._w_ineq, self._w_eq = cone_generators(face.eq_lhs, tol)
         ineq = np.vstack([face.ineq_lhs, -self._w_ineq @ inst.m_op])
         eq = np.vstack([face.eq_lhs, -self._w_eq @ inst.m_op])
         ineq_zero = np.max(np.abs(ineq), axis=1) <= 1e-12

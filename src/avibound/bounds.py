@@ -431,7 +431,7 @@ def truncation_study(family, dims, num_samples: int = 400, master_seed: int = 0,
                      tol: Tolerances = DEFAULT_TOL) -> TruncationTable:
     """Error-bound constants along a family of growing diagonal instances.
 
-    `family` must provide `spectrum_name`, `instance(n)` and `diagonal(n)` /
+    `family` must provide `spectrum`, `instance(n)` and `diagonal(n)` /
     `shift(n)` (see instgen.TruncationFamily).  The product-form solution
     geometry keeps large dimensions tractable, where the face search would
     visit all 2^n nonempty faces of the orthant.
@@ -457,4 +457,4 @@ def truncation_study(family, dims, num_samples: int = 400, master_seed: int = 0,
                 stabilized=result.stabilized,
             )
         )
-    return TruncationTable(spectrum=family.spectrum_name, rows=rows)
+    return TruncationTable(spectrum=family.spectrum, rows=rows)

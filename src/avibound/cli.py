@@ -52,7 +52,10 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _parse_dims(text: str) -> list:
-    return [int(part) for part in text.split(",") if part.strip() != ""]
+    dims = [int(part) for part in text.split(",") if part.strip() != ""]
+    if not dims:
+        raise ValueError(f"no dimension in {text!r}")
+    return dims
 
 
 def _tolerances(args) -> Tolerances:
@@ -295,6 +298,9 @@ def main(argv=None) -> int:
         parser.print_help()
         return EXIT_USAGE
     try:
+        # a check on no samples passes vacuously
+        if getattr(args, "samples", 1) < 1:
+            raise ValueError(f"--samples must be at least 1, got {args.samples}")
         return args.handler(args)
     except _RESOURCE_ERRORS as exc:
         print(f"error (resource/cap): {exc}", file=sys.stderr)

@@ -40,10 +40,6 @@ class TruncationFamily:
         if self.spectrum not in ("harmonic", "constant"):
             raise ValueError(f"unknown spectrum {self.spectrum!r}")
 
-    @property
-    def spectrum_name(self) -> str:
-        return self.spectrum
-
     def diagonal(self, n: int) -> np.ndarray:
         if self.spectrum == "harmonic":
             return 1.0 / np.arange(1, n + 1)

@@ -40,7 +40,6 @@ __all__ = [
     "distance",
     "hausdorff",
     "union_distance",
-    "pair_opposites",
     "from_generators",
     "cone_generators",
 ]
@@ -100,11 +99,17 @@ def _dedup_points(points, tol: float):
     return kept
 
 
-def _check_caps(S: PolyhedralSet):
-    if S.ambient_dim > _DIM_CAP:
-        raise CapExceeded(f"ambient dimension {S.ambient_dim} exceeds cap {_DIM_CAP}")
-    if S.num_ineq > _ROW_CAP:
-        raise CapExceeded(f"{S.num_ineq} inequality rows exceed cap {_ROW_CAP}")
+def _check_caps(n: int, m: int):
+    if n > _DIM_CAP:
+        raise CapExceeded(f"ambient dimension {n} exceeds cap {_DIM_CAP}")
+    if m > _ROW_CAP:
+        raise CapExceeded(f"{m} inequality rows exceed cap {_ROW_CAP}")
+
+
+def _null_basis(H: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of {x : H x = 0}; the identity when H has
+    no rows."""
+    return null_space(H, rcond=_RANK_TOL) if H.shape[0] else np.eye(H.shape[1])
 
 
 def _pointed_part(S: PolyhedralSet):
@@ -112,8 +117,7 @@ def _pointed_part(S: PolyhedralSet):
     space {x : Ex = 0, Ax = 0} of S, the equality rows that also pin the
     lineality coordinates, and the dimension left for the inequality rows.
     S intersected with {E0 x = d0} is pointed."""
-    rows = np.vstack([S.eq_lhs, S.ineq_lhs])
-    L = null_space(rows, rcond=_RANK_TOL) if rows.shape[0] else np.eye(S.ambient_dim)
+    L = _null_basis(np.vstack([S.eq_lhs, S.ineq_lhs]))
     E0 = np.vstack([S.eq_lhs, L.T])
     d0 = np.concatenate([S.eq_rhs, np.zeros(L.shape[1])])
     rank_eq = np.linalg.matrix_rank(E0, tol=_RANK_TOL) if E0.size else 0
@@ -133,7 +137,7 @@ def _extreme_rays(H: np.ndarray, G: np.ndarray):
     vanish (the combinatorial test, exact for a pointed cone).  Returns None
     when G leaves the cone numerically non-pointed.
     """
-    N = null_space(H, rcond=_RANK_TOL) if H.shape[0] else np.eye(H.shape[1])
+    N = _null_basis(H)
     k = N.shape[1]
     Gw = G @ N
     if Gw.shape[0] < k:
@@ -179,15 +183,12 @@ def _by_tight_rows(rows: np.ndarray, points: np.ndarray) -> list:
     return sorted(points, key=lambda z: np.flatnonzero(rows @ z >= slack).tolist())
 
 
-def _with_lineality(rays, L: np.ndarray, tol: Tolerances) -> list:
-    """The rays without repeats (within tol.cmp), then the lineality basis L
-    (columns) in both signs."""
+def _dedup_rays(rays, tol: float) -> list:
+    """The rays without repeats within `tol`, first occurrence kept."""
     kept = []
     for r in rays:
-        if all(np.linalg.norm(r - q) > tol.cmp for q in kept):
+        if all(np.linalg.norm(r - q) > tol for q in kept):
             kept.append(r)
-    for j in range(L.shape[1]):
-        kept.extend([L[:, j], -L[:, j]])
     return kept
 
 
@@ -207,7 +208,7 @@ def enumerate_vertices(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> Verte
     count exceeds 24, EmptySet when S is empty and NumericalBreakdown when
     the homogenized cone is not pointed in floating point.
     """
-    _check_caps(S)
+    _check_caps(S.ambient_dim, S.num_ineq)
     if not is_nonempty(S, tol):
         raise EmptySet("cannot enumerate vertices of an empty set")
     n = S.ambient_dim
@@ -236,7 +237,9 @@ def enumerate_vertices(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> Verte
         directions /= np.linalg.norm(directions, axis=1)[:, None]
         rays = _by_tight_rows(A, directions)
     vertices = _dedup_points(vertices, tol.cmp)
-    rays = _with_lineality(rays, L, tol)
+    rays = _dedup_rays(rays, tol.cmp)
+    for j in range(L.shape[1]):
+        rays.extend([L[:, j], -L[:, j]])
     return VertexSet(vertices=vertices, is_bounded=not rays, recession_rays=rays)
 
 
@@ -301,64 +304,50 @@ def union_distance(pieces, x, tol: Tolerances = DEFAULT_TOL) -> float:
     return best
 
 
-def cone_generators(rows: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> list:
-    """Generators of the cone {x : rows @ x <= 0}.
+def cone_generators(rows: np.ndarray, tol: Tolerances = DEFAULT_TOL):
+    """Generators (rays, lineality) of the cone K = {x : rows @ x <= 0}.
 
-    The unit extreme rays of its pointed part as double description finds
-    them, sorted by their tight rows, then the lineality basis in both
-    signs, so their conic hull is the cone: the recession rays that
-    `enumerate_vertices` reports for it.  A cone always holds the origin, so
-    no emptiness test and no vertex search runs.  Raises NumericalBreakdown
-    when the pointed part is not pointed in floating point.
+    `lineality` is the orthonormal basis (rows) of {x : rows @ x = 0};
+    `rays` are the unit extreme rays of K's pointed part as double
+    description finds them, without repeats within tol.cmp and sorted by
+    their tight rows.  So K = cone(rays) + span(lineality); both are
+    C-contiguous, (k, n) and (l, n).  No emptiness test and no vertex
+    search runs, and when l = n (no rows, or all zero) no double
+    description either.  Raises CapExceeded when double description would
+    run in more than 10 dimensions or on more than 24 rows, and
+    NumericalBreakdown when the pointed part is not pointed in floating
+    point.
     """
     rows = np.asarray(rows, dtype=float)
-    cone = PolyhedralSet(rows.shape[1], ineq_lhs=rows, ineq_rhs=np.zeros(rows.shape[0]))
-    _check_caps(cone)
-    L, E0, _, free = _pointed_part(cone)
-    rays = []
-    if free:
-        Z = _extreme_rays(E0, cone.ineq_lhs)
+    m, n = rows.shape
+    lineality = _null_basis(rows).T.copy()
+    rays = np.zeros((0, n))
+    if lineality.shape[0] < n:
+        _check_caps(n, m)
+        Z = _extreme_rays(lineality, rows)
         if Z is None:
             raise NumericalBreakdown("cone numerically non-pointed")
-        rays = _by_tight_rows(cone.ineq_lhs, Z)
-    return _with_lineality(rays, L, tol)
+        rays = np.array(_dedup_rays(_by_tight_rows(rows, Z), tol.cmp)).reshape(-1, n)
+    return rays, lineality
 
 
-def pair_opposites(generators, n: int, tol: Tolerances = DEFAULT_TOL):
-    """Split cone generators into opposite pairs and singletons.
-
-    Generators are visited in order; each unused one pairs with the first
-    later unused generator within tol.cmp of its negative.  Returns
-    (paired, single): the first member of every pair, which spans a
-    lineality direction and so gives an equality row, and the generators
-    left single, which give inequality rows.  A generator whose first `n`
-    entries vanish is dropped without taking a partner.
-    """
-    paired, single = [], []
-    used = [False] * len(generators)
-    for i, g in enumerate(generators):
-        if used[i]:
-            continue
-        used[i] = True
-        if np.linalg.norm(g[:n]) <= tol.cmp:
-            continue
-        for j in range(i + 1, len(generators)):
-            if not used[j] and np.linalg.norm(generators[j] + g) <= tol.cmp:
-                used[j] = True
-                paired.append(g)
-                break
-        else:
-            single.append(g)
-    return paired, single
+def _face_rows(generators: np.ndarray, n: int, tol: Tolerances):
+    """(a / |a|, -beta / |a|) for the polar generators (a, beta) with
+    |a| > tol.cmp."""
+    scale = np.linalg.norm(generators[:, :n], axis=1)
+    kept = scale > tol.cmp
+    return generators[kept, :n] / scale[kept, None], -generators[kept, n] / scale[kept]
 
 
 def from_generators(vertices, rays=(), tol: Tolerances = DEFAULT_TOL) -> PolyhedralSet:
     """H-representation of conv(vertices) + cone(rays).
 
-    Works through the polar of the homogenization cone: each generator of
-    {(a, beta) : a.v + beta <= 0 for vertices v, a.r <= 0 for rays r} yields
-    a face inequality a.x <= -beta, and opposite generator pairs collapse to
-    equality rows.  A single vertex with no rays short-circuits to x = v.
+    Works through the polar of the homogenization cone,
+    {(a, beta) : a.v + beta <= 0 for vertices v, a.r <= 0 for rays r}: each
+    of its extreme rays yields a face inequality a.x <= -beta and each
+    direction of its lineality an equality row a.x = -beta.  Generators with
+    |a| <= tol.cmp are dropped: they give the trivial face 0.x <= const.  A
+    single vertex with no rays short-circuits to x = v.
     """
     vertices = [np.asarray(v, dtype=float) for v in vertices]
     rays = [np.asarray(r, dtype=float) for r in rays]
@@ -372,18 +361,8 @@ def from_generators(vertices, rays=(), tol: Tolerances = DEFAULT_TOL) -> Polyhed
         [np.concatenate([v, [1.0]]) for v in vertices]
         + [np.concatenate([r, [0.0]]) for r in rays]
     )
-    # generators with a = 0 are dropped: the trivial 0.x <= const face
-    paired, single = pair_opposites(cone_generators(lifted, tol), n, tol)
-    eq_rows, eq_rhs, ineq_rows, ineq_rhs = [], [], [], []
-    for group, rows, rhs in ((paired, eq_rows, eq_rhs), (single, ineq_rows, ineq_rhs)):
-        for g in group:
-            scale = np.linalg.norm(g[:n])
-            rows.append(g[:n] / scale)
-            rhs.append(-g[n] / scale)
-    return PolyhedralSet(
-        n,
-        ineq_lhs=np.array(ineq_rows) if ineq_rows else None,
-        ineq_rhs=np.array(ineq_rhs) if ineq_rhs else None,
-        eq_lhs=np.array(eq_rows) if eq_rows else None,
-        eq_rhs=np.array(eq_rhs) if eq_rhs else None,
-    )
+    polar_rays, polar_lineality = cone_generators(lifted, tol)
+    ineq_lhs, ineq_rhs = _face_rows(polar_rays, n, tol)
+    eq_lhs, eq_rhs = _face_rows(polar_lineality, n, tol)
+    return PolyhedralSet(n, ineq_lhs=ineq_lhs, ineq_rhs=ineq_rhs, eq_lhs=eq_lhs, eq_rhs=eq_rhs)
+

@@ -411,6 +411,14 @@ class TestSolutionSet:
         for bad in ([0.0, 0.5], [1.0, 1.0]):
             assert not any(p.contains(bad, 1e-8) for p in pieces)
 
+    def test_unconstrained_beyond_the_dimension_cap(self):
+        # C = R^11: the empty pattern is the only one, and its polar cone is
+        # the whole space, so no double description (capped at n = 10) runs
+        inst = AviInstance(m_op=np.eye(11), q=-np.ones(11), c_set=PolyhedralSet(11))
+        pieces = enumerate_solution_set(inst)
+        assert len(pieces) == 1
+        assert pieces[0].contains(np.ones(11), 1e-12)
+
     def test_all_vertices_solve(self):
         for builder in (lcp_1d, ray_2d, zero_op_interval, identity_lcp, skew_2d):
             inst = builder()

@@ -155,6 +155,24 @@ class TestExitCodes:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("argv,message", [
+        (["verify-minimax", "gpm", "--samples", "0"], "--samples must be at least 1"),
+        (["verify-minimax", "gpm", "--samples", "-4"], "--samples must be at least 1"),
+        (["verify-lipschitz", "lcp", "--samples", "0"], "--samples must be at least 1"),
+        (["verify-error-bound", "lcp", "--samples", "0"], "--samples must be at least 1"),
+        (["truncation-study", "harmonic", "--dims", "3", "--samples", "0"],
+         "--samples must be at least 1"),
+        (["truncation-study", "harmonic", "--dims", ""], "no dimension in ''"),
+    ], ids=["minimax-0", "minimax-neg", "lipschitz-0", "error-bound-0", "truncation-0",
+            "truncation-no-dims"])
+    def test_vacuous_sample_counts_exit_2(self, lcp_file, gpm_file, argv, message, capsys):
+        # zero samples would make every verdict pass without a single check
+        command, target, *rest = argv
+        source = {"lcp": ["--instance", lcp_file], "gpm": ["--instance", gpm_file],
+                  "harmonic": ["--family", "harmonic"]}[target]
+        assert main([command, *source, *rest]) == 2
+        assert message in capsys.readouterr().err
+
     def test_missing_instance_exits_2(self, tmp_path):
         assert main(["residual", "--instance", str(tmp_path / "nope.json"), "--x", "1"]) == 2
 

@@ -466,7 +466,9 @@ def assert_matches_scan(S):
 def assert_cone_matches_scan(rows):
     rows = np.asarray(rows, dtype=float)
     cone = PolyhedralSet(rows.shape[1], ineq_lhs=rows, ineq_rhs=np.zeros(len(rows)))
-    assert_same_order(cone_generators(rows), exhaustive_scan(cone)[1], 1e-12, relative=False)
+    rays, lineality = cone_generators(rows)
+    generators = list(rays) + [v for line in lineality for v in (line, -line)]
+    assert_same_order(generators, exhaustive_scan(cone)[1], 1e-12, relative=False)
 
 
 def _within(p, points, tol):
@@ -698,6 +700,16 @@ def test_non_pointed_double_description_is_a_breakdown(monkeypatch):
         enumerate_vertices(box([0, 0], [1, 1]))
     with pytest.raises(NumericalBreakdown):
         cone_generators(np.eye(2))
+
+
+def test_cone_generators_are_c_contiguous():
+    # the piece templates multiply these arrays as they come, and BLAS sums a
+    # product in an order that depends on the layout: a Fortran-ordered
+    # lineality basis moves piece right-hand sides by an ulp
+    for rows in (np.zeros((0, 3)), np.eye(3)[:1], np.eye(3), [[1.0, 1.0, 0.0], [-1.0, 2.0, 0.0]]):
+        rays, lineality = cone_generators(np.asarray(rows))
+        assert rays.shape[1] == lineality.shape[1] == 3
+        assert rays.flags.c_contiguous and lineality.flags.c_contiguous
 
 
 def _count_calls(monkeypatch, module, name, counter):
