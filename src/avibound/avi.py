@@ -96,10 +96,15 @@ class ResidualValue:
 
 
 def residual(inst: AviInstance, x, tol: Tolerances = DEFAULT_TOL) -> ResidualValue:
-    """Natural residual R(x) = x - P_C(x - Mx - q)."""
+    """Natural residual R(x) = x - P_C(x - Mx - q).
+
+    The projection starts from x itself when x lies in C, up to the slack
+    `solve_projection_qp` accepts (as every iterate of a projection solver
+    does), and from C's phase-one witness otherwise.
+    """
     x = _as_vector(x, inst.dim, "x")
     target = x - inst.m_op @ x - inst.q
-    projected = solve_projection_qp(QpProjectionProblem(target, inst.c_set), tol)
+    projected = solve_projection_qp(QpProjectionProblem(target, inst.c_set), tol, x)
     r = x - projected
     return ResidualValue(r=r, projected_point=projected, norm=float(np.linalg.norm(r)))
 

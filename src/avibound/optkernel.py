@@ -10,7 +10,8 @@ classification, and each pivot is kept cheap:
 - `solve_feasibility`: phase one only, returning a witness point.
 - `solve_projection_qp`: primal active-set method for the strictly convex
   problem min ||z - u||^2 over a polyhedron, started from a caller's point
-  of the set or from its phase-one witness.
+  of the set (the solvers' iterates, and the point at which `avi.residual`
+  is evaluated) or from its phase-one witness.
 
 The two simplex solves share one pipeline: `_standard_form` writes the
 rows once as {A_std v = rhs, v >= 0} with its pivot budget, `_phase_one`

@@ -152,7 +152,8 @@ def solve(inst: AviInstance, cfg: SolverConfig = SolverConfig(),
         if np.linalg.norm(x) > DIVERGENCE_NORM:
             diverged = True
             break
-        # Warm starts: x (once past x0) and midpoint already lie in C.
+        # Warm starts: x (once past x0) and midpoint already lie in C, and so
+        # the next residual's projection starts from the new x as well.
         if cfg.method == "projected_fixed_point":
             x = proj(x - step * (M @ x + q), x)
         else:

@@ -21,6 +21,7 @@ from avibound.avi import (
 )
 from avibound.config import DEFAULT_TOL, Tolerances
 from avibound.instgen import canned_suite, generate_random_avi
+from avibound.optkernel import QpProjectionProblem, solve_projection_qp
 from avibound.polyhedra import (
     enumerate_vertices,
     is_nonempty,
@@ -109,13 +110,23 @@ class TestResidual:
         assert val.projected_point[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_projection_lands_in_constraint_set(self):
+        # At a point inside C the projection starts from that point; it must
+        # land where the projection started from C's phase-one witness does.
         rng = SplitMix64(11)
+        warm = 0
         for seed in range(20):
             inst = random_instance(seed + 1)
             x = np.array([2 * rng.normal() for _ in range(inst.dim)])
             val = residual(inst, x)
             assert inst.c_set.contains(val.projected_point, 1e-8)
             np.testing.assert_allclose(x - val.r, val.projected_point, atol=1e-10)
+            inside = val.projected_point
+            u = inside - inst.m_op @ inside - inst.q
+            cold = solve_projection_qp(QpProjectionProblem(u, inst.c_set))
+            scale = 1.0 + np.linalg.norm(u)
+            assert np.linalg.norm(residual(inst, inside).projected_point - cold) <= 1e-12 * scale
+            warm += not inst.c_set.contains(u, DEFAULT_TOL.feas * scale)
+        assert warm >= 10
 
     def test_residual_lipschitz_bound(self):
         rng = SplitMix64(13)

@@ -248,9 +248,11 @@ class TestProjectionQp:
             project_onto([0.0], S)
 
     def test_two_starts_agree(self):
-        # no start, a start at a vertex and a start at an earlier projection
+        # no start, a start at a vertex, a start at an earlier projection and
+        # a start just outside the set, within the slack the kernel accepts
+        # (as a residual's x can be)
         rng = SplitMix64(5)
-        compared = 0
+        compared = outside = 0
         for _ in range(50):
             n = rng.randint(1, 5)
             m = rng.randint(1, 8)
@@ -262,12 +264,20 @@ class TestProjectionQp:
             u = np.array([3.0 * rng.normal() for _ in range(n)])
             earlier = project_onto([3.0 * rng.normal() for _ in range(n)], S)
             starts = [earlier] + enumerate_vertices(S).vertices[:1]
+            slack = DEFAULT_TOL.feas * (1.0 + np.linalg.norm(u))
+            if len(starts) == 2 and not S.contains(u, slack):
+                row = A[np.argmax(A @ starts[1] - b)]
+                step = 0.5 * slack / np.max(np.linalg.norm(A, axis=1))
+                start = starts[1] + step * row / np.linalg.norm(row)
+                assert not S.contains(start, 0.0) and S.contains(start, slack)
+                starts.append(start)
+                outside += 1
             z1 = project_onto(u, S)
             for start in starts:
                 z2 = project_onto(u, S, start=start)
                 assert np.linalg.norm(z1 - z2) <= 1e-6
             compared += len(starts)
-        assert compared > 50
+        assert compared > 50 and outside > 10
 
     def test_variational_characterization_random(self):
         # <u - z*, y - z*> <= 0 for all vertices y of the feasible set.

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from avibound import solvers
 from avibound.avi import AviInstance, is_solution
 from avibound.bounds import find_local_radius
 from avibound.instgen import generate_random_avi
 from avibound.polyhedra import nonnegative_orthant
 from avibound.config import DEFAULT_TOL
+from avibound.rng import SplitMix64
 from avibound.solvers import (
     SolverConfig,
     annotate_distances,
@@ -141,6 +143,38 @@ class TestSolve:
         assert trace.converged
         (solution,) = SolutionGeometry.from_instance(inst).anchors
         assert np.linalg.norm(trace.final_x - solution) <= 1e-6
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_residual_projections_start_from_the_iterate(self, index, monkeypatch):
+        # Every iterate past x0 lies in C, so the residual's projection starts
+        # there and needs few Gram solves (np.linalg.lstsq calls); started
+        # from C's phase-one witness it averages 4.7 to 12.8 per call here.
+        n = 3 + index % 2
+        inst = generate_random_avi(n=n, m=n + 1 + (index // 2) % (7 - n),
+                                   monotonicity="strongly_monotone", seed=3000 + index)
+        inside = [False]
+        counts = {"residual": 0, "lstsq": 0}
+        original_residual, original_lstsq = solvers.residual, np.linalg.lstsq
+
+        def counting_residual(*args, **kwargs):
+            counts["residual"] += 1
+            inside[0] = True
+            try:
+                return original_residual(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        def counting_lstsq(*args, **kwargs):
+            counts["lstsq"] += inside[0]
+            return original_lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "residual", counting_residual)
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        x0 = 2.0 * np.array(SplitMix64(index).normals(n))
+        trace = solve(inst, SolverConfig(stop_residual=1e-6, x0=x0))
+        assert trace.converged
+        assert counts["residual"] == len(trace.records) > 50
+        assert counts["lstsq"] <= 3 * counts["residual"], counts
 
     def test_divergence_aborts(self):
         # expansive operator pushed away from the solution diverges under
