@@ -127,23 +127,16 @@ def is_solution(inst: AviInstance, x, tol: Tolerances = DEFAULT_TOL) -> bool:
     if not inst.c_set.contains(x, tol.cmp * scale):
         return False
     w = inst.m_op @ x + inst.q
-    lp = LinearProgram(
-        objective=w,
-        ineq_lhs=inst.c_set.ineq_lhs,
-        ineq_rhs=inst.c_set.ineq_rhs,
-    )
-    res = solve_lp(lp, tol)
+    res = solve_lp(LinearProgram(w, inst.c_set), tol)
     if res.status == "unbounded":
         n = inst.dim
         radius = _RAY_BOX_RADIUS * scale
-        boxed = LinearProgram(
-            objective=w,
+        boxed = PolyhedralSet(
+            n,
             ineq_lhs=np.vstack([inst.c_set.ineq_lhs, np.eye(n), -np.eye(n)]),
-            ineq_rhs=np.concatenate(
-                [inst.c_set.ineq_rhs, x + radius, radius - x]
-            ),
+            ineq_rhs=np.concatenate([inst.c_set.ineq_rhs, x + radius, radius - x]),
         )
-        res = solve_lp(boxed, tol)
+        res = solve_lp(LinearProgram(w, boxed), tol)
     if not res.is_optimal:  # C is nonempty by construction
         raise NumericalBreakdown(f"solution-test LP reported {res.status}")
     return res.value >= float(w @ x) - tol.cmp * scale
@@ -216,8 +209,8 @@ def _face(inst: AviInstance, active: tuple) -> PolyhedralSet:
     inactive = [i for i in range(inst.num_constraints) if i not in active]
     return PolyhedralSet(
         inst.dim,
-        ineq_lhs=A[inactive] if inactive else None,
-        ineq_rhs=alpha[inactive] if inactive else None,
+        ineq_lhs=A[inactive],
+        ineq_rhs=alpha[inactive],
         eq_lhs=A[list(active)],
         eq_rhs=alpha[list(active)],
     )

@@ -18,12 +18,13 @@ import numpy as np
 from .avi import AviInstance, enumerate_solution_set, inverse_residual, residual
 from .config import DEFAULT_TOL, Tolerances
 from .errors import CapExceeded, DegenerateSampler, NoSolution
-from .polyhedra import distance, enumerate_vertices, feasible_point, union_distance
+from .polyhedra import _dedup_within, distance, enumerate_vertices, feasible_point, union_distance
 from .ratios import running_max, zero_over_zero_floor
 from .rng import SplitMix64, derive_seed
 from .sets import _as_vector, nonnegative_orthant
 
 DEFAULT_NOISE_SCALES = (0.01, 0.1, 1.0)
+DEFAULT_RADIUS_LADDER = (0.05, 0.2, 0.8)
 EPSILON_LADDER = tuple(2.0 ** (-k) for k in range(11))  # 1, 1/2, ..., 2^-10
 
 
@@ -57,11 +58,8 @@ class SolutionGeometry:
                 anchors.extend(vs.vertices)
             except CapExceeded:
                 anchors.append(feasible_point(piece, tol))
-        dedup = []
-        for a in anchors:
-            if all(np.linalg.norm(a - b) > tol.cmp for b in dedup):
-                dedup.append(a)
-        return cls(distance_fn=lambda x: union_distance(pieces, x, tol), anchors=dedup)
+        return cls(distance_fn=lambda x: union_distance(pieces, x, tol),
+                   anchors=_dedup_within(anchors, tol.cmp))
 
     @classmethod
     def from_instance(cls, inst: AviInstance,
@@ -248,7 +246,7 @@ class LipschitzCheckConfig:
     """Sampling plan around a base point for the inverse-residual check."""
 
     base_point: np.ndarray
-    radius_ladder: tuple = (0.05, 0.2, 0.8)
+    radius_ladder: tuple = DEFAULT_RADIUS_LADDER
     samples_per_radius: int = 12
     master_seed: int = 0
 

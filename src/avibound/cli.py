@@ -239,11 +239,12 @@ def cmd_verify_error_bound(args) -> int:
 def cmd_verify_lipschitz(args) -> int:
     inst = _load_avi(args.instance)
     ybar = _parse_vector(args.ybar) if args.ybar else np.zeros(inst.dim)
-    radii = tuple(float(r) for r in args.radii.split(",")) if args.radii else (0.05, 0.2, 0.8)
+    radii = (tuple(float(r) for r in args.radii.split(",")) if args.radii
+             else bounds_mod.DEFAULT_RADIUS_LADDER)
     cfg = bounds_mod.LipschitzCheckConfig(
         base_point=ybar,
         radius_ladder=radii,
-        samples_per_radius=max(1, args.samples // max(len(radii), 1)),
+        samples_per_radius=max(1, args.samples // len(radii)),
         master_seed=args.seed,
     )
     report = bounds_mod.verify_upper_lipschitz_inverse(inst, cfg, tol=_tolerances(args))

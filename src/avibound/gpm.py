@@ -48,16 +48,16 @@ class GpMultifunction:
         n, r = int(self.input_dim), int(self.output_dim)
         if n <= 0 or r <= 0:
             raise DimensionMismatch("input_dim and output_dim must be positive")
-        a1 = _as_matrix(self.a1 if self.a1 is not None else [], n, "a1")
-        a2 = _as_matrix(self.a2 if self.a2 is not None else [], r, "a2")
+        a1 = _as_matrix(self.a1, n, "a1")
+        a2 = _as_matrix(self.a2, r, "a2")
         if a1.shape[0] != a2.shape[0]:
             raise DimensionMismatch("a1 and a2 must have the same number of rows")
-        z = _as_vector(self.z if self.z is not None else [], a1.shape[0], "z")
-        row_x = _as_matrix(self.row_x if self.row_x is not None else [], n, "row_x")
-        row_y = _as_matrix(self.row_y if self.row_y is not None else [], r, "row_y")
+        z = _as_vector(self.z, a1.shape[0], "z")
+        row_x = _as_matrix(self.row_x, n, "row_x")
+        row_y = _as_matrix(self.row_y, r, "row_y")
         if row_x.shape[0] != row_y.shape[0]:
             raise DimensionMismatch("row_x and row_y must have the same number of rows")
-        rhs = _as_vector(self.rhs if self.rhs is not None else [], row_x.shape[0], "rhs")
+        rhs = _as_vector(self.rhs, row_x.shape[0], "rhs")
         for name, arr in (
             ("a1", a1), ("a2", a2), ("z", z),
             ("row_x", row_x), ("row_y", row_y), ("rhs", rhs),
@@ -126,10 +126,10 @@ def evaluate(f: GpMultifunction, x) -> PolyhedralSet:
     x = _as_vector(x, f.input_dim, "x")
     return PolyhedralSet(
         f.output_dim,
-        eq_lhs=f.a2 if f.num_eq else None,
-        eq_rhs=(f.z - f.a1 @ x) if f.num_eq else None,
-        ineq_lhs=f.row_y if f.num_ineq else None,
-        ineq_rhs=(f.rhs - f.row_x @ x) if f.num_ineq else None,
+        eq_lhs=f.a2,
+        eq_rhs=f.z - f.a1 @ x,
+        ineq_lhs=f.row_y,
+        ineq_rhs=f.rhs - f.row_x @ x,
     )
 
 
@@ -142,27 +142,25 @@ def gap_primal(f: GpMultifunction, x, tol: Tolerances = DEFAULT_TOL) -> float:
     """Smallest achievable worst-case section violation at x (>= 0).
 
     One LP in (y, t): minimize t subject to +-(a1 x + a2 y - z)_j <= t,
-    row_i(x, y) - rhs_i <= t and t >= 0.
+    row_i(x, y) - rhs_i <= t and t >= 0.  The rows come in that order, with
+    the + and - row of each j next to each other.
     """
     x = _as_vector(x, f.input_dim, "x")
-    r, k, p = f.output_dim, f.num_eq, f.num_ineq
-    rows = []
-    rhs = []
-    res = f.z - f.a1 @ x if k else np.zeros(0)
-    for j in range(k):
-        rows.append(np.concatenate([f.a2[j], [-1.0]]))
-        rhs.append(res[j])
-        rows.append(np.concatenate([-f.a2[j], [-1.0]]))
-        rhs.append(-res[j])
-    slack = f.rhs - f.row_x @ x if p else np.zeros(0)
-    for i in range(p):
-        rows.append(np.concatenate([f.row_y[i], [-1.0]]))
-        rhs.append(slack[i])
-    rows.append(np.concatenate([np.zeros(r), [-1.0]]))
-    rhs.append(0.0)
+    r, k = f.output_dim, f.num_eq
+    res = f.z - f.a1 @ x
+    y_rows = np.vstack([
+        np.stack([f.a2, -f.a2], axis=1).reshape(2 * k, r),
+        f.row_y,
+        np.zeros((1, r)),
+    ])
+    epigraph = PolyhedralSet(
+        r + 1,
+        ineq_lhs=np.hstack([y_rows, -np.ones((y_rows.shape[0], 1))]),
+        ineq_rhs=np.concatenate([np.stack([res, -res], axis=1).reshape(2 * k),
+                                 f.rhs - f.row_x @ x, [0.0]]),
+    )
     objective = np.concatenate([np.zeros(r), [1.0]])
-    lp = LinearProgram(objective=objective, ineq_lhs=np.array(rows), ineq_rhs=np.array(rhs))
-    status = solve_lp(lp, tol)
+    status = solve_lp(LinearProgram(objective, epigraph), tol)
     if not status.is_optimal:  # t >= 0 keeps this LP solvable
         return -math.inf if status.status == "unbounded" else math.inf
     return float(status.value)
@@ -178,27 +176,18 @@ def gap_dual(f: GpMultifunction, x, tol: Tolerances = DEFAULT_TOL,
     always feasible, so the value is finite and >= 0.
     """
     x = _as_vector(x, f.input_dim, "x")
-    k, p, r = f.num_eq, f.num_ineq, f.output_dim
-    nw = 2 * k + p
-    drift = f.a1 @ x - f.z if k else np.zeros(0)
-    slack = f.row_x @ x - f.rhs if p else np.zeros(0)
-    objective = np.concatenate([drift, -drift, slack])
-    eq_lhs = np.hstack([
-        f.a2.T if k else np.zeros((r, 0)),
-        -f.a2.T if k else np.zeros((r, 0)),
-        f.row_y.T if p else np.zeros((r, 0)),
-    ])
-    ineq_lhs = np.vstack([np.ones((1, nw)), -np.eye(nw)])
-    ineq_rhs = np.concatenate([[1.0], np.zeros(nw)])
-    lp = LinearProgram(
-        objective=objective,
-        ineq_lhs=ineq_lhs,
-        ineq_rhs=ineq_rhs,
-        eq_lhs=eq_lhs,
-        eq_rhs=np.zeros(r),
-        sense="maximize",
+    k = f.num_eq
+    nw = 2 * k + f.num_ineq
+    drift = f.a1 @ x - f.z
+    objective = np.concatenate([drift, -drift, f.row_x @ x - f.rhs])
+    ball = PolyhedralSet(
+        nw,
+        ineq_lhs=np.vstack([np.ones((1, nw)), -np.eye(nw)]),
+        ineq_rhs=np.concatenate([[1.0], np.zeros(nw)]),
+        eq_lhs=np.hstack([f.a2.T, -f.a2.T, f.row_y.T]),
+        eq_rhs=np.zeros(f.output_dim),
     )
-    status = solve_lp(lp, tol)
+    status = solve_lp(LinearProgram(objective, ball, sense="maximize"), tol)
     if not status.is_optimal:
         value = -math.inf
         multiplier = None
@@ -380,15 +369,17 @@ class LipschitzEstimateReport:
 
 def _domain_witness(f: GpMultifunction, tol: Tolerances) -> np.ndarray:
     """Some x in dom F, from one joint feasibility solve over (x, y)."""
-    n, r = f.input_dim, f.output_dim
-    if f.num_eq + f.num_ineq == 0:
-        return np.zeros(n)
-    eq = np.hstack([f.a1, f.a2]) if f.num_eq else np.zeros((0, n + r))
-    ineq = np.hstack([f.row_x, f.row_y]) if f.num_ineq else np.zeros((0, n + r))
-    res = solve_feasibility(eq, f.z, ineq, f.rhs, tol)
+    graph = PolyhedralSet(
+        f.input_dim + f.output_dim,
+        ineq_lhs=np.hstack([f.row_x, f.row_y]),
+        ineq_rhs=f.rhs,
+        eq_lhs=np.hstack([f.a1, f.a2]),
+        eq_rhs=f.z,
+    )
+    res = solve_feasibility(graph, tol)
     if not res.is_optimal:
         raise DegenerateSampler("dom F is empty")
-    return res.point[:n]
+    return res.point[:f.input_dim]
 
 
 def _sample_domain_point(f, center, stream, tol):

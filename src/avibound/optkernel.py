@@ -1,13 +1,15 @@
 """Dense LP / feasibility / projection-QP kernel.
 
 Everything downstream (geometry, multifunction gaps, piece enumeration)
-reduces to the three solvers in this module.  Instances are desk-scale
+reduces to the three solvers in this module, and all three take their rows
+as one `PolyhedralSet`, which has validated them.  Instances are desk-scale
 (n + m up to ~100), so the pivots are chosen for determinism and exact
 classification, and each pivot is kept cheap:
 
 - `solve_lp`: two-phase dense revised simplex with Bland's rule for
   anti-cycling.
-- `solve_feasibility`: phase one only, returning a witness point.
+- `solve_feasibility`: phase one only, returning a witness point (the
+  origin, for a set without rows).
 - `solve_projection_qp`: primal active-set method for the strictly convex
   problem min ||z - u||^2 over a polyhedron, started from a caller's point
   of the set (the solvers' iterates, and the point at which `avi.residual`
@@ -39,8 +41,8 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import DimensionMismatch, EmptySet, NumericalBreakdown
-from .sets import PolyhedralSet, _as_matrix, _as_vector
+from .errors import EmptySet, NumericalBreakdown
+from .sets import PolyhedralSet, _as_vector
 
 _PIVOT_TOL = 1e-10
 
@@ -70,44 +72,21 @@ def lu_solve(lu_piv, b, trans=0):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Dense LP: optimize objective over {ineq_lhs x <= ineq_rhs, eq_lhs x = eq_rhs}.
+    """Dense LP: optimize `objective` over `feasible_set`.
 
     Variables are free reals; sign restrictions go in as inequality rows.
     """
 
     objective: np.ndarray
-    ineq_lhs: np.ndarray = None
-    ineq_rhs: np.ndarray = None
-    eq_lhs: np.ndarray = None
-    eq_rhs: np.ndarray = None
+    feasible_set: PolyhedralSet
     sense: str = "minimize"
 
     def __post_init__(self):
-        c = np.asarray(self.objective, dtype=float).reshape(-1)
-        if c.size == 0:
-            raise DimensionMismatch("objective must be nonempty")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("objective contains non-finite entries")
-        n = c.size
-        A = _as_matrix(self.ineq_lhs if self.ineq_lhs is not None else [], n, "ineq_lhs")
-        b = _as_vector(self.ineq_rhs if self.ineq_rhs is not None else [], A.shape[0], "ineq_rhs")
-        E = _as_matrix(self.eq_lhs if self.eq_lhs is not None else [], n, "eq_lhs")
-        d = _as_vector(self.eq_rhs if self.eq_rhs is not None else [], E.shape[0], "eq_rhs")
+        c = _as_vector(self.objective, self.feasible_set.ambient_dim, "objective")
         if self.sense not in ("minimize", "maximize"):
             raise ValueError(f"sense must be minimize or maximize, got {self.sense!r}")
-        for name, arr in (
-            ("objective", c),
-            ("ineq_lhs", A),
-            ("ineq_rhs", b),
-            ("eq_lhs", E),
-            ("eq_rhs", d),
-        ):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def num_vars(self) -> int:
-        return self.objective.size
+        c.setflags(write=False)
+        object.__setattr__(self, "objective", c)
 
 
 @dataclass(frozen=True)
@@ -241,17 +220,17 @@ def _phase_one(A, b, tol, max_pivots):
     return True, A, b, basis, keep
 
 
-def _standard_form(E, d, A, b):
-    """{Ex = d, Ax <= b} as {A_std v = rhs, v >= 0}, with its pivot budget.
+def _standard_form(S: PolyhedralSet):
+    """S = {Ex = d, Ax <= b} as {A_std v = rhs, v >= 0}, with its pivot budget.
 
     The free x splits as x+ - x- and a slack closes each inequality, so
     v = [x+, x-, slack] and the inequality rows come first.
     """
-    m_ineq = A.shape[0]
-    rows = np.vstack([A, E])
-    slack = np.vstack([np.eye(m_ineq), np.zeros((E.shape[0], m_ineq))])
+    rows = np.vstack([S.ineq_lhs, S.eq_lhs])
+    slack = np.vstack([np.eye(S.num_ineq), np.zeros((S.num_eq, S.num_ineq))])
     A_std = np.hstack([rows, -rows, slack])
-    return A_std, np.concatenate([b, d]), 200 + 50 * (A_std.shape[0] + A_std.shape[1])
+    rhs = np.concatenate([S.ineq_rhs, S.eq_rhs])
+    return A_std, rhs, 200 + 50 * (A_std.shape[0] + A_std.shape[1])
 
 
 def _basic_point(A, b, basis, n):
@@ -274,10 +253,10 @@ def solve_lp(lp: LinearProgram, tol: Tolerances = DEFAULT_TOL) -> SolveStatus:
     Phase one on the standard form, then Bland pivots on the objective; see
     the class docstring of `SolveStatus` for the dual convention.
     """
-    n = lp.num_vars
+    n = lp.objective.size
     c_user = lp.objective if lp.sense == "minimize" else -lp.objective
-    A_std, rhs, budget = _standard_form(lp.eq_lhs, lp.eq_rhs, lp.ineq_lhs, lp.ineq_rhs)
-    c_std = np.concatenate([c_user, -c_user, np.zeros(lp.ineq_lhs.shape[0])])
+    A_std, rhs, budget = _standard_form(lp.feasible_set)
+    c_std = np.concatenate([c_user, -c_user, np.zeros(lp.feasible_set.num_ineq)])
     feasible, A1, b1, basis, kept = _phase_one(A_std, rhs, tol.feas, budget)
     if not feasible:
         inf_value = math.inf if lp.sense == "minimize" else -math.inf
@@ -298,26 +277,18 @@ def solve_lp(lp: LinearProgram, tol: Tolerances = DEFAULT_TOL) -> SolveStatus:
     return SolveStatus(status="optimal", value=value, point=x, dual=duals)
 
 
-def solve_feasibility(eq_lhs, eq_rhs, ineq_lhs, ineq_rhs,
-                      tol: Tolerances = DEFAULT_TOL) -> SolveStatus:
-    """Phase-one feasibility oracle for {Ex = d, Ax <= b}.
+def solve_feasibility(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> SolveStatus:
+    """Phase-one feasibility oracle for S.
 
-    Returns status "optimal" with a witness point, or "infeasible".
+    Returns status "optimal" with a witness point, or "infeasible".  A set
+    without rows is witnessed by the origin.
     """
-    E = np.asarray(eq_lhs, dtype=float)
-    A = np.asarray(ineq_lhs, dtype=float)
-    if E.size == 0 and A.size == 0:
-        raise DimensionMismatch("feasibility system needs at least one row")
-    n = E.shape[1] if E.size else A.shape[1]
-    E = _as_matrix(E if E.size else [], n, "eq_lhs")
-    d = _as_vector(eq_rhs if E.shape[0] else [], E.shape[0], "eq_rhs")
-    A = _as_matrix(A if A.size else [], n, "ineq_lhs")
-    b = _as_vector(ineq_rhs if A.shape[0] else [], A.shape[0], "ineq_rhs")
-    A_std, rhs, budget = _standard_form(E, d, A, b)
+    A_std, rhs, budget = _standard_form(S)
     feasible, A1, b1, basis, _ = _phase_one(A_std, rhs, tol.feas, budget)
     if not feasible:
         return SolveStatus(status="infeasible", value=math.inf)
-    return SolveStatus(status="optimal", value=0.0, point=_basic_point(A1, b1, basis, n)[0])
+    point = _basic_point(A1, b1, basis, S.ambient_dim)[0]
+    return SolveStatus(status="optimal", value=0.0, point=point)
 
 
 def feasible_witness(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
@@ -325,16 +296,11 @@ def feasible_witness(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> np.ndar
 
     Phase one reads only `tol.feas`, so it runs once per (S, tol.feas); the
     outcome stays in `S._cache`.  The point is the cached array itself,
-    read-only: copy it before handing it out.  A set without rows is
-    witnessed by the origin.
+    read-only: copy it before handing it out.
     """
     key = ("witness", tol.feas)
     if key not in S._cache:
-        if S.num_eq + S.num_ineq == 0:
-            point = np.zeros(S.ambient_dim)
-        else:
-            res = solve_feasibility(S.eq_lhs, S.eq_rhs, S.ineq_lhs, S.ineq_rhs, tol)
-            point = res.point
+        point = solve_feasibility(S, tol).point
         if point is not None:
             point.setflags(write=False)
         S._cache[key] = point
@@ -342,8 +308,6 @@ def feasible_witness(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> np.ndar
 
 
 def _active_rows(A, b, z, tol):
-    if A.shape[0] == 0:
-        return []
     resid = b - A @ z
     return [i for i in range(A.shape[0]) if abs(resid[i]) <= tol]
 

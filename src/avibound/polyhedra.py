@@ -183,12 +183,13 @@ def _by_tight_rows(rows: np.ndarray, points: np.ndarray) -> list:
     return sorted(points, key=lambda z: np.flatnonzero(rows @ z >= slack).tolist())
 
 
-def _dedup_rays(rays, tol: float) -> list:
-    """The rays without repeats within `tol`, first occurrence kept."""
+def _dedup_within(vectors, tol: float) -> list:
+    """The vectors without repeats within distance `tol`, first occurrence
+    kept; unlike `_dedup_points`, `tol` is absolute."""
     kept = []
-    for r in rays:
-        if all(np.linalg.norm(r - q) > tol for q in kept):
-            kept.append(r)
+    for v in vectors:
+        if all(np.linalg.norm(v - q) > tol for q in kept):
+            kept.append(v)
     return kept
 
 
@@ -237,7 +238,7 @@ def enumerate_vertices(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> Verte
         directions /= np.linalg.norm(directions, axis=1)[:, None]
         rays = _by_tight_rows(A, directions)
     vertices = _dedup_points(vertices, tol.cmp)
-    rays = _dedup_rays(rays, tol.cmp)
+    rays = _dedup_within(rays, tol.cmp)
     for j in range(L.shape[1]):
         rays.extend([L[:, j], -L[:, j]])
     return VertexSet(vertices=vertices, is_bounded=not rays, recession_rays=rays)
@@ -327,7 +328,7 @@ def cone_generators(rows: np.ndarray, tol: Tolerances = DEFAULT_TOL):
         Z = _extreme_rays(lineality, rows)
         if Z is None:
             raise NumericalBreakdown("cone numerically non-pointed")
-        rays = np.array(_dedup_rays(_by_tight_rows(rows, Z), tol.cmp)).reshape(-1, n)
+        rays = np.array(_dedup_within(_by_tight_rows(rows, Z), tol.cmp)).reshape(-1, n)
     return rays, lineality
 
 

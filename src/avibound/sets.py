@@ -5,6 +5,9 @@ encode the affine-subspace part of a generalized polyhedral convex set and
 are kept separate from inequalities on purpose: converting them to pairs of
 inequalities destroys the conditioning of the active-set projection solver.
 Instances are immutable after construction.
+
+Rows are validated only here, by `_as_matrix` and `_as_vector`, which read
+None or an empty array as a block with no rows: a zero-row array.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from .errors import DimensionMismatch, SchemaError
 
 
 def _as_matrix(a, ncols: int, name: str) -> np.ndarray:
-    arr = np.asarray(a, dtype=float)
+    arr = np.asarray([] if a is None else a, dtype=float)
     if arr.size == 0:
         return np.zeros((0, ncols))
     if arr.ndim != 2 or arr.shape[1] != ncols:
@@ -28,7 +31,7 @@ def _as_matrix(a, ncols: int, name: str) -> np.ndarray:
 
 
 def _as_vector(a, nrows: int, name: str) -> np.ndarray:
-    arr = np.asarray(a, dtype=float).reshape(-1)
+    arr = np.asarray([] if a is None else a, dtype=float).reshape(-1)
     if arr.shape != (nrows,):
         raise DimensionMismatch(f"{name}: expected length {nrows}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -51,10 +54,10 @@ class PolyhedralSet:
         if n <= 0:
             raise DimensionMismatch("ambient_dim must be positive")
         object.__setattr__(self, "ambient_dim", n)
-        A = _as_matrix(self.ineq_lhs if self.ineq_lhs is not None else [], n, "ineq_lhs")
-        b = _as_vector(self.ineq_rhs if self.ineq_rhs is not None else [], A.shape[0], "ineq_rhs")
-        E = _as_matrix(self.eq_lhs if self.eq_lhs is not None else [], n, "eq_lhs")
-        d = _as_vector(self.eq_rhs if self.eq_rhs is not None else [], E.shape[0], "eq_rhs")
+        A = _as_matrix(self.ineq_lhs, n, "ineq_lhs")
+        b = _as_vector(self.ineq_rhs, A.shape[0], "ineq_rhs")
+        E = _as_matrix(self.eq_lhs, n, "eq_lhs")
+        d = _as_vector(self.eq_rhs, E.shape[0], "eq_rhs")
         for name, arr in (("ineq_lhs", A), ("ineq_rhs", b), ("eq_lhs", E), ("eq_rhs", d)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

@@ -331,7 +331,7 @@ def test_criterion_9_kernel_sanity():
         b = np.concatenate([b, np.full(n, 5.0), np.full(n, 5.0)])
         c = np.array([rng.normal() for _ in range(n)])
         res = solve_lp(
-            LinearProgram(objective=c, ineq_lhs=A, ineq_rhs=b, eq_lhs=E, eq_rhs=d)
+            LinearProgram(c, PolyhedralSet(n, ineq_lhs=A, ineq_rhs=b, eq_lhs=E, eq_rhs=d))
         )
         if not res.is_optimal:
             continue

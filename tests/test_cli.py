@@ -204,6 +204,14 @@ class TestReports:
         ])
         assert code == 0
         validate_against_schema(json.loads((out / "lipschitz.json").read_text()))
+        # no --radii means the default ladder, spelled out here
+        spelled = tmp_path / "spelled"
+        code = main([
+            "verify-lipschitz", "--instance", lcp_file, "--ybar", "0",
+            "--samples", "24", "--seed", "5", "--radii", "0.05,0.2,0.8", "--out", str(spelled),
+        ])
+        assert code == 0
+        assert (spelled / "lipschitz.json").read_bytes() == (out / "lipschitz.json").read_bytes()
 
     def test_minimax_reports_validate(self, gpm_file, tmp_path):
         out = tmp_path / "reports"

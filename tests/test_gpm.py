@@ -15,7 +15,8 @@ from avibound.gpm import (
     verify_domain_characterization,
     verify_minimax,
 )
-from avibound.polyhedra import enumerate_vertices, is_nonempty
+from avibound.optkernel import LinearProgram, solve_lp
+from avibound.polyhedra import PolyhedralSet, enumerate_vertices, is_nonempty
 from avibound.rng import SplitMix64
 
 
@@ -159,6 +160,70 @@ class TestGap:
             assert gap_primal(f, x) == pytest.approx(oracle, abs=5e-4)
             done += 1
         assert done >= 5
+
+
+def reference_gap_primal(f, x):
+    """The section-gap LP with its rows appended one at a time: for each j
+    the + and - equality rows, then each inequality row, then t >= 0."""
+    r = f.output_dim
+    rows, rhs = [], []
+    res = f.z - f.a1 @ x
+    for j in range(f.num_eq):
+        rows.append(np.concatenate([f.a2[j], [-1.0]]))
+        rhs.append(res[j])
+        rows.append(np.concatenate([-f.a2[j], [-1.0]]))
+        rhs.append(-res[j])
+    slack = f.rhs - f.row_x @ x
+    for i in range(f.num_ineq):
+        rows.append(np.concatenate([f.row_y[i], [-1.0]]))
+        rhs.append(slack[i])
+    rows.append(np.concatenate([np.zeros(r), [-1.0]]))
+    rhs.append(0.0)
+    S = PolyhedralSet(r + 1, ineq_lhs=np.array(rows), ineq_rhs=np.array(rhs))
+    return solve_lp(LinearProgram(np.concatenate([np.zeros(r), [1.0]]), S))
+
+
+def reference_gap_dual(f, x):
+    """The dual LP over (lam+, lam-, gamma) with its blocks spelled out."""
+    k, p, r = f.num_eq, f.num_ineq, f.output_dim
+    nw = 2 * k + p
+    drift = f.a1 @ x - f.z
+    objective = np.concatenate([drift, -drift, f.row_x @ x - f.rhs])
+    S = PolyhedralSet(
+        nw,
+        ineq_lhs=np.vstack([np.ones((1, nw)), -np.eye(nw)]),
+        ineq_rhs=np.concatenate([[1.0], np.zeros(nw)]),
+        eq_lhs=np.hstack([f.a2.T, -f.a2.T, f.row_y.T]),
+        eq_rhs=np.zeros(r),
+    )
+    return solve_lp(LinearProgram(objective, S, sense="maximize"))
+
+
+class TestGapRowOrder:
+    def test_gaps_equal_the_reference_lps(self):
+        # no canned multifunction has both equality and inequality rows, so
+        # the order of the two blocks is pinned here: any other order pivots
+        # differently and moves the values in the last bits
+        checked = 0
+        seed = 0
+        while checked < 24:
+            seed += 1
+            f = random_instance(seed)
+            if not (f.num_eq and f.num_ineq):
+                continue
+            rng = SplitMix64(seed)
+            for _ in range(5):
+                x = np.array([2.0 * rng.normal() for _ in range(f.input_dim)])
+                primal = reference_gap_primal(f, x)
+                assert primal.is_optimal
+                assert gap_primal(f, x) == primal.value
+                dual = reference_gap_dual(f, x)
+                assert dual.is_optimal
+                value, multiplier = gap_dual(f, x, return_multiplier=True)
+                assert value == dual.value
+                k = f.num_eq
+                assert np.array_equal(multiplier.lam, dual.point[:k] - dual.point[k:2 * k])
+            checked += 1
 
 
 class TestMinimax:

@@ -23,6 +23,7 @@ from avibound.config import DEFAULT_TOL, Tolerances
 from avibound.optkernel import (
     LinearProgram,
     QpProjectionProblem,
+    feasible_witness,
     solve_feasibility,
     solve_lp,
     solve_projection_qp,
@@ -58,7 +59,7 @@ def brute_force_lp_min(c, A, b):
 
 class TestSolveLp:
     def test_nonnegativity_cone(self):
-        lp = LinearProgram(objective=[1.0], ineq_lhs=[[-1.0]], ineq_rhs=[0.0])
+        lp = LinearProgram([1.0], PolyhedralSet(1, ineq_lhs=[[-1.0]], ineq_rhs=[0.0]))
         res = solve_lp(lp)
         assert res.status == "optimal"
         assert res.value == pytest.approx(0.0, abs=1e-9)
@@ -66,7 +67,7 @@ class TestSolveLp:
 
     def test_empty_system(self):
         lp = LinearProgram(
-            objective=[1.0], ineq_lhs=[[1.0], [-1.0]], ineq_rhs=[-1.0, 0.0]
+            [1.0], PolyhedralSet(1, ineq_lhs=[[1.0], [-1.0]], ineq_rhs=[-1.0, 0.0])
         )
         assert solve_lp(lp).status == "infeasible"
 
@@ -74,7 +75,7 @@ class TestSolveLp:
         c = [-1.0, -1.0]
         A = [[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
         b = [1.0, 0.0, 0.0]
-        res = solve_lp(LinearProgram(objective=c, ineq_lhs=A, ineq_rhs=b))
+        res = solve_lp(LinearProgram(c, PolyhedralSet(2, ineq_lhs=A, ineq_rhs=b)))
         oracle_value, _ = brute_force_lp_min(c, A, b)
         assert oracle_value == pytest.approx(-1.0)
         assert res.status == "optimal"
@@ -82,33 +83,39 @@ class TestSolveLp:
         assert res.point[0] + res.point[1] == pytest.approx(1.0, abs=1e-8)
 
     def test_unbounded(self):
-        lp = LinearProgram(objective=[-1.0], ineq_lhs=[[-1.0]], ineq_rhs=[0.0])
+        lp = LinearProgram([-1.0], PolyhedralSet(1, ineq_lhs=[[-1.0]], ineq_rhs=[0.0]))
         res = solve_lp(lp)
         assert res.status == "unbounded"
         assert res.value == -np.inf
 
     def test_maximize_sense(self):
         lp = LinearProgram(
-            objective=[1.0, 1.0],
-            ineq_lhs=[[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
-            ineq_rhs=[1.0, 0.0, 0.0],
+            [1.0, 1.0],
+            PolyhedralSet(
+                2,
+                ineq_lhs=[[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+                ineq_rhs=[1.0, 0.0, 0.0],
+            ),
             sense="maximize",
         )
         res = solve_lp(lp)
         assert res.status == "optimal"
         assert res.value == pytest.approx(1.0, abs=1e-8)
-        rhs = np.asarray(lp.ineq_rhs)
+        rhs = lp.feasible_set.ineq_rhs
         assert res.dual is not None
         assert float(rhs @ res.dual) == pytest.approx(res.value, abs=1e-7)
         assert np.all(res.dual >= -1e-9)
 
     def test_equality_rows(self):
         lp = LinearProgram(
-            objective=[1.0, 2.0],
-            eq_lhs=[[1.0, 1.0]],
-            eq_rhs=[3.0],
-            ineq_lhs=[[-1.0, 0.0], [0.0, -1.0]],
-            ineq_rhs=[0.0, 0.0],
+            [1.0, 2.0],
+            PolyhedralSet(
+                2,
+                eq_lhs=[[1.0, 1.0]],
+                eq_rhs=[3.0],
+                ineq_lhs=[[-1.0, 0.0], [0.0, -1.0]],
+                ineq_rhs=[0.0, 0.0],
+            ),
         )
         res = solve_lp(lp)
         assert res.status == "optimal"
@@ -116,11 +123,7 @@ class TestSolveLp:
         np.testing.assert_allclose(res.point, [3.0, 0.0], atol=1e-8)
 
     def test_redundant_equalities(self):
-        lp = LinearProgram(
-            objective=[1.0],
-            eq_lhs=[[1.0], [2.0]],
-            eq_rhs=[2.0, 4.0],
-        )
+        lp = LinearProgram([1.0], PolyhedralSet(1, eq_lhs=[[1.0], [2.0]], eq_rhs=[2.0, 4.0]))
         res = solve_lp(lp)
         assert res.status == "optimal"
         assert res.point[0] == pytest.approx(2.0, abs=1e-9)
@@ -134,7 +137,7 @@ class TestSolveLp:
             A = np.array([[rng.normal() for _ in range(n)] for _ in range(m)])
             b = np.array([rng.normal() for _ in range(m)])
             c = np.array([rng.normal() for _ in range(n)])
-            lp = LinearProgram(objective=c, ineq_lhs=A, ineq_rhs=b)
+            lp = LinearProgram(c, PolyhedralSet(n, ineq_lhs=A, ineq_rhs=b))
             res = solve_lp(lp)
             # presolve collapses "unbounded" into "infeasible" on some inputs
             ref = linprog(
@@ -161,13 +164,25 @@ class TestSolveLp:
 
 class TestSolveFeasibility:
     def test_feasible_with_witness(self):
-        res = solve_feasibility([[1.0]], [1.0], [[1.0]], [2.0])
+        res = solve_feasibility(
+            PolyhedralSet(1, eq_lhs=[[1.0]], eq_rhs=[1.0], ineq_lhs=[[1.0]], ineq_rhs=[2.0])
+        )
         assert res.status == "optimal"
         assert res.point[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_infeasible(self):
-        res = solve_feasibility([[1.0]], [1.0], [[1.0]], [0.0])
+        res = solve_feasibility(
+            PolyhedralSet(1, eq_lhs=[[1.0]], eq_rhs=[1.0], ineq_lhs=[[1.0]], ineq_rhs=[0.0])
+        )
         assert res.status == "infeasible"
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_set_without_rows_is_witnessed_by_the_origin(self, n):
+        # ordinary phase one with no row: no artificial, no pivot, v = 0
+        res = solve_feasibility(PolyhedralSet(n))
+        assert res.status == "optimal"
+        assert np.array_equal(res.point, np.zeros(n))
+        assert np.array_equal(feasible_witness(PolyhedralSet(n)), np.zeros(n))
 
     def test_one_dimensional_kkt_system(self):
         # Stationarity plus sign pattern for a scalar complementarity setup
@@ -177,7 +192,7 @@ class TestSolveFeasibility:
         d = [-1.0, 0.0]
         A = [[-1.0, 0.0]]
         b = [0.0]
-        res = solve_feasibility(E, d, A, b)
+        res = solve_feasibility(PolyhedralSet(2, eq_lhs=E, eq_rhs=d, ineq_lhs=A, ineq_rhs=b))
         assert res.status == "optimal"
         np.testing.assert_allclose(res.point, [1.0, 0.0], atol=1e-9)
 
@@ -192,16 +207,9 @@ class TestSolveFeasibility:
             b = np.array([rng.normal() for _ in range(m)])
             E = np.array([[rng.normal() for _ in range(n)] for _ in range(k)])
             d = np.array([rng.normal() for _ in range(k)])
-            oracle = solve_feasibility(E, d, A, b)
-            lp = solve_lp(
-                LinearProgram(
-                    objective=np.zeros(n),
-                    ineq_lhs=A,
-                    ineq_rhs=b,
-                    eq_lhs=E,
-                    eq_rhs=d,
-                )
-            )
+            S = PolyhedralSet(n, ineq_lhs=A, ineq_rhs=b, eq_lhs=E, eq_rhs=d)
+            oracle = solve_feasibility(S)
+            lp = solve_lp(LinearProgram(np.zeros(n), S))
             assert (oracle.status == "optimal") == (lp.status == "optimal")
             if oracle.status == "optimal":
                 assert np.max(A @ oracle.point - b) <= 1e-8
@@ -259,7 +267,7 @@ class TestProjectionQp:
             A = np.array([[rng.normal() for _ in range(n)] for _ in range(m)])
             b = np.array([rng.normal() + 1.0 for _ in range(m)])
             S = PolyhedralSet(n, ineq_lhs=A, ineq_rhs=b)
-            if solve_feasibility([], [], A, b).status != "optimal":
+            if solve_feasibility(S).status != "optimal":
                 continue
             u = np.array([3.0 * rng.normal() for _ in range(n)])
             earlier = project_onto([3.0 * rng.normal() for _ in range(n)], S)
@@ -515,7 +523,7 @@ class TestDegenerateInputs:
             A = np.vstack([A, A[0], 2.0 * A[0]])
             b = np.concatenate([b, [b[0]], [2.0 * b[0]]])
             c = np.array([rng.normal() for _ in range(n)])
-            res = solve_lp(LinearProgram(objective=c, ineq_lhs=A, ineq_rhs=b))
+            res = solve_lp(LinearProgram(c, PolyhedralSet(n, ineq_lhs=A, ineq_rhs=b)))
             if res.is_optimal:
                 assert np.max(A @ res.point - b) <= 1e-8
                 assert abs(res.value - b @ res.dual) <= 1e-7 * (1 + abs(res.value))
@@ -590,32 +598,34 @@ def _random_lp(seed, n, num_eq=0):
     A = np.array([rng.normals(n) for _ in range(m)])
     b = A @ witness + np.array([abs(rng.normal()) + 0.1 for _ in range(m)])
     E = np.array([rng.normals(n) for _ in range(num_eq)]).reshape(num_eq, n)
-    return LinearProgram(
-        objective=rng.normals(n), ineq_lhs=A, ineq_rhs=b, eq_lhs=E, eq_rhs=E @ witness
-    )
+    rows = PolyhedralSet(n, ineq_lhs=A, ineq_rhs=b, eq_lhs=E, eq_rhs=E @ witness)
+    return LinearProgram(rng.normals(n), rows)
 
 
 def _random_system(seed, n, num_eq, shift):
-    """(E, d, A, b) with m = 3n rows; a negative `shift` may make it empty."""
+    """{Ex = d, Ax <= b} with m = 3n rows; a negative `shift` may make it empty."""
     rng = SplitMix64(seed)
     A = np.array([rng.normals(n) for _ in range(3 * n)])
     b = np.array([rng.normal() + shift for _ in range(3 * n)])
     E = np.array([rng.normals(n) for _ in range(num_eq)]).reshape(num_eq, n)
     d = np.array(rng.normals(num_eq))
-    return E, d, A, b
+    return PolyhedralSet(n, ineq_lhs=A, ineq_rhs=b, eq_lhs=E, eq_rhs=d)
 
 
 def _beale_lp():
     # Beale's example: the textbook rule cycles on it, Bland's rule must
     # break the ratio-test ties at the degenerate origin.
     return LinearProgram(
-        objective=[0.75, -20.0, 0.5, -6.0],
-        ineq_lhs=[
-            [0.25, -8.0, -1.0, 9.0],
-            [0.5, -12.0, -0.5, 3.0],
-            [0.0, 0.0, 1.0, 0.0],
-        ] + (-np.eye(4)).tolist(),
-        ineq_rhs=[0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+        [0.75, -20.0, 0.5, -6.0],
+        PolyhedralSet(
+            4,
+            ineq_lhs=[
+                [0.25, -8.0, -1.0, 9.0],
+                [0.5, -12.0, -0.5, 3.0],
+                [0.0, 0.0, 1.0, 0.0],
+            ] + (-np.eye(4)).tolist(),
+            ineq_rhs=[0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+        ),
         sense="maximize",
     )
 
@@ -628,26 +638,28 @@ def _pivot_corpus():
             lp = _random_lp(1000 * n + k, n, num_eq=k % 2)
             corpus.append((f"lp_n{n}_{k}", lambda lp=lp: [solve_lp(lp)]))
         for k, shift in enumerate((1.0, 1.0, -0.5)):
-            E, d, A, b = _random_system(2000 * n + k, n, num_eq=k, shift=shift)
-            corpus.append(
-                (f"feas_n{n}_{k}", lambda s=(E, d, A, b): [solve_feasibility(*s)])
-            )
+            S = _random_system(2000 * n + k, n, num_eq=k, shift=shift)
+            corpus.append((f"feas_n{n}_{k}", lambda S=S: [solve_feasibility(S)]))
     corpus.append(("beale_degenerate", lambda: [solve_lp(_beale_lp())]))
     infeasible = LinearProgram(
-        objective=[1.0, 1.0],
-        ineq_lhs=[[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
-        ineq_rhs=[-1.0, 0.0, 0.0],
+        [1.0, 1.0],
+        PolyhedralSet(
+            2, ineq_lhs=[[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], ineq_rhs=[-1.0, 0.0, 0.0]
+        ),
     )
     corpus.append(("lp_infeasible", lambda: [solve_lp(infeasible)]))
     unbounded = LinearProgram(
-        objective=[-1.0, 0.5],
-        ineq_lhs=[[-1.0, 1.0], [0.0, -1.0]],
-        ineq_rhs=[1.0, 0.0],
+        [-1.0, 0.5], PolyhedralSet(2, ineq_lhs=[[-1.0, 1.0], [0.0, -1.0]], ineq_rhs=[1.0, 0.0])
     )
     corpus.append(("lp_unbounded", lambda: [solve_lp(unbounded)]))
-    redundant = ([[1.0, 1.0], [2.0, 2.0], [1.0, -1.0]], [2.0, 4.0, 0.0],
-                 [[-1.0, 0.0]], [0.0])
-    corpus.append(("feas_redundant_rows", lambda: [solve_feasibility(*redundant)]))
+    redundant = PolyhedralSet(
+        2,
+        eq_lhs=[[1.0, 1.0], [2.0, 2.0], [1.0, -1.0]],
+        eq_rhs=[2.0, 4.0, 0.0],
+        ineq_lhs=[[-1.0, 0.0]],
+        ineq_rhs=[0.0],
+    )
+    corpus.append(("feas_redundant_rows", lambda: [solve_feasibility(redundant)]))
     corpus.append(("is_solution_ray", _is_solution_ray_solves))
     return corpus
 

@@ -193,11 +193,14 @@ class TestEnumerateVertices:
             )
             rhs = np.concatenate([x, [1.0]])
             lp = LinearProgram(
-                objective=np.zeros(nv + nr),
-                eq_lhs=eq,
-                eq_rhs=rhs,
-                ineq_lhs=-np.eye(nv + nr),
-                ineq_rhs=np.zeros(nv + nr),
+                np.zeros(nv + nr),
+                PolyhedralSet(
+                    nv + nr,
+                    eq_lhs=eq,
+                    eq_rhs=rhs,
+                    ineq_lhs=-np.eye(nv + nr),
+                    ineq_rhs=np.zeros(nv + nr),
+                ),
             )
             assert solve_lp(lp).status == "optimal"
 

@@ -13,7 +13,9 @@ must be read there, so no dead code outlives its last caller.  No function in
 `src/avibound` imports: every import sits at the top of its module, where
 the layering between modules shows.  Every flag a CLI subcommand defines
 must be read by that subcommand's handler, so no option is parsed and
-then ignored.
+then ignored.  Every name a module of `src/avibound` imports at its top
+level must be read in that module or listed in its `__all__`, so no import
+outlives the code that used it.
 """
 
 import argparse
@@ -266,6 +268,49 @@ def test_import_rule_catches_function_imports():
         "async def g():\n    from . import bounds\n"
     )
     assert _function_imports(ast.parse(source)) == [(4, "f"), (9, "inner"), (11, "g")]
+
+
+def _unused_imports(tree):
+    """Names imported at module level that the module neither reads nor
+    lists in `__all__`; `from __future__` imports are directives, not names."""
+    imported, exported = [], set()
+    for node in tree.body:
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            imported += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = {elt.value for elt in node.value.elts}
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for name in imported if name not in read | exported]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_import(path):
+    unused = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert not unused, f"{path.name}: imported and never read: {unused}"
+
+
+def test_unused_import_rule_catches_leftovers():
+    source = (
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import numpy as np\n"
+        "import scipy.linalg\n"
+        "from .errors import DimensionMismatch, EmptySet\n"
+        "from .sets import PolyhedralSet, _as_matrix, _as_vector, box\n"
+        "__all__ = ['box']\n"
+        "def f(S: PolyhedralSet):\n"
+        "    scipy.linalg.norm(np.zeros(1))\n"
+        "    raise EmptySet(_as_vector(S, 1, 'x'))\n"
+        "def g():\n    math = 3\n"
+    )
+    assert _unused_imports(ast.parse(source)) == ["math", "DimensionMismatch", "_as_matrix"]
 
 
 def _handler_reads(handler):
