@@ -16,6 +16,16 @@ the face it was found with and builds its piece's constraint matrices
 affinely, so `section(y)` evaluates those and nothing else.  The search is
 exponential in the worst case and instance files come from outside the
 program, so it stops after `_PATTERN_BUDGET` patterns with CapExceeded.
+
+Because only the right-hand side moves, an emptiness certificate outlives
+its level: when phase one finds a section empty, its Farkas ray z (rows^T z
+= 0, z_ineq <= 0, rhs . z > 0) stays on the template, and at any later
+level the section is empty whenever rhs(y) . z > max(tol.feas, 1e-9)
+||z||_inf.  That bounds phase one's optimum at rhs(y) from below by more
+than its own emptiness margin (`optkernel.ray_rules_out`), so the screen
+only skips sections phase one would itself call empty; every nonempty
+section still runs the same phase one, and no result depends on the order
+in which levels are visited.
 """
 
 from __future__ import annotations
@@ -29,7 +39,9 @@ from .errors import CapExceeded, DimensionMismatch, EmptySet, NumericalBreakdown
 from .optkernel import (
     LinearProgram,
     QpProjectionProblem,
+    farkas_ray,
     feasible_witness,
+    ray_rules_out,
     solve_lp,
     solve_projection_qp,
 )
@@ -159,6 +171,13 @@ class _PieceTemplate:
     evaluates only the right-hand sides, which are affine in y.  A row whose
     coefficients all vanish (M singular) constrains y alone; it stays out of
     the matrices, and `section` checks it against tol.feas.
+
+    `ray` holds the Farkas ray of the latest section that phase one found
+    empty (None until then), over the kept rows in the order
+    [inequalities..., equalities...].  It depends on the rows alone, so it
+    certifies emptiness at every level y where rhs(y) . ray exceeds phase
+    one's margin (`optkernel.ray_rules_out`), and `section` then returns
+    None without building the set.
     """
 
     def __init__(self, inst: AviInstance, face: PolyhedralSet, active: tuple,
@@ -166,7 +185,7 @@ class _PieceTemplate:
         self.active = active
         self._face = face
         self._q = inst.q
-        self._feas = tol.feas
+        self._tol = tol
         self._w_ineq, self._w_eq = cone_generators(face.eq_lhs, tol)
         ineq = np.vstack([face.ineq_lhs, -self._w_ineq @ inst.m_op])
         eq = np.vstack([face.eq_lhs, -self._w_eq @ inst.m_op])
@@ -180,23 +199,30 @@ class _PieceTemplate:
         self.eq_lhs = eq[self._eq_kept]
         self.ineq_lhs.setflags(write=False)
         self.eq_lhs.setflags(write=False)
+        self.ray = None
 
     def section(self, y) -> PolyhedralSet | None:
-        """x-space piece at level y; None when a row on y alone fails."""
-        face, q = self._face, self._q
+        """x-space piece at level y; None when a row on y alone fails or
+        `ray` rules the section out."""
+        face, q, feas = self._face, self._q, self._tol.feas
         ineq_rhs = np.concatenate(
             [face.ineq_rhs + face.ineq_lhs @ y, self._w_ineq @ (q - y)]
         )
         eq_rhs = np.concatenate([face.eq_rhs + face.eq_lhs @ y, self._w_eq @ (q - y)])
-        if (np.any(ineq_rhs[self._ineq_y_only] < -self._feas)
-                or np.any(np.abs(eq_rhs[self._eq_y_only]) > self._feas)):
+        if (np.any(ineq_rhs[self._ineq_y_only] < -feas)
+                or np.any(np.abs(eq_rhs[self._eq_y_only]) > feas)):
+            return None
+        ineq_rhs = ineq_rhs[self._ineq_kept]
+        eq_rhs = eq_rhs[self._eq_kept]
+        if self.ray is not None and ray_rules_out(
+                self.ray, np.concatenate([ineq_rhs, eq_rhs]), self._tol):
             return None
         return PolyhedralSet(
             face.ambient_dim,
             ineq_lhs=self.ineq_lhs,
-            ineq_rhs=ineq_rhs[self._ineq_kept],
+            ineq_rhs=ineq_rhs,
             eq_lhs=self.eq_lhs,
-            eq_rhs=eq_rhs[self._eq_kept],
+            eq_rhs=eq_rhs,
         )
 
 
@@ -264,7 +290,12 @@ def inverse_residual(inst: AviInstance, y,
     """Pieces of R^{-1}(y), one x-space polyhedron per feasible active pattern.
 
     Only patterns whose face of C is nonempty are tested, in subset-rank
-    order (bit i set when row i is active).  The union of the returned sets
+    order (bit i set when row i is active).  A section that phase one finds
+    empty leaves its Farkas ray on its template, and at later levels the
+    template's section is ruled out by one dot product with that ray
+    whenever the ray still proves it empty (see the module docstring); the
+    ray never rules out a section phase one would find nonempty, so the
+    result does not depend on earlier calls.  The union of the returned sets
     is exactly the preimage; overlapping or repeated pieces are kept as-is.
     With keep_active=True, (active, piece) pairs are returned instead.
     """
@@ -272,7 +303,10 @@ def inverse_residual(inst: AviInstance, y,
     pieces = []
     for template in _face_templates(inst, tol):
         piece = template.section(y)
-        if piece is None or not is_nonempty(piece, tol):
+        if piece is None:
+            continue
+        if not is_nonempty(piece, tol):
+            template.ray = farkas_ray(piece, tol)
             continue
         pieces.append((template.active, piece) if keep_active else piece)
     return pieces

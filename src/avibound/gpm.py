@@ -173,11 +173,15 @@ def gap_dual(f: GpMultifunction, x, tol: Tolerances = DEFAULT_TOL,
     Variables (lam+, lam-, gamma) >= 0 with sum <= 1, constrained by
     a2^T (lam+ - lam-) + row_y^T gamma = 0; the objective is
     <lam, a1 x - z> + sum_i gamma_i (row_x_i . x - rhs_i).  The origin is
-    always feasible, so the value is finite and >= 0.
+    always feasible, so the value is finite and >= 0.  Without rows the
+    ball is the origin alone: the value is 0 and the multiplier empty.
     """
     x = _as_vector(x, f.input_dim, "x")
     k = f.num_eq
     nw = 2 * k + f.num_ineq
+    if nw == 0:
+        empty = DualMultiplier(lam=np.zeros(0), gamma=np.zeros(0))
+        return (0.0, empty) if return_multiplier else 0.0
     drift = f.a1 @ x - f.z
     objective = np.concatenate([drift, -drift, f.row_x @ x - f.rhs])
     ball = PolyhedralSet(

@@ -9,7 +9,8 @@ classification, and each pivot is kept cheap:
 - `solve_lp`: two-phase dense revised simplex with Bland's rule for
   anti-cycling.
 - `solve_feasibility`: phase one only, returning a witness point (the
-  origin, for a set without rows).
+  origin, for a set without rows), or for an empty set the Farkas ray
+  read off phase one's final basis.
 - `solve_projection_qp`: primal active-set method for the strictly convex
   problem min ||z - u||^2 over a polyhedron, started from a caller's point
   of the set (the solvers' iterates, and the point at which `avi.residual`
@@ -28,8 +29,12 @@ factorization, three solves with its factors, one vectorized scan for the
 entering column and a ratio test over Python floats.
 
 `feasible_witness` runs phase one at most once per set and feasibility
-tolerance, and keeps the point, or the fact that the set is empty, in the
-set's cache; every other solve is a pure function of its inputs.
+tolerance, and keeps its outcome (the point, or the Farkas ray of an empty
+set, which `farkas_ray` reads) in the set's cache; every other solve is a
+pure function of its inputs.  A Farkas ray z of some rows depends on the
+rows alone, so it certifies emptiness at any other right-hand side where
+`ray_rules_out` finds rhs . z above phase one's margin; `avi` screens its
+sections this way.
 """
 
 from __future__ import annotations
@@ -45,6 +50,9 @@ from .errors import EmptySet, NumericalBreakdown
 from .sets import PolyhedralSet, _as_vector
 
 _PIVOT_TOL = 1e-10
+# Phase one calls a set empty when its artificials sum to more than
+# max(tol.feas, _EMPTY_MARGIN).
+_EMPTY_MARGIN = 1e-9
 
 _getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
@@ -106,10 +114,14 @@ class QpProjectionProblem:
 class SolveStatus:
     """Outcome of an LP / feasibility solve.
 
-    `point` is present exactly when status == "optimal".  For LPs, `dual`
-    holds row multipliers ordered [inequalities..., equalities...] with the
-    convention value == ineq_rhs . dual_ineq + eq_rhs . dual_eq; inequality
-    multipliers are <= 0 when minimizing and >= 0 when maximizing.
+    `point` is present exactly when status == "optimal".  `dual` is ordered
+    [inequalities..., equalities...].  For an optimal LP it holds the row
+    multipliers, with the convention value == ineq_rhs . dual_ineq +
+    eq_rhs . dual_eq; inequality multipliers are <= 0 when minimizing and
+    >= 0 when maximizing.  For status "infeasible" (an LP or a feasibility
+    solve) it is the Farkas ray z of the rows: rows^T z = 0 and z_ineq <= 0
+    up to tol.feas, and rhs . z > 0.  A feasibility solve that finds a
+    point, and an unbounded LP, carry no `dual`.
     """
 
     status: str
@@ -169,8 +181,12 @@ def _bland_iterate(A, b, c, basis, num_enterable, tol, max_pivots):
 def _phase_one(A, b, tol, max_pivots):
     """Find a basic feasible point of {Av = b, v >= 0} via artificials.
 
-    Returns (feasible, A, b, basis, kept_rows); redundant rows are dropped
-    and all artificial columns are eliminated from the basis.
+    Returns (ray, A, b, basis, kept_rows).  When the artificials cannot be
+    driven below max(tol, 1e-9), the system is empty and `ray` is the
+    phase-one dual z of the final basis, read off its LU factors and with
+    the row flips undone: A^T z <= 0 up to tol and b . z > 0, the Farkas
+    certificate of emptiness.  Otherwise `ray` is None, redundant rows are
+    dropped and all artificial columns are eliminated from the basis.
     """
     m, n = A.shape
     signs = np.where(b < 0, -1.0, 1.0)
@@ -188,8 +204,9 @@ def _phase_one(A, b, tol, max_pivots):
     else:
         x_b = np.zeros(0)
     infeas = sum(max(x_b[i], 0.0) for i in range(m) if basis[i] >= n)
-    if infeas > max(tol, 1e-9):
-        return False, A, b, basis, list(range(m))
+    if infeas > max(tol, _EMPTY_MARGIN):
+        ray = signs * lu_solve(lu, cost[basis], trans=1)
+        return ray, A, b, basis, list(range(m))
     # Pivot artificials out of the basis; a row where no original column can
     # pivot is linearly dependent on the others and gets dropped.
     keep = list(range(m))
@@ -217,7 +234,7 @@ def _phase_one(A, b, tol, max_pivots):
         basis = [basis[i] for i in keep]
     if any(v >= n for v in basis):
         raise NumericalBreakdown("an artificial variable stayed in the phase-one basis")
-    return True, A, b, basis, keep
+    return None, A, b, basis, keep
 
 
 def _standard_form(S: PolyhedralSet):
@@ -257,10 +274,10 @@ def solve_lp(lp: LinearProgram, tol: Tolerances = DEFAULT_TOL) -> SolveStatus:
     c_user = lp.objective if lp.sense == "minimize" else -lp.objective
     A_std, rhs, budget = _standard_form(lp.feasible_set)
     c_std = np.concatenate([c_user, -c_user, np.zeros(lp.feasible_set.num_ineq)])
-    feasible, A1, b1, basis, kept = _phase_one(A_std, rhs, tol.feas, budget)
-    if not feasible:
+    ray, A1, b1, basis, kept = _phase_one(A_std, rhs, tol.feas, budget)
+    if ray is not None:
         inf_value = math.inf if lp.sense == "minimize" else -math.inf
-        return SolveStatus(status="infeasible", value=inf_value)
+        return SolveStatus(status="infeasible", value=inf_value, dual=ray)
     if _bland_iterate(A1, b1, c_std, basis, A_std.shape[1], tol.feas, budget) == "unbounded":
         unb_value = -math.inf if lp.sense == "minimize" else math.inf
         return SolveStatus(status="unbounded", value=unb_value)
@@ -280,13 +297,13 @@ def solve_lp(lp: LinearProgram, tol: Tolerances = DEFAULT_TOL) -> SolveStatus:
 def solve_feasibility(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> SolveStatus:
     """Phase-one feasibility oracle for S.
 
-    Returns status "optimal" with a witness point, or "infeasible".  A set
-    without rows is witnessed by the origin.
+    Returns status "optimal" with a witness point, or "infeasible" with the
+    Farkas ray as `dual`.  A set without rows is witnessed by the origin.
     """
     A_std, rhs, budget = _standard_form(S)
-    feasible, A1, b1, basis, _ = _phase_one(A_std, rhs, tol.feas, budget)
-    if not feasible:
-        return SolveStatus(status="infeasible", value=math.inf)
+    ray, A1, b1, basis, _ = _phase_one(A_std, rhs, tol.feas, budget)
+    if ray is not None:
+        return SolveStatus(status="infeasible", value=math.inf, dual=ray)
     point = _basic_point(A1, b1, basis, S.ambient_dim)[0]
     return SolveStatus(status="optimal", value=0.0, point=point)
 
@@ -294,17 +311,37 @@ def solve_feasibility(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> SolveS
 def feasible_witness(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
     """Phase-one point of S under `tol`, or None when S is empty.
 
-    Phase one reads only `tol.feas`, so it runs once per (S, tol.feas); the
-    outcome stays in `S._cache`.  The point is the cached array itself,
+    Phase one reads only `tol.feas`, so it runs once per (S, tol.feas); its
+    whole outcome stays in `S._cache`, so `farkas_ray` reads the ray of an
+    empty S off the same solve.  The point is the cached array itself,
     read-only: copy it before handing it out.
     """
-    key = ("witness", tol.feas)
+    key = ("phase one", tol.feas)
     if key not in S._cache:
-        point = solve_feasibility(S, tol).point
-        if point is not None:
-            point.setflags(write=False)
-        S._cache[key] = point
-    return S._cache[key]
+        outcome = solve_feasibility(S, tol)
+        for arr in (outcome.point, outcome.dual):
+            if arr is not None:
+                arr.setflags(write=False)
+        S._cache[key] = outcome
+    return S._cache[key].point
+
+
+def farkas_ray(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
+    """The Farkas ray of S's cached phase one under `tol` (read-only), or None
+    when that phase one found a point or has not run; runs no solve."""
+    outcome = S._cache.get(("phase one", tol.feas))
+    return None if outcome is None else outcome.dual
+
+
+def ray_rules_out(ray: np.ndarray, rhs: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Whether a Farkas ray z of some rows proves those rows empty at `rhs`.
+
+    With rows^T z = 0 and z_ineq <= 0, z / ||z||_inf is feasible in the dual
+    of phase one at any right-hand side, so phase one's optimum there is at
+    least rhs . z / ||z||_inf.  Above phase one's own emptiness margin,
+    max(tol.feas, 1e-9), phase one would call the set empty too.
+    """
+    return float(rhs @ ray) > max(tol.feas, _EMPTY_MARGIN) * float(np.max(np.abs(ray)))
 
 
 def _active_rows(A, b, z, tol):

@@ -40,7 +40,6 @@ __all__ = [
     "distance",
     "hausdorff",
     "union_distance",
-    "from_generators",
     "cone_generators",
 ]
 
@@ -330,40 +329,3 @@ def cone_generators(rows: np.ndarray, tol: Tolerances = DEFAULT_TOL):
             raise NumericalBreakdown("cone numerically non-pointed")
         rays = np.array(_dedup_within(_by_tight_rows(rows, Z), tol.cmp)).reshape(-1, n)
     return rays, lineality
-
-
-def _face_rows(generators: np.ndarray, n: int, tol: Tolerances):
-    """(a / |a|, -beta / |a|) for the polar generators (a, beta) with
-    |a| > tol.cmp."""
-    scale = np.linalg.norm(generators[:, :n], axis=1)
-    kept = scale > tol.cmp
-    return generators[kept, :n] / scale[kept, None], -generators[kept, n] / scale[kept]
-
-
-def from_generators(vertices, rays=(), tol: Tolerances = DEFAULT_TOL) -> PolyhedralSet:
-    """H-representation of conv(vertices) + cone(rays).
-
-    Works through the polar of the homogenization cone,
-    {(a, beta) : a.v + beta <= 0 for vertices v, a.r <= 0 for rays r}: each
-    of its extreme rays yields a face inequality a.x <= -beta and each
-    direction of its lineality an equality row a.x = -beta.  Generators with
-    |a| <= tol.cmp are dropped: they give the trivial face 0.x <= const.  A
-    single vertex with no rays short-circuits to x = v.
-    """
-    vertices = [np.asarray(v, dtype=float) for v in vertices]
-    rays = [np.asarray(r, dtype=float) for r in rays]
-    if not vertices:
-        raise EmptySet("a V-representation needs at least one point")
-    n = vertices[0].size
-    if len(vertices) == 1 and not rays:
-        v = vertices[0]
-        return PolyhedralSet(n, eq_lhs=np.eye(n), eq_rhs=v)
-    lifted = np.array(
-        [np.concatenate([v, [1.0]]) for v in vertices]
-        + [np.concatenate([r, [0.0]]) for r in rays]
-    )
-    polar_rays, polar_lineality = cone_generators(lifted, tol)
-    ineq_lhs, ineq_rhs = _face_rows(polar_rays, n, tol)
-    eq_lhs, eq_rhs = _face_rows(polar_lineality, n, tol)
-    return PolyhedralSet(n, ineq_lhs=ineq_lhs, ineq_rhs=ineq_rhs, eq_lhs=eq_lhs, eq_rhs=eq_rhs)
-

@@ -8,18 +8,19 @@ tests check the library's polar elimination of the multipliers against both.
 That elimination is `avi._PieceTemplate`: its fixed matrices `ineq_lhs` and
 `eq_lhs`, with the right-hand sides `section(y)` evaluates at each level.
 `annihilator_residual` measures how far a gap-dual multiplier is from dual
-feasibility.
+feasibility.  `from_generators` turns a V-representation back into an
+H-representation, for the round trips of the vertex enumeration.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from avibound import DimensionMismatch, PolyhedralSet
+from avibound import DimensionMismatch, EmptySet, PolyhedralSet
 from avibound.avi import AviInstance
 from avibound.config import DEFAULT_TOL, Tolerances
 from avibound.gpm import DualMultiplier, GpMultifunction
-from avibound.polyhedra import enumerate_vertices, is_nonempty
+from avibound.polyhedra import cone_generators, enumerate_vertices, is_nonempty
 from avibound.sets import _as_vector
 
 
@@ -136,3 +137,39 @@ def annihilator_residual(mult: DualMultiplier, f: GpMultifunction) -> float:
     if f.num_ineq:
         vec += f.row_y.T @ mult.gamma
     return float(np.max(np.abs(vec))) if vec.size else 0.0
+
+
+def _face_rows(generators: np.ndarray, n: int, tol: Tolerances):
+    """(a / |a|, -beta / |a|) for the polar generators (a, beta) with
+    |a| > tol.cmp."""
+    scale = np.linalg.norm(generators[:, :n], axis=1)
+    kept = scale > tol.cmp
+    return generators[kept, :n] / scale[kept, None], -generators[kept, n] / scale[kept]
+
+
+def from_generators(vertices, rays=(), tol: Tolerances = DEFAULT_TOL) -> PolyhedralSet:
+    """H-representation of conv(vertices) + cone(rays).
+
+    Works through the polar of the homogenization cone,
+    {(a, beta) : a.v + beta <= 0 for vertices v, a.r <= 0 for rays r}: each
+    of its extreme rays yields a face inequality a.x <= -beta and each
+    direction of its lineality an equality row a.x = -beta.  Generators with
+    |a| <= tol.cmp are dropped: they give the trivial face 0.x <= const.  A
+    single vertex with no rays short-circuits to x = v.
+    """
+    vertices = [np.asarray(v, dtype=float) for v in vertices]
+    rays = [np.asarray(r, dtype=float) for r in rays]
+    if not vertices:
+        raise EmptySet("a V-representation needs at least one point")
+    n = vertices[0].size
+    if len(vertices) == 1 and not rays:
+        v = vertices[0]
+        return PolyhedralSet(n, eq_lhs=np.eye(n), eq_rhs=v)
+    lifted = np.array(
+        [np.concatenate([v, [1.0]]) for v in vertices]
+        + [np.concatenate([r, [0.0]]) for r in rays]
+    )
+    polar_rays, polar_lineality = cone_generators(lifted, tol)
+    ineq_lhs, ineq_rhs = _face_rows(polar_rays, n, tol)
+    eq_lhs, eq_rhs = _face_rows(polar_lineality, n, tol)
+    return PolyhedralSet(n, ineq_lhs=ineq_lhs, ineq_rhs=ineq_rhs, eq_lhs=eq_lhs, eq_rhs=eq_rhs)

@@ -8,7 +8,7 @@ import pytest
 from reference_oracles import build_kkt_piece, piece_section_points
 from test_acceptance import _avi_corpus
 
-from avibound import CapExceeded, EmptySet, PolyhedralSet, avi
+from avibound import CapExceeded, EmptySet, PolyhedralSet, avi, optkernel
 from avibound.avi import (
     AviInstance,
     _face,
@@ -19,6 +19,7 @@ from avibound.avi import (
     is_solution,
     residual,
 )
+from avibound.bounds import LipschitzCheckConfig, verify_upper_lipschitz_inverse
 from avibound.config import DEFAULT_TOL, Tolerances
 from avibound.instgen import canned_suite, generate_random_avi
 from avibound.optkernel import QpProjectionProblem, solve_projection_qp
@@ -526,6 +527,62 @@ def test_piece_rows_are_unchanged():
     assert list(actual) == list(expected)
     for name in expected:
         assert actual[name] == expected[name], name
+
+
+# --- emptiness certificates ------------------------------------------------
+#
+# A template keeps the Farkas ray of its latest section that phase one found
+# empty and rules out later sections with it; the screen may only skip
+# sections phase one would call empty, so no result may depend on which
+# levels came before.
+
+
+def _pieces_at(inst, y):
+    return [(active, _row_bytes(piece))
+            for active, piece in inverse_residual(inst, y, keep_active=True)]
+
+
+def test_pieces_do_not_depend_on_earlier_levels(monkeypatch):
+    screened = []
+    original = avi.ray_rules_out
+
+    def counting(ray, rhs, tol=DEFAULT_TOL):
+        screened.append(original(ray, rhs, tol))
+        return screened[-1]
+
+    monkeypatch.setattr(avi, "ray_rules_out", counting)
+    for index, (name, inst) in enumerate(_piece_corpus()):
+        levels = _piece_levels(inst, 6000 + index, name.startswith("singular"))
+
+        def copy():
+            return AviInstance(m_op=inst.m_op, q=inst.q, c_set=inst.c_set)
+
+        fresh = [_pieces_at(copy(), y) for y in levels]
+        forward = copy()
+        assert [_pieces_at(forward, y) for y in levels] == fresh, name
+        backward = copy()
+        assert [_pieces_at(backward, y) for y in reversed(levels)] == fresh[::-1], name
+    # the walks did rule sections out with kept rays
+    assert sum(screened) > 1000
+
+
+def test_lipschitz_check_section_phase_ones(monkeypatch):
+    # 36 sampled levels plus the base point; without the kept rays every
+    # level runs phase one on every non-box section, 777 of them here
+    inst = generate_random_avi(n=3, m=5, monotonicity="monotone_skew", seed=1)
+    _face_templates(inst, DEFAULT_TOL)  # the face search's own phase ones
+    calls = []
+    original = optkernel.solve_feasibility
+
+    def counting(S, tol=DEFAULT_TOL):
+        calls.append(S)
+        return original(S, tol)
+
+    monkeypatch.setattr(optkernel, "solve_feasibility", counting)
+    cfg = LipschitzCheckConfig(base_point=np.zeros(3), master_seed=1)
+    report = verify_upper_lipschitz_inverse(inst, cfg)
+    assert report.num_samples > 0
+    assert len(calls) <= 100
 
 
 if __name__ == "__main__":

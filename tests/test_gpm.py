@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from reference_oracles import annihilator_residual
 
-from avibound import DegenerateSampler
+from avibound import DegenerateSampler, instgen
+from avibound.cli import main
 from avibound.gpm import (
     GpMultifunction,
     SectionSamplerConfig,
@@ -240,6 +241,19 @@ class TestMinimax:
         assert check.primal == pytest.approx(1.0, abs=1e-9)
         assert check.dual == pytest.approx(1.0, abs=1e-9)
         assert report.passed
+
+    def test_multifunction_without_rows(self, tmp_path):
+        # F(x) = R for every x: the gap is 0 and the dual ball is the origin
+        f = GpMultifunction(input_dim=2, output_dim=1)
+        x = np.array([0.0, 1.0])
+        assert gap_primal(f, x) == 0.0
+        value, mult = gap_dual(f, x, return_multiplier=True)
+        assert value == 0.0 and gap_dual(f, x) == 0.0
+        assert mult.lam.shape == (0,) and mult.gamma.shape == (0,)
+        assert verify_minimax(f, [x, np.array([-3.0, 2.5])]).passed
+        path = str(tmp_path / "rowless.json")
+        instgen.save(f, path)
+        assert main(["verify-minimax", "--instance", path, "--samples", "4"]) == 0
 
     def test_random_instances(self):
         for seed in range(1, 41):

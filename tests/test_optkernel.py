@@ -9,6 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
+from test_polyhedra import _near_parallel_sets
 
 from avibound import (
     EmptySet,
@@ -388,6 +389,42 @@ def feasibility_calls(monkeypatch):
 
     monkeypatch.setattr(optkernel, "solve_feasibility", counting)
     return calls
+
+
+def _farkas_corpus():
+    """Random systems shifted to be mostly empty, then the near-parallel sets."""
+    for seed in range(40):
+        for n in (2, 3, 6, 10):
+            shift = -0.5 if seed % 2 else -1.0
+            yield _random_system(7000 + 10 * seed + n, n, seed % 3, shift)
+    for _, S in _near_parallel_sets():
+        yield S
+
+
+def test_infeasible_outcomes_carry_a_farkas_ray():
+    # z with rows^T z = 0, z_ineq <= 0 and rhs . z > 0 certifies emptiness;
+    # phase one calls a set empty beyond max(tol.feas, 1e-9), so the ray
+    # clears that margin too
+    margin = max(DEFAULT_TOL.feas, 1e-9)
+    counts = {"optimal": 0, "infeasible": 0}
+    for S in _farkas_corpus():
+        res = solve_feasibility(S)
+        counts[res.status] += 1
+        if res.is_optimal:
+            assert res.dual is None
+            continue
+        z = res.dual
+        scale = np.max(np.abs(z))
+        rows = np.vstack([S.ineq_lhs, S.eq_lhs])
+        rhs = np.concatenate([S.ineq_rhs, S.eq_rhs])
+        assert np.max(np.abs(rows.T @ z)) <= 1e-12 * scale
+        assert np.all(z[:S.num_ineq] <= 1e-12 * scale)
+        assert rhs @ z > margin * scale
+        assert optkernel.ray_rules_out(z, rhs)
+        # an LP over S runs the same phase one and reports the same ray
+        lp = solve_lp(LinearProgram(np.ones(S.ambient_dim), S))
+        assert lp.status == "infeasible" and np.array_equal(lp.dual, z)
+    assert counts["infeasible"] >= 100 and counts["optimal"] >= 30
 
 
 class TestWitnessCache:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_oracles import from_generators
 from scipy.linalg import null_space
 from test_acceptance import _avi_corpus
 
@@ -21,7 +22,6 @@ from avibound.polyhedra import (
     cone_generators,
     distance,
     enumerate_vertices,
-    from_generators,
     hausdorff,
     is_nonempty,
     nonnegative_orthant,
