@@ -91,19 +91,16 @@ def _load_gpm(path: str) -> GpMultifunction:
     return obj
 
 
-def _piece_payload(pieces, tol) -> list:
-    payload = []
-    for piece in pieces:
-        entry = {"set": piece.to_json_dict()}
-        try:
-            vs = enumerate_vertices(piece, tol)
-            entry["vertices"] = [[float(v) for v in vert] for vert in vs.vertices]
-            entry["rays"] = [[float(v) for v in ray] for ray in vs.recession_rays]
-            entry["bounded"] = vs.is_bounded
-        except CapExceeded:
-            entry["vertices"] = None
-        payload.append(entry)
-    return payload
+def _piece_payload(pieces, vertex_sets) -> list:
+    return [
+        {
+            "set": piece.to_json_dict(),
+            "vertices": [[float(v) for v in vert] for vert in vs.vertices],
+            "rays": [[float(v) for v in ray] for ray in vs.recession_rays],
+            "bounded": vs.is_bounded,
+        }
+        for piece, vs in zip(pieces, vertex_sets)
+    ]
 
 
 def cmd_generate(args) -> int:
@@ -195,10 +192,9 @@ def cmd_enumerate(args) -> int:
     inst = _load_avi(args.instance)
     tol = _tolerances(args)
     pieces = enumerate_solution_set(inst, tol)
+    vertex_sets = [enumerate_vertices(piece, tol) for piece in pieces]
     sound = all(
-        is_solution(inst, v, tol)
-        for piece in pieces
-        for v in enumerate_vertices(piece, tol).vertices
+        is_solution(inst, v, tol) for vs in vertex_sets for v in vs.vertices
     )
     print(f"enumerate: pieces={len(pieces)} vertex_check={'pass' if sound else 'fail'}")
     if args.out:
@@ -207,7 +203,7 @@ def cmd_enumerate(args) -> int:
                 "kind": "solution_set",
                 "num_pieces": len(pieces),
                 "vertex_check": sound,
-                "pieces": _piece_payload(pieces, tol),
+                "pieces": _piece_payload(pieces, vertex_sets),
             },
             os.path.join(args.out, "solution_set.json"),
         )

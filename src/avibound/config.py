@@ -2,10 +2,10 @@
 
 All comparisons in the library go through a single `Tolerances` instance so
 that a batch run can tighten or loosen everything in one place.  The defaults
-assume double precision and dense factorizations.  The limits that keep the
+assume double precision and dense factorizations.  The budgets that keep the
 exponential enumerations desk-scale are not settings: each is a constant in
-the routine it guards (`polyhedra._DIM_CAP` and `_ROW_CAP`,
-`avi._PATTERN_BUDGET`).
+the routine whose work it counts (`polyhedra._RAY_BUDGET` in double
+description, `avi._PATTERN_BUDGET` in the face search).
 """
 
 from __future__ import annotations
@@ -19,12 +19,10 @@ class Tolerances:
     """Numerical tolerances used by the solvers and geometric predicates.
 
     feas: feasibility slack accepted on constraints.
-    opt:  optimality slack (duality gaps, KKT residuals).
     cmp:  general-purpose comparison slack (dedup, verdicts).
     """
 
     feas: float = 1e-9
-    opt: float = 1e-7
     cmp: float = 1e-6
 
     def __post_init__(self):

@@ -18,9 +18,10 @@ class NumericalBreakdown(AviboundError):
 
 
 class CapExceeded(AviboundError):
-    """A fixed combinatorial guard was hit: `polyhedra._DIM_CAP` or
-    `_ROW_CAP` in vertex enumeration, or `avi._PATTERN_BUDGET` in the face
-    search.  The guards are constants, not settings."""
+    """A fixed work budget was hit: `polyhedra._RAY_BUDGET` on the rays
+    double description keeps, `avi._PATTERN_BUDGET` on the patterns the face
+    search tests, or an `instgen` generator's size limit.  Each is a
+    constant in the routine that counts that work, not a setting."""
 
 
 class DegenerateSampler(AviboundError):

@@ -21,8 +21,8 @@ from .rng import SplitMix64, derive_seed
 
 SCHEMA_VERSION = "1"
 MONOTONICITY_CLASSES = ("strongly_monotone", "monotone_skew", "indefinite")
-GENERATOR_DIM_CAP = 50
-GENERATOR_ROW_CAP = 16
+GENERATOR_MAX_DIM = 50
+GENERATOR_MAX_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,8 @@ class TruncationFamily:
         return -self.diagonal(n)
 
     def instance(self, n: int) -> AviInstance:
-        if n > GENERATOR_DIM_CAP:
-            raise CapExceeded(f"truncation dimension {n} exceeds {GENERATOR_DIM_CAP}")
+        if n > GENERATOR_MAX_DIM:
+            raise CapExceeded(f"truncation dimension {n} exceeds {GENERATOR_MAX_DIM}")
         return AviInstance(
             m_op=np.diag(self.diagonal(n)),
             q=self.shift(n),
@@ -76,10 +76,10 @@ def generate_random_avi(n: int, m: int, monotonicity: str, seed: int) -> AviInst
     solution), which needs m >= n + 1 rows; indefinite: plain Gaussian M.
     The constraint set always contains a strictly interior witness.
     """
-    if n > GENERATOR_DIM_CAP:
-        raise CapExceeded(f"n={n} exceeds generator cap {GENERATOR_DIM_CAP}")
-    if m > GENERATOR_ROW_CAP:
-        raise CapExceeded(f"m={m} exceeds generator cap {GENERATOR_ROW_CAP}")
+    if n > GENERATOR_MAX_DIM:
+        raise CapExceeded(f"n={n} exceeds generator cap {GENERATOR_MAX_DIM}")
+    if m > GENERATOR_MAX_ROWS:
+        raise CapExceeded(f"m={m} exceeds generator cap {GENERATOR_MAX_ROWS}")
     if monotonicity not in MONOTONICITY_CLASSES:
         raise ValueError(f"monotonicity must be one of {MONOTONICITY_CLASSES}")
     rng = SplitMix64(derive_seed(seed, 0x9A1))

@@ -53,6 +53,8 @@ _PIVOT_TOL = 1e-10
 # Phase one calls a set empty when its artificials sum to more than
 # max(tol.feas, _EMPTY_MARGIN).
 _EMPTY_MARGIN = 1e-9
+# The projection drops a working row whose multiplier is below -_DROP_TOL.
+_DROP_TOL = 1e-7
 
 _getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
@@ -327,10 +329,20 @@ def feasible_witness(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> np.ndar
 
 
 def farkas_ray(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
-    """The Farkas ray of S's cached phase one under `tol` (read-only), or None
-    when that phase one found a point or has not run; runs no solve."""
+    """The Farkas ray z of S's cached phase one under `tol` (read-only), or
+    None when that phase one found a point or has not run; runs no solve.
+
+    Bland's optimality test accepts reduced costs down to -tol.feas, so the
+    inequality part of z can come out positive, and then `ray_rules_out`
+    proves nothing: z is also None when max(z_ineq) > 1e-12 ||z||_inf.
+    """
     outcome = S._cache.get(("phase one", tol.feas))
-    return None if outcome is None else outcome.dual
+    if outcome is None or outcome.dual is None:
+        return None
+    z = outcome.dual
+    if S.num_ineq and np.max(z[: S.num_ineq]) > 1e-12 * np.max(np.abs(z)):
+        return None
+    return z
 
 
 def ray_rules_out(ray: np.ndarray, rhs: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -405,7 +417,7 @@ def solve_projection_qp(problem: QpProjectionProblem,
                 return z
             drop = -1
             for pos, row in enumerate(working):
-                if nu[k_eq + pos] < -tol.opt:
+                if nu[k_eq + pos] < -_DROP_TOL:
                     drop = row
                     break
             if drop < 0:

@@ -53,10 +53,9 @@ _RANK_TOL = 1e-9
 # scan in tests/test_polyhedra.py.
 _ZERO_TOL = 1e-11
 _TIGHT_TOL = 1e-6
-# Vertex enumeration is exponential in the dimension and the row count, so
-# it refuses sets beyond these: instance files come from outside the program.
-_DIM_CAP = 10
-_ROW_CAP = 24
+# Double description's work grows with the rays it keeps, and instance files
+# come from outside the program, so it stops once a cut leaves more than this.
+_RAY_BUDGET = 1024
 
 
 @dataclass(frozen=True)
@@ -98,13 +97,6 @@ def _dedup_points(points, tol: float):
     return kept
 
 
-def _check_caps(n: int, m: int):
-    if n > _DIM_CAP:
-        raise CapExceeded(f"ambient dimension {n} exceeds cap {_DIM_CAP}")
-    if m > _ROW_CAP:
-        raise CapExceeded(f"{m} inequality rows exceed cap {_ROW_CAP}")
-
-
 def _null_basis(H: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of {x : H x = 0}; the identity when H has
     no rows."""
@@ -133,17 +125,18 @@ def _extreme_rays(H: np.ndarray, G: np.ndarray):
     the other rows then cut it one at a time.  A cut keeps the rays on its
     feasible side and joins each adjacent pair it separates, where two rays
     are adjacent when no third ray vanishes on every added row on which both
-    vanish (the combinatorial test, exact for a pointed cone).  Returns None
-    when G leaves the cone numerically non-pointed.
+    vanish (the combinatorial test, exact for a pointed cone).  Raises
+    CapExceeded as soon as a cut leaves more than _RAY_BUDGET (1,024) rays,
+    and NumericalBreakdown when G leaves the cone numerically non-pointed.
     """
     N = _null_basis(H)
     k = N.shape[1]
     Gw = G @ N
     if Gw.shape[0] < k:
-        return None
+        raise NumericalBreakdown("cone numerically non-pointed")
     lu, swaps = lu_factor(Gw)
     if abs(lu[k - 1, k - 1]) <= _RANK_TOL * abs(lu[0, 0]):
-        return None
+        raise NumericalBreakdown("cone numerically non-pointed")
     order = np.arange(Gw.shape[0])
     for j, p in enumerate(swaps):
         order[[j, p]] = order[[p, j]]
@@ -170,6 +163,11 @@ def _extreme_rays(H: np.ndarray, G: np.ndarray):
                     ray = s[p] * W[q] - s[q] * W[p]
                     joined.append(ray / np.linalg.norm(ray))
         W = np.vstack([W[s <= zero_tol[i]], *joined])
+        if W.shape[0] > _RAY_BUDGET:
+            raise CapExceeded(
+                f"double description keeps {W.shape[0]} rays after a cut, "
+                f"budget {_RAY_BUDGET}"
+            )
         added[i] = True
     return W @ N.T
 
@@ -204,11 +202,10 @@ def enumerate_vertices(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> Verte
     within tol.feas of a point has no ray with t > 0; its one vertex is its
     feasible point.
 
-    Raises CapExceeded when the ambient dimension exceeds 10 or the row
-    count exceeds 24, EmptySet when S is empty and NumericalBreakdown when
-    the homogenized cone is not pointed in floating point.
+    Raises EmptySet when S is empty, and passes on `_extreme_rays`'
+    CapExceeded (more than 1,024 rays after a cut) and NumericalBreakdown
+    (the homogenized cone is not pointed in floating point).
     """
-    _check_caps(S.ambient_dim, S.num_ineq)
     if not is_nonempty(S, tol):
         raise EmptySet("cannot enumerate vertices of an empty set")
     n = S.ambient_dim
@@ -225,8 +222,6 @@ def enumerate_vertices(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> Verte
     else:
         G = np.vstack([np.hstack([A, -b[:, None]]), -np.eye(1, n + 1, n)])
         Z = _extreme_rays(np.hstack([E0, -d0[:, None]]), G)
-        if Z is None:
-            raise NumericalBreakdown("homogenized cone numerically non-pointed")
         t = Z[:, n]
         points = Z[t > _ZERO_TOL]
         if points.size:
@@ -313,19 +308,15 @@ def cone_generators(rows: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     their tight rows.  So K = cone(rays) + span(lineality); both are
     C-contiguous, (k, n) and (l, n).  No emptiness test and no vertex
     search runs, and when l = n (no rows, or all zero) no double
-    description either.  Raises CapExceeded when double description would
-    run in more than 10 dimensions or on more than 24 rows, and
-    NumericalBreakdown when the pointed part is not pointed in floating
-    point.
+    description either.  Passes on `_extreme_rays`' CapExceeded (more than
+    1,024 rays after a cut) and NumericalBreakdown (the pointed part is not
+    pointed in floating point).
     """
     rows = np.asarray(rows, dtype=float)
-    m, n = rows.shape
+    n = rows.shape[1]
     lineality = _null_basis(rows).T.copy()
     rays = np.zeros((0, n))
     if lineality.shape[0] < n:
-        _check_caps(n, m)
         Z = _extreme_rays(lineality, rows)
-        if Z is None:
-            raise NumericalBreakdown("cone numerically non-pointed")
         rays = np.array(_dedup_within(_by_tight_rows(rows, Z), tol.cmp)).reshape(-1, n)
     return rays, lineality

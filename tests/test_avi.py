@@ -425,7 +425,7 @@ class TestSolutionSet:
 
     def test_unconstrained_beyond_the_dimension_cap(self):
         # C = R^11: the empty pattern is the only one, and its polar cone is
-        # the whole space, so no double description (capped at n = 10) runs
+        # the whole space, so no double description runs
         inst = AviInstance(m_op=np.eye(11), q=-np.ones(11), c_set=PolyhedralSet(11))
         pieces = enumerate_solution_set(inst)
         assert len(pieces) == 1

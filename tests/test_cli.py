@@ -80,12 +80,13 @@ class TestExitCodes:
         )
         assert result.returncode == 2
 
-    def test_cap_exceeded_exits_3(self, tmp_path, capsys):
-        # 25 constraint rows: the solution pieces keep the inactive rows, so
-        # their vertex enumeration exceeds the row cap of 24
+    def test_cap_exceeded_exits_3(self, tmp_path, capsys, monkeypatch):
+        # 25 constraint rows, which the solution pieces keep as inactive
+        # rows: nothing caps the row count, and far rows add few rays
         inst = instgen.generate_random_avi(n=2, m=16, monotonicity="indefinite", seed=1)
         import numpy as np
 
+        from avibound import polyhedra
         from avibound.avi import AviInstance
         from avibound.polyhedra import PolyhedralSet
 
@@ -99,17 +100,26 @@ class TestExitCodes:
         assert fat.num_constraints == 25
         path = tmp_path / "fat.json"
         instgen.save(fat, str(path))
+        assert main(["enumerate", "--instance", str(path)]) == 0
+        assert "enumerate: pieces=1 vertex_check=pass" in capsys.readouterr().out
+        # the budget is on the rays double description keeps: the first
+        # piece of zero_op_box2 is C, whose 4 vertices exceed a budget of 3
+        box2 = [e for e in instgen.canned_suite() if e.name == "zero_op_box2"][0].payload
+        path = tmp_path / "box2.json"
+        instgen.save(box2, str(path))
+        monkeypatch.setattr(polyhedra, "_RAY_BUDGET", 3)
         assert main(["enumerate", "--instance", str(path)]) == 3
-        assert "inequality rows exceed cap 24" in capsys.readouterr().err
+        assert "rays after a cut, budget 3" in capsys.readouterr().err
 
-    def test_dimension_cap_exits_3(self, tmp_path, capsys):
+    def test_dimension_11_enumerates(self, tmp_path, capsys):
+        # no cap on the ambient dimension as such
         inst = instgen.generate_random_avi(
             n=11, m=3, monotonicity="strongly_monotone", seed=1
         )
         path = tmp_path / "n11.json"
         instgen.save(inst, str(path))
-        assert main(["enumerate", "--instance", str(path)]) == 3
-        assert "ambient dimension 11 exceeds cap 10" in capsys.readouterr().err
+        assert main(["enumerate", "--instance", str(path)]) == 0
+        assert "enumerate: pieces=1 vertex_check=pass" in capsys.readouterr().out
 
     def test_negative_max_iters_exits_2(self, lcp_file, capsys):
         code = main(["solve", "--instance", lcp_file, "--x0", "4", "--max-iters", "-1"])
@@ -231,6 +241,26 @@ class TestReports:
         assert csv_text.startswith("iter,residual,distance")
         assert main(["enumerate", "--instance", lcp_file, "--out", str(out)]) == 0
         validate_against_schema(json.loads((out / "solution_set.json").read_text()))
+
+    def test_enumerate_reads_each_piece_once(self, tmp_path, monkeypatch):
+        # the vertex check and the report share one enumeration per piece
+        from avibound import cli
+
+        calls = []
+        original = cli.enumerate_vertices
+
+        def counting(piece, tol):
+            calls.append(piece)
+            return original(piece, tol)
+
+        monkeypatch.setattr(cli, "enumerate_vertices", counting)
+        box2 = [e for e in instgen.canned_suite() if e.name == "zero_op_box2"][0].payload
+        path = tmp_path / "box2.json"
+        instgen.save(box2, str(path))
+        out = tmp_path / "reports"
+        assert main(["enumerate", "--instance", str(path), "--out", str(out)]) == 0
+        report = json.loads((out / "solution_set.json").read_text())
+        assert report["num_pieces"] == len(calls) == 9
 
     def test_truncation_report_validates(self, tmp_path):
         out = tmp_path / "reports"

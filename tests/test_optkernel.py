@@ -427,6 +427,34 @@ def test_infeasible_outcomes_carry_a_farkas_ray():
     assert counts["infeasible"] >= 100 and counts["optimal"] >= 30
 
 
+def test_farkas_rays_that_prove_nothing_are_not_kept():
+    # each near-parallel set with the negation of its tilted copy row, moved
+    # by 1e-3 or 1e-6, is empty; Bland's optimality test accepts reduced
+    # costs down to -tol.feas, so phase one's ray can have z_ineq > 0, and
+    # then it proves nothing at another right-hand side
+    empty = dropped = 0
+    for _, S in _near_parallel_sets():
+        A = np.vstack([S.ineq_lhs, -S.ineq_lhs[-1]])
+        for shift in (1e-3, 1e-6):
+            E = PolyhedralSet(S.ambient_dim, ineq_lhs=A,
+                              ineq_rhs=np.append(S.ineq_rhs, -S.ineq_rhs[-1] - shift))
+            assert not is_nonempty(E)
+            empty += 1
+            z = optkernel.farkas_ray(E)
+            if z is not None:
+                assert np.max(z[:E.num_ineq]) <= 1e-12 * np.max(np.abs(z))
+                continue
+            dropped += 1
+            # phase one's own ray would rule out a nonempty set: the pair
+            # relaxed until it touches, its positive row relaxed by 100
+            raw = solve_feasibility(E).dual
+            b = np.append(S.ineq_rhs, -S.ineq_rhs[-1])
+            b[np.argmax(raw[:E.num_ineq])] += 100.0
+            assert is_nonempty(PolyhedralSet(S.ambient_dim, ineq_lhs=A, ineq_rhs=b))
+            assert optkernel.ray_rules_out(raw, b)
+    assert empty == 74 and dropped >= 1
+
+
 class TestWitnessCache:
     def test_one_phase_one_solve_per_set_and_tolerance(self, feasibility_calls):
         S = _triangle()

@@ -138,9 +138,33 @@ class TestEnumerateVertices:
             enumerate_vertices(S)
 
     def test_caps(self):
-        S = nonnegative_orthant(12)
-        with pytest.raises(CapExceeded):
-            enumerate_vertices(S)
+        # double description stops once a cut keeps more than 1,024 rays, so
+        # the 11-cube (2,048 vertices) is refused
+        with pytest.raises(CapExceeded, match="budget 1024"):
+            enumerate_vertices(box(np.zeros(11), np.ones(11)))
+        # neither the dimension nor the row count is capped as such
+        vs = enumerate_vertices(nonnegative_orthant(12))
+        assert len(vs.vertices) == 1 and len(vs.recession_rays) == 12
+        # {x in R^11 : x_1, x_2 >= 0}: e_1, e_2 and nine +- lineality pairs
+        quadrant = PolyhedralSet(11, ineq_lhs=-np.eye(11)[:2], ineq_rhs=[0.0, 0.0])
+        vs = enumerate_vertices(quadrant)
+        assert len(vs.vertices) == 1 and len(vs.recession_rays) == 2 + 2 * 9
+        angles = 2 * np.pi * np.arange(50) / 50
+        normals = np.c_[np.cos(angles), np.sin(angles)]
+        gon = PolyhedralSet(2, ineq_lhs=normals, ineq_rhs=np.ones(50))
+        assert len(enumerate_vertices(gon).vertices) == 50
+        # 30 rows fanned over the first quadrant: K is spanned by the normals
+        # of its two outermost rows
+        angles = np.pi / 2 * (0.2 + 0.6 * np.arange(30) / 29)
+        rays, lineality = cone_generators(np.c_[np.cos(angles), np.sin(angles)])
+        assert lineality.shape == (0, 2)
+        expected = [[np.cos(angles[0] - np.pi / 2), np.sin(angles[0] - np.pi / 2)],
+                    [np.cos(angles[-1] + np.pi / 2), np.sin(angles[-1] + np.pi / 2)]]
+        assert np.allclose(rays, expected, atol=1e-12)
+
+    def test_ten_cube_fits_the_ray_budget(self):
+        vs = enumerate_vertices(box(np.zeros(10), np.ones(10)))
+        assert vs.is_bounded and len(vs.vertices) == 1024
 
     def test_duplicate_facets_dedup(self):
         S = PolyhedralSet(
@@ -645,7 +669,9 @@ class TestDoubleDescriptionMatchesScan:
             vs = enumerate_vertices(S)
             lifted = [np.concatenate([v, [1.0]]) for v in vs.vertices]
             lifted += [np.concatenate([r, [0.0]]) for r in vs.recession_rays]
-            if len(lifted) <= polyhedra._ROW_CAP:
+            # the exhaustive-scan oracle tries every row subset, so it stops
+            # at 24 rows
+            if len(lifted) <= 24:
                 assert_cone_matches_scan(lifted)
                 compared += 1
         assert compared >= 12
@@ -698,7 +724,10 @@ def test_vertices_at_a_1e9_tilt_match_brute_force():
 
 
 def test_non_pointed_double_description_is_a_breakdown(monkeypatch):
-    monkeypatch.setattr(polyhedra, "_extreme_rays", lambda H, G: None)
+    # a zero last pivot: the rows leave the cone numerically non-pointed
+    monkeypatch.setattr(
+        polyhedra, "lu_factor", lambda a: (np.zeros_like(a), np.arange(a.shape[1]))
+    )
     with pytest.raises(NumericalBreakdown):
         enumerate_vertices(box([0, 0], [1, 1]))
     with pytest.raises(NumericalBreakdown):

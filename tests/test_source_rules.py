@@ -15,7 +15,9 @@ the layering between modules shows.  Every flag a CLI subcommand defines
 must be read by that subcommand's handler, so no option is parsed and
 then ignored.  Every name a module of `src/avibound` imports at its top
 level must be read in that module or listed in its `__all__`, so no import
-outlives the code that used it.
+outlives the code that used it.  Every `raise CapExceeded` sits in a routine
+that counts the work its budget bounds, so no proxy cap (on a dimension or
+a row count) comes back at a call site.
 """
 
 import argparse
@@ -353,3 +355,62 @@ def test_flag_rule_catches_an_unread_flag():
         p.add_argument(flag)
     p.set_defaults(handler=_toy_handler)
     assert _unread_flags(parser) == [("toy", "unused")]
+
+
+# The routines that count the work their budget bounds: the rays double
+# description keeps, the patterns the face search tests, and the sizes a
+# generator is asked for.
+CAP_GUARDS = {
+    ("polyhedra.py", "_extreme_rays"),
+    ("avi.py", "_face_templates"),
+    ("instgen.py", "TruncationFamily.instance"),
+    ("instgen.py", "generate_random_avi"),
+}
+
+
+def _cap_raises(tree):
+    """(line, enclosing routine) of every `raise CapExceeded`; the routine
+    is qualified by its classes and functions, and "" at module level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+                if name == "CapExceeded":
+                    found.append((child.lineno, scope))
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_caps_sit_in_the_routines_that_count_their_work():
+    raising = {
+        (path.name, scope)
+        for path in MODULES
+        for _, scope in _cap_raises(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert raising == CAP_GUARDS, (
+        f"CapExceeded raised outside the guards: {sorted(raising - CAP_GUARDS)}; "
+        f"guards that no longer raise it: {sorted(CAP_GUARDS - raising)}"
+    )
+
+
+def test_cap_rule_catches_a_call_site_cap():
+    source = (
+        "def _extreme_rays(H, G):\n    raise CapExceeded('budget')\n"
+        "class Family:\n"
+        "    def instance(self, n):\n        raise CapExceeded(f'{n}')\n"
+        "def enumerate_vertices(S):\n"
+        "    if S.ambient_dim > 10:\n        raise errors.CapExceeded\n"
+        "    raise NumericalBreakdown('not pointed')\n"
+        "raise CapExceeded('module level')\n"
+    )
+    assert _cap_raises(ast.parse(source)) == [
+        (2, "_extreme_rays"), (5, "Family.instance"), (8, "enumerate_vertices"), (10, ""),
+    ]
