@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from avibound.bounds import find_local_radius
-from avibound.config import DEFAULT_TOL
+from avibound.config import Tolerances
 from avibound.instgen import generate_random_avi
 from avibound.solvers import SolverConfig, annotate_distances, check_tail_bound, solve
 
@@ -37,7 +37,7 @@ def main() -> int:
     trace = solve(
         inst,
         SolverConfig(stop_residual=1e-8, x0=np.zeros(args.n)),
-        tol=DEFAULT_TOL.with_cmp(1e-8),
+        tol=Tolerances(cmp=1e-8),
     )
     trace = annotate_distances(inst, trace)
     print(f"extragradient: converged={trace.converged} iters={trace.iterations}")

@@ -20,12 +20,12 @@ program, so it stops after `_PATTERN_BUDGET` patterns with CapExceeded.
 Because only the right-hand side moves, an emptiness certificate outlives
 its level: when phase one finds a section empty, its Farkas ray z (rows^T z
 = 0, z_ineq <= 0, rhs . z > 0) stays on the template, and at any later
-level the section is empty whenever rhs(y) . z > max(tol.feas, 1e-9)
-||z||_inf.  That bounds phase one's optimum at rhs(y) from below by more
-than its own emptiness margin (`optkernel.ray_rules_out`), so the screen
-only skips sections phase one would itself call empty; every nonempty
-section still runs the same phase one, and no result depends on the order
-in which levels are visited.
+level the section is empty whenever rhs(y) . z > FEAS_TOL ||z||_inf.  That
+bounds phase one's optimum at rhs(y) from below by more than its own
+emptiness margin (`optkernel.ray_rules_out`), so the screen only skips
+sections phase one would itself call empty; every nonempty section still
+runs the same phase one, and no result depends on the order in which levels
+are visited.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import numpy as np
 from .config import DEFAULT_TOL, Tolerances
 from .errors import CapExceeded, DimensionMismatch, EmptySet, NumericalBreakdown, SchemaError
 from .optkernel import (
+    FEAS_TOL,
     LinearProgram,
     QpProjectionProblem,
     farkas_ray,
@@ -107,7 +108,7 @@ class ResidualValue:
     norm: float
 
 
-def residual(inst: AviInstance, x, tol: Tolerances = DEFAULT_TOL) -> ResidualValue:
+def residual(inst: AviInstance, x) -> ResidualValue:
     """Natural residual R(x) = x - P_C(x - Mx - q).
 
     The projection starts from x itself when x lies in C, up to the slack
@@ -116,7 +117,7 @@ def residual(inst: AviInstance, x, tol: Tolerances = DEFAULT_TOL) -> ResidualVal
     """
     x = _as_vector(x, inst.dim, "x")
     target = x - inst.m_op @ x - inst.q
-    projected = solve_projection_qp(QpProjectionProblem(target, inst.c_set), tol, x)
+    projected = solve_projection_qp(QpProjectionProblem(target, inst.c_set), x)
     r = x - projected
     return ResidualValue(r=r, projected_point=projected, norm=float(np.linalg.norm(r)))
 
@@ -139,7 +140,7 @@ def is_solution(inst: AviInstance, x, tol: Tolerances = DEFAULT_TOL) -> bool:
     if not inst.c_set.contains(x, tol.cmp * scale):
         return False
     w = inst.m_op @ x + inst.q
-    res = solve_lp(LinearProgram(w, inst.c_set), tol)
+    res = solve_lp(LinearProgram(w, inst.c_set))
     if res.status == "unbounded":
         n = inst.dim
         radius = _RAY_BOX_RADIUS * scale
@@ -148,7 +149,7 @@ def is_solution(inst: AviInstance, x, tol: Tolerances = DEFAULT_TOL) -> bool:
             ineq_lhs=np.vstack([inst.c_set.ineq_lhs, np.eye(n), -np.eye(n)]),
             ineq_rhs=np.concatenate([inst.c_set.ineq_rhs, x + radius, radius - x]),
         )
-        res = solve_lp(LinearProgram(w, boxed), tol)
+        res = solve_lp(LinearProgram(w, boxed))
     if not res.is_optimal:  # C is nonempty by construction
         raise NumericalBreakdown(f"solution-test LP reported {res.status}")
     return res.value >= float(w @ x) - tol.cmp * scale
@@ -170,7 +171,7 @@ class _PieceTemplate:
     then polar rows.  `ineq_lhs` and `eq_lhs` are built once; `section`
     evaluates only the right-hand sides, which are affine in y.  A row whose
     coefficients all vanish (M singular) constrains y alone; it stays out of
-    the matrices, and `section` checks it against tol.feas.
+    the matrices, and `section` checks it against `FEAS_TOL`.
 
     `ray` holds the Farkas ray of the latest section that phase one found
     empty (None until then), over the kept rows in the order
@@ -185,7 +186,6 @@ class _PieceTemplate:
         self.active = active
         self._face = face
         self._q = inst.q
-        self._tol = tol
         self._w_ineq, self._w_eq = cone_generators(face.eq_lhs, tol)
         ineq = np.vstack([face.ineq_lhs, -self._w_ineq @ inst.m_op])
         eq = np.vstack([face.eq_lhs, -self._w_eq @ inst.m_op])
@@ -204,18 +204,18 @@ class _PieceTemplate:
     def section(self, y) -> PolyhedralSet | None:
         """x-space piece at level y; None when a row on y alone fails or
         `ray` rules the section out."""
-        face, q, feas = self._face, self._q, self._tol.feas
+        face, q = self._face, self._q
         ineq_rhs = np.concatenate(
             [face.ineq_rhs + face.ineq_lhs @ y, self._w_ineq @ (q - y)]
         )
         eq_rhs = np.concatenate([face.eq_rhs + face.eq_lhs @ y, self._w_eq @ (q - y)])
-        if (np.any(ineq_rhs[self._ineq_y_only] < -feas)
-                or np.any(np.abs(eq_rhs[self._eq_y_only]) > feas)):
+        if (np.any(ineq_rhs[self._ineq_y_only] < -FEAS_TOL)
+                or np.any(np.abs(eq_rhs[self._eq_y_only]) > FEAS_TOL)):
             return None
         ineq_rhs = ineq_rhs[self._ineq_kept]
         eq_rhs = eq_rhs[self._eq_kept]
         if self.ray is not None and ray_rules_out(
-                self.ray, np.concatenate([ineq_rhs, eq_rhs]), self._tol):
+                self.ray, np.concatenate([ineq_rhs, eq_rhs])):
             return None
         return PolyhedralSet(
             face.ambient_dim,
@@ -250,7 +250,7 @@ def _face_templates(inst: AviInstance, tol: Tolerances) -> list:
 
     Depth-first over patterns, adding rows in increasing index; a pattern
     whose face is empty is not extended.  A point of the parent face on
-    which the added row is tight (within tol.feas) already witnesses the
+    which the added row is tight (within FEAS_TOL) already witnesses the
     child face; phase one runs only when it is not.  Cached on the instance
     per tol.  Raises CapExceeded when the search needs to test more than
     _PATTERN_BUDGET (2,000,000) patterns.
@@ -272,8 +272,8 @@ def _face_templates(inst: AviInstance, tol: Tolerances) -> list:
                 )
             tested += 1
             face = _face(inst, active)
-            if point is None or abs(A[active[-1]] @ point - alpha[active[-1]]) > tol.feas:
-                point = feasible_witness(face, tol)
+            if point is None or abs(A[active[-1]] @ point - alpha[active[-1]]) > FEAS_TOL:
+                point = feasible_witness(face)
                 if point is None:
                     continue
             templates.append(_PieceTemplate(inst, face, active, tol))
@@ -305,8 +305,8 @@ def inverse_residual(inst: AviInstance, y,
         piece = template.section(y)
         if piece is None:
             continue
-        if not is_nonempty(piece, tol):
-            template.ray = farkas_ray(piece, tol)
+        if not is_nonempty(piece):
+            template.ray = farkas_ray(piece)
             continue
         pieces.append((template.active, piece) if keep_active else piece)
     return pieces

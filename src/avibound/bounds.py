@@ -57,8 +57,8 @@ class SolutionGeometry:
                 vs = enumerate_vertices(piece, tol)
                 anchors.extend(vs.vertices)
             except CapExceeded:
-                anchors.append(feasible_point(piece, tol))
-        return cls(distance_fn=lambda x: union_distance(pieces, x, tol),
+                anchors.append(feasible_point(piece))
+        return cls(distance_fn=lambda x: union_distance(pieces, x),
                    anchors=_dedup_within(anchors, tol.cmp))
 
     @classmethod
@@ -92,7 +92,7 @@ class SolutionGeometry:
         def dist(x):
             total = 0.0
             for i, pieces in enumerate(axis_pieces):
-                di = union_distance(pieces, [x[i]], tol)
+                di = union_distance(pieces, [x[i]])
                 total += di * di
             return math.sqrt(total)
 
@@ -159,7 +159,7 @@ class ErrorBoundSample:
     distance: float
 
 
-def _sample_error_bound_table(inst, geometry, num_samples, master_seed, tol):
+def _sample_error_bound_table(inst, geometry, num_samples, master_seed):
     anchors = geometry.anchors
     table = []
     for i in range(num_samples):
@@ -167,7 +167,7 @@ def _sample_error_bound_table(inst, geometry, num_samples, master_seed, tol):
         anchor = anchors[stream.randint(0, len(anchors) - 1)]
         scale = DEFAULT_NOISE_SCALES[stream.randint(0, len(DEFAULT_NOISE_SCALES) - 1)]
         x = anchor + scale * np.array(stream.normals(inst.dim))
-        rnorm = residual(inst, x, tol).norm
+        rnorm = residual(inst, x).norm
         dist = geometry.distance(x)
         table.append(ErrorBoundSample(point=x, residual_norm=rnorm, distance=dist))
     return table
@@ -210,7 +210,7 @@ def verify_error_bound(inst: AviInstance, epsilon: float,
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     geometry = geometry or SolutionGeometry.from_instance(inst, tol)
-    table = _sample_error_bound_table(inst, geometry, num_samples, master_seed, tol)
+    table = _sample_error_bound_table(inst, geometry, num_samples, master_seed)
     kept, excluded_floor, filtered_eps = _filter_error_bound(table, epsilon, tol)
     if not kept:
         raise DegenerateSampler(
@@ -299,7 +299,7 @@ def verify_upper_lipschitz_inverse(inst: AviInstance, cfg: LipschitzCheckConfig,
                 for v in vs.vertices:
                     # one projection per base piece; each is nonempty, as
                     # inverse_residual kept only nonempty pieces
-                    dists = {key: distance(base, v, tol)[0] for key, base in base_labelled}
+                    dists = {key: distance(base, v)[0] for key, base in base_labelled}
                     ratios.append(min(dists.values()) / dy)
                     vertices.append(v)
                     if active in dists:
@@ -365,7 +365,7 @@ def find_local_radius(inst: AviInstance,
     a monotone reduction of the same data rather than fresh noise per level.
     """
     geometry = geometry or SolutionGeometry.from_instance(inst, tol)
-    table = _sample_error_bound_table(inst, geometry, num_samples, master_seed, tol)
+    table = _sample_error_bound_table(inst, geometry, num_samples, master_seed)
     curve = []
     chosen = None
     for eps in EPSILON_LADDER:

@@ -61,7 +61,7 @@ def _parse_dims(text: str) -> list:
 def _tolerances(args) -> Tolerances:
     if getattr(args, "tol", None) is None:
         return DEFAULT_TOL
-    return DEFAULT_TOL.with_cmp(args.tol)
+    return Tolerances(cmp=args.tol)
 
 
 def _write_json(payload: dict, path: str) -> None:
@@ -131,8 +131,7 @@ def cmd_project(args) -> int:
     else:
         raise SchemaError("project needs an AVI instance or a polyhedral set")
     x = _parse_vector(args.x)
-    tol = _tolerances(args)
-    dist, point = distance(target_set, x, tol)
+    dist, point = distance(target_set, x)
     formatted = "[" + ", ".join(f"{v:g}" for v in point) + "]"
     print(f"project: point={formatted} distance={dist:g}")
     if args.out:
@@ -151,7 +150,7 @@ def cmd_project(args) -> int:
 def cmd_residual(args) -> int:
     inst = _load_avi(args.instance)
     x = _parse_vector(args.x)
-    val = residual(inst, x, _tolerances(args))
+    val = residual(inst, x)
     r_formatted = "[" + ", ".join(f"{v:g}" for v in val.r) + "]"
     print(f"residual: r={r_formatted}, norm={val.norm:g}")
     if args.out:
@@ -318,14 +317,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
     parser.set_defaults(command=None)
 
-    def common(p, instance=True, seed=False, samples=False):
+    def common(p, instance=True, seed=False, samples=False, tol=True):
         if instance:
             p.add_argument("--instance", required=True, help="instance JSON path")
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if samples:
             p.add_argument("--samples", type=int, default=200)
-        p.add_argument("--tol", type=float, default=None, help="comparison tolerance")
+        if tol:
+            p.add_argument("--tol", type=float, default=None, help="comparison tolerance")
         p.add_argument("--out", default=None, help="report output directory")
 
     p = sub.add_parser("generate", help="generate a random instance + manifest")
@@ -339,12 +339,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_generate)
 
     p = sub.add_parser("project", help="project a point onto the constraint set")
-    common(p)
+    common(p, tol=False)
     p.add_argument("--x", required=True, help="comma-separated coordinates")
     p.set_defaults(handler=cmd_project)
 
     p = sub.add_parser("residual", help="evaluate the natural residual at a point")
-    common(p)
+    common(p, tol=False)
     p.add_argument("--x", required=True)
     p.set_defaults(handler=cmd_residual)
 

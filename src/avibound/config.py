@@ -1,38 +1,30 @@
-"""Global numerical tolerances.
+"""The comparison tolerance.
 
-All comparisons in the library go through a single `Tolerances` instance so
-that a batch run can tighten or loosen everything in one place.  The defaults
-assume double precision and dense factorizations.  The budgets that keep the
-exponential enumerations desk-scale are not settings: each is a constant in
-the routine whose work it counts (`polyhedra._RAY_BUDGET` in double
+Verdicts and deduplication compare through one `Tolerances` instance, so a
+batch run can tighten or loosen them in one place.  The solves below them
+take no tolerance: the slack with which the LP, feasibility and projection
+solves accept a point is `optkernel.FEAS_TOL`, and their pivot and drop
+thresholds are constants there too.  The budgets that keep the exponential
+enumerations desk-scale are not settings either: each is a constant in the
+routine whose work it counts (`polyhedra._RAY_BUDGET` in double
 description, `avi._PATTERN_BUDGET` in the face search).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical tolerances used by the solvers and geometric predicates.
+    """cmp: comparison slack of verdicts and deduplication."""
 
-    feas: feasibility slack accepted on constraints.
-    cmp:  general-purpose comparison slack (dedup, verdicts).
-    """
-
-    feas: float = 1e-9
     cmp: float = 1e-6
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"tolerance {f.name} must be finite and positive, got {value}")
-
-    def with_cmp(self, cmp: float) -> "Tolerances":
-        return replace(self, cmp=cmp)
+        if not (math.isfinite(self.cmp) and self.cmp > 0):
+            raise ValueError(f"tolerance cmp must be finite and positive, got {self.cmp}")
 
 
 DEFAULT_TOL = Tolerances()

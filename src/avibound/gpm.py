@@ -133,12 +133,12 @@ def evaluate(f: GpMultifunction, x) -> PolyhedralSet:
     )
 
 
-def domain_contains(f: GpMultifunction, x, tol: Tolerances = DEFAULT_TOL) -> bool:
+def domain_contains(f: GpMultifunction, x) -> bool:
     """Whether x lies in dom F, that is whether the section F(x) is nonempty."""
-    return is_nonempty(evaluate(f, x), tol)
+    return is_nonempty(evaluate(f, x))
 
 
-def gap_primal(f: GpMultifunction, x, tol: Tolerances = DEFAULT_TOL) -> float:
+def gap_primal(f: GpMultifunction, x) -> float:
     """Smallest achievable worst-case section violation at x (>= 0).
 
     One LP in (y, t): minimize t subject to +-(a1 x + a2 y - z)_j <= t,
@@ -160,15 +160,15 @@ def gap_primal(f: GpMultifunction, x, tol: Tolerances = DEFAULT_TOL) -> float:
                                  f.rhs - f.row_x @ x, [0.0]]),
     )
     objective = np.concatenate([np.zeros(r), [1.0]])
-    status = solve_lp(LinearProgram(objective, epigraph), tol)
+    status = solve_lp(LinearProgram(objective, epigraph))
     if not status.is_optimal:  # t >= 0 keeps this LP solvable
         return -math.inf if status.status == "unbounded" else math.inf
     return float(status.value)
 
 
-def gap_dual(f: GpMultifunction, x, tol: Tolerances = DEFAULT_TOL,
-             return_multiplier: bool = False):
-    """Concave dual of the section gap, as one LP over the dual ball.
+def gap_dual(f: GpMultifunction, x):
+    """(value, multiplier) of the concave dual of the section gap, as one LP
+    over the dual ball.
 
     Variables (lam+, lam-, gamma) >= 0 with sum <= 1, constrained by
     a2^T (lam+ - lam-) + row_y^T gamma = 0; the objective is
@@ -180,8 +180,7 @@ def gap_dual(f: GpMultifunction, x, tol: Tolerances = DEFAULT_TOL,
     k = f.num_eq
     nw = 2 * k + f.num_ineq
     if nw == 0:
-        empty = DualMultiplier(lam=np.zeros(0), gamma=np.zeros(0))
-        return (0.0, empty) if return_multiplier else 0.0
+        return 0.0, DualMultiplier(lam=np.zeros(0), gamma=np.zeros(0))
     drift = f.a1 @ x - f.z
     objective = np.concatenate([drift, -drift, f.row_x @ x - f.rhs])
     ball = PolyhedralSet(
@@ -191,17 +190,12 @@ def gap_dual(f: GpMultifunction, x, tol: Tolerances = DEFAULT_TOL,
         eq_lhs=np.hstack([f.a2.T, -f.a2.T, f.row_y.T]),
         eq_rhs=np.zeros(f.output_dim),
     )
-    status = solve_lp(LinearProgram(objective, ball, sense="maximize"), tol)
+    status = solve_lp(LinearProgram(objective, ball, sense="maximize"))
     if not status.is_optimal:
-        value = -math.inf
-        multiplier = None
-    else:
-        value = float(status.value)
-        w = status.point
-        multiplier = DualMultiplier(lam=w[:k] - w[k:2 * k], gamma=np.maximum(w[2 * k:], 0.0))
-    if return_multiplier:
-        return value, multiplier
-    return value
+        return -math.inf, None
+    w = status.point
+    multiplier = DualMultiplier(lam=w[:k] - w[k:2 * k], gamma=np.maximum(w[2 * k:], 0.0))
+    return float(status.value), multiplier
 
 
 @dataclass(frozen=True)
@@ -253,8 +247,8 @@ def verify_minimax(f: GpMultifunction, points,
     """Compare the section gap with its concave dual at each point."""
     checks = []
     for x in points:
-        primal = gap_primal(f, x, tol)
-        dual = gap_dual(f, x, tol)
+        primal = gap_primal(f, x)
+        dual = gap_dual(f, x)[0]
         checks.append(MinimaxCheck(point=np.asarray(x, dtype=float), primal=primal, dual=dual))
     return MinimaxReport(checks=checks, tolerance=tol.cmp)
 
@@ -305,8 +299,8 @@ def verify_domain_characterization(f: GpMultifunction, points,
     """Membership in dom F must coincide with a vanishing section gap."""
     checks = []
     for x in points:
-        member = domain_contains(f, x, tol)
-        gap = gap_primal(f, x, tol)
+        member = domain_contains(f, x)
+        gap = gap_primal(f, x)
         checks.append(DomainCheck(point=np.asarray(x, dtype=float), member=member, gap=gap))
     return DomainReport(checks=checks, tolerance=tol.cmp)
 
@@ -371,7 +365,7 @@ class LipschitzEstimateReport:
         }
 
 
-def _domain_witness(f: GpMultifunction, tol: Tolerances) -> np.ndarray:
+def _domain_witness(f: GpMultifunction) -> np.ndarray:
     """Some x in dom F, from one joint feasibility solve over (x, y)."""
     graph = PolyhedralSet(
         f.input_dim + f.output_dim,
@@ -380,20 +374,20 @@ def _domain_witness(f: GpMultifunction, tol: Tolerances) -> np.ndarray:
         eq_lhs=np.hstack([f.a1, f.a2]),
         eq_rhs=f.z,
     )
-    res = solve_feasibility(graph, tol)
+    res = solve_feasibility(graph)
     if not res.is_optimal:
         raise DegenerateSampler("dom F is empty")
     return res.point[:f.input_dim]
 
 
-def _sample_domain_point(f, center, stream, tol):
+def _sample_domain_point(f, center, stream):
     """(x, F(x)) for the first sampled x with a nonempty section, or None.
     The section keeps its phase-one witness for the Hausdorff distance."""
     for _ in range(_MAX_REJECTS):
         radius = _SAMPLE_RADII[stream.randint(0, len(_SAMPLE_RADII) - 1)]
         x = center + radius * np.array(stream.normals(f.input_dim))
         section = evaluate(f, x)
-        if is_nonempty(section, tol):
+        if is_nonempty(section):
             return x, section
     return None
 
@@ -401,8 +395,8 @@ def _sample_domain_point(f, center, stream, tol):
 def _measure_pair(f, center, index, cfg, tol):
     """One pair's (x1, x2, h, ratio) or a rejection tag; order-independent."""
     stream = SplitMix64(derive_seed(cfg.master_seed, index))
-    first = _sample_domain_point(f, center, stream, tol)
-    second = _sample_domain_point(f, center, stream, tol)
+    first = _sample_domain_point(f, center, stream)
+    second = _sample_domain_point(f, center, stream)
     if first is None or second is None:
         return "rejected"
     (x1, section1), (x2, section2) = first, second
@@ -418,7 +412,7 @@ def _measure_pair(f, center, index, cfg, tol):
 def _measure_pairs(f, cfg, tol):
     """The plan's (x1, x2, h, ratio) pairs in index order, and the numbers
     of pairs rejected and excluded."""
-    center = _domain_witness(f, tol)
+    center = _domain_witness(f)
     results = [_measure_pair(f, center, index, cfg, tol) for index in range(cfg.num_pairs)]
     pairs = [r for r in results if not isinstance(r, str)]
     return pairs, results.count("rejected"), results.count("excluded")

@@ -1,8 +1,9 @@
 """Dense LP / feasibility / projection-QP kernel.
 
 Everything downstream (geometry, multifunction gaps, piece enumeration)
-reduces to the three solvers in this module, and all three take their rows
-as one `PolyhedralSet`, which has validated them.  Instances are desk-scale
+reduces to the three solvers in this module.  All three take their rows as
+one `PolyhedralSet`, which has validated them, and no tolerance: a point
+counts as feasible within `FEAS_TOL`.  Instances are desk-scale
 (n + m up to ~100), so the pivots are chosen for determinism and exact
 classification, and each pivot is kept cheap:
 
@@ -28,13 +29,12 @@ array-API checks; the factors, and hence the pivots, are those of
 factorization, three solves with its factors, one vectorized scan for the
 entering column and a ratio test over Python floats.
 
-`feasible_witness` runs phase one at most once per set and feasibility
-tolerance, and keeps its outcome (the point, or the Farkas ray of an empty
-set, which `farkas_ray` reads) in the set's cache; every other solve is a
-pure function of its inputs.  A Farkas ray z of some rows depends on the
-rows alone, so it certifies emptiness at any other right-hand side where
-`ray_rules_out` finds rhs . z above phase one's margin; `avi` screens its
-sections this way.
+`feasible_witness` runs phase one at most once per set, and keeps its
+outcome (the point, or the Farkas ray of an empty set, which `farkas_ray`
+reads) in the set's cache; every other solve is a pure function of its
+inputs.  A Farkas ray z of some rows depends on the rows alone, so it
+certifies emptiness at any other right-hand side where `ray_rules_out`
+finds rhs . z above phase one's margin; `avi` screens its sections this way.
 """
 
 from __future__ import annotations
@@ -45,14 +45,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .config import DEFAULT_TOL, Tolerances
 from .errors import EmptySet, NumericalBreakdown
 from .sets import PolyhedralSet, _as_vector
 
+# The feasibility slack of every solve: phase one calls a set empty when its
+# artificials sum to more than FEAS_TOL, Bland's rule stops once no reduced
+# cost is below -FEAS_TOL, and the projection accepts a point (its target, a
+# start, a tight row) within FEAS_TOL * (1 + ||target||).  `polyhedra` and
+# `avi` read it where they mirror the kernel's acceptance.
+FEAS_TOL = 1e-9
 _PIVOT_TOL = 1e-10
-# Phase one calls a set empty when its artificials sum to more than
-# max(tol.feas, _EMPTY_MARGIN).
-_EMPTY_MARGIN = 1e-9
 # The projection drops a working row whose multiplier is below -_DROP_TOL.
 _DROP_TOL = 1e-7
 
@@ -122,7 +124,7 @@ class SolveStatus:
     eq_rhs . dual_eq; inequality multipliers are <= 0 when minimizing and
     >= 0 when maximizing.  For status "infeasible" (an LP or a feasibility
     solve) it is the Farkas ray z of the rows: rows^T z = 0 and z_ineq <= 0
-    up to tol.feas, and rhs . z > 0.  A feasibility solve that finds a
+    up to FEAS_TOL, and rhs . z > 0.  A feasibility solve that finds a
     point, and an unbounded LP, carry no `dual`.
     """
 
@@ -136,7 +138,7 @@ class SolveStatus:
         return self.status == "optimal"
 
 
-def _bland_iterate(A, b, c, basis, num_enterable, tol, max_pivots):
+def _bland_iterate(A, b, c, basis, num_enterable, max_pivots):
     """Revised simplex loop on min c.v s.t. Av = b, v >= 0 with Bland's rule.
 
     Only the first `num_enterable` columns may enter the basis.  `basis` is
@@ -144,7 +146,7 @@ def _bland_iterate(A, b, c, basis, num_enterable, tol, max_pivots):
     """
     m, n = A.shape
     if m == 0:
-        return "optimal" if np.all(c[:num_enterable] >= -tol) else "unbounded"
+        return "optimal" if np.all(c[:num_enterable] >= -FEAS_TOL) else "unbounded"
     nonbasic = np.ones(n, dtype=bool)
     nonbasic[basis] = False
     for _ in range(max_pivots):
@@ -154,7 +156,7 @@ def _bland_iterate(A, b, c, basis, num_enterable, tol, max_pivots):
             raise NumericalBreakdown("singular or non-finite simplex basis")
         y = lu_solve(lu, c[basis], trans=1)
         reduced = c - A.T @ y
-        candidates = nonbasic[:num_enterable] & (reduced[:num_enterable] < -tol)
+        candidates = nonbasic[:num_enterable] & (reduced[:num_enterable] < -FEAS_TOL)
         entering = int(candidates.argmax())
         if not candidates[entering]:
             return "optimal"
@@ -180,13 +182,13 @@ def _bland_iterate(A, b, c, basis, num_enterable, tol, max_pivots):
     raise NumericalBreakdown("simplex pivot budget exhausted")
 
 
-def _phase_one(A, b, tol, max_pivots):
+def _phase_one(A, b, max_pivots):
     """Find a basic feasible point of {Av = b, v >= 0} via artificials.
 
     Returns (ray, A, b, basis, kept_rows).  When the artificials cannot be
-    driven below max(tol, 1e-9), the system is empty and `ray` is the
-    phase-one dual z of the final basis, read off its LU factors and with
-    the row flips undone: A^T z <= 0 up to tol and b . z > 0, the Farkas
+    driven below FEAS_TOL, the system is empty and `ray` is the phase-one
+    dual z of the final basis, read off its LU factors and with the row
+    flips undone: A^T z <= 0 up to FEAS_TOL and b . z > 0, the Farkas
     certificate of emptiness.  Otherwise `ray` is None, redundant rows are
     dropped and all artificial columns are eliminated from the basis.
     """
@@ -197,7 +199,7 @@ def _phase_one(A, b, tol, max_pivots):
     full = np.hstack([A, np.eye(m)])
     cost = np.concatenate([np.zeros(n), np.ones(m)])
     basis = list(range(n, n + m))
-    status = _bland_iterate(full, b, cost, basis, n, tol, max_pivots)
+    status = _bland_iterate(full, b, cost, basis, n, max_pivots)
     if status != "optimal":  # the phase-one objective is bounded below by 0
         raise NumericalBreakdown(f"phase one reported {status}")
     if m:
@@ -206,7 +208,7 @@ def _phase_one(A, b, tol, max_pivots):
     else:
         x_b = np.zeros(0)
     infeas = sum(max(x_b[i], 0.0) for i in range(m) if basis[i] >= n)
-    if infeas > max(tol, _EMPTY_MARGIN):
+    if infeas > FEAS_TOL:
         ray = signs * lu_solve(lu, cost[basis], trans=1)
         return ray, A, b, basis, list(range(m))
     # Pivot artificials out of the basis; a row where no original column can
@@ -266,7 +268,7 @@ def _basic_point(A, b, basis, n):
     return v[:n] - v[n : 2 * n], lu
 
 
-def solve_lp(lp: LinearProgram, tol: Tolerances = DEFAULT_TOL) -> SolveStatus:
+def solve_lp(lp: LinearProgram) -> SolveStatus:
     """Solve a dense LP, classifying optimal / infeasible / unbounded exactly.
 
     Phase one on the standard form, then Bland pivots on the objective; see
@@ -276,11 +278,11 @@ def solve_lp(lp: LinearProgram, tol: Tolerances = DEFAULT_TOL) -> SolveStatus:
     c_user = lp.objective if lp.sense == "minimize" else -lp.objective
     A_std, rhs, budget = _standard_form(lp.feasible_set)
     c_std = np.concatenate([c_user, -c_user, np.zeros(lp.feasible_set.num_ineq)])
-    ray, A1, b1, basis, kept = _phase_one(A_std, rhs, tol.feas, budget)
+    ray, A1, b1, basis, kept = _phase_one(A_std, rhs, budget)
     if ray is not None:
         inf_value = math.inf if lp.sense == "minimize" else -math.inf
         return SolveStatus(status="infeasible", value=inf_value, dual=ray)
-    if _bland_iterate(A1, b1, c_std, basis, A_std.shape[1], tol.feas, budget) == "unbounded":
+    if _bland_iterate(A1, b1, c_std, basis, A_std.shape[1], budget) == "unbounded":
         unb_value = -math.inf if lp.sense == "minimize" else math.inf
         return SolveStatus(status="unbounded", value=unb_value)
     x, lu = _basic_point(A1, b1, basis, n)
@@ -296,47 +298,45 @@ def solve_lp(lp: LinearProgram, tol: Tolerances = DEFAULT_TOL) -> SolveStatus:
     return SolveStatus(status="optimal", value=value, point=x, dual=duals)
 
 
-def solve_feasibility(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> SolveStatus:
+def solve_feasibility(S: PolyhedralSet) -> SolveStatus:
     """Phase-one feasibility oracle for S.
 
     Returns status "optimal" with a witness point, or "infeasible" with the
     Farkas ray as `dual`.  A set without rows is witnessed by the origin.
     """
     A_std, rhs, budget = _standard_form(S)
-    ray, A1, b1, basis, _ = _phase_one(A_std, rhs, tol.feas, budget)
+    ray, A1, b1, basis, _ = _phase_one(A_std, rhs, budget)
     if ray is not None:
         return SolveStatus(status="infeasible", value=math.inf, dual=ray)
     point = _basic_point(A1, b1, basis, S.ambient_dim)[0]
     return SolveStatus(status="optimal", value=0.0, point=point)
 
 
-def feasible_witness(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
-    """Phase-one point of S under `tol`, or None when S is empty.
+def feasible_witness(S: PolyhedralSet) -> np.ndarray | None:
+    """Phase-one point of S, or None when S is empty.
 
-    Phase one reads only `tol.feas`, so it runs once per (S, tol.feas); its
-    whole outcome stays in `S._cache`, so `farkas_ray` reads the ray of an
-    empty S off the same solve.  The point is the cached array itself,
-    read-only: copy it before handing it out.
+    Phase one runs once per set; its whole outcome stays in `S._cache`, so
+    `farkas_ray` reads the ray of an empty S off the same solve.  The point
+    is the cached array itself, read-only: copy it before handing it out.
     """
-    key = ("phase one", tol.feas)
-    if key not in S._cache:
-        outcome = solve_feasibility(S, tol)
+    if "phase one" not in S._cache:
+        outcome = solve_feasibility(S)
         for arr in (outcome.point, outcome.dual):
             if arr is not None:
                 arr.setflags(write=False)
-        S._cache[key] = outcome
-    return S._cache[key].point
+        S._cache["phase one"] = outcome
+    return S._cache["phase one"].point
 
 
-def farkas_ray(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
-    """The Farkas ray z of S's cached phase one under `tol` (read-only), or
-    None when that phase one found a point or has not run; runs no solve.
+def farkas_ray(S: PolyhedralSet) -> np.ndarray | None:
+    """The Farkas ray z of S's cached phase one (read-only), or None when
+    that phase one found a point or has not run; runs no solve.
 
-    Bland's optimality test accepts reduced costs down to -tol.feas, so the
+    Bland's optimality test accepts reduced costs down to -FEAS_TOL, so the
     inequality part of z can come out positive, and then `ray_rules_out`
     proves nothing: z is also None when max(z_ineq) > 1e-12 ||z||_inf.
     """
-    outcome = S._cache.get(("phase one", tol.feas))
+    outcome = S._cache.get("phase one")
     if outcome is None or outcome.dual is None:
         return None
     z = outcome.dual
@@ -345,15 +345,15 @@ def farkas_ray(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | 
     return z
 
 
-def ray_rules_out(ray: np.ndarray, rhs: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
+def ray_rules_out(ray: np.ndarray, rhs: np.ndarray) -> bool:
     """Whether a Farkas ray z of some rows proves those rows empty at `rhs`.
 
     With rows^T z = 0 and z_ineq <= 0, z / ||z||_inf is feasible in the dual
     of phase one at any right-hand side, so phase one's optimum there is at
     least rhs . z / ||z||_inf.  Above phase one's own emptiness margin,
-    max(tol.feas, 1e-9), phase one would call the set empty too.
+    FEAS_TOL, phase one would call the set empty too.
     """
-    return float(rhs @ ray) > max(tol.feas, _EMPTY_MARGIN) * float(np.max(np.abs(ray)))
+    return float(rhs @ ray) > FEAS_TOL * float(np.max(np.abs(ray)))
 
 
 def _active_rows(A, b, z, tol):
@@ -361,16 +361,14 @@ def _active_rows(A, b, z, tol):
     return [i for i in range(A.shape[0]) if abs(resid[i]) <= tol]
 
 
-def solve_projection_qp(problem: QpProjectionProblem,
-                        tol: Tolerances = DEFAULT_TOL,
-                        start=None) -> np.ndarray:
+def solve_projection_qp(problem: QpProjectionProblem, start=None) -> np.ndarray:
     """Euclidean projection of `problem.target` onto `problem.feasible_set`.
 
     If the target u is feasible it is returned at once, and a pure box
     constraint system short-circuits to coordinate clipping.  Otherwise a
     primal active-set method runs from `start`, a point of the set whose
     tight rows form the first working set.  When `start` is None or lies
-    outside the set by more than tol.feas * (1 + ||u||), the iteration
+    outside the set by more than FEAS_TOL * (1 + ||u||), the iteration
     starts from the set's cached phase-one witness (`feasible_witness`)
     instead.  Each iteration makes one least-squares solve, of the Gram
     system of the working rows G, for the multipliers nu of min ||z - u||
@@ -383,22 +381,22 @@ def solve_projection_qp(problem: QpProjectionProblem,
     u = problem.target
     S = problem.feasible_set
     scale = 1.0 + float(np.linalg.norm(u))
-    if S.contains(u, tol.feas * scale):
+    if S.contains(u, FEAS_TOL * scale):
         return u.copy()
     bounds = S.box_bounds()
     if bounds is not None:
         lo, hi = bounds
-        if np.any(lo > hi + tol.feas):
+        if np.any(lo > hi + FEAS_TOL):
             raise EmptySet("projection onto an empty box")
         return np.minimum(np.maximum(u, lo), np.minimum(hi, np.maximum(lo, hi)))
     E, d = S.eq_lhs, S.eq_rhs
     A, b = S.ineq_lhs, S.ineq_rhs
-    if start is None or not S.contains(start, tol.feas * scale):
-        start = feasible_witness(S, tol)
+    if start is None or not S.contains(start, FEAS_TOL * scale):
+        start = feasible_witness(S)
         if start is None:
             raise EmptySet("projection onto an empty polyhedron")
     z = np.array(start, dtype=float)
-    working = _active_rows(A, b, z, tol.feas * scale)
+    working = _active_rows(A, b, z, FEAS_TOL * scale)
     k_eq = E.shape[0]
     step_tol = 1e-11 * scale
     max_iters = 50 * (A.shape[0] + k_eq + u.size + 10)

@@ -21,6 +21,7 @@ from scipy.linalg import null_space
 from .config import DEFAULT_TOL, Tolerances
 from .errors import CapExceeded, EmptySet, NumericalBreakdown
 from .optkernel import (
+    FEAS_TOL,
     QpProjectionProblem,
     feasible_witness,
     lu_factor,
@@ -49,7 +50,7 @@ _RANK_TOL = 1e-9
 # t <= _ZERO_TOL is a recession ray.  Small enough to keep near-parallel rows
 # apart, large enough for the rounding of joined rays.  A row is tight at a
 # ray, for the sort order only, within _TIGHT_TOL of its norm; that covers
-# the tol.feas slack of a vertex.  Both are checked against the exhaustive
+# the FEAS_TOL slack of a vertex.  Both are checked against the exhaustive
 # scan in tests/test_polyhedra.py.
 _ZERO_TOL = 1e-11
 _TIGHT_TOL = 1e-6
@@ -71,19 +72,20 @@ class VertexSet:
             raise ValueError("a bounded vertex set cannot have recession rays")
 
 
-def is_nonempty(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether S has a point within `tol.feas`; a box is read off its bounds,
-    any other set shares its phase-one witness with the projection."""
+def is_nonempty(S: PolyhedralSet) -> bool:
+    """Whether S has a point within the kernel's `FEAS_TOL`; a box is read
+    off its bounds, any other set shares its phase-one witness with the
+    projection."""
     bounds = S.box_bounds()
     if bounds is not None:
         lo, hi = bounds
-        return bool(np.all(lo <= hi + tol.feas))
-    return feasible_witness(S, tol) is not None
+        return bool(np.all(lo <= hi + FEAS_TOL))
+    return feasible_witness(S) is not None
 
 
-def feasible_point(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def feasible_point(S: PolyhedralSet) -> np.ndarray:
     """A witness point of S (a fresh copy); raises EmptySet when S is empty."""
-    w = feasible_witness(S, tol)
+    w = feasible_witness(S)
     if w is None:
         raise EmptySet("no feasible point")
     return w.copy()
@@ -199,14 +201,14 @@ def enumerate_vertices(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> Verte
     one with t <= _ZERO_TOL the unit recession ray x / |x|.  Each list is
     sorted by the rows tight at its members (`_by_tight_rows`), which is the
     order of an exhaustive scan over row subsets.  A set that is empty but
-    within tol.feas of a point has no ray with t > 0; its one vertex is its
+    within FEAS_TOL of a point has no ray with t > 0; its one vertex is its
     feasible point.
 
     Raises EmptySet when S is empty, and passes on `_extreme_rays`'
     CapExceeded (more than 1,024 rays after a cut) and NumericalBreakdown
     (the homogenized cone is not pointed in floating point).
     """
-    if not is_nonempty(S, tol):
+    if not is_nonempty(S):
         raise EmptySet("cannot enumerate vertices of an empty set")
     n = S.ambient_dim
     L, E0, d0, free = _pointed_part(S)
@@ -216,8 +218,8 @@ def enumerate_vertices(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> Verte
     vertices, rays = [], []
     if free == 0:
         x = np.linalg.lstsq(E0, d0, rcond=None)[0]
-        if np.linalg.norm(E0 @ x - d0) <= tol.feas * (1 + np.linalg.norm(d0)):
-            if m == 0 or np.max(A @ x - b) <= tol.feas * (1 + np.linalg.norm(x)):
+        if np.linalg.norm(E0 @ x - d0) <= FEAS_TOL * (1 + np.linalg.norm(d0)):
+            if m == 0 or np.max(A @ x - b) <= FEAS_TOL * (1 + np.linalg.norm(x)):
                 vertices.append(x)
     else:
         G = np.vstack([np.hstack([A, -b[:, None]]), -np.eye(1, n + 1, n)])
@@ -227,7 +229,7 @@ def enumerate_vertices(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> Verte
         if points.size:
             vertices = [z[:n] / z[n] for z in _by_tight_rows(G[:m], points)]
         else:
-            vertices = [feasible_point(S, tol)]
+            vertices = [feasible_point(S)]
         directions = Z[t <= _ZERO_TOL, :n]
         directions /= np.linalg.norm(directions, axis=1)[:, None]
         rays = _by_tight_rows(A, directions)
@@ -238,9 +240,9 @@ def enumerate_vertices(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> Verte
     return VertexSet(vertices=vertices, is_bounded=not rays, recession_rays=rays)
 
 
-def distance(S: PolyhedralSet, x, tol: Tolerances = DEFAULT_TOL):
+def distance(S: PolyhedralSet, x):
     """(d(x, S), nearest point).  Raises EmptySet for empty S."""
-    z = solve_projection_qp(QpProjectionProblem(np.asarray(x, dtype=float), S), tol)
+    z = solve_projection_qp(QpProjectionProblem(np.asarray(x, dtype=float), S))
     return float(np.linalg.norm(np.asarray(x, dtype=float) - z)), z
 
 
@@ -281,19 +283,19 @@ def hausdorff(a: PolyhedralSet, b: PolyhedralSet,
         return math.inf
     value = 0.0
     for v in va.vertices:
-        value = max(value, distance(b, v, tol)[0])
+        value = max(value, distance(b, v)[0])
     for w in vb.vertices:
-        value = max(value, distance(a, w, tol)[0])
+        value = max(value, distance(a, w)[0])
     return value
 
 
-def union_distance(pieces, x, tol: Tolerances = DEFAULT_TOL) -> float:
+def union_distance(pieces, x) -> float:
     """Distance from x to a finite union of polyhedral pieces."""
     best = math.inf
     for piece in pieces:
-        if not is_nonempty(piece, tol):
+        if not is_nonempty(piece):
             continue
-        best = min(best, distance(piece, x, tol)[0])
+        best = min(best, distance(piece, x)[0])
     if math.isinf(best):
         raise EmptySet("all pieces of the union are empty")
     return best

@@ -134,14 +134,14 @@ def solve(inst: AviInstance, cfg: SolverConfig = SolverConfig(),
     M, q, C = inst.m_op, inst.q, inst.c_set
 
     def proj(u, start):
-        return solve_projection_qp(QpProjectionProblem(u, C), tol, start)
+        return solve_projection_qp(QpProjectionProblem(u, C), start)
 
     records = []
     points = []
     converged = False
     diverged = False
     for it in range(cfg.max_iters + 1):
-        res = residual(inst, x, tol)
+        res = residual(inst, x)
         records.append(IterateRecord(iteration=it, residual_norm=res.norm))
         points.append(x.copy())
         if res.norm <= cfg.stop_residual:

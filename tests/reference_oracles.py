@@ -112,7 +112,7 @@ def piece_section_points(inst: AviInstance, active: tuple, y,
         ineq_lhs=np.vstack(ineq_rows) if ineq_rows else None,
         ineq_rhs=np.concatenate(ineq_rhs) if ineq_rhs else None,
     )
-    if not is_nonempty(lifted, tol):
+    if not is_nonempty(lifted):
         return []
     vs = enumerate_vertices(lifted, tol)
     points = list(vs.vertices)

@@ -20,9 +20,9 @@ from avibound.avi import (
     residual,
 )
 from avibound.bounds import LipschitzCheckConfig, verify_upper_lipschitz_inverse
-from avibound.config import DEFAULT_TOL, Tolerances
+from avibound.config import DEFAULT_TOL
 from avibound.instgen import canned_suite, generate_random_avi
-from avibound.optkernel import QpProjectionProblem, solve_projection_qp
+from avibound.optkernel import FEAS_TOL, QpProjectionProblem, solve_projection_qp
 from avibound.polyhedra import (
     enumerate_vertices,
     is_nonempty,
@@ -126,7 +126,7 @@ class TestResidual:
             cold = solve_projection_qp(QpProjectionProblem(u, inst.c_set))
             scale = 1.0 + np.linalg.norm(u)
             assert np.linalg.norm(residual(inst, inside).projected_point - cold) <= 1e-12 * scale
-            warm += not inst.c_set.contains(u, DEFAULT_TOL.feas * scale)
+            warm += not inst.c_set.contains(u, FEAS_TOL * scale)
         assert warm >= 10
 
     def test_residual_lipschitz_bound(self):
@@ -304,27 +304,6 @@ class TestInverseResidual:
         with pytest.raises(CapExceeded, match="more than 2 active patterns, budget 2"):
             inverse_residual(inst, np.zeros(2))
 
-    def test_template_cache_answers_per_tolerance(self):
-        # row 2 sits 5e-8 beyond row 0, so its face {x = 1 + 5e-8} is empty
-        # at feas 1e-9 and nonempty at feas 1e-7: templates cached under one
-        # tolerance must not answer the other, in either call order
-        def instance():
-            C = PolyhedralSet(
-                1, ineq_lhs=[[1.0], [-1.0], [1.0]], ineq_rhs=[1.0, 0.0, 1.0 + 5e-8]
-            )
-            return AviInstance(m_op=[[1.0]], q=[-0.5], c_set=C)
-
-        def actives(inst, tol):
-            return [t.active for t in _face_templates(inst, tol)]
-
-        tight, loose = Tolerances(feas=1e-9), Tolerances(feas=1e-7)
-        fresh = {tol: actives(instance(), tol) for tol in (tight, loose)}
-        assert len(fresh[tight]) != len(fresh[loose])
-        for order in ((tight, loose), (loose, tight)):
-            inst = instance()
-            for tol in order:
-                assert actives(inst, tol) == fresh[tol]
-
 
 def _brute_force_pieces(inst, levels):
     """Reference decomposition at each level: all 2^m patterns in subset-rank
@@ -340,7 +319,7 @@ def _brute_force_pieces(inst, levels):
         found = []
         for t in templates:
             piece = t.section(y)
-            if piece is not None and is_nonempty(piece, DEFAULT_TOL):
+            if piece is not None and is_nonempty(piece):
                 found.append((t.active, piece))
         per_level.append(found)
     return per_level
@@ -442,9 +421,9 @@ class TestSolutionSet:
 # --- piece-row regression -------------------------------------------------
 #
 # The active set and the exact row bytes of every piece that
-# `inverse_residual(..., keep_active=True)` returns, hashed per instance and
-# tolerance, are recorded in tests/data/preimage_rows_sha256.json; any change
-# to a piece's rows, their order or the patterns kept changes a digest.  The
+# `inverse_residual(..., keep_active=True)` returns, hashed per instance, are
+# recorded in tests/data/preimage_rows_sha256.json; any change to a piece's
+# rows, their order or the patterns kept changes a digest.  The
 # corpus covers the canned AVIs, the criterion-4 corpus and rank-deficient M
 # on sets that are not boxes, where some cone rows -w M vanish and only y
 # moves their right-hand side.  Regenerate the file only for an intended
@@ -452,7 +431,6 @@ class TestSolutionSet:
 #     PYTHONPATH=src python tests/test_avi.py
 
 _PIECE_RECORD = Path(__file__).parent / "data" / "preimage_rows_sha256.json"
-_PIECE_TOLERANCES = {"default": DEFAULT_TOL, "feas1e-7": Tolerances(feas=1e-7)}
 
 
 def _singular_corpus():
@@ -491,8 +469,8 @@ def _piece_corpus():
 
 def _piece_levels(inst, seed, singular):
     """y = 0 and two residual levels, where vanishing rows hold.  For the
-    singular corpus also a residual level moved by 5e-8, where they hold at
-    feas 1e-7 but not at 1e-9, and an arbitrary point, where most fail."""
+    singular corpus also a residual level moved by 5e-8, beyond the kernel's
+    FEAS_TOL, and an arbitrary point, where most fail."""
     rng = SplitMix64(seed)
     levels = [np.zeros(inst.dim)]
     for _ in range(2):
@@ -507,17 +485,16 @@ def _run_piece_corpus():
     record = {}
     for index, (name, inst) in enumerate(_piece_corpus()):
         levels = _piece_levels(inst, 6000 + index, name.startswith("singular"))
-        for label, tol in _PIECE_TOLERANCES.items():
-            digest = hashlib.sha256()
-            count = 0
-            for y in levels:
-                digest.update(b"level")
-                for active, piece in inverse_residual(inst, y, tol, keep_active=True):
-                    digest.update(repr(active).encode())
-                    for shape, raw in _row_bytes(piece):
-                        digest.update(repr(shape).encode() + raw)
-                    count += 1
-            record[f"{name}/{label}"] = {"pieces": count, "sha256": digest.hexdigest()}
+        digest = hashlib.sha256()
+        count = 0
+        for y in levels:
+            digest.update(b"level")
+            for active, piece in inverse_residual(inst, y, keep_active=True):
+                digest.update(repr(active).encode())
+                for shape, raw in _row_bytes(piece):
+                    digest.update(repr(shape).encode() + raw)
+                count += 1
+        record[f"{name}/default"] = {"pieces": count, "sha256": digest.hexdigest()}
     return record
 
 
@@ -546,8 +523,8 @@ def test_pieces_do_not_depend_on_earlier_levels(monkeypatch):
     screened = []
     original = avi.ray_rules_out
 
-    def counting(ray, rhs, tol=DEFAULT_TOL):
-        screened.append(original(ray, rhs, tol))
+    def counting(ray, rhs):
+        screened.append(original(ray, rhs))
         return screened[-1]
 
     monkeypatch.setattr(avi, "ray_rules_out", counting)
@@ -574,9 +551,9 @@ def test_lipschitz_check_section_phase_ones(monkeypatch):
     calls = []
     original = optkernel.solve_feasibility
 
-    def counting(S, tol=DEFAULT_TOL):
+    def counting(S):
         calls.append(S)
-        return original(S, tol)
+        return original(S)
 
     monkeypatch.setattr(optkernel, "solve_feasibility", counting)
     cfg = LipschitzCheckConfig(base_point=np.zeros(3), master_seed=1)

@@ -199,14 +199,14 @@ class TestRatioBoundedness:
         # d(x, C*) / ||R(x)|| exceeds Monte-Carlo estimates, but the ratio
         # must plateau as the residual vanishes (that is the error bound);
         # divergence here would mean the enumerated C* is incomplete.
-        from avibound.config import DEFAULT_TOL
+        from avibound.config import Tolerances
         from avibound.solvers import SolverConfig, solve
 
         inst = generate_random_avi(n=2, m=3, monotonicity="monotone_skew", seed=7014)
         trace = solve(
             inst,
             SolverConfig(stop_residual=1e-9, max_iters=60_000),
-            tol=DEFAULT_TOL.with_cmp(1e-9),
+            tol=Tolerances(cmp=1e-9),
         )
         assert trace.converged
         pieces = enumerate_solution_set(inst)

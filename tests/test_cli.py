@@ -183,6 +183,14 @@ class TestExitCodes:
         assert main([command, *source, *rest]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["project", "residual"])
+    def test_tol_is_not_a_flag_of_project_or_residual(self, lcp_file, command, capsys):
+        # both solve only the projection, which reads no comparison tolerance
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--instance", lcp_file, "--x", "3", "--tol", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 1" in capsys.readouterr().err
+
     def test_missing_instance_exits_2(self, tmp_path):
         assert main(["residual", "--instance", str(tmp_path / "nope.json"), "--x", "1"]) == 2
 

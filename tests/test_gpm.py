@@ -136,18 +136,18 @@ class TestGap:
         for x in ([-2.0], [0.0], [7.5]):
             assert domain_contains(f, x)
             assert gap_primal(f, x) == pytest.approx(0.0, abs=1e-9)
-            assert gap_dual(f, x) == pytest.approx(0.0, abs=1e-9)
+            assert gap_dual(f, x)[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_dual_is_nonnegative_and_matches_hand_value(self):
         # dual feasible set for the [-x, x] instance: gamma1 = gamma2 = t,
         # 2t <= 1; objective 2tx at -x, so the optimum at x = -1 is 1.
         f = abs_interval()
-        value, mult = gap_dual(f, [-1.0], return_multiplier=True)
+        value, mult = gap_dual(f, [-1.0])
         assert value == pytest.approx(1.0, abs=1e-9)
         assert mult.ball_norm() <= 1.0 + 1e-9
         assert annihilator_residual(mult, f) <= 1e-9
         assert np.all(mult.gamma >= -1e-12)
-        assert gap_dual(f, [5.0]) >= -1e-12
+        assert gap_dual(f, [5.0])[0] >= -1e-12
 
     def test_gap_primal_matches_grid_on_random_scalar_sections(self):
         rng = SplitMix64(404)
@@ -220,7 +220,7 @@ class TestGapRowOrder:
                 assert gap_primal(f, x) == primal.value
                 dual = reference_gap_dual(f, x)
                 assert dual.is_optimal
-                value, multiplier = gap_dual(f, x, return_multiplier=True)
+                value, multiplier = gap_dual(f, x)
                 assert value == dual.value
                 k = f.num_eq
                 assert np.array_equal(multiplier.lam, dual.point[:k] - dual.point[k:2 * k])
@@ -247,8 +247,8 @@ class TestMinimax:
         f = GpMultifunction(input_dim=2, output_dim=1)
         x = np.array([0.0, 1.0])
         assert gap_primal(f, x) == 0.0
-        value, mult = gap_dual(f, x, return_multiplier=True)
-        assert value == 0.0 and gap_dual(f, x) == 0.0
+        value, mult = gap_dual(f, x)
+        assert value == 0.0
         assert mult.lam.shape == (0,) and mult.gamma.shape == (0,)
         assert verify_minimax(f, [x, np.array([-3.0, 2.5])]).passed
         path = str(tmp_path / "rowless.json")

@@ -22,6 +22,7 @@ from avibound import (
 )
 from avibound.config import DEFAULT_TOL, Tolerances
 from avibound.optkernel import (
+    FEAS_TOL,
     LinearProgram,
     QpProjectionProblem,
     feasible_witness,
@@ -29,7 +30,7 @@ from avibound.optkernel import (
     solve_lp,
     solve_projection_qp,
 )
-from avibound.polyhedra import enumerate_vertices, feasible_point, is_nonempty
+from avibound.polyhedra import enumerate_vertices, feasible_point, hausdorff, is_nonempty
 from avibound.rng import SplitMix64
 
 
@@ -273,7 +274,7 @@ class TestProjectionQp:
             u = np.array([3.0 * rng.normal() for _ in range(n)])
             earlier = project_onto([3.0 * rng.normal() for _ in range(n)], S)
             starts = [earlier] + enumerate_vertices(S).vertices[:1]
-            slack = DEFAULT_TOL.feas * (1.0 + np.linalg.norm(u))
+            slack = FEAS_TOL * (1.0 + np.linalg.norm(u))
             if len(starts) == 2 and not S.contains(u, slack):
                 row = A[np.argmax(A @ starts[1] - b)]
                 step = 0.5 * slack / np.max(np.linalg.norm(A, axis=1))
@@ -403,9 +404,8 @@ def _farkas_corpus():
 
 def test_infeasible_outcomes_carry_a_farkas_ray():
     # z with rows^T z = 0, z_ineq <= 0 and rhs . z > 0 certifies emptiness;
-    # phase one calls a set empty beyond max(tol.feas, 1e-9), so the ray
-    # clears that margin too
-    margin = max(DEFAULT_TOL.feas, 1e-9)
+    # phase one calls a set empty beyond FEAS_TOL, so the ray clears that
+    # margin too
     counts = {"optimal": 0, "infeasible": 0}
     for S in _farkas_corpus():
         res = solve_feasibility(S)
@@ -419,7 +419,7 @@ def test_infeasible_outcomes_carry_a_farkas_ray():
         rhs = np.concatenate([S.ineq_rhs, S.eq_rhs])
         assert np.max(np.abs(rows.T @ z)) <= 1e-12 * scale
         assert np.all(z[:S.num_ineq] <= 1e-12 * scale)
-        assert rhs @ z > margin * scale
+        assert rhs @ z > FEAS_TOL * scale
         assert optkernel.ray_rules_out(z, rhs)
         # an LP over S runs the same phase one and reports the same ray
         lp = solve_lp(LinearProgram(np.ones(S.ambient_dim), S))
@@ -430,7 +430,7 @@ def test_infeasible_outcomes_carry_a_farkas_ray():
 def test_farkas_rays_that_prove_nothing_are_not_kept():
     # each near-parallel set with the negation of its tilted copy row, moved
     # by 1e-3 or 1e-6, is empty; Bland's optimality test accepts reduced
-    # costs down to -tol.feas, so phase one's ray can have z_ineq > 0, and
+    # costs down to -FEAS_TOL, so phase one's ray can have z_ineq > 0, and
     # then it proves nothing at another right-hand side
     empty = dropped = 0
     for _, S in _near_parallel_sets():
@@ -458,15 +458,17 @@ def test_farkas_rays_that_prove_nothing_are_not_kept():
 class TestWitnessCache:
     def test_one_phase_one_solve_per_set_and_tolerance(self, feasibility_calls):
         S = _triangle()
-        # phase one reads only tol.feas, so the cmp-only variant shares an entry
-        loose = Tolerances(feas=1e-7)
-        for tol in (DEFAULT_TOL, loose, DEFAULT_TOL.with_cmp(1e-8)):
-            assert is_nonempty(S, tol)
-            feasible_point(S, tol)
+        # phase one takes no tolerance, so a cmp-only variant shares the
+        # solve: vertices and Hausdorff distances test emptiness first
+        for tol in (DEFAULT_TOL, Tolerances(cmp=1e-8)):
+            assert is_nonempty(S)
+            feasible_point(S)
             for u in ([2.0, 2.0], [-1.0, 3.0], [3.0, -1.0], [-2.0, -2.0], [1.0, 1.0]):
-                project_onto(u, S, tol=tol)
-            assert is_nonempty(S, tol)
-        assert len(feasibility_calls) == 2
+                project_onto(u, S)
+            enumerate_vertices(S, tol)
+            assert hausdorff(S, S, tol) == 0.0
+            assert is_nonempty(S)
+        assert len(feasibility_calls) == 1
 
     def test_returned_points_do_not_alias_the_cache(self):
         S = _triangle()
@@ -497,24 +499,6 @@ class TestWitnessCache:
         with pytest.raises(EmptySet):
             feasible_point(S)
         assert len(feasibility_calls) == 1
-
-    @pytest.mark.parametrize("two_rows", [False, True])
-    def test_nonempty_verdict_follows_the_tolerance(self, two_rows):
-        # {x <= -1e-8, -x <= 0} is empty at feas = 1e-9 and nonempty at 1e-7,
-        # in either call order; two_rows puts it in 2-D off the box path
-        loose = Tolerances(feas=1e-7)
-
-        def make():
-            if two_rows:
-                return PolyhedralSet(
-                    2, ineq_lhs=[[1.0, 1.0], [-1.0, -1.0]], ineq_rhs=[-1e-8, 0.0]
-                )
-            return PolyhedralSet(1, ineq_lhs=[[1.0], [-1.0]], ineq_rhs=[-1e-8, 0.0])
-
-        S = make()
-        assert (is_nonempty(S, loose), is_nonempty(S)) == (True, False)
-        S = make()
-        assert (is_nonempty(S), is_nonempty(S, loose)) == (False, True)
 
 
 class TestLapackHelpers:
@@ -569,8 +553,7 @@ def test_singular_basis_raises_numerical_breakdown():
         warnings.simplefilter("error")
         with pytest.raises(NumericalBreakdown, match="singular"):
             optkernel._bland_iterate(
-                A, np.array([1.0, 2.0]), np.array([0.0, 0.0, -1.0]), [0, 1], 3,
-                DEFAULT_TOL.feas, 10,
+                A, np.array([1.0, 2.0]), np.array([0.0, 0.0, -1.0]), [0, 1], 3, 10,
             )
 
 
@@ -738,8 +721,8 @@ def _is_solution_ray_solves():
     )
     results = []
 
-    def recording(lp, tol=DEFAULT_TOL):
-        results.append(solve_lp(lp, tol))
+    def recording(lp):
+        results.append(solve_lp(lp))
         return results[-1]
 
     original = avi.solve_lp

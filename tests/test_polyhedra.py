@@ -17,6 +17,7 @@ from avibound.avi import _face_templates
 from avibound.config import DEFAULT_TOL
 from avibound.gpm import evaluate
 from avibound.instgen import canned_suite
+from avibound.optkernel import FEAS_TOL
 from avibound.polyhedra import (
     box,
     cone_generators,
@@ -440,8 +441,8 @@ def exhaustive_scan(S, tol=DEFAULT_TOL):
     vertices = []
     if free == 0:
         x = np.linalg.lstsq(E0, d0, rcond=None)[0]
-        if np.linalg.norm(E0 @ x - d0) <= tol.feas * (1 + np.linalg.norm(d0)):
-            if m == 0 or np.max(A @ x - b) <= tol.feas * (1 + np.linalg.norm(x)):
+        if np.linalg.norm(E0 @ x - d0) <= FEAS_TOL * (1 + np.linalg.norm(d0)):
+            if m == 0 or np.max(A @ x - b) <= FEAS_TOL * (1 + np.linalg.norm(x)):
                 vertices.append(x)
     else:
         for subset in itertools.combinations(range(m), free):
@@ -450,9 +451,9 @@ def exhaustive_scan(S, tol=DEFAULT_TOL):
                 continue
             rhs = np.concatenate([d0, b[list(subset)]])
             x = np.linalg.lstsq(M, rhs, rcond=None)[0]
-            if np.linalg.norm(M @ x - rhs) > tol.feas * (1 + np.linalg.norm(rhs)):
+            if np.linalg.norm(M @ x - rhs) > FEAS_TOL * (1 + np.linalg.norm(rhs)):
                 continue
-            if m and np.max(A @ x - b) > tol.feas * (1 + np.linalg.norm(x)):
+            if m and np.max(A @ x - b) > FEAS_TOL * (1 + np.linalg.norm(x)):
                 continue
             vertices.append(x)
     rays = []
@@ -463,9 +464,9 @@ def exhaustive_scan(S, tol=DEFAULT_TOL):
             if ns.shape[1] != 1:
                 continue
             v = ns[:, 0]
-            if m and np.max(A @ v) <= tol.feas:
+            if m and np.max(A @ v) <= FEAS_TOL:
                 rays.append(v)
-            elif m and np.max(A @ (-v)) <= tol.feas:
+            elif m and np.max(A @ (-v)) <= FEAS_TOL:
                 rays.append(-v)
             elif m == 0:
                 rays.extend([v, -v])
@@ -643,7 +644,7 @@ class TestDoubleDescriptionMatchesScan:
                 assert_matches_scan(S)
 
     def test_sets_empty_up_to_the_tolerance(self):
-        # exactly empty, but within tol.feas of a point: no ray of the
+        # exactly empty, but within FEAS_TOL of a point: no ray of the
         # homogenized cone has t > 0, so the vertex is the feasible point
         for A, b in (
             ([[1.0], [-1.0]], [-1e-10, 0.0]),

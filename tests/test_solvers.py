@@ -6,7 +6,7 @@ from avibound.avi import AviInstance, is_solution
 from avibound.bounds import find_local_radius
 from avibound.instgen import generate_random_avi
 from avibound.polyhedra import nonnegative_orthant
-from avibound.config import DEFAULT_TOL
+from avibound.config import Tolerances
 from avibound.rng import SplitMix64
 from avibound.solvers import (
     SolverConfig,
@@ -21,7 +21,7 @@ from avibound.solvers import (
 
 def tight(stop_residual):
     """Comparison tolerance matched to a sub-default stopping threshold."""
-    return DEFAULT_TOL.with_cmp(stop_residual)
+    return Tolerances(cmp=stop_residual)
 
 
 def identity_lcp(n=3):
@@ -108,7 +108,6 @@ class TestSolve:
     def test_converged_point_passes_direct_check_on_bounded_set(self):
         # on a bounded constraint set the direct variational check holds at
         # the documented tolerance 10 * stop_residual * (1 + ||M||)
-        from avibound.config import Tolerances
         from avibound.sets import box
 
         inst = AviInstance(

@@ -17,7 +17,11 @@ then ignored.  Every name a module of `src/avibound` imports at its top
 level must be read in that module or listed in its `__all__`, so no import
 outlives the code that used it.  Every `raise CapExceeded` sits in a routine
 that counts the work its budget bounds, so no proxy cap (on a dimension or
-a row count) comes back at a call site.
+a row count) comes back at a call site.  Every parameter of every function
+and lambda in `src/avibound`, except `self` and `cls`, must be read in its
+body, so a `tol` that a routine takes and no longer passes on (a dead
+pass-through left behind when the solves below it stopped taking one)
+fails here.
 """
 
 import argparse
@@ -355,6 +359,51 @@ def test_flag_rule_catches_an_unread_flag():
         p.add_argument(flag)
     p.set_defaults(handler=_toy_handler)
     assert _unread_flags(parser) == [("toy", "unused")]
+
+
+def _unread_parameters(tree):
+    """(line, function, parameter) of every parameter, but `self` and `cls`,
+    that its function's or lambda's body never reads; a read inside a nested
+    function counts, a default value or a decorator does not."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "<lambda>")
+            found += [(node.lineno, name, p) for p in params
+                      if p not in ("self", "cls") and p not in read]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    unread = _unread_parameters(ast.parse(path.read_text(encoding="utf-8")))
+    assert not unread, [f"{path.name}:{line} {name}({param})" for line, name, param in unread]
+
+
+def test_parameter_rule_catches_a_dead_pass_through():
+    source = (
+        "def residual(inst, x, tol=DEFAULT):\n    return project(inst, x)\n"
+        "def outer(a, *rest, scale=1.0, **extra):\n"
+        "    def inner(b):\n        return a + b * scale\n"
+        "    return inner(rest), extra\n"
+        "class Box:\n"
+        "    def method(self, size):\n        self.size = 3\n"
+        "    @classmethod\n"
+        "    def build(cls, tol):\n        return cls()\n"
+        "key = lambda z, unused: z\n"
+    )
+    assert _unread_parameters(ast.parse(source)) == [
+        (1, "residual", "tol"), (8, "method", "size"), (11, "build", "tol"),
+        (13, "<lambda>", "unused"),
+    ]
 
 
 # The routines that count the work their budget bounds: the rays double
