@@ -16,7 +16,6 @@ import sys
 import numpy as np
 
 from avibound.bounds import find_local_radius
-from avibound.config import Tolerances
 from avibound.instgen import generate_random_avi
 from avibound.solvers import SolverConfig, annotate_distances, check_tail_bound, solve
 
@@ -34,11 +33,7 @@ def main() -> int:
     radius = find_local_radius(inst, num_samples=300, master_seed=args.seed)
     print(f"empirical bound: epsilon={radius.epsilon:g} c={radius.c_emp:.4g} "
           f"(stabilized={radius.stabilized})")
-    trace = solve(
-        inst,
-        SolverConfig(stop_residual=1e-8, x0=np.zeros(args.n)),
-        tol=Tolerances(cmp=1e-8),
-    )
+    trace = solve(inst, SolverConfig(stop_residual=1e-8, x0=np.zeros(args.n)))
     trace = annotate_distances(inst, trace)
     print(f"extragradient: converged={trace.converged} iters={trace.iterations}")
     shown = 0

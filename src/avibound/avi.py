@@ -72,7 +72,7 @@ class AviInstance:
         q.setflags(write=False)
         object.__setattr__(self, "m_op", M)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "_face_templates", {})
+        object.__setattr__(self, "_face_templates", None)
 
     @property
     def dim(self) -> int:
@@ -181,12 +181,11 @@ class _PieceTemplate:
     None without building the set.
     """
 
-    def __init__(self, inst: AviInstance, face: PolyhedralSet, active: tuple,
-                 tol: Tolerances):
+    def __init__(self, inst: AviInstance, face: PolyhedralSet, active: tuple):
         self.active = active
         self._face = face
         self._q = inst.q
-        self._w_ineq, self._w_eq = cone_generators(face.eq_lhs, tol)
+        self._w_ineq, self._w_eq = cone_generators(face.eq_lhs)
         ineq = np.vstack([face.ineq_lhs, -self._w_ineq @ inst.m_op])
         eq = np.vstack([face.eq_lhs, -self._w_eq @ inst.m_op])
         ineq_zero = np.max(np.abs(ineq), axis=1) <= 1e-12
@@ -245,48 +244,46 @@ def _face(inst: AviInstance, active: tuple) -> PolyhedralSet:
 _PATTERN_BUDGET = 2_000_000
 
 
-def _face_templates(inst: AviInstance, tol: Tolerances) -> list:
+def _face_templates(inst: AviInstance) -> list:
     """Templates of the patterns with a nonempty face, ordered by subset rank.
 
     Depth-first over patterns, adding rows in increasing index; a pattern
     whose face is empty is not extended.  A point of the parent face on
     which the added row is tight (within FEAS_TOL) already witnesses the
-    child face; phase one runs only when it is not.  Cached on the instance
-    per tol.  Raises CapExceeded when the search needs to test more than
-    _PATTERN_BUDGET (2,000,000) patterns.
+    child face; phase one runs only when it is not.  Runs once per instance,
+    which keeps the list.  Raises CapExceeded when the search needs to test
+    more than _PATTERN_BUDGET (2,000,000) patterns.
     """
-    cache = inst._face_templates
-    if tol not in cache:
-        m = inst.num_constraints
-        A = inst.c_set.ineq_lhs
-        alpha = inst.c_set.ineq_rhs
-        templates = []
-        stack = [((), None)]
-        tested = 0
-        while stack:
-            active, point = stack.pop()
-            if tested == _PATTERN_BUDGET:
-                raise CapExceeded(
-                    f"face search needs more than {tested} active patterns, "
-                    f"budget {_PATTERN_BUDGET}"
-                )
-            tested += 1
-            face = _face(inst, active)
-            if point is None or abs(A[active[-1]] @ point - alpha[active[-1]]) > FEAS_TOL:
-                point = feasible_witness(face)
-                if point is None:
-                    continue
-            templates.append(_PieceTemplate(inst, face, active, tol))
-            first = active[-1] + 1 if active else 0
-            stack.extend((active + (i,), point) for i in range(first, m))
-        templates.sort(key=lambda t: sum(1 << i for i in t.active))
-        cache[tol] = templates
-    return cache[tol]
+    if inst._face_templates is not None:
+        return inst._face_templates
+    m = inst.num_constraints
+    A = inst.c_set.ineq_lhs
+    alpha = inst.c_set.ineq_rhs
+    templates = []
+    stack = [((), None)]
+    tested = 0
+    while stack:
+        active, point = stack.pop()
+        if tested == _PATTERN_BUDGET:
+            raise CapExceeded(
+                f"face search needs more than {tested} active patterns, "
+                f"budget {_PATTERN_BUDGET}"
+            )
+        tested += 1
+        face = _face(inst, active)
+        if point is None or abs(A[active[-1]] @ point - alpha[active[-1]]) > FEAS_TOL:
+            point = feasible_witness(face)
+            if point is None:
+                continue
+        templates.append(_PieceTemplate(inst, face, active))
+        first = active[-1] + 1 if active else 0
+        stack.extend((active + (i,), point) for i in range(first, m))
+    templates.sort(key=lambda t: sum(1 << i for i in t.active))
+    object.__setattr__(inst, "_face_templates", templates)
+    return templates
 
 
-def inverse_residual(inst: AviInstance, y,
-                     tol: Tolerances = DEFAULT_TOL,
-                     keep_active: bool = False):
+def inverse_residual(inst: AviInstance, y, keep_active: bool = False):
     """Pieces of R^{-1}(y), one x-space polyhedron per feasible active pattern.
 
     Only patterns whose face of C is nonempty are tested, in subset-rank
@@ -301,7 +298,7 @@ def inverse_residual(inst: AviInstance, y,
     """
     y = _as_vector(y, inst.dim, "y")
     pieces = []
-    for template in _face_templates(inst, tol):
+    for template in _face_templates(inst):
         piece = template.section(y)
         if piece is None:
             continue
@@ -312,6 +309,6 @@ def inverse_residual(inst: AviInstance, y,
     return pieces
 
 
-def enumerate_solution_set(inst: AviInstance, tol: Tolerances = DEFAULT_TOL):
+def enumerate_solution_set(inst: AviInstance):
     """Polyhedral pieces whose union is the solution set (preimage of 0)."""
-    return inverse_residual(inst, np.zeros(inst.dim), tol)
+    return inverse_residual(inst, np.zeros(inst.dim))

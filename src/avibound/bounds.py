@@ -47,28 +47,26 @@ class SolutionGeometry:
         return float(self._distance_fn(np.asarray(x, dtype=float)))
 
     @classmethod
-    def from_pieces(cls, pieces, tol: Tolerances = DEFAULT_TOL) -> "SolutionGeometry":
+    def from_pieces(cls, pieces) -> "SolutionGeometry":
         pieces = list(pieces)
         if not pieces:
             raise NoSolution("empty solution set")
         anchors = []
         for piece in pieces:
             try:
-                vs = enumerate_vertices(piece, tol)
+                vs = enumerate_vertices(piece)
                 anchors.extend(vs.vertices)
             except CapExceeded:
                 anchors.append(feasible_point(piece))
         return cls(distance_fn=lambda x: union_distance(pieces, x),
-                   anchors=_dedup_within(anchors, tol.cmp))
+                   anchors=_dedup_within(anchors))
 
     @classmethod
-    def from_instance(cls, inst: AviInstance,
-                      tol: Tolerances = DEFAULT_TOL) -> "SolutionGeometry":
-        return cls.from_pieces(enumerate_solution_set(inst, tol), tol)
+    def from_instance(cls, inst: AviInstance) -> "SolutionGeometry":
+        return cls.from_pieces(enumerate_solution_set(inst))
 
     @classmethod
-    def separable_orthant(cls, diagonal, q,
-                          tol: Tolerances = DEFAULT_TOL) -> "SolutionGeometry":
+    def separable_orthant(cls, diagonal, q) -> "SolutionGeometry":
         """Product geometry for M = diag(diagonal), C = orthant.
 
         Each coordinate is a scalar complementarity problem; the solution set
@@ -83,11 +81,11 @@ class SolutionGeometry:
             inst_1d = AviInstance(
                 m_op=[[diagonal[i]]], q=[q[i]], c_set=nonnegative_orthant(1)
             )
-            pieces = enumerate_solution_set(inst_1d, tol)
+            pieces = enumerate_solution_set(inst_1d)
             if not pieces:
                 raise NoSolution(f"coordinate {i} has no solution")
             axis_pieces.append(pieces)
-            anchor[i] = enumerate_vertices(pieces[0], tol).vertices[0][0]
+            anchor[i] = enumerate_vertices(pieces[0]).vertices[0][0]
 
         def dist(x):
             total = 0.0
@@ -209,7 +207,7 @@ def verify_error_bound(inst: AviInstance, epsilon: float,
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
-    geometry = geometry or SolutionGeometry.from_instance(inst, tol)
+    geometry = geometry or SolutionGeometry.from_instance(inst)
     table = _sample_error_bound_table(inst, geometry, num_samples, master_seed)
     kept, excluded_floor, filtered_eps = _filter_error_bound(table, epsilon, tol)
     if not kept:
@@ -261,8 +259,7 @@ class LipschitzCheckConfig:
         object.__setattr__(self, "radius_ladder", radii)
 
 
-def verify_upper_lipschitz_inverse(inst: AviInstance, cfg: LipschitzCheckConfig,
-                                   tol: Tolerances = DEFAULT_TOL) -> BoundReport:
+def verify_upper_lipschitz_inverse(inst: AviInstance, cfg: LipschitzCheckConfig) -> BoundReport:
     """Check R^{-1}(y) subset R^{-1}(y0) + c ||y - y0|| B on sampled y.
 
     Every vertex of every piece of the sampled preimage must sit within
@@ -273,7 +270,7 @@ def verify_upper_lipschitz_inverse(inst: AviInstance, cfg: LipschitzCheckConfig,
     as long as sampled neighbors stay outside too.
     """
     y0 = _as_vector(cfg.base_point, inst.dim, "base_point")
-    base_labelled = inverse_residual(inst, y0, tol, keep_active=True)
+    base_labelled = inverse_residual(inst, y0, keep_active=True)
     ratios = []
     vertices = []
     per_family: dict = {}
@@ -284,7 +281,7 @@ def verify_upper_lipschitz_inverse(inst: AviInstance, cfg: LipschitzCheckConfig,
         for j in range(cfg.samples_per_radius):
             stream = SplitMix64(derive_seed(cfg.master_seed, r_index, j))
             y = y0 + radius * np.array(stream.normals(inst.dim))
-            labelled = inverse_residual(inst, y, tol, keep_active=True)
+            labelled = inverse_residual(inst, y, keep_active=True)
             if not labelled:
                 outside_domain += 1
                 continue
@@ -295,7 +292,7 @@ def verify_upper_lipschitz_inverse(inst: AviInstance, cfg: LipschitzCheckConfig,
             if dy <= 1e-12:
                 continue
             for active, piece in labelled:
-                vs = enumerate_vertices(piece, tol)
+                vs = enumerate_vertices(piece)
                 for v in vs.vertices:
                     # one projection per base piece; each is nonempty, as
                     # inverse_residual kept only nonempty pieces
@@ -364,7 +361,7 @@ def find_local_radius(inst: AviInstance,
     One sample table is drawn and every epsilon filters it, so the curve is
     a monotone reduction of the same data rather than fresh noise per level.
     """
-    geometry = geometry or SolutionGeometry.from_instance(inst, tol)
+    geometry = geometry or SolutionGeometry.from_instance(inst)
     table = _sample_error_bound_table(inst, geometry, num_samples, master_seed)
     curve = []
     chosen = None
@@ -437,9 +434,7 @@ def truncation_study(family, dims, num_samples: int = 400, master_seed: int = 0,
     rows = []
     for index, n in enumerate(dims):
         inst = family.instance(n)
-        geometry = SolutionGeometry.separable_orthant(
-            family.diagonal(n), family.shift(n), tol
-        )
+        geometry = SolutionGeometry.separable_orthant(family.diagonal(n), family.shift(n))
         result = find_local_radius(
             inst,
             num_samples=num_samples,

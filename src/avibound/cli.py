@@ -176,7 +176,7 @@ def cmd_solve(args) -> int:
         stop_residual=args.stop_residual,
         x0=_parse_vector(args.x0) if args.x0 else None,
     )
-    trace = solvers_mod.solve(inst, cfg, _tolerances(args))
+    trace = solvers_mod.solve(inst, cfg)
     print(
         f"solve: method={trace.method} converged={trace.converged} "
         f"iters={trace.iterations} final_residual={trace.records[-1].residual_norm:g}"
@@ -187,14 +187,19 @@ def cmd_solve(args) -> int:
     return EXIT_PASS if trace.converged else EXIT_FAIL
 
 
+def _checked_pieces(inst, tol):
+    """(pieces, vertex sets, sound): the solution set's pieces, each one's
+    vertices and rays, and whether every vertex passes the direct solution
+    test `is_solution` (the first failure decides)."""
+    pieces = enumerate_solution_set(inst)
+    vertex_sets = [enumerate_vertices(piece) for piece in pieces]
+    sound = all(is_solution(inst, v, tol) for vs in vertex_sets for v in vs.vertices)
+    return pieces, vertex_sets, sound
+
+
 def cmd_enumerate(args) -> int:
     inst = _load_avi(args.instance)
-    tol = _tolerances(args)
-    pieces = enumerate_solution_set(inst, tol)
-    vertex_sets = [enumerate_vertices(piece, tol) for piece in pieces]
-    sound = all(
-        is_solution(inst, v, tol) for vs in vertex_sets for v in vs.vertices
-    )
+    pieces, vertex_sets, sound = _checked_pieces(inst, _tolerances(args))
     print(f"enumerate: pieces={len(pieces)} vertex_check={'pass' if sound else 'fail'}")
     if args.out:
         _write_json(
@@ -242,7 +247,7 @@ def cmd_verify_lipschitz(args) -> int:
         samples_per_radius=max(1, args.samples // len(radii)),
         master_seed=args.seed,
     )
-    report = bounds_mod.verify_upper_lipschitz_inverse(inst, cfg, tol=_tolerances(args))
+    report = bounds_mod.verify_upper_lipschitz_inverse(inst, cfg)
     print(
         f"verify-lipschitz: passed={report.passed} c_emp={report.c_emp:g} "
         f"samples={report.num_samples}"
@@ -349,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_residual)
 
     p = sub.add_parser("solve", help="run a projection-type solver")
-    common(p)
+    common(p, tol=False)
     p.add_argument("--method", choices=("extragradient", "projected_fixed_point"),
                    default="extragradient")
     p.add_argument("--step", type=float, default=None)
@@ -368,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_verify_error_bound)
 
     p = sub.add_parser("verify-lipschitz", help="upper Lipschitz check of the inverse residual")
-    common(p, seed=True, samples=True)
+    common(p, seed=True, samples=True, tol=False)
     p.add_argument("--ybar", default=None, help="base point (default origin)")
     p.add_argument("--radii", default=None, help="comma-separated radius ladder")
     p.set_defaults(handler=cmd_verify_lipschitz)
@@ -397,17 +402,10 @@ def _run_avi_entry(entry, seed, out_dir, tol):
     inst = entry.payload
     expectations = entry.expectations
     failures = []
-    pieces = enumerate_solution_set(inst, tol)
-    vertex_ok = True
-    found_points = []
-    for piece in pieces:
-        vs = enumerate_vertices(piece, tol)
-        for v in vs.vertices:
-            found_points.append(v)
-            if not is_solution(inst, v, tol):
-                vertex_ok = False
+    pieces, vertex_sets, vertex_ok = _checked_pieces(inst, tol)
     if not vertex_ok:
         failures.append("piece vertex failed direct solution check")
+    found_points = [v for vs in vertex_sets for v in vs.vertices]
     for target in expectations.get("solution_points", []):
         if not any(np.linalg.norm(np.array(target) - v) <= 1e-6 for v in found_points):
             failures.append(f"expected solution point {target} not found")
@@ -429,16 +427,14 @@ def _run_avi_entry(entry, seed, out_dir, tol):
         cfg = bounds_mod.LipschitzCheckConfig(
             base_point=np.zeros(inst.dim), master_seed=seed
         )
-        lip = bounds_mod.verify_upper_lipschitz_inverse(inst, cfg, tol=tol)
+        lip = bounds_mod.verify_upper_lipschitz_inverse(inst, cfg)
         lip_payload = lip.to_json_dict()
         if not (lip_range[0] <= lip.c_emp <= lip_range[1]):
             failures.append(f"lipschitz c_emp {lip.c_emp} outside {lip_range}")
     solve_payload = None
     if expectations.get("monotone"):
         trace = solvers_mod.solve(
-            inst,
-            solvers_mod.SolverConfig(stop_residual=1e-6, max_iters=10_000),
-            tol,
+            inst, solvers_mod.SolverConfig(stop_residual=1e-6, max_iters=10_000)
         )
         solve_payload = trace.to_json_dict()
         if not trace.converged:
@@ -474,7 +470,7 @@ def _run_gpm_entry(entry, seed, out_dir, tol):
     modulus_payload = None
     if expectations.get("bounded_sections"):
         cfg = gpm_mod.SectionSamplerConfig(num_pairs=160, master_seed=seed)
-        c_emp, est = gpm_mod.estimate_lipschitz_modulus(f, cfg, tol=tol)
+        c_emp, est = gpm_mod.estimate_lipschitz_modulus(f, cfg)
         modulus_payload = est.to_json_dict()
         mod_range = expectations.get("modulus")
         if mod_range and not (mod_range[0] <= c_emp <= mod_range[1]):

@@ -392,7 +392,7 @@ def _sample_domain_point(f, center, stream):
     return None
 
 
-def _measure_pair(f, center, index, cfg, tol):
+def _measure_pair(f, center, index, cfg):
     """One pair's (x1, x2, h, ratio) or a rejection tag; order-independent."""
     stream = SplitMix64(derive_seed(cfg.master_seed, index))
     first = _sample_domain_point(f, center, stream)
@@ -403,24 +403,23 @@ def _measure_pair(f, center, index, cfg, tol):
     gap = float(np.linalg.norm(x1 - x2))
     if gap <= 1e-9:
         return "rejected"
-    h = hausdorff(section1, section2, tol)
+    h = hausdorff(section1, section2)
     if math.isinf(h):
         return "excluded"
     return (x1, x2, h, h / gap)
 
 
-def _measure_pairs(f, cfg, tol):
+def _measure_pairs(f, cfg):
     """The plan's (x1, x2, h, ratio) pairs in index order, and the numbers
     of pairs rejected and excluded."""
     center = _domain_witness(f)
-    results = [_measure_pair(f, center, index, cfg, tol) for index in range(cfg.num_pairs)]
+    results = [_measure_pair(f, center, index, cfg) for index in range(cfg.num_pairs)]
     pairs = [r for r in results if not isinstance(r, str)]
     return pairs, results.count("rejected"), results.count("excluded")
 
 
 def estimate_lipschitz_modulus(f: GpMultifunction,
-                               cfg: SectionSamplerConfig = SectionSamplerConfig(),
-                               tol: Tolerances = DEFAULT_TOL):
+                               cfg: SectionSamplerConfig = SectionSamplerConfig()):
     """Empirical modulus sup h(F(x1), F(x2)) / ||x1 - x2|| over sampled pairs.
 
     Each ratio uses the exact Hausdorff distance, for unbounded sections as
@@ -429,7 +428,7 @@ def estimate_lipschitz_modulus(f: GpMultifunction,
     left out of the maximum and counted in `num_excluded_unbounded`.  Each
     pair's seed derives from its index.  Returns (c_emp, report).
     """
-    pairs, rejected, excluded = _measure_pairs(f, cfg, tol)
+    pairs, rejected, excluded = _measure_pairs(f, cfg)
     if not pairs:
         raise DegenerateSampler("fewer than 2 usable domain points were found")
     reduced = running_max([pair[3] for pair in pairs])
@@ -455,7 +454,7 @@ def check_lipschitz_holdout(f: GpMultifunction, c_emp: float,
     unbounded sections included, so for the same `cfg` `num_checked` equals
     the estimate's `num_ratios`.
     """
-    pairs, _, _ = _measure_pairs(f, cfg, tol)
+    pairs, _, _ = _measure_pairs(f, cfg)
     samples = [(h, float(np.linalg.norm(x1 - x2)), (x1, x2, h, ratio))
                for x1, x2, h, ratio in pairs]
     return holdout(samples, c_emp, slack, tol)

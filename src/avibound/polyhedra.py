@@ -8,6 +8,10 @@ Non-pointed sets are handled by splitting off the lineality space: reported
 "vertices" are then points of the minimal faces and the lineality directions
 appear as opposite pairs of recession rays, so conv(vertices) + cone(rays)
 always reproduces the set.
+
+The geometry decides by itself when two vertices or two rays are the same
+point and when a ray lies in a recession cone: `GEOM_TOL` is that slack,
+apart from the comparison tolerance of the verdicts built on top.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import null_space
 
-from .config import DEFAULT_TOL, Tolerances
 from .errors import CapExceeded, EmptySet, NumericalBreakdown
 from .optkernel import (
     FEAS_TOL,
@@ -31,6 +34,7 @@ from .optkernel import (
 from .sets import PolyhedralSet, box, nonnegative_orthant  # re-export
 
 __all__ = [
+    "GEOM_TOL",
     "PolyhedralSet",
     "VertexSet",
     "box",
@@ -44,6 +48,12 @@ __all__ = [
     "cone_generators",
 ]
 
+# Two vertices within GEOM_TOL (1 + |q|) of each other, or two unit rays
+# within GEOM_TOL, are one point of the V-representation (the first kept),
+# and a ray r lies in a recession cone {E r = 0, A r <= 0} when each row
+# misses by at most GEOM_TOL; the same slack dedups the solution set's
+# sampling anchors in `bounds`.
+GEOM_TOL = 1e-6
 _RANK_TOL = 1e-9
 # Double description on unit rays: a row value within _ZERO_TOL of the row
 # norm counts as zero, and so does a homogenizing coordinate t: a ray with
@@ -91,10 +101,12 @@ def feasible_point(S: PolyhedralSet) -> np.ndarray:
     return w.copy()
 
 
-def _dedup_points(points, tol: float):
+def _dedup_points(points):
+    """The points without repeats within GEOM_TOL (1 + |q|) of a kept q,
+    first occurrence kept."""
     kept = []
     for p in points:
-        if all(np.linalg.norm(p - q) > tol * (1.0 + np.linalg.norm(q)) for q in kept):
+        if all(np.linalg.norm(p - q) > GEOM_TOL * (1.0 + np.linalg.norm(q)) for q in kept):
             kept.append(p)
     return kept
 
@@ -182,17 +194,17 @@ def _by_tight_rows(rows: np.ndarray, points: np.ndarray) -> list:
     return sorted(points, key=lambda z: np.flatnonzero(rows @ z >= slack).tolist())
 
 
-def _dedup_within(vectors, tol: float) -> list:
-    """The vectors without repeats within distance `tol`, first occurrence
-    kept; unlike `_dedup_points`, `tol` is absolute."""
+def _dedup_within(vectors) -> list:
+    """The vectors without repeats within distance GEOM_TOL, first
+    occurrence kept; unlike `_dedup_points`, the slack is absolute."""
     kept = []
     for v in vectors:
-        if all(np.linalg.norm(v - q) > tol for q in kept):
+        if all(np.linalg.norm(v - q) > GEOM_TOL for q in kept):
             kept.append(v)
     return kept
 
 
-def enumerate_vertices(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> VertexSet:
+def enumerate_vertices(S: PolyhedralSet) -> VertexSet:
     """All vertices plus recession-cone generators of S.
 
     Both are read off the extreme rays z = (x, t) of the homogenized cone
@@ -200,7 +212,8 @@ def enumerate_vertices(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> Verte
     lineality is split off: a ray with t > _ZERO_TOL gives the vertex x / t,
     one with t <= _ZERO_TOL the unit recession ray x / |x|.  Each list is
     sorted by the rows tight at its members (`_by_tight_rows`), which is the
-    order of an exhaustive scan over row subsets.  A set that is empty but
+    order of an exhaustive scan over row subsets, and keeps the first of any
+    members within GEOM_TOL of each other.  A set that is empty but
     within FEAS_TOL of a point has no ray with t > 0; its one vertex is its
     feasible point.
 
@@ -233,8 +246,8 @@ def enumerate_vertices(S: PolyhedralSet, tol: Tolerances = DEFAULT_TOL) -> Verte
         directions = Z[t <= _ZERO_TOL, :n]
         directions /= np.linalg.norm(directions, axis=1)[:, None]
         rays = _by_tight_rows(A, directions)
-    vertices = _dedup_points(vertices, tol.cmp)
-    rays = _dedup_within(rays, tol.cmp)
+    vertices = _dedup_points(vertices)
+    rays = _dedup_within(rays)
     for j in range(L.shape[1]):
         rays.extend([L[:, j], -L[:, j]])
     return VertexSet(vertices=vertices, is_bounded=not rays, recession_rays=rays)
@@ -247,11 +260,11 @@ def distance(S: PolyhedralSet, x):
 
 
 def _recession_cones_match(va: VertexSet, vb: VertexSet,
-                           a: PolyhedralSet, b: PolyhedralSet, tol: Tolerances) -> bool:
+                           a: PolyhedralSet, b: PolyhedralSet) -> bool:
     def in_cone(r, S):
-        if S.num_eq and np.max(np.abs(S.eq_lhs @ r)) > tol.cmp:
+        if S.num_eq and np.max(np.abs(S.eq_lhs @ r)) > GEOM_TOL:
             return False
-        if S.num_ineq and np.max(S.ineq_lhs @ r) > tol.cmp:
+        if S.num_ineq and np.max(S.ineq_lhs @ r) > GEOM_TOL:
             return False
         return True
 
@@ -260,12 +273,12 @@ def _recession_cones_match(va: VertexSet, vb: VertexSet,
     )
 
 
-def hausdorff(a: PolyhedralSet, b: PolyhedralSet,
-              tol: Tolerances = DEFAULT_TOL) -> float:
+def hausdorff(a: PolyhedralSet, b: PolyhedralSet) -> float:
     """Hausdorff distance between two nonempty polyhedra, bounded or not.
 
-    When the recession cones differ the distance is +inf: a ray of one set
-    that is not in the cone of the other leaves it at a linear rate.
+    When the recession cones differ (up to GEOM_TOL per row) the distance
+    is +inf: a ray of one set that is not in the cone of the other leaves it
+    at a linear rate.
     Otherwise write a = conv V_a + K with K = rec a = rec b.  Each point of
     a is p + k with p in conv V_a and k in K, and b + k lies in b, so
     d(p + k, b) <= d(p, b): the nearest point q of b to p gives the point
@@ -277,9 +290,9 @@ def hausdorff(a: PolyhedralSet, b: PolyhedralSet,
 
     is the distance itself, not a bound on it.
     """
-    va = enumerate_vertices(a, tol)
-    vb = enumerate_vertices(b, tol)
-    if not _recession_cones_match(va, vb, a, b, tol):
+    va = enumerate_vertices(a)
+    vb = enumerate_vertices(b)
+    if not _recession_cones_match(va, vb, a, b):
         return math.inf
     value = 0.0
     for v in va.vertices:
@@ -301,12 +314,12 @@ def union_distance(pieces, x) -> float:
     return best
 
 
-def cone_generators(rows: np.ndarray, tol: Tolerances = DEFAULT_TOL):
+def cone_generators(rows: np.ndarray):
     """Generators (rays, lineality) of the cone K = {x : rows @ x <= 0}.
 
     `lineality` is the orthonormal basis (rows) of {x : rows @ x = 0};
     `rays` are the unit extreme rays of K's pointed part as double
-    description finds them, without repeats within tol.cmp and sorted by
+    description finds them, without repeats within GEOM_TOL and sorted by
     their tight rows.  So K = cone(rays) + span(lineality); both are
     C-contiguous, (k, n) and (l, n).  No emptiness test and no vertex
     search runs, and when l = n (no rows, or all zero) no double
@@ -320,5 +333,5 @@ def cone_generators(rows: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     rays = np.zeros((0, n))
     if lineality.shape[0] < n:
         Z = _extreme_rays(lineality, rows)
-        rays = np.array(_dedup_within(_by_tight_rows(rows, Z), tol.cmp)).reshape(-1, n)
+        rays = np.array(_dedup_within(_by_tight_rows(rows, Z))).reshape(-1, n)
     return rays, lineality

@@ -77,8 +77,7 @@ def build_kkt_piece(inst: AviInstance, active) -> KktPiece:
     return KktPiece(active=active, polyhedron_yxl=poly)
 
 
-def piece_section_points(inst: AviInstance, active: tuple, y,
-                         tol: Tolerances = DEFAULT_TOL):
+def piece_section_points(inst: AviInstance, active: tuple, y):
     """Sample (x, lambda) points of one KKT piece at level y.
 
     Used by the consistency tests: vertices of the lifted section are
@@ -114,7 +113,7 @@ def piece_section_points(inst: AviInstance, active: tuple, y,
     )
     if not is_nonempty(lifted):
         return []
-    vs = enumerate_vertices(lifted, tol)
+    vs = enumerate_vertices(lifted)
     points = list(vs.vertices)
     for v in vs.vertices[:1]:
         for ray in vs.recession_rays:
@@ -169,7 +168,7 @@ def from_generators(vertices, rays=(), tol: Tolerances = DEFAULT_TOL) -> Polyhed
         [np.concatenate([v, [1.0]]) for v in vertices]
         + [np.concatenate([r, [0.0]]) for r in rays]
     )
-    polar_rays, polar_lineality = cone_generators(lifted, tol)
+    polar_rays, polar_lineality = cone_generators(lifted)
     ineq_lhs, ineq_rhs = _face_rows(polar_rays, n, tol)
     eq_lhs, eq_rhs = _face_rows(polar_lineality, n, tol)
     return PolyhedralSet(n, ineq_lhs=ineq_lhs, ineq_rhs=ineq_rhs, eq_lhs=eq_lhs, eq_rhs=eq_rhs)

@@ -19,8 +19,12 @@ from avibound.avi import (
     is_solution,
     residual,
 )
-from avibound.bounds import LipschitzCheckConfig, verify_upper_lipschitz_inverse
-from avibound.config import DEFAULT_TOL
+from avibound.bounds import (
+    LipschitzCheckConfig,
+    find_local_radius,
+    verify_upper_lipschitz_inverse,
+)
+from avibound.config import Tolerances
 from avibound.instgen import canned_suite, generate_random_avi
 from avibound.optkernel import FEAS_TOL, QpProjectionProblem, solve_projection_qp
 from avibound.polyhedra import (
@@ -310,10 +314,7 @@ def _brute_force_pieces(inst, levels):
     order."""
     m = inst.num_constraints
     patterns = [tuple(i for i in range(m) if rank >> i & 1) for rank in range(1 << m)]
-    templates = [
-        _PieceTemplate(inst, _face(inst, active), active, DEFAULT_TOL)
-        for active in patterns
-    ]
+    templates = [_PieceTemplate(inst, _face(inst, active), active) for active in patterns]
     per_level = []
     for y in levels:
         found = []
@@ -547,7 +548,7 @@ def test_lipschitz_check_section_phase_ones(monkeypatch):
     # 36 sampled levels plus the base point; without the kept rays every
     # level runs phase one on every non-box section, 777 of them here
     inst = generate_random_avi(n=3, m=5, monotonicity="monotone_skew", seed=1)
-    _face_templates(inst, DEFAULT_TOL)  # the face search's own phase ones
+    _face_templates(inst)  # the face search's own phase ones
     calls = []
     original = optkernel.solve_feasibility
 
@@ -560,6 +561,26 @@ def test_lipschitz_check_section_phase_ones(monkeypatch):
     report = verify_upper_lipschitz_inverse(inst, cfg)
     assert report.num_samples > 0
     assert len(calls) <= 100
+
+
+def test_one_face_search_per_instance(monkeypatch):
+    # the face search reads no comparison tolerance, so an error-bound curve
+    # at a tighter cmp reuses the templates the solution set built: one
+    # polar cone per nonempty face, not one per face and tolerance
+    inst = generate_random_avi(n=3, m=5, monotonicity="strongly_monotone", seed=1)
+    calls = []
+    original = avi.cone_generators
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(avi, "cone_generators", counting)
+    assert enumerate_solution_set(inst)
+    searched = len(calls)
+    assert searched > 1
+    find_local_radius(inst, num_samples=40, master_seed=3, tol=Tolerances(cmp=1e-8))
+    assert len(calls) == searched
 
 
 if __name__ == "__main__":

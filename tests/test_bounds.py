@@ -199,15 +199,10 @@ class TestRatioBoundedness:
         # d(x, C*) / ||R(x)|| exceeds Monte-Carlo estimates, but the ratio
         # must plateau as the residual vanishes (that is the error bound);
         # divergence here would mean the enumerated C* is incomplete.
-        from avibound.config import Tolerances
         from avibound.solvers import SolverConfig, solve
 
         inst = generate_random_avi(n=2, m=3, monotonicity="monotone_skew", seed=7014)
-        trace = solve(
-            inst,
-            SolverConfig(stop_residual=1e-9, max_iters=60_000),
-            tol=Tolerances(cmp=1e-9),
-        )
+        trace = solve(inst, SolverConfig(stop_residual=1e-9, max_iters=60_000))
         assert trace.converged
         pieces = enumerate_solution_set(inst)
         near, far = [], []

@@ -183,11 +183,18 @@ class TestExitCodes:
         assert main([command, *source, *rest]) == 2
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["project", "residual"])
-    def test_tol_is_not_a_flag_of_project_or_residual(self, lcp_file, command, capsys):
-        # both solve only the projection, which reads no comparison tolerance
+    @pytest.mark.parametrize("command, rest", [
+        ("project", ["--x", "3"]),
+        ("residual", ["--x", "3"]),
+        ("verify-lipschitz", ["--ybar", "0"]),
+        ("solve", ["--x0", "4"]),
+    ], ids=["project", "residual", "verify-lipschitz", "solve"])
+    def test_tol_is_not_a_flag_of_project_or_residual(self, lcp_file, command, rest, capsys):
+        # none reads a comparison tolerance: project and residual solve only
+        # the projection, the preimage geometry dedups with polyhedra.GEOM_TOL
+        # and the solver stops at --stop-residual alone
         with pytest.raises(SystemExit) as exc:
-            main([command, "--instance", lcp_file, "--x", "3", "--tol", "1"])
+            main([command, "--instance", lcp_file, *rest, "--tol", "1"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --tol 1" in capsys.readouterr().err
 
@@ -257,9 +264,9 @@ class TestReports:
         calls = []
         original = cli.enumerate_vertices
 
-        def counting(piece, tol):
+        def counting(piece):
             calls.append(piece)
-            return original(piece, tol)
+            return original(piece)
 
         monkeypatch.setattr(cli, "enumerate_vertices", counting)
         box2 = [e for e in instgen.canned_suite() if e.name == "zero_op_box2"][0].payload

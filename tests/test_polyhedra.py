@@ -14,11 +14,11 @@ from test_acceptance import _avi_corpus
 
 from avibound import CapExceeded, EmptySet, NumericalBreakdown, PolyhedralSet, optkernel, polyhedra
 from avibound.avi import _face_templates
-from avibound.config import DEFAULT_TOL
 from avibound.gpm import evaluate
 from avibound.instgen import canned_suite
 from avibound.optkernel import FEAS_TOL
 from avibound.polyhedra import (
+    GEOM_TOL,
     box,
     cone_generators,
     distance,
@@ -425,11 +425,12 @@ def _dedup(points, tol, relative):
     return kept
 
 
-def exhaustive_scan(S, tol=DEFAULT_TOL):
+def exhaustive_scan(S):
     """Reference: the subset scan `enumerate_vertices` ran before double
     description.  Every `free`-subset of inequality rows is tried for a
     vertex and every `free - 1`-subset for a recession ray, in lexicographic
-    order.  Returns (vertices, recession_rays)."""
+    order, with repeats within GEOM_TOL dropped as `enumerate_vertices`
+    drops them.  Returns (vertices, recession_rays)."""
     n = S.ambient_dim
     rows = np.vstack([S.eq_lhs, S.ineq_lhs])
     L = null_space(rows, rcond=1e-9) if rows.shape[0] else np.eye(n)
@@ -470,10 +471,10 @@ def exhaustive_scan(S, tol=DEFAULT_TOL):
                 rays.append(-v)
             elif m == 0:
                 rays.extend([v, -v])
-    rays = _dedup(rays, tol.cmp, relative=False)
+    rays = _dedup(rays, GEOM_TOL, relative=False)
     for j in range(L.shape[1]):
         rays.extend([L[:, j], -L[:, j]])
-    return _dedup(vertices, tol.cmp, relative=True), rays
+    return _dedup(vertices, GEOM_TOL, relative=True), rays
 
 
 def assert_same_order(got, expected, tol, relative):
@@ -681,7 +682,7 @@ class TestDoubleDescriptionMatchesScan:
         cones = 0
         for _, _, inst in _avi_corpus():
             A = inst.c_set.ineq_lhs
-            for template in _face_templates(inst, DEFAULT_TOL):
+            for template in _face_templates(inst):
                 if template.active:
                     assert_cone_matches_scan(A[list(template.active)])
                     cones += 1

@@ -19,11 +19,6 @@ from avibound.solvers import (
 )
 
 
-def tight(stop_residual):
-    """Comparison tolerance matched to a sub-default stopping threshold."""
-    return Tolerances(cmp=stop_residual)
-
-
 def identity_lcp(n=3):
     return AviInstance(m_op=np.eye(n), q=-np.ones(n), c_set=nonnegative_orthant(n))
 
@@ -60,14 +55,14 @@ class TestSolve:
             stop_residual=1e-10,
             x0=np.zeros(4),
         )
-        trace = solve(inst, cfg, tol=tight(cfg.stop_residual))
+        trace = solve(inst, cfg)
         assert trace.converged
         np.testing.assert_allclose(trace.final_x, np.ones(4), atol=1e-9)
 
     def test_starting_at_solution_takes_zero_iterations(self):
         inst = identity_lcp(2)
         cfg = SolverConfig(x0=np.ones(2), stop_residual=1e-8)
-        trace = solve(inst, cfg, tol=tight(1e-8))
+        trace = solve(inst, cfg)
         assert trace.converged
         assert trace.iterations == 0
 
@@ -76,7 +71,6 @@ class TestSolve:
             skew_2d(),
             SolverConfig(method="extragradient", step=0.3, stop_residual=1e-7,
                          x0=np.array([1.0, 0.0]), max_iters=20_000),
-            tol=tight(1e-7),
         )
         assert trace.converged
         assert is_solution(skew_2d(), trace.final_x, )
@@ -89,7 +83,6 @@ class TestSolve:
             SolverConfig(method="projected_fixed_point", step=0.3,
                          stop_residual=1e-7, x0=np.array([1.0, 0.0]),
                          max_iters=500),
-            tol=tight(1e-7),
         )
         assert trace.records  # ran and returned a trace either way
 
@@ -99,7 +92,7 @@ class TestSolve:
         for seed in (1, 2, 3):
             inst = generate_random_avi(n=3, m=4, monotonicity="strongly_monotone", seed=seed)
             cfg = SolverConfig(stop_residual=1e-8)
-            trace = solve(inst, cfg, tol=tight(1e-8))
+            trace = solve(inst, cfg)
             assert trace.converged
             assert trace.records[-1].residual_norm <= cfg.stop_residual
             geometry = SolutionGeometry.from_instance(inst)
@@ -114,7 +107,7 @@ class TestSolve:
             m_op=[[2.0, 0.3], [0.3, 1.0]], q=[-1.0, 0.4], c_set=box([0, 0], [2, 2])
         )
         cfg = SolverConfig(stop_residual=1e-8)
-        trace = solve(inst, cfg, tol=tight(1e-8))
+        trace = solve(inst, cfg)
         assert trace.converged
         check_tol = solution_check_tolerance(inst, cfg)
         assert is_solution(inst, trace.final_x, tol=Tolerances(cmp=check_tol))
@@ -137,7 +130,7 @@ class TestSolve:
 
         monkeypatch.setattr(optkernel, "solve_feasibility", counting)
         cfg = SolverConfig(method=method, stop_residual=1e-8, x0=np.full(3, 10.0))
-        trace = solve(inst, cfg, tol=tight(1e-8))
+        trace = solve(inst, cfg)
         assert calls == []
         assert trace.converged
         (solution,) = SolutionGeometry.from_instance(inst).anchors
@@ -183,14 +176,14 @@ class TestSolve:
             method="projected_fixed_point", step=1.0, x0=np.array([1.0]),
             max_iters=10_000, stop_residual=1e-12,
         )
-        trace = solve(inst, cfg, tol=tight(1e-12))
+        trace = solve(inst, cfg)
         assert trace.diverged
         assert not trace.converged
 
     def test_max_iters_returns_trace(self):
         inst = identity_lcp(2)
         cfg = SolverConfig(step=1e-6, max_iters=5, stop_residual=1e-12, x0=np.zeros(2))
-        trace = solve(inst, cfg, tol=tight(1e-12))
+        trace = solve(inst, cfg)
         assert not trace.converged
         assert trace.iterations == 5
 
@@ -202,8 +195,7 @@ class TestSolve:
 class TestAnnotateAndTail:
     def test_lcp_1d_distance_equals_residual(self):
         inst = AviInstance(m_op=[[1.0]], q=[-1.0], c_set=nonnegative_orthant(1))
-        trace = solve(inst, SolverConfig(step=0.5, x0=np.array([4.0]), stop_residual=1e-9),
-                      tol=tight(1e-9))
+        trace = solve(inst, SolverConfig(step=0.5, x0=np.array([4.0]), stop_residual=1e-9))
         annotated = annotate_distances(inst, trace)
         for rec in annotated.records:
             assert rec.distance_to_solutions == pytest.approx(rec.residual_norm, abs=1e-8)
@@ -212,8 +204,7 @@ class TestAnnotateAndTail:
         inst = identity_lcp(3)
         result = find_local_radius(inst, num_samples=200, master_seed=1)
         trace = annotate_distances(
-            inst, solve(inst, SolverConfig(x0=np.full(3, 5.0), stop_residual=1e-8),
-                        tol=tight(1e-8))
+            inst, solve(inst, SolverConfig(x0=np.full(3, 5.0), stop_residual=1e-8))
         )
         report = check_tail_bound(trace, result.c_emp, result.epsilon)
         assert report.passed
@@ -222,7 +213,7 @@ class TestAnnotateAndTail:
     def test_csv_round_trip(self):
         inst = identity_lcp(2)
         trace = annotate_distances(
-            inst, solve(inst, SolverConfig(stop_residual=1e-8), tol=tight(1e-8))
+            inst, solve(inst, SolverConfig(stop_residual=1e-8))
         )
         text = trace.to_csv()
         lines = text.strip().split("\n")

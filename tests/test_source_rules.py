@@ -21,7 +21,10 @@ a row count) comes back at a call site.  Every parameter of every function
 and lambda in `src/avibound`, except `self` and `cls`, must be read in its
 body, so a `tol` that a routine takes and no longer passes on (a dead
 pass-through left behind when the solves below it stopped taking one)
-fails here.
+fails here.  The layers below the verdicts, `sets`, `optkernel` and
+`polyhedra`, import nothing from `config`: each owns its slack as a
+constant (`optkernel.FEAS_TOL`, `polyhedra.GEOM_TOL`), so the comparison
+tolerance cannot leak back into the geometry or the kernel.
 """
 
 import argparse
@@ -463,3 +466,43 @@ def test_cap_rule_catches_a_call_site_cap():
     assert _cap_raises(ast.parse(source)) == [
         (2, "_extreme_rays"), (5, "Family.instance"), (8, "enumerate_vertices"), (10, ""),
     ]
+
+
+# The layers below the verdicts: they decide with their own constants, and
+# the comparison tolerance of `config` enters only above them.
+BELOW_CONFIG = ("sets.py", "optkernel.py", "polyhedra.py")
+
+
+def _config_imports(tree):
+    """Lines of every import of the `config` module or of a name from it."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            if module[-1] == "config" or (
+                not node.module and any(a.name == "config" for a in node.names)
+            ):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(a.name.split(".")[-1] == "config" for a in node.names):
+                found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("name", BELOW_CONFIG)
+def test_lower_layers_import_no_config(name):
+    found = _config_imports(ast.parse((SRC / name).read_text(encoding="utf-8")))
+    assert not found, f"{name} imports config at lines {found}"
+
+
+def test_layering_rule_catches_a_config_import():
+    source = (
+        "import numpy as np\n"
+        "from .config import DEFAULT_TOL\n"
+        "from .sets import PolyhedralSet\n"
+        "from . import config, errors\n"
+        "import avibound.config\n"
+        "from avibound.config import Tolerances\n"
+        "from .configure import other\n"
+    )
+    assert _config_imports(ast.parse(source)) == [2, 4, 5, 6]
