@@ -2,15 +2,15 @@
 
 Layers, bottom to top: `optkernel` (LP / feasibility / projection solves),
 `polyhedra` (vertex enumeration, distances, Hausdorff), `ratios` (the
-running maximum, witness, trace, stability verdict and holdout check shared
-by every sampled verdict), `gpm` (generalized polyhedral multifunctions and
-their Lipschitz moduli), `avi` (residual map and active-set decomposition of
-solution sets), `bounds` (empirical error bound and upper-Lipschitz
-verification), `solvers` (projection-type iterations), `instgen` (instance
-corpus and serialization) and `cli`.
+comparison slack `CMP_TOL` and the running maximum, witness, trace,
+stability verdict and holdout check shared by every sampled verdict),
+`gpm` (generalized polyhedral multifunctions and their Lipschitz moduli),
+`avi` (residual map and active-set decomposition of solution sets),
+`bounds` (empirical error bound and upper-Lipschitz verification),
+`solvers` (projection-type iterations), `instgen` (instance corpus and
+serialization) and `cli`.
 """
 
-from .config import Tolerances, DEFAULT_TOL
 from .errors import (
     AviboundError,
     CapExceeded,
@@ -26,7 +26,6 @@ from .sets import PolyhedralSet, box, nonnegative_orthant
 __all__ = [
     "AviboundError",
     "CapExceeded",
-    "DEFAULT_TOL",
     "DegenerateSampler",
     "DimensionMismatch",
     "EmptySet",
@@ -34,7 +33,6 @@ __all__ = [
     "NumericalBreakdown",
     "PolyhedralSet",
     "SchemaError",
-    "Tolerances",
     "box",
     "nonnegative_orthant",
 ]

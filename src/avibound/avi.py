@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
 from .errors import CapExceeded, DimensionMismatch, EmptySet, NumericalBreakdown, SchemaError
 from .optkernel import (
     FEAS_TOL,
@@ -47,6 +46,7 @@ from .optkernel import (
     solve_projection_qp,
 )
 from .polyhedra import PolyhedralSet, cone_generators, is_nonempty
+from .ratios import CMP_TOL
 from .sets import _as_matrix, _as_vector
 
 
@@ -125,8 +125,9 @@ def residual(inst: AviInstance, x) -> ResidualValue:
 _RAY_BOX_RADIUS = 1e6
 
 
-def is_solution(inst: AviInstance, x, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Direct check of <Mx + q, v - x> >= 0 for all v in C, via one LP.
+def is_solution(inst: AviInstance, x) -> bool:
+    """Direct check of <Mx + q, v - x> >= 0 for all v in C, via one LP,
+    within the slack CMP_TOL (1 + ||x||).
 
     An unbounded objective means a genuine descent ray and fails the check,
     but near a degenerate solution the drift <Mx + q, ray> can be at
@@ -137,7 +138,7 @@ def is_solution(inst: AviInstance, x, tol: Tolerances = DEFAULT_TOL) -> bool:
     """
     x = _as_vector(x, inst.dim, "x")
     scale = 1.0 + float(np.linalg.norm(x))
-    if not inst.c_set.contains(x, tol.cmp * scale):
+    if not inst.c_set.contains(x, CMP_TOL * scale):
         return False
     w = inst.m_op @ x + inst.q
     res = solve_lp(LinearProgram(w, inst.c_set))
@@ -152,7 +153,7 @@ def is_solution(inst: AviInstance, x, tol: Tolerances = DEFAULT_TOL) -> bool:
         res = solve_lp(LinearProgram(w, boxed))
     if not res.is_optimal:  # C is nonempty by construction
         raise NumericalBreakdown(f"solution-test LP reported {res.status}")
-    return res.value >= float(w @ x) - tol.cmp * scale
+    return res.value >= float(w @ x) - CMP_TOL * scale
 
 
 class _PieceTemplate:

@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .avi import AviInstance, enumerate_solution_set, inverse_residual, residual
-from .config import DEFAULT_TOL, Tolerances
-from .errors import CapExceeded, DegenerateSampler, NoSolution
-from .polyhedra import _dedup_within, distance, enumerate_vertices, feasible_point, union_distance
-from .ratios import running_max, zero_over_zero_floor
+from .errors import DegenerateSampler, NoSolution
+from .polyhedra import _dedup_within, distance, enumerate_vertices, union_distance
+from .ratios import ZERO_OVER_ZERO_FLOOR, running_max
 from .rng import SplitMix64, derive_seed
 from .sets import _as_vector, nonnegative_orthant
 
@@ -47,23 +46,19 @@ class SolutionGeometry:
         return float(self._distance_fn(np.asarray(x, dtype=float)))
 
     @classmethod
-    def from_pieces(cls, pieces) -> "SolutionGeometry":
-        pieces = list(pieces)
+    def from_pieces(cls, pieces, vertex_sets) -> "SolutionGeometry":
+        """The union of `pieces`, anchored at their vertices; `vertex_sets`
+        holds `enumerate_vertices` of each piece, in order."""
         if not pieces:
             raise NoSolution("empty solution set")
-        anchors = []
-        for piece in pieces:
-            try:
-                vs = enumerate_vertices(piece)
-                anchors.extend(vs.vertices)
-            except CapExceeded:
-                anchors.append(feasible_point(piece))
+        anchors = [v for vs in vertex_sets for v in vs.vertices]
         return cls(distance_fn=lambda x: union_distance(pieces, x),
                    anchors=_dedup_within(anchors))
 
     @classmethod
     def from_instance(cls, inst: AviInstance) -> "SolutionGeometry":
-        return cls.from_pieces(enumerate_solution_set(inst))
+        pieces = enumerate_solution_set(inst)
+        return cls.from_pieces(pieces, [enumerate_vertices(piece) for piece in pieces])
 
     @classmethod
     def separable_orthant(cls, diagonal, q) -> "SolutionGeometry":
@@ -171,15 +166,14 @@ def _sample_error_bound_table(inst, geometry, num_samples, master_seed):
     return table
 
 
-def _filter_error_bound(table, epsilon, tol):
-    """The samples with residual norm in [floor, epsilon], where floor is the
-    0/0 floor, and the counts left out below the floor and above epsilon."""
-    floor = zero_over_zero_floor(tol)
+def _filter_error_bound(table, epsilon):
+    """The samples with residual norm in [ZERO_OVER_ZERO_FLOOR, epsilon], and
+    the counts left out below the floor and above epsilon."""
     kept = []
     excluded_floor = 0
     filtered_eps = 0
     for sample in table:
-        if sample.residual_norm < floor:
+        if sample.residual_norm < ZERO_OVER_ZERO_FLOOR:
             excluded_floor += 1
         elif sample.residual_norm > epsilon:
             filtered_eps += 1
@@ -194,22 +188,21 @@ def _ratio_max(kept):
 
 def verify_error_bound(inst: AviInstance, epsilon: float,
                        num_samples: int = 400, master_seed: int = 0,
-                       geometry: SolutionGeometry | None = None,
-                       tol: Tolerances = DEFAULT_TOL) -> BoundReport:
+                       geometry: SolutionGeometry | None = None) -> BoundReport:
     """Estimate the constant in d(x, solutions) <= c ||R(x)|| near solutions.
 
     Samples are anchor points of the solution set plus Gaussian noise at the
     scales `DEFAULT_NOISE_SCALES`; only samples with residual norm in
-    [10 tol.cmp, epsilon] enter the ratio.  The verdict passes when the
-    running maximum stabilized.  Raises ValueError unless epsilon is finite
-    and positive, NoSolution when the solution set is empty and
+    [ZERO_OVER_ZERO_FLOOR, epsilon] enter the ratio.  The verdict passes
+    when the running maximum stabilized.  Raises ValueError unless epsilon
+    is finite and positive, NoSolution when the solution set is empty and
     DegenerateSampler when no sample survives the residual filter.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     geometry = geometry or SolutionGeometry.from_instance(inst)
     table = _sample_error_bound_table(inst, geometry, num_samples, master_seed)
-    kept, excluded_floor, filtered_eps = _filter_error_bound(table, epsilon, tol)
+    kept, excluded_floor, filtered_eps = _filter_error_bound(table, epsilon)
     if not kept:
         raise DegenerateSampler(
             f"no sample passed the residual filter (epsilon={epsilon})"
@@ -354,8 +347,7 @@ class LocalRadiusResult:
 
 def find_local_radius(inst: AviInstance,
                       num_samples: int = 400, master_seed: int = 0,
-                      geometry: SolutionGeometry | None = None,
-                      tol: Tolerances = DEFAULT_TOL) -> LocalRadiusResult:
+                      geometry: SolutionGeometry | None = None) -> LocalRadiusResult:
     """Largest epsilon in the halving ladder with a stabilized ratio trace.
 
     One sample table is drawn and every epsilon filters it, so the curve is
@@ -366,7 +358,7 @@ def find_local_radius(inst: AviInstance,
     curve = []
     chosen = None
     for eps in EPSILON_LADDER:
-        kept, _, _ = _filter_error_bound(table, eps, tol)
+        kept, _, _ = _filter_error_bound(table, eps)
         reduced = _ratio_max(kept)
         curve.append((eps, reduced.c_emp, len(kept), reduced.stable))
         if reduced.stable and chosen is None:
@@ -422,8 +414,8 @@ class TruncationTable:
         return "\n".join(lines) + "\n"
 
 
-def truncation_study(family, dims, num_samples: int = 400, master_seed: int = 0,
-                     tol: Tolerances = DEFAULT_TOL) -> TruncationTable:
+def truncation_study(family, dims, num_samples: int = 400,
+                     master_seed: int = 0) -> TruncationTable:
     """Error-bound constants along a family of growing diagonal instances.
 
     `family` must provide `spectrum`, `instance(n)` and `diagonal(n)` /
@@ -440,7 +432,6 @@ def truncation_study(family, dims, num_samples: int = 400, master_seed: int = 0,
             num_samples=num_samples,
             master_seed=derive_seed(master_seed, index),
             geometry=geometry,
-            tol=tol,
         )
         rows.append(
             TruncationRow(

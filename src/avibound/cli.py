@@ -20,7 +20,6 @@ from . import gpm as gpm_mod
 from . import instgen
 from . import solvers as solvers_mod
 from .avi import AviInstance, enumerate_solution_set, is_solution, residual
-from .config import DEFAULT_TOL, Tolerances
 from .errors import (
     AviboundError,
     CapExceeded,
@@ -33,6 +32,7 @@ from .errors import (
 )
 from .gpm import GpMultifunction
 from .polyhedra import PolyhedralSet, distance, enumerate_vertices
+from .ratios import CMP_TOL
 from .rng import SplitMix64, derive_seed
 
 EXIT_PASS = 0
@@ -56,12 +56,6 @@ def _parse_dims(text: str) -> list:
     if not dims:
         raise ValueError(f"no dimension in {text!r}")
     return dims
-
-
-def _tolerances(args) -> Tolerances:
-    if getattr(args, "tol", None) is None:
-        return DEFAULT_TOL
-    return Tolerances(cmp=args.tol)
 
 
 def _write_json(payload: dict, path: str) -> None:
@@ -187,19 +181,19 @@ def cmd_solve(args) -> int:
     return EXIT_PASS if trace.converged else EXIT_FAIL
 
 
-def _checked_pieces(inst, tol):
+def _checked_pieces(inst):
     """(pieces, vertex sets, sound): the solution set's pieces, each one's
     vertices and rays, and whether every vertex passes the direct solution
     test `is_solution` (the first failure decides)."""
     pieces = enumerate_solution_set(inst)
     vertex_sets = [enumerate_vertices(piece) for piece in pieces]
-    sound = all(is_solution(inst, v, tol) for vs in vertex_sets for v in vs.vertices)
+    sound = all(is_solution(inst, v) for vs in vertex_sets for v in vs.vertices)
     return pieces, vertex_sets, sound
 
 
 def cmd_enumerate(args) -> int:
     inst = _load_avi(args.instance)
-    pieces, vertex_sets, sound = _checked_pieces(inst, _tolerances(args))
+    pieces, vertex_sets, sound = _checked_pieces(inst)
     print(f"enumerate: pieces={len(pieces)} vertex_check={'pass' if sound else 'fail'}")
     if args.out:
         _write_json(
@@ -221,7 +215,6 @@ def cmd_verify_error_bound(args) -> int:
         epsilon=args.eps,
         num_samples=args.samples,
         master_seed=args.seed,
-        tol=_tolerances(args),
     )
     print(
         f"verify-error-bound: passed={report.passed} c_emp={report.c_emp:g} "
@@ -264,8 +257,8 @@ def cmd_verify_minimax(args) -> int:
         np.array([2.0 * rng.normal() for _ in range(f.input_dim)])
         for _ in range(args.samples)
     ]
-    minimax = gpm_mod.verify_minimax(f, points, _tolerances(args))
-    domain = gpm_mod.verify_domain_characterization(f, points, _tolerances(args))
+    minimax = gpm_mod.verify_minimax(f, points)
+    domain = gpm_mod.verify_domain_characterization(f, points)
     ok = minimax.passed and domain.passed
     print(
         f"verify-minimax: passed={ok} max_gap={minimax.max_gap:g} "
@@ -281,8 +274,7 @@ def cmd_truncation_study(args) -> int:
     family = instgen.TruncationFamily(args.family)
     dims = _parse_dims(args.dims)
     table = bounds_mod.truncation_study(
-        family, dims, num_samples=args.samples, master_seed=args.seed,
-        tol=_tolerances(args),
+        family, dims, num_samples=args.samples, master_seed=args.seed
     )
     cs = ", ".join(f"c({row.dim})={row.c_emp:.3g}" for row in table.rows)
     print(f"truncation-study: spectrum={args.family} {cs}")
@@ -322,15 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
     parser.set_defaults(command=None)
 
-    def common(p, instance=True, seed=False, samples=False, tol=True):
+    def common(p, instance=True, seed=False, samples=False):
         if instance:
             p.add_argument("--instance", required=True, help="instance JSON path")
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if samples:
             p.add_argument("--samples", type=int, default=200)
-        if tol:
-            p.add_argument("--tol", type=float, default=None, help="comparison tolerance")
         p.add_argument("--out", default=None, help="report output directory")
 
     p = sub.add_parser("generate", help="generate a random instance + manifest")
@@ -344,17 +334,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_generate)
 
     p = sub.add_parser("project", help="project a point onto the constraint set")
-    common(p, tol=False)
+    common(p)
     p.add_argument("--x", required=True, help="comma-separated coordinates")
     p.set_defaults(handler=cmd_project)
 
     p = sub.add_parser("residual", help="evaluate the natural residual at a point")
-    common(p, tol=False)
+    common(p)
     p.add_argument("--x", required=True)
     p.set_defaults(handler=cmd_residual)
 
     p = sub.add_parser("solve", help="run a projection-type solver")
-    common(p, tol=False)
+    common(p)
     p.add_argument("--method", choices=("extragradient", "projected_fixed_point"),
                    default="extragradient")
     p.add_argument("--step", type=float, default=None)
@@ -373,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_verify_error_bound)
 
     p = sub.add_parser("verify-lipschitz", help="upper Lipschitz check of the inverse residual")
-    common(p, seed=True, samples=True, tol=False)
+    common(p, seed=True, samples=True)
     p.add_argument("--ybar", default=None, help="base point (default origin)")
     p.add_argument("--radii", default=None, help="comma-separated radius ladder")
     p.set_defaults(handler=cmd_verify_lipschitz)
@@ -398,23 +388,24 @@ def build_parser() -> argparse.ArgumentParser:
 # --- canned suite runner ----------------------------------------------------
 
 
-def _run_avi_entry(entry, seed, out_dir, tol):
+def _run_avi_entry(entry, seed, out_dir):
     inst = entry.payload
     expectations = entry.expectations
     failures = []
-    pieces, vertex_sets, vertex_ok = _checked_pieces(inst, tol)
+    pieces, vertex_sets, vertex_ok = _checked_pieces(inst)
     if not vertex_ok:
         failures.append("piece vertex failed direct solution check")
     found_points = [v for vs in vertex_sets for v in vs.vertices]
     for target in expectations.get("solution_points", []):
-        if not any(np.linalg.norm(np.array(target) - v) <= 1e-6 for v in found_points):
+        if not any(np.linalg.norm(np.array(target) - v) <= CMP_TOL for v in found_points):
             failures.append(f"expected solution point {target} not found")
     for point, inside in expectations.get("solution_samples", []):
         member = any(p.contains(point, 1e-8) for p in pieces)
         if member != inside:
             failures.append(f"membership of {point} expected {inside}")
     report = bounds_mod.verify_error_bound(
-        inst, epsilon=0.5, num_samples=240, master_seed=seed, tol=tol
+        inst, epsilon=0.5, num_samples=240, master_seed=seed,
+        geometry=bounds_mod.SolutionGeometry.from_pieces(pieces, vertex_sets),
     )
     if not report.passed:
         failures.append("error bound report failed")
@@ -453,7 +444,7 @@ def _run_avi_entry(entry, seed, out_dir, tol):
     return not failures
 
 
-def _run_gpm_entry(entry, seed, out_dir, tol):
+def _run_gpm_entry(entry, seed, out_dir):
     f = entry.payload
     expectations = entry.expectations
     failures = []
@@ -461,10 +452,10 @@ def _run_gpm_entry(entry, seed, out_dir, tol):
     points = [
         np.array([1.5 * rng.normal() for _ in range(f.input_dim)]) for _ in range(10)
     ]
-    minimax = gpm_mod.verify_minimax(f, points, tol)
+    minimax = gpm_mod.verify_minimax(f, points)
     if not minimax.passed:
         failures.append(f"minimax gap {minimax.max_gap}")
-    domain = gpm_mod.verify_domain_characterization(f, points, tol)
+    domain = gpm_mod.verify_domain_characterization(f, points)
     if not domain.passed:
         failures.append("domain characterization mismatch")
     modulus_payload = None
@@ -494,11 +485,11 @@ def _run_gpm_entry(entry, seed, out_dir, tol):
     return not failures
 
 
-def _run_truncation_entry(entry, seed, out_dir, tol):
+def _run_truncation_entry(entry, seed, out_dir):
     family = entry.payload
     failures = []
     table = bounds_mod.truncation_study(
-        family, dims=[3, 6], num_samples=150, master_seed=seed, tol=tol
+        family, dims=[3, 6], num_samples=150, master_seed=seed
     )
     cs = table.c_values()
     if entry.expectations.get("growing") and not cs[-1] >= cs[0]:
@@ -518,7 +509,7 @@ def _run_truncation_entry(entry, seed, out_dir, tol):
     return not failures
 
 
-def run_suite(seed: int, out_dir: str, tol: Tolerances = DEFAULT_TOL) -> dict:
+def run_suite(seed: int, out_dir: str) -> dict:
     """Run every canned entry; returns the summary payload."""
     entries = instgen.canned_suite()
     os.makedirs(out_dir, exist_ok=True)
@@ -526,11 +517,11 @@ def run_suite(seed: int, out_dir: str, tol: Tolerances = DEFAULT_TOL) -> dict:
     for index, entry in enumerate(entries):
         entry_seed = derive_seed(seed, index)
         if entry.kind == "avi":
-            ok = _run_avi_entry(entry, entry_seed, out_dir, tol)
+            ok = _run_avi_entry(entry, entry_seed, out_dir)
         elif entry.kind == "gpm":
-            ok = _run_gpm_entry(entry, entry_seed, out_dir, tol)
+            ok = _run_gpm_entry(entry, entry_seed, out_dir)
         else:
-            ok = _run_truncation_entry(entry, entry_seed, out_dir, tol)
+            ok = _run_truncation_entry(entry, entry_seed, out_dir)
         results.append((entry.name, ok))
     summary = {
         "kind": "suite_summary",
@@ -544,7 +535,7 @@ def run_suite(seed: int, out_dir: str, tol: Tolerances = DEFAULT_TOL) -> dict:
 
 def cmd_suite(args) -> int:
     out_dir = args.out or "reports"
-    summary = run_suite(args.seed, out_dir, tol=_tolerances(args))
+    summary = run_suite(args.seed, out_dir)
     for entry in summary["entries"]:
         print(f"suite[{entry['name']}]: {'pass' if entry['passed'] else 'FAIL'}")
     print(f"suite: passed={summary['passed']} reports={out_dir}")

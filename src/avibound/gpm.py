@@ -22,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
 from .errors import DegenerateSampler, DimensionMismatch, SchemaError
 from .optkernel import LinearProgram, solve_feasibility, solve_lp
 from .polyhedra import PolyhedralSet, hausdorff, is_nonempty
-from .ratios import HoldoutReport, holdout, running_max
+from .ratios import CMP_TOL, HoldoutReport, holdout, running_max
 from .rng import SplitMix64, derive_seed
 from .sets import _as_matrix, _as_vector
 
@@ -214,7 +213,6 @@ class MinimaxCheck:
 @dataclass(frozen=True)
 class MinimaxReport:
     checks: list
-    tolerance: float
 
     @property
     def max_gap(self) -> float:
@@ -222,12 +220,12 @@ class MinimaxReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.gap <= self.tolerance for c in self.checks)
+        return all(c.gap <= CMP_TOL for c in self.checks)
 
     def to_json_dict(self) -> dict:
         return {
             "kind": "minimax_report",
-            "tolerance": self.tolerance,
+            "tolerance": CMP_TOL,
             "max_gap": self.max_gap,
             "passed": self.passed,
             "checks": [
@@ -242,15 +240,14 @@ class MinimaxReport:
         }
 
 
-def verify_minimax(f: GpMultifunction, points,
-                   tol: Tolerances = DEFAULT_TOL) -> MinimaxReport:
+def verify_minimax(f: GpMultifunction, points) -> MinimaxReport:
     """Compare the section gap with its concave dual at each point."""
     checks = []
     for x in points:
         primal = gap_primal(f, x)
         dual = gap_dual(f, x)[0]
         checks.append(MinimaxCheck(point=np.asarray(x, dtype=float), primal=primal, dual=dual))
-    return MinimaxReport(checks=checks, tolerance=tol.cmp)
+    return MinimaxReport(checks=checks)
 
 
 @dataclass(frozen=True)
@@ -259,18 +256,18 @@ class DomainCheck:
     member: bool
     gap: float
 
-    def agrees(self, tol: float) -> bool:
-        return self.member == (self.gap <= tol)
+    @property
+    def agrees(self) -> bool:
+        return self.member == (self.gap <= CMP_TOL)
 
 
 @dataclass(frozen=True)
 class DomainReport:
     checks: list
-    tolerance: float
 
     @property
     def mismatches(self) -> list:
-        return [c for c in self.checks if not c.agrees(self.tolerance)]
+        return [c for c in self.checks if not c.agrees]
 
     @property
     def passed(self) -> bool:
@@ -279,7 +276,7 @@ class DomainReport:
     def to_json_dict(self) -> dict:
         return {
             "kind": "domain_report",
-            "tolerance": self.tolerance,
+            "tolerance": CMP_TOL,
             "passed": self.passed,
             "num_checks": len(self.checks),
             "num_mismatches": len(self.mismatches),
@@ -294,15 +291,14 @@ class DomainReport:
         }
 
 
-def verify_domain_characterization(f: GpMultifunction, points,
-                                   tol: Tolerances = DEFAULT_TOL) -> DomainReport:
+def verify_domain_characterization(f: GpMultifunction, points) -> DomainReport:
     """Membership in dom F must coincide with a vanishing section gap."""
     checks = []
     for x in points:
         member = domain_contains(f, x)
         gap = gap_primal(f, x)
         checks.append(DomainCheck(point=np.asarray(x, dtype=float), member=member, gap=gap))
-    return DomainReport(checks=checks, tolerance=tol.cmp)
+    return DomainReport(checks=checks)
 
 
 @dataclass(frozen=True)
@@ -446,8 +442,7 @@ def estimate_lipschitz_modulus(f: GpMultifunction,
 
 def check_lipschitz_holdout(f: GpMultifunction, c_emp: float,
                             cfg: SectionSamplerConfig,
-                            slack: float = 1.05,
-                            tol: Tolerances = DEFAULT_TOL) -> HoldoutReport:
+                            slack: float = 1.05) -> HoldoutReport:
     """Fresh-sample check that h(F(x1), F(x2)) <= slack * c_emp * ||x1 - x2||.
 
     Pairs are drawn and filtered exactly as in `estimate_lipschitz_modulus`,
@@ -457,4 +452,4 @@ def check_lipschitz_holdout(f: GpMultifunction, c_emp: float,
     pairs, _, _ = _measure_pairs(f, cfg)
     samples = [(h, float(np.linalg.norm(x1 - x2)), (x1, x2, h, ratio))
                for x1, x2, h, ratio in pairs]
-    return holdout(samples, c_emp, slack, tol)
+    return holdout(samples, c_emp, slack)

@@ -11,7 +11,8 @@ always reproduces the set.
 
 The geometry decides by itself when two vertices or two rays are the same
 point and when a ray lies in a recession cone: `GEOM_TOL` is that slack,
-apart from the comparison tolerance of the verdicts built on top.
+apart from `ratios.CMP_TOL`, the comparison slack of the verdicts built on
+top.
 """
 
 from __future__ import annotations

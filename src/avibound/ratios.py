@@ -1,4 +1,16 @@
-"""The one reduction behind every sampled verdict.
+"""The comparison slack and the one reduction behind every sampled verdict.
+
+Verdicts compare at one slack, `CMP_TOL`: the direct solution test
+`avi.is_solution`, the error bound's residual filter, the holdout check
+below and the gap tests of the gpm reports.  The layers below them take no
+tolerance: two vertices or rays within `polyhedra.GEOM_TOL` are one point
+of the geometry, which also decides the Hausdorff distance's recession-cone
+test; the slack with which the LP, feasibility and projection solves accept
+a point is `optkernel.FEAS_TOL`, and their pivot and drop thresholds are
+constants there too.  The budgets that keep the exponential enumerations
+desk-scale are not settings either: each is a constant in the routine whose
+work it counts (`polyhedra._RAY_BUDGET` in double description,
+`avi._PATTERN_BUDGET` in the face search).
 
 Each empirical check samples ratios: d(x, SOL) / ||R(x)|| for the error
 bound, d(v, R^{-1}(y0)) / ||y - y0|| for the inverse residual map and
@@ -15,19 +27,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import Tolerances
-
-# A denominator below 10 * tol.cmp means the sample sits on the solution set
-# up to rounding: the ratio is 0/0 noise and is left out.
-ZERO_OVER_ZERO_FACTOR = 10.0
+# The comparison slack of every verdict.
+CMP_TOL = 1e-6
+# A denominator below ZERO_OVER_ZERO_FLOOR means the sample sits on the
+# solution set up to rounding: the ratio is 0/0 noise and is left out.
+ZERO_OVER_ZERO_FLOOR = 10 * CMP_TOL
 # Stable: the maximum grew by at most 5% over the final doubling of samples,
 # of which there are at least 8.
 STABLE_REL_CHANGE = 0.05
 _STABLE_MIN_SAMPLES = 8
-
-
-def zero_over_zero_floor(tol: Tolerances) -> float:
-    return ZERO_OVER_ZERO_FACTOR * tol.cmp
 
 
 @dataclass(frozen=True)
@@ -77,13 +85,13 @@ class HoldoutReport:
         return not self.violations
 
 
-def holdout(samples, c_emp: float, slack: float, tol: Tolerances) -> HoldoutReport:
-    """Check numerator <= slack * c_emp * denominator + tol.cmp on each
+def holdout(samples, c_emp: float, slack: float) -> HoldoutReport:
+    """Check numerator <= slack * c_emp * denominator + CMP_TOL on each
     (numerator, denominator, record) sample."""
     checked = 0
     violations = []
     for numerator, denominator, record in samples:
         checked += 1
-        if numerator > slack * c_emp * denominator + tol.cmp:
+        if numerator > slack * c_emp * denominator + CMP_TOL:
             violations.append(record)
     return HoldoutReport(c_emp=c_emp, slack=slack, num_checked=checked, violations=violations)

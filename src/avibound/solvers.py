@@ -17,9 +17,8 @@ import numpy as np
 
 from .avi import AviInstance, residual
 from .bounds import SolutionGeometry
-from .config import DEFAULT_TOL, Tolerances
 from .optkernel import QpProjectionProblem, solve_projection_qp
-from .ratios import HoldoutReport, holdout, zero_over_zero_floor
+from .ratios import ZERO_OVER_ZERO_FLOOR, HoldoutReport, holdout
 from .sets import _as_vector
 
 DIVERGENCE_NORM = 1e9
@@ -117,7 +116,7 @@ def solve(inst: AviInstance, cfg: SolverConfig = SolverConfig()) -> SolveTrace:
     monotonicity assumptions.  Divergence (norm above 1e9) aborts the run
     with converged=False; hitting max_iters also returns the trace rather
     than raising.  The run stops at `cfg.stop_residual` alone, however far
-    below the comparison tolerance of the verdicts it lies.
+    below the verdicts' comparison slack `ratios.CMP_TOL` it lies.
     """
     x = (
         _as_vector(cfg.x0, inst.dim, "x0").copy()
@@ -176,20 +175,18 @@ def annotate_distances(inst: AviInstance, trace: SolveTrace,
 
 
 def check_tail_bound(trace: SolveTrace, c_emp: float, epsilon: float,
-                     slack: float = 1.05,
-                     tol: Tolerances = DEFAULT_TOL) -> HoldoutReport:
-    """Every annotated iterate with residual in [10 tol.cmp, epsilon] must
-    satisfy distance <= slack * c_emp * residual.  Each violation is recorded
-    as (iteration, residual, distance)."""
-    floor = zero_over_zero_floor(tol)
+                     slack: float = 1.05) -> HoldoutReport:
+    """Every annotated iterate with residual in [ZERO_OVER_ZERO_FLOOR,
+    epsilon] must satisfy distance <= slack * c_emp * residual.  Each
+    violation is recorded as (iteration, residual, distance)."""
     samples = [
         (rec.distance_to_solutions, rec.residual_norm,
          (rec.iteration, rec.residual_norm, rec.distance_to_solutions))
         for rec in trace.records
         if rec.distance_to_solutions is not None
-        and floor <= rec.residual_norm <= epsilon
+        and ZERO_OVER_ZERO_FLOOR <= rec.residual_norm <= epsilon
     ]
-    return holdout(samples, c_emp, slack, tol)
+    return holdout(samples, c_emp, slack)
 
 
 def solution_check_tolerance(inst: AviInstance, cfg: SolverConfig) -> float:

@@ -18,9 +18,8 @@ import numpy as np
 
 from avibound import DimensionMismatch, EmptySet, PolyhedralSet
 from avibound.avi import AviInstance
-from avibound.config import DEFAULT_TOL, Tolerances
 from avibound.gpm import DualMultiplier, GpMultifunction
-from avibound.polyhedra import cone_generators, enumerate_vertices, is_nonempty
+from avibound.polyhedra import GEOM_TOL, cone_generators, enumerate_vertices, is_nonempty
 from avibound.sets import _as_vector
 
 
@@ -138,22 +137,22 @@ def annihilator_residual(mult: DualMultiplier, f: GpMultifunction) -> float:
     return float(np.max(np.abs(vec))) if vec.size else 0.0
 
 
-def _face_rows(generators: np.ndarray, n: int, tol: Tolerances):
+def _face_rows(generators: np.ndarray, n: int):
     """(a / |a|, -beta / |a|) for the polar generators (a, beta) with
-    |a| > tol.cmp."""
+    |a| > GEOM_TOL."""
     scale = np.linalg.norm(generators[:, :n], axis=1)
-    kept = scale > tol.cmp
+    kept = scale > GEOM_TOL
     return generators[kept, :n] / scale[kept, None], -generators[kept, n] / scale[kept]
 
 
-def from_generators(vertices, rays=(), tol: Tolerances = DEFAULT_TOL) -> PolyhedralSet:
+def from_generators(vertices, rays=()) -> PolyhedralSet:
     """H-representation of conv(vertices) + cone(rays).
 
     Works through the polar of the homogenization cone,
     {(a, beta) : a.v + beta <= 0 for vertices v, a.r <= 0 for rays r}: each
     of its extreme rays yields a face inequality a.x <= -beta and each
     direction of its lineality an equality row a.x = -beta.  Generators with
-    |a| <= tol.cmp are dropped: they give the trivial face 0.x <= const.  A
+    |a| <= GEOM_TOL are dropped: they give the trivial face 0.x <= const.  A
     single vertex with no rays short-circuits to x = v.
     """
     vertices = [np.asarray(v, dtype=float) for v in vertices]
@@ -169,6 +168,6 @@ def from_generators(vertices, rays=(), tol: Tolerances = DEFAULT_TOL) -> Polyhed
         + [np.concatenate([r, [0.0]]) for r in rays]
     )
     polar_rays, polar_lineality = cone_generators(lifted)
-    ineq_lhs, ineq_rhs = _face_rows(polar_rays, n, tol)
-    eq_lhs, eq_rhs = _face_rows(polar_lineality, n, tol)
+    ineq_lhs, ineq_rhs = _face_rows(polar_rays, n)
+    eq_lhs, eq_rhs = _face_rows(polar_lineality, n)
     return PolyhedralSet(n, ineq_lhs=ineq_lhs, ineq_rhs=ineq_rhs, eq_lhs=eq_lhs, eq_rhs=eq_rhs)

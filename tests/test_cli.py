@@ -126,15 +126,6 @@ class TestExitCodes:
         assert code == 2
         assert "max_iters must be nonnegative" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
-    def test_invalid_tolerance_exits_2(self, lcp_file, tol, capsys):
-        code = main([
-            "verify-error-bound", "--instance", lcp_file, "--eps", "1.0",
-            "--samples", "40", "--tol", tol,
-        ])
-        assert code == 2
-        assert "tolerance cmp must be finite and positive" in capsys.readouterr().err
-
     @pytest.mark.parametrize("eps", ["nan", "inf", "-1", "0"])
     def test_invalid_epsilon_exits_2(self, lcp_file, eps, capsys):
         code = main([
@@ -184,17 +175,23 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, rest", [
-        ("project", ["--x", "3"]),
-        ("residual", ["--x", "3"]),
-        ("verify-lipschitz", ["--ybar", "0"]),
-        ("solve", ["--x0", "4"]),
-    ], ids=["project", "residual", "verify-lipschitz", "solve"])
-    def test_tol_is_not_a_flag_of_project_or_residual(self, lcp_file, command, rest, capsys):
-        # none reads a comparison tolerance: project and residual solve only
-        # the projection, the preimage geometry dedups with polyhedra.GEOM_TOL
-        # and the solver stops at --stop-residual alone
+        ("project", ["--instance", "a.json", "--x", "3"]),
+        ("residual", ["--instance", "a.json", "--x", "3"]),
+        ("verify-lipschitz", ["--instance", "a.json", "--ybar", "0"]),
+        ("solve", ["--instance", "a.json", "--x0", "4"]),
+        ("enumerate", ["--instance", "a.json"]),
+        ("verify-error-bound", ["--instance", "a.json"]),
+        ("verify-minimax", ["--instance", "f.json"]),
+        ("truncation-study", ["--family", "harmonic"]),
+        ("suite", []),
+    ], ids=["project", "residual", "verify-lipschitz", "solve", "enumerate",
+            "verify-error-bound", "verify-minimax", "truncation-study", "suite"])
+    def test_tol_is_not_a_flag_of_project_or_residual(self, command, rest, capsys):
+        # no subcommand takes a tolerance: verdicts compare at ratios.CMP_TOL,
+        # the geometry dedups at polyhedra.GEOM_TOL and the solver stops at
+        # --stop-residual alone; parsing fails before any file is read
         with pytest.raises(SystemExit) as exc:
-            main([command, "--instance", lcp_file, *rest, "--tol", "1"])
+            main([command, *rest, "--tol", "1"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --tol 1" in capsys.readouterr().err
 
@@ -299,6 +296,28 @@ class TestReports:
 
 
 class TestSuite:
+    def test_avi_entry_enumerates_each_piece_once(self, tmp_path, monkeypatch):
+        # the vertex check and the error bound's geometry share one
+        # enumeration of the solution set and one of each piece's vertices
+        from avibound import bounds, cli
+
+        calls = {"pieces": 0, "sets": 0}
+
+        def counting(name, original):
+            def wrapper(arg):
+                calls[name] += 1
+                return original(arg)
+            return wrapper
+
+        for module in (cli, bounds):
+            monkeypatch.setattr(module, "enumerate_vertices",
+                                counting("pieces", module.enumerate_vertices))
+            monkeypatch.setattr(module, "enumerate_solution_set",
+                                counting("sets", module.enumerate_solution_set))
+        entry = [e for e in instgen.canned_suite() if e.name == "zero_op_box2"][0]
+        assert cli._run_avi_entry(entry, 7, str(tmp_path))
+        assert calls == {"pieces": 9, "sets": 1}
+
     def test_suite_writes_reports_and_passes(self, tmp_path):
         out = tmp_path / "reports"
         code = main(["suite", "--seed", "7", "--out", str(out)])

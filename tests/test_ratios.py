@@ -1,10 +1,9 @@
-from avibound.config import DEFAULT_TOL, Tolerances
 from avibound.ratios import (
+    CMP_TOL,
     STABLE_REL_CHANGE,
-    ZERO_OVER_ZERO_FACTOR,
+    ZERO_OVER_ZERO_FLOOR,
     holdout,
     running_max,
-    zero_over_zero_floor,
 )
 
 
@@ -54,27 +53,29 @@ class TestRunningMax:
 
 class TestHoldout:
     def test_bound_includes_the_comparison_slack(self):
-        tol = Tolerances(cmp=0.25)
-        # bound = slack * c_emp * denominator + cmp = 1.0 * 1.0 * 2.0 + 0.25
-        samples = [(2.25, 2.0, "at"), (2.1, 2.0, "inside"), (2.5, 2.0, "above")]
-        report = holdout(samples, c_emp=1.0, slack=1.0, tol=tol)
+        # bound = slack * c_emp * denominator + CMP_TOL = 1.0 * 1.0 * 2.0 + CMP_TOL
+        samples = [(2.0 + CMP_TOL, 2.0, "at"), (2.0 + CMP_TOL / 2, 2.0, "inside"),
+                   (2.0 + 2 * CMP_TOL, 2.0, "above")]
+        report = holdout(samples, c_emp=1.0, slack=1.0)
         assert report.num_checked == 3
         assert report.violations == ["above"]
         assert not report.passed
 
     def test_slack_scales_the_constant(self):
         samples = [(3.0, 2.0, "a"), (2.0, 2.0, "b")]
-        report = holdout(samples, c_emp=1.0, slack=1.5, tol=DEFAULT_TOL)
+        report = holdout(samples, c_emp=1.0, slack=1.5)
         assert report.passed
         assert (report.c_emp, report.slack, report.num_checked) == (1.0, 1.5, 2)
-        report = holdout(samples, c_emp=1.0, slack=0.5, tol=DEFAULT_TOL)
+        report = holdout(samples, c_emp=1.0, slack=0.5)
         assert report.violations == ["a", "b"]
 
     def test_empty_sample_passes(self):
-        report = holdout([], c_emp=1.0, slack=1.05, tol=DEFAULT_TOL)
+        report = holdout([], c_emp=1.0, slack=1.05)
         assert report.passed and report.num_checked == 0
 
 
 def test_zero_over_zero_floor_scales_the_comparison_tolerance():
-    assert zero_over_zero_floor(Tolerances(cmp=0.25)) == 2.5
-    assert zero_over_zero_floor(DEFAULT_TOL) == ZERO_OVER_ZERO_FACTOR * DEFAULT_TOL.cmp
+    # the reports write CMP_TOL as their tolerance and count the samples below
+    # the floor, so both values are part of the report bytes
+    assert CMP_TOL == 1e-6
+    assert ZERO_OVER_ZERO_FLOOR == 10 * CMP_TOL

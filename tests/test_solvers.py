@@ -3,10 +3,10 @@ import pytest
 
 from avibound import solvers
 from avibound.avi import AviInstance, is_solution
+from avibound.optkernel import LinearProgram, solve_lp
 from avibound.bounds import find_local_radius
 from avibound.instgen import generate_random_avi
 from avibound.polyhedra import nonnegative_orthant
-from avibound.config import Tolerances
 from avibound.rng import SplitMix64
 from avibound.solvers import (
     SolverConfig,
@@ -100,7 +100,10 @@ class TestSolve:
 
     def test_converged_point_passes_direct_check_on_bounded_set(self):
         # on a bounded constraint set the direct variational check holds at
-        # the documented tolerance 10 * stop_residual * (1 + ||M||)
+        # the documented tolerance 10 * stop_residual * (1 + ||M||), tighter
+        # than is_solution's CMP_TOL: x lies in C and min over C of
+        # <Mx + q, v> is at most that far below <Mx + q, x>, both scaled by
+        # 1 + ||x||
         from avibound.sets import box
 
         inst = AviInstance(
@@ -110,7 +113,13 @@ class TestSolve:
         trace = solve(inst, cfg)
         assert trace.converged
         check_tol = solution_check_tolerance(inst, cfg)
-        assert is_solution(inst, trace.final_x, tol=Tolerances(cmp=check_tol))
+        x = trace.final_x
+        slack = check_tol * (1.0 + np.linalg.norm(x))
+        assert inst.c_set.contains(x, slack)
+        w = inst.m_op @ x + inst.q
+        res = solve_lp(LinearProgram(w, inst.c_set))
+        assert res.is_optimal
+        assert res.value >= w @ x - slack
 
     @pytest.mark.parametrize("method", ["extragradient", "projected_fixed_point"])
     def test_no_phase_one_after_construction(self, method, monkeypatch):

@@ -3,8 +3,9 @@
 Every failure in the library is a typed `AviboundError` (or a built-in such
 as `ValueError` for malformed arguments).  An `assert` vanishes under
 `python -O`, and a broad `except` swallows real bugs, so neither may appear
-in `src/avibound`.  Every field of `Tolerances`, the one config object, must
-be read somewhere in `src/avibound`, so no dead knob survives its last reader.  Every
+in `src/avibound`.  Every field of the config objects `SolverConfig`,
+`LipschitzCheckConfig` and `SectionSamplerConfig` must be read somewhere in
+`src/avibound`, so no dead knob survives its last reader.  Every
 name a module lists in `__all__` must be bound in that module, so no export
 outlives the code it named.  Every public function, method and class in
 `src/avibound` must be referenced by name somewhere in `src/`, `tests/` or
@@ -22,9 +23,10 @@ and lambda in `src/avibound`, except `self` and `cls`, must be read in its
 body, so a `tol` that a routine takes and no longer passes on (a dead
 pass-through left behind when the solves below it stopped taking one)
 fails here.  The layers below the verdicts, `sets`, `optkernel` and
-`polyhedra`, import nothing from `config`: each owns its slack as a
-constant (`optkernel.FEAS_TOL`, `polyhedra.GEOM_TOL`), so the comparison
-tolerance cannot leak back into the geometry or the kernel.
+`polyhedra`, import nothing from `ratios`, where the comparison slack
+`CMP_TOL` lives: each owns its slack as a constant (`optkernel.FEAS_TOL`,
+`polyhedra.GEOM_TOL`), so the comparison slack cannot leak back into the
+geometry or the kernel.
 """
 
 import argparse
@@ -37,8 +39,9 @@ from pathlib import Path
 import pytest
 
 from avibound import cli
-from avibound.cli import _tolerances
-from avibound.config import Tolerances
+from avibound.bounds import LipschitzCheckConfig
+from avibound.gpm import SectionSamplerConfig
+from avibound.solvers import SolverConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "avibound"
@@ -90,7 +93,8 @@ def _attributes_read(tree):
     }
 
 
-@pytest.mark.parametrize("cls", [Tolerances], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", [SolverConfig, LipschitzCheckConfig, SectionSamplerConfig],
+                         ids=lambda c: c.__name__)
 def test_every_config_field_is_read(cls):
     read = set()
     for path in MODULES:
@@ -100,8 +104,8 @@ def test_every_config_field_is_read(cls):
 
 
 def test_attribute_scan_ignores_stores():
-    tree = ast.parse("tol.feas\ntol.opt = 3\nf(tol.cmp)\n")
-    assert _attributes_read(tree) == {"feas", "cmp"}
+    tree = ast.parse("cfg.step\ncfg.method = 3\nf(cfg.x0)\n")
+    assert _attributes_read(tree) == {"step", "x0"}
 
 
 def test_one_factorization_name():
@@ -323,16 +327,13 @@ def test_unused_import_rule_catches_leftovers():
 
 
 def _handler_reads(handler):
-    """Names the handler reads as `args.<name>`; `tol` when it calls `_tolerances`."""
+    """Names the handler reads as `args.<name>`."""
     tree = ast.parse(textwrap.dedent(inspect.getsource(handler)))
     read = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
                 and node.value.id == "args":
             read.add(node.attr)
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                and node.func.id == "_tolerances":
-            read.add("tol")
     return read
 
 
@@ -352,13 +353,13 @@ def test_every_cli_flag_is_read():
 
 
 def _toy_handler(args):
-    return args.used, _tolerances(args)
+    return args.used
 
 
 def test_flag_rule_catches_an_unread_flag():
     parser = argparse.ArgumentParser()
     p = parser.add_subparsers().add_parser("toy")
-    for flag in ("--used", "--unused", "--tol"):
+    for flag in ("--used", "--unused"):
         p.add_argument(flag)
     p.set_defaults(handler=_toy_handler)
     assert _unread_flags(parser) == [("toy", "unused")]
@@ -469,40 +470,40 @@ def test_cap_rule_catches_a_call_site_cap():
 
 
 # The layers below the verdicts: they decide with their own constants, and
-# the comparison tolerance of `config` enters only above them.
-BELOW_CONFIG = ("sets.py", "optkernel.py", "polyhedra.py")
+# the comparison slack of `ratios` enters only above them.
+BELOW_RATIOS = ("sets.py", "optkernel.py", "polyhedra.py")
 
 
-def _config_imports(tree):
-    """Lines of every import of the `config` module or of a name from it."""
+def _ratios_imports(tree):
+    """Lines of every import of the `ratios` module or of a name from it."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             module = (node.module or "").split(".")
-            if module[-1] == "config" or (
-                not node.module and any(a.name == "config" for a in node.names)
+            if module[-1] == "ratios" or (
+                not node.module and any(a.name == "ratios" for a in node.names)
             ):
                 found.append(node.lineno)
         elif isinstance(node, ast.Import):
-            if any(a.name.split(".")[-1] == "config" for a in node.names):
+            if any(a.name.split(".")[-1] == "ratios" for a in node.names):
                 found.append(node.lineno)
     return found
 
 
-@pytest.mark.parametrize("name", BELOW_CONFIG)
+@pytest.mark.parametrize("name", BELOW_RATIOS)
 def test_lower_layers_import_no_config(name):
-    found = _config_imports(ast.parse((SRC / name).read_text(encoding="utf-8")))
-    assert not found, f"{name} imports config at lines {found}"
+    found = _ratios_imports(ast.parse((SRC / name).read_text(encoding="utf-8")))
+    assert not found, f"{name} imports ratios at lines {found}"
 
 
 def test_layering_rule_catches_a_config_import():
     source = (
         "import numpy as np\n"
-        "from .config import DEFAULT_TOL\n"
+        "from .ratios import CMP_TOL\n"
         "from .sets import PolyhedralSet\n"
-        "from . import config, errors\n"
-        "import avibound.config\n"
-        "from avibound.config import Tolerances\n"
-        "from .configure import other\n"
+        "from . import ratios, errors\n"
+        "import avibound.ratios\n"
+        "from avibound.ratios import holdout\n"
+        "from .ratios_extra import other\n"
     )
-    assert _config_imports(ast.parse(source)) == [2, 4, 5, 6]
+    assert _ratios_imports(ast.parse(source)) == [2, 4, 5, 6]
