@@ -17,7 +17,7 @@ import numpy as np
 
 from .avi import AviInstance, enumerate_solution_set, inverse_residual, residual
 from .errors import DegenerateSampler, NoSolution
-from .polyhedra import _dedup_within, distance, enumerate_vertices, union_distance
+from .polyhedra import _dedup, distance, enumerate_vertices, union_distance
 from .ratios import ZERO_OVER_ZERO_FLOOR, running_max
 from .rng import SplitMix64, derive_seed
 from .sets import _as_vector, nonnegative_orthant
@@ -53,7 +53,7 @@ class SolutionGeometry:
             raise NoSolution("empty solution set")
         anchors = [v for vs in vertex_sets for v in vs.vertices]
         return cls(distance_fn=lambda x: union_distance(pieces, x),
-                   anchors=_dedup_within(anchors))
+                   anchors=_dedup(anchors, relative=False))
 
     @classmethod
     def from_instance(cls, inst: AviInstance) -> "SolutionGeometry":

@@ -29,6 +29,14 @@ array-API checks; the factors, and hence the pivots, are those of
 factorization, three solves with its factors, one vectorized scan for the
 entering column and a ratio test over Python floats.
 
+The projection calls LAPACK the same way: each active-set iteration makes
+one Gram solve, `_gram_solve`, a Cholesky factorization (potrf/potrs) of
+the working rows' Gram matrix, falling back to `np.linalg.lstsq` when the
+factorization fails or its smallest pivot is below 1e-10 of its largest
+(dependent working rows, as at a degenerate vertex).  The rows are stacked
+once per call and indexed by the working set, and the blocking-row ratio
+test takes all rates in one product.
+
 `feasible_witness` runs phase one at most once per set, and keeps its
 outcome (the point, or the Farkas ray of an empty set, which `farkas_ray`
 reads) in the set's cache; every other solve is a pure function of its
@@ -46,7 +54,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .errors import EmptySet, NumericalBreakdown
-from .sets import PolyhedralSet, _as_vector
+from .sets import PolyhedralSet, _as_vector, _satisfies_rows
 
 # The feasibility slack of every solve: phase one calls a set empty when its
 # artificials sum to more than FEAS_TOL, Bland's rule stops once no reduced
@@ -58,7 +66,9 @@ _PIVOT_TOL = 1e-10
 # The projection drops a working row whose multiplier is below -_DROP_TOL.
 _DROP_TOL = 1e-7
 
-_getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
+_getrf, _getrs, _potrf, _potrs = get_lapack_funcs(
+    ("getrf", "getrs", "potrf", "potrs"), dtype=np.float64
+)
 
 
 def lu_factor(a):
@@ -356,9 +366,19 @@ def ray_rules_out(ray: np.ndarray, rhs: np.ndarray) -> bool:
     return float(rhs @ ray) > FEAS_TOL * float(np.max(np.abs(ray)))
 
 
-def _active_rows(A, b, z, tol):
-    resid = b - A @ z
-    return [i for i in range(A.shape[0]) if abs(resid[i]) <= tol]
+def _gram_solve(G, rhs):
+    """nu with G G^T nu = rhs: the Gram solve of the projection's working rows.
+
+    Cholesky (LAPACK potrf/potrs) when the factorization succeeds and its
+    smallest pivot L_ii^2 is at least 1e-10 of its largest; otherwise, as
+    for dependent working rows, the minimum-norm least-squares solution.
+    """
+    gram = G @ G.T
+    factor, info = _potrf(gram)
+    diag = factor.diagonal()
+    if info == 0 and diag.min() ** 2 >= 1e-10 * diag.max() ** 2:
+        return _potrs(factor, rhs)[0]
+    return np.linalg.lstsq(gram, rhs, rcond=None)[0]
 
 
 def solve_projection_qp(problem: QpProjectionProblem, start=None) -> np.ndarray:
@@ -370,8 +390,9 @@ def solve_projection_qp(problem: QpProjectionProblem, start=None) -> np.ndarray:
     tight rows form the first working set.  When `start` is None or lies
     outside the set by more than FEAS_TOL * (1 + ||u||), the iteration
     starts from the set's cached phase-one witness (`feasible_witness`)
-    instead.  Each iteration makes one least-squares solve, of the Gram
-    system of the working rows G, for the multipliers nu of min ||z - u||
+    instead.  Each iteration makes one Gram solve (`_gram_solve`: a
+    Cholesky solve, or `lstsq` when a pivot falls below 1e-10 of the
+    largest) of the working rows G, for the multipliers nu of min ||z - u||
     over {G z = h}.  When the step vanishes, u - z = G^T nu, so nu also
     gives the drop rule its multipliers.  Ties in blocking-constraint
     selection and in the drop rule are broken by lowest row index.
@@ -380,8 +401,9 @@ def solve_projection_qp(problem: QpProjectionProblem, start=None) -> np.ndarray:
     """
     u = problem.target
     S = problem.feasible_set
-    scale = 1.0 + float(np.linalg.norm(u))
-    if S.contains(u, FEAS_TOL * scale):
+    scale = 1.0 + math.sqrt(u @ u)
+    tol = FEAS_TOL * scale
+    if _satisfies_rows(S, u, tol):
         return u.copy()
     bounds = S.box_bounds()
     if bounds is not None:
@@ -389,52 +411,48 @@ def solve_projection_qp(problem: QpProjectionProblem, start=None) -> np.ndarray:
         if np.any(lo > hi + FEAS_TOL):
             raise EmptySet("projection onto an empty box")
         return np.minimum(np.maximum(u, lo), np.minimum(hi, np.maximum(lo, hi)))
-    E, d = S.eq_lhs, S.eq_rhs
-    A, b = S.ineq_lhs, S.ineq_rhs
-    if start is None or not S.contains(start, FEAS_TOL * scale):
+    if start is not None:
+        start = _as_vector(start, u.size, "start")
+    if start is None or not _satisfies_rows(S, start, tol):
         start = feasible_witness(S)
         if start is None:
             raise EmptySet("projection onto an empty polyhedron")
-    z = np.array(start, dtype=float)
-    working = _active_rows(A, b, z, FEAS_TOL * scale)
-    k_eq = E.shape[0]
+    A, b = S.ineq_lhs, S.ineq_rhs
+    k_eq = S.num_eq
+    rows = np.vstack([S.eq_lhs, A])
+    rhs = np.concatenate([S.eq_rhs, b])
+    z = start.copy()
+    # the working set: the tight inequality rows, read in ascending order
+    working = np.abs(b - A @ z) <= tol
+    eq_rows = np.arange(k_eq)
     step_tol = 1e-11 * scale
     max_iters = 50 * (A.shape[0] + k_eq + u.size + 10)
     for _ in range(max_iters):
-        G = np.vstack([E, A[working]]) if (k_eq + len(working)) else np.zeros((0, u.size))
-        h = np.concatenate([d, b[working]])
-        if G.shape[0] == 0:
-            z_eq = u.copy()
+        tight = working.nonzero()[0]
+        active = np.concatenate([eq_rows, k_eq + tight])
+        if active.size:
+            G = rows[active]
+            nu = _gram_solve(G, G @ u - rhs[active])
+            p = u - G.T @ nu - z
         else:
-            gram = G @ G.T
-            nu = np.linalg.lstsq(gram, G @ u - h, rcond=None)[0]
-            z_eq = u - G.T @ nu
-        p = z_eq - z
-        if np.linalg.norm(p) <= step_tol:
-            if not working:
+            p = u - z
+        if math.sqrt(p @ p) <= step_tol:
+            negative = (nu[k_eq:] < -_DROP_TOL).nonzero()[0] if tight.size else ()
+            if not len(negative):
                 return z
-            drop = -1
-            for pos, row in enumerate(working):
-                if nu[k_eq + pos] < -_DROP_TOL:
-                    drop = row
-                    break
-            if drop < 0:
-                return z
-            working.remove(drop)
+            working[tight[negative[0]]] = False
             continue
         alpha = 1.0
         blocking = -1
-        for i in range(A.shape[0]):
-            if i in working:
-                continue
-            rate = A[i] @ p
-            if rate > _PIVOT_TOL:
-                room = max(b[i] - A[i] @ z, 0.0) / rate
+        rates = A @ p
+        candidates = ((rates > _PIVOT_TOL) & ~working).nonzero()[0]
+        if candidates.size:
+            rooms = np.maximum(b[candidates] - A[candidates] @ z, 0.0) / rates[candidates]
+            for i, room in zip(candidates.tolist(), rooms.tolist()):
                 if room < alpha - 1e-14:
                     alpha = room
                     blocking = i
         z = z + alpha * p
         if blocking >= 0:
-            working.append(blocking)
-            working.sort()
+            working[blocking] = True
     raise NumericalBreakdown("projection active-set iteration cap exhausted")

@@ -102,13 +102,23 @@ def feasible_point(S: PolyhedralSet) -> np.ndarray:
     return w.copy()
 
 
-def _dedup_points(points):
-    """The points without repeats within GEOM_TOL (1 + |q|) of a kept q,
-    first occurrence kept."""
+def _dedup(vectors, relative: bool) -> list:
+    """The vectors without repeats within GEOM_TOL of a kept q, first
+    occurrence kept: within GEOM_TOL (1 + |q|) when `relative` (vertices),
+    within GEOM_TOL otherwise (unit rays, anchors).  Each vector is compared
+    with all kept ones at once."""
     kept = []
-    for p in points:
-        if all(np.linalg.norm(p - q) > GEOM_TOL * (1.0 + np.linalg.norm(q)) for q in kept):
-            kept.append(p)
+    if not len(vectors):
+        return kept
+    stack = np.empty((len(vectors), len(vectors[0])))
+    slack = np.empty(len(vectors))
+    for v in vectors:
+        k = len(kept)
+        if k and not np.all(np.linalg.norm(stack[:k] - v, axis=1) > slack[:k]):
+            continue
+        stack[k] = v
+        slack[k] = GEOM_TOL * (1.0 + np.linalg.norm(v)) if relative else GEOM_TOL
+        kept.append(v)
     return kept
 
 
@@ -195,16 +205,6 @@ def _by_tight_rows(rows: np.ndarray, points: np.ndarray) -> list:
     return sorted(points, key=lambda z: np.flatnonzero(rows @ z >= slack).tolist())
 
 
-def _dedup_within(vectors) -> list:
-    """The vectors without repeats within distance GEOM_TOL, first
-    occurrence kept; unlike `_dedup_points`, the slack is absolute."""
-    kept = []
-    for v in vectors:
-        if all(np.linalg.norm(v - q) > GEOM_TOL for q in kept):
-            kept.append(v)
-    return kept
-
-
 def enumerate_vertices(S: PolyhedralSet) -> VertexSet:
     """All vertices plus recession-cone generators of S.
 
@@ -247,8 +247,8 @@ def enumerate_vertices(S: PolyhedralSet) -> VertexSet:
         directions = Z[t <= _ZERO_TOL, :n]
         directions /= np.linalg.norm(directions, axis=1)[:, None]
         rays = _by_tight_rows(A, directions)
-    vertices = _dedup_points(vertices)
-    rays = _dedup_within(rays)
+    vertices = _dedup(vertices, relative=True)
+    rays = _dedup(rays, relative=False)
     for j in range(L.shape[1]):
         rays.extend([L[:, j], -L[:, j]])
     return VertexSet(vertices=vertices, is_bounded=not rays, recession_rays=rays)
@@ -334,5 +334,5 @@ def cone_generators(rows: np.ndarray):
     rays = np.zeros((0, n))
     if lineality.shape[0] < n:
         Z = _extreme_rays(lineality, rows)
-        rays = np.array(_dedup_within(_by_tight_rows(rows, Z))).reshape(-1, n)
+        rays = np.array(_dedup(_by_tight_rows(rows, Z), relative=False)).reshape(-1, n)
     return rays, lineality

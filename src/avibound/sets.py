@@ -73,12 +73,7 @@ class PolyhedralSet:
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         """Membership within slack `tol` on every row."""
-        x = _as_vector(x, self.ambient_dim, "x")
-        if self.num_eq and np.max(np.abs(self.eq_lhs @ x - self.eq_rhs)) > tol:
-            return False
-        if self.num_ineq and np.max(self.ineq_lhs @ x - self.ineq_rhs) > tol:
-            return False
-        return True
+        return _satisfies_rows(self, _as_vector(x, self.ambient_dim, "x"), tol)
 
     def violation(self, x) -> float:
         """Largest constraint violation at x (0 inside)."""
@@ -166,6 +161,20 @@ class PolyhedralSet:
 
 def nonnegative_orthant(n: int) -> PolyhedralSet:
     return PolyhedralSet(n, ineq_lhs=-np.eye(n), ineq_rhs=np.zeros(n))
+
+
+def _satisfies_rows(S: PolyhedralSet, x: np.ndarray, tol: float) -> bool:
+    """Whether every row of S holds at x within slack `tol`.
+
+    x must be a finite float vector of length `S.ambient_dim`, as
+    `_as_vector` returns it: a NaN residual compares False against `tol`,
+    so this test alone would accept a non-finite x.
+    """
+    if S.num_eq and np.abs(S.eq_lhs @ x - S.eq_rhs).max() > tol:
+        return False
+    if S.num_ineq and (S.ineq_lhs @ x - S.ineq_rhs).max() > tol:
+        return False
+    return True
 
 
 def box(lo, hi) -> PolyhedralSet:

@@ -10,11 +10,16 @@ That elimination is `avi._PieceTemplate`: its fixed matrices `ineq_lhs` and
 `annihilator_residual` measures how far a gap-dual multiplier is from dual
 feasibility.  `from_generators` turns a V-representation back into an
 H-representation, for the round trips of the vertex enumeration.
+`brute_force_projection` projects onto a polyhedron by trying every
+candidate working set, and `dedup_loop` is the pairwise loop the geometry
+dedup ran before it compared each point with all kept ones at once.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import null_space
 
 from avibound import DimensionMismatch, EmptySet, PolyhedralSet
 from avibound.avi import AviInstance
@@ -171,3 +176,58 @@ def from_generators(vertices, rays=()) -> PolyhedralSet:
     ineq_lhs, ineq_rhs = _face_rows(polar_rays, n)
     eq_lhs, eq_rhs = _face_rows(polar_lineality, n)
     return PolyhedralSet(n, ineq_lhs=ineq_lhs, ineq_rhs=ineq_rhs, eq_lhs=eq_lhs, eq_rhs=eq_rhs)
+
+
+def brute_force_projection(u, S: PolyhedralSet, tol: float = 1e-9) -> np.ndarray:
+    """Euclidean projection of u onto S by enumeration of working sets.
+
+    For every subset of at most n inequality rows, taken with all equality
+    rows G z = h, the nearest point of that affine subspace is a particular
+    solution plus the null-space part of u: no Gram system is formed.  A
+    candidate is kept when it lies in S and its multipliers (a least-squares
+    solution of G^T lam = u - z) are nonnegative on the inequality rows, the
+    KKT conditions of min ||z - u|| over S; the nearest kept candidate is the
+    projection.  Raises EmptySet when no candidate qualifies.
+    """
+    u = np.asarray(u, dtype=float)
+    n = S.ambient_dim
+    A, b, E, d = S.ineq_lhs, S.ineq_rhs, S.eq_lhs, S.eq_rhs
+    scale = tol * (1.0 + np.linalg.norm(u))
+    best, best_dist = None, np.inf
+    for size in range(min(n, A.shape[0]) + 1):
+        for subset in itertools.combinations(range(A.shape[0]), size):
+            G = np.vstack([E, A[list(subset)]])
+            h = np.concatenate([d, b[list(subset)]])
+            if G.shape[0]:
+                particular = np.linalg.lstsq(G, h, rcond=None)[0]
+                if np.max(np.abs(G @ particular - h)) > scale:
+                    continue
+                N = null_space(G)
+                z = particular + N @ (N.T @ (u - particular))
+            else:
+                z = u.copy()
+            if not S.contains(z, scale):
+                continue
+            if size:
+                lam = np.linalg.lstsq(G.T, u - z, rcond=None)[0]
+                if np.min(lam[E.shape[0]:]) < -1e-7 * (1.0 + np.linalg.norm(lam)):
+                    continue
+            dist = np.linalg.norm(u - z)
+            if dist < best_dist:
+                best, best_dist = z, dist
+    if best is None:
+        raise EmptySet("no feasible KKT point")
+    return best
+
+
+def dedup_loop(points, relative: bool) -> list:
+    """The points without repeats within GEOM_TOL, times 1 + |q| for a kept
+    q when `relative`, first occurrence kept: one norm per pair."""
+    kept = []
+    for p in points:
+        if all(
+            np.linalg.norm(p - q) > GEOM_TOL * ((1.0 + np.linalg.norm(q)) if relative else 1.0)
+            for q in kept
+        ):
+            kept.append(p)
+    return kept

@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_oracles import brute_force_projection
 from scipy.optimize import linprog
 from test_polyhedra import _near_parallel_sets
 
@@ -340,18 +341,19 @@ class TestProjectionQp:
             np.testing.assert_allclose(z, best, atol=1e-8)
 
     def test_one_gram_solve_per_iteration(self, monkeypatch):
-        # Every lstsq of the active-set method is its Gram solve on G G^T,
-        # a square matrix; the drop rule reads its multipliers from that
-        # solve, with no second one on G^T.  A working set that shrinks
-        # between two solves shows the drop rule fired.
+        # Every iteration of the active-set method makes one Gram solve,
+        # `_gram_solve`, of the square system G G^T nu = rhs; the drop rule
+        # reads its multipliers from that solve, with no second one on G^T.
+        # A working set that shrinks between two solves shows the drop rule
+        # fired.
         shapes = []
-        original = np.linalg.lstsq
+        original = optkernel._gram_solve
 
-        def recording(a, b, rcond=None):
-            shapes.append(a.shape)
-            return original(a, b, rcond=rcond)
+        def recording(G, rhs):
+            shapes.append((G.shape[0], rhs.shape[0]))
+            return original(G, rhs)
 
-        monkeypatch.setattr(np.linalg, "lstsq", recording)
+        monkeypatch.setattr(optkernel, "_gram_solve", recording)
         rng = SplitMix64(23)
         iterated = drops = 0
         for _ in range(40):
@@ -366,6 +368,12 @@ class TestProjectionQp:
             iterated += bool(shapes)
             drops += sum(after[0] < before[0] for before, after in zip(shapes, shapes[1:]))
         assert iterated >= 30 and drops > 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_start_raises(self, bad):
+        # the row test alone would accept a NaN start: nan > tol is False
+        with pytest.raises(ValueError):
+            project_onto([2.0, 2.0], _triangle(), start=[0.25, bad])
 
 
 def _triangle():
@@ -554,6 +562,63 @@ def test_singular_basis_raises_numerical_breakdown():
             optkernel._bland_iterate(
                 A, np.array([1.0, 2.0]), np.array([0.0, 0.0, -1.0]), [0, 1], 3, 10,
             )
+
+
+def _unit(rng, n):
+    v = np.array(rng.normals(n))
+    return v / np.linalg.norm(v)
+
+
+def _degenerate_sets():
+    """40 sets in R^2..R^4, each with a vertex v where n + 2 rows are tight,
+    one of those rows duplicated and one rescaled, and for every fourth set
+    an equality row through v.  The normals of the rows through v lie
+    within 0.5 of -w for a unit w, so v + t w lies in the set for small t.
+    Yields (S, v, normals of the rows through v)."""
+    for seed in range(40):
+        rng = SplitMix64(8000 + seed)
+        n = 2 + seed % 3
+        v = np.array(rng.normals(n))
+        w = _unit(rng, n)
+        normals = np.array([-w + 0.5 * _unit(rng, n) for _ in range(n + 2)])
+        A = np.vstack([normals, normals[0], 2.0 * normals[1], w])
+        b = np.concatenate([normals @ v, [normals[0] @ v, 2.0 * normals[1] @ v, w @ v + 2.0]])
+        eq_lhs = eq_rhs = None
+        if seed % 4 == 3:
+            e = _unit(rng, n)
+            e -= (e @ w) * w
+            eq_lhs, eq_rhs = [e], [e @ v]
+        yield PolyhedralSet(n, ineq_lhs=A, ineq_rhs=b, eq_lhs=eq_lhs, eq_rhs=eq_rhs), v, normals
+
+
+def test_projection_matches_the_brute_force_oracle(monkeypatch):
+    # Started at the degenerate vertex v, the first working set holds more
+    # than n dependent rows, so the Gram solve must fall back to lstsq; the
+    # targets are v pushed out along its normal cone (projection v), points
+    # near v and far points, from v and from the phase-one witness.
+    fallbacks = []
+    original = np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        fallbacks.append(seed)
+        return original(*args, **kwargs)
+
+    compared = 0
+    for seed, (S, v, normals) in enumerate(_degenerate_sets()):
+        rng = SplitMix64(9000 + seed)
+        n = S.ambient_dim
+        weights = np.array([abs(rng.normal()) for _ in range(len(normals))])
+        targets = [v + weights @ normals, v + 0.3 * _unit(rng, n), 4.0 * _unit(rng, n)]
+        for u in targets:
+            expected = brute_force_projection(u, S)
+            for start in (v, None):
+                with monkeypatch.context() as patch:
+                    patch.setattr(np.linalg, "lstsq", counting)
+                    z = project_onto(u, S, start=start)
+                assert np.linalg.norm(z - expected) <= 1e-9 * (1.0 + np.linalg.norm(u)), seed
+                compared += 1
+    assert compared == 240
+    assert len(set(fallbacks)) > 20
 
 
 class TestDegenerateInputs:

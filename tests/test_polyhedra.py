@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_oracles import from_generators
+from reference_oracles import dedup_loop, from_generators
 from scipy.linalg import null_space
 from test_acceptance import _avi_corpus
 
@@ -166,6 +166,30 @@ class TestEnumerateVertices:
     def test_ten_cube_fits_the_ray_budget(self):
         vs = enumerate_vertices(box(np.zeros(10), np.ones(10)))
         assert vs.is_bounded and len(vs.vertices) == 1024
+
+    @pytest.mark.parametrize("relative", [False, True])
+    def test_dedup_matches_the_pairwise_loop(self, relative):
+        # points around a few centres on a lattice of spacing 0.4 GEOM_TOL,
+        # plus steps of 0.9, 1.1 and 2.5 GEOM_TOL in random directions, so
+        # that pairs fall on both sides of the slack: both tests keep the
+        # same points, in the same order
+        rng = SplitMix64(31)
+        for n in (1, 2, 3, 5):
+            centres = [np.zeros(n)] + [np.array(rng.normals(n)) for _ in range(3)]
+            points = []
+            for centre in centres:
+                for _ in range(40):
+                    steps = np.array([rng.randint(-3, 3) for _ in range(n)])
+                    points.append(centre + 0.4 * GEOM_TOL * steps)
+                for factor in (0.9, 1.1, 2.5):
+                    direction = np.array(rng.normals(n))
+                    points.append(centre + factor * GEOM_TOL * direction / np.linalg.norm(direction))
+            order = [rng.randint(0, len(points) - 1) for _ in range(len(points))]
+            points = [points[i] for i in order]
+            kept = polyhedra._dedup(points, relative)
+            expected = dedup_loop(points, relative)
+            assert 1 < len(expected) < len(points)
+            assert [p.tobytes() for p in kept] == [p.tobytes() for p in expected]
 
     def test_duplicate_facets_dedup(self):
         S = PolyhedralSet(
@@ -414,17 +438,6 @@ def test_hausdorff_symmetry_and_triangle(lo1, w1, lo2, w2, lo3, w3):
 # --- double description against the exhaustive subset scan -----------------
 
 
-def _dedup(points, tol, relative):
-    kept = []
-    for p in points:
-        if all(
-            np.linalg.norm(p - q) > tol * ((1.0 + np.linalg.norm(q)) if relative else 1.0)
-            for q in kept
-        ):
-            kept.append(p)
-    return kept
-
-
 def exhaustive_scan(S):
     """Reference: the subset scan `enumerate_vertices` ran before double
     description.  Every `free`-subset of inequality rows is tried for a
@@ -471,10 +484,10 @@ def exhaustive_scan(S):
                 rays.append(-v)
             elif m == 0:
                 rays.extend([v, -v])
-    rays = _dedup(rays, GEOM_TOL, relative=False)
+    rays = dedup_loop(rays, relative=False)
     for j in range(L.shape[1]):
         rays.extend([L[:, j], -L[:, j]])
-    return _dedup(vertices, GEOM_TOL, relative=True), rays
+    return dedup_loop(vertices, relative=True), rays
 
 
 def assert_same_order(got, expected, tol, relative):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from avibound import solvers
+from avibound import optkernel, solvers
 from avibound.avi import AviInstance, is_solution
 from avibound.optkernel import LinearProgram, solve_lp
 from avibound.bounds import find_local_radius
@@ -125,7 +125,6 @@ class TestSolve:
     def test_no_phase_one_after_construction(self, method, monkeypatch):
         # C is not a box, so each projection needs a start point in C; the
         # emptiness test in AviInstance already solved phase one for it
-        from avibound import optkernel
         from avibound.bounds import SolutionGeometry
 
         inst = generate_random_avi(n=3, m=5, monotonicity="strongly_monotone", seed=4)
@@ -148,14 +147,15 @@ class TestSolve:
     @pytest.mark.parametrize("index", range(8))
     def test_residual_projections_start_from_the_iterate(self, index, monkeypatch):
         # Every iterate past x0 lies in C, so the residual's projection starts
-        # there and needs few Gram solves (np.linalg.lstsq calls); started
-        # from C's phase-one witness it averages 4.7 to 12.8 per call here.
+        # there and needs few Gram solves (`optkernel._gram_solve` calls);
+        # started from C's phase-one witness it averages 4.7 to 12.8 per call
+        # here.
         n = 3 + index % 2
         inst = generate_random_avi(n=n, m=n + 1 + (index // 2) % (7 - n),
                                    monotonicity="strongly_monotone", seed=3000 + index)
         inside = [False]
-        counts = {"residual": 0, "lstsq": 0}
-        original_residual, original_lstsq = solvers.residual, np.linalg.lstsq
+        counts = {"residual": 0, "gram": 0}
+        original_residual, original_gram = solvers.residual, optkernel._gram_solve
 
         def counting_residual(*args, **kwargs):
             counts["residual"] += 1
@@ -165,17 +165,17 @@ class TestSolve:
             finally:
                 inside[0] = False
 
-        def counting_lstsq(*args, **kwargs):
-            counts["lstsq"] += inside[0]
-            return original_lstsq(*args, **kwargs)
+        def counting_gram(*args, **kwargs):
+            counts["gram"] += inside[0]
+            return original_gram(*args, **kwargs)
 
         monkeypatch.setattr(solvers, "residual", counting_residual)
-        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        monkeypatch.setattr(optkernel, "_gram_solve", counting_gram)
         x0 = 2.0 * np.array(SplitMix64(index).normals(n))
         trace = solve(inst, SolverConfig(stop_residual=1e-6, x0=x0))
         assert trace.converged
         assert counts["residual"] == len(trace.records) > 50
-        assert counts["lstsq"] <= 3 * counts["residual"], counts
+        assert 0 < counts["gram"] <= 3 * counts["residual"], counts
 
     def test_divergence_aborts(self):
         # expansive operator pushed away from the solution diverges under
