@@ -8,7 +8,9 @@ counts as feasible within `FEAS_TOL`.  Instances are desk-scale
 classification, and each pivot is kept cheap:
 
 - `solve_lp`: two-phase dense revised simplex with Bland's rule for
-  anti-cycling.
+  anti-cycling, whose phase one starts from the slack basis: an inequality
+  row with rhs >= 0 starts with its slack basic, and only equality rows and
+  rows with rhs < 0 start with an artificial (Bixby 1992's crash basis).
 - `solve_feasibility`: phase one only, returning a witness point (the
   origin, for a set without rows), or for an empty set the Farkas ray
   read off phase one's final basis.
@@ -18,9 +20,13 @@ classification, and each pivot is kept cheap:
   is evaluated) or from its phase-one witness.
 
 The two simplex solves share one pipeline: `_standard_form` writes the
-rows once as {A_std v = rhs, v >= 0} with its pivot budget, `_phase_one`
-finds a feasible basis (and is all `solve_feasibility` runs), and
-`_basic_point` reads x off the final basis.
+rows once as {A_std v = rhs, v >= 0} with its slack columns and pivot
+budget, `_phase_one` finds a feasible basis (and is all
+`solve_feasibility` runs), and `_basic_point` reads x off the final basis.
+`solve_feasibility` starts phase one from the all-artificial basis: its
+witness point is what callers see (it centers `gpm`'s domain sampler and
+seeds the face search's tight rows), while an LP returns only its final
+vertex.
 
 Every simplex basis is factored by `lu_factor` and solved by `lu_solve`,
 which call LAPACK getrf/getrs directly, without scipy's batching and
@@ -134,8 +140,11 @@ class SolveStatus:
     eq_rhs . dual_eq; inequality multipliers are <= 0 when minimizing and
     >= 0 when maximizing.  For status "infeasible" (an LP or a feasibility
     solve) it is the Farkas ray z of the rows: rows^T z = 0 and z_ineq <= 0
-    up to FEAS_TOL, and rhs . z > 0.  A feasibility solve that finds a
-    point, and an unbounded LP, carry no `dual`.
+    up to FEAS_TOL, and rhs . z > 0.  Each solve reads its ray off its own
+    phase one, and an LP's starts from the slack basis, so an LP and a
+    feasibility solve over the same rows may report different rays.  A
+    feasibility solve that finds a point, and an unbounded LP, carry no
+    `dual`.
     """
 
     status: str
@@ -192,8 +201,14 @@ def _bland_iterate(A, b, c, basis, num_enterable, max_pivots):
     raise NumericalBreakdown("simplex pivot budget exhausted")
 
 
-def _phase_one(A, b, max_pivots):
+def _phase_one(A, b, max_pivots, slacks=()):
     """Find a basic feasible point of {Av = b, v >= 0} via artificials.
+
+    Each row is flipped to b_i >= 0.  A row i < len(slacks) whose b_i was
+    already >= 0 starts with column slacks[i], its slack (a unit column),
+    basic at b_i; every other row starts with its artificial.  So with
+    `slacks` phase one starts from the slack basis, without it from the
+    all-artificial one; the Bland iteration from there is the same.
 
     Returns (ray, A, b, basis, kept_rows).  When the artificials cannot be
     driven below FEAS_TOL, the system is empty and `ray` is the phase-one
@@ -208,7 +223,8 @@ def _phase_one(A, b, max_pivots):
     b = b * signs
     full = np.hstack([A, np.eye(m)])
     cost = np.concatenate([np.zeros(n), np.ones(m)])
-    basis = list(range(n, n + m))
+    basis = [col if signs[i] > 0 else n + i for i, col in enumerate(slacks)]
+    basis += range(n + len(basis), n + m)
     status = _bland_iterate(full, b, cost, basis, n, max_pivots)
     if status != "optimal":  # the phase-one objective is bounded below by 0
         raise NumericalBreakdown(f"phase one reported {status}")
@@ -252,16 +268,20 @@ def _phase_one(A, b, max_pivots):
 
 
 def _standard_form(S: PolyhedralSet):
-    """S = {Ex = d, Ax <= b} as {A_std v = rhs, v >= 0}, with its pivot budget.
+    """S = {Ex = d, Ax <= b} as {A_std v = rhs, v >= 0}, with its slack
+    columns and its pivot budget.
 
     The free x splits as x+ - x- and a slack closes each inequality, so
-    v = [x+, x-, slack] and the inequality rows come first.
+    v = [x+, x-, slack] and the inequality rows come first; `slacks[i]` is
+    the column of inequality row i's slack.
     """
+    n, k = S.ambient_dim, S.num_ineq
     rows = np.vstack([S.ineq_lhs, S.eq_lhs])
-    slack = np.vstack([np.eye(S.num_ineq), np.zeros((S.num_eq, S.num_ineq))])
+    slack = np.vstack([np.eye(k), np.zeros((S.num_eq, k))])
     A_std = np.hstack([rows, -rows, slack])
     rhs = np.concatenate([S.ineq_rhs, S.eq_rhs])
-    return A_std, rhs, 200 + 50 * (A_std.shape[0] + A_std.shape[1])
+    slacks = range(2 * n, 2 * n + k)
+    return A_std, rhs, slacks, 200 + 50 * (A_std.shape[0] + A_std.shape[1])
 
 
 def _basic_point(A, b, basis, n):
@@ -281,14 +301,15 @@ def _basic_point(A, b, basis, n):
 def solve_lp(lp: LinearProgram) -> SolveStatus:
     """Solve a dense LP, classifying optimal / infeasible / unbounded exactly.
 
-    Phase one on the standard form, then Bland pivots on the objective; see
-    the class docstring of `SolveStatus` for the dual convention.
+    Phase one on the standard form from the slack basis, then Bland pivots
+    on the objective; see the class docstring of `SolveStatus` for the dual
+    convention.
     """
     n = lp.objective.size
     c_user = lp.objective if lp.sense == "minimize" else -lp.objective
-    A_std, rhs, budget = _standard_form(lp.feasible_set)
+    A_std, rhs, slacks, budget = _standard_form(lp.feasible_set)
     c_std = np.concatenate([c_user, -c_user, np.zeros(lp.feasible_set.num_ineq)])
-    ray, A1, b1, basis, kept = _phase_one(A_std, rhs, budget)
+    ray, A1, b1, basis, kept = _phase_one(A_std, rhs, budget, slacks)
     if ray is not None:
         inf_value = math.inf if lp.sense == "minimize" else -math.inf
         return SolveStatus(status="infeasible", value=inf_value, dual=ray)
@@ -314,7 +335,7 @@ def solve_feasibility(S: PolyhedralSet) -> SolveStatus:
     Returns status "optimal" with a witness point, or "infeasible" with the
     Farkas ray as `dual`.  A set without rows is witnessed by the origin.
     """
-    A_std, rhs, budget = _standard_form(S)
+    A_std, rhs, _, budget = _standard_form(S)
     ray, A1, b1, basis, _ = _phase_one(A_std, rhs, budget)
     if ray is not None:
         return SolveStatus(status="infeasible", value=math.inf, dual=ray)

@@ -163,6 +163,60 @@ class TestSolveLp:
                 assert ref.status == 2
         assert checked > 30
 
+    def test_equality_rows_zero_rhs_and_maximize_match_highs(self):
+        # the cases the gap LPs reach: equality rows, rows through the origin
+        # (a zero rhs, so phase one starts from degenerate slacks) and
+        # maximization; three trials in four keep the origin feasible
+        rng = SplitMix64(2025)
+        seen = {"optimal": 0, "unbounded": 0, "infeasible": 0}
+        zero_rows = maximized = with_eq = 0
+        for trial in range(400):
+            n = rng.randint(1, 5)
+            m = rng.randint(n, 4 * n)
+            k = rng.randint(0, 2)
+            A = np.array([[rng.normal() for _ in range(n)] for _ in range(m)]).reshape(m, n)
+            E = np.array([[rng.normal() for _ in range(n)] for _ in range(k)]).reshape(k, n)
+            b = np.array([rng.normal() for _ in range(m)])
+            d = np.array([rng.normal() for _ in range(k)])
+            if trial % 4:
+                b, d = np.abs(b), np.zeros(k)
+            b[[rng.randint(0, 2) == 0 for _ in range(m)]] = 0.0
+            c = np.array([rng.normal() for _ in range(n)])
+            sense = "maximize" if rng.randint(0, 1) else "minimize"
+            lp = LinearProgram(c, PolyhedralSet(n, ineq_lhs=A, ineq_rhs=b, eq_lhs=E, eq_rhs=d),
+                               sense=sense)
+            res = solve_lp(lp)
+            sign = 1.0 if sense == "minimize" else -1.0
+            ref = linprog(
+                sign * c,
+                A_ub=A,
+                b_ub=b,
+                A_eq=E if k else None,
+                b_eq=d if k else None,
+                bounds=[(None, None)] * n,
+                method="highs",
+                options={"presolve": False},
+            )
+            seen[res.status] += 1
+            if res.status == "optimal":
+                assert ref.status == 0
+                assert res.value == pytest.approx(sign * ref.fun, abs=1e-6, rel=1e-6)
+                assert np.max(A @ res.point - b, initial=0.0) <= 1e-8
+                assert np.max(np.abs(E @ res.point - d), initial=0.0) <= 1e-8
+                # strong duality, with the sign convention of `SolveStatus`
+                dual_value = float(b @ res.dual[:m] + d @ res.dual[m:])
+                assert abs(res.value - dual_value) <= 1e-7 * (1.0 + abs(res.value))
+                assert np.all(sign * res.dual[:m] <= 1e-9)
+                zero_rows += int(np.any(b == 0.0))
+                maximized += sense == "maximize"
+                with_eq += k > 0
+            elif res.status == "unbounded":
+                assert ref.status == 3
+            else:
+                assert ref.status == 2
+        assert min(seen.values()) >= 40
+        assert zero_rows >= 150 and maximized >= 100 and with_eq >= 100
+
 
 class TestSolveFeasibility:
     def test_feasible_with_witness(self):
@@ -409,10 +463,20 @@ def _farkas_corpus():
         yield S
 
 
-def test_infeasible_outcomes_carry_a_farkas_ray():
+def _assert_farkas_ray(z, S):
     # z with rows^T z = 0, z_ineq <= 0 and rhs . z > 0 certifies emptiness;
     # phase one calls a set empty beyond FEAS_TOL, so the ray clears that
     # margin too
+    scale = np.max(np.abs(z))
+    rows = np.vstack([S.ineq_lhs, S.eq_lhs])
+    rhs = np.concatenate([S.ineq_rhs, S.eq_rhs])
+    assert np.max(np.abs(rows.T @ z)) <= 1e-12 * scale
+    assert np.all(z[:S.num_ineq] <= 1e-12 * scale)
+    assert rhs @ z > FEAS_TOL * scale
+    assert optkernel.ray_rules_out(z, rhs)
+
+
+def test_infeasible_outcomes_carry_a_farkas_ray():
     counts = {"optimal": 0, "infeasible": 0}
     for S in _farkas_corpus():
         res = solve_feasibility(S)
@@ -420,18 +484,55 @@ def test_infeasible_outcomes_carry_a_farkas_ray():
         if res.is_optimal:
             assert res.dual is None
             continue
-        z = res.dual
-        scale = np.max(np.abs(z))
-        rows = np.vstack([S.ineq_lhs, S.eq_lhs])
-        rhs = np.concatenate([S.ineq_rhs, S.eq_rhs])
-        assert np.max(np.abs(rows.T @ z)) <= 1e-12 * scale
-        assert np.all(z[:S.num_ineq] <= 1e-12 * scale)
-        assert rhs @ z > FEAS_TOL * scale
-        assert optkernel.ray_rules_out(z, rhs)
-        # an LP over S runs the same phase one and reports the same ray
+        _assert_farkas_ray(res.dual, S)
+        # an LP over S starts its own phase one from the slack basis, so it
+        # may end on another ray, but that ray certifies emptiness as well
         lp = solve_lp(LinearProgram(np.ones(S.ambient_dim), S))
-        assert lp.status == "infeasible" and np.array_equal(lp.dual, z)
+        assert lp.status == "infeasible"
+        _assert_farkas_ray(lp.dual, S)
     assert counts["infeasible"] >= 100 and counts["optimal"] >= 30
+
+
+def _phase_one_factorizations(monkeypatch, solve, *args):
+    """`lu_factor` calls made inside `_phase_one` while `solve(*args)` runs."""
+    inside = [False]
+    calls = [0]
+    lu_factor, phase_one = optkernel.lu_factor, optkernel._phase_one
+
+    def counting_lu(*a, **kw):
+        calls[0] += inside[0]
+        return lu_factor(*a, **kw)
+
+    def flagged_phase_one(*a, **kw):
+        inside[0] = True
+        try:
+            return phase_one(*a, **kw)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(optkernel, "lu_factor", counting_lu)
+    monkeypatch.setattr(optkernel, "_phase_one", flagged_phase_one)
+    solve(*args)
+    monkeypatch.undo()
+    return calls[0]
+
+
+def test_lp_phase_one_starts_from_the_slack_basis(monkeypatch):
+    # {Ax <= b} with every b_i >= 0, three of them zero: the slack basis is
+    # feasible, so an LP's phase one pivots never.  Its Bland loop factors
+    # the start basis once to find it optimal, and the read-off of the
+    # basic point factors it once more.
+    rng = SplitMix64(31)
+    n = 4
+    A = np.array([rng.normals(n) for _ in range(12)])
+    b = np.array([abs(rng.normal()) for _ in range(12)])
+    b[[1, 5, 9]] = 0.0
+    S = PolyhedralSet(n, ineq_lhs=A, ineq_rhs=b)
+    lp = LinearProgram(np.array(rng.normals(n)), S)
+    assert _phase_one_factorizations(monkeypatch, solve_lp, lp) == 2
+    assert solve_lp(lp).status == "optimal"
+    # the feasibility solve keeps its all-artificial start and its count
+    assert _phase_one_factorizations(monkeypatch, solve_feasibility, S) == 16
 
 
 def test_farkas_rays_that_prove_nothing_are_not_kept():
