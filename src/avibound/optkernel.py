@@ -11,9 +11,10 @@ classification, and each pivot is kept cheap:
   anti-cycling, whose phase one starts from the slack basis: an inequality
   row with rhs >= 0 starts with its slack basic, and only equality rows and
   rows with rhs < 0 start with an artificial (Bixby 1992's crash basis).
-- `solve_feasibility`: phase one only, returning a witness point (the
-  origin, for a set without rows), or for an empty set the Farkas ray
-  read off phase one's final basis.
+- `solve_feasibility`: phase one only, from the all-artificial basis or,
+  on request, the slack basis, returning a witness point (the origin, for
+  a set without rows), or for an empty set the Farkas ray read off phase
+  one's final basis.
 - `solve_projection_qp`: primal active-set method for the strictly convex
   problem min ||z - u||^2 over a polyhedron, started from a caller's point
   of the set (the solvers' iterates, and the point at which `avi.residual`
@@ -23,10 +24,17 @@ The two simplex solves share one pipeline: `_standard_form` writes the
 rows once as {A_std v = rhs, v >= 0} with its slack columns and pivot
 budget, `_phase_one` finds a feasible basis (and is all
 `solve_feasibility` runs), and `_basic_point` reads x off the final basis.
-`solve_feasibility` starts phase one from the all-artificial basis: its
-witness point is what callers see (it centers `gpm`'s domain sampler and
-seeds the face search's tight rows), while an LP returns only its final
-vertex.
+
+Which basis phase one starts from depends on what the caller reads.  An
+LP returns only its final vertex, and `feasible_witness` only a verdict,
+some point of the set or a Farkas ray, so both start from the slack basis,
+which is often feasible at once (for a set holding the origin) and proves
+most empty sets in fewer pivots.  `solve_feasibility` starts from the
+all-artificial basis by default because its two direct callers read the
+point itself: the face search (`avi._face_templates`) reuses the rows
+tight at that vertex, and `gpm._domain_witness` centers the domain sampler
+on it.  Every feasibility phase one, the cached one included, goes through
+`solve_feasibility`.
 
 Every simplex basis is factored by `lu_factor` and solved by `lu_solve`,
 which call LAPACK getrf/getrs directly, without scipy's batching and
@@ -43,12 +51,13 @@ factorization fails or its smallest pivot is below 1e-10 of its largest
 once per call and indexed by the working set, and the blocking-row ratio
 test takes all rates in one product.
 
-`feasible_witness` runs phase one at most once per set, and keeps its
-outcome (the point, or the Farkas ray of an empty set, which `farkas_ray`
-reads) in the set's cache; every other solve is a pure function of its
-inputs.  A Farkas ray z of some rows depends on the rows alone, so it
-certifies emptiness at any other right-hand side where `ray_rules_out`
-finds rhs . z above phase one's margin; `avi` screens its sections this way.
+`feasible_witness` runs that slack-basis phase one at most once per set,
+and keeps its outcome (the point, or the Farkas ray of an empty set, which
+`farkas_ray` reads) in the set's cache; every other solve is a pure
+function of its inputs.  A Farkas ray z of some rows depends on the rows
+alone, so it certifies emptiness at any other right-hand side where
+`ray_rules_out` finds rhs . z above phase one's margin; `avi` screens its
+sections this way.
 """
 
 from __future__ import annotations
@@ -141,10 +150,10 @@ class SolveStatus:
     >= 0 when maximizing.  For status "infeasible" (an LP or a feasibility
     solve) it is the Farkas ray z of the rows: rows^T z = 0 and z_ineq <= 0
     up to FEAS_TOL, and rhs . z > 0.  Each solve reads its ray off its own
-    phase one, and an LP's starts from the slack basis, so an LP and a
-    feasibility solve over the same rows may report different rays.  A
-    feasibility solve that finds a point, and an unbounded LP, carry no
-    `dual`.
+    phase one, and an LP's (like the cached witness's) starts from the slack
+    basis, so it may report another ray than the all-artificial start of
+    `solve_feasibility` over the same rows.  A feasibility solve that finds
+    a point, and an unbounded LP, carry no `dual`.
     """
 
     status: str
@@ -329,14 +338,20 @@ def solve_lp(lp: LinearProgram) -> SolveStatus:
     return SolveStatus(status="optimal", value=value, point=x, dual=duals)
 
 
-def solve_feasibility(S: PolyhedralSet) -> SolveStatus:
+def solve_feasibility(S: PolyhedralSet, *, slack_start: bool = False) -> SolveStatus:
     """Phase-one feasibility oracle for S.
 
     Returns status "optimal" with a witness point, or "infeasible" with the
     Farkas ray as `dual`.  A set without rows is witnessed by the origin.
+    Phase one starts from the all-artificial basis unless `slack_start`,
+    and the witness is the vertex that start leads to.  Callers that read
+    the point itself take the all-artificial start: the face search reuses
+    its tight rows and `gpm`'s domain sampler is centered on it.  The cached
+    `feasible_witness`, which needs only a verdict or some point of S,
+    takes the slack start.
     """
-    A_std, rhs, _, budget = _standard_form(S)
-    ray, A1, b1, basis, _ = _phase_one(A_std, rhs, budget)
+    A_std, rhs, slacks, budget = _standard_form(S)
+    ray, A1, b1, basis, _ = _phase_one(A_std, rhs, budget, slacks if slack_start else ())
     if ray is not None:
         return SolveStatus(status="infeasible", value=math.inf, dual=ray)
     point = _basic_point(A1, b1, basis, S.ambient_dim)[0]
@@ -346,12 +361,24 @@ def solve_feasibility(S: PolyhedralSet) -> SolveStatus:
 def feasible_witness(S: PolyhedralSet) -> np.ndarray | None:
     """Phase-one point of S, or None when S is empty.
 
-    Phase one runs once per set; its whole outcome stays in `S._cache`, so
+    Phase one runs once per set, from the slack basis as an LP's does: an
+    inequality row with rhs >= 0 starts with its slack basic, so a set of
+    inequality rows that holds the origin is witnessed by the origin without
+    a pivot, and an empty set is usually proved so in fewer pivots than from
+    the all-artificial start.  A point that misses a row of S by more than
+    FEAS_TOL (1 + ||x||) is not kept: the outcome is then that of the
+    all-artificial start.  The whole outcome stays in `S._cache`, so
     `farkas_ray` reads the ray of an empty S off the same solve.  The point
     is the cached array itself, read-only: copy it before handing it out.
     """
     if "phase one" not in S._cache:
-        outcome = solve_feasibility(S)
+        outcome = solve_feasibility(S, slack_start=True)
+        x = outcome.point
+        if x is not None and not _satisfies_rows(S, x, FEAS_TOL * (1.0 + math.sqrt(x @ x))):
+            # on near-parallel rows the final basis can lose primal
+            # feasibility, and `_basic_point` then clips its way to a point
+            # outside S; the all-artificial start is the fallback
+            outcome = solve_feasibility(S)
         for arr in (outcome.point, outcome.dual):
             if arr is not None:
                 arr.setflags(write=False)

@@ -21,6 +21,7 @@ from avibound.avi import (
 )
 from avibound.bounds import (
     LipschitzCheckConfig,
+    SolutionGeometry,
     find_local_radius,
     verify_upper_lipschitz_inverse,
 )
@@ -131,6 +132,31 @@ class TestResidual:
             assert np.linalg.norm(residual(inst, inside).projected_point - cold) <= 1e-12 * scale
             warm += not inst.c_set.contains(u, FEAS_TOL * scale)
         assert warm >= 10
+
+    def test_residual_outside_c_starts_near_the_slack_point(self, monkeypatch):
+        # error_bound-style samples, the solution plus noise, that lie
+        # outside C: the projection starts from C's cached witness, which the
+        # slack-basis phase one puts at the origin, a point of this C.  These
+        # 30 calls make 70 Gram solves; from the vertex of an all-artificial
+        # phase one they made 234.
+        inst = generate_random_avi(n=4, m=6, monotonicity="strongly_monotone", seed=2003)
+        assert inst.c_set.box_bounds() is None and inst.c_set.contains(np.zeros(4), 0.0)
+        (anchor,) = SolutionGeometry.from_instance(inst).anchors
+        rng = SplitMix64(2003)
+        points = [anchor + 0.5 * np.array(rng.normals(4)) for _ in range(40)]
+        points = [x for x in points if not inst.c_set.contains(x, 0.0)]
+        assert len(points) == 30
+        calls = [0]
+        original = optkernel._gram_solve
+
+        def counting(*args):
+            calls[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(optkernel, "_gram_solve", counting)
+        for x in points:
+            assert inst.c_set.contains(residual(inst, x).projected_point, 1e-8)
+        assert 0 < calls[0] <= 70
 
     def test_residual_lipschitz_bound(self):
         rng = SplitMix64(13)
@@ -549,13 +575,14 @@ def test_lipschitz_check_section_phase_ones(monkeypatch):
     inst = generate_random_avi(n=3, m=5, monotonicity="monotone_skew", seed=1)
     _face_templates(inst)  # the face search's own phase ones
     calls = []
-    original = optkernel.solve_feasibility
+    original = optkernel._phase_one
 
-    def counting(S):
-        calls.append(S)
-        return original(S)
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(optkernel, "solve_feasibility", counting)
+    # every phase one, the sections' cached ones included
+    monkeypatch.setattr(optkernel, "_phase_one", counting)
     cfg = LipschitzCheckConfig(base_point=np.zeros(3), master_seed=1)
     report = verify_upper_lipschitz_inverse(inst, cfg)
     assert report.num_samples > 0

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_oracles import brute_force_projection
 from scipy.optimize import linprog
-from test_polyhedra import _near_parallel_sets
+from test_polyhedra import _all_near_parallel_sets, _near_parallel_sets, _random_sets
 
 from avibound import (
     EmptySet,
@@ -441,15 +441,16 @@ def _triangle():
 
 @pytest.fixture
 def feasibility_calls(monkeypatch):
-    """Arguments of every phase-one solve made while the test runs."""
+    """Arguments of every phase one run while the test runs, whichever
+    solve runs it."""
     calls = []
-    original = optkernel.solve_feasibility
+    original = optkernel._phase_one
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(optkernel, "solve_feasibility", counting)
+    monkeypatch.setattr(optkernel, "_phase_one", counting)
     return calls
 
 
@@ -485,8 +486,10 @@ def test_infeasible_outcomes_carry_a_farkas_ray():
             assert res.dual is None
             continue
         _assert_farkas_ray(res.dual, S)
-        # an LP over S starts its own phase one from the slack basis, so it
-        # may end on another ray, but that ray certifies emptiness as well
+        # the cached phase one and an LP's start from the slack basis, so
+        # they may end on another ray, but that ray certifies emptiness too
+        assert not is_nonempty(S)
+        _assert_farkas_ray(optkernel.farkas_ray(S), S)
         lp = solve_lp(LinearProgram(np.ones(S.ambient_dim), S))
         assert lp.status == "infeasible"
         _assert_farkas_ray(lp.dual, S)
@@ -535,6 +538,46 @@ def test_lp_phase_one_starts_from_the_slack_basis(monkeypatch):
     assert _phase_one_factorizations(monkeypatch, solve_feasibility, S) == 16
 
 
+def test_slack_start_finishes_on_near_parallel_rows():
+    # the all-artificial start of `solve_feasibility` breaks down on some of
+    # the near-parallel sets; the cached witness starts from the slack basis
+    # and finds a point of each
+    broken = []
+    for k, S in _all_near_parallel_sets():
+        try:
+            solve_feasibility(S)
+        except NumericalBreakdown:
+            broken.append(k)
+            assert is_nonempty(S)
+            x = feasible_point(S)
+            slack = FEAS_TOL * (1.0 + np.linalg.norm(x))
+            assert np.max(S.ineq_lhs @ x - S.ineq_rhs) <= slack, k
+    assert broken
+
+
+def test_cached_witness_satisfies_its_rows_on_tilted_rows():
+    # one row copied and tilted by 1e-7 along (1, ..., 1): on sets 110 and
+    # 112 the slack-basis phase one ends on a basis that lost primal
+    # feasibility, and its clipped point misses a row by 0.03 and by 1.0;
+    # the witness then falls back to the all-artificial start, which finds
+    # a point of set 112 and breaks down on set 110
+    rng = SplitMix64(77)
+    broken = []
+    for index, S in enumerate(_random_sets(101, 113)):
+        n = S.ambient_dim
+        j = rng.randint(0, S.num_ineq - 1)
+        T = PolyhedralSet(n, ineq_lhs=np.vstack([S.ineq_lhs, S.ineq_lhs[j] + 1e-7 * np.ones(n)]),
+                          ineq_rhs=np.append(S.ineq_rhs, S.ineq_rhs[j]))
+        try:
+            x = feasible_point(T)
+        except NumericalBreakdown:
+            broken.append(index)
+            continue
+        slack = FEAS_TOL * (1.0 + np.linalg.norm(x))
+        assert np.max(T.ineq_lhs @ x - T.ineq_rhs) <= slack, index
+    assert set(broken) <= {110}
+
+
 def test_farkas_rays_that_prove_nothing_are_not_kept():
     # each near-parallel set with the negation of its tilted copy row, moved
     # by 1e-3 or 1e-6, is empty; Bland's optimality test accepts reduced
@@ -553,9 +596,10 @@ def test_farkas_rays_that_prove_nothing_are_not_kept():
                 assert np.max(z[:E.num_ineq]) <= 1e-12 * np.max(np.abs(z))
                 continue
             dropped += 1
-            # phase one's own ray would rule out a nonempty set: the pair
-            # relaxed until it touches, its positive row relaxed by 100
-            raw = solve_feasibility(E).dual
+            # phase one's own ray, as the cache keeps it, would rule out a
+            # nonempty set: the pair relaxed until it touches, its positive
+            # row relaxed by 100
+            raw = E._cache["phase one"].dual
             b = np.append(S.ineq_rhs, -S.ineq_rhs[-1])
             b[np.argmax(raw[:E.num_ineq])] += 100.0
             assert is_nonempty(PolyhedralSet(S.ambient_dim, ineq_lhs=A, ineq_rhs=b))

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import os
 import sys
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_oracles import dedup_loop, from_generators
 from scipy.linalg import null_space
+from scipy.optimize import nnls
 from test_acceptance import _avi_corpus
 
 from avibound import CapExceeded, EmptySet, NumericalBreakdown, PolyhedralSet, optkernel, polyhedra
@@ -560,12 +562,9 @@ def _section_points(f, seed, count=4):
     return sections
 
 
-def _near_parallel_sets():
+def _all_near_parallel_sets():
     """(k, S) for 40 seeded sets with a copy of one row tilted by
-    10^-(3 + k % 8), with the same or a shifted right-hand side; sets on
-    which phase one breaks down are skipped (a fault of the simplex kernel,
-    not of the enumeration).  A zero threshold of 1e-9 or looser (instead
-    of _ZERO_TOL) loses a vertex or ray on one of these."""
+    10^-(3 + k % 8), with the same or a shifted right-hand side."""
     rng = SplitMix64(13)
     for k, S in enumerate(_random_sets(42, 40)):
         n = S.ambient_dim
@@ -578,8 +577,21 @@ def _near_parallel_sets():
             ineq_lhs=np.vstack([S.ineq_lhs, S.ineq_lhs[j] + scale * tilt]),
             ineq_rhs=np.concatenate([S.ineq_rhs, [rhs]]),
         )
+        yield k, S
+
+
+def _near_parallel_sets():
+    """`_all_near_parallel_sets` without the sets on which the
+    all-artificial phase one of `solve_feasibility` breaks down (a fault of
+    the simplex kernel, not of the enumeration).  The cached witness starts
+    phase one from the slack basis and finishes on all 40, but the skip
+    stays keyed on the all-artificial start, so the corpus stays the same
+    37 sets; `test_smallest_tilts_match_the_exact_polytope` covers the
+    others.  A zero threshold of 1e-9 or looser (instead of _ZERO_TOL)
+    loses a vertex or ray on one of these."""
+    for k, S in _all_near_parallel_sets():
         try:
-            is_nonempty(S)
+            optkernel.solve_feasibility(S)
         except NumericalBreakdown:
             continue
         yield k, S
@@ -738,6 +750,86 @@ def test_vertices_at_a_1e9_tilt_match_brute_force():
     assert compared >= 3
 
 
+def _solve_rational(M, v):
+    """x with M x = v over the rationals (lists of Fractions), or None when
+    M is singular."""
+    n = len(M)
+    M = [row + [v[i]] for i, row in enumerate(M)]
+    for c in range(n):
+        p = next((r for r in range(c, n) if M[r][c] != 0), None)
+        if p is None:
+            return None
+        M[c], M[p] = M[p], M[c]
+        for r in range(n):
+            if r != c and M[r][c] != 0:
+                f = M[r][c] / M[c][c]
+                M[r] = [a - f * e for a, e in zip(M[r], M[c])]
+    return [M[i][n] / M[i][i] for i in range(n)]
+
+
+def _exact_vertices(S):
+    """The vertices of the polyhedron that S's float rows define, in exact
+    rational arithmetic: each n-subset of rows whose least-squares solve is
+    within 1e-4 (1 + |x|) of every row is solved over the rationals and
+    kept when it satisfies every row exactly."""
+    A, b, n = S.ineq_lhs, S.ineq_rhs, S.ambient_dim
+    A_q = [[Fraction(float(a)) for a in row] for row in A]
+    b_q = [Fraction(float(e)) for e in b]
+    found = []
+    for rows in itertools.combinations(range(len(A)), n):
+        x = np.linalg.lstsq(A[list(rows)], b[list(rows)], rcond=None)[0]
+        if np.max(A @ x - b) > 1e-4 * (1.0 + np.linalg.norm(x)):
+            continue
+        x = _solve_rational([A_q[r] for r in rows], [b_q[r] for r in rows])
+        if x is not None and all(sum(a * e for a, e in zip(row, x)) <= c
+                                 for row, c in zip(A_q, b_q)):
+            x = np.array([float(e) for e in x])
+            if not any(np.array_equal(x, e) for e in found):
+                found.append(x)
+    return found
+
+
+def _distance_to_hull(v, vertices, rays):
+    """Distance from v to conv(vertices) + cone(rays), by nonnegative least
+    squares with a heavy row for the convex weights."""
+    V = np.array(vertices).T
+    R = np.array(rays).reshape(-1, len(v)).T
+    M = np.vstack([np.hstack([V, R]), np.concatenate([np.full(V.shape[1], 1e6),
+                                                      np.zeros(R.shape[1])])])
+    weights = nnls(M, np.append(v, 1e6), maxiter=10_000)[0]
+    lam, mu = weights[:V.shape[1]], weights[V.shape[1]:]
+    return np.linalg.norm((V @ lam + R @ mu) / lam.sum() - v)
+
+
+def test_smallest_tilts_match_the_exact_polytope():
+    # at tilts of 1e-9 and 1e-10 a vertex on a row and its copy solves a
+    # system of condition up to ~1e10, so floating point fixes it only to
+    # ~1e-6 relative, and a float oracle is no reference (on k = 7
+    # `_oracle_vertices` is off by 1.7e-6).  So the reported V-representation
+    # is checked against the exact rational vertex set as a set: each
+    # reported vertex lies in S and has rows of rank n tight, within FEAS_TOL,
+    # and each exact vertex lies within FEAS_TOL of conv(vertices) +
+    # cone(rays).  Double description reads rows within _ZERO_TOL of a ray
+    # as tight, so it may drop the vertices of a sliver that thin: six on
+    # k = 7, each within 7e-11 of the hull of the others.
+    compared = 0
+    for k, S in _all_near_parallel_sets():
+        if k % 8 not in (6, 7):
+            continue
+        vs = enumerate_vertices(S)
+        A, b, n = S.ineq_lhs, S.ineq_rhs, S.ambient_dim
+        for x in vs.vertices:
+            scale = FEAS_TOL * (1.0 + np.linalg.norm(x))
+            gap = A @ x - b
+            assert np.max(gap) <= scale, k
+            assert np.linalg.matrix_rank(A[np.abs(gap) <= scale]) == n, k
+        for v in _exact_vertices(S):
+            distance = _distance_to_hull(v, vs.vertices, vs.recession_rays)
+            assert distance <= FEAS_TOL * (1.0 + np.linalg.norm(v)), k
+        compared += 1
+    assert compared == 10
+
+
 def test_non_pointed_double_description_is_a_breakdown(monkeypatch):
     # a zero last pivot: the rows leave the cone numerically non-pointed
     monkeypatch.setattr(
@@ -771,7 +863,7 @@ def _count_calls(monkeypatch, module, name, counter):
 
 def test_cone_generators_run_no_phase_one(monkeypatch):
     calls = {}
-    _count_calls(monkeypatch, optkernel, "solve_feasibility", calls)
+    _count_calls(monkeypatch, optkernel, "_phase_one", calls)
     rng = SplitMix64(31)
     for _ in range(20):
         rows = _normals(rng, rng.randint(1, 6), rng.randint(2, 4))
@@ -781,7 +873,7 @@ def test_cone_generators_run_no_phase_one(monkeypatch):
     assert calls == {}
     # the counter does see the phase-one solve of a non-box set
     assert is_nonempty(PolyhedralSet(2, ineq_lhs=[[1, 1], [-1, 0], [0, -1]], ineq_rhs=[1, 0, 0]))
-    assert calls == {"solve_feasibility": 1}
+    assert calls == {"_phase_one": 1}
 
 
 def test_redundant_rows_cost_nothing(monkeypatch):

@@ -130,13 +130,14 @@ class TestSolve:
         inst = generate_random_avi(n=3, m=5, monotonicity="strongly_monotone", seed=4)
         assert inst.c_set.box_bounds() is None
         calls = []
-        original = optkernel.solve_feasibility
+        original = optkernel._phase_one
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(optkernel, "solve_feasibility", counting)
+        # every phase one, the cached witness's included
+        monkeypatch.setattr(optkernel, "_phase_one", counting)
         cfg = SolverConfig(method=method, stop_residual=1e-8, x0=np.full(3, 10.0))
         trace = solve(inst, cfg)
         assert calls == []
