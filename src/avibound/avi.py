@@ -10,18 +10,29 @@ depend on y, and F_I is empty for every superset of a pattern whose face is
 empty.  So one depth-first search per instance, adding rows in increasing
 index and pruning at empty faces, finds the patterns worth testing (the face
 enumeration behind reverse search, Avis & Fukuda 1992); each level y then
-tests only those patterns.  A pattern's template (`_PieceTemplate`) keeps
-the face it was found with and builds its piece's constraint matrices
-`ineq_lhs` and `eq_lhs` once; a level y moves only the right-hand sides,
-affinely, so `section(y)` evaluates those and nothing else.  The search is
-exponential in the worst case and instance files come from outside the
-program, so it stops after `_PATTERN_BUDGET` patterns with CapExceeded.
+tests only those patterns.  The search is exponential in the worst case and
+instance files come from outside the program, so it stops after
+`_PATTERN_BUDGET` patterns with CapExceeded.
+
+A pattern's template (`_PieceTemplate`) keeps the face it was found with
+and tests each level's section for emptiness in the lifted space
+(x, lambda): the face rows shifted by y, M x + A_I^T lambda = y - q and
+-lambda <= 0.  Those rows are fixed and only their right-hand side moves
+with y, affinely.  Most templates never have a nonempty section (on one
+pass of the benchmark's `preimage` pool, 49 of 867), so the x-space rows,
+which eliminate lambda through the polar cone of A_I (`cone_generators`,
+a double description), are built only when a section first comes out
+nonempty, once per template.  The x-space piece then comes out as before,
+row for row, and takes the x-part of the lifted witness as its own
+phase-one point when that point satisfies its rows within
+FEAS_TOL (1 + ||x||) (`optkernel.seed_witness`); otherwise it runs its own
+phase one.
 
 Because only the right-hand side moves, an emptiness certificate outlives
-its level: when phase one finds a section empty, its Farkas ray z (rows^T z
-= 0, z_ineq <= 0, rhs . z > 0) stays on the template, and at any later
-level the section is empty whenever rhs(y) . z > FEAS_TOL ||z||_inf.  That
-bounds phase one's optimum at rhs(y) from below by more than its own
+its level: when phase one finds a lifted section empty, its Farkas ray z
+(rows^T z = 0, z_ineq <= 0, rhs . z > 0) stays on the template, and at any
+later level the section is empty whenever rhs(y) . z > FEAS_TOL ||z||_inf.
+That bounds phase one's optimum at rhs(y) from below by more than its own
 emptiness margin (`optkernel.ray_rules_out`), so the screen only skips
 sections phase one would itself call empty; every nonempty section still
 runs the same phase one, and no result depends on the order in which levels
@@ -41,6 +52,7 @@ from .optkernel import (
     QpProjectionProblem,
     farkas_ray,
     ray_rules_out,
+    seed_witness,
     solve_feasibility,
     solve_lp,
     solve_projection_qp,
@@ -159,36 +171,70 @@ def is_solution(inst: AviInstance, x) -> bool:
 class _PieceTemplate:
     """One active pattern's piece of R^{-1}(y): fixed rows, moving right-hand side.
 
-    The multiplier block is eliminated analytically: lambda >= 0 supported on
-    the active rows exists iff y - q - Mx lies in the cone spanned by those
-    rows, cone(A_I^T).  That cone's H-description comes from its polar
-    {w : A_I w <= 0} = cone(W_ineq) + span(W_eq), as `cone_generators`
-    returns it: each extreme ray w in W_ineq gives the row
+    Emptiness is decided in the lifted space (x, lambda), lambda in R^|I|
+    on the active rows A_I = `face.eq_lhs`, where the section at level y is
+    {(x, lambda) : x - y in F_I, M x + A_I^T lambda = y - q, -lambda <= 0}:
+    the face rows shifted by y, then the multiplier rows, inequalities
+    first.  Those rows are fixed (`_lifted_ineq`, `_lifted_eq`); only the
+    right-hand side moves with y.
+
+    The x-space piece eliminates lambda: lambda >= 0 supported on the active
+    rows exists iff y - q - Mx lies in cone(A_I^T), whose H-description
+    comes from its polar {w : A_I w <= 0} = cone(W_ineq) + span(W_eq), as
+    `cone_generators` returns it: each extreme ray w in W_ineq gives the row
     (-w M) x <= w (q - y), and each vector w of the lineality basis W_eq the
     row (-w M) x = w (q - y).  The empty pattern has the whole space as
-    polar, so W_eq is the identity and W_ineq is empty.  With the rows of the
-    face F_I, shifted by y, the piece at level y is
+    polar, so W_eq is the identity and W_ineq is empty.  With the rows of
+    the face F_I, shifted by y, the piece at level y is
     {x : ineq_lhs x <= ineq_rhs(y), eq_lhs x = eq_rhs(y)}: face rows first,
-    then polar rows.  `ineq_lhs` and `eq_lhs` are built once; `section`
-    evaluates only the right-hand sides, which are affine in y.  A row whose
-    coefficients all vanish (M singular) constrains y alone; it stays out of
-    the matrices, and `section` checks it against `FEAS_TOL`.
+    then polar rows.  A row whose coefficients all vanish (M singular)
+    constrains y alone; it stays out of the matrices, and `x_section` checks
+    it against `FEAS_TOL`.  Most templates never have a nonempty section,
+    so the polar cone is not built and `ineq_lhs` and `eq_lhs` stay None
+    until a lifted section first comes out nonempty; `_x_rows` then builds
+    them and the y-only rows, once.
 
-    `ray` holds the Farkas ray of the latest section that phase one found
-    empty (None until then), over the kept rows in the order
+    `ray` holds the Farkas ray of the latest lifted section that phase one
+    found empty (None until then), over the lifted rows in the order
     [inequalities..., equalities...].  It depends on the rows alone, so it
     certifies emptiness at every level y where rhs(y) . ray exceeds phase
     one's margin (`optkernel.ray_rules_out`), and `section` then returns
-    None without building the set.
+    None without building a set.  A nonempty piece takes the x-part of the
+    lifted witness as its own (`optkernel.seed_witness`) when that point
+    satisfies the piece's rows; otherwise it runs its own phase one.
+
+    The template keeps M and q, not the instance: the instance holds its
+    templates, and a reference cycle would keep both alive until the cycle
+    collector runs.
     """
 
     def __init__(self, inst: AviInstance, face: PolyhedralSet, active: tuple):
         self.active = active
         self._face = face
+        self._m_op = inst.m_op
         self._q = inst.q
+        n, k = face.ambient_dim, face.num_eq
+        self._lifted_ineq = np.vstack([
+            np.hstack([face.ineq_lhs, np.zeros((face.num_ineq, k))]),
+            np.hstack([np.zeros((k, n)), -np.eye(k)]),
+        ])
+        self._lifted_eq = np.vstack([
+            np.hstack([face.eq_lhs, np.zeros((k, k))]),
+            np.hstack([inst.m_op, face.eq_lhs.T]),
+        ])
+        self.ineq_lhs = self.eq_lhs = None
+        self.ray = None
+
+    def _x_rows(self):
+        """Build the x-space rows once: the polar cone's generators, the
+        kept rows `ineq_lhs` and `eq_lhs`, and the indices of the y-only
+        rows."""
+        if self.ineq_lhs is not None:
+            return
+        face, M = self._face, self._m_op
         self._w_ineq, self._w_eq = cone_generators(face.eq_lhs)
-        ineq = np.vstack([face.ineq_lhs, -self._w_ineq @ inst.m_op])
-        eq = np.vstack([face.eq_lhs, -self._w_eq @ inst.m_op])
+        ineq = np.vstack([face.ineq_lhs, -self._w_ineq @ M])
+        eq = np.vstack([face.eq_lhs, -self._w_eq @ M])
         ineq_zero = np.max(np.abs(ineq), axis=1) <= 1e-12
         eq_zero = np.max(np.abs(eq), axis=1) <= 1e-12
         self._ineq_kept = np.flatnonzero(~ineq_zero)
@@ -199,11 +245,27 @@ class _PieceTemplate:
         self.eq_lhs = eq[self._eq_kept]
         self.ineq_lhs.setflags(write=False)
         self.eq_lhs.setflags(write=False)
-        self.ray = None
 
-    def section(self, y) -> PolyhedralSet | None:
-        """x-space piece at level y; None when a row on y alone fails or
-        `ray` rules the section out."""
+    def lifted_section(self, y) -> PolyhedralSet | None:
+        """(x, lambda)-space section at level y; None when `ray` rules it out."""
+        face, k = self._face, self._face.num_eq
+        ineq_rhs = np.concatenate([face.ineq_rhs + face.ineq_lhs @ y, np.zeros(k)])
+        eq_rhs = np.concatenate([face.eq_rhs + face.eq_lhs @ y, y - self._q])
+        if self.ray is not None and ray_rules_out(
+                self.ray, np.concatenate([ineq_rhs, eq_rhs])):
+            return None
+        return PolyhedralSet(
+            face.ambient_dim + k,
+            ineq_lhs=self._lifted_ineq,
+            ineq_rhs=ineq_rhs,
+            eq_lhs=self._lifted_eq,
+            eq_rhs=eq_rhs,
+        )
+
+    def x_section(self, y) -> PolyhedralSet | None:
+        """x-space piece at level y, rows built if need be; None when a row
+        on y alone fails.  Runs no emptiness test."""
+        self._x_rows()
         face, q = self._face, self._q
         ineq_rhs = np.concatenate(
             [face.ineq_rhs + face.ineq_lhs @ y, self._w_ineq @ (q - y)]
@@ -212,18 +274,34 @@ class _PieceTemplate:
         if (np.any(ineq_rhs[self._ineq_y_only] < -FEAS_TOL)
                 or np.any(np.abs(eq_rhs[self._eq_y_only]) > FEAS_TOL)):
             return None
-        ineq_rhs = ineq_rhs[self._ineq_kept]
-        eq_rhs = eq_rhs[self._eq_kept]
-        if self.ray is not None and ray_rules_out(
-                self.ray, np.concatenate([ineq_rhs, eq_rhs])):
-            return None
         return PolyhedralSet(
             face.ambient_dim,
             ineq_lhs=self.ineq_lhs,
-            ineq_rhs=ineq_rhs,
+            ineq_rhs=ineq_rhs[self._ineq_kept],
             eq_lhs=self.eq_lhs,
-            eq_rhs=eq_rhs,
+            eq_rhs=eq_rhs[self._eq_kept],
         )
+
+    def section(self, y) -> PolyhedralSet | None:
+        """Nonempty x-space piece at level y, or None.
+
+        The lifted section decides first: a ray screen, then phase one,
+        whose Farkas ray replaces `ray` when the section is empty.  A
+        nonempty one yields the x-space piece, seeded with the x-part of the
+        lifted witness, and its own emptiness test (free when the seed was
+        kept).
+        """
+        lifted = self.lifted_section(y)
+        if lifted is None:
+            return None
+        if not is_nonempty(lifted):
+            self.ray = farkas_ray(lifted)
+            return None
+        piece = self.x_section(y)
+        if piece is None:
+            return None
+        seed_witness(piece, lifted)
+        return piece if is_nonempty(piece) else None
 
 
 def _face(inst: AviInstance, active: tuple) -> PolyhedralSet:
@@ -293,9 +371,11 @@ def inverse_residual(inst: AviInstance, y, keep_active: bool = False):
     """Pieces of R^{-1}(y), one x-space polyhedron per feasible active pattern.
 
     Only patterns whose face of C is nonempty are tested, in subset-rank
-    order (bit i set when row i is active).  A section that phase one finds
-    empty leaves its Farkas ray on its template, and at later levels the
-    template's section is ruled out by one dot product with that ray
+    order (bit i set when row i is active), each by its template's
+    `section`: phase one on the (x, lambda) section first, the x-space
+    piece only when that is nonempty.  A lifted section that phase one
+    finds empty leaves its Farkas ray on its template, and at later levels
+    the template's section is ruled out by one dot product with that ray
     whenever the ray still proves it empty (see the module docstring); the
     ray never rules out a section phase one would find nonempty, so the
     result does not depend on earlier calls.  The union of the returned sets
@@ -306,12 +386,8 @@ def inverse_residual(inst: AviInstance, y, keep_active: bool = False):
     pieces = []
     for template in _face_templates(inst):
         piece = template.section(y)
-        if piece is None:
-            continue
-        if not is_nonempty(piece):
-            template.ray = farkas_ray(piece)
-            continue
-        pieces.append((template.active, piece) if keep_active else piece)
+        if piece is not None:
+            pieces.append((template.active, piece) if keep_active else piece)
     return pieces
 
 

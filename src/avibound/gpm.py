@@ -65,6 +65,8 @@ class GpMultifunction:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "input_dim", n)
         object.__setattr__(self, "output_dim", r)
+        # `gap_primal` values by the bytes of the point
+        object.__setattr__(self, "_gap_primal", {})
 
     @property
     def num_eq(self) -> int:
@@ -142,9 +144,19 @@ def gap_primal(f: GpMultifunction, x) -> float:
 
     One LP in (y, t): minimize t subject to +-(a1 x + a2 y - z)_j <= t,
     row_i(x, y) - rhs_i <= t and t >= 0.  The rows come in that order, with
-    the + and - row of each j next to each other.
+    the + and - row of each j next to each other.  The value is a pure
+    function of f and x, so `f` keeps it by the bytes of x, and a point
+    asked again (`verify_minimax` and `verify_domain_characterization` probe
+    the same points) solves no second LP.
     """
     x = _as_vector(x, f.input_dim, "x")
+    key = x.tobytes()
+    if key not in f._gap_primal:
+        f._gap_primal[key] = _solve_gap_primal(f, x)
+    return f._gap_primal[key]
+
+
+def _solve_gap_primal(f: GpMultifunction, x: np.ndarray) -> float:
     r, k = f.output_dim, f.num_eq
     res = f.z - f.a1 @ x
     y_rows = np.vstack([

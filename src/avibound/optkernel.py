@@ -57,7 +57,9 @@ and keeps its outcome (the point, or the Farkas ray of an empty set, which
 function of its inputs.  A Farkas ray z of some rows depends on the rows
 alone, so it certifies emptiness at any other right-hand side where
 `ray_rules_out` finds rhs . z above phase one's margin; `avi` screens its
-sections this way.
+sections this way.  `seed_witness` hands a set the witness of a lifted set
+it is a projection of (a piece of `avi` and its (x, lambda) section), so
+the piece needs no phase one of its own when that point satisfies its rows.
 """
 
 from __future__ import annotations
@@ -312,7 +314,8 @@ def solve_lp(lp: LinearProgram) -> SolveStatus:
 
     Phase one on the standard form from the slack basis, then Bland pivots
     on the objective; see the class docstring of `SolveStatus` for the dual
-    convention.
+    convention.  Raises NumericalBreakdown when the final point misses a row
+    by more than FEAS_TOL (1 + ||x||), the rule `feasible_witness` applies.
     """
     n = lp.objective.size
     c_user = lp.objective if lp.sense == "minimize" else -lp.objective
@@ -326,6 +329,10 @@ def solve_lp(lp: LinearProgram) -> SolveStatus:
         unb_value = -math.inf if lp.sense == "minimize" else math.inf
         return SolveStatus(status="unbounded", value=unb_value)
     x, lu = _basic_point(A1, b1, basis, n)
+    if not _satisfies_rows(lp.feasible_set, x, FEAS_TOL * (1.0 + math.sqrt(x @ x))):
+        # a final basis that lost primal feasibility on near-parallel rows,
+        # which `_basic_point` clipped to a point outside the set
+        raise NumericalBreakdown("simplex ended at a point that violates a row")
     value = float(c_user @ x)
     # duals of the kept rows, undoing phase one's flips to a nonnegative rhs
     duals = np.zeros(A_std.shape[0])
@@ -384,6 +391,24 @@ def feasible_witness(S: PolyhedralSet) -> np.ndarray | None:
                 arr.setflags(write=False)
         S._cache["phase one"] = outcome
     return S._cache["phase one"].point
+
+
+def seed_witness(S: PolyhedralSet, lifted: PolyhedralSet) -> None:
+    """Take the first `S.ambient_dim` coordinates of `lifted`'s cached
+    phase-one point as S's, without a solve.
+
+    The point is kept only when it satisfies S's rows within
+    FEAS_TOL (1 + ||x||), the rule `feasible_witness` applies to its own
+    point; otherwise, or when `lifted` holds no point or S already has an
+    outcome, nothing changes and S runs its own phase one when asked.
+    """
+    outcome = lifted._cache.get("phase one")
+    if outcome is None or outcome.point is None or "phase one" in S._cache:
+        return
+    x = outcome.point[: S.ambient_dim].copy()
+    if _satisfies_rows(S, x, FEAS_TOL * (1.0 + math.sqrt(x @ x))):
+        x.setflags(write=False)
+        S._cache["phase one"] = SolveStatus(status="optimal", value=0.0, point=x)
 
 
 def farkas_ray(S: PolyhedralSet) -> np.ndarray | None:

@@ -6,7 +6,7 @@ in (y, x, lambda)-space, before any elimination, and `piece_section_points`
 enumerates the vertices of a lifted section in (x, lambda_active)-space: the
 tests check the library's polar elimination of the multipliers against both.
 That elimination is `avi._PieceTemplate`: its fixed matrices `ineq_lhs` and
-`eq_lhs`, with the right-hand sides `section(y)` evaluates at each level.
+`eq_lhs`, with the right-hand sides `x_section(y)` evaluates at each level.
 `annihilator_residual` measures how far a gap-dual multiplier is from dual
 feasibility.  `from_generators` turns a V-representation back into an
 H-representation, for the round trips of the vertex enumeration.

@@ -25,7 +25,7 @@ from avibound.bounds import (
     find_local_radius,
     verify_upper_lipschitz_inverse,
 )
-from avibound.instgen import canned_suite, generate_random_avi
+from avibound.instgen import MONOTONICITY_CLASSES, canned_suite, generate_random_avi
 from avibound.optkernel import FEAS_TOL, QpProjectionProblem, solve_projection_qp
 from avibound.polyhedra import (
     enumerate_vertices,
@@ -590,9 +590,9 @@ def test_lipschitz_check_section_phase_ones(monkeypatch):
 
 
 def test_one_face_search_per_instance(monkeypatch):
-    # a later verdict on the same instance, here an error-bound curve,
-    # reuses the templates the solution set built: one polar cone per
-    # nonempty face, not one per face and verdict
+    # the x-space rows, and the polar cone behind them, are built once per
+    # template with a nonempty section, and a later verdict on the same
+    # instance, here an error-bound curve, reuses them: 1 template of 16
     inst = generate_random_avi(n=3, m=5, monotonicity="strongly_monotone", seed=1)
     calls = []
     original = avi.cone_generators
@@ -602,10 +602,75 @@ def test_one_face_search_per_instance(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(avi, "cone_generators", counting)
-    assert enumerate_solution_set(inst)
-    assert len(calls) == 16
+    pieces = inverse_residual(inst, np.zeros(3), keep_active=True)
+    assert pieces
+    nonempty = {active for active, _ in pieces}
+    built = {t.active for t in _face_templates(inst) if t.ineq_lhs is not None}
+    assert built == nonempty
+    assert len(calls) == len(nonempty) < len(_face_templates(inst))
     find_local_radius(inst, num_samples=40, master_seed=3)
-    assert len(calls) == 16
+    assert len(calls) == len(nonempty)
+
+
+# --- lifted emptiness test ------------------------------------------------
+#
+# A template decides emptiness in (x, lambda) space and builds its x-space
+# rows only after a nonempty verdict, so the lifted verdict must be the
+# x-space one: phase one on the piece with lambda eliminated, a failing
+# y-only row counting as empty.  Every template of the piece corpus at every
+# level is compared, and of a few instances shaped as the benchmark's
+# `preimage` and `error_bound` pools at y = 0 and two residual levels.
+
+
+def _pool_shaped_instances():
+    corpus = []
+    for index in (9, 13, 17, 22, 26, 35):
+        n = 2 + (index // 3) % 3
+        monotonicity = MONOTONICITY_CLASSES[index % 3]
+        corpus.append((f"preimage{index}", generate_random_avi(
+            n=n, m=6, monotonicity=monotonicity, seed=1000 + index)))
+    for j in (2, 7, 11, 27):
+        n = 2 + j % 4
+        corpus.append((f"error_bound{j}", generate_random_avi(
+            n=n, m=min(6, n + 1 + (j // 4) % 3),
+            monotonicity="strongly_monotone", seed=2000 + j)))
+    return corpus
+
+
+def _emptiness_margin(S):
+    """rhs . z / ||z||_inf of the Farkas ray S's phase one kept (nan
+    without one): how far beyond FEAS_TOL the set was called empty."""
+    z = optkernel.farkas_ray(S)
+    if z is None:
+        return float("nan")
+    rhs = np.concatenate([S.ineq_rhs, S.eq_rhs])
+    return float(rhs @ z / np.max(np.abs(z)))
+
+
+def test_lifted_verdicts_match_the_x_space_pieces():
+    corpus = [(name, inst, _piece_levels(inst, 6000 + index, name.startswith("singular")))
+              for index, (name, inst) in enumerate(_piece_corpus())]
+    for index, (name, inst) in enumerate(_pool_shaped_instances()):
+        corpus.append((name, inst, _piece_levels(inst, 6100 + index, False)))
+    compared = nonempty = 0
+    disagreements = []
+    for name, inst, levels in corpus:
+        for template in _face_templates(inst):
+            fresh = _PieceTemplate(inst, template._face, template.active)
+            for level, y in enumerate(levels):
+                lifted = fresh.lifted_section(y)
+                lifted_verdict = is_nonempty(lifted)
+                piece = fresh.x_section(y)
+                x_verdict = piece is not None and is_nonempty(piece)
+                compared += 1
+                nonempty += x_verdict
+                if lifted_verdict != x_verdict:
+                    margin = (_emptiness_margin(lifted) if x_verdict
+                              else "y-only row" if piece is None
+                              else _emptiness_margin(piece))
+                    disagreements.append((name, template.active, level, margin))
+    assert not disagreements, disagreements
+    assert compared > 5000 and nonempty > 300
 
 
 if __name__ == "__main__":

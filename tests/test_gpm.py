@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from reference_oracles import annihilator_residual
 
-from avibound import DegenerateSampler, instgen
+from avibound import DegenerateSampler, gpm, instgen
 from avibound.cli import main
 from avibound.gpm import (
     GpMultifunction,
@@ -288,6 +288,31 @@ class TestDomainCharacterization:
                 for _ in range(5)
             ]
             assert verify_domain_characterization(f, xs).passed
+
+    def test_domain_check_reuses_the_minimax_gaps(self, monkeypatch):
+        # both checks probe the same points, as the CLI pairs them: the
+        # domain check reads the primal gaps the minimax check solved, and
+        # a fresh object solves its own
+        f = random_instance(3)
+        rng = SplitMix64(20_003)
+        xs = [np.array(rng.normals(f.input_dim)) for _ in range(5)]
+        lps = []
+        original = gpm.solve_lp
+
+        def counting(lp):
+            lps.append(lp)
+            return original(lp)
+
+        monkeypatch.setattr(gpm, "solve_lp", counting)
+        minimax = verify_minimax(f, xs)
+        assert len(lps) == 2 * len(xs)
+        domain = verify_domain_characterization(f, xs)
+        assert len(lps) == 2 * len(xs)
+        assert [c.gap for c in domain.checks] == [c.primal for c in minimax.checks]
+        copy = GpMultifunction(**{k: getattr(f, k) for k in (
+            "input_dim", "output_dim", "a1", "a2", "z", "row_x", "row_y", "rhs")})
+        assert [gap_primal(copy, x) for x in xs] == [c.primal for c in minimax.checks]
+        assert len(lps) == 3 * len(xs)
 
 
 class TestLipschitzModulus:

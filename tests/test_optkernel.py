@@ -555,6 +555,28 @@ def test_slack_start_finishes_on_near_parallel_rows():
     assert broken
 
 
+def test_lp_optimum_satisfies_its_rows_or_breaks_down():
+    # on near-parallel set 22, minimizing -1 . x ends phase two on a basis
+    # that lost primal feasibility, whose clipped point (value -12.18)
+    # misses a row by 6.46; the LP breaks down instead of calling it optimal.
+    # Every optimum of the corpus satisfies its rows.
+    breakdowns = {}
+    for k, S in _all_near_parallel_sets():
+        n = S.ambient_dim
+        for c in (np.ones(n), -np.ones(n), np.eye(n)[0]):
+            for sense in ("minimize", "maximize"):
+                try:
+                    res = solve_lp(LinearProgram(c, S, sense=sense))
+                except NumericalBreakdown as exc:
+                    breakdowns.setdefault(k, []).append(str(exc))
+                    continue
+                if res.is_optimal:
+                    x = res.point
+                    slack = FEAS_TOL * (1.0 + np.linalg.norm(x))
+                    assert np.max(S.ineq_lhs @ x - S.ineq_rhs) <= slack, (k, c, sense)
+    assert "simplex ended at a point that violates a row" in breakdowns[22]
+
+
 def test_cached_witness_satisfies_its_rows_on_tilted_rows():
     # one row copied and tilted by 1e-7 along (1, ..., 1): on sets 110 and
     # 112 the slack-basis phase one ends on a basis that lost primal
