@@ -6,13 +6,16 @@ the solution set, and both the solution set and every preimage R^{-1}(y)
 decompose into finitely many polyhedral pieces indexed by the active set of
 the projection's KKT system.  The piece of pattern I at level y lies in
 y + F_I, where F_I = {x in C : A_I x = alpha_I} is a face of C that does not
-depend on y, and F_I is empty for every superset of a pattern whose face is
-empty.  So one depth-first search per instance, adding rows in increasing
-index and pruning at empty faces, finds the patterns worth testing (the face
-enumeration behind reverse search, Avis & Fukuda 1992); each level y then
-tests only those patterns.  The search is exponential in the worst case and
-instance files come from outside the program, so it stops after
-`_PATTERN_BUDGET` patterns with CapExceeded.
+depend on y.  Every nonempty face of C contains a minimal face of C (a
+vertex, when C is pointed; Fukuda & Prodon 1996, Avis & Fukuda 1992), so
+F_I is nonempty exactly when the rows of I are all tight at a point of one
+of them.  One double description of C per instance lists those points and
+the rows tight at each (`polyhedra._minimal_face_rows`, with the kernel's
+slack FEAS_TOL (1 + ||v||)); the patterns worth testing are all subsets of
+those row sets, found without a phase one, and each level y tests only
+them.  Their number is exponential in the worst case and instance files
+come from outside the program, so the search stops past `_PATTERN_BUDGET`
+patterns with CapExceeded, as double description does past its ray budget.
 
 A pattern's template (`_PieceTemplate`) keeps the face it was found with
 and tests each level's section for emptiness in the lifted space
@@ -53,11 +56,10 @@ from .optkernel import (
     farkas_ray,
     ray_rules_out,
     seed_witness,
-    solve_feasibility,
     solve_lp,
     solve_projection_qp,
 )
-from .polyhedra import PolyhedralSet, cone_generators, is_nonempty
+from .polyhedra import PolyhedralSet, _minimal_face_rows, cone_generators, is_nonempty
 from .ratios import CMP_TOL
 from .sets import _as_matrix, _as_vector
 
@@ -326,43 +328,37 @@ _PATTERN_BUDGET = 2_000_000
 def _face_templates(inst: AviInstance) -> list:
     """Templates of the patterns with a nonempty face, ordered by subset rank.
 
-    Depth-first over patterns, adding rows in increasing index; a pattern
-    whose face is empty is not extended.  A point of the parent face on
-    which the added row is tight (within FEAS_TOL) already witnesses the
-    child face; phase one runs only when it is not.  That phase one is
-    `solve_feasibility`'s, from the all-artificial basis, not the cached
-    slack-basis witness: the vertex it ends on has many tight rows, so its
-    children are witnessed for free more often (a slack-basis witness is
-    often an interior point; with it, the searches of one pass over the
-    `error_bound` pool ran 612 phase ones instead of 357).  Runs once per
-    instance, which keeps the list.  Raises CapExceeded when the search
-    needs to test more than _PATTERN_BUDGET (2,000,000) patterns.
+    F_I is nonempty exactly when I is a subset of the rows tight at a point
+    of one of C's minimal faces (`polyhedra._minimal_face_rows`, one double
+    description of C, no phase one).  The patterns are the union of those
+    subsets, the empty pattern always among them, expanded downward from
+    each tuple; a pattern already collected has all its subsets collected
+    too, so each pattern is expanded once.  Runs once per instance, which
+    keeps the list.  Raises CapExceeded as soon as more than
+    _PATTERN_BUDGET (2,000,000) patterns are collected, and passes on the
+    double description's CapExceeded (more than 1,024 rays after a cut) and
+    NumericalBreakdown.
     """
     if inst._face_templates is not None:
         return inst._face_templates
-    m = inst.num_constraints
-    A = inst.c_set.ineq_lhs
-    alpha = inst.c_set.ineq_rhs
-    templates = []
-    stack = [((), None)]
-    tested = 0
-    while stack:
-        active, point = stack.pop()
-        if tested == _PATTERN_BUDGET:
-            raise CapExceeded(
-                f"face search needs more than {tested} active patterns, "
-                f"budget {_PATTERN_BUDGET}"
-            )
-        tested += 1
-        face = _face(inst, active)
-        if point is None or abs(A[active[-1]] @ point - alpha[active[-1]]) > FEAS_TOL:
-            point = solve_feasibility(face).point
-            if point is None:
+    masks = {0}
+    for tight in _minimal_face_rows(inst.c_set):
+        stack = [sum(1 << i for i in tight)]
+        while stack:
+            mask = stack.pop()
+            if mask in masks:
                 continue
-        templates.append(_PieceTemplate(inst, face, active))
-        first = active[-1] + 1 if active else 0
-        stack.extend((active + (i,), point) for i in range(first, m))
-    templates.sort(key=lambda t: sum(1 << i for i in t.active))
+            masks.add(mask)
+            if len(masks) > _PATTERN_BUDGET:
+                raise CapExceeded(
+                    f"face search finds more than {_PATTERN_BUDGET} active patterns, "
+                    f"budget {_PATTERN_BUDGET}"
+                )
+            stack.extend(mask ^ 1 << i for i in range(mask.bit_length()) if mask >> i & 1)
+    templates = []
+    for mask in sorted(masks):
+        active = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+        templates.append(_PieceTemplate(inst, _face(inst, active), active))
     object.__setattr__(inst, "_face_templates", templates)
     return templates
 

@@ -30,10 +30,11 @@ LP returns only its final vertex, and `feasible_witness` only a verdict,
 some point of the set or a Farkas ray, so both start from the slack basis,
 which is often feasible at once (for a set holding the origin) and proves
 most empty sets in fewer pivots.  `solve_feasibility` starts from the
-all-artificial basis by default because its two direct callers read the
-point itself: the face search (`avi._face_templates`) reuses the rows
-tight at that vertex, and `gpm._domain_witness` centers the domain sampler
-on it.  Every feasibility phase one, the cached one included, goes through
+all-artificial basis by default because its one direct caller,
+`gpm._domain_witness`, reads the point itself: the domain sampler is
+centered on that vertex.  The other all-artificial phase one is
+`feasible_witness`'s fallback, when the slack start ends outside the set.
+Every feasibility phase one, the cached one included, goes through
 `solve_feasibility`.
 
 Every simplex basis is factored by `lu_factor` and solved by `lu_solve`,
@@ -351,11 +352,11 @@ def solve_feasibility(S: PolyhedralSet, *, slack_start: bool = False) -> SolveSt
     Returns status "optimal" with a witness point, or "infeasible" with the
     Farkas ray as `dual`.  A set without rows is witnessed by the origin.
     Phase one starts from the all-artificial basis unless `slack_start`,
-    and the witness is the vertex that start leads to.  Callers that read
-    the point itself take the all-artificial start: the face search reuses
-    its tight rows and `gpm`'s domain sampler is centered on it.  The cached
-    `feasible_witness`, which needs only a verdict or some point of S,
-    takes the slack start.
+    and the witness is the vertex that start leads to.  `gpm`'s domain
+    sampler, which is centered on that point, takes the all-artificial
+    start, as does `feasible_witness` when its slack start ends outside S.
+    The cached `feasible_witness`, which needs only a verdict or some point
+    of S, takes the slack start.
     """
     A_std, rhs, slacks, budget = _standard_form(S)
     ray, A1, b1, basis, _ = _phase_one(A_std, rhs, budget, slacks if slack_start else ())

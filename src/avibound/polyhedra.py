@@ -205,18 +205,52 @@ def _by_tight_rows(rows: np.ndarray, points: np.ndarray) -> list:
     return sorted(points, key=lambda z: np.flatnonzero(rows @ z >= slack).tolist())
 
 
+def _vertex_points(S: PolyhedralSet):
+    """(points, directions, L) of a nonempty S, before any dedup.
+
+    Read off the extreme rays z = (x, t) of the homogenized cone
+    {(x, t) : E0 x - d0 t = 0, A x - b t <= 0, t >= 0}, pointed once the
+    lineality (the columns of L) is split off: a ray with t > _ZERO_TOL
+    gives the point x / t of a minimal face, one with t <= _ZERO_TOL the
+    unit recession direction x / |x|.  Each list is sorted by the rows tight
+    at its members (`_by_tight_rows`).  A set that is empty but within
+    FEAS_TOL of a point has no ray with t > 0; its one point is its
+    feasible point.  When the equality rows and the lineality pin x
+    (`free` = 0), the one point is their least-squares solution, kept only
+    when it satisfies the rows within FEAS_TOL, and no double description
+    runs.
+    """
+    n = S.ambient_dim
+    L, E0, d0, free = _pointed_part(S)
+    A, b = S.ineq_lhs, S.ineq_rhs
+    m = A.shape[0]
+    if free == 0:
+        x = np.linalg.lstsq(E0, d0, rcond=None)[0]
+        if np.linalg.norm(E0 @ x - d0) <= FEAS_TOL * (1 + np.linalg.norm(d0)):
+            if m == 0 or np.max(A @ x - b) <= FEAS_TOL * (1 + np.linalg.norm(x)):
+                return [x], [], L
+        return [], [], L
+    G = np.vstack([np.hstack([A, -b[:, None]]), -np.eye(1, n + 1, n)])
+    Z = _extreme_rays(np.hstack([E0, -d0[:, None]]), G)
+    t = Z[:, n]
+    points = Z[t > _ZERO_TOL]
+    if points.size:
+        points = [z[:n] / z[n] for z in _by_tight_rows(G[:m], points)]
+    else:
+        points = [feasible_point(S)]
+    directions = Z[t <= _ZERO_TOL, :n]
+    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    return points, _by_tight_rows(A, directions), L
+
+
 def enumerate_vertices(S: PolyhedralSet) -> VertexSet:
     """All vertices plus recession-cone generators of S.
 
-    Both are read off the extreme rays z = (x, t) of the homogenized cone
-    {(x, t) : E0 x - d0 t = 0, A x - b t <= 0, t >= 0}, pointed once the
-    lineality is split off: a ray with t > _ZERO_TOL gives the vertex x / t,
-    one with t <= _ZERO_TOL the unit recession ray x / |x|.  Each list is
-    sorted by the rows tight at its members (`_by_tight_rows`), which is the
-    order of an exhaustive scan over row subsets, and keeps the first of any
-    members within GEOM_TOL of each other.  A set that is empty but
-    within FEAS_TOL of a point has no ray with t > 0; its one vertex is its
-    feasible point.
+    Both come from one double description (`_vertex_points`), sorted by
+    the rows tight at their members, which is the order of an exhaustive
+    scan over row subsets, keeping the first of any members within GEOM_TOL
+    of each other.  The lineality directions follow the recession rays as
+    opposite pairs.
 
     Raises EmptySet when S is empty, and passes on `_extreme_rays`'
     CapExceeded (more than 1,024 rays after a cut) and NumericalBreakdown
@@ -224,34 +258,32 @@ def enumerate_vertices(S: PolyhedralSet) -> VertexSet:
     """
     if not is_nonempty(S):
         raise EmptySet("cannot enumerate vertices of an empty set")
-    n = S.ambient_dim
-    L, E0, d0, free = _pointed_part(S)
-    A, b = S.ineq_lhs, S.ineq_rhs
-    m = A.shape[0]
-
-    vertices, rays = [], []
-    if free == 0:
-        x = np.linalg.lstsq(E0, d0, rcond=None)[0]
-        if np.linalg.norm(E0 @ x - d0) <= FEAS_TOL * (1 + np.linalg.norm(d0)):
-            if m == 0 or np.max(A @ x - b) <= FEAS_TOL * (1 + np.linalg.norm(x)):
-                vertices.append(x)
-    else:
-        G = np.vstack([np.hstack([A, -b[:, None]]), -np.eye(1, n + 1, n)])
-        Z = _extreme_rays(np.hstack([E0, -d0[:, None]]), G)
-        t = Z[:, n]
-        points = Z[t > _ZERO_TOL]
-        if points.size:
-            vertices = [z[:n] / z[n] for z in _by_tight_rows(G[:m], points)]
-        else:
-            vertices = [feasible_point(S)]
-        directions = Z[t <= _ZERO_TOL, :n]
-        directions /= np.linalg.norm(directions, axis=1)[:, None]
-        rays = _by_tight_rows(A, directions)
-    vertices = _dedup(vertices, relative=True)
-    rays = _dedup(rays, relative=False)
+    points, directions, L = _vertex_points(S)
+    vertices = _dedup(points, relative=True)
+    rays = _dedup(directions, relative=False)
     for j in range(L.shape[1]):
         rays.extend([L[:, j], -L[:, j]])
     return VertexSet(vertices=vertices, is_bounded=not rays, recession_rays=rays)
+
+
+def _minimal_face_rows(S: PolyhedralSet) -> list:
+    """The inequality rows tight at each point of a minimal face of a
+    nonempty S, as index tuples, one per point of `_vertex_points` (repeats
+    kept; no tuple when the least-squares point of a set with `free` = 0
+    misses its rows).
+
+    A row is tight at v when |A_i v - b_i| <= FEAS_TOL (1 + ||v||), the
+    slack at which the kernel accepts a point.  Every nonempty face of S
+    holds a minimal face, and the rows tight on a minimal face are tight at
+    each of its points, so {x in S : A_I x = b_I} is nonempty exactly when
+    I is a subset of one of these tuples.  Passes on `_extreme_rays`'
+    CapExceeded and NumericalBreakdown.
+    """
+    A, b = S.ineq_lhs, S.ineq_rhs
+    return [
+        tuple(np.flatnonzero(np.abs(A @ v - b) <= FEAS_TOL * (1.0 + np.linalg.norm(v))).tolist())
+        for v in _vertex_points(S)[0]
+    ]
 
 
 def distance(S: PolyhedralSet, x):

@@ -13,6 +13,9 @@ H-representation, for the round trips of the vertex enumeration.
 `brute_force_projection` projects onto a polyhedron by trying every
 candidate working set, and `dedup_loop` is the pairwise loop the geometry
 dedup ran before it compared each point with all kept ones at once.
+`face_search_dfs` is the depth-first face search `avi._face_templates` ran
+before it read the faces off one double description of C, and
+`face_violation` tests one face with HiGHS, outside the library's kernel.
 """
 
 import itertools
@@ -20,10 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import null_space
+from scipy.optimize import linprog
 
 from avibound import DimensionMismatch, EmptySet, PolyhedralSet
-from avibound.avi import AviInstance
+from avibound.avi import AviInstance, _face
 from avibound.gpm import DualMultiplier, GpMultifunction
+from avibound.optkernel import FEAS_TOL, solve_feasibility
 from avibound.polyhedra import GEOM_TOL, cone_generators, enumerate_vertices, is_nonempty
 from avibound.sets import _as_vector
 
@@ -231,3 +236,55 @@ def dedup_loop(points, relative: bool) -> list:
         ):
             kept.append(p)
     return kept
+
+
+def face_search_dfs(inst: AviInstance) -> list:
+    """The active patterns whose face F_I = {x in C : A_I x = alpha_I} is
+    nonempty, in subset-rank order, by depth-first search.
+
+    Patterns grow by rows of increasing index, and a pattern whose face is
+    empty is not extended.  A point of the parent face on which the added
+    row is tight within FEAS_TOL witnesses the child face; otherwise the
+    child runs `solve_feasibility`'s phase one from the all-artificial
+    basis, whose NumericalBreakdown passes on.
+    """
+    m = inst.num_constraints
+    A, alpha = inst.c_set.ineq_lhs, inst.c_set.ineq_rhs
+    patterns = []
+    stack = [((), None)]
+    while stack:
+        active, point = stack.pop()
+        if point is None or abs(A[active[-1]] @ point - alpha[active[-1]]) > FEAS_TOL:
+            point = solve_feasibility(_face(inst, active)).point
+            if point is None:
+                continue
+        patterns.append(active)
+        first = active[-1] + 1 if active else 0
+        stack.extend((active + (i,), point) for i in range(first, m))
+    return sorted(patterns, key=lambda active: sum(1 << i for i in active))
+
+
+def face_violation(inst: AviInstance, active: tuple):
+    """(bound, violation) for the face F_I = {x in C : A_I x = alpha_I}.
+
+    HiGHS minimizes s subject to A x - alpha <= s and |A_I x - alpha_I| <= s:
+    `bound` is its optimal s, exact up to HiGHS's own feasibility tolerance
+    (1e-7), and `violation` is the largest miss of F_I's rows at its point,
+    relative to 1 + ||x||.  The face is nonempty in the kernel's sense when
+    `violation` <= FEAS_TOL, and empty when `bound` is well beyond 1e-7.
+    """
+    A, alpha = inst.c_set.ineq_lhs, inst.c_set.ineq_rhs
+    n = A.shape[1]
+    rows = np.vstack([A, -A[list(active)]])
+    rows = np.hstack([rows, -np.ones((rows.shape[0], 1))])
+    rhs = np.concatenate([alpha, -alpha[list(active)]])
+    cost = np.zeros(n + 1)
+    cost[n] = 1.0
+    res = linprog(cost, A_ub=rows, b_ub=rhs, bounds=[(None, None)] * n + [(0.0, None)],
+                  method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS: {res.message}")
+    x = res.x[:n]
+    gap = A @ x - alpha
+    miss = max(np.max(gap, initial=0.0), np.max(np.abs(gap[list(active)]), initial=0.0))
+    return float(res.fun), float(miss / (1.0 + np.linalg.norm(x)))

@@ -5,10 +5,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from reference_oracles import build_kkt_piece, piece_section_points
+from reference_oracles import (
+    build_kkt_piece,
+    face_search_dfs,
+    face_violation,
+    piece_section_points,
+)
 from test_acceptance import _avi_corpus
+from test_polyhedra import _all_near_parallel_sets, _count_calls
 
-from avibound import CapExceeded, EmptySet, PolyhedralSet, avi, optkernel
+from avibound import (
+    CapExceeded,
+    EmptySet,
+    NumericalBreakdown,
+    PolyhedralSet,
+    avi,
+    optkernel,
+    polyhedra,
+)
 from avibound.avi import (
     AviInstance,
     _face,
@@ -28,6 +42,7 @@ from avibound.bounds import (
 from avibound.instgen import MONOTONICITY_CLASSES, canned_suite, generate_random_avi
 from avibound.optkernel import FEAS_TOL, QpProjectionProblem, solve_projection_qp
 from avibound.polyhedra import (
+    box,
     enumerate_vertices,
     is_nonempty,
     nonnegative_orthant,
@@ -572,8 +587,8 @@ def test_pieces_do_not_depend_on_earlier_levels(monkeypatch):
 def test_lipschitz_check_section_phase_ones(monkeypatch):
     # 36 sampled levels plus the base point; without the kept rays every
     # level runs phase one on every non-box section, 777 of them here
+    # (the face search runs none, so every one counted is a section's)
     inst = generate_random_avi(n=3, m=5, monotonicity="monotone_skew", seed=1)
-    _face_templates(inst)  # the face search's own phase ones
     calls = []
     original = optkernel._phase_one
 
@@ -671,6 +686,116 @@ def test_lifted_verdicts_match_the_x_space_pieces():
                     disagreements.append((name, template.active, level, margin))
     assert not disagreements, disagreements
     assert compared > 5000 and nonempty > 300
+
+
+# --- face search ------------------------------------------------------------
+#
+# The patterns with a nonempty face are read off one double description of C
+# (the rows tight at each point of a minimal face, and all their subsets); the
+# depth-first search it replaced, one phase one per untested face, is the
+# oracle wherever its all-artificial phase one finishes.
+
+
+def _patterns(inst):
+    return [t.active for t in _face_templates(inst)]
+
+
+def _degenerate_instances():
+    """Orthant, box, an apex with more than n tight rows, C with lineality,
+    C without rows, all-zero rows (no double description) and a C empty but
+    within FEAS_TOL of a point."""
+    apex = PolyhedralSet(3, ineq_lhs=[[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1], [0, 0, -1]],
+                         ineq_rhs=[1, 1, 1, 1, 0])
+    slab = PolyhedralSet(3, ineq_lhs=[[-1, 0, 0], [1, 1, 0], [1, 0, 0]], ineq_rhs=[0, 1, 2])
+    sets = [
+        ("orthant", nonnegative_orthant(3)),
+        ("box", box([0, 0, 0], [1, 2, 3])),
+        ("apex", apex),
+        ("lineality", slab),
+        ("no rows", PolyhedralSet(2)),
+        ("zero rows", PolyhedralSet(2, ineq_lhs=np.zeros((2, 2)), ineq_rhs=[1.0, 0.0])),
+        ("within FEAS_TOL", PolyhedralSet(1, ineq_lhs=[[1.0], [-1.0]], ineq_rhs=[-1e-10, 0.0])),
+    ]
+    return [(name, AviInstance(m_op=np.eye(S.ambient_dim), q=np.zeros(S.ambient_dim), c_set=S))
+            for name, S in sets]
+
+
+def test_face_lists_match_the_depth_first_search():
+    corpus = [(e.name, e.payload) for e in canned_suite() if e.kind == "avi"]
+    corpus += [(f"random{seed}", inst) for seed, _, inst in _avi_corpus()]
+    degenerate = _degenerate_instances()
+    corpus += _singular_corpus() + _pool_shaped_instances() + degenerate
+    for name, inst in corpus:
+        assert _patterns(inst) == face_search_dfs(inst), name
+    patterns = {name: _patterns(inst) for name, inst in degenerate}
+    assert (0, 1, 2, 3) in patterns["apex"]
+    assert patterns["no rows"] == [()]
+    assert patterns["zero rows"] == [(), (1,)]
+    assert patterns["within FEAS_TOL"] == [(), (0,), (1,), (0, 1)]
+
+
+def test_near_parallel_face_lists():
+    # the AVI (I, 0) on each near-parallel set: where the old search's phase
+    # one breaks down the new one still finishes, and its list is checked
+    # face by face with HiGHS when 2^m is small.  A face is certified
+    # nonempty when HiGHS's point misses its rows by at most FEAS_TOL
+    # relative, and empty when HiGHS's least miss exceeds 1e-6; faces in
+    # between (within HiGHS's own 1e-7 tolerance) are left undecided.
+    compared, broken, disagreements = 0, [], []
+    faces = decided = 0
+    for k, S in _all_near_parallel_sets():
+        inst = AviInstance(m_op=np.eye(S.ambient_dim), q=np.zeros(S.ambient_dim), c_set=S)
+        got = _patterns(inst)
+        try:
+            expected = face_search_dfs(inst)
+        except NumericalBreakdown:
+            broken.append(k)
+        else:
+            assert got == expected, k
+            compared += 1
+            continue
+        m = S.num_ineq
+        if m > 11:
+            continue
+        found = set(got)
+        faces += 1 << m
+        for rank in range(1 << m):
+            active = tuple(i for i in range(m) if rank >> i & 1)
+            bound, violation = face_violation(inst, active)
+            if violation <= FEAS_TOL or bound > 1e-6:
+                decided += 1
+                if (violation <= FEAS_TOL) != (active in found):
+                    disagreements.append((k, active, bound, violation))
+    assert not disagreements, disagreements
+    # the old search breaks down on k = 5, 6, 7, 15, 19, 22, 30, 36, 37, 38
+    assert compared >= 30 and compared + len(broken) == 40
+    assert decided >= 0.9 * faces
+
+
+def test_face_search_runs_no_phase_one(monkeypatch):
+    instances = [inst for _, inst in _pool_shaped_instances()]
+    calls = {}
+    _count_calls(monkeypatch, optkernel, "solve_feasibility", calls)
+    _count_calls(monkeypatch, optkernel, "_phase_one", calls)
+    _count_calls(monkeypatch, polyhedra, "_extreme_rays", calls)
+    for inst in instances:
+        assert _face_templates(inst)
+    # one double description of C per instance, and no phase one
+    assert calls == {"_extreme_rays": len(instances)}
+
+
+def test_ray_budget_caps_the_face_search(monkeypatch):
+    # the face search reads C's minimal faces off one double description, so
+    # C's ray budget now bounds it: a cube in R^11 (2,048 vertices) is
+    # refused at once, and so is a square under a budget of 3 rays
+    cube = box(np.zeros(11), np.ones(11))
+    inst = AviInstance(m_op=np.eye(11), q=np.zeros(11), c_set=cube)
+    with pytest.raises(CapExceeded, match="budget 1024"):
+        inverse_residual(inst, np.zeros(11))
+    square = AviInstance(m_op=np.eye(2), q=np.zeros(2), c_set=box([0, 0], [1, 1]))
+    monkeypatch.setattr(polyhedra, "_RAY_BUDGET", 3)
+    with pytest.raises(CapExceeded, match="rays after a cut, budget 3"):
+        inverse_residual(square, np.zeros(2))
 
 
 if __name__ == "__main__":

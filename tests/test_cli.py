@@ -102,8 +102,10 @@ class TestExitCodes:
         instgen.save(fat, str(path))
         assert main(["enumerate", "--instance", str(path)]) == 0
         assert "enumerate: pieces=1 vertex_check=pass" in capsys.readouterr().out
-        # the budget is on the rays double description keeps: the first
-        # piece of zero_op_box2 is C, whose 4 vertices exceed a budget of 3
+        # the budget is on the rays double description keeps: the face
+        # search of `inverse_residual` reads the minimal faces of
+        # zero_op_box2's C, whose 4 vertices exceed a budget of 3, off one
+        # double description before any piece is built
         box2 = [e for e in instgen.canned_suite() if e.name == "zero_op_box2"][0].payload
         path = tmp_path / "box2.json"
         instgen.save(box2, str(path))

@@ -411,7 +411,7 @@ def test_parameter_rule_catches_a_dead_pass_through():
 
 
 # The routines that count the work their budget bounds: the rays double
-# description keeps, the patterns the face search tests, and the sizes a
+# description keeps, the patterns the face search collects, and the sizes a
 # generator is asked for.
 CAP_GUARDS = {
     ("polyhedra.py", "_extreme_rays"),
