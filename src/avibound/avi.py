@@ -17,33 +17,23 @@ them.  Their number is exponential in the worst case and instance files
 come from outside the program, so the search stops past `_PATTERN_BUDGET`
 patterns with CapExceeded, as double description does past its ray budget.
 
-A pattern's template (`_PieceTemplate`) keeps the face it was found with
-and tests each level's section for emptiness in the lifted space
-(x, lambda): the face rows shifted by y, M x + A_I^T lambda = y - q and
--lambda <= 0.  Those rows are fixed and only their right-hand side moves
-with y, affinely.  Most templates never have a nonempty section (on one
-pass of the benchmark's `preimage` pool, 49 of 867), so the x-space rows,
-which eliminate lambda through the polar cone of A_I (`cone_generators`,
-a double description), are built only when a section first comes out
-nonempty, once per template.  The x-space piece then comes out as before,
-row for row, and takes the x-part of the lifted witness as its own
-phase-one point when that point satisfies its rows within
-FEAS_TOL (1 + ||x||) (`optkernel.seed_witness`); otherwise it runs its own
-phase one.
-
-Because only the right-hand side moves, an emptiness certificate outlives
-its level: when phase one finds a lifted section empty, its Farkas ray z
-(rows^T z = 0, z_ineq <= 0, rhs . z > 0) stays on the template, and at any
-later level the section is empty whenever rhs(y) . z > FEAS_TOL ||z||_inf.
-That bounds phase one's optimum at rhs(y) from below by more than its own
-emptiness margin (`optkernel.ray_rules_out`), so the screen only skips
-sections phase one would itself call empty; every nonempty section still
-runs the same phase one, and no result depends on the order in which levels
-are visited.
+A pattern's template (`_PieceTemplate`) decides each level by its cell, the
+levels y whose section {(x, lambda) : x - y in F_I, M x + A_I^T lambda =
+y - q, lambda >= 0} is nonempty.  The residual map is piecewise affine
+(Robinson 1992, normal maps): the section's rows are fixed and only their
+right-hand side moves with y, so the cell is the section projected onto y
+(`polyhedra._projection`), built once, and a level tests its rows with one
+product; no phase one decides a section.  Only a nonempty section builds
+the x-space piece, whose rows eliminate lambda through the polar cone of
+A_I (`cone_generators`, once per template), and the piece takes the x-part
+of the section's particular point as its witness when that point satisfies
+its rows (`optkernel.seed_witness`).  A template keeps nothing that
+depends on the levels it has seen, so no result depends on their order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,15 +43,19 @@ from .optkernel import (
     FEAS_TOL,
     LinearProgram,
     QpProjectionProblem,
-    farkas_ray,
-    ray_rules_out,
     seed_witness,
     solve_lp,
     solve_projection_qp,
 )
-from .polyhedra import PolyhedralSet, _minimal_face_rows, cone_generators, is_nonempty
+from .polyhedra import (
+    PolyhedralSet,
+    _minimal_face_rows,
+    _projection,
+    cone_generators,
+    is_nonempty,
+)
 from .ratios import CMP_TOL
-from .sets import _as_matrix, _as_vector
+from .sets import _as_matrix, _as_vector, _satisfies_rows
 
 
 @dataclass(frozen=True)
@@ -173,12 +167,14 @@ def is_solution(inst: AviInstance, x) -> bool:
 class _PieceTemplate:
     """One active pattern's piece of R^{-1}(y): fixed rows, moving right-hand side.
 
-    Emptiness is decided in the lifted space (x, lambda), lambda in R^|I|
-    on the active rows A_I = `face.eq_lhs`, where the section at level y is
-    {(x, lambda) : x - y in F_I, M x + A_I^T lambda = y - q, -lambda <= 0}:
-    the face rows shifted by y, then the multiplier rows, inequalities
-    first.  Those rows are fixed (`_lifted_ineq`, `_lifted_eq`); only the
-    right-hand side moves with y.
+    Emptiness is decided by the cell: `_build_cell` projects the lifted
+    section {(x, lambda) : x - y in F_I, M x + A_I^T lambda = y - q,
+    lambda >= 0}, lambda on the active rows A_I = `face.eq_lhs`, onto y
+    once (`polyhedra._projection`, with K = [[A_I, 0], [M, A_I^T]]) and
+    keeps the x-part x0 + X1 y of its particular point.  The tolerance
+    rule: y lies in the cell when every row of `cell`, divided by the
+    larger of 1 and the norm of its coefficients, holds within
+    FEAS_TOL (1 + ||y||), the slack at which the kernel accepts a point.
 
     The x-space piece eliminates lambda: lambda >= 0 supported on the active
     rows exists iff y - q - Mx lies in cone(A_I^T), whose H-description
@@ -193,17 +189,12 @@ class _PieceTemplate:
     constrains y alone; it stays out of the matrices, and `x_section` checks
     it against `FEAS_TOL`.  Most templates never have a nonempty section,
     so the polar cone is not built and `ineq_lhs` and `eq_lhs` stay None
-    until a lifted section first comes out nonempty; `_x_rows` then builds
-    them and the y-only rows, once.
+    until a section first comes out nonempty; `_x_rows` then builds them
+    and the y-only rows, once.
 
-    `ray` holds the Farkas ray of the latest lifted section that phase one
-    found empty (None until then), over the lifted rows in the order
-    [inequalities..., equalities...].  It depends on the rows alone, so it
-    certifies emptiness at every level y where rhs(y) . ray exceeds phase
-    one's margin (`optkernel.ray_rules_out`), and `section` then returns
-    None without building a set.  A nonempty piece takes the x-part of the
-    lifted witness as its own (`optkernel.seed_witness`) when that point
-    satisfies the piece's rows; otherwise it runs its own phase one.
+    A nonempty piece takes x0 + X1 y as its own witness
+    (`optkernel.seed_witness`) when that point satisfies the piece's rows;
+    otherwise it runs its own phase one when asked.
 
     The template keeps M and q, not the instance: the instance holds its
     templates, and a reference cycle would keep both alive until the cycle
@@ -215,17 +206,27 @@ class _PieceTemplate:
         self._face = face
         self._m_op = inst.m_op
         self._q = inst.q
-        n, k = face.ambient_dim, face.num_eq
-        self._lifted_ineq = np.vstack([
-            np.hstack([face.ineq_lhs, np.zeros((face.num_ineq, k))]),
-            np.hstack([np.zeros((k, n)), -np.eye(k)]),
-        ])
-        self._lifted_eq = np.vstack([
-            np.hstack([face.eq_lhs, np.zeros((k, k))]),
-            np.hstack([inst.m_op, face.eq_lhs.T]),
-        ])
+        self.cell = None
         self.ineq_lhs = self.eq_lhs = None
-        self.ray = None
+
+    def _build_cell(self):
+        """Build the cell and x0, X1 once, at the first section: the face
+        search itself stays one double description of C."""
+        if self.cell is not None:
+            return
+        face, M = self._face, self._m_op
+        n, k, m_f = face.ambient_dim, face.num_eq, face.num_ineq
+        A_I, A_F = face.eq_lhs, face.ineq_lhs
+        self.cell, z0, Z1 = _projection(
+            np.vstack([np.hstack([A_I, np.zeros((k, k))]), np.hstack([M, A_I.T])]),
+            np.concatenate([face.eq_rhs, -self._q]),
+            np.vstack([A_I, np.eye(n)]),
+            np.vstack([np.hstack([A_F, np.zeros((m_f, k))]),
+                       np.hstack([np.zeros((k, n)), -np.eye(k)])]),
+            np.concatenate([face.ineq_rhs, np.zeros(k)]),
+            np.vstack([A_F, np.zeros((k, n))]),
+        )
+        self._x0, self._x1 = z0[:n], Z1[:n]
 
     def _x_rows(self):
         """Build the x-space rows once: the polar cone's generators, the
@@ -248,22 +249,6 @@ class _PieceTemplate:
         self.ineq_lhs.setflags(write=False)
         self.eq_lhs.setflags(write=False)
 
-    def lifted_section(self, y) -> PolyhedralSet | None:
-        """(x, lambda)-space section at level y; None when `ray` rules it out."""
-        face, k = self._face, self._face.num_eq
-        ineq_rhs = np.concatenate([face.ineq_rhs + face.ineq_lhs @ y, np.zeros(k)])
-        eq_rhs = np.concatenate([face.eq_rhs + face.eq_lhs @ y, y - self._q])
-        if self.ray is not None and ray_rules_out(
-                self.ray, np.concatenate([ineq_rhs, eq_rhs])):
-            return None
-        return PolyhedralSet(
-            face.ambient_dim + k,
-            ineq_lhs=self._lifted_ineq,
-            ineq_rhs=ineq_rhs,
-            eq_lhs=self._lifted_eq,
-            eq_rhs=eq_rhs,
-        )
-
     def x_section(self, y) -> PolyhedralSet | None:
         """x-space piece at level y, rows built if need be; None when a row
         on y alone fails.  Runs no emptiness test."""
@@ -285,25 +270,15 @@ class _PieceTemplate:
         )
 
     def section(self, y) -> PolyhedralSet | None:
-        """Nonempty x-space piece at level y, or None.
-
-        The lifted section decides first: a ray screen, then phase one,
-        whose Farkas ray replaces `ray` when the section is empty.  A
-        nonempty one yields the x-space piece, seeded with the x-part of the
-        lifted witness, and its own emptiness test (free when the seed was
-        kept).
-        """
-        lifted = self.lifted_section(y)
-        if lifted is None:
-            return None
-        if not is_nonempty(lifted):
-            self.ray = farkas_ray(lifted)
+        """Nonempty x-space piece at level y, or None: the cell decides, by
+        the tolerance rule above, and a piece is seeded with x0 + X1 y."""
+        self._build_cell()
+        if not _satisfies_rows(self.cell, y, FEAS_TOL * (1.0 + math.sqrt(y @ y))):
             return None
         piece = self.x_section(y)
-        if piece is None:
-            return None
-        seed_witness(piece, lifted)
-        return piece if is_nonempty(piece) else None
+        if piece is not None:
+            seed_witness(piece, self._x0 + self._x1 @ y)
+        return piece
 
 
 def _face(inst: AviInstance, active: tuple) -> PolyhedralSet:
@@ -368,13 +343,7 @@ def inverse_residual(inst: AviInstance, y, keep_active: bool = False):
 
     Only patterns whose face of C is nonempty are tested, in subset-rank
     order (bit i set when row i is active), each by its template's
-    `section`: phase one on the (x, lambda) section first, the x-space
-    piece only when that is nonempty.  A lifted section that phase one
-    finds empty leaves its Farkas ray on its template, and at later levels
-    the template's section is ruled out by one dot product with that ray
-    whenever the ray still proves it empty (see the module docstring); the
-    ray never rules out a section phase one would find nonempty, so the
-    result does not depend on earlier calls.  The union of the returned sets
+    `section`, which depends on y alone.  The union of the returned sets
     is exactly the preimage; overlapping or repeated pieces are kept as-is.
     With keep_active=True, (active, piece) pairs are returned instead.
     """

@@ -53,14 +53,10 @@ once per call and indexed by the working set, and the blocking-row ratio
 test takes all rates in one product.
 
 `feasible_witness` runs that slack-basis phase one at most once per set,
-and keeps its outcome (the point, or the Farkas ray of an empty set, which
-`farkas_ray` reads) in the set's cache; every other solve is a pure
-function of its inputs.  A Farkas ray z of some rows depends on the rows
-alone, so it certifies emptiness at any other right-hand side where
-`ray_rules_out` finds rhs . z above phase one's margin; `avi` screens its
-sections this way.  `seed_witness` hands a set the witness of a lifted set
-it is a projection of (a piece of `avi` and its (x, lambda) section), so
-the piece needs no phase one of its own when that point satisfies its rows.
+and keeps its outcome in the set's cache; every other solve is a pure
+function of its inputs.  `seed_witness` puts a point the caller already
+holds into that cache (a piece of `avi` and its particular point), so the
+set needs no phase one of its own when that point satisfies its rows.
 """
 
 from __future__ import annotations
@@ -375,9 +371,9 @@ def feasible_witness(S: PolyhedralSet) -> np.ndarray | None:
     a pivot, and an empty set is usually proved so in fewer pivots than from
     the all-artificial start.  A point that misses a row of S by more than
     FEAS_TOL (1 + ||x||) is not kept: the outcome is then that of the
-    all-artificial start.  The whole outcome stays in `S._cache`, so
-    `farkas_ray` reads the ray of an empty S off the same solve.  The point
-    is the cached array itself, read-only: copy it before handing it out.
+    all-artificial start.  The whole outcome stays in `S._cache`.  The
+    point is the cached array itself, read-only: copy it before handing it
+    out.
     """
     if "phase one" not in S._cache:
         outcome = solve_feasibility(S, slack_start=True)
@@ -394,50 +390,20 @@ def feasible_witness(S: PolyhedralSet) -> np.ndarray | None:
     return S._cache["phase one"].point
 
 
-def seed_witness(S: PolyhedralSet, lifted: PolyhedralSet) -> None:
-    """Take the first `S.ambient_dim` coordinates of `lifted`'s cached
-    phase-one point as S's, without a solve.
+def seed_witness(S: PolyhedralSet, x: np.ndarray) -> None:
+    """Take the point x as S's phase-one point, without a solve.
 
-    The point is kept only when it satisfies S's rows within
+    x is kept (as a read-only copy) only when it satisfies S's rows within
     FEAS_TOL (1 + ||x||), the rule `feasible_witness` applies to its own
-    point; otherwise, or when `lifted` holds no point or S already has an
-    outcome, nothing changes and S runs its own phase one when asked.
+    point; otherwise, or when S already has an outcome, nothing changes and
+    S runs its own phase one when asked.
     """
-    outcome = lifted._cache.get("phase one")
-    if outcome is None or outcome.point is None or "phase one" in S._cache:
+    if "phase one" in S._cache:
         return
-    x = outcome.point[: S.ambient_dim].copy()
     if _satisfies_rows(S, x, FEAS_TOL * (1.0 + math.sqrt(x @ x))):
+        x = x.copy()
         x.setflags(write=False)
         S._cache["phase one"] = SolveStatus(status="optimal", value=0.0, point=x)
-
-
-def farkas_ray(S: PolyhedralSet) -> np.ndarray | None:
-    """The Farkas ray z of S's cached phase one (read-only), or None when
-    that phase one found a point or has not run; runs no solve.
-
-    Bland's optimality test accepts reduced costs down to -FEAS_TOL, so the
-    inequality part of z can come out positive, and then `ray_rules_out`
-    proves nothing: z is also None when max(z_ineq) > 1e-12 ||z||_inf.
-    """
-    outcome = S._cache.get("phase one")
-    if outcome is None or outcome.dual is None:
-        return None
-    z = outcome.dual
-    if S.num_ineq and np.max(z[: S.num_ineq]) > 1e-12 * np.max(np.abs(z)):
-        return None
-    return z
-
-
-def ray_rules_out(ray: np.ndarray, rhs: np.ndarray) -> bool:
-    """Whether a Farkas ray z of some rows proves those rows empty at `rhs`.
-
-    With rows^T z = 0 and z_ineq <= 0, z / ||z||_inf is feasible in the dual
-    of phase one at any right-hand side, so phase one's optimum there is at
-    least rhs . z / ||z||_inf.  Above phase one's own emptiness margin,
-    FEAS_TOL, phase one would call the set empty too.
-    """
-    return float(rhs @ ray) > FEAS_TOL * float(np.max(np.abs(ray)))
 
 
 def _gram_solve(G, rhs):

@@ -153,9 +153,12 @@ def _extreme_rays(H: np.ndarray, G: np.ndarray):
     vanish (the combinatorial test, exact for a pointed cone).  Raises
     CapExceeded as soon as a cut leaves more than _RAY_BUDGET (1,024) rays,
     and NumericalBreakdown when G leaves the cone numerically non-pointed.
+    A cone that H pins to the origin has no rays.
     """
     N = _null_basis(H)
     k = N.shape[1]
+    if k == 0:  # the cone is the origin
+        return np.zeros((0, H.shape[1]))
     Gw = G @ N
     if Gw.shape[0] < k:
         raise NumericalBreakdown("cone numerically non-pointed")
@@ -195,6 +198,39 @@ def _extreme_rays(H: np.ndarray, G: np.ndarray):
             )
         added[i] = True
     return W @ N.T
+
+
+def _projection(K, d0, D, L, r0, R):
+    """H-form of the projection onto p of {(z, p) : K z = d0 + D p,
+    L z <= r0 + R p}, and the particular solution z0 + Z1 p.
+
+    K = U S V^T splits at the singular values within _RANK_TOL of the
+    largest.  With K^+ the pseudo-inverse, U0 spanning null(K^T) and N
+    spanning null(K), the equality rows have a solution exactly when
+    U0^T (d0 + D p) = 0, and their solutions are then z0 + Z1 p + N t for
+    t free, where z0 = K^+ d0 and Z1 = K^+ D.  The inequality rows hold for
+    some t exactly when u . ((L Z1 - R) p) <= u . (r0 - L z0) for every
+    extreme ray u of the projection cone {u >= 0 : (L N)^T u = 0} (Balas
+    1998), which `_extreme_rays` finds.  For a nonsingular K, N has no
+    columns and the rays are the unit vectors: one row per row of L.
+    Returns (rows, z0, Z1), with rows a PolyhedralSet over p whose rows are
+    each divided by the larger of 1 and the norm of their coefficients.
+    Passes on `_extreme_rays`' CapExceeded and NumericalBreakdown.
+    """
+    U, s, Vt = np.linalg.svd(K)
+    rank = int(np.count_nonzero(s > _RANK_TOL * s[0]))
+    pinv = (Vt[:rank].T / s[:rank]) @ U[:, :rank].T
+    z0, Z1 = pinv @ d0, pinv @ D
+    U0, N = U[:, rank:], Vt[rank:].T
+    rays = _extreme_rays((L @ N).T, -np.eye(L.shape[0]))
+    lhs = np.vstack([U0.T @ D, rays @ (L @ Z1 - R)])
+    rhs = np.concatenate([-U0.T @ d0, rays @ (r0 - L @ z0)])
+    scale = np.maximum(np.linalg.norm(lhs, axis=1), 1.0)
+    lhs, rhs = lhs / scale[:, None], rhs / scale
+    k = U0.shape[1]
+    rows = PolyhedralSet(D.shape[1], ineq_lhs=lhs[k:], ineq_rhs=rhs[k:],
+                         eq_lhs=lhs[:k], eq_rhs=rhs[:k])
+    return rows, z0, Z1
 
 
 def _by_tight_rows(rows: np.ndarray, points: np.ndarray) -> list:

@@ -44,6 +44,7 @@ from avibound.optkernel import FEAS_TOL, QpProjectionProblem, solve_projection_q
 from avibound.polyhedra import (
     box,
     enumerate_vertices,
+    feasible_point,
     is_nonempty,
     nonnegative_orthant,
     union_distance,
@@ -547,12 +548,11 @@ def test_piece_rows_are_unchanged():
         assert actual[name] == expected[name], name
 
 
-# --- emptiness certificates ------------------------------------------------
+# --- order independence ------------------------------------------------------
 #
-# A template keeps the Farkas ray of its latest section that phase one found
-# empty and rules out later sections with it; the screen may only skip
-# sections phase one would call empty, so no result may depend on which
-# levels came before.
+# A template keeps its cell and, after its first nonempty section, its x-space
+# rows; neither depends on the level that built it, so no result may depend
+# on which levels came before.
 
 
 def _pieces_at(inst, y):
@@ -560,15 +560,7 @@ def _pieces_at(inst, y):
             for active, piece in inverse_residual(inst, y, keep_active=True)]
 
 
-def test_pieces_do_not_depend_on_earlier_levels(monkeypatch):
-    screened = []
-    original = avi.ray_rules_out
-
-    def counting(ray, rhs):
-        screened.append(original(ray, rhs))
-        return screened[-1]
-
-    monkeypatch.setattr(avi, "ray_rules_out", counting)
+def test_pieces_do_not_depend_on_earlier_levels():
     for index, (name, inst) in enumerate(_piece_corpus()):
         levels = _piece_levels(inst, 6000 + index, name.startswith("singular"))
 
@@ -580,14 +572,12 @@ def test_pieces_do_not_depend_on_earlier_levels(monkeypatch):
         assert [_pieces_at(forward, y) for y in levels] == fresh, name
         backward = copy()
         assert [_pieces_at(backward, y) for y in reversed(levels)] == fresh[::-1], name
-    # the walks did rule sections out with kept rays
-    assert sum(screened) > 1000
 
 
 def test_lipschitz_check_section_phase_ones(monkeypatch):
-    # 36 sampled levels plus the base point; without the kept rays every
-    # level runs phase one on every non-box section, 777 of them here
-    # (the face search runs none, so every one counted is a section's)
+    # 36 sampled levels plus the base point: each cell decides its section,
+    # and each nonempty piece takes the x-part of its cell's particular point
+    # as its witness, so once the instance is built no phase one runs
     inst = generate_random_avi(n=3, m=5, monotonicity="monotone_skew", seed=1)
     calls = []
     original = optkernel._phase_one
@@ -596,12 +586,12 @@ def test_lipschitz_check_section_phase_ones(monkeypatch):
         calls.append(args)
         return original(*args)
 
-    # every phase one, the sections' cached ones included
+    # every phase one, the pieces' cached ones included
     monkeypatch.setattr(optkernel, "_phase_one", counting)
     cfg = LipschitzCheckConfig(base_point=np.zeros(3), master_seed=1)
     report = verify_upper_lipschitz_inverse(inst, cfg)
     assert report.num_samples > 0
-    assert len(calls) <= 100
+    assert len(calls) == 0
 
 
 def test_one_face_search_per_instance(monkeypatch):
@@ -627,14 +617,14 @@ def test_one_face_search_per_instance(monkeypatch):
     assert len(calls) == len(nonempty)
 
 
-# --- lifted emptiness test ------------------------------------------------
+# --- cells -------------------------------------------------------------------
 #
-# A template decides emptiness in (x, lambda) space and builds its x-space
-# rows only after a nonempty verdict, so the lifted verdict must be the
-# x-space one: phase one on the piece with lambda eliminated, a failing
-# y-only row counting as empty.  Every template of the piece corpus at every
-# level is compared, and of a few instances shaped as the benchmark's
-# `preimage` and `error_bound` pools at y = 0 and two residual levels.
+# A template decides emptiness by its cell in y and builds its x-space rows
+# only after a nonempty verdict, so the cell verdict must be the x-space one:
+# phase one on the piece with lambda eliminated, a failing y-only row counting
+# as empty.  Every template of the piece corpus at every level is compared,
+# and of a few instances shaped as the benchmark's `preimage` and
+# `error_bound` pools at y = 0 and two residual levels.
 
 
 def _pool_shaped_instances():
@@ -652,17 +642,23 @@ def _pool_shaped_instances():
     return corpus
 
 
-def _emptiness_margin(S):
-    """rhs . z / ||z||_inf of the Farkas ray S's phase one kept (nan
-    without one): how far beyond FEAS_TOL the set was called empty."""
-    z = optkernel.farkas_ray(S)
-    if z is None:
-        return float("nan")
-    rhs = np.concatenate([S.ineq_rhs, S.eq_rhs])
-    return float(rhs @ z / np.max(np.abs(z)))
+def _cell_margin(template, y):
+    """How far y lies outside the template's cell, relative to 1 + ||y||
+    (negative inside)."""
+    cell = template.cell
+    misses = np.concatenate([cell.ineq_lhs @ y - cell.ineq_rhs,
+                             np.abs(cell.eq_lhs @ y - cell.eq_rhs)])
+    return float(np.max(misses, initial=-np.inf)) / (1.0 + np.linalg.norm(y))
 
 
-def test_lifted_verdicts_match_the_x_space_pieces():
+def _x_space_verdict(template, y):
+    """Phase one on the x-space piece (`x_section` builds it afresh, with no
+    witness); False when a y-only row fails."""
+    piece = template.x_section(y)
+    return piece is not None and is_nonempty(piece)
+
+
+def test_cell_verdicts_match_the_x_space_pieces():
     corpus = [(name, inst, _piece_levels(inst, 6000 + index, name.startswith("singular")))
               for index, (name, inst) in enumerate(_piece_corpus())]
     for index, (name, inst) in enumerate(_pool_shaped_instances()):
@@ -671,21 +667,80 @@ def test_lifted_verdicts_match_the_x_space_pieces():
     disagreements = []
     for name, inst, levels in corpus:
         for template in _face_templates(inst):
-            fresh = _PieceTemplate(inst, template._face, template.active)
             for level, y in enumerate(levels):
-                lifted = fresh.lifted_section(y)
-                lifted_verdict = is_nonempty(lifted)
-                piece = fresh.x_section(y)
-                x_verdict = piece is not None and is_nonempty(piece)
+                x_verdict = _x_space_verdict(template, y)
                 compared += 1
                 nonempty += x_verdict
-                if lifted_verdict != x_verdict:
-                    margin = (_emptiness_margin(lifted) if x_verdict
-                              else "y-only row" if piece is None
-                              else _emptiness_margin(piece))
-                    disagreements.append((name, template.active, level, margin))
+                if (template.section(y) is not None) != x_verdict:
+                    disagreements.append((name, template.active, level,
+                                          _cell_margin(template, y)))
     assert not disagreements, disagreements
     assert compared > 5000 and nonempty > 300
+
+
+def _is_singular(template, inst):
+    """Whether the lifted section's equality rows K = [[A_I, 0], [M, A_I^T]]
+    are singular, so that the cell is a projection along null(K)."""
+    A_I = template._face.eq_lhs
+    k = A_I.shape[0]
+    K = np.block([[A_I, np.zeros((k, k))], [inst.m_op, A_I.T]])
+    return np.linalg.matrix_rank(K) < K.shape[0]
+
+
+def _edge_levels(template, y, d):
+    """Levels on and near the edge of the template's cell along y + s d,
+    from a level y inside it: the first point where the line leaves the cell
+    (s >= 0), and the point 10 slacks FEAS_TOL (1 + ||y||) beyond it; for
+    each equality row, the point 10 slacks off it along its normal.  d is
+    first projected onto the equality rows' null space."""
+    cell = template.cell
+    E = cell.eq_lhs
+    if E.shape[0]:
+        d = d - E.T @ np.linalg.lstsq(E @ E.T, E @ d, rcond=None)[0]
+    rates = cell.ineq_lhs @ d
+    hits = np.flatnonzero(rates > 1e-6 * np.linalg.norm(d))
+    levels = []
+    if hits.size:
+        rooms = np.maximum(cell.ineq_rhs[hits] - cell.ineq_lhs[hits] @ y, 0.0) / rates[hits]
+        i = hits[np.argmin(rooms)]
+        edge = y + rooms.min() * d
+        slack = FEAS_TOL * (1.0 + np.linalg.norm(edge))
+        levels += [(edge, True), (edge + 10.0 * slack / rates[i] * d, False)]
+    slack = FEAS_TOL * (1.0 + np.linalg.norm(y))
+    for row in E:
+        norm = np.linalg.norm(row)
+        if norm > 1e-6:
+            levels.append((y + 10.0 * slack * row / norm**2, False))
+    return levels
+
+
+def test_cell_edges_match_the_x_space_pieces():
+    # levels on an edge of a nonempty cell are inside it, levels 10 slacks
+    # beyond are outside, and phase one on the x-space piece agrees with both
+    rng = SplitMix64(53)
+    counts = {}
+    disagreements = []
+    corpus = [(name, inst, _piece_levels(inst, 6000 + index, name.startswith("singular")))
+              for index, (name, inst) in enumerate(_piece_corpus())]
+    for name, inst, levels in corpus:
+        for template in _face_templates(inst):
+            singular = bool(_is_singular(template, inst))
+            for y in levels:
+                if template.section(y) is None:
+                    continue
+                for _ in range(3):
+                    d = np.array(rng.normals(inst.dim))
+                    for level, inside in _edge_levels(template, y, d):
+                        cell_verdict = template.section(level) is not None
+                        x_verdict = _x_space_verdict(template, level)
+                        key = (singular, inside)
+                        counts[key] = counts.get(key, 0) + 1
+                        if not cell_verdict == x_verdict == inside:
+                            disagreements.append((name, template.active, singular, inside,
+                                                  cell_verdict, x_verdict))
+    assert not disagreements, disagreements
+    assert all(counts.get((singular, inside), 0) >= 20
+               for singular in (False, True) for inside in (False, True)), counts
 
 
 # --- face search ------------------------------------------------------------
@@ -770,6 +825,24 @@ def test_near_parallel_face_lists():
     # the old search breaks down on k = 5, 6, 7, 15, 19, 22, 30, 36, 37, 38
     assert compared >= 30 and compared + len(broken) == 40
     assert decided >= 0.9 * faces
+
+
+def test_near_parallel_preimages_of_zero():
+    # the AVI (I, 0) on each near-parallel set solves to P_C(0): every piece
+    # of R^{-1}(0) has its witness there.  No phase one decides a section, so
+    # the 7 sets whose faces' phase one breaks down (k = 5, 7, 19, 22, 30, 37,
+    # 38) finish too
+    finished = 0
+    for k, S in _all_near_parallel_sets():
+        n = S.ambient_dim
+        inst = AviInstance(m_op=np.eye(n), q=np.zeros(n), c_set=S)
+        nearest = solve_projection_qp(QpProjectionProblem(np.zeros(n), S))
+        pieces = inverse_residual(inst, np.zeros(n))
+        assert pieces, k
+        for piece in pieces:
+            assert np.linalg.norm(feasible_point(piece) - nearest) <= 1e-8, k
+        finished += 1
+    assert finished == 40
 
 
 def test_face_search_runs_no_phase_one(monkeypatch):

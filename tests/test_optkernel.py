@@ -474,7 +474,6 @@ def _assert_farkas_ray(z, S):
     assert np.max(np.abs(rows.T @ z)) <= 1e-12 * scale
     assert np.all(z[:S.num_ineq] <= 1e-12 * scale)
     assert rhs @ z > FEAS_TOL * scale
-    assert optkernel.ray_rules_out(z, rhs)
 
 
 def test_infeasible_outcomes_carry_a_farkas_ray():
@@ -486,10 +485,9 @@ def test_infeasible_outcomes_carry_a_farkas_ray():
             assert res.dual is None
             continue
         _assert_farkas_ray(res.dual, S)
-        # the cached phase one and an LP's start from the slack basis, so
-        # they may end on another ray, but that ray certifies emptiness too
+        # an LP's phase one starts from the slack basis, so it may end on
+        # another ray, but that ray certifies emptiness too
         assert not is_nonempty(S)
-        _assert_farkas_ray(optkernel.farkas_ray(S), S)
         lp = solve_lp(LinearProgram(np.ones(S.ambient_dim), S))
         assert lp.status == "infeasible"
         _assert_farkas_ray(lp.dual, S)
@@ -598,35 +596,6 @@ def test_cached_witness_satisfies_its_rows_on_tilted_rows():
         slack = FEAS_TOL * (1.0 + np.linalg.norm(x))
         assert np.max(T.ineq_lhs @ x - T.ineq_rhs) <= slack, index
     assert set(broken) <= {110}
-
-
-def test_farkas_rays_that_prove_nothing_are_not_kept():
-    # each near-parallel set with the negation of its tilted copy row, moved
-    # by 1e-3 or 1e-6, is empty; Bland's optimality test accepts reduced
-    # costs down to -FEAS_TOL, so phase one's ray can have z_ineq > 0, and
-    # then it proves nothing at another right-hand side
-    empty = dropped = 0
-    for _, S in _near_parallel_sets():
-        A = np.vstack([S.ineq_lhs, -S.ineq_lhs[-1]])
-        for shift in (1e-3, 1e-6):
-            E = PolyhedralSet(S.ambient_dim, ineq_lhs=A,
-                              ineq_rhs=np.append(S.ineq_rhs, -S.ineq_rhs[-1] - shift))
-            assert not is_nonempty(E)
-            empty += 1
-            z = optkernel.farkas_ray(E)
-            if z is not None:
-                assert np.max(z[:E.num_ineq]) <= 1e-12 * np.max(np.abs(z))
-                continue
-            dropped += 1
-            # phase one's own ray, as the cache keeps it, would rule out a
-            # nonempty set: the pair relaxed until it touches, its positive
-            # row relaxed by 100
-            raw = E._cache["phase one"].dual
-            b = np.append(S.ineq_rhs, -S.ineq_rhs[-1])
-            b[np.argmax(raw[:E.num_ineq])] += 100.0
-            assert is_nonempty(PolyhedralSet(S.ambient_dim, ineq_lhs=A, ineq_rhs=b))
-            assert optkernel.ray_rules_out(raw, b)
-    assert empty == 74 and dropped >= 1
 
 
 class TestWitnessCache:
