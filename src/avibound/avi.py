@@ -21,12 +21,16 @@ A pattern's template (`_PieceTemplate`) decides each level by its cell, the
 levels y whose section {(x, lambda) : x - y in F_I, M x + A_I^T lambda =
 y - q, lambda >= 0} is nonempty.  The residual map is piecewise affine
 (Robinson 1992, normal maps): the section's rows are fixed and only their
-right-hand side moves with y, so the cell is the section projected onto y
-(`polyhedra._projection`), built once, and a level tests its rows with one
-product; no phase one decides a section.  Only a nonempty section builds
-the x-space piece, whose rows eliminate lambda through the polar cone of
-A_I (`cone_generators`, once per template), and the piece takes the x-part
-of the section's particular point as its witness when that point satisfies
+right-hand side moves with y, so the cell is the section projected onto y,
+and a level tests its rows with one product; no phase one decides a
+section.  The cells of all of an instance's templates are built at once, at
+its first `inverse_residual` (`_build_cells`): the sections of one pattern
+size have rows of one shape, so each size is one stacked projection
+(`polyhedra._projections`), and only a singular section runs double
+description.  Only a nonempty section builds the face F_I and the x-space
+piece, whose rows eliminate lambda through the polar cone of A_I
+(`cone_generators`, once per template), and the piece takes the x-part of
+the section's particular point as its witness when that point satisfies
 its rows (`optkernel.seed_witness`).  A template keeps nothing that
 depends on the levels it has seen, so no result depends on their order.
 """
@@ -50,7 +54,7 @@ from .optkernel import (
 from .polyhedra import (
     PolyhedralSet,
     _minimal_face_rows,
-    _projection,
+    _projections,
     cone_generators,
     is_nonempty,
 )
@@ -167,14 +171,15 @@ def is_solution(inst: AviInstance, x) -> bool:
 class _PieceTemplate:
     """One active pattern's piece of R^{-1}(y): fixed rows, moving right-hand side.
 
-    Emptiness is decided by the cell: `_build_cell` projects the lifted
-    section {(x, lambda) : x - y in F_I, M x + A_I^T lambda = y - q,
-    lambda >= 0}, lambda on the active rows A_I = `face.eq_lhs`, onto y
-    once (`polyhedra._projection`, with K = [[A_I, 0], [M, A_I^T]]) and
-    keeps the x-part x0 + X1 y of its particular point.  The tolerance
-    rule: y lies in the cell when every row of `cell`, divided by the
-    larger of 1 and the norm of its coefficients, holds within
-    FEAS_TOL (1 + ||y||), the slack at which the kernel accepts a point.
+    Emptiness is decided by the cell: the lifted section {(x, lambda) :
+    x - y in F_I, M x + A_I^T lambda = y - q, lambda >= 0}, lambda on the
+    active rows A_I of C, projected onto y once, with the x-part x0 + X1 y
+    of its particular point.  `_build_cells` builds the cells of all of an
+    instance's templates at once, at its first `inverse_residual`, and sets
+    `cell`, `_x0` and `_x1`.  The tolerance rule: y lies in the cell when
+    every row of `cell`, divided by the larger of 1 and the norm of its
+    coefficients, holds within FEAS_TOL (1 + ||y||), the slack at which the
+    kernel accepts a point.
 
     The x-space piece eliminates lambda: lambda >= 0 supported on the active
     rows exists iff y - q - Mx lies in cone(A_I^T), whose H-description
@@ -188,53 +193,35 @@ class _PieceTemplate:
     then polar rows.  A row whose coefficients all vanish (M singular)
     constrains y alone; it stays out of the matrices, and `x_section` checks
     it against `FEAS_TOL`.  Most templates never have a nonempty section,
-    so the polar cone is not built and `ineq_lhs` and `eq_lhs` stay None
-    until a section first comes out nonempty; `_x_rows` then builds them
-    and the y-only rows, once.
+    so neither F_I nor the polar cone is built and `ineq_lhs` and `eq_lhs`
+    stay None until a section first comes out nonempty; `_x_rows` then
+    builds them and the y-only rows, once.
 
     A nonempty piece takes x0 + X1 y as its own witness
     (`optkernel.seed_witness`) when that point satisfies the piece's rows;
     otherwise it runs its own phase one when asked.
 
-    The template keeps M and q, not the instance: the instance holds its
+    The template keeps C, M and q, not the instance: the instance holds its
     templates, and a reference cycle would keep both alive until the cycle
     collector runs.
     """
 
-    def __init__(self, inst: AviInstance, face: PolyhedralSet, active: tuple):
+    def __init__(self, inst: AviInstance, active: tuple):
         self.active = active
-        self._face = face
+        self._c_set = inst.c_set
         self._m_op = inst.m_op
         self._q = inst.q
         self.cell = None
         self.ineq_lhs = self.eq_lhs = None
 
-    def _build_cell(self):
-        """Build the cell and x0, X1 once, at the first section: the face
-        search itself stays one double description of C."""
-        if self.cell is not None:
-            return
-        face, M = self._face, self._m_op
-        n, k, m_f = face.ambient_dim, face.num_eq, face.num_ineq
-        A_I, A_F = face.eq_lhs, face.ineq_lhs
-        self.cell, z0, Z1 = _projection(
-            np.vstack([np.hstack([A_I, np.zeros((k, k))]), np.hstack([M, A_I.T])]),
-            np.concatenate([face.eq_rhs, -self._q]),
-            np.vstack([A_I, np.eye(n)]),
-            np.vstack([np.hstack([A_F, np.zeros((m_f, k))]),
-                       np.hstack([np.zeros((k, n)), -np.eye(k)])]),
-            np.concatenate([face.ineq_rhs, np.zeros(k)]),
-            np.vstack([A_F, np.zeros((k, n))]),
-        )
-        self._x0, self._x1 = z0[:n], Z1[:n]
-
     def _x_rows(self):
-        """Build the x-space rows once: the polar cone's generators, the
-        kept rows `ineq_lhs` and `eq_lhs`, and the indices of the y-only
+        """Build F_I and the x-space rows once: the polar cone's generators,
+        the kept rows `ineq_lhs` and `eq_lhs`, and the indices of the y-only
         rows."""
         if self.ineq_lhs is not None:
             return
-        face, M = self._face, self._m_op
+        self._face = face = _face(self._c_set, self.active)
+        M = self._m_op
         self._w_ineq, self._w_eq = cone_generators(face.eq_lhs)
         ineq = np.vstack([face.ineq_lhs, -self._w_ineq @ M])
         eq = np.vstack([face.eq_lhs, -self._w_eq @ M])
@@ -270,9 +257,9 @@ class _PieceTemplate:
         )
 
     def section(self, y) -> PolyhedralSet | None:
-        """Nonempty x-space piece at level y, or None: the cell decides, by
-        the tolerance rule above, and a piece is seeded with x0 + X1 y."""
-        self._build_cell()
+        """Nonempty x-space piece at level y, or None: the cell, built by
+        `_build_cells`, decides by the tolerance rule above, and a piece is
+        seeded with x0 + X1 y."""
         if not _satisfies_rows(self.cell, y, FEAS_TOL * (1.0 + math.sqrt(y @ y))):
             return None
         piece = self.x_section(y)
@@ -281,20 +268,69 @@ class _PieceTemplate:
         return piece
 
 
-def _face(inst: AviInstance, active: tuple) -> PolyhedralSet:
+def _face(C: PolyhedralSet, active: tuple) -> PolyhedralSet:
     """F_I = {x in C : A_I x = alpha_I}; C itself for the empty pattern."""
     if not active:
-        return inst.c_set
-    A = inst.c_set.ineq_lhs
-    alpha = inst.c_set.ineq_rhs
-    inactive = [i for i in range(inst.num_constraints) if i not in active]
+        return C
+    A = C.ineq_lhs
+    alpha = C.ineq_rhs
+    inactive = [i for i in range(C.num_ineq) if i not in active]
     return PolyhedralSet(
-        inst.dim,
+        C.ambient_dim,
         ineq_lhs=A[inactive],
         ineq_rhs=alpha[inactive],
         eq_lhs=A[list(active)],
         eq_rhs=alpha[list(active)],
     )
+
+
+def _build_cells(inst: AviInstance, templates: list) -> None:
+    """Set the cell, x0 and X1 of each template, with one stacked
+    `polyhedra._projections` per pattern size k = |I|.
+
+    Every template of one size has rows of one shape: z = (x, lambda) with
+    K = [[A_I, 0], [M, A_I^T]], d0 = (alpha_I, -q) and D = [[A_I], [I]] for
+    the equality rows, and L = [[A_F, 0], [0, -I]], r0 = (alpha_F, 0) and
+    R = [[A_F], [0]] for the inequality rows, with F the inactive rows; each
+    stack is filled from the index arrays of the patterns into C's rows.
+    Every cell is computed before any is set, so a CapExceeded or
+    NumericalBreakdown passed on from the projection leaves no template
+    with a cell.
+    """
+    A, alpha = inst.c_set.ineq_lhs, inst.c_set.ineq_rhs
+    n, m = inst.dim, inst.num_constraints
+    by_size = {}
+    for template in templates:
+        by_size.setdefault(len(template.active), []).append(template)
+    built = []
+    for k, group in by_size.items():
+        t = len(group)
+        active = np.array([template.active for template in group], dtype=np.intp).reshape(t, k)
+        inactive_mask = np.ones((t, m), dtype=bool)
+        inactive_mask[np.arange(t)[:, None], active] = False
+        inactive = np.nonzero(inactive_mask)[1].reshape(t, m - k)
+        A_I, A_F = A[active], A[inactive]
+        K = np.zeros((t, n + k, n + k))
+        K[:, :k, :n] = A_I
+        K[:, k:, :n] = inst.m_op
+        K[:, k:, n:] = A_I.transpose(0, 2, 1)
+        d0 = np.empty((t, n + k))
+        d0[:, :k] = alpha[active]
+        d0[:, k:] = -inst.q
+        D = np.empty((t, n + k, n))
+        D[:, :k] = A_I
+        D[:, k:] = np.eye(n)
+        L = np.zeros((t, m, n + k))
+        L[:, :m - k, :n] = A_F
+        L[:, m - k:, n:] = -np.eye(k)
+        r0 = np.zeros((t, m))
+        r0[:, :m - k] = alpha[inactive]
+        R = np.zeros((t, m, n))
+        R[:, :m - k] = A_F
+        cells, z0, Z1 = _projections(K, d0, D, L, r0, R)
+        built += zip(group, cells, z0[:, :n], Z1[:, :n])
+    for template, cell, x0, x1 in built:
+        template.cell, template._x0, template._x1 = cell, x0, x1
 
 
 _PATTERN_BUDGET = 2_000_000
@@ -333,8 +369,17 @@ def _face_templates(inst: AviInstance) -> list:
     templates = []
     for mask in sorted(masks):
         active = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-        templates.append(_PieceTemplate(inst, _face(inst, active), active))
+        templates.append(_PieceTemplate(inst, active))
     object.__setattr__(inst, "_face_templates", templates)
+    return templates
+
+
+def _cell_templates(inst: AviInstance) -> list:
+    """`_face_templates`, each with its cell: the cells are built at the
+    first call (`_build_cells`), and kept by the templates."""
+    templates = _face_templates(inst)
+    if templates[0].cell is None:
+        _build_cells(inst, templates)
     return templates
 
 
@@ -349,7 +394,7 @@ def inverse_residual(inst: AviInstance, y, keep_active: bool = False):
     """
     y = _as_vector(y, inst.dim, "y")
     pieces = []
-    for template in _face_templates(inst):
+    for template in _cell_templates(inst):
         piece = template.section(y)
         if piece is not None:
             pieces.append((template.active, piece) if keep_active else piece)

@@ -23,15 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import null_space
 
+from . import optkernel
 from .errors import CapExceeded, EmptySet, NumericalBreakdown
-from .optkernel import (
-    FEAS_TOL,
-    QpProjectionProblem,
-    feasible_witness,
-    lu_factor,
-    lu_solve,
-    solve_projection_qp,
-)
+from .optkernel import FEAS_TOL, QpProjectionProblem, feasible_witness, solve_projection_qp
 from .sets import PolyhedralSet, box, nonnegative_orthant  # re-export
 
 __all__ = [
@@ -162,7 +156,7 @@ def _extreme_rays(H: np.ndarray, G: np.ndarray):
     Gw = G @ N
     if Gw.shape[0] < k:
         raise NumericalBreakdown("cone numerically non-pointed")
-    lu, swaps = lu_factor(Gw)
+    lu, swaps = optkernel.lu_factor(Gw)
     if abs(lu[k - 1, k - 1]) <= _RANK_TOL * abs(lu[0, 0]):
         raise NumericalBreakdown("cone numerically non-pointed")
     order = np.arange(Gw.shape[0])
@@ -170,7 +164,7 @@ def _extreme_rays(H: np.ndarray, G: np.ndarray):
         order[[j, p]] = order[[p, j]]
     # rows order[:k] of Gw factor as lu[:k] without further swaps, and the
     # rays of their simplicial cone are the columns of minus its inverse
-    W = lu_solve((lu[:k], np.arange(k, dtype=swaps.dtype)), -np.eye(k)).T
+    W = optkernel.lu_solve((lu[:k], np.arange(k, dtype=swaps.dtype)), -np.eye(k)).T
     W /= np.linalg.norm(W, axis=1)[:, None]
     zero_tol = _ZERO_TOL * np.linalg.norm(Gw, axis=1)
     added = np.zeros(Gw.shape[0], dtype=bool)
@@ -200,8 +194,16 @@ def _extreme_rays(H: np.ndarray, G: np.ndarray):
     return W @ N.T
 
 
-def _projection(K, d0, D, L, r0, R):
-    """H-form of the projection onto p of {(z, p) : K z = d0 + D p,
+def _scaled_rows(lhs, rhs):
+    """The rows (last axis) of lhs, and rhs, divided by the larger of 1 and
+    the norm of their coefficients."""
+    scale = np.maximum(np.linalg.norm(lhs, axis=-1), 1.0)
+    return lhs / scale[..., None], rhs / scale
+
+
+def _projections(K, d0, D, L, r0, R):
+    """For each member of a stack (the first axis of every argument), the
+    H-form of the projection onto p of {(z, p) : K z = d0 + D p,
     L z <= r0 + R p}, and the particular solution z0 + Z1 p.
 
     K = U S V^T splits at the singular values within _RANK_TOL of the
@@ -211,25 +213,34 @@ def _projection(K, d0, D, L, r0, R):
     t free, where z0 = K^+ d0 and Z1 = K^+ D.  The inequality rows hold for
     some t exactly when u . ((L Z1 - R) p) <= u . (r0 - L z0) for every
     extreme ray u of the projection cone {u >= 0 : (L N)^T u = 0} (Balas
-    1998), which `_extreme_rays` finds.  For a nonsingular K, N has no
-    columns and the rays are the unit vectors: one row per row of L.
-    Returns (rows, z0, Z1), with rows a PolyhedralSet over p whose rows are
-    each divided by the larger of 1 and the norm of their coefficients.
-    Passes on `_extreme_rays`' CapExceeded and NumericalBreakdown.
+    1998).  For a nonsingular K, N has no columns and the rays are the unit
+    vectors: one row per row of L, so only a rank-deficient member runs a
+    double description (`_extreme_rays`).  One SVD and one product per
+    step serve the whole stack; K^+ divides by infinity in place of each
+    dropped singular value.
+    Returns (rows, z0, Z1): rows a list of PolyhedralSets over p, one per
+    member, whose rows are each divided by the larger of 1 and the norm of
+    their coefficients, and z0, Z1 stacked.  Passes on `_extreme_rays`'
+    CapExceeded and NumericalBreakdown.
     """
     U, s, Vt = np.linalg.svd(K)
-    rank = int(np.count_nonzero(s > _RANK_TOL * s[0]))
-    pinv = (Vt[:rank].T / s[:rank]) @ U[:, :rank].T
-    z0, Z1 = pinv @ d0, pinv @ D
-    U0, N = U[:, rank:], Vt[rank:].T
-    rays = _extreme_rays((L @ N).T, -np.eye(L.shape[0]))
-    lhs = np.vstack([U0.T @ D, rays @ (L @ Z1 - R)])
-    rhs = np.concatenate([-U0.T @ d0, rays @ (r0 - L @ z0)])
-    scale = np.maximum(np.linalg.norm(lhs, axis=1), 1.0)
-    lhs, rhs = lhs / scale[:, None], rhs / scale
-    k = U0.shape[1]
-    rows = PolyhedralSet(D.shape[1], ineq_lhs=lhs[k:], ineq_rhs=rhs[k:],
-                         eq_lhs=lhs[:k], eq_rhs=rhs[:k])
+    kept = s > _RANK_TOL * s[:, :1]
+    inverse = np.where(kept, s, np.inf)[:, None, :]
+    pinv = (Vt.transpose(0, 2, 1) / inverse) @ U.transpose(0, 2, 1)
+    z0, Z1 = (pinv @ d0[..., None])[..., 0], pinv @ D
+    lhs, rhs = L @ Z1 - R, r0 - (L @ z0[..., None])[..., 0]
+    unit_lhs, unit_rhs = _scaled_rows(lhs, rhs)
+    rows = []
+    for j, rank in enumerate(np.count_nonzero(kept, axis=1)):
+        ineq_lhs, ineq_rhs = unit_lhs[j], unit_rhs[j]
+        eq_lhs = eq_rhs = None
+        if rank < K.shape[1]:
+            U0, N = U[j][:, rank:], Vt[j][rank:].T
+            rays = _extreme_rays((L[j] @ N).T, -np.eye(L.shape[1]))
+            eq_lhs, eq_rhs = _scaled_rows(U0.T @ D[j], -U0.T @ d0[j])
+            ineq_lhs, ineq_rhs = _scaled_rows(rays @ lhs[j], rays @ rhs[j])
+        rows.append(PolyhedralSet(D.shape[2], ineq_lhs=ineq_lhs, ineq_rhs=ineq_rhs,
+                                  eq_lhs=eq_lhs, eq_rhs=eq_rhs))
     return rows, z0, Z1
 
 

@@ -16,6 +16,8 @@ dedup ran before it compared each point with all kept ones at once.
 `face_search_dfs` is the depth-first face search `avi._face_templates` ran
 before it read the faces off one double description of C, and
 `face_violation` tests one face with HiGHS, outside the library's kernel.
+`reference_cell` builds one template's cell alone, with the one-system
+projection `avi._build_cells` ran per template before it stacked them.
 """
 
 import itertools
@@ -29,7 +31,14 @@ from avibound import DimensionMismatch, EmptySet, PolyhedralSet
 from avibound.avi import AviInstance, _face
 from avibound.gpm import DualMultiplier, GpMultifunction
 from avibound.optkernel import FEAS_TOL, solve_feasibility
-from avibound.polyhedra import GEOM_TOL, cone_generators, enumerate_vertices, is_nonempty
+from avibound.polyhedra import (
+    _RANK_TOL,
+    GEOM_TOL,
+    _extreme_rays,
+    cone_generators,
+    enumerate_vertices,
+    is_nonempty,
+)
 from avibound.sets import _as_vector
 
 
@@ -255,7 +264,7 @@ def face_search_dfs(inst: AviInstance) -> list:
     while stack:
         active, point = stack.pop()
         if point is None or abs(A[active[-1]] @ point - alpha[active[-1]]) > FEAS_TOL:
-            point = solve_feasibility(_face(inst, active)).point
+            point = solve_feasibility(_face(inst.c_set, active)).point
             if point is None:
                 continue
         patterns.append(active)
@@ -288,3 +297,47 @@ def face_violation(inst: AviInstance, active: tuple):
     gap = A @ x - alpha
     miss = max(np.max(gap, initial=0.0), np.max(np.abs(gap[list(active)]), initial=0.0))
     return float(res.fun), float(miss / (1.0 + np.linalg.norm(x)))
+
+
+def _projection(K, d0, D, L, r0, R):
+    """H-form of the projection onto p of {(z, p) : K z = d0 + D p,
+    L z <= r0 + R p}, and the particular solution z0 + Z1 p, for one
+    system: one SVD of K, the pseudo-inverse over the singular values
+    beyond _RANK_TOL of the largest, and the extreme rays of the projection
+    cone {u >= 0 : (L N)^T u = 0} from double description, the unit
+    vectors when K is nonsingular.  Each row is divided by the larger of 1
+    and the norm of its coefficients."""
+    U, s, Vt = np.linalg.svd(K)
+    rank = int(np.count_nonzero(s > _RANK_TOL * s[0]))
+    pinv = (Vt[:rank].T / s[:rank]) @ U[:, :rank].T
+    z0, Z1 = pinv @ d0, pinv @ D
+    U0, N = U[:, rank:], Vt[rank:].T
+    rays = _extreme_rays((L @ N).T, -np.eye(L.shape[0]))
+    lhs = np.vstack([U0.T @ D, rays @ (L @ Z1 - R)])
+    rhs = np.concatenate([-U0.T @ d0, rays @ (r0 - L @ z0)])
+    scale = np.maximum(np.linalg.norm(lhs, axis=1), 1.0)
+    lhs, rhs = lhs / scale[:, None], rhs / scale
+    k = U0.shape[1]
+    rows = PolyhedralSet(D.shape[1], ineq_lhs=lhs[k:], ineq_rhs=rhs[k:],
+                         eq_lhs=lhs[:k], eq_rhs=rhs[:k])
+    return rows, z0, Z1
+
+
+def reference_cell(inst: AviInstance, active: tuple):
+    """(cell, x0, X1) of one pattern's template, built alone: the lifted
+    section's rows K = [[A_I, 0], [M, A_I^T]] and the rest assembled with
+    hstack and vstack from the face F_I, and projected onto y."""
+    face = _face(inst.c_set, active)
+    M, q = inst.m_op, inst.q
+    n, k, m_f = face.ambient_dim, face.num_eq, face.num_ineq
+    A_I, A_F = face.eq_lhs, face.ineq_lhs
+    cell, z0, Z1 = _projection(
+        np.vstack([np.hstack([A_I, np.zeros((k, k))]), np.hstack([M, A_I.T])]),
+        np.concatenate([face.eq_rhs, -q]),
+        np.vstack([A_I, np.eye(n)]),
+        np.vstack([np.hstack([A_F, np.zeros((m_f, k))]),
+                   np.hstack([np.zeros((k, n)), -np.eye(k)])]),
+        np.concatenate([face.ineq_rhs, np.zeros(k)]),
+        np.vstack([A_F, np.zeros((k, n))]),
+    )
+    return cell, z0[:n], Z1[:n]

@@ -1,6 +1,9 @@
+import gc
 import hashlib
 import itertools
 import json
+import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ from reference_oracles import (
     face_search_dfs,
     face_violation,
     piece_section_points,
+    reference_cell,
 )
 from test_acceptance import _avi_corpus
 from test_polyhedra import _all_near_parallel_sets, _count_calls
@@ -25,7 +29,8 @@ from avibound import (
 )
 from avibound.avi import (
     AviInstance,
-    _face,
+    _build_cells,
+    _cell_templates,
     _face_templates,
     _PieceTemplate,
     enumerate_solution_set,
@@ -355,7 +360,8 @@ def _brute_force_pieces(inst, levels):
     order."""
     m = inst.num_constraints
     patterns = [tuple(i for i in range(m) if rank >> i & 1) for rank in range(1 << m)]
-    templates = [_PieceTemplate(inst, _face(inst, active), active) for active in patterns]
+    templates = [_PieceTemplate(inst, active) for active in patterns]
+    _build_cells(inst, templates)
     per_level = []
     for y in levels:
         found = []
@@ -666,7 +672,7 @@ def test_cell_verdicts_match_the_x_space_pieces():
     compared = nonempty = 0
     disagreements = []
     for name, inst, levels in corpus:
-        for template in _face_templates(inst):
+        for template in _cell_templates(inst):
             for level, y in enumerate(levels):
                 x_verdict = _x_space_verdict(template, y)
                 compared += 1
@@ -681,7 +687,7 @@ def test_cell_verdicts_match_the_x_space_pieces():
 def _is_singular(template, inst):
     """Whether the lifted section's equality rows K = [[A_I, 0], [M, A_I^T]]
     are singular, so that the cell is a projection along null(K)."""
-    A_I = template._face.eq_lhs
+    A_I = inst.c_set.ineq_lhs[list(template.active)]
     k = A_I.shape[0]
     K = np.block([[A_I, np.zeros((k, k))], [inst.m_op, A_I.T]])
     return np.linalg.matrix_rank(K) < K.shape[0]
@@ -723,7 +729,7 @@ def test_cell_edges_match_the_x_space_pieces():
     corpus = [(name, inst, _piece_levels(inst, 6000 + index, name.startswith("singular")))
               for index, (name, inst) in enumerate(_piece_corpus())]
     for name, inst, levels in corpus:
-        for template in _face_templates(inst):
+        for template in _cell_templates(inst):
             singular = bool(_is_singular(template, inst))
             for y in levels:
                 if template.section(y) is None:
@@ -741,6 +747,77 @@ def test_cell_edges_match_the_x_space_pieces():
     assert not disagreements, disagreements
     assert all(counts.get((singular, inside), 0) >= 20
                for singular in (False, True) for inside in (False, True)), counts
+
+
+def test_nonsingular_cells_run_no_double_description(monkeypatch):
+    # the projection cone of a nonsingular K is the orthant, whose rays are
+    # the unit vectors, so only a template whose K is singular runs a double
+    # description for its cell; each call is recorded by its caller's name
+    callers = []
+    original = polyhedra._extreme_rays
+
+    def recording(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(*args)
+
+    monkeypatch.setattr(polyhedra, "_extreme_rays", recording)
+    singular = 0
+    for name, inst in _pool_shaped_instances():
+        expected = sum(bool(_is_singular(t, inst)) for t in _face_templates(inst))
+        callers.clear()
+        inverse_residual(inst, np.zeros(inst.dim))
+        assert callers.count("_projections") == expected, name
+        singular += expected
+    assert singular > 0
+
+
+def _cell_arrays(cell, x0, x1):
+    return [cell.ineq_lhs, cell.ineq_rhs, cell.eq_lhs, cell.eq_rhs, x0, x1]
+
+
+def test_stacked_cells_match_one_system_projections():
+    # each template's cell, x0 and X1 from the stacked projection against the
+    # same projection run on its system alone: equal for a nonsingular K (up
+    # to the sign of a zero, which the one-system route's identity product
+    # of rays folds to +0), within 1e-12 relative for a singular one
+    corpus = _pool_shaped_instances() + _piece_corpus() + _degenerate_instances()
+    corpus.append(("no rows, M = 0", AviInstance(m_op=np.zeros((2, 2)), q=[1.0, -1.0],
+                                                 c_set=PolyhedralSet(2))))
+    corpus.append(("M = 0", zero_op_interval()))
+    counts = {False: 0, True: 0}
+    for name, inst in corpus:
+        for template in _cell_templates(inst):
+            singular = bool(_is_singular(template, inst))
+            counts[singular] += 1
+            stacked = _cell_arrays(template.cell, template._x0, template._x1)
+            alone = _cell_arrays(*reference_cell(inst, template.active))
+            for got, expected in zip(stacked, alone):
+                assert got.shape == expected.shape, (name, template.active)
+                if singular:
+                    scale = max(1.0, float(np.max(np.abs(expected), initial=0.0)))
+                    miss = np.max(np.abs(got - expected), initial=0.0)
+                    assert miss <= 1e-12 * scale, (name, template.active, miss)
+                else:
+                    assert np.array_equal(got, expected), (name, template.active)
+    assert counts[False] > 1000 and counts[True] > 100, counts
+
+
+def test_built_instances_are_freed_without_the_cycle_collector():
+    # a template keeps C, M and q, not its instance, so neither the cells nor
+    # the faces and x-space rows built for a section tie an instance into a
+    # reference cycle
+    inst = generate_random_avi(n=3, m=5, monotonicity="strongly_monotone", seed=1)
+    assert inverse_residual(inst, np.zeros(3))
+    assert any(t.ineq_lhs is not None for t in _face_templates(inst))
+    ref = weakref.ref(inst)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del inst
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # --- face search ------------------------------------------------------------
