@@ -22,10 +22,10 @@ levels y whose section {(x, lambda) : x - y in F_I, M x + A_I^T lambda =
 y - q, lambda >= 0} is nonempty.  The residual map is piecewise affine
 (Robinson 1992, normal maps): the section's rows are fixed and only their
 right-hand side moves with y, so the cell is the section projected onto y,
-and a level tests its rows with one product; no phase one decides a
-section.  The cells of all of an instance's templates are built at once, at
-its first `inverse_residual` (`_build_cells`): the sections of one pattern
-size have rows of one shape, so each size is one stacked projection
+and a level tests its rows with one product; no phase one, and no other
+row, decides a section.  The templates of an instance are built whole, once,
+with the face search (`_build_templates`): the sections of one pattern size
+have rows of one shape, so each size is one stacked projection
 (`polyhedra._projections`), and only a singular section runs double
 description.  Only a nonempty section builds the face F_I and the x-space
 piece, whose rows eliminate lambda through the polar cone of A_I
@@ -171,15 +171,14 @@ def is_solution(inst: AviInstance, x) -> bool:
 class _PieceTemplate:
     """One active pattern's piece of R^{-1}(y): fixed rows, moving right-hand side.
 
-    Emptiness is decided by the cell: the lifted section {(x, lambda) :
-    x - y in F_I, M x + A_I^T lambda = y - q, lambda >= 0}, lambda on the
-    active rows A_I of C, projected onto y once, with the x-part x0 + X1 y
-    of its particular point.  `_build_cells` builds the cells of all of an
-    instance's templates at once, at its first `inverse_residual`, and sets
-    `cell`, `_x0` and `_x1`.  The tolerance rule: y lies in the cell when
-    every row of `cell`, divided by the larger of 1 and the norm of its
-    coefficients, holds within FEAS_TOL (1 + ||y||), the slack at which the
-    kernel accepts a point.
+    Built whole by `_build_templates`, with its cell: the lifted section
+    {(x, lambda) : x - y in F_I, M x + A_I^T lambda = y - q, lambda >= 0},
+    lambda on the active rows A_I of C, projected onto y, and the x-part
+    x0 + X1 y of the section's particular point.  The cell alone decides a
+    level, by one tolerance rule: y lies in the cell when every row of
+    `cell`, divided by the larger of 1 and the norm of its coefficients,
+    holds within FEAS_TOL (1 + ||y||), the slack at which the kernel accepts
+    a point.
 
     The x-space piece eliminates lambda: lambda >= 0 supported on the active
     rows exists iff y - q - Mx lies in cone(A_I^T), whose H-description
@@ -190,12 +189,17 @@ class _PieceTemplate:
     polar, so W_eq is the identity and W_ineq is empty.  With the rows of
     the face F_I, shifted by y, the piece at level y is
     {x : ineq_lhs x <= ineq_rhs(y), eq_lhs x = eq_rhs(y)}: face rows first,
-    then polar rows.  A row whose coefficients all vanish (M singular)
-    constrains y alone; it stays out of the matrices, and `x_section` checks
-    it against `FEAS_TOL`.  Most templates never have a nonempty section,
-    so neither F_I nor the polar cone is built and `ineq_lhs` and `eq_lhs`
-    stay None until a section first comes out nonempty; `_x_rows` then
-    builds them and the y-only rows, once.
+    then polar rows.  A row whose coefficients all vanish (M singular, or a
+    zero row of C) constrains y alone, and the piece leaves it out: the
+    lifted section implies it, so a level in the cell satisfies it.  For a
+    ray w with w M = 0, any point of the section gives
+    w (y - q) = w M x + (A_I w) lambda = (A_I w) lambda <= 0, as A_I w <= 0
+    and lambda >= 0; for w in W_eq, A_I w = 0 and the same sum is 0; and a
+    zero row a of C gives 0 = a (x - y) <= alpha, or = alpha on an active
+    row, since x - y lies in F_I.  Most templates never have a nonempty
+    section, so neither F_I nor the polar cone is built and `ineq_lhs` and
+    `eq_lhs` stay None until a section first comes out nonempty; `_x_rows`
+    then builds them, once.
 
     A nonempty piece takes x0 + X1 y as its own witness
     (`optkernel.seed_witness`) when that point satisfies the piece's rows;
@@ -206,18 +210,18 @@ class _PieceTemplate:
     collector runs.
     """
 
-    def __init__(self, inst: AviInstance, active: tuple):
+    def __init__(self, inst: AviInstance, active: tuple, cell: PolyhedralSet, x0, x1):
         self.active = active
+        self.cell = cell
+        self._x0, self._x1 = x0, x1
         self._c_set = inst.c_set
         self._m_op = inst.m_op
         self._q = inst.q
-        self.cell = None
         self.ineq_lhs = self.eq_lhs = None
 
     def _x_rows(self):
-        """Build F_I and the x-space rows once: the polar cone's generators,
-        the kept rows `ineq_lhs` and `eq_lhs`, and the indices of the y-only
-        rows."""
+        """Build F_I and the x-space rows once: the polar cone's generators
+        and the rows `ineq_lhs` and `eq_lhs` with a nonzero coefficient."""
         if self.ineq_lhs is not None:
             return
         self._face = face = _face(self._c_set, self.active)
@@ -225,46 +229,33 @@ class _PieceTemplate:
         self._w_ineq, self._w_eq = cone_generators(face.eq_lhs)
         ineq = np.vstack([face.ineq_lhs, -self._w_ineq @ M])
         eq = np.vstack([face.eq_lhs, -self._w_eq @ M])
-        ineq_zero = np.max(np.abs(ineq), axis=1) <= 1e-12
-        eq_zero = np.max(np.abs(eq), axis=1) <= 1e-12
-        self._ineq_kept = np.flatnonzero(~ineq_zero)
-        self._ineq_y_only = np.flatnonzero(ineq_zero)
-        self._eq_kept = np.flatnonzero(~eq_zero)
-        self._eq_y_only = np.flatnonzero(eq_zero)
+        self._ineq_kept = np.flatnonzero(np.max(np.abs(ineq), axis=1) > 1e-12)
+        self._eq_kept = np.flatnonzero(np.max(np.abs(eq), axis=1) > 1e-12)
         self.ineq_lhs = ineq[self._ineq_kept]
         self.eq_lhs = eq[self._eq_kept]
         self.ineq_lhs.setflags(write=False)
         self.eq_lhs.setflags(write=False)
 
-    def x_section(self, y) -> PolyhedralSet | None:
-        """x-space piece at level y, rows built if need be; None when a row
-        on y alone fails.  Runs no emptiness test."""
+    def section(self, y) -> PolyhedralSet | None:
+        """Nonempty x-space piece at level y, or None: the cell decides by
+        the tolerance rule above, and a piece, its rows built if need be, is
+        seeded with x0 + X1 y."""
+        if not _satisfies_rows(self.cell, y, FEAS_TOL * (1.0 + math.sqrt(y @ y))):
+            return None
         self._x_rows()
         face, q = self._face, self._q
         ineq_rhs = np.concatenate(
             [face.ineq_rhs + face.ineq_lhs @ y, self._w_ineq @ (q - y)]
         )
         eq_rhs = np.concatenate([face.eq_rhs + face.eq_lhs @ y, self._w_eq @ (q - y)])
-        if (np.any(ineq_rhs[self._ineq_y_only] < -FEAS_TOL)
-                or np.any(np.abs(eq_rhs[self._eq_y_only]) > FEAS_TOL)):
-            return None
-        return PolyhedralSet(
+        piece = PolyhedralSet(
             face.ambient_dim,
             ineq_lhs=self.ineq_lhs,
             ineq_rhs=ineq_rhs[self._ineq_kept],
             eq_lhs=self.eq_lhs,
             eq_rhs=eq_rhs[self._eq_kept],
         )
-
-    def section(self, y) -> PolyhedralSet | None:
-        """Nonempty x-space piece at level y, or None: the cell, built by
-        `_build_cells`, decides by the tolerance rule above, and a piece is
-        seeded with x0 + X1 y."""
-        if not _satisfies_rows(self.cell, y, FEAS_TOL * (1.0 + math.sqrt(y @ y))):
-            return None
-        piece = self.x_section(y)
-        if piece is not None:
-            seed_witness(piece, self._x0 + self._x1 @ y)
+        seed_witness(piece, self._x0 + self._x1 @ y)
         return piece
 
 
@@ -284,28 +275,29 @@ def _face(C: PolyhedralSet, active: tuple) -> PolyhedralSet:
     )
 
 
-def _build_cells(inst: AviInstance, templates: list) -> None:
-    """Set the cell, x0 and X1 of each template, with one stacked
-    `polyhedra._projections` per pattern size k = |I|.
+def _build_templates(inst: AviInstance, patterns: list) -> list:
+    """The templates of the given patterns, in their order, each built whole
+    with its cell, x0 and X1, with one stacked `polyhedra._projections` per
+    pattern size k = |I|.
 
-    Every template of one size has rows of one shape: z = (x, lambda) with
+    Every pattern of one size has rows of one shape: z = (x, lambda) with
     K = [[A_I, 0], [M, A_I^T]], d0 = (alpha_I, -q) and D = [[A_I], [I]] for
     the equality rows, and L = [[A_F, 0], [0, -I]], r0 = (alpha_F, 0) and
     R = [[A_F], [0]] for the inequality rows, with F the inactive rows; each
     stack is filled from the index arrays of the patterns into C's rows.
-    Every cell is computed before any is set, so a CapExceeded or
-    NumericalBreakdown passed on from the projection leaves no template
-    with a cell.
+    Every cell is computed before any template is built, so a CapExceeded
+    or NumericalBreakdown passed on from the projection leaves nothing half
+    built.
     """
     A, alpha = inst.c_set.ineq_lhs, inst.c_set.ineq_rhs
     n, m = inst.dim, inst.num_constraints
     by_size = {}
-    for template in templates:
-        by_size.setdefault(len(template.active), []).append(template)
-    built = []
+    for active in patterns:
+        by_size.setdefault(len(active), []).append(active)
+    built = {}
     for k, group in by_size.items():
         t = len(group)
-        active = np.array([template.active for template in group], dtype=np.intp).reshape(t, k)
+        active = np.array(group, dtype=np.intp).reshape(t, k)
         inactive_mask = np.ones((t, m), dtype=bool)
         inactive_mask[np.arange(t)[:, None], active] = False
         inactive = np.nonzero(inactive_mask)[1].reshape(t, m - k)
@@ -328,9 +320,8 @@ def _build_cells(inst: AviInstance, templates: list) -> None:
         R = np.zeros((t, m, n))
         R[:, :m - k] = A_F
         cells, z0, Z1 = _projections(K, d0, D, L, r0, R)
-        built += zip(group, cells, z0[:, :n], Z1[:, :n])
-    for template, cell, x0, x1 in built:
-        template.cell, template._x0, template._x1 = cell, x0, x1
+        built.update(zip(group, zip(cells, z0[:, :n], Z1[:, :n])))
+    return [_PieceTemplate(inst, active, *built[active]) for active in patterns]
 
 
 _PATTERN_BUDGET = 2_000_000
@@ -344,10 +335,11 @@ def _face_templates(inst: AviInstance) -> list:
     description of C, no phase one).  The patterns are the union of those
     subsets, the empty pattern always among them, expanded downward from
     each tuple; a pattern already collected has all its subsets collected
-    too, so each pattern is expanded once.  Runs once per instance, which
-    keeps the list.  Raises CapExceeded as soon as more than
-    _PATTERN_BUDGET (2,000,000) patterns are collected, and passes on the
-    double description's CapExceeded (more than 1,024 rays after a cut) and
+    too, so each pattern is expanded once.  Each template is built whole,
+    with its cell (`_build_templates`).  Runs once per instance, which keeps
+    the list.  Raises CapExceeded as soon as more than _PATTERN_BUDGET
+    (2,000,000) patterns are collected, and passes on the double
+    descriptions' CapExceeded (more than 1,024 rays after a cut) and
     NumericalBreakdown.
     """
     if inst._face_templates is not None:
@@ -366,20 +358,10 @@ def _face_templates(inst: AviInstance) -> list:
                     f"budget {_PATTERN_BUDGET}"
                 )
             stack.extend(mask ^ 1 << i for i in range(mask.bit_length()) if mask >> i & 1)
-    templates = []
-    for mask in sorted(masks):
-        active = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-        templates.append(_PieceTemplate(inst, active))
+    patterns = [tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+                for mask in sorted(masks)]
+    templates = _build_templates(inst, patterns)
     object.__setattr__(inst, "_face_templates", templates)
-    return templates
-
-
-def _cell_templates(inst: AviInstance) -> list:
-    """`_face_templates`, each with its cell: the cells are built at the
-    first call (`_build_cells`), and kept by the templates."""
-    templates = _face_templates(inst)
-    if templates[0].cell is None:
-        _build_cells(inst, templates)
     return templates
 
 
@@ -387,14 +369,16 @@ def inverse_residual(inst: AviInstance, y, keep_active: bool = False):
     """Pieces of R^{-1}(y), one x-space polyhedron per feasible active pattern.
 
     Only patterns whose face of C is nonempty are tested, in subset-rank
-    order (bit i set when row i is active), each by its template's
-    `section`, which depends on y alone.  The union of the returned sets
-    is exactly the preimage; overlapping or repeated pieces are kept as-is.
+    order (bit i set when row i is active), each by its template's cell
+    (`_PieceTemplate.section`), which depends on y alone; the templates are
+    built, cells included, at the instance's first call.  The union of the
+    returned sets is exactly the preimage; overlapping or repeated pieces
+    are kept as-is.
     With keep_active=True, (active, piece) pairs are returned instead.
     """
     y = _as_vector(y, inst.dim, "y")
     pieces = []
-    for template in _cell_templates(inst):
+    for template in _face_templates(inst):
         piece = template.section(y)
         if piece is not None:
             pieces.append((template.active, piece) if keep_active else piece)

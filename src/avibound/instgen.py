@@ -76,6 +76,10 @@ def generate_random_avi(n: int, m: int, monotonicity: str, seed: int) -> AviInst
     solution), which needs m >= n + 1 rows; indefinite: plain Gaussian M.
     The constraint set always contains a strictly interior witness.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    if m < 0:
+        raise ValueError(f"m must be nonnegative, got {m}")
     if n > GENERATOR_MAX_DIM:
         raise CapExceeded(f"n={n} exceeds generator cap {GENERATOR_MAX_DIM}")
     if m > GENERATOR_MAX_ROWS:

@@ -370,24 +370,22 @@ def feasible_witness(S: PolyhedralSet) -> np.ndarray | None:
     inequality rows that holds the origin is witnessed by the origin without
     a pivot, and an empty set is usually proved so in fewer pivots than from
     the all-artificial start.  A point that misses a row of S by more than
-    FEAS_TOL (1 + ||x||) is not kept: the outcome is then that of the
-    all-artificial start.  The whole outcome stays in `S._cache`.  The
-    point is the cached array itself, read-only: copy it before handing it
-    out.
+    FEAS_TOL (1 + ||x||) is not kept: the point is then that of the
+    all-artificial start.  The point, or None for an empty set, stays in
+    `S._cache`.  The point is the cached array itself, read-only: copy it
+    before handing it out.
     """
     if "phase one" not in S._cache:
-        outcome = solve_feasibility(S, slack_start=True)
-        x = outcome.point
+        x = solve_feasibility(S, slack_start=True).point
         if x is not None and not _satisfies_rows(S, x, FEAS_TOL * (1.0 + math.sqrt(x @ x))):
             # on near-parallel rows the final basis can lose primal
             # feasibility, and `_basic_point` then clips its way to a point
             # outside S; the all-artificial start is the fallback
-            outcome = solve_feasibility(S)
-        for arr in (outcome.point, outcome.dual):
-            if arr is not None:
-                arr.setflags(write=False)
-        S._cache["phase one"] = outcome
-    return S._cache["phase one"].point
+            x = solve_feasibility(S).point
+        if x is not None:
+            x.setflags(write=False)
+        S._cache["phase one"] = x
+    return S._cache["phase one"]
 
 
 def seed_witness(S: PolyhedralSet, x: np.ndarray) -> None:
@@ -395,15 +393,15 @@ def seed_witness(S: PolyhedralSet, x: np.ndarray) -> None:
 
     x is kept (as a read-only copy) only when it satisfies S's rows within
     FEAS_TOL (1 + ||x||), the rule `feasible_witness` applies to its own
-    point; otherwise, or when S already has an outcome, nothing changes and
-    S runs its own phase one when asked.
+    point; otherwise, or when S already has a phase-one point or is known
+    empty, nothing changes and S runs its own phase one when asked.
     """
     if "phase one" in S._cache:
         return
     if _satisfies_rows(S, x, FEAS_TOL * (1.0 + math.sqrt(x @ x))):
         x = x.copy()
         x.setflags(write=False)
-        S._cache["phase one"] = SolveStatus(status="optimal", value=0.0, point=x)
+        S._cache["phase one"] = x
 
 
 def _gram_solve(G, rhs):

@@ -6,7 +6,9 @@ in (y, x, lambda)-space, before any elimination, and `piece_section_points`
 enumerates the vertices of a lifted section in (x, lambda_active)-space: the
 tests check the library's polar elimination of the multipliers against both.
 That elimination is `avi._PieceTemplate`: its fixed matrices `ineq_lhs` and
-`eq_lhs`, with the right-hand sides `x_section(y)` evaluates at each level.
+`eq_lhs`, with the right-hand sides `section(y)` evaluates at each level.
+`reference_piece` writes the same piece with every row kept, those whose
+coefficients vanish included, for phase one to decide without the cells.
 `annihilator_residual` measures how far a gap-dual multiplier is from dual
 feasibility.  `from_generators` turns a V-representation back into an
 H-representation, for the round trips of the vertex enumeration.
@@ -17,7 +19,8 @@ dedup ran before it compared each point with all kept ones at once.
 before it read the faces off one double description of C, and
 `face_violation` tests one face with HiGHS, outside the library's kernel.
 `reference_cell` builds one template's cell alone, with the one-system
-projection `avi._build_cells` ran per template before it stacked them.
+projection the templates ran one at a time before `avi._build_templates`
+stacked them.
 """
 
 import itertools
@@ -341,3 +344,21 @@ def reference_cell(inst: AviInstance, active: tuple):
         np.vstack([A_F, np.zeros((k, n))]),
     )
     return cell, z0[:n], Z1[:n]
+
+
+def reference_piece(inst: AviInstance, active: tuple, y) -> PolyhedralSet:
+    """The x-space piece of pattern I at level y with every row kept: the
+    face F_I shifted by y, then the polar rows (-w M) x <= w (q - y) for
+    each extreme ray w of {w : A_I w <= 0} and (-w M) x = w (q - y) for
+    each vector of its lineality basis, including the rows whose
+    coefficients all vanish and so constrain y alone."""
+    face = _face(inst.c_set, active)
+    w_ineq, w_eq = cone_generators(face.eq_lhs)
+    M, q = inst.m_op, inst.q
+    return PolyhedralSet(
+        face.ambient_dim,
+        ineq_lhs=np.vstack([face.ineq_lhs, -w_ineq @ M]),
+        ineq_rhs=np.concatenate([face.ineq_rhs + face.ineq_lhs @ y, w_ineq @ (q - y)]),
+        eq_lhs=np.vstack([face.eq_lhs, -w_eq @ M]),
+        eq_rhs=np.concatenate([face.eq_rhs + face.eq_lhs @ y, w_eq @ (q - y)]),
+    )

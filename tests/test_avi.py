@@ -14,6 +14,7 @@ from reference_oracles import (
     face_violation,
     piece_section_points,
     reference_cell,
+    reference_piece,
 )
 from test_acceptance import _avi_corpus
 from test_polyhedra import _all_near_parallel_sets, _count_calls
@@ -29,10 +30,8 @@ from avibound import (
 )
 from avibound.avi import (
     AviInstance,
-    _build_cells,
-    _cell_templates,
+    _build_templates,
     _face_templates,
-    _PieceTemplate,
     enumerate_solution_set,
     inverse_residual,
     is_solution,
@@ -360,8 +359,7 @@ def _brute_force_pieces(inst, levels):
     order."""
     m = inst.num_constraints
     patterns = [tuple(i for i in range(m) if rank >> i & 1) for rank in range(1 << m)]
-    templates = [_PieceTemplate(inst, active) for active in patterns]
-    _build_cells(inst, templates)
+    templates = _build_templates(inst, patterns)
     per_level = []
     for y in levels:
         found = []
@@ -625,12 +623,12 @@ def test_one_face_search_per_instance(monkeypatch):
 
 # --- cells -------------------------------------------------------------------
 #
-# A template decides emptiness by its cell in y and builds its x-space rows
-# only after a nonempty verdict, so the cell verdict must be the x-space one:
-# phase one on the piece with lambda eliminated, a failing y-only row counting
-# as empty.  Every template of the piece corpus at every level is compared,
-# and of a few instances shaped as the benchmark's `preimage` and
-# `error_bound` pools at y = 0 and two residual levels.
+# A template decides emptiness by its cell in y alone and builds its x-space
+# rows only after a nonempty verdict, so the cell verdict must be the x-space
+# one: phase one on the piece with lambda eliminated and every row kept, the
+# rows on y alone included.  Every template of the piece corpus at every
+# level is compared, and of a few instances shaped as the benchmark's
+# `preimage` and `error_bound` pools at y = 0 and two residual levels.
 
 
 def _pool_shaped_instances():
@@ -657,11 +655,10 @@ def _cell_margin(template, y):
     return float(np.max(misses, initial=-np.inf)) / (1.0 + np.linalg.norm(y))
 
 
-def _x_space_verdict(template, y):
-    """Phase one on the x-space piece (`x_section` builds it afresh, with no
-    witness); False when a y-only row fails."""
-    piece = template.x_section(y)
-    return piece is not None and is_nonempty(piece)
+def _x_space_verdict(inst, template, y):
+    """Phase one on the x-space piece with every row kept
+    (`reference_piece`, built afresh, with no witness)."""
+    return is_nonempty(reference_piece(inst, template.active, y))
 
 
 def test_cell_verdicts_match_the_x_space_pieces():
@@ -672,9 +669,9 @@ def test_cell_verdicts_match_the_x_space_pieces():
     compared = nonempty = 0
     disagreements = []
     for name, inst, levels in corpus:
-        for template in _cell_templates(inst):
+        for template in _face_templates(inst):
             for level, y in enumerate(levels):
-                x_verdict = _x_space_verdict(template, y)
+                x_verdict = _x_space_verdict(inst, template, y)
                 compared += 1
                 nonempty += x_verdict
                 if (template.section(y) is not None) != x_verdict:
@@ -729,7 +726,7 @@ def test_cell_edges_match_the_x_space_pieces():
     corpus = [(name, inst, _piece_levels(inst, 6000 + index, name.startswith("singular")))
               for index, (name, inst) in enumerate(_piece_corpus())]
     for name, inst, levels in corpus:
-        for template in _cell_templates(inst):
+        for template in _face_templates(inst):
             singular = bool(_is_singular(template, inst))
             for y in levels:
                 if template.section(y) is None:
@@ -738,7 +735,7 @@ def test_cell_edges_match_the_x_space_pieces():
                     d = np.array(rng.normals(inst.dim))
                     for level, inside in _edge_levels(template, y, d):
                         cell_verdict = template.section(level) is not None
-                        x_verdict = _x_space_verdict(template, level)
+                        x_verdict = _x_space_verdict(inst, template, level)
                         key = (singular, inside)
                         counts[key] = counts.get(key, 0) + 1
                         if not cell_verdict == x_verdict == inside:
@@ -749,23 +746,31 @@ def test_cell_edges_match_the_x_space_pieces():
                for singular in (False, True) for inside in (False, True)), counts
 
 
-def test_nonsingular_cells_run_no_double_description(monkeypatch):
-    # the projection cone of a nonsingular K is the orthant, whose rays are
-    # the unit vectors, so only a template whose K is singular runs a double
-    # description for its cell; each call is recorded by its caller's name
+def _record_callers(monkeypatch, module, name):
+    """Patch module.name to record the name of each call's caller, in the
+    returned list."""
     callers = []
-    original = polyhedra._extreme_rays
+    original = getattr(module, name)
 
     def recording(*args):
         callers.append(sys._getframe(1).f_code.co_name)
         return original(*args)
 
-    monkeypatch.setattr(polyhedra, "_extreme_rays", recording)
+    monkeypatch.setattr(module, name, recording)
+    return callers
+
+
+def test_nonsingular_cells_run_no_double_description(monkeypatch):
+    # the projection cone of a nonsingular K is the orthant, whose rays are
+    # the unit vectors, so only a template whose K is singular runs a double
+    # description for its cell; counted on a fresh instance, whose first
+    # inverse_residual builds its templates
+    callers = _record_callers(monkeypatch, polyhedra, "_extreme_rays")
     singular = 0
     for name, inst in _pool_shaped_instances():
-        expected = sum(bool(_is_singular(t, inst)) for t in _face_templates(inst))
         callers.clear()
         inverse_residual(inst, np.zeros(inst.dim))
+        expected = sum(bool(_is_singular(t, inst)) for t in _face_templates(inst))
         assert callers.count("_projections") == expected, name
         singular += expected
     assert singular > 0
@@ -786,7 +791,7 @@ def test_stacked_cells_match_one_system_projections():
     corpus.append(("M = 0", zero_op_interval()))
     counts = {False: 0, True: 0}
     for name, inst in corpus:
-        for template in _cell_templates(inst):
+        for template in _face_templates(inst):
             singular = bool(_is_singular(template, inst))
             counts[singular] += 1
             stacked = _cell_arrays(template.cell, template._x0, template._x1)
@@ -927,11 +932,13 @@ def test_face_search_runs_no_phase_one(monkeypatch):
     calls = {}
     _count_calls(monkeypatch, optkernel, "solve_feasibility", calls)
     _count_calls(monkeypatch, optkernel, "_phase_one", calls)
-    _count_calls(monkeypatch, polyhedra, "_extreme_rays", calls)
+    callers = _record_callers(monkeypatch, polyhedra, "_extreme_rays")
     for inst in instances:
         assert _face_templates(inst)
-    # one double description of C per instance, and no phase one
-    assert calls == {"_extreme_rays": len(instances)}
+    # one double description of C per instance, and no phase one; the
+    # singular cells' double descriptions are counted apart, by caller
+    assert calls == {}
+    assert callers.count("_vertex_points") == len(instances)
 
 
 def test_ray_budget_caps_the_face_search(monkeypatch):

@@ -123,6 +123,22 @@ class TestExitCodes:
         assert main(["enumerate", "--instance", str(path)]) == 0
         assert "enumerate: pieces=1 vertex_check=pass" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("sizes, message", [
+        (["--n", "0", "--m", "1"], "n must be at least 1"),
+        (["--n", "2", "--m", "-1"], "m must be nonnegative"),
+    ])
+    def test_degenerate_generate_sizes_exit_2(self, tmp_path, sizes, message):
+        # in a subprocess with a timeout, so that a generator that never
+        # returns fails the test instead of hanging it
+        result = subprocess.run(
+            [sys.executable, "-m", "avibound.cli", "generate", *sizes,
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 2
+        assert message in result.stderr
+        assert not any(tmp_path.iterdir())
+
     def test_negative_max_iters_exits_2(self, lcp_file, capsys):
         code = main(["solve", "--instance", lcp_file, "--x0", "4", "--max-iters", "-1"])
         assert code == 2

@@ -71,6 +71,18 @@ class TestGenerateRandomAvi:
         with pytest.raises(CapExceeded):
             generate_random_avi(n=3, m=17, monotonicity="indefinite", seed=0)
 
+    @pytest.mark.parametrize("n, m, message", [
+        (0, 0, "n must be at least 1"),
+        (-2, 0, "n must be at least 1"),
+        (3, -1, "m must be nonnegative"),
+    ])
+    def test_degenerate_sizes_raise(self, n, m, message):
+        # m < 0 would give a C without rows; n < 1 with rows to draw redraws
+        # a length-0 row forever, so that case runs in a subprocess with a
+        # timeout, in test_cli.py
+        with pytest.raises(ValueError, match=message):
+            generate_random_avi(n=n, m=m, monotonicity="indefinite", seed=0)
+
 
 class TestTruncationFamily:
     def test_harmonic_diagonal(self):

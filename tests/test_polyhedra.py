@@ -15,7 +15,7 @@ from scipy.optimize import nnls
 from test_acceptance import _avi_corpus
 
 from avibound import CapExceeded, EmptySet, NumericalBreakdown, PolyhedralSet, optkernel, polyhedra
-from avibound.avi import _cell_templates
+from avibound.avi import _face_templates
 from avibound.gpm import evaluate
 from avibound.instgen import canned_suite
 from avibound.optkernel import FEAS_TOL
@@ -707,7 +707,7 @@ class TestDoubleDescriptionMatchesScan:
         cones = 0
         for _, _, inst in _avi_corpus():
             A = inst.c_set.ineq_lhs
-            for template in _cell_templates(inst):
+            for template in _face_templates(inst):
                 if template.active:
                     assert_cone_matches_scan(A[list(template.active)])
                     cones += 1
