@@ -27,8 +27,9 @@ row, decides a section.  The templates of an instance are built whole, once,
 with the face search (`_build_templates`): the sections of one pattern size
 have rows of one shape, so each size is one stacked projection
 (`polyhedra._projections`), and only a singular section runs double
-description.  Only a nonempty section builds the face F_I and the x-space
-piece, whose rows eliminate lambda through the polar cone of A_I
+description.  Each template keeps the rows of its face F_I as views of
+the stacks its cell was built from.  Only a nonempty section builds the
+x-space piece, whose rows eliminate lambda through the polar cone of A_I
 (`cone_generators`, once per template), and the piece takes the x-part of
 the section's particular point as its witness when that point satisfies
 its rows (`optkernel.seed_witness`).  A template keeps nothing that
@@ -197,38 +198,39 @@ class _PieceTemplate:
     and lambda >= 0; for w in W_eq, A_I w = 0 and the same sum is 0; and a
     zero row a of C gives 0 = a (x - y) <= alpha, or = alpha on an active
     row, since x - y lies in F_I.  Most templates never have a nonempty
-    section, so neither F_I nor the polar cone is built and `ineq_lhs` and
-    `eq_lhs` stay None until a section first comes out nonempty; `_x_rows`
-    then builds them, once.
+    section, so the polar cone is not built and `ineq_lhs` and `eq_lhs`
+    stay None until a section first comes out nonempty; `_x_rows` then
+    builds them, once.
 
     A nonempty piece takes x0 + X1 y as its own witness
     (`optkernel.seed_witness`) when that point satisfies the piece's rows;
     otherwise it runs its own phase one when asked.
 
-    The template keeps C, M and q, not the instance: the instance holds its
-    templates, and a reference cycle would keep both alive until the cycle
-    collector runs.
+    The template keeps the rows of F_I, A_I x = alpha_I and A_F x <= alpha_F
+    with F the inactive rows, as views of the stacks `_build_templates`
+    filled (C-contiguous, in C's row order), and M and q, not the instance:
+    the instance holds its templates, and a reference cycle would keep both
+    alive until the cycle collector runs.
     """
 
-    def __init__(self, inst: AviInstance, active: tuple, cell: PolyhedralSet, x0, x1):
+    def __init__(self, inst: AviInstance, active: tuple, face, cell: PolyhedralSet, x0, x1):
         self.active = active
+        self._A_I, self._alpha_I, self._A_F, self._alpha_F = face
         self.cell = cell
         self._x0, self._x1 = x0, x1
-        self._c_set = inst.c_set
         self._m_op = inst.m_op
         self._q = inst.q
         self.ineq_lhs = self.eq_lhs = None
 
     def _x_rows(self):
-        """Build F_I and the x-space rows once: the polar cone's generators
-        and the rows `ineq_lhs` and `eq_lhs` with a nonzero coefficient."""
+        """Build the x-space rows once: the polar cone's generators and the
+        rows `ineq_lhs` and `eq_lhs` with a nonzero coefficient."""
         if self.ineq_lhs is not None:
             return
-        self._face = face = _face(self._c_set, self.active)
         M = self._m_op
-        self._w_ineq, self._w_eq = cone_generators(face.eq_lhs)
-        ineq = np.vstack([face.ineq_lhs, -self._w_ineq @ M])
-        eq = np.vstack([face.eq_lhs, -self._w_eq @ M])
+        self._w_ineq, self._w_eq = cone_generators(self._A_I)
+        ineq = np.vstack([self._A_F, -self._w_ineq @ M])
+        eq = np.vstack([self._A_I, -self._w_eq @ M])
         self._ineq_kept = np.flatnonzero(np.max(np.abs(ineq), axis=1) > 1e-12)
         self._eq_kept = np.flatnonzero(np.max(np.abs(eq), axis=1) > 1e-12)
         self.ineq_lhs = ineq[self._ineq_kept]
@@ -243,13 +245,11 @@ class _PieceTemplate:
         if not _satisfies_rows(self.cell, y, FEAS_TOL * (1.0 + math.sqrt(y @ y))):
             return None
         self._x_rows()
-        face, q = self._face, self._q
-        ineq_rhs = np.concatenate(
-            [face.ineq_rhs + face.ineq_lhs @ y, self._w_ineq @ (q - y)]
-        )
-        eq_rhs = np.concatenate([face.eq_rhs + face.eq_lhs @ y, self._w_eq @ (q - y)])
+        q = self._q
+        ineq_rhs = np.concatenate([self._alpha_F + self._A_F @ y, self._w_ineq @ (q - y)])
+        eq_rhs = np.concatenate([self._alpha_I + self._A_I @ y, self._w_eq @ (q - y)])
         piece = PolyhedralSet(
-            face.ambient_dim,
+            y.size,
             ineq_lhs=self.ineq_lhs,
             ineq_rhs=ineq_rhs[self._ineq_kept],
             eq_lhs=self.eq_lhs,
@@ -257,22 +257,6 @@ class _PieceTemplate:
         )
         seed_witness(piece, self._x0 + self._x1 @ y)
         return piece
-
-
-def _face(C: PolyhedralSet, active: tuple) -> PolyhedralSet:
-    """F_I = {x in C : A_I x = alpha_I}; C itself for the empty pattern."""
-    if not active:
-        return C
-    A = C.ineq_lhs
-    alpha = C.ineq_rhs
-    inactive = [i for i in range(C.num_ineq) if i not in active]
-    return PolyhedralSet(
-        C.ambient_dim,
-        ineq_lhs=A[inactive],
-        ineq_rhs=alpha[inactive],
-        eq_lhs=A[list(active)],
-        eq_rhs=alpha[list(active)],
-    )
 
 
 def _build_templates(inst: AviInstance, patterns: list) -> list:
@@ -284,7 +268,8 @@ def _build_templates(inst: AviInstance, patterns: list) -> list:
     K = [[A_I, 0], [M, A_I^T]], d0 = (alpha_I, -q) and D = [[A_I], [I]] for
     the equality rows, and L = [[A_F, 0], [0, -I]], r0 = (alpha_F, 0) and
     R = [[A_F], [0]] for the inequality rows, with F the inactive rows; each
-    stack is filled from the index arrays of the patterns into C's rows.
+    stack is filled from the index arrays of the patterns into C's rows, and
+    each template keeps its slices of A_I, alpha_I, A_F and alpha_F.
     Every cell is computed before any template is built, so a CapExceeded
     or NumericalBreakdown passed on from the projection leaves nothing half
     built.
@@ -302,12 +287,13 @@ def _build_templates(inst: AviInstance, patterns: list) -> list:
         inactive_mask[np.arange(t)[:, None], active] = False
         inactive = np.nonzero(inactive_mask)[1].reshape(t, m - k)
         A_I, A_F = A[active], A[inactive]
+        alpha_I, alpha_F = alpha[active], alpha[inactive]
         K = np.zeros((t, n + k, n + k))
         K[:, :k, :n] = A_I
         K[:, k:, :n] = inst.m_op
         K[:, k:, n:] = A_I.transpose(0, 2, 1)
         d0 = np.empty((t, n + k))
-        d0[:, :k] = alpha[active]
+        d0[:, :k] = alpha_I
         d0[:, k:] = -inst.q
         D = np.empty((t, n + k, n))
         D[:, :k] = A_I
@@ -316,11 +302,12 @@ def _build_templates(inst: AviInstance, patterns: list) -> list:
         L[:, :m - k, :n] = A_F
         L[:, m - k:, n:] = -np.eye(k)
         r0 = np.zeros((t, m))
-        r0[:, :m - k] = alpha[inactive]
+        r0[:, :m - k] = alpha_F
         R = np.zeros((t, m, n))
         R[:, :m - k] = A_F
         cells, z0, Z1 = _projections(K, d0, D, L, r0, R)
-        built.update(zip(group, zip(cells, z0[:, :n], Z1[:, :n])))
+        faces = zip(A_I, alpha_I, A_F, alpha_F)
+        built.update(zip(group, zip(faces, cells, z0[:, :n], Z1[:, :n])))
     return [_PieceTemplate(inst, active, *built[active]) for active in patterns]
 
 

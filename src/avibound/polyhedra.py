@@ -402,16 +402,12 @@ def cone_generators(rows: np.ndarray):
     description finds them, without repeats within GEOM_TOL and sorted by
     their tight rows.  So K = cone(rays) + span(lineality); both are
     C-contiguous, (k, n) and (l, n).  No emptiness test and no vertex
-    search runs, and when l = n (no rows, or all zero) no double
-    description either.  Passes on `_extreme_rays`' CapExceeded (more than
-    1,024 rays after a cut) and NumericalBreakdown (the pointed part is not
+    search runs.  Passes on `_extreme_rays`' CapExceeded (more than 1,024
+    rays after a cut) and NumericalBreakdown (the pointed part is not
     pointed in floating point).
     """
     rows = np.asarray(rows, dtype=float)
-    n = rows.shape[1]
     lineality = _null_basis(rows).T.copy()
-    rays = np.zeros((0, n))
-    if lineality.shape[0] < n:
-        Z = _extreme_rays(lineality, rows)
-        rays = np.array(_dedup(_by_tight_rows(rows, Z), relative=False)).reshape(-1, n)
-    return rays, lineality
+    Z = _extreme_rays(lineality, rows)
+    rays = np.array(_dedup(_by_tight_rows(rows, Z), relative=False))
+    return rays.reshape(-1, rows.shape[1]), lineality

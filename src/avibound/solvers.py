@@ -22,29 +22,10 @@ from .ratios import ZERO_OVER_ZERO_FLOOR, HoldoutReport, holdout
 from .sets import _as_vector
 
 DIVERGENCE_NORM = 1e9
-# Power-iteration rounds for operator_norm; plenty at desk scale.
-_POWER_ROUNDS = 50
-
-
-def operator_norm(M) -> float:
-    """Spectral norm estimate by power iteration on M^T M.
-
-    Deterministic start (all-ones direction), `_POWER_ROUNDS` rounds.
-    """
-    M = np.asarray(M, dtype=float)
-    n = M.shape[0]
-    v = np.ones(n) / np.sqrt(n)
-    for _ in range(_POWER_ROUNDS):
-        w = M.T @ (M @ v)
-        norm = np.linalg.norm(w)
-        if norm <= 1e-300:
-            return 0.0
-        v = w / norm
-    return float(np.sqrt(v @ (M.T @ (M @ v))))
 
 
 def default_step(inst: AviInstance) -> float:
-    return 0.3 / (1.0 + operator_norm(inst.m_op))
+    return 0.3 / (1.0 + float(np.linalg.norm(inst.m_op, 2)))
 
 
 @dataclass(frozen=True)
@@ -192,4 +173,4 @@ def check_tail_bound(trace: SolveTrace, c_emp: float, epsilon: float,
 def solution_check_tolerance(inst: AviInstance, cfg: SolverConfig) -> float:
     """Tolerance at which a converged iterate must pass the direct solution
     test: 10 * stop_residual * (1 + ||M||)."""
-    return 10.0 * cfg.stop_residual * (1.0 + operator_norm(inst.m_op))
+    return 10.0 * cfg.stop_residual * (1.0 + float(np.linalg.norm(inst.m_op, 2)))

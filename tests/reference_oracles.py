@@ -20,7 +20,9 @@ before it read the faces off one double description of C, and
 `face_violation` tests one face with HiGHS, outside the library's kernel.
 `reference_cell` builds one template's cell alone, with the one-system
 projection the templates ran one at a time before `avi._build_templates`
-stacked them.
+stacked them.  Both it and `reference_piece` take the face F_I from `_face`,
+which slices C's rows itself, where each template keeps its face's rows as
+views of the stacks `avi._build_templates` filled.
 """
 
 import itertools
@@ -31,7 +33,7 @@ from scipy.linalg import null_space
 from scipy.optimize import linprog
 
 from avibound import DimensionMismatch, EmptySet, PolyhedralSet
-from avibound.avi import AviInstance, _face
+from avibound.avi import AviInstance
 from avibound.gpm import DualMultiplier, GpMultifunction
 from avibound.optkernel import FEAS_TOL, solve_feasibility
 from avibound.polyhedra import (
@@ -248,6 +250,22 @@ def dedup_loop(points, relative: bool) -> list:
         ):
             kept.append(p)
     return kept
+
+
+def _face(C: PolyhedralSet, active: tuple) -> PolyhedralSet:
+    """F_I = {x in C : A_I x = alpha_I}; C itself for the empty pattern."""
+    if not active:
+        return C
+    A = C.ineq_lhs
+    alpha = C.ineq_rhs
+    inactive = [i for i in range(C.num_ineq) if i not in active]
+    return PolyhedralSet(
+        C.ambient_dim,
+        ineq_lhs=A[inactive],
+        ineq_rhs=alpha[inactive],
+        eq_lhs=A[list(active)],
+        eq_rhs=alpha[list(active)],
+    )
 
 
 def face_search_dfs(inst: AviInstance) -> list:

@@ -845,10 +845,13 @@ def test_cone_generators_are_c_contiguous():
     # the piece templates multiply these arrays as they come, and BLAS sums a
     # product in an order that depends on the layout: a Fortran-ordered
     # lineality basis moves piece right-hand sides by an ulp
-    for rows in (np.zeros((0, 3)), np.eye(3)[:1], np.eye(3), [[1.0, 1.0, 0.0], [-1.0, 2.0, 0.0]]):
+    for rows in (np.zeros((0, 3)), np.zeros((2, 3)), np.eye(3)[:1], np.eye(3),
+                 [[1.0, 1.0, 0.0], [-1.0, 2.0, 0.0]]):
         rays, lineality = cone_generators(np.asarray(rows))
         assert rays.shape[1] == lineality.shape[1] == 3
         assert rays.flags.c_contiguous and lineality.flags.c_contiguous
+        if not np.any(rows):  # K is the whole space: no rays, full lineality
+            assert rays.shape == (0, 3) and lineality.shape == (3, 3)
 
 
 def _count_calls(monkeypatch, module, name, counter):

@@ -8,12 +8,12 @@ from avibound.bounds import find_local_radius
 from avibound.instgen import generate_random_avi
 from avibound.polyhedra import nonnegative_orthant
 from avibound.rng import SplitMix64
+from avibound.sets import box
 from avibound.solvers import (
     SolverConfig,
     annotate_distances,
     check_tail_bound,
     default_step,
-    operator_norm,
     solution_check_tolerance,
     solve,
 )
@@ -29,20 +29,17 @@ def skew_2d():
     )
 
 
-class TestOperatorNorm:
-    def test_diagonal(self):
-        assert operator_norm(np.diag([3.0, 1.0, 0.5])) == pytest.approx(3.0, rel=1e-6)
-
-    def test_zero(self):
-        assert operator_norm(np.zeros((2, 2))) == 0.0
-
-    def test_matches_svd_on_randoms(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            M = rng.normal(size=(4, 4))
-            assert operator_norm(M) == pytest.approx(
-                np.linalg.norm(M, 2), rel=1e-4
-            )
+class TestDefaultStep:
+    def test_step_reads_the_spectral_norm(self):
+        # M = 10 [[1, -1], [-1, 1]] is monotone with ||M||_2 = 20, and it
+        # maps the all-ones direction to 0, so a power iteration from there
+        # reads 0 and takes the step 0.3, with which extragradient does not
+        # converge in 2,000 iterations
+        inst = AviInstance(m_op=10.0 * np.array([[1.0, -1.0], [-1.0, 1.0]]),
+                           q=[1.0, 0.5], c_set=box([-5.0, -5.0], [5.0, 5.0]))
+        assert default_step(inst) == pytest.approx(0.3 / 21, rel=1e-12)
+        trace = solve(inst, SolverConfig(stop_residual=1e-8, max_iters=2000, x0=[1.0, 2.0]))
+        assert trace.converged
 
 
 class TestSolve:
@@ -104,8 +101,6 @@ class TestSolve:
         # than is_solution's CMP_TOL: x lies in C and min over C of
         # <Mx + q, v> is at most that far below <Mx + q, x>, both scaled by
         # 1 + ||x||
-        from avibound.sets import box
-
         inst = AviInstance(
             m_op=[[2.0, 0.3], [0.3, 1.0]], q=[-1.0, 0.4], c_set=box([0, 0], [2, 2])
         )
@@ -197,7 +192,7 @@ class TestSolve:
         assert not trace.converged
         assert trace.iterations == 5
 
-    def test_default_step_uses_operator_norm(self):
+    def test_default_step_on_the_identity(self):
         inst = identity_lcp(2)
         assert default_step(inst) == pytest.approx(0.15, rel=1e-6)
 
