@@ -44,19 +44,28 @@ array-API checks; the factors, and hence the pivots, are those of
 factorization, three solves with its factors, one vectorized scan for the
 entering column and a ratio test over Python floats.
 
-The projection calls LAPACK the same way: each active-set iteration makes
+The projection calls LAPACK the same way: each working set it visits gets
 one Gram solve, `_gram_solve`, a Cholesky factorization (potrf/potrs) of
 the working rows' Gram matrix, falling back to `np.linalg.lstsq` when the
 factorization fails or its smallest pivot is below 1e-10 of its largest
-(dependent working rows, as at a degenerate vertex).  The rows are stacked
-once per call and indexed by the working set, and the blocking-row ratio
-test takes all rates in one product.
+(dependent working rows, as at a degenerate vertex).  An iteration that
+takes a full step without a blocking row keeps its working set, and the
+next iteration reuses that solve.  The rows are stacked once per set
+(`_projection_rows`) and indexed by the working set, and the blocking-row
+ratio test takes all rates in one product.
 
-`feasible_witness` runs that slack-basis phase one at most once per set,
-and keeps its outcome in the set's cache; every other solve is a pure
-function of its inputs.  `seed_witness` puts a point the caller already
-holds into that cache (a piece of `avi` and its particular point), so the
-set needs no phase one of its own when that point satisfies its rows.
+A set's cache holds what its solves would otherwise repeat.
+`feasible_witness` runs that slack-basis phase one at most once per set and
+keeps its outcome; `seed_witness` puts a point the caller already holds
+there instead (a piece of `avi` and its particular point), so the set needs
+no phase one of its own when that point satisfies its rows.  The projection
+keeps its stacked rows there, and `_gram_solve` the factor of the last
+working set it solved: the solvers project onto one C again and again, each
+from the previous projection, whose tight rows are the last working set, so
+that set's factorization is usually done.  Both are what a fresh stack and
+a fresh potrf would compute, bit for bit, so a projection does not depend
+on the projections that ran before it; only the phase-one point, from which
+a projection without a start begins, depends on how the set was used.
 """
 
 from __future__ import annotations
@@ -404,19 +413,49 @@ def seed_witness(S: PolyhedralSet, x: np.ndarray) -> None:
         S._cache["phase one"] = x
 
 
-def _gram_solve(G, rhs):
+def _projection_rows(S: PolyhedralSet):
+    """(rows, rhs) = ([eq_lhs; ineq_lhs], [eq_rhs; ineq_rhs]) of S, the rows
+    the projection indexes by its working set, stacked once per set and kept
+    read-only in `S._cache`."""
+    stacked = S._cache.get("projection rows")
+    if stacked is None:
+        rows = np.vstack([S.eq_lhs, S.ineq_lhs])
+        rhs = np.concatenate([S.eq_rhs, S.ineq_rhs])
+        rows.setflags(write=False)
+        rhs.setflags(write=False)
+        stacked = S._cache["projection rows"] = (rows, rhs)
+    return stacked
+
+
+def _gram_solve(G, rhs, S, active):
     """nu with G G^T nu = rhs: the Gram solve of the projection's working rows.
 
-    Cholesky (LAPACK potrf/potrs) when the factorization succeeds and its
-    smallest pivot L_ii^2 is at least 1e-10 of its largest; otherwise, as
-    for dependent working rows, the minimum-norm least-squares solution.
+    G holds the rows `active` of S's stacked projection rows.  Cholesky
+    (LAPACK potrf/potrs) when the factorization succeeds and its smallest
+    pivot L_ii^2 is at least 1e-10 of its largest; otherwise, as for
+    dependent working rows, the minimum-norm least-squares solution.  The
+    last working set factored on S stays in `S._cache`, keyed by the exact
+    bytes of `active`, with its Cholesky factor (or, on the `lstsq` path,
+    its Gram matrix), so the next solve on that working set, in this call or
+    a later one, skips the factorization.  potrf is deterministic, so a
+    cached factor is the one a fresh factorization would give, and nu does
+    not depend on the call history.
     """
-    gram = G @ G.T
-    factor, info = _potrf(gram)
-    diag = factor.diagonal()
-    if info == 0 and diag.min() ** 2 >= 1e-10 * diag.max() ** 2:
-        return _potrs(factor, rhs)[0]
-    return np.linalg.lstsq(gram, rhs, rcond=None)[0]
+    key = active.tobytes()
+    last = S._cache.get("gram")
+    if last is None or last[0] != key:
+        gram = G @ G.T
+        factor, info = _potrf(gram)
+        diag = factor.diagonal()
+        if info == 0 and diag.min() ** 2 >= 1e-10 * diag.max() ** 2:
+            last = (key, factor, True)
+        else:
+            last = (key, gram, False)
+        S._cache["gram"] = last
+    _, matrix, cholesky = last
+    if cholesky:
+        return _potrs(matrix, rhs)[0]
+    return np.linalg.lstsq(matrix, rhs, rcond=None)[0]
 
 
 def solve_projection_qp(problem: QpProjectionProblem, start=None) -> np.ndarray:
@@ -428,12 +467,15 @@ def solve_projection_qp(problem: QpProjectionProblem, start=None) -> np.ndarray:
     tight rows form the first working set.  When `start` is None or lies
     outside the set by more than FEAS_TOL * (1 + ||u||), the iteration
     starts from the set's cached phase-one witness (`feasible_witness`)
-    instead.  Each iteration makes one Gram solve (`_gram_solve`: a
+    instead.  Each working set gets one Gram solve (`_gram_solve`: a
     Cholesky solve, or `lstsq` when a pivot falls below 1e-10 of the
-    largest) of the working rows G, for the multipliers nu of min ||z - u||
-    over {G z = h}.  When the step vanishes, u - z = G^T nu, so nu also
-    gives the drop rule its multipliers.  Ties in blocking-constraint
-    selection and in the drop rule are broken by lowest row index.
+    largest, reusing the set's cached factor when the working set is the
+    last one it factored) of the working rows G, for the multipliers nu of
+    min ||z - u|| over {G z = h}; an iteration whose working set did not
+    change since the last solve (after a full step with no blocking row)
+    reuses it.  When the step vanishes, u - z = G^T nu, so nu also gives the
+    drop rule its multipliers.  Ties in blocking-constraint selection and in
+    the drop rule are broken by lowest row index.
 
     Raises EmptySet when the feasible set is empty.
     """
@@ -457,28 +499,32 @@ def solve_projection_qp(problem: QpProjectionProblem, start=None) -> np.ndarray:
             raise EmptySet("projection onto an empty polyhedron")
     A, b = S.ineq_lhs, S.ineq_rhs
     k_eq = S.num_eq
-    rows = np.vstack([S.eq_lhs, A])
-    rhs = np.concatenate([S.eq_rhs, b])
+    rows, rhs = _projection_rows(S)
     z = start.copy()
     # the working set: the tight inequality rows, read in ascending order
     working = np.abs(b - A @ z) <= tol
     eq_rows = np.arange(k_eq)
     step_tol = 1e-11 * scale
     max_iters = 50 * (A.shape[0] + k_eq + u.size + 10)
+    solved = False  # whether nu and w = u - G^T nu belong to the working set
     for _ in range(max_iters):
-        tight = working.nonzero()[0]
-        active = np.concatenate([eq_rows, k_eq + tight])
-        if active.size:
-            G = rows[active]
-            nu = _gram_solve(G, G @ u - rhs[active])
-            p = u - G.T @ nu - z
-        else:
-            p = u - z
+        if not solved:
+            tight = working.nonzero()[0]
+            active = np.concatenate([eq_rows, k_eq + tight])
+            if active.size:
+                G = rows[active]
+                nu = _gram_solve(G, G @ u - rhs[active], S, active)
+                w = u - G.T @ nu
+            else:
+                w = u
+            solved = True
+        p = w - z
         if math.sqrt(p @ p) <= step_tol:
             negative = (nu[k_eq:] < -_DROP_TOL).nonzero()[0] if tight.size else ()
             if not len(negative):
                 return z
             working[tight[negative[0]]] = False
+            solved = False
             continue
         alpha = 1.0
         blocking = -1
@@ -493,4 +539,5 @@ def solve_projection_qp(problem: QpProjectionProblem, start=None) -> np.ndarray:
         z = z + alpha * p
         if blocking >= 0:
             working[blocking] = True
+            solved = False
     raise NumericalBreakdown("projection active-set iteration cap exhausted")

@@ -25,7 +25,7 @@ def _as_matrix(a, ncols: int, name: str) -> np.ndarray:
         return np.zeros((0, ncols))
     if arr.ndim != 2 or arr.shape[1] != ncols:
         raise DimensionMismatch(f"{name}: expected shape (*, {ncols}), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -34,7 +34,7 @@ def _as_vector(a, nrows: int, name: str) -> np.ndarray:
     arr = np.asarray([] if a is None else a, dtype=float).reshape(-1)
     if arr.shape != (nrows,):
         raise DimensionMismatch(f"{name}: expected length {nrows}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 

@@ -1,5 +1,7 @@
 import itertools
 import json
+import os
+import sys
 import warnings
 from pathlib import Path
 
@@ -32,6 +34,9 @@ from avibound.optkernel import (
 )
 from avibound.polyhedra import enumerate_vertices, feasible_point, hausdorff, is_nonempty
 from avibound.rng import SplitMix64
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+import workloads  # noqa: E402
 
 
 def brute_force_lp_min(c, A, b):
@@ -394,18 +399,18 @@ class TestProjectionQp:
                         best, best_v = cand, val
             np.testing.assert_allclose(z, best, atol=1e-8)
 
-    def test_one_gram_solve_per_iteration(self, monkeypatch):
-        # Every iteration of the active-set method makes one Gram solve,
-        # `_gram_solve`, of the square system G G^T nu = rhs; the drop rule
-        # reads its multipliers from that solve, with no second one on G^T.
-        # A working set that shrinks between two solves shows the drop rule
-        # fired.
+    def test_one_gram_solve_per_working_set(self, monkeypatch):
+        # Every working set the active-set method visits makes one Gram
+        # solve, `_gram_solve`, of the square system G G^T nu = rhs; the drop
+        # rule reads its multipliers from that solve, with no second one on
+        # G^T.  A working set that shrinks between two solves shows the drop
+        # rule fired.
         shapes = []
         original = optkernel._gram_solve
 
-        def recording(G, rhs):
+        def recording(G, rhs, *rest):
             shapes.append((G.shape[0], rhs.shape[0]))
-            return original(G, rhs)
+            return original(G, rhs, *rest)
 
         monkeypatch.setattr(optkernel, "_gram_solve", recording)
         rng = SplitMix64(23)
@@ -755,6 +760,114 @@ def test_projection_matches_the_brute_force_oracle(monkeypatch):
                 compared += 1
     assert compared == 240
     assert len(set(fallbacks)) > 20
+
+
+def _fresh(S):
+    """A copy of S with an empty cache."""
+    return PolyhedralSet(S.ambient_dim, S.ineq_lhs, S.ineq_rhs, S.eq_lhs, S.eq_rhs)
+
+
+def _sets_with_equality_rows():
+    """30 sets in R^3..R^5 with 2n inequality rows and one or two equality
+    rows, all holding a seeded point x, none of whose inequality rows is
+    tight.  Yields (S, x)."""
+    for seed in range(30):
+        rng = SplitMix64(9500 + seed)
+        n = 3 + seed % 3
+        x = np.array(rng.normals(n))
+        A = np.array([rng.normals(n) for _ in range(2 * n)])
+        b = A @ x + np.array([abs(rng.normal()) + 0.1 for _ in range(2 * n)])
+        E = np.array([rng.normals(n) for _ in range(1 + seed % 2)])
+        yield PolyhedralSet(n, ineq_lhs=A, ineq_rhs=b, eq_lhs=E, eq_rhs=E @ x), x
+
+
+def _hexagon():
+    """{a_k . x <= 1} for the six unit normals a_k at angles k pi / 3."""
+    angles = np.pi / 3.0 * np.arange(6)
+    return PolyhedralSet(2, ineq_lhs=np.column_stack([np.cos(angles), np.sin(angles)]),
+                         ineq_rhs=np.ones(6))
+
+
+def _shuffled(rng, items):
+    items = list(items)
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randint(0, i)
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
+def test_projections_do_not_depend_on_call_history(monkeypatch):
+    # A set keeps its stacked projection rows and the Gram factor of the
+    # last working set it solved, and a call solves an unchanged working set
+    # once.  So a target projected onto a set whose cache is warm from the
+    # other targets, in shuffled order, lands bit for bit where it lands on
+    # a fresh copy of the set from the same start.  The degenerate sets'
+    # vertices take the lstsq fallback; on the hexagon the targets ring the
+    # set and end on its 6 edges and 6 vertices, so a call often starts from
+    # another working set of the size of the cached one.
+    fallbacks = [0]
+    original = np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        fallbacks[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+
+    def seeded(S, seed):
+        rng = SplitMix64(seed)
+        return [4.0 * np.array(rng.normals(S.ambient_dim)) for _ in range(8)]
+
+    ring = 3.0 * np.column_stack([np.cos(np.pi / 6.0 * np.arange(12)),
+                                  np.sin(np.pi / 6.0 * np.arange(12))])
+    cases = [(S, [None, x], seeded(S, 9600 + i))
+             for i, (S, x) in enumerate(_sets_with_equality_rows())]
+    cases += [(S, [None, v], seeded(S, 9700 + i))
+              for i, (S, v, _) in enumerate(_degenerate_sets())]
+    cases.append((_hexagon(), [None, np.zeros(2)], list(ring)))
+    compared = 0
+    for index, (S, starts, targets) in enumerate(cases):
+        jobs = [(u, start) for u in targets for start in starts]
+        for u, start in jobs:
+            project_onto(u, S, start=start)
+        for u, start in _shuffled(SplitMix64(9800 + index), jobs):
+            warm = project_onto(u, S, start=start)
+            cold = project_onto(u, _fresh(S), start=start)
+            assert warm.tobytes() == cold.tobytes(), (index, u, start)
+            compared += 1
+    hexagon = _hexagon()
+    tight_sets = {
+        tuple(np.flatnonzero(np.abs(hexagon.ineq_lhs @ project_onto(u, hexagon) - 1.0) <= 1e-9))
+        for u in ring
+    }
+    assert compared == 30 * 16 + 40 * 16 + 24
+    assert len(tight_sets) == 12 and fallbacks[0] > 0
+
+
+def test_solver_tail_pass_factors_each_working_set_once(monkeypatch):
+    # One pass over the benchmark's `solver_tail` pool (16 extragradient
+    # solves, 7,345 projections onto their C): a set keeps the Cholesky
+    # factor of the last working set it solved, which is usually the working
+    # set the next projection starts from, and a call does not solve an
+    # unchanged working set twice.  With the factorization and solve rerun at
+    # every iteration, the pass made 12,569 potrf and 12,569 potrs calls.
+    counts = {"_potrf": 0, "_potrs": 0}
+
+    def counted(name):
+        original = getattr(optkernel, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(optkernel, name, counted(name))
+    pool = workloads.SolverTail()
+    for index in range(pool.pool_size):
+        assert pool.run(index, pool.build(index))["invariants"]
+    assert counts == {"_potrf": 643, "_potrs": 6455}
 
 
 class TestDegenerateInputs:

@@ -26,7 +26,10 @@ fails here.  The layers below the verdicts, `sets`, `optkernel` and
 `polyhedra`, import nothing from `ratios`, where the comparison slack
 `CMP_TOL` lives: each owns its slack as a constant (`optkernel.FEAS_TOL`,
 `polyhedra.GEOM_TOL`), so the comparison slack cannot leak back into the
-geometry or the kernel.
+geometry or the kernel.  Only `sets` and `optkernel` read or write a
+`._cache` attribute, so each entry of a set's cache (the box bounds, the
+phase-one point, the stacked projection rows, the last Gram factor) has one
+owner that decides when it is filled and what it may be trusted for.
 """
 
 import argparse
@@ -507,3 +510,35 @@ def test_layering_rule_catches_a_config_import():
         "from .ratios_extra import other\n"
     )
     assert _ratios_imports(ast.parse(source)) == [2, 4, 5, 6]
+
+
+# The modules that own the entries of a set's cache: `sets` its box bounds,
+# `optkernel` its phase-one point, projection rows and last Gram factor.
+CACHE_OWNERS = ("sets.py", "optkernel.py")
+
+
+def _cache_accesses(tree):
+    """Lines of every read, write or deletion of a `._cache` attribute."""
+    return sorted({
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_cache"
+    })
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in CACHE_OWNERS],
+                         ids=lambda p: p.name)
+def test_only_the_owners_touch_a_cache(path):
+    found = _cache_accesses(ast.parse(path.read_text(encoding="utf-8")))
+    assert not found, f"{path.name} touches a ._cache at lines {found}"
+
+
+def test_cache_rule_catches_an_access():
+    source = (
+        "S._cache['box'] = None\n"
+        "point = inst.c_set._cache.get('phase one')\n"
+        "del S._cache\n"
+        "cache = {}\n"
+        "S.cache_size\n"
+        "getattr(S, 'cached')\n"
+    )
+    assert _cache_accesses(ast.parse(source)) == [1, 2, 3]
