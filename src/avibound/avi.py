@@ -28,12 +28,15 @@ with the face search (`_build_templates`): the sections of one pattern size
 have rows of one shape, so each size is one stacked projection
 (`polyhedra._projections`), and only a singular section runs double
 description.  Each template keeps the rows of its face F_I as views of
-the stacks its cell was built from.  Only a nonempty section builds the
-x-space piece, whose rows eliminate lambda through the polar cone of A_I
-(`cone_generators`, once per template), and the piece takes the x-part of
-the section's particular point as its witness when that point satisfies
-its rows (`optkernel.seed_witness`).  A template keeps nothing that
-depends on the levels it has seen, so no result depends on their order.
+the stacks its cell was built from.  Where the section's equality rows are
+nonsingular, a nonempty section is one point, and the piece is its x-part
+x0 + X1 y, written as the rows I x = x0 + X1 y: a box, which `is_nonempty`,
+`distance` and `enumerate_vertices` read off its bounds with no phase one,
+no projection iteration and no double description.  Only a singular
+template builds x-space rows, which eliminate lambda through the polar
+cone of A_I (`cone_generators`, once per template, at its first nonempty
+section).  A template keeps nothing that depends on the levels it has
+seen, so no result depends on their order.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from .optkernel import (
     FEAS_TOL,
     LinearProgram,
     QpProjectionProblem,
-    seed_witness,
     solve_lp,
     solve_projection_qp,
 )
@@ -181,30 +183,34 @@ class _PieceTemplate:
     holds within FEAS_TOL (1 + ||y||), the slack at which the kernel accepts
     a point.
 
-    The x-space piece eliminates lambda: lambda >= 0 supported on the active
-    rows exists iff y - q - Mx lies in cone(A_I^T), whose H-description
-    comes from its polar {w : A_I w <= 0} = cone(W_ineq) + span(W_eq), as
-    `cone_generators` returns it: each extreme ray w in W_ineq gives the row
-    (-w M) x <= w (q - y), and each vector w of the lineality basis W_eq the
-    row (-w M) x = w (q - y).  The empty pattern has the whole space as
-    polar, so W_eq is the identity and W_ineq is empty.  With the rows of
-    the face F_I, shifted by y, the piece at level y is
-    {x : ineq_lhs x <= ineq_rhs(y), eq_lhs x = eq_rhs(y)}: face rows first,
-    then polar rows.  A row whose coefficients all vanish (M singular, or a
-    zero row of C) constrains y alone, and the piece leaves it out: the
+    The x-space piece is the section projected onto x.  When the section's
+    equality rows K z = d0 + D y, with z = (x, lambda) and K = [[A_I, 0],
+    [M, A_I^T]], have a nonsingular K (`singular` False, by the rank rule of
+    `polyhedra._projections`), they have the one solution z0 + Z1 y, so at
+    a level in the cell the section is that point, its inequality rows
+    holding within the cell's slack, and the piece is the point x0 + X1 y:
+    the rows I x = x0 + X1 y and no others, a box.
+
+    A singular template eliminates lambda instead: lambda >= 0 supported on
+    the active rows exists iff y - q - Mx lies in cone(A_I^T), whose
+    H-description comes from its polar {w : A_I w <= 0} = cone(W_ineq) +
+    span(W_eq), as `cone_generators` returns it: each extreme ray w in
+    W_ineq gives the row (-w M) x <= w (q - y), and each vector w of the
+    lineality basis W_eq the row (-w M) x = w (q - y).  The empty pattern
+    has the whole space as polar, so W_eq is the identity and W_ineq is
+    empty.  With the rows of the face F_I, shifted by y, the piece at level
+    y is {x : ineq_lhs x <= ineq_rhs(y), eq_lhs x = eq_rhs(y)}: face rows
+    first, then polar rows.  A row whose coefficients all vanish (M singular,
+    or a zero row of C) constrains y alone, and the piece leaves it out: the
     lifted section implies it, so a level in the cell satisfies it.  For a
     ray w with w M = 0, any point of the section gives
     w (y - q) = w M x + (A_I w) lambda = (A_I w) lambda <= 0, as A_I w <= 0
     and lambda >= 0; for w in W_eq, A_I w = 0 and the same sum is 0; and a
     zero row a of C gives 0 = a (x - y) <= alpha, or = alpha on an active
-    row, since x - y lies in F_I.  Most templates never have a nonempty
-    section, so the polar cone is not built and `ineq_lhs` and `eq_lhs`
-    stay None until a section first comes out nonempty; `_x_rows` then
-    builds them, once.
-
-    A nonempty piece takes x0 + X1 y as its own witness
-    (`optkernel.seed_witness`) when that point satisfies the piece's rows;
-    otherwise it runs its own phase one when asked.
+    row, since x - y lies in F_I.  Most singular templates never have a
+    nonempty section, so the polar cone is not built and `ineq_lhs` and
+    `eq_lhs` stay None until a section first comes out nonempty; `_x_rows`
+    then builds them, once.  A nonsingular template never builds them.
 
     The template keeps the rows of F_I, A_I x = alpha_I and A_F x <= alpha_F
     with F the inactive rows, as views of the stacks `_build_templates`
@@ -213,11 +219,13 @@ class _PieceTemplate:
     alive until the cycle collector runs.
     """
 
-    def __init__(self, inst: AviInstance, active: tuple, face, cell: PolyhedralSet, x0, x1):
+    def __init__(self, inst: AviInstance, active: tuple, face, cell: PolyhedralSet, x0, x1,
+                 singular: bool):
         self.active = active
         self._A_I, self._alpha_I, self._A_F, self._alpha_F = face
         self.cell = cell
         self._x0, self._x1 = x0, x1
+        self.singular = singular
         self._m_op = inst.m_op
         self._q = inst.q
         self.ineq_lhs = self.eq_lhs = None
@@ -240,29 +248,29 @@ class _PieceTemplate:
 
     def section(self, y) -> PolyhedralSet | None:
         """Nonempty x-space piece at level y, or None: the cell decides by
-        the tolerance rule above, and a piece, its rows built if need be, is
-        seeded with x0 + X1 y."""
+        the tolerance rule above; the piece is the point x0 + X1 y, or, for
+        a singular template, the face and polar rows, built if need be."""
         if not _satisfies_rows(self.cell, y, FEAS_TOL * (1.0 + math.sqrt(y @ y))):
             return None
+        if not self.singular:
+            return PolyhedralSet(y.size, eq_lhs=np.eye(y.size), eq_rhs=self._x0 + self._x1 @ y)
         self._x_rows()
         q = self._q
         ineq_rhs = np.concatenate([self._alpha_F + self._A_F @ y, self._w_ineq @ (q - y)])
         eq_rhs = np.concatenate([self._alpha_I + self._A_I @ y, self._w_eq @ (q - y)])
-        piece = PolyhedralSet(
+        return PolyhedralSet(
             y.size,
             ineq_lhs=self.ineq_lhs,
             ineq_rhs=ineq_rhs[self._ineq_kept],
             eq_lhs=self.eq_lhs,
             eq_rhs=eq_rhs[self._eq_kept],
         )
-        seed_witness(piece, self._x0 + self._x1 @ y)
-        return piece
 
 
 def _build_templates(inst: AviInstance, patterns: list) -> list:
     """The templates of the given patterns, in their order, each built whole
-    with its cell, x0 and X1, with one stacked `polyhedra._projections` per
-    pattern size k = |I|.
+    with its cell, x0, X1 and whether its K is singular, with one stacked
+    `polyhedra._projections` per pattern size k = |I|.
 
     Every pattern of one size has rows of one shape: z = (x, lambda) with
     K = [[A_I, 0], [M, A_I^T]], d0 = (alpha_I, -q) and D = [[A_I], [I]] for
@@ -305,9 +313,9 @@ def _build_templates(inst: AviInstance, patterns: list) -> list:
         r0[:, :m - k] = alpha_F
         R = np.zeros((t, m, n))
         R[:, :m - k] = A_F
-        cells, z0, Z1 = _projections(K, d0, D, L, r0, R)
+        cells, z0, Z1, singular = _projections(K, d0, D, L, r0, R)
         faces = zip(A_I, alpha_I, A_F, alpha_F)
-        built.update(zip(group, zip(faces, cells, z0[:, :n], Z1[:, :n])))
+        built.update(zip(group, zip(faces, cells, z0[:, :n], Z1[:, :n], singular)))
     return [_PieceTemplate(inst, active, *built[active]) for active in patterns]
 
 

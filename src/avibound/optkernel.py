@@ -56,9 +56,7 @@ ratio test takes all rates in one product.
 
 A set's cache holds what its solves would otherwise repeat.
 `feasible_witness` runs that slack-basis phase one at most once per set and
-keeps its outcome; `seed_witness` puts a point the caller already holds
-there instead (a piece of `avi` and its particular point), so the set needs
-no phase one of its own when that point satisfies its rows.  The projection
+keeps its outcome, and nothing else writes that entry.  The projection
 keeps its stacked rows there, and `_gram_solve` the factor of the last
 working set it solved: the solvers project onto one C again and again, each
 from the previous projection, whose tight rows are the last working set, so
@@ -395,22 +393,6 @@ def feasible_witness(S: PolyhedralSet) -> np.ndarray | None:
             x.setflags(write=False)
         S._cache["phase one"] = x
     return S._cache["phase one"]
-
-
-def seed_witness(S: PolyhedralSet, x: np.ndarray) -> None:
-    """Take the point x as S's phase-one point, without a solve.
-
-    x is kept (as a read-only copy) only when it satisfies S's rows within
-    FEAS_TOL (1 + ||x||), the rule `feasible_witness` applies to its own
-    point; otherwise, or when S already has a phase-one point or is known
-    empty, nothing changes and S runs its own phase one when asked.
-    """
-    if "phase one" in S._cache:
-        return
-    if _satisfies_rows(S, x, FEAS_TOL * (1.0 + math.sqrt(x @ x))):
-        x = x.copy()
-        x.setflags(write=False)
-        S._cache["phase one"] = x
 
 
 def _projection_rows(S: PolyhedralSet):

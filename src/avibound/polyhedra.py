@@ -218,10 +218,11 @@ def _projections(K, d0, D, L, r0, R):
     double description (`_extreme_rays`).  One SVD and one product per
     step serve the whole stack; K^+ divides by infinity in place of each
     dropped singular value.
-    Returns (rows, z0, Z1): rows a list of PolyhedralSets over p, one per
-    member, whose rows are each divided by the larger of 1 and the norm of
-    their coefficients, and z0, Z1 stacked.  Passes on `_extreme_rays`'
-    CapExceeded and NumericalBreakdown.
+    Returns (rows, z0, Z1, singular): rows a list of PolyhedralSets over p,
+    one per member, whose rows are each divided by the larger of 1 and the
+    norm of their coefficients, z0 and Z1 stacked, and singular a boolean
+    array, True for each member whose K is rank-deficient under that rule.
+    Passes on `_extreme_rays`' CapExceeded and NumericalBreakdown.
     """
     U, s, Vt = np.linalg.svd(K)
     kept = s > _RANK_TOL * s[:, :1]
@@ -230,8 +231,9 @@ def _projections(K, d0, D, L, r0, R):
     z0, Z1 = (pinv @ d0[..., None])[..., 0], pinv @ D
     lhs, rhs = L @ Z1 - R, r0 - (L @ z0[..., None])[..., 0]
     unit_lhs, unit_rhs = _scaled_rows(lhs, rhs)
+    ranks = np.count_nonzero(kept, axis=1)
     rows = []
-    for j, rank in enumerate(np.count_nonzero(kept, axis=1)):
+    for j, rank in enumerate(ranks):
         ineq_lhs, ineq_rhs = unit_lhs[j], unit_rhs[j]
         eq_lhs = eq_rhs = None
         if rank < K.shape[1]:
@@ -241,7 +243,7 @@ def _projections(K, d0, D, L, r0, R):
             ineq_lhs, ineq_rhs = _scaled_rows(rays @ lhs[j], rays @ rhs[j])
         rows.append(PolyhedralSet(D.shape[2], ineq_lhs=ineq_lhs, ineq_rhs=ineq_rhs,
                                   eq_lhs=eq_lhs, eq_rhs=eq_rhs))
-    return rows, z0, Z1
+    return rows, z0, Z1, ranks < K.shape[1]
 
 
 def _by_tight_rows(rows: np.ndarray, points: np.ndarray) -> list:

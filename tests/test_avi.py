@@ -55,6 +55,9 @@ from avibound.polyhedra import (
 )
 from avibound.rng import SplitMix64
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
+
 
 def lcp_1d():
     return AviInstance(m_op=[[1.0]], q=[-1.0], c_set=nonnegative_orthant(1))
@@ -580,8 +583,9 @@ def test_pieces_do_not_depend_on_earlier_levels():
 
 def test_lipschitz_check_section_phase_ones(monkeypatch):
     # 36 sampled levels plus the base point: each cell decides its section,
-    # and each nonempty piece takes the x-part of its cell's particular point
-    # as its witness, so once the instance is built no phase one runs
+    # and each nonempty section here is nonsingular, so its piece is the
+    # point x0 + X1 y, a box whose emptiness, distances and vertex are read
+    # off its bounds: once the instance is built no phase one runs
     inst = generate_random_avi(n=3, m=5, monotonicity="monotone_skew", seed=1)
     calls = []
     original = optkernel._phase_one
@@ -598,11 +602,22 @@ def test_lipschitz_check_section_phase_ones(monkeypatch):
     assert len(calls) == 0
 
 
+def _simplex_face_instance():
+    """M = 0 and q = -(1, 1, 1) on the unit simplex of R^3: the solution set
+    is the face x1 + x2 + x3 = 1.  Its triangle and its three edges are
+    pieces of singular templates, none of them a box, and its three
+    vertices are point pieces."""
+    C = PolyhedralSet(3, ineq_lhs=np.vstack([-np.eye(3), np.ones((1, 3))]),
+                      ineq_rhs=[0.0, 0.0, 0.0, 1.0])
+    return AviInstance(m_op=np.zeros((3, 3)), q=-np.ones(3), c_set=C)
+
+
 def test_one_face_search_per_instance(monkeypatch):
     # the x-space rows, and the polar cone behind them, are built once per
-    # template with a nonempty section, and a later verdict on the same
-    # instance, here an error-bound curve, reuses them: 1 template of 16
-    inst = generate_random_avi(n=3, m=5, monotonicity="strongly_monotone", seed=1)
+    # singular template with a nonempty section, and a later verdict on the
+    # same instance, here an error-bound curve, reuses them: 4 templates of
+    # 15; the point pieces build none
+    inst = _simplex_face_instance()
     calls = []
     original = avi.cone_generators
 
@@ -612,13 +627,68 @@ def test_one_face_search_per_instance(monkeypatch):
 
     monkeypatch.setattr(avi, "cone_generators", counting)
     pieces = inverse_residual(inst, np.zeros(3), keep_active=True)
-    assert pieces
-    nonempty = {active for active, _ in pieces}
-    built = {t.active for t in _face_templates(inst) if t.ineq_lhs is not None}
-    assert built == nonempty
-    assert len(calls) == len(nonempty) < len(_face_templates(inst))
+    templates = {t.active: t for t in _face_templates(inst)}
+    singular = {active for active, _ in pieces if templates[active].singular}
+    assert all(piece.box_bounds() is None for active, piece in pieces if active in singular)
+    built = {active for active, t in templates.items() if t.ineq_lhs is not None}
+    assert built == singular
+    assert (len(pieces), len(calls), len(singular), len(templates)) == (7, 4, 4, 15)
     find_local_radius(inst, num_samples=40, master_seed=3)
-    assert len(calls) == len(nonempty)
+    assert len(calls) == 4
+
+
+def test_nonsingular_sections_are_their_particular_points():
+    # a nonsingular K pins the lifted section to the one point z0 + Z1 y, so
+    # the x-space piece is x0 + X1 y: the section is exactly that point, and
+    # the piece with every face and polar row kept enumerates to it alone
+    corpus = [(name, inst, _piece_levels(inst, 6000 + index, name.startswith("singular")))
+              for index, (name, inst) in enumerate(_piece_corpus())]
+    for index, (name, inst) in enumerate(_pool_shaped_instances()):
+        corpus.append((name, inst, _piece_levels(inst, 6100 + index, False)))
+    checked = 0
+    for name, inst, levels in corpus:
+        for template in _face_templates(inst):
+            assert template.singular == _is_singular(template, inst), (name, template.active)
+            if template.singular:
+                continue
+            for y in levels:
+                piece = template.section(y)
+                if piece is None:
+                    continue
+                point = template._x0 + template._x1 @ y
+                assert piece.num_ineq == 0 and np.array_equal(piece.eq_lhs, np.eye(inst.dim))
+                assert piece.eq_rhs.tobytes() == point.tobytes(), (name, template.active)
+                vertex_set = enumerate_vertices(reference_piece(inst, template.active, y))
+                assert len(vertex_set.vertices) == 1 and not vertex_set.recession_rays
+                miss = np.linalg.norm(vertex_set.vertices[0] - point)
+                assert miss <= 1e-9 * max(1.0, np.linalg.norm(point)), (name, template.active)
+                checked += 1
+    assert checked > 300
+
+
+def test_pool_pass_builds_polar_cones_only_for_singular_pieces(monkeypatch):
+    # one pass over the benchmark's `preimage` and `error_bound` pools, each
+    # output checked against the recorded reference: every nonempty section
+    # of `preimage` is a point piece, and the singular pieces of
+    # `error_bound` (the canned AVIs) build 8 polar cones.  Before point
+    # pieces, every template with a nonempty section built one: 49 and 48.
+    reference = json.loads((Path(workloads.__file__).parent / "reference.json").read_text())
+    calls = []
+    original = avi.cone_generators
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(avi, "cone_generators", counting)
+    counts = {}
+    for pool in (workloads.Preimage(), workloads.ErrorBound()):
+        calls.clear()
+        for index in range(pool.pool_size):
+            outcome = pool.run(index, pool.build(index))
+            assert workloads.check(outcome, reference["workloads"][pool.name][str(index)]) == []
+        counts[pool.name] = len(calls)
+    assert counts == {"preimage": 0, "error_bound": 8}
 
 
 # --- cells -------------------------------------------------------------------
@@ -809,9 +879,9 @@ def test_stacked_cells_match_one_system_projections():
 
 def test_built_instances_are_freed_without_the_cycle_collector():
     # a template keeps C, M and q, not its instance, so neither the cells nor
-    # the faces and x-space rows built for a section tie an instance into a
-    # reference cycle
-    inst = generate_random_avi(n=3, m=5, monotonicity="strongly_monotone", seed=1)
+    # the faces and x-space rows built for a singular section tie an instance
+    # into a reference cycle
+    inst = _simplex_face_instance()
     assert inverse_residual(inst, np.zeros(3))
     assert any(t.ineq_lhs is not None for t in _face_templates(inst))
     ref = weakref.ref(inst)

@@ -30,6 +30,8 @@ geometry or the kernel.  Only `sets` and `optkernel` read or write a
 `._cache` attribute, so each entry of a set's cache (the box bounds, the
 phase-one point, the stacked projection rows, the last Gram factor) has one
 owner that decides when it is filled and what it may be trusted for.
+Within `optkernel`, only `feasible_witness` writes the phase-one entry, so
+a set's phase-one point is always the one its own phase one found.
 """
 
 import argparse
@@ -424,9 +426,10 @@ CAP_GUARDS = {
 }
 
 
-def _cap_raises(tree):
-    """(line, enclosing routine) of every `raise CapExceeded`; the routine
-    is qualified by its classes and functions, and "" at module level."""
+def _scoped_nodes(tree):
+    """(node, enclosing routine) for every node of tree but the function and
+    class definitions themselves, in source order; the routine is qualified
+    by its classes and functions, and "" at module level."""
     found = []
 
     def visit(node, scope):
@@ -434,14 +437,22 @@ def _cap_raises(tree):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if isinstance(child, ast.Raise) and child.exc is not None:
-                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-                name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
-                if name == "CapExceeded":
-                    found.append((child.lineno, scope))
+            found.append((child, scope))
             visit(child, scope)
 
     visit(tree, "")
+    return found
+
+
+def _cap_raises(tree):
+    """(line, enclosing routine) of every `raise CapExceeded`."""
+    found = []
+    for node, scope in _scoped_nodes(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+            if name == "CapExceeded":
+                found.append((node.lineno, scope))
     return found
 
 
@@ -542,3 +553,62 @@ def test_cache_rule_catches_an_access():
         "getattr(S, 'cached')\n"
     )
     assert _cache_accesses(ast.parse(source)) == [1, 2, 3]
+
+
+def _phase_one_writes(tree):
+    """(line, enclosing routine) of every write or deletion of a
+    `._cache["phase one"]` entry: a store or `del` on the subscript, or a
+    method call on a `._cache` other than `get` that names the entry."""
+
+    def on_cache(node):
+        return isinstance(node, ast.Attribute) and node.attr == "_cache"
+
+    def names_entry(node):
+        return any(isinstance(n, ast.Constant) and n.value == "phase one"
+                   for n in ast.walk(node))
+
+    found = []
+    for node, scope in _scoped_nodes(tree):
+        if isinstance(node, ast.Subscript):
+            writes = (on_cache(node.value) and not isinstance(node.ctx, ast.Load)
+                      and names_entry(node.slice))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            writes = (on_cache(node.func.value) and node.func.attr != "get"
+                      and any(names_entry(a) for a in [*node.args, *node.keywords]))
+        else:
+            writes = False
+        if writes:
+            found.append((node.lineno, scope))
+    return found
+
+
+def test_only_phase_one_writes_the_phase_one_point():
+    writers = {
+        (path.name, scope)
+        for path in MODULES
+        for _, scope in _phase_one_writes(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert writers == {("optkernel.py", "feasible_witness")}, writers
+
+
+def test_phase_one_rule_catches_a_write():
+    source = (
+        "def feasible_witness(S):\n"
+        "    S._cache['phase one'] = solve(S)\n"
+        "    return S._cache['phase one']\n"
+        "def seed(S, x):\n"
+        "    if 'phase one' not in S._cache:\n"
+        "        S._cache['phase one'] = x\n"
+        "class Piece:\n"
+        "    def reset(self):\n"
+        "        del self.c_set._cache['phase one']\n"
+        "        self._cache.setdefault('phase one', None)\n"
+        "        self._cache.update({'phase one': None})\n"
+        "        self._cache.get('phase one')\n"
+        "        self._cache['box'] = None\n"
+        "S._cache.pop('phase one')\n"
+    )
+    assert _phase_one_writes(ast.parse(source)) == [
+        (2, "feasible_witness"), (6, "seed"), (9, "Piece.reset"), (10, "Piece.reset"),
+        (11, "Piece.reset"), (14, ""),
+    ]
