@@ -19,7 +19,8 @@ class NumericalBreakdown(AviboundError):
 
 class CapExceeded(AviboundError):
     """A fixed work budget was hit: `polyhedra._RAY_BUDGET` on the rays
-    double description keeps (also in the face search's description of C),
+    double description keeps (also in the face search's description of C
+    and in a multifunction's dual ball),
     `avi._PATTERN_BUDGET` on the patterns the face search collects, or an
     `instgen` generator's size limit.  Each is a constant in the routine
     that counts that work, not a setting."""

@@ -6,9 +6,14 @@ A multifunction is stored through its graph data: sections are
 The section-gap function measures how far x is from the domain: it is the
 smallest worst-case violation ``inf_y max(||a1 x + a2 y - z||_inf, max_i
 (row_i - rhs_i))`` and is nonnegative by construction, with value 0 exactly
-on dom F.  With the max-norm on the equality residual both the gap and its
-concave dual are linear programs, so the primal/dual equality reduces to LP
-duality and is checkable to solver precision.
+on dom F.  With the max-norm on the equality residual the gap is a linear
+program, the one LP of the pair.  Its concave dual maximizes a function linear
+in x over a dual ball that does not depend on x, so the dual is the largest
+of finitely many affine functions ``H x + h``, one per vertex of the ball.
+The primal/dual equality is LP duality (the minimax step), checkable to
+solver precision by comparing the LP with that maximum.  By Farkas,
+``{x : H x + h <= 0}`` is dom F in H-form, and the domain sampler skips the
+draws it puts outside.
 
 The Lipschitz modulus is estimated from sampled pairs of domain points; the
 running maximum of their ratios and the holdout check on fresh pairs are
@@ -24,7 +29,7 @@ import numpy as np
 
 from .errors import DegenerateSampler, DimensionMismatch, SchemaError
 from .optkernel import LinearProgram, solve_feasibility, solve_lp
-from .polyhedra import PolyhedralSet, hausdorff, is_nonempty
+from .polyhedra import PolyhedralSet, enumerate_vertices, hausdorff, is_nonempty
 from .ratios import CMP_TOL, HoldoutReport, holdout, running_max
 from .rng import SplitMix64, derive_seed
 from .sets import _as_matrix, _as_vector
@@ -65,8 +70,10 @@ class GpMultifunction:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "input_dim", n)
         object.__setattr__(self, "output_dim", r)
-        # `gap_primal` values by the bytes of the point
+        # `gap_primal` values by the bytes of the point, and the dual ball's
+        # (V, H, h) once `_dual_vertices` has built it
         object.__setattr__(self, "_gap_primal", {})
+        object.__setattr__(self, "_dual_form", None)
 
     @property
     def num_eq(self) -> int:
@@ -177,36 +184,53 @@ def _solve_gap_primal(f: GpMultifunction, x: np.ndarray) -> float:
     return float(status.value)
 
 
-def gap_dual(f: GpMultifunction, x):
-    """(value, multiplier) of the concave dual of the section gap, as one LP
-    over the dual ball.
+def _dual_vertices(f: GpMultifunction):
+    """(V, H, h): the vertices V (rows) of the dual ball, H = V Bx and
+    h = V b0, built on first use and kept by `f`.
 
-    Variables (lam+, lam-, gamma) >= 0 with sum <= 1, constrained by
-    a2^T (lam+ - lam-) + row_y^T gamma = 0; the objective is
-    <lam, a1 x - z> + sum_i gamma_i (row_x_i . x - rhs_i).  The origin is
-    always feasible, so the value is finite and >= 0.  Without rows the
-    ball is the origin alone: the value is 0 and the multiplier empty.
+    The ball is {w = (lam+, lam-, gamma) >= 0 : sum w <= 1,
+    a2^T (lam+ - lam-) + row_y^T gamma = 0}, and the dual objective at x is
+    w . (Bx x + b0) with Bx = [a1; -a1; row_x] and b0 = (-z, z, -rhs).  The
+    ball is a polytope holding the origin, so one `enumerate_vertices` lists
+    every vertex, and no LP is solved.  Without rows the ball is the origin
+    alone, which a `PolyhedralSet` cannot hold: V is then one empty vertex.
+    A ball whose double description keeps more than `_RAY_BUDGET` rays
+    raises `CapExceeded`; there is no LP fallback.
+    """
+    if f._dual_form is None:
+        nw = 2 * f.num_eq + f.num_ineq
+        bx = np.vstack([f.a1, -f.a1, f.row_x])
+        b0 = np.concatenate([-f.z, f.z, -f.rhs])
+        if nw == 0:
+            V = np.zeros((1, 0))
+        else:
+            ball = PolyhedralSet(
+                nw,
+                ineq_lhs=np.vstack([np.ones((1, nw)), -np.eye(nw)]),
+                ineq_rhs=np.concatenate([[1.0], np.zeros(nw)]),
+                eq_lhs=np.hstack([f.a2.T, -f.a2.T, f.row_y.T]),
+                eq_rhs=np.zeros(f.output_dim),
+            )
+            V = np.array(enumerate_vertices(ball).vertices)
+        object.__setattr__(f, "_dual_form", (V, V @ bx, V @ b0))
+    return f._dual_form
+
+
+def gap_dual(f: GpMultifunction, x):
+    """(value, multiplier) of the concave dual of the section gap: the
+    largest of H x + h over the vertices of the dual ball (`_dual_vertices`),
+    and that vertex as the multiplier, the lowest index on ties.
+
+    The origin is a vertex, so the value is >= 0 up to rounding.  Without
+    rows the value is 0 and the multiplier empty.
     """
     x = _as_vector(x, f.input_dim, "x")
-    k = f.num_eq
-    nw = 2 * k + f.num_ineq
-    if nw == 0:
-        return 0.0, DualMultiplier(lam=np.zeros(0), gamma=np.zeros(0))
-    drift = f.a1 @ x - f.z
-    objective = np.concatenate([drift, -drift, f.row_x @ x - f.rhs])
-    ball = PolyhedralSet(
-        nw,
-        ineq_lhs=np.vstack([np.ones((1, nw)), -np.eye(nw)]),
-        ineq_rhs=np.concatenate([[1.0], np.zeros(nw)]),
-        eq_lhs=np.hstack([f.a2.T, -f.a2.T, f.row_y.T]),
-        eq_rhs=np.zeros(f.output_dim),
-    )
-    status = solve_lp(LinearProgram(objective, ball, sense="maximize"))
-    if not status.is_optimal:
-        return -math.inf, None
-    w = status.point
+    V, H, h = _dual_vertices(f)
+    values = H @ x + h
+    best = int(np.argmax(values))
+    k, w = f.num_eq, V[best]
     multiplier = DualMultiplier(lam=w[:k] - w[k:2 * k], gamma=np.maximum(w[2 * k:], 0.0))
-    return float(status.value), multiplier
+    return float(values[best]), multiplier
 
 
 @dataclass(frozen=True)
@@ -217,8 +241,6 @@ class MinimaxCheck:
 
     @property
     def gap(self) -> float:
-        if math.isinf(self.primal) and math.isinf(self.dual):
-            return 0.0
         return abs(self.primal - self.dual)
 
 
@@ -395,10 +417,15 @@ def _domain_witness(f: GpMultifunction) -> np.ndarray:
 
 def _sample_domain_point(f, center, stream):
     """(x, F(x)) for the first sampled x with a nonempty section, or None.
-    The section keeps its phase-one witness for the Hausdorff distance."""
+    A draw whose dual gap exceeds CMP_TOL is outside dom F and skipped
+    without a phase one; every other draw is decided by `is_nonempty`, and
+    its section keeps the phase-one witness for the Hausdorff distance."""
+    _, H, h = _dual_vertices(f)
     for _ in range(_MAX_REJECTS):
         radius = _SAMPLE_RADII[stream.randint(0, len(_SAMPLE_RADII) - 1)]
         x = center + radius * np.array(stream.normals(f.input_dim))
+        if np.max(H @ x + h) > CMP_TOL:  # a positive section gap: x is not in dom F
+            continue
         section = evaluate(f, x)
         if is_nonempty(section):
             return x, section

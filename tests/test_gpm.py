@@ -1,8 +1,13 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from reference_oracles import annihilator_residual
+from test_acceptance import GPM_CORPUS_SEEDS
+from test_acceptance import random_gpm as criterion_gpm
 
-from avibound import DegenerateSampler, gpm, instgen
+from avibound import CapExceeded, DegenerateSampler, gpm, instgen, polyhedra
 from avibound.cli import main
 from avibound.gpm import (
     GpMultifunction,
@@ -17,8 +22,12 @@ from avibound.gpm import (
     verify_minimax,
 )
 from avibound.optkernel import LinearProgram, solve_lp
-from avibound.polyhedra import PolyhedralSet, enumerate_vertices, is_nonempty
+from avibound.polyhedra import PolyhedralSet, _projections, enumerate_vertices, is_nonempty
+from avibound.ratios import CMP_TOL
 from avibound.rng import SplitMix64
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 
 def identity_graph(n=2):
@@ -203,8 +212,10 @@ def reference_gap_dual(f, x):
 class TestGapRowOrder:
     def test_gaps_equal_the_reference_lps(self):
         # no canned multifunction has both equality and inequality rows, so
-        # the order of the two blocks is pinned here: any other order pivots
-        # differently and moves the values in the last bits
+        # the primal LP's block order is pinned here: any other order pivots
+        # differently and moves the values in the last bits.  The dual is a
+        # maximum over the ball's vertices, not an LP: it matches the dual LP
+        # to rounding, and its multiplier is a point of the ball
         checked = 0
         seed = 0
         while checked < 24:
@@ -221,10 +232,144 @@ class TestGapRowOrder:
                 dual = reference_gap_dual(f, x)
                 assert dual.is_optimal
                 value, multiplier = gap_dual(f, x)
-                assert value == dual.value
-                k = f.num_eq
-                assert np.array_equal(multiplier.lam, dual.point[:k] - dual.point[k:2 * k])
+                assert abs(value - dual.value) <= 1e-9 * (1.0 + abs(dual.value))
+                assert multiplier.ball_norm() <= 1.0 + 1e-9
+                assert annihilator_residual(multiplier, f) <= 1e-9
             checked += 1
+
+
+def projected_domain(f):
+    """dom F as the projection of gph F onto x, by `polyhedra._projections`
+    with y eliminated: K y = d0 + D x is a2 y = z - a1 x, and
+    L y <= r0 + R x is row_y y <= rhs - row_x x.  `_projections` takes a
+    square K, so K gets zero rows (0 = 0) or zero columns (coordinates no
+    row reads) up to size max(k, r)."""
+    k, n, r = f.num_eq, f.input_dim, f.output_dim
+    size = max(k, r)
+    K, d0, D = np.zeros((size, size)), np.zeros(size), np.zeros((size, n))
+    K[:k, :r], d0[:k], D[:k] = f.a2, f.z, -f.a1
+    L = np.zeros((f.num_ineq, size))
+    L[:, :r] = f.row_y
+    rows, _, _, _ = _projections(K[None], d0[None], D[None], L[None],
+                                 f.rhs[None], -f.row_x[None])
+    return rows[0]
+
+
+def in_projected_domain(S, x):
+    return bool(np.all(np.abs(S.eq_lhs @ x - S.eq_rhs) <= CMP_TOL)
+                and np.all(S.ineq_lhs @ x - S.ineq_rhs <= CMP_TOL))
+
+
+def dual_corpus():
+    """(f, probe points): the benchmark's `multifunction` pool at its probe
+    points, then random instances 1-60 at five Gaussian points each; each
+    list ends with a point of dom F when dom F is nonempty."""
+    pool = workloads.Multifunction()
+    for index in range(pool.pool_size):
+        f = pool.build(index)
+        yield f, workloads._probe_points(f.input_dim, 6000 + index)
+    for seed in range(1, 61):
+        f = random_instance(seed)
+        rng = SplitMix64(seed + 30_000)
+        yield f, [np.array([2 * rng.normal() for _ in range(f.input_dim)]) for _ in range(5)]
+
+
+class TestDualVertices:
+    def test_gap_dual_solves_no_lp(self, monkeypatch):
+        # the ball is enumerated once per multifunction, then every point is
+        # one product with H
+        lps, balls = [], []
+        original_lp, original_vertices = gpm.solve_lp, gpm.enumerate_vertices
+        monkeypatch.setattr(gpm, "solve_lp", lambda lp: lps.append(lp) or original_lp(lp))
+        monkeypatch.setattr(gpm, "enumerate_vertices",
+                            lambda S: balls.append(S) or original_vertices(S))
+        for seed in range(1, 11):
+            f = random_instance(seed)
+            rng = SplitMix64(seed + 10_000)
+            for _ in range(5):
+                gap_dual(f, np.array([2 * rng.normal() for _ in range(f.input_dim)]))
+        assert lps == []
+        assert len(balls) == 10
+
+    def test_vertices_give_dom_f_in_h_form(self):
+        # three routes to dom F agree at every probe point: the dual
+        # vertices' rows H x + h <= 0 (Farkas), the projection of gph F, and
+        # phase one on the section
+        inside = outside = 0
+        for f, points in dual_corpus():
+            _, H, h = gpm._dual_vertices(f)
+            projected = projected_domain(f)
+            try:
+                points = [*points, gpm._domain_witness(f)]
+            except DegenerateSampler:
+                pass
+            for x in points:
+                member = domain_contains(f, x)
+                assert (np.max(H @ x + h) <= CMP_TOL) == member
+                assert in_projected_domain(projected, x) == member
+                inside += member
+                outside += not member
+        assert inside >= 400 and outside >= 250
+
+    def test_screen_skips_only_draws_outside_the_domain(self, monkeypatch):
+        # the first 25 draws the sampler screens out on each instance are
+        # outside dom F by phase one too; so on the benchmark's bounded pool,
+        # as its tasks sample it, a sampler without the screen reports the
+        # same bytes
+        screened = 0
+        for f, _ in dual_corpus():
+            V, H, h = gpm._dual_vertices(f)
+            draws = []
+            monkeypatch.setattr(gpm, "_dual_vertices",
+                                lambda g, V=V, H=H, h=h, draws=draws: (V, _Recorder(H, draws), h))
+            try:
+                estimate_lipschitz_modulus(f, SectionSamplerConfig(num_pairs=4))
+            except DegenerateSampler:
+                pass
+            monkeypatch.undo()
+            outside = [x for x in draws if np.max(H @ x + h) > CMP_TOL][:25]
+            assert not any(is_nonempty(evaluate(f, x)) for x in outside)
+            screened += len(outside)
+        assert screened >= 800
+        pool = workloads.Multifunction()
+        for index in range(pool.num_boxes + len(pool.canned)):
+            f = pool.build(index)
+            cfg = SectionSamplerConfig(num_pairs=pool.num_pairs, master_seed=index)
+            report = estimate_lipschitz_modulus(f, cfg)[1].to_json_dict()
+            V, H, h = gpm._dual_vertices(f)
+            monkeypatch.setattr(gpm, "_dual_vertices",
+                                lambda g, form=(V, 0.0 * H, 0.0 * h): form)
+            assert estimate_lipschitz_modulus(f, cfg)[1].to_json_dict() == report
+            monkeypatch.undo()
+
+    def test_largest_ball_is_far_inside_the_ray_budget(self):
+        # the canned multifunctions (criterion 3's among them) and criterion
+        # 1's random ones: the largest dual ball has 300 vertices, on
+        # criterion 1's seed 80, against a budget of 1,024 rays
+        canned = [e.payload for e in instgen.canned_suite() if e.kind == "gpm"]
+        corpus = canned + [criterion_gpm(seed) for seed in GPM_CORPUS_SEEDS]
+        sizes = [gpm._dual_vertices(f)[0].shape[0] for f in corpus]
+        assert max(sizes) == 300
+        assert sizes.index(300) == len(canned) + list(GPM_CORPUS_SEEDS).index(80)
+        assert max(sizes) < polyhedra._RAY_BUDGET
+
+    def test_a_ball_past_the_budget_raises(self, monkeypatch):
+        # one code path: past the budget the typed error, never an LP
+        monkeypatch.setattr(polyhedra, "_RAY_BUDGET", 8)
+        f = criterion_gpm(80)
+        with pytest.raises(CapExceeded):
+            gap_dual(f, np.zeros(f.input_dim))
+
+
+class _Recorder:
+    """Stands for H in the sampler's screen and keeps each x it multiplies."""
+
+    def __init__(self, H, seen):
+        self.H, self.seen = H, seen
+
+    def __matmul__(self, x):
+        self.seen.append(x)
+        return self.H @ x
 
 
 class TestMinimax:
@@ -291,8 +436,9 @@ class TestDomainCharacterization:
 
     def test_domain_check_reuses_the_minimax_gaps(self, monkeypatch):
         # both checks probe the same points, as the CLI pairs them: the
-        # domain check reads the primal gaps the minimax check solved, and
-        # a fresh object solves its own
+        # minimax check solves one LP per point (the primal; the dual is read
+        # off the ball's vertices), the domain check reads the primal gaps it
+        # solved, and a fresh object solves its own
         f = random_instance(3)
         rng = SplitMix64(20_003)
         xs = [np.array(rng.normals(f.input_dim)) for _ in range(5)]
@@ -305,14 +451,14 @@ class TestDomainCharacterization:
 
         monkeypatch.setattr(gpm, "solve_lp", counting)
         minimax = verify_minimax(f, xs)
-        assert len(lps) == 2 * len(xs)
+        assert len(lps) == len(xs)
         domain = verify_domain_characterization(f, xs)
-        assert len(lps) == 2 * len(xs)
+        assert len(lps) == len(xs)
         assert [c.gap for c in domain.checks] == [c.primal for c in minimax.checks]
         copy = GpMultifunction(**{k: getattr(f, k) for k in (
             "input_dim", "output_dim", "a1", "a2", "z", "row_x", "row_y", "rhs")})
         assert [gap_primal(copy, x) for x in xs] == [c.primal for c in minimax.checks]
-        assert len(lps) == 3 * len(xs)
+        assert len(lps) == 2 * len(xs)
 
 
 class TestLipschitzModulus:
