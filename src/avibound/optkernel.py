@@ -25,17 +25,21 @@ rows once as {A_std v = rhs, v >= 0} with its slack columns and pivot
 budget, `_phase_one` finds a feasible basis (and is all
 `solve_feasibility` runs), and `_basic_point` reads x off the final basis.
 
-Which basis phase one starts from depends on what the caller reads.  An
-LP returns only its final vertex, and `feasible_witness` only a verdict,
-some point of the set or a Farkas ray, so both start from the slack basis,
-which is often feasible at once (for a set holding the origin) and proves
-most empty sets in fewer pivots.  `solve_feasibility` starts from the
-all-artificial basis by default because its one direct caller,
-`gpm._domain_witness`, reads the point itself: the domain sampler is
-centered on that vertex.  The other all-artificial phase one is
-`feasible_witness`'s fallback, when the slack start ends outside the set.
-Every feasibility phase one, the cached one included, goes through
-`solve_feasibility`.
+`feasible_witness` is the one place that decides whether a set is empty
+and which point it holds; `polyhedra.is_nonempty`, `feasible_point`,
+`enumerate_vertices` and the projection all take its answer.  A box (every
+row on one coordinate) is read off its bounds with no phase one.  Any
+other set runs phase one, and which basis it starts from depends on what
+the caller reads.  An LP returns only its final vertex, and
+`feasible_witness` only a verdict and some point of the set, so both start
+from the slack basis, which is often feasible at once (for a set holding
+the origin) and proves most empty sets in fewer pivots.
+`solve_feasibility` starts from the all-artificial basis by default
+because its one direct caller, `gpm._domain_witness`, reads the point
+itself: the domain sampler is centered on that vertex.  The other
+all-artificial phase one is `feasible_witness`'s fallback, when the slack
+start ends outside the set.  Every feasibility phase one, the cached one
+included, goes through `solve_feasibility`.
 
 Every simplex basis is factored by `lu_factor` and solved by `lu_solve`,
 which call LAPACK getrf/getrs directly, without scipy's batching and
@@ -55,8 +59,8 @@ next iteration reuses that solve.  The rows are stacked once per set
 ratio test takes all rates in one product.
 
 A set's cache holds what its solves would otherwise repeat.
-`feasible_witness` runs that slack-basis phase one at most once per set and
-keeps its outcome, and nothing else writes that entry.  The projection
+`feasible_witness` decides a set at most once and keeps its point (or None
+for an empty set), and nothing else writes that entry.  The projection
 keeps its stacked rows there, and `_gram_solve` the factor of the last
 working set it solved: the solvers project onto one C again and again, each
 from the previous projection, whose tight rows are the last working set, so
@@ -370,25 +374,32 @@ def solve_feasibility(S: PolyhedralSet, *, slack_start: bool = False) -> SolveSt
 
 
 def feasible_witness(S: PolyhedralSet) -> np.ndarray | None:
-    """Phase-one point of S, or None when S is empty.
+    """A point of S, or None when S is empty: the one place that decides
+    both, kept in `S._cache` once per set.
 
-    Phase one runs once per set, from the slack basis as an LP's does: an
-    inequality row with rhs >= 0 starts with its slack basic, so a set of
-    inequality rows that holds the origin is witnessed by the origin without
-    a pivot, and an empty set is usually proved so in fewer pivots than from
-    the all-artificial start.  A point that misses a row of S by more than
-    FEAS_TOL (1 + ||x||) is not kept: the point is then that of the
-    all-artificial start.  The point, or None for an empty set, stays in
-    `S._cache`.  The point is the cached array itself, read-only: copy it
-    before handing it out.
+    A box (`S.box_bounds()`) is read in closed form: empty when some
+    lo_j > hi_j + FEAS_TOL, and otherwise witnessed by the origin clipped
+    into [lo, hi], with no phase one.  Any other set runs phase one from the
+    slack basis, as an LP's does: an inequality row with rhs >= 0 starts
+    with its slack basic, so a set of inequality rows that holds the origin
+    is witnessed by the origin without a pivot, and an empty set is usually
+    proved so in fewer pivots than from the all-artificial start.  A point
+    that misses a row of S by more than FEAS_TOL (1 + ||x||) is not kept:
+    the point is then that of the all-artificial start.  The point is the
+    cached array itself, read-only: copy it before handing it out.
     """
     if "phase one" not in S._cache:
-        x = solve_feasibility(S, slack_start=True).point
-        if x is not None and not _satisfies_rows(S, x, FEAS_TOL * (1.0 + math.sqrt(x @ x))):
-            # on near-parallel rows the final basis can lose primal
-            # feasibility, and `_basic_point` then clips its way to a point
-            # outside S; the all-artificial start is the fallback
-            x = solve_feasibility(S).point
+        bounds = S.box_bounds()
+        if bounds is not None:
+            lo, hi = bounds
+            x = None if np.any(lo > hi + FEAS_TOL) else np.minimum(np.maximum(0.0, lo), hi)
+        else:
+            x = solve_feasibility(S, slack_start=True).point
+            if x is not None and not _satisfies_rows(S, x, FEAS_TOL * (1.0 + math.sqrt(x @ x))):
+                # on near-parallel rows the final basis can lose primal
+                # feasibility, and `_basic_point` then clips its way to a
+                # point outside S; the all-artificial start is the fallback
+                x = solve_feasibility(S).point
         if x is not None:
             x.setflags(write=False)
         S._cache["phase one"] = x
@@ -443,8 +454,9 @@ def _gram_solve(G, rhs, S, active):
 def solve_projection_qp(problem: QpProjectionProblem, start=None) -> np.ndarray:
     """Euclidean projection of `problem.target` onto `problem.feasible_set`.
 
-    If the target u is feasible it is returned at once, and a pure box
-    constraint system short-circuits to coordinate clipping.  Otherwise a
+    If the target u is feasible it is returned at once, and a box
+    (`S.box_bounds()`) short-circuits to coordinate clipping, once
+    `feasible_witness` has found it nonempty.  Otherwise a
     primal active-set method runs from `start`, a point of the set whose
     tight rows form the first working set.  When `start` is None or lies
     outside the set by more than FEAS_TOL * (1 + ||u||), the iteration
@@ -459,7 +471,7 @@ def solve_projection_qp(problem: QpProjectionProblem, start=None) -> np.ndarray:
     drop rule its multipliers.  Ties in blocking-constraint selection and in
     the drop rule are broken by lowest row index.
 
-    Raises EmptySet when the feasible set is empty.
+    Raises EmptySet when `feasible_witness` finds the feasible set empty.
     """
     u = problem.target
     S = problem.feasible_set
@@ -469,9 +481,9 @@ def solve_projection_qp(problem: QpProjectionProblem, start=None) -> np.ndarray:
         return u.copy()
     bounds = S.box_bounds()
     if bounds is not None:
-        lo, hi = bounds
-        if np.any(lo > hi + FEAS_TOL):
+        if feasible_witness(S) is None:
             raise EmptySet("projection onto an empty box")
+        lo, hi = bounds
         return np.minimum(np.maximum(u, lo), np.minimum(hi, np.maximum(lo, hi)))
     if start is not None:
         start = _as_vector(start, u.size, "start")

@@ -78,13 +78,8 @@ class VertexSet:
 
 
 def is_nonempty(S: PolyhedralSet) -> bool:
-    """Whether S has a point within the kernel's `FEAS_TOL`; a box is read
-    off its bounds, any other set shares its phase-one witness with the
-    projection."""
-    bounds = S.box_bounds()
-    if bounds is not None:
-        lo, hi = bounds
-        return bool(np.all(lo <= hi + FEAS_TOL))
+    """Whether S has a point within the kernel's `FEAS_TOL`: whether
+    `feasible_witness`, which the projection shares, finds one."""
     return feasible_witness(S) is not None
 
 
@@ -255,41 +250,35 @@ def _by_tight_rows(rows: np.ndarray, points: np.ndarray) -> list:
 
 
 def _vertex_points(S: PolyhedralSet):
-    """(points, directions, L) of a nonempty S, before any dedup.
+    """(points, directions, L) of S, before any dedup.
 
     Read off the extreme rays z = (x, t) of the homogenized cone
     {(x, t) : E0 x - d0 t = 0, A x - b t <= 0, t >= 0}, pointed once the
     lineality (the columns of L) is split off: a ray with t > _ZERO_TOL
     gives the point x / t of a minimal face, one with t <= _ZERO_TOL the
     unit recession direction x / |x|.  Each list is sorted by the rows tight
-    at its members (`_by_tight_rows`).  A set that is empty but within
-    FEAS_TOL of a point has no ray with t > 0; its one point is its
-    feasible point.  When the equality rows and the lineality pin x
-    (`free` = 0), the one point is their least-squares solution, kept only
-    when it satisfies the rows within FEAS_TOL, and no double description
-    runs.
+    at its members (`_by_tight_rows`).  Where double description gives no
+    point, the one point is `feasible_witness`'s, and there is none when it
+    finds S empty.  That covers a set that holds a point only within
+    FEAS_TOL (its cone has no ray with t > 0) and a set whose equality rows
+    and lineality pin x (`free` = 0), where no double description runs.
     """
     n = S.ambient_dim
     L, E0, d0, free = _pointed_part(S)
     A, b = S.ineq_lhs, S.ineq_rhs
-    m = A.shape[0]
-    if free == 0:
-        x = np.linalg.lstsq(E0, d0, rcond=None)[0]
-        if np.linalg.norm(E0 @ x - d0) <= FEAS_TOL * (1 + np.linalg.norm(d0)):
-            if m == 0 or np.max(A @ x - b) <= FEAS_TOL * (1 + np.linalg.norm(x)):
-                return [x], [], L
-        return [], [], L
-    G = np.vstack([np.hstack([A, -b[:, None]]), -np.eye(1, n + 1, n)])
-    Z = _extreme_rays(np.hstack([E0, -d0[:, None]]), G)
-    t = Z[:, n]
-    points = Z[t > _ZERO_TOL]
-    if points.size:
-        points = [z[:n] / z[n] for z in _by_tight_rows(G[:m], points)]
-    else:
-        points = [feasible_point(S)]
-    directions = Z[t <= _ZERO_TOL, :n]
-    directions /= np.linalg.norm(directions, axis=1)[:, None]
-    return points, _by_tight_rows(A, directions), L
+    points, directions = [], []
+    if free:
+        G = np.vstack([np.hstack([A, -b[:, None]]), -np.eye(1, n + 1, n)])
+        Z = _extreme_rays(np.hstack([E0, -d0[:, None]]), G)
+        t = Z[:, n]
+        points = [z[:n] / z[n] for z in _by_tight_rows(G[:A.shape[0]], Z[t > _ZERO_TOL])]
+        directions = Z[t <= _ZERO_TOL, :n]
+        directions /= np.linalg.norm(directions, axis=1)[:, None]
+        directions = _by_tight_rows(A, directions)
+    if not points:
+        witness = feasible_witness(S)
+        points = [] if witness is None else [witness.copy()]
+    return points, directions, L
 
 
 def enumerate_vertices(S: PolyhedralSet) -> VertexSet:
@@ -301,13 +290,15 @@ def enumerate_vertices(S: PolyhedralSet) -> VertexSet:
     of each other.  The lineality directions follow the recession rays as
     opposite pairs.
 
-    Raises EmptySet when S is empty, and passes on `_extreme_rays`'
+    Raises EmptySet when `_vertex_points` finds no point (then
+    `feasible_witness` finds S empty), with no emptiness test before the
+    double description, and passes on `_extreme_rays`'
     CapExceeded (more than 1,024 rays after a cut) and NumericalBreakdown
     (the homogenized cone is not pointed in floating point).
     """
-    if not is_nonempty(S):
-        raise EmptySet("cannot enumerate vertices of an empty set")
     points, directions, L = _vertex_points(S)
+    if not points:
+        raise EmptySet("cannot enumerate vertices of an empty set")
     vertices = _dedup(points, relative=True)
     rays = _dedup(directions, relative=False)
     for j in range(L.shape[1]):
@@ -318,8 +309,7 @@ def enumerate_vertices(S: PolyhedralSet) -> VertexSet:
 def _minimal_face_rows(S: PolyhedralSet) -> list:
     """The inequality rows tight at each point of a minimal face of a
     nonempty S, as index tuples, one per point of `_vertex_points` (repeats
-    kept; no tuple when the least-squares point of a set with `free` = 0
-    misses its rows).
+    kept).
 
     A row is tight at v when |A_i v - b_i| <= FEAS_TOL (1 + ||v||), the
     slack at which the kernel accepts a point.  Every nonempty face of S

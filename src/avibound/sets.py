@@ -86,44 +86,36 @@ class PolyhedralSet:
         return worst
 
     def box_bounds(self):
-        """(lo, hi) coordinate bounds when every row touches one coordinate.
-
-        Returns None as soon as any row has two or more nonzero coefficients;
-        callers use this as the fast path for orthants, boxes and intervals.
+        """(lo, hi) coordinate bounds when every row has exactly one nonzero
+        coefficient, else None (a zero row included); a set without rows is
+        unbounded.  An inequality row bounds its coordinate from one side
+        and an equality row from both, each bound the tightest of its rows'
+        `rhs / coefficient`.  Computed once per set, with no loop over the
+        rows, and kept in the set's cache; `optkernel` alone reads it, where
+        `feasible_witness` decides a box's emptiness and point.
         """
-        cached = self._cache.get("box")
-        if cached is not None:
-            return cached if cached != "none" else None
-        n = self.ambient_dim
-        lo = np.full(n, -np.inf)
-        hi = np.full(n, np.inf)
-
-        def single_coord(row):
-            nz = np.nonzero(row)[0]
-            return int(nz[0]) if nz.size == 1 else None
-
-        ok = True
-        for row, rhs in zip(self.ineq_lhs, self.ineq_rhs):
-            j = single_coord(row)
-            if j is None:
-                ok = False
-                break
-            if row[j] > 0:
-                hi[j] = min(hi[j], rhs / row[j])
-            else:
-                lo[j] = max(lo[j], rhs / row[j])
-        if ok:
-            for row, rhs in zip(self.eq_lhs, self.eq_rhs):
-                j = single_coord(row)
-                if j is None:
-                    ok = False
-                    break
-                v = rhs / row[j]
-                lo[j] = max(lo[j], v)
-                hi[j] = min(hi[j], v)
-        result = (lo, hi) if ok else None
-        self._cache["box"] = result if result is not None else "none"
-        return result
+        if "box" not in self._cache:
+            rows = np.concatenate([self.ineq_lhs, self.eq_lhs])
+            bounds = None
+            # one nonzero coefficient per row: as many as there are rows,
+            # and no row without one; a row's sum is that coefficient
+            if np.count_nonzero(rows) == len(rows) and rows.any(axis=1).all():
+                value = (np.concatenate([self.ineq_rhs, self.eq_rhs]) / rows.sum(axis=1))[:, None]
+                both = (np.arange(len(rows)) >= self.num_ineq)[:, None] & (rows != 0)
+                columns = np.arange(self.ambient_dim)
+                bounds = []
+                # each row's bound sits in its coordinate's column, +-inf
+                # elsewhere; the first row of a column to attain its tightest
+                # value sets the bound, so of 0.0 and -0.0 it keeps the sign
+                # that a loop of max() or min() over the rows in order would
+                for side, fill, first in (((rows < 0) | both, -np.inf, np.argmax),
+                                          ((rows > 0) | both, np.inf, np.argmin)):
+                    table = np.where(side, value, fill)
+                    bounds.append(table[first(table, axis=0), columns] if len(rows)
+                                  else np.full(columns.size, fill))
+                bounds = tuple(bounds)
+            self._cache["box"] = bounds
+        return self._cache["box"]
 
     def to_json_dict(self) -> dict:
         return {

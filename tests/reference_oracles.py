@@ -22,7 +22,9 @@ before it read the faces off one double description of C, and
 projection the templates ran one at a time before `avi._build_templates`
 stacked them.  Both it and `reference_piece` take the face F_I from `_face`,
 which slices C's rows itself, where each template keeps its face's rows as
-views of the stacks `avi._build_templates` filled.
+views of the stacks `avi._build_templates` filled.  `box_bounds_loop` is
+the row-by-row loop `PolyhedralSet.box_bounds` ran before it read all rows
+in one vectorized pass.
 """
 
 import itertools
@@ -250,6 +252,36 @@ def dedup_loop(points, relative: bool) -> list:
         ):
             kept.append(p)
     return kept
+
+
+def box_bounds_loop(S: PolyhedralSet):
+    """(lo, hi) coordinate bounds of S when every row touches one
+    coordinate, None as soon as a row has any other number of nonzero
+    coefficients: one row at a time, inequality rows first."""
+    n = S.ambient_dim
+    lo = np.full(n, -np.inf)
+    hi = np.full(n, np.inf)
+
+    def single_coord(row):
+        nz = np.nonzero(row)[0]
+        return int(nz[0]) if nz.size == 1 else None
+
+    for row, rhs in zip(S.ineq_lhs, S.ineq_rhs):
+        j = single_coord(row)
+        if j is None:
+            return None
+        if row[j] > 0:
+            hi[j] = min(hi[j], rhs / row[j])
+        else:
+            lo[j] = max(lo[j], rhs / row[j])
+    for row, rhs in zip(S.eq_lhs, S.eq_rhs):
+        j = single_coord(row)
+        if j is None:
+            return None
+        v = rhs / row[j]
+        lo[j] = max(lo[j], v)
+        hi[j] = min(hi[j], v)
+    return lo, hi
 
 
 def _face(C: PolyhedralSet, active: tuple) -> PolyhedralSet:

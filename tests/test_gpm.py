@@ -7,7 +7,7 @@ from reference_oracles import annihilator_residual
 from test_acceptance import GPM_CORPUS_SEEDS
 from test_acceptance import random_gpm as criterion_gpm
 
-from avibound import CapExceeded, DegenerateSampler, gpm, instgen, polyhedra
+from avibound import CapExceeded, DegenerateSampler, gpm, instgen, optkernel, polyhedra
 from avibound.cli import main
 from avibound.gpm import (
     GpMultifunction,
@@ -290,6 +290,25 @@ class TestDualVertices:
                 gap_dual(f, np.array([2 * rng.normal() for _ in range(f.input_dim)]))
         assert lps == []
         assert len(balls) == 10
+
+    def test_ball_enumeration_runs_no_phase_one(self, monkeypatch):
+        # the ball holds the origin, and double description finds its
+        # vertices without an emptiness test first; only a ball that its
+        # equality rows pin to the origin, and that is no box, takes its one
+        # point from the phase one of `feasible_witness`: 6 of the corpus
+        calls = []
+        original = optkernel.solve_feasibility
+        monkeypatch.setattr(optkernel, "solve_feasibility",
+                            lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
+        balls = pinned = 0
+        for f, _ in dual_corpus():
+            before = len(calls)
+            V = gpm._dual_vertices(f)[0]
+            if len(calls) > before:
+                assert len(calls) - before == 1 and not V.any()
+                pinned += 1
+            balls += V.shape[1] > 0
+        assert balls >= 90 and pinned == 6
 
     def test_vertices_give_dom_f_in_h_form(self):
         # three routes to dom F agree at every probe point: the dual

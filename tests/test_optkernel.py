@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_oracles import brute_force_projection
+from reference_oracles import box_bounds_loop, brute_force_projection
 from scipy.optimize import linprog
 from test_polyhedra import _all_near_parallel_sets, _near_parallel_sets, _random_sets
 
@@ -607,7 +607,7 @@ class TestWitnessCache:
     def test_one_phase_one_solve_per_set(self, feasibility_calls):
         S = _triangle()
         # every routine over S shares its one phase one, on repeated calls
-        # too: vertices and Hausdorff distances test emptiness first
+        # too
         for _ in range(2):
             assert is_nonempty(S)
             feasible_point(S)
@@ -647,6 +647,96 @@ class TestWitnessCache:
         with pytest.raises(EmptySet):
             feasible_point(S)
         assert len(feasibility_calls) == 1
+
+
+def _margin_box(gap):
+    """{x : x1 <= 0.3, x1 >= 0.3 + gap, -1 <= x2 <= 2}: lo_1 = hi_1 + gap."""
+    return PolyhedralSet(2, ineq_lhs=[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                         ineq_rhs=[0.3, -(0.3 + gap), 2.0, 1.0])
+
+
+class TestBoxWitness:
+    """A box's emptiness and point are read off its bounds by
+    `feasible_witness`, the one place that decides them, with no phase
+    one."""
+
+    def test_a_box_runs_no_phase_one(self, feasibility_calls):
+        pinned = PolyhedralSet(3, eq_lhs=np.eye(3), eq_rhs=[0.1, 0.2, 0.3])
+        np.testing.assert_array_equal(feasible_point(pinned), [0.1, 0.2, 0.3])
+        np.testing.assert_array_equal(enumerate_vertices(pinned).vertices, [[0.1, 0.2, 0.3]])
+        S = box([-1.0, 0.5, -2.0], [1.0, 2.0, -1.0])
+        assert is_nonempty(S)
+        # the origin clipped into the box
+        np.testing.assert_array_equal(feasible_point(S), [0.0, 0.5, -1.0])
+        np.testing.assert_array_equal(project_onto([3.0, 0.0, 0.0], S), [1.0, 0.5, -1.0])
+        assert feasibility_calls == []
+
+    @pytest.mark.parametrize("gap, empty", [(2e-9, True), (5e-10, False)])
+    def test_the_emptiness_margin_is_feas_tol(self, gap, empty):
+        # every entry point decides a fresh set, so none reads another's
+        # verdict from the cache
+        assert is_nonempty(_margin_box(gap)) is not empty
+        entries = (
+            feasible_point,
+            lambda S: project_onto([5.0, 5.0], S),
+            enumerate_vertices,
+        )
+        for entry in entries:
+            if empty:
+                with pytest.raises(EmptySet):
+                    entry(_margin_box(gap))
+            else:
+                entry(_margin_box(gap))
+
+
+def _single_coordinate_sets(count=2000):
+    """Seeded sets whose rows mostly touch one coordinate each: mixed signs
+    and scales, repeated coordinates, right-hand sides of 0 (whose bounds
+    are signed zeros), equality rows, and now and then a row with two
+    coefficients, a zero row, or no rows at all."""
+    rng = SplitMix64(33)
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        blocks = []
+        for num_rows in (rng.randint(0, 6), rng.randint(0, 2)):
+            lhs = np.zeros((num_rows, n))
+            rhs = np.zeros(num_rows)
+            for i in range(num_rows):
+                kind = rng.randint(0, 39)
+                if kind > 1:
+                    lhs[i, rng.randint(0, n - 1)] = (
+                        rng.normal() if kind % 2 else (1.0 if kind % 4 else -1.0))
+                if kind == 1:
+                    lhs[i] = rng.normals(n)
+                rhs[i] = 0.0 if kind % 3 == 0 else rng.normal()
+            blocks += [lhs, rhs]
+        yield PolyhedralSet(n, *blocks)
+
+
+def _same_bounds(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+def test_box_bounds_match_the_row_loop():
+    # bit for bit, signed zeros included, on the seeded corpus and on every
+    # piece of the benchmark's `preimage` pool at level 0
+    boxes = others = 0
+    for S in _single_coordinate_sets():
+        bounds = S.box_bounds()
+        assert _same_bounds(bounds, box_bounds_loop(S))
+        boxes += bounds is not None
+        others += bounds is None
+    assert boxes > 1000 and others > 100
+    pool = workloads.Preimage()
+    pieces = 0
+    for index in range(pool.pool_size):
+        inst = pool.build(index)
+        for piece in avi.inverse_residual(inst, np.zeros(inst.dim)):
+            assert _same_bounds(piece.box_bounds(), box_bounds_loop(piece)), index
+            pieces += 1
+    assert pieces > 30
 
 
 class TestLapackHelpers:

@@ -31,7 +31,9 @@ geometry or the kernel.  Only `sets` and `optkernel` read or write a
 phase-one point, the stacked projection rows, the last Gram factor) has one
 owner that decides when it is filled and what it may be trusted for.
 Within `optkernel`, only `feasible_witness` writes the phase-one entry, so
-a set's phase-one point is always the one its own phase one found.
+a set's phase-one point is always the one its own phase one found.  Only
+`optkernel` calls `.box_bounds()`, where `feasible_witness` reads a box's
+emptiness and point off it, so no other module grows its own box rule.
 """
 
 import argparse
@@ -612,3 +614,31 @@ def test_phase_one_rule_catches_a_write():
         (2, "feasible_witness"), (6, "seed"), (9, "Piece.reset"), (10, "Piece.reset"),
         (11, "Piece.reset"), (14, ""),
     ]
+
+
+def _box_bounds_calls(tree):
+    """Lines of every call of a `.box_bounds()` method."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "box_bounds"
+    )
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "optkernel.py"],
+                         ids=lambda p: p.name)
+def test_only_the_kernel_reads_box_bounds(path):
+    found = _box_bounds_calls(ast.parse(path.read_text(encoding="utf-8")))
+    assert not found, f"{path.name} calls .box_bounds() at lines {found}"
+
+
+def test_box_bounds_rule_catches_a_call():
+    source = (
+        "bounds = S.box_bounds()\n"
+        "if inst.c_set.box_bounds() is None:\n"
+        "    lo, hi = self.box_bounds()\n"
+        "box_bounds(S)\n"
+        "S.box_bounds\n"
+        "S.box_bound()\n"
+    )
+    assert _box_bounds_calls(ast.parse(source)) == [1, 2, 3]
