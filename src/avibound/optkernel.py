@@ -15,10 +15,11 @@ classification, and each pivot is kept cheap:
   on request, the slack basis, returning a witness point (the origin, for
   a set without rows), or for an empty set the Farkas ray read off phase
   one's final basis.
-- `solve_projection_qp`: primal active-set method for the strictly convex
-  problem min ||z - u||^2 over a polyhedron, started from a caller's point
-  of the set (the solvers' iterates, and the point at which `avi.residual`
-  is evaluated) or from its phase-one witness.
+- `solve_projection_qp`: a lookup of the set's last optimal cell, then a
+  primal active-set method for the strictly convex problem min ||z - u||^2
+  over a polyhedron, started from a caller's point of the set (the solvers'
+  iterates, and the point at which `avi.residual` is evaluated) or from its
+  phase-one witness.
 
 The two simplex solves share one pipeline: `_standard_form` writes the
 rows once as {A_std v = rhs, v >= 0} with its slack columns and pivot
@@ -62,12 +63,18 @@ A set's cache holds what its solves would otherwise repeat.
 `feasible_witness` decides a set at most once and keeps its point (or None
 for an empty set), and nothing else writes that entry.  The projection
 keeps its stacked rows there, and `_gram_solve` the factor of the last
-working set it solved: the solvers project onto one C again and again, each
-from the previous projection, whose tight rows are the last working set, so
-that set's factorization is usually done.  Both are what a fresh stack and
-a fresh potrf would compute, bit for bit, so a projection does not depend
-on the projections that ran before it; only the phase-one point, from which
-a projection without a start begins, depends on how the set was used.
+working set it solved.  When a projection ends on that working set with a
+Cholesky factor, the entry grows into the set's last optimal cell: P_C is
+piecewise affine, and the solvers project onto one C again and again with
+targets that move little, so the next target usually lies in the same
+cell.  The projection tries that cell first, with one potrs and a KKT test
+with strict margins, and runs the active-set loop only when the test
+fails.  Both paths return the KKT point of their working set, computed by
+the same products from the same factor, and the test accepts only the one
+working set that is optimal at the target, so a projection does not depend
+on the projections that ran before it; only the phase-one point, from
+which a projection without a start begins, depends on how the set was
+used.
 """
 
 from __future__ import annotations
@@ -427,12 +434,14 @@ def _gram_solve(G, rhs, S, active):
     (LAPACK potrf/potrs) when the factorization succeeds and its smallest
     pivot L_ii^2 is at least 1e-10 of its largest; otherwise, as for
     dependent working rows, the minimum-norm least-squares solution.  The
-    last working set factored on S stays in `S._cache`, keyed by the exact
-    bytes of `active`, with its Cholesky factor (or, on the `lstsq` path,
-    its Gram matrix), so the next solve on that working set, in this call or
-    a later one, skips the factorization.  potrf is deterministic, so a
-    cached factor is the one a fresh factorization would give, and nu does
-    not depend on the call history.
+    last working set factored on S stays in `S._cache["gram"]`, keyed by the
+    exact bytes of `active`, with its Cholesky factor (or, on the `lstsq`
+    path, its Gram matrix), so the next solve on that working set, in this
+    call or a later one, skips the factorization.  potrf is deterministic,
+    so a cached factor is the one a fresh factorization would give, and nu
+    does not depend on the call history.  The entry's last field is the
+    cell `solve_projection_qp` tries first: None until a projection ends on
+    that working set with a Cholesky factor.
     """
     key = active.tobytes()
     last = S._cache.get("gram")
@@ -441,11 +450,11 @@ def _gram_solve(G, rhs, S, active):
         factor, info = _potrf(gram)
         diag = factor.diagonal()
         if info == 0 and diag.min() ** 2 >= 1e-10 * diag.max() ** 2:
-            last = (key, factor, True)
+            last = (key, factor, True, None)
         else:
-            last = (key, gram, False)
+            last = (key, gram, False, None)
         S._cache["gram"] = last
-    _, matrix, cholesky = last
+    _, matrix, cholesky, _ = last
     if cholesky:
         return _potrs(matrix, rhs)[0]
     return np.linalg.lstsq(matrix, rhs, rcond=None)[0]
@@ -456,20 +465,47 @@ def solve_projection_qp(problem: QpProjectionProblem, start=None) -> np.ndarray:
 
     If the target u is feasible it is returned at once, and a box
     (`S.box_bounds()`) short-circuits to coordinate clipping, once
-    `feasible_witness` has found it nonempty.  Otherwise a
-    primal active-set method runs from `start`, a point of the set whose
-    tight rows form the first working set.  When `start` is None or lies
-    outside the set by more than FEAS_TOL * (1 + ||u||), the iteration
-    starts from the set's cached phase-one witness (`feasible_witness`)
-    instead.  Each working set gets one Gram solve (`_gram_solve`: a
-    Cholesky solve, or `lstsq` when a pivot falls below 1e-10 of the
-    largest, reusing the set's cached factor when the working set is the
-    last one it factored) of the working rows G, for the multipliers nu of
-    min ||z - u|| over {G z = h}; an iteration whose working set did not
-    change since the last solve (after a full step with no blocking row)
-    reuses it.  When the step vanishes, u - z = G^T nu, so nu also gives the
-    drop rule its multipliers.  Ties in blocking-constraint selection and in
-    the drop rule are broken by lowest row index.
+    `feasible_witness` has found it nonempty.  Otherwise the set's last
+    optimal cell is tried, and the active-set method runs only when it
+    fails.
+
+    P_C is piecewise affine: on the cell where the working set W is optimal,
+    P_C(u) = u - G^T (G G^T)^{-1} (G u - h) for W's rows G z = h (every
+    equality row and the inequality rows of W).  A projection that ends on a
+    working set with a Cholesky factor keeps it in `S._cache["gram"]` with
+    its cell: G, h and the inequality rows outside W.  The lookup makes one
+    potrs, nu = (G G^T)^{-1} (G u - h), and w = u - G^T nu, and accepts w
+    only with strict margins: every inequality multiplier of W above
+    _DROP_TOL, and every row outside W slack by more than
+    FEAS_TOL * (1 + ||u||).  A hit does not read `start`.
+
+    Otherwise a primal active-set method runs from `start`, a point of the
+    set whose tight rows form the first working set.  When `start` is None
+    or lies outside the set by more than FEAS_TOL * (1 + ||u||), the
+    iteration starts from the set's cached phase-one witness
+    (`feasible_witness`) instead.  Each working set gets one Gram solve
+    (`_gram_solve`: a Cholesky solve, or `lstsq` when a pivot falls below
+    1e-10 of the largest, reusing the set's cached factor when the working
+    set is the last one it factored) of the working rows G, for the
+    multipliers nu of min ||z - u|| over {G z = h}; an iteration whose
+    working set did not change since the last solve (after a full step with
+    no blocking row) reuses it.  When the step vanishes, u - z = G^T nu, so
+    nu also gives the drop rule its multipliers.  Ties in blocking-constraint
+    selection and in the drop rule are broken by lowest row index.  The
+    loop returns the KKT point w = u - G^T nu of its final working set, not
+    its iterate z, so both paths compute their result from (u, W) alone, by
+    the same products.
+
+    So the result does not depend on call history.  A working set that
+    passes the lookup's test is the active set of P_C(u): its rows have
+    positive multipliers and every other row is slack, so with independent
+    rows it is the only one that passes.  The loop ends on a working set
+    whose multipliers are >= -_DROP_TOL and whose iterate is feasible, the
+    same KKT conditions with weak margins; where the strict margins hold,
+    that is the same W.  Where they do not (a multiplier within _DROP_TOL of
+    0, a row within FEAS_TOL of tight), the lookup misses and the loop
+    decides, as on a fresh set.  A working set with dependent rows takes
+    the `lstsq` path and keeps no cell.
 
     Raises EmptySet when `feasible_witness` finds the feasible set empty.
     """
@@ -484,7 +520,16 @@ def solve_projection_qp(problem: QpProjectionProblem, start=None) -> np.ndarray:
         if feasible_witness(S) is None:
             raise EmptySet("projection onto an empty box")
         lo, hi = bounds
-        return np.minimum(np.maximum(u, lo), np.minimum(hi, np.maximum(lo, hi)))
+        return np.minimum(np.maximum(u, lo), hi)
+    k_eq = S.num_eq
+    # the last optimal cell: one potrs, accepted with strict KKT margins
+    last = S._cache.get("gram")
+    if last is not None and last[3] is not None:
+        G, h, outside, room = last[3]
+        nu = _potrs(last[1], G @ u - h)[0]
+        w = u - G.T @ nu
+        if (nu[k_eq:] > _DROP_TOL).all() and (room - outside @ w > tol).all():
+            return w
     if start is not None:
         start = _as_vector(start, u.size, "start")
     if start is None or not _satisfies_rows(S, start, tol):
@@ -492,7 +537,6 @@ def solve_projection_qp(problem: QpProjectionProblem, start=None) -> np.ndarray:
         if start is None:
             raise EmptySet("projection onto an empty polyhedron")
     A, b = S.ineq_lhs, S.ineq_rhs
-    k_eq = S.num_eq
     rows, rhs = _projection_rows(S)
     z = start.copy()
     # the working set: the tight inequality rows, read in ascending order
@@ -507,16 +551,20 @@ def solve_projection_qp(problem: QpProjectionProblem, start=None) -> np.ndarray:
             active = np.concatenate([eq_rows, k_eq + tight])
             if active.size:
                 G = rows[active]
-                nu = _gram_solve(G, G @ u - rhs[active], S, active)
+                h = rhs[active]
+                nu = _gram_solve(G, G @ u - h, S, active)
                 w = u - G.T @ nu
             else:
-                w = u
+                w = u.copy()
             solved = True
         p = w - z
         if math.sqrt(p @ p) <= step_tol:
             negative = (nu[k_eq:] < -_DROP_TOL).nonzero()[0] if tight.size else ()
             if not len(negative):
-                return z
+                last = S._cache["gram"]
+                if active.size and last[2] and last[3] is None:
+                    S._cache["gram"] = last[:3] + ((G, h, A[~working], b[~working]),)
+                return w
             working[tight[negative[0]]] = False
             solved = False
             continue

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import sys
 import warnings
@@ -22,6 +23,7 @@ from avibound import (
     box,
     nonnegative_orthant,
     optkernel,
+    solvers,
 )
 from avibound.optkernel import (
     FEAS_TOL,
@@ -936,11 +938,14 @@ def test_projections_do_not_depend_on_call_history(monkeypatch):
 
 def test_solver_tail_pass_factors_each_working_set_once(monkeypatch):
     # One pass over the benchmark's `solver_tail` pool (16 extragradient
-    # solves, 7,345 projections onto their C): a set keeps the Cholesky
-    # factor of the last working set it solved, which is usually the working
-    # set the next projection starts from, and a call does not solve an
-    # unchanged working set twice.  With the factorization and solve rerun at
-    # every iteration, the pass made 12,569 potrf and 12,569 potrs calls.
+    # solves, 7,345 projections onto their C).  A set keeps the cell of the
+    # last working set a projection ended on, and the next target onto it
+    # usually lies in that cell: 5,652 calls take the cell with one potrs,
+    # and 393 run the active-set loop.  A loop keeps the Cholesky factor of
+    # the last working set it solved and does not solve an unchanged working
+    # set twice.  With the factorization and solve rerun at every iteration,
+    # the pass made 12,569 potrf and 12,569 potrs calls; with the factor
+    # cache alone, 643 and 6,455, and 6,045 calls ran the loop.
     counts = {"_potrf": 0, "_potrs": 0}
 
     def counted(name):
@@ -954,10 +959,123 @@ def test_solver_tail_pass_factors_each_working_set_once(monkeypatch):
 
     for name in counts:
         monkeypatch.setattr(optkernel, name, counted(name))
+    loops = _count_loops(monkeypatch)
+    hits = [0]
+    project = optkernel.solve_projection_qp
+
+    def classified(problem, start=None):
+        # a call that neither returns its target nor runs the loop took the
+        # cell (no set of the pool is a box)
+        before = len(loops)
+        z = project(problem, start)
+        u = problem.target
+        outside = not problem.feasible_set.contains(u, FEAS_TOL * (1.0 + np.linalg.norm(u)))
+        hits[0] += outside and len(loops) == before
+        return z
+
+    for module in (avi, solvers):
+        monkeypatch.setattr(module, "solve_projection_qp", classified)
     pool = workloads.SolverTail()
     for index in range(pool.pool_size):
         assert pool.run(index, pool.build(index))["invariants"]
-    assert counts == {"_potrf": 643, "_potrs": 6455}
+    assert counts == {"_potrf": 566, "_potrs": 6785}
+    assert (hits[0], len(loops)) == (5652, 393)
+
+
+def _count_loops(monkeypatch):
+    """The sets on which `solve_projection_qp` ran its active-set loop,
+    one entry per run, recorded through `_projection_rows`."""
+    loops = []
+    original = optkernel._projection_rows
+
+    def recording(S):
+        loops.append(S)
+        return original(S)
+
+    monkeypatch.setattr(optkernel, "_projection_rows", recording)
+    return loops
+
+
+def _runs(loops, S):
+    return sum(T is S for T in loops)
+
+
+class TestCellLookup:
+    """A projection that ends on a working set W with a Cholesky factor
+    leaves W's cell in its set's cache, and the next projection onto the set
+    tries it first: it is accepted only when every inequality multiplier of
+    W exceeds `_DROP_TOL` and every row outside W is slack by more than
+    FEAS_TOL (1 + ||u||), and otherwise the loop runs as on a fresh set.  On
+    the hexagon, W = {0} is optimal for u = (t, y) with t > 1 and
+    |y| < 1 / sqrt(3), and P(u) = (1, y)."""
+
+    def test_targets_in_one_cell_take_it(self, monkeypatch):
+        loops = _count_loops(monkeypatch)
+        hexagon = _hexagon()
+        project_onto([2.0, 0.0], hexagon)
+        assert _runs(loops, hexagon) == 1
+        for u in ([1.5, 0.3], [3.0, -0.4], [1.2, 0.5], [7.0, -0.55]):
+            z = project_onto(u, hexagon)
+            assert _runs(loops, hexagon) == 1, u
+            np.testing.assert_allclose(z, [1.0, u[1]], atol=1e-12)
+            assert z.tobytes() == project_onto(u, _fresh(hexagon)).tobytes()
+        assert _runs(loops, hexagon) == 1
+
+    def test_a_neighbouring_cell_misses(self, monkeypatch):
+        loops = _count_loops(monkeypatch)
+        hexagon = _hexagon()
+        project_onto([2.0, 0.0], hexagon)
+        # (2, 2) projects onto the vertex of rows 0 and 1, where row 1 is
+        # violated by W = {0}'s point; (0.5, 2.5) projects onto edge 1
+        for count, u in enumerate(([2.0, 2.0], [0.5, 2.5], [2.0, 0.0]), start=2):
+            z = project_onto(u, hexagon)
+            assert _runs(loops, hexagon) == count, u
+            assert z.tobytes() == project_onto(u, _fresh(hexagon)).tobytes()
+        # the last call left W = {0} again, and (3, 0.2) lies in its cell
+        project_onto([3.0, 0.2], hexagon)
+        assert _runs(loops, hexagon) == 4
+
+    @pytest.mark.parametrize("u", [
+        # a multiplier of 5e-8, below _DROP_TOL
+        [1.0 + 5e-8, 0.1],
+        # W = {0}'s point leaves row 1 slack by 1e-10, within FEAS_TOL
+        [2.0, (0.5 - 1e-10) / math.sin(math.pi / 3.0)],
+    ])
+    def test_a_target_on_a_cell_boundary_runs_the_loop(self, monkeypatch, u):
+        loops = _count_loops(monkeypatch)
+        hexagon = _hexagon()
+        project_onto([2.0, 0.0], hexagon)
+        assert not hexagon.contains(u, FEAS_TOL * (1.0 + np.linalg.norm(u)))
+        z = project_onto(u, hexagon)
+        assert _runs(loops, hexagon) == 2
+        assert z.tobytes() == project_onto(u, _fresh(hexagon)).tobytes()
+
+    def test_dependent_working_sets_keep_no_cell(self, monkeypatch):
+        # from the degenerate vertex v the loop ends on the n + 2 dependent
+        # rows through v, solved by lstsq, and keeps no cell; from the
+        # phase-one witness it can end on n independent rows through v, and
+        # then the rows through v left out of W are tight, so the cell is
+        # refused and the loop decides again
+        loops = _count_loops(monkeypatch)
+        refused = 0
+        for seed, (S, v, normals) in enumerate(_degenerate_sets()):
+            rng = SplitMix64(9000 + seed)
+            weights = np.array([abs(rng.normal()) for _ in range(len(normals))])
+            u = v + weights @ normals
+            for _ in range(2):
+                z = project_onto(u, S, start=v)
+                assert z.tobytes() == project_onto(u, _fresh(S), start=v).tobytes()
+                _, _, cholesky, cell = S._cache["gram"]
+                assert not cholesky and cell is None, seed
+            if S._cache["gram"][3] is None:
+                project_onto(u, S)
+            if S._cache["gram"][3] is not None:
+                before = _runs(loops, S)
+                z = project_onto(u, S, start=v)
+                assert _runs(loops, S) == before + 1, seed
+                assert z.tobytes() == project_onto(u, _fresh(S), start=v).tobytes()
+                refused += 1
+        assert refused > 5
 
 
 class TestDegenerateInputs:
