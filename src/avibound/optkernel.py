@@ -67,14 +67,13 @@ working set it solved.  When a projection ends on that working set with a
 Cholesky factor, the entry grows into the set's last optimal cell: P_C is
 piecewise affine, and the solvers project onto one C again and again with
 targets that move little, so the next target usually lies in the same
-cell.  The projection tries that cell first, with one potrs and a KKT test
-with strict margins, and runs the active-set loop only when the test
-fails.  Both paths return the KKT point of their working set, computed by
-the same products from the same factor, and the test accepts only the one
-working set that is optimal at the target, so a projection does not depend
-on the projections that ran before it; only the phase-one point, from
-which a projection without a start begins, depends on how the set was
-used.
+cell.  The projection tries that cell first, with one Gram solve and a KKT
+test, and runs the active-set loop only when the test fails.  Both paths
+return the KKT point of their working set, computed by the same products
+from the same factor, and the test's margins rule out every other working
+set at which the loop could stop, so a projection does not depend on the
+projections that ran before it; only the phase-one point, from which a
+projection without a start begins, depends on how the set was used.
 """
 
 from __future__ import annotations
@@ -95,11 +94,14 @@ from .sets import PolyhedralSet, _as_vector, _satisfies_rows
 # `avi` read it where they mirror the kernel's acceptance.
 FEAS_TOL = 1e-9
 _PIVOT_TOL = 1e-10
-# The projection drops a working row whose multiplier is below -_DROP_TOL.
+# The projection drops a working row whose multiplier is below -_DROP_TOL,
+# and its active-set loop stops once a step is shorter than
+# _STEP_TOL * (1 + ||target||).
 _DROP_TOL = 1e-7
+_STEP_TOL = 1e-11
 
-_getrf, _getrs, _potrf, _potrs = get_lapack_funcs(
-    ("getrf", "getrs", "potrf", "potrs"), dtype=np.float64
+_getrf, _getrs, _potrf, _potrs, _trtri = get_lapack_funcs(
+    ("getrf", "getrs", "potrf", "potrs", "trtri"), dtype=np.float64
 )
 
 
@@ -414,16 +416,20 @@ def feasible_witness(S: PolyhedralSet) -> np.ndarray | None:
 
 
 def _projection_rows(S: PolyhedralSet):
-    """(rows, rhs) = ([eq_lhs; ineq_lhs], [eq_rhs; ineq_rhs]) of S, the rows
-    the projection indexes by its working set, stacked once per set and kept
-    read-only in `S._cache`."""
+    """(rows, rhs, longest, total) of S: rows = [eq_lhs; ineq_lhs] and
+    rhs = [eq_rhs; ineq_rhs], the rows the projection indexes by its working
+    set, the length of the longest row and the sum of the inequality rows'
+    lengths, which the cell's margins read; computed once per set and kept,
+    read-only, in `S._cache`."""
     stacked = S._cache.get("projection rows")
     if stacked is None:
         rows = np.vstack([S.eq_lhs, S.ineq_lhs])
         rhs = np.concatenate([S.eq_rhs, S.ineq_rhs])
         rows.setflags(write=False)
         rhs.setflags(write=False)
-        stacked = S._cache["projection rows"] = (rows, rhs)
+        lengths = np.sqrt(np.square(rows).sum(axis=1))
+        stacked = S._cache["projection rows"] = (
+            rows, rhs, float(lengths.max(initial=0.0)), float(lengths[S.num_eq:].sum()))
     return stacked
 
 
@@ -460,6 +466,26 @@ def _gram_solve(G, rhs, S, active):
     return np.linalg.lstsq(matrix, rhs, rcond=None)[0]
 
 
+def _keep_cell(S, active, G, h, working, longest, total):
+    """Grow S's Gram entry, the Cholesky factor U of the working set
+    `active` (rows G, right-hand side h, inequality rows `working`) on
+    which a projection ended, into that working set's cell, with what the
+    lookup's margins read (see `solve_projection_qp`): the rows outside W
+    with their right-hand sides, S's `longest` row length L and `total`
+    inequality row length, and `floor` = feas sqrt(|W|) trace((G G^T)^{-1})
+    with feas = FEAS_TOL + _STEP_TOL L, the trace being ||U^{-1}||_F^2.  A
+    factor from `lstsq`'s path, or one whose cell is kept already, is left
+    as it is."""
+    key, factor, cholesky, cell = S._cache["gram"]
+    if cholesky and cell is None:
+        inverse, _ = _trtri(factor)
+        feas = FEAS_TOL + _STEP_TOL * longest
+        floor = feas * math.sqrt(active.size - S.num_eq) * float(np.square(inverse).sum())
+        outside = ~working
+        cell = (active, G, h, floor, S.ineq_lhs[outside], S.ineq_rhs[outside], longest, total)
+        S._cache["gram"] = (key, factor, cholesky, cell)
+
+
 def solve_projection_qp(problem: QpProjectionProblem, start=None) -> np.ndarray:
     """Euclidean projection of `problem.target` onto `problem.feasible_set`.
 
@@ -473,11 +499,16 @@ def solve_projection_qp(problem: QpProjectionProblem, start=None) -> np.ndarray:
     P_C(u) = u - G^T (G G^T)^{-1} (G u - h) for W's rows G z = h (every
     equality row and the inequality rows of W).  A projection that ends on a
     working set with a Cholesky factor keeps it in `S._cache["gram"]` with
-    its cell: G, h and the inequality rows outside W.  The lookup makes one
-    potrs, nu = (G G^T)^{-1} (G u - h), and w = u - G^T nu, and accepts w
-    only with strict margins: every inequality multiplier of W above
-    _DROP_TOL, and every row outside W slack by more than
-    FEAS_TOL * (1 + ||u||).  A hit does not read `start`.
+    its cell (`_keep_cell`): G, h and the inequality rows outside W.  The
+    lookup makes one Gram solve on the cached factor, nu = (G G^T)^{-1}
+    (G u - h), and w = u - G^T nu, and accepts w only with the strict
+    margins derived below: every inequality multiplier nu_i of W above
+    _DROP_TOL and above ||e_W|| trace((G G^T)^{-1}), and every row a_j z <=
+    b_j outside W slack at w by more than FEAS_TOL (1 + ||u||) +
+    L (_DROP_TOL sum_k ||a_k|| + sqrt(E)), with E = sum_W nu_i e_i.  Here
+    e_i = (1 + ||u||) (FEAS_TOL + _STEP_TOL ||a_i||), L is the length of
+    S's longest row, and the sum runs over S's inequality rows; the lookup
+    bounds ||a_i|| by L throughout.  A hit does not read `start`.
 
     Otherwise a primal active-set method runs from `start`, a point of the
     set whose tight rows form the first working set.  When `start` is None
@@ -496,16 +527,26 @@ def solve_projection_qp(problem: QpProjectionProblem, start=None) -> np.ndarray:
     its iterate z, so both paths compute their result from (u, W) alone, by
     the same products.
 
-    So the result does not depend on call history.  A working set that
-    passes the lookup's test is the active set of P_C(u): its rows have
-    positive multipliers and every other row is slack, so with independent
-    rows it is the only one that passes.  The loop ends on a working set
-    whose multipliers are >= -_DROP_TOL and whose iterate is feasible, the
-    same KKT conditions with weak margins; where the strict margins hold,
-    that is the same W.  Where they do not (a multiplier within _DROP_TOL of
-    0, a row within FEAS_TOL of tight), the lookup misses and the loop
-    decides, as on a fresh set.  A working set with dependent rows takes
-    the `lstsq` path and keeps no cell.
+    So the result does not depend on call history: where the lookup
+    accepts W, the loop, from any start, ends on W too.  Say the loop ended
+    on W' != W instead, with point w' and multipliers nu'; let d = w' - w,
+    and P = W \\ W' and Q = W' \\ W (inequality rows).  From u - w =
+    G_W^T nu and u - w' = G_W'^T nu',
+
+        ||d||^2 = sum_P nu_i a_i.d - sum_Q nu'_j a_j.d.
+
+    For j in Q, a_j.d is j's slack at w, and nu'_j >= -_DROP_TOL where the
+    loop stops.  For i in P, a_i.d is i's violation at w', at most e_i: the
+    loop's iterate leaves C by at most FEAS_TOL (1 + ||u||), as its start
+    does, and ends within its step tolerance of w'.  So ||d||^2 <= E +
+    _DROP_TOL ||d|| sum_Q ||a_k||, and every j in Q is slack at w by at most
+    ||a_j|| ||d|| <= ||a_j|| (_DROP_TOL sum_Q ||a_k|| + sqrt(E)), which the
+    lookup's slack margin rules out.  If Q is empty, d = G_W^T (nu - nu')
+    with nu' zero on P, so ||nu_P||^2 / trace((G G^T)^{-1}) <= ||d||^2 <=
+    ||nu_P|| ||e_W||, which the multiplier margin rules out.  Where the
+    margins fail, the lookup misses and the loop decides, as on a fresh set.
+    W's rows are independent (it has a Cholesky factor); a working set with
+    dependent rows takes the `lstsq` path and keeps no cell.
 
     Raises EmptySet when `feasible_witness` finds the feasible set empty.
     """
@@ -522,14 +563,20 @@ def solve_projection_qp(problem: QpProjectionProblem, start=None) -> np.ndarray:
         lo, hi = bounds
         return np.minimum(np.maximum(u, lo), hi)
     k_eq = S.num_eq
-    # the last optimal cell: one potrs, accepted with strict KKT margins
+    # the last optimal cell: one Gram solve, accepted with the margins the
+    # docstring derives
     last = S._cache.get("gram")
     if last is not None and last[3] is not None:
-        G, h, outside, room = last[3]
-        nu = _potrs(last[1], G @ u - h)[0]
+        active, G, h, floor, outside, room, longest, total = last[3]
+        nu = _gram_solve(G, G @ u - h, S, active)
         w = u - G.T @ nu
-        if (nu[k_eq:] > _DROP_TOL).all() and (room - outside @ w > tol).all():
-            return w
+        mu = nu[k_eq:]
+        if (mu > max(_DROP_TOL, scale * floor)).all():
+            # E, summed in Python: mu has at most n entries
+            E = scale * (FEAS_TOL + _STEP_TOL * longest) * sum(mu.tolist())
+            margin = tol + longest * (_DROP_TOL * total + math.sqrt(E))
+            if (room - outside @ w > margin).all():
+                return w
     if start is not None:
         start = _as_vector(start, u.size, "start")
     if start is None or not _satisfies_rows(S, start, tol):
@@ -537,12 +584,12 @@ def solve_projection_qp(problem: QpProjectionProblem, start=None) -> np.ndarray:
         if start is None:
             raise EmptySet("projection onto an empty polyhedron")
     A, b = S.ineq_lhs, S.ineq_rhs
-    rows, rhs = _projection_rows(S)
+    rows, rhs, longest, total = _projection_rows(S)
     z = start.copy()
     # the working set: the tight inequality rows, read in ascending order
     working = np.abs(b - A @ z) <= tol
     eq_rows = np.arange(k_eq)
-    step_tol = 1e-11 * scale
+    step_tol = _STEP_TOL * scale
     max_iters = 50 * (A.shape[0] + k_eq + u.size + 10)
     solved = False  # whether nu and w = u - G^T nu belong to the working set
     for _ in range(max_iters):
@@ -561,9 +608,8 @@ def solve_projection_qp(problem: QpProjectionProblem, start=None) -> np.ndarray:
         if math.sqrt(p @ p) <= step_tol:
             negative = (nu[k_eq:] < -_DROP_TOL).nonzero()[0] if tight.size else ()
             if not len(negative):
-                last = S._cache["gram"]
-                if active.size and last[2] and last[3] is None:
-                    S._cache["gram"] = last[:3] + ((G, h, A[~working], b[~working]),)
+                if active.size:
+                    _keep_cell(S, active, G, h, working, longest, total)
                 return w
             working[tight[negative[0]]] = False
             solved = False

@@ -1003,10 +1003,12 @@ def _runs(loops, S):
 class TestCellLookup:
     """A projection that ends on a working set W with a Cholesky factor
     leaves W's cell in its set's cache, and the next projection onto the set
-    tries it first: it is accepted only when every inequality multiplier of
-    W exceeds `_DROP_TOL` and every row outside W is slack by more than
-    FEAS_TOL (1 + ||u||), and otherwise the loop runs as on a fresh set.  On
-    the hexagon, W = {0} is optimal for u = (t, y) with t > 1 and
+    tries it first: it is accepted only with margins that no other working
+    set at which the loop could stop can meet (every inequality multiplier
+    of W above `_DROP_TOL` and a floor set by W's conditioning, every row
+    outside W slack by more than FEAS_TOL (1 + ||u||) and a reach set by
+    `_DROP_TOL`), and otherwise the loop runs as on a fresh set.  On the
+    hexagon, W = {0} is optimal for u = (t, y) with t > 1 and
     |y| < 1 / sqrt(3), and P(u) = (1, y)."""
 
     def test_targets_in_one_cell_take_it(self, monkeypatch):
@@ -1040,6 +1042,9 @@ class TestCellLookup:
         [1.0 + 5e-8, 0.1],
         # W = {0}'s point leaves row 1 slack by 1e-10, within FEAS_TOL
         [2.0, (0.5 - 1e-10) / math.sin(math.pi / 3.0)],
+        # a multiplier of 999 at ||u|| = 1000: row 1 is slack by 0.017,
+        # within the reach sqrt(E) = 0.03 of the loop's tolerances
+        [1000.0, 1.0 / math.sqrt(3.0) - 0.02],
     ])
     def test_a_target_on_a_cell_boundary_runs_the_loop(self, monkeypatch, u):
         loops = _count_loops(monkeypatch)
@@ -1049,6 +1054,50 @@ class TestCellLookup:
         z = project_onto(u, hexagon)
         assert _runs(loops, hexagon) == 2
         assert z.tobytes() == project_onto(u, _fresh(hexagon)).tobytes()
+
+    def test_a_row_the_loop_can_bind_refuses_the_cell(self, monkeypatch):
+        # S = {x2 <= 0, x1 + x2 <= 1}.  (0.5, 1) leaves W = {0}, whose point
+        # for u = (1 - 5e-8, 1) is (1 - 5e-8, 0): row 1 is slack there by
+        # 5e-8, more than FEAS_TOL (1 + ||u||) but less than
+        # _DROP_TOL ||a_1||^2.  From (10.9, -10) the loop blocks on row 1,
+        # then on row 0, and stops at the vertex (1, 0), where row 1's
+        # multiplier is -5e-8; the cell must not answer for it.
+        loops = _count_loops(monkeypatch)
+        S = PolyhedralSet(2, ineq_lhs=np.array([[0.0, 1.0], [1.0, 1.0]]),
+                          ineq_rhs=np.array([0.0, 1.0]))
+        project_onto([0.5, 1.0], S)
+        u, start = [1.0 - 5e-8, 1.0], np.array([10.9, -10.0])
+        z = project_onto(u, S, start=start)
+        assert _runs(loops, S) == 2
+        np.testing.assert_array_equal(z, [1.0, 0.0])
+        assert z.tobytes() == project_onto(u, _fresh(S), start=start).tobytes()
+
+    @pytest.mark.parametrize("t, hit", [(1e-6, True), (2e-7, False)])
+    def test_a_multiplier_below_the_floor_runs_the_loop(self, monkeypatch, t, hit):
+        # S = {x2 <= 0, s x1 + c x2 <= 0} with c = 0.99: at the vertex 0,
+        # W = {0, 1} has trace((G G^T)^{-1}) = 2 / (1 - c^2), about 100, so a
+        # multiplier must exceed about 2.9e-7 for u = a_0 + t a_1, not only
+        # _DROP_TOL
+        loops = _count_loops(monkeypatch)
+        c = 0.99
+        rows = np.array([[0.0, 1.0], [math.sqrt(1.0 - c * c), c]])
+        S = PolyhedralSet(2, ineq_lhs=rows, ineq_rhs=np.zeros(2))
+        project_onto(rows[0] + rows[1], S)
+        assert _runs(loops, S) == 1
+        u = rows[0] + t * rows[1]
+        z = project_onto(u, S)
+        assert _runs(loops, S) == 1 + (not hit)
+        assert z.tobytes() == project_onto(u, _fresh(S)).tobytes()
+
+    def test_a_loop_that_ends_with_no_working_row_keeps_no_cell(self):
+        # u = (2e-9, 0) violates both rows by more than FEAS_TOL (1 + ||u||),
+        # but from (-1e6, 0) both rows' rooms round to 1 - 2e-15, not below
+        # the full step, which reaches u with no row in the working set
+        S = PolyhedralSet(2, ineq_lhs=np.array([[1.0, 1.0], [1.0, -1.0]]),
+                          ineq_rhs=np.zeros(2))
+        z = project_onto([2e-9, 0.0], S, start=np.array([-1e6, 0.0]))
+        np.testing.assert_array_equal(z, [2e-9, 0.0])
+        assert "gram" not in S._cache
 
     def test_dependent_working_sets_keep_no_cell(self, monkeypatch):
         # from the degenerate vertex v the loop ends on the n + 2 dependent
