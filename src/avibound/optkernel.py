@@ -47,7 +47,10 @@ which call LAPACK getrf/getrs directly, without scipy's batching and
 array-API checks; the factors, and hence the pivots, are those of
 `scipy.linalg.lu_factor`/`lu_solve`.  A pivot then costs one
 factorization, three solves with its factors, one vectorized scan for the
-entering column and a ratio test over Python floats.
+entering column and a ratio test over Python floats.  `svd`, whose right
+singular vectors give the geometry its null-space bases, calls gesdd the
+same way, with `scipy.linalg.svd`'s workspace query and hence its bits, so
+this module is the only one that imports from `scipy.linalg`.
 
 The projection calls LAPACK the same way: each working set it visits gets
 one Gram solve, `_gram_solve`, a Cholesky factorization (potrf/potrs) of
@@ -100,8 +103,8 @@ _PIVOT_TOL = 1e-10
 _DROP_TOL = 1e-7
 _STEP_TOL = 1e-11
 
-_getrf, _getrs, _potrf, _potrs, _trtri = get_lapack_funcs(
-    ("getrf", "getrs", "potrf", "potrs", "trtri"), dtype=np.float64
+_getrf, _getrs, _potrf, _potrs, _trtri, _gesdd, _gesdd_lwork = get_lapack_funcs(
+    ("getrf", "getrs", "potrf", "potrs", "trtri", "gesdd", "gesdd_lwork"), dtype=np.float64
 )
 
 
@@ -124,6 +127,23 @@ def lu_solve(lu_piv, b, trans=0):
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of getrs")
     return x
+
+
+def svd(a):
+    """Full SVD (u, s, vt) of the nonempty matrix `a` by LAPACK gesdd, as
+    scipy.linalg.svd(a) gives it: the same workspace query, so the same
+    bits.  Raises ValueError for a non-finite `a`, as scipy does, and
+    np.linalg.LinAlgError when gesdd does not converge."""
+    a = np.asarray_chkfinite(a)
+    work, info = _gesdd_lwork(a.shape[0], a.shape[1])
+    if info != 0:
+        raise ValueError(f"Internal work array size computation failed: {info}")
+    u, s, vt, info = _gesdd(a, lwork=int(work))
+    if info > 0:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gesdd")
+    return u, s, vt
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from . import optkernel
 from .errors import CapExceeded, EmptySet, NumericalBreakdown
-from .optkernel import FEAS_TOL, QpProjectionProblem, feasible_witness, solve_projection_qp
+from .optkernel import (
+    _DROP_TOL,
+    _STEP_TOL,
+    FEAS_TOL,
+    QpProjectionProblem,
+    feasible_witness,
+    solve_projection_qp,
+)
 from .sets import PolyhedralSet, box, nonnegative_orthant  # re-export
 
 __all__ = [
@@ -113,8 +119,17 @@ def _dedup(vectors, relative: bool) -> list:
 
 def _null_basis(H: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of {x : H x = 0}; the identity when H has
-    no rows."""
-    return null_space(H, rcond=_RANK_TOL) if H.shape[0] else np.eye(H.shape[1])
+    no rows (or no columns).
+
+    The right singular vectors of H (`optkernel.svd`, LAPACK gesdd) past
+    its singular values above _RANK_TOL times the largest, as a view of
+    them: bit for bit `scipy.linalg.null_space(H, rcond=_RANK_TOL)`, which
+    also raises ValueError for a non-finite H.
+    """
+    if not H.size:
+        return np.eye(H.shape[1])
+    _, s, vt = optkernel.svd(H)
+    return vt[np.count_nonzero(s > s.max() * _RANK_TOL):].T
 
 
 def _pointed_part(S: PolyhedralSet):
@@ -137,12 +152,13 @@ def _extreme_rays(H: np.ndarray, G: np.ndarray):
     lineality of the cone before any row of G is added.  The k pivot rows of
     an LU factorization of G with partial pivoting make the cone simplicial;
     the other rows then cut it one at a time.  A cut keeps the rays on its
-    feasible side and joins each adjacent pair it separates, where two rays
-    are adjacent when no third ray vanishes on every added row on which both
-    vanish (the combinatorial test, exact for a pointed cone).  Raises
-    CapExceeded as soon as a cut leaves more than _RAY_BUDGET (1,024) rays,
-    and NumericalBreakdown when G leaves the cone numerically non-pointed.
-    A cone that H pins to the origin has no rays.
+    feasible side and joins each adjacent pair it separates
+    (`_joined_rays`), where two rays are adjacent when no third ray
+    vanishes on every added row on which both vanish (the combinatorial
+    test, exact for a pointed cone).  Raises CapExceeded as soon as a cut
+    leaves more than _RAY_BUDGET (1,024) rays, and NumericalBreakdown when
+    G leaves the cone numerically non-pointed.  A cone that H pins to the
+    origin has no rays.
     """
     N = _null_basis(H)
     k = N.shape[1]
@@ -168,18 +184,11 @@ def _extreme_rays(H: np.ndarray, G: np.ndarray):
         s = W @ Gw[i]
         pos = np.flatnonzero(s > zero_tol[i])
         neg = np.flatnonzero(s < -zero_tol[i])
-        joined = []
+        kept = W[s <= zero_tol[i]]
         if pos.size and neg.size:
             zero = np.abs(W @ Gw[added].T) <= zero_tol[added]
-            nonzero = (~zero).T.astype(float)
-            for p in pos:
-                common = zero[p] & zero[neg]
-                # rays other than p and q that vanish on every common row
-                witnesses = (common @ nonzero == 0).sum(axis=1) - 2
-                for q in neg[(common.sum(axis=1) >= k - 2) & (witnesses == 0)]:
-                    ray = s[p] * W[q] - s[q] * W[p]
-                    joined.append(ray / np.linalg.norm(ray))
-        W = np.vstack([W[s <= zero_tol[i]], *joined])
+            kept = np.vstack([kept, _joined_rays(W, s, pos, neg, zero, k)])
+        W = kept
         if W.shape[0] > _RAY_BUDGET:
             raise CapExceeded(
                 f"double description keeps {W.shape[0]} rays after a cut, "
@@ -187,6 +196,35 @@ def _extreme_rays(H: np.ndarray, G: np.ndarray):
             )
         added[i] = True
     return W @ N.T
+
+
+def _joined_rays(W, s, pos, neg, zero, k):
+    """The unit rays a cut joins: s[p] W[q] - s[q] W[p], normalized, for each
+    adjacent pair of a ray p on the cut's infeasible side (s > 0) and a ray
+    q on its feasible side (s < 0), p-major and in ascending q for each p.
+
+    `zero` holds the added rows each ray of W vanishes on.  The candidates
+    are the pairs with at least k - 2 common zero rows, read off one product
+    of the incidence rows; a candidate is adjacent when only p and q vanish
+    on every one of its common rows, which one product over the candidates
+    counts, taken in blocks of |neg| candidates, so no product outgrows the
+    |neg| x |W| one a cut would make for each p.  Each joined ray is divided
+    by math.sqrt(r @ r), the bits np.linalg.norm gives on one ray.
+    """
+    incidence = zero.astype(float)
+    candidates = np.nonzero(incidence[pos] @ incidence[neg].T >= k - 2)
+    p, q = pos[candidates[0]], neg[candidates[1]]
+    if not p.size:
+        return np.zeros((0, W.shape[1]))
+    common = zero[p] & zero[q]
+    nonzero = (~zero).T.astype(float)
+    vanishing = np.concatenate([
+        (common[j:j + neg.size] @ nonzero == 0).sum(axis=1)
+        for j in range(0, p.size, neg.size)
+    ])
+    p, q = p[vanishing == 2], q[vanishing == 2]
+    rays = s[p, None] * W[q] - s[q, None] * W[p]
+    return rays / np.array([math.sqrt(r @ r) for r in rays]).reshape(-1, 1)
 
 
 def _scaled_rows(lhs, rhs):
@@ -345,6 +383,23 @@ def _recession_cones_match(va: VertexSet, vb: VertexSet,
     )
 
 
+def _violation_bound(points: np.ndarray, S: PolyhedralSet):
+    """(l, shortest, total): l the largest violation at any of the points of
+    a nonzero row of S divided by the row's length (an equality row both
+    ways), at least 0, which bounds below the largest distance from one of
+    them to S; shortest the length of S's shortest nonzero row (inf when it
+    has none) and total the summed length of its inequality rows."""
+    rows = np.vstack([S.eq_lhs, S.ineq_lhs])
+    rhs = np.concatenate([S.eq_rhs, S.ineq_rhs])
+    lengths = np.sqrt(np.square(rows).sum(axis=1))
+    keep = lengths > 0.0
+    gaps = (points @ rows[keep].T - rhs[keep]) / lengths[keep]
+    equality = keep[:S.num_eq].sum()
+    gaps[:, :equality] = np.abs(gaps[:, :equality])
+    return (float(gaps.max(initial=0.0)), float(lengths[keep].min(initial=math.inf)),
+            float(lengths[S.num_eq:].sum()))
+
+
 def hausdorff(a: PolyhedralSet, b: PolyhedralSet) -> float:
     """Hausdorff distance between two nonempty polyhedra, bounded or not.
 
@@ -360,18 +415,86 @@ def hausdorff(a: PolyhedralSet, b: PolyhedralSet) -> float:
 
         max(max_{v in V_a} d(v, b), max_{w in V_b} d(w, a))
 
-    is the distance itself, not a bound on it.
+    is the distance itself, not a bound on it.  The result is the largest
+    distance `distance` computes from a vertex of either set to the other
+    set, but most vertices are never projected.
+
+    Bounds first.  For a vertex v of one set against the other set S, the
+    lower bound l(v) is the largest violation at v of a row of S divided by
+    its length (an equality row both ways, a zero row skipped), and the
+    upper bound u(v) the distance from v to the nearest vertex of S, which
+    lies in S.  Both sides take their l from one product with the other's
+    rows and their u from one product of the two vertex arrays (the gaps
+    through |v|^2 + |w|^2 - 2 v.w, a |V_a| x |V_b| array).  The walk
+    projects the vertices of both sets in decreasing u, keeping the largest
+    computed distance `best`, and stops at the first v with
+
+        u(v) + margin < max(max_all l - margin, best),
+
+    returning `best`.
+
+    The margin covers what separates the computed distance d~(v) = |v - z|
+    (z the projection's point) from the exact one, d(v), and the rounding of
+    the bounds.  Let R be the largest vertex norm of the two sets, n the
+    dimension, eps the unit roundoff, and, over the rows of both sets,
+    ell the shortest nonzero row and T the larger total inequality row
+    length of one set; then
+
+        margin = (1 + R) (FEAS_TOL / ell + _STEP_TOL + 2 sqrt((n + 3) eps))
+                 + _DROP_TOL T.
+
+    Below: z leaves row i of S by at most e_i = (1 + |v|) (FEAS_TOL +
+    _STEP_TOL |a_i|) (a target the projection accepts as a point of S, or
+    the active-set loop's point; `solve_projection_qp`), so d~(v) >=
+    l(v) - (1 + R) (FEAS_TOL / ell + _STEP_TOL).  Above: z is the KKT
+    point of its working set W, v - z = G^T nu with G z = h, and with p the
+    exact projection, |v - p|^2 = d~^2 + 2 sum_W nu_i (h_i - a_i.p) +
+    |z - p|^2.  An equality row adds 0; an inequality row of W has
+    h_i - a_i.p in [0, |a_i| |z - p|] and nu_i >= -_DROP_TOL, where the loop
+    stops (above _DROP_TOL on a cell hit), so d~^2 <= d^2 + 2 _DROP_TOL T
+    |z - p| - |z - p|^2 <= d^2 + (_DROP_TOL T)^2, and d~(v) <= d(v) +
+    _DROP_TOL T <= u(v) + _DROP_TOL T.  A box projection is exact.  The
+    computed u(v)^2 is off by at most 4 (n + 3) eps R^2, so u(v) by at most
+    2 sqrt((n + 3) eps) R; the rounding of l(v) is far smaller at the rows
+    that bound it.  So d~ lies within margin of [l, u] at every vertex.
+
+    Now let v stop the walk and v' be any vertex after it.  d~(v') <=
+    u(v') + margin <= u(v) + margin, below the larger of best and
+    max_all l - margin.  If max_all l is l(v*), then d~(v*) >= l(v*) -
+    margin > u(v) + margin, while d~(v*) <= u(v*) + margin, so u(v*) > u(v)
+    and v* came before v: best >= d~(v*).  Either way every skipped vertex's
+    d~ is strictly below `best`, and the walk returns the value the full
+    vertex loop returns, bit for bit.
     """
     va = enumerate_vertices(a)
     vb = enumerate_vertices(b)
     if not _recession_cones_match(va, vb, a, b):
         return math.inf
-    value = 0.0
-    for v in va.vertices:
-        value = max(value, distance(b, v)[0])
-    for w in vb.vertices:
-        value = max(value, distance(a, w)[0])
-    return value
+    Va, Vb = np.array(va.vertices), np.array(vb.vertices)
+    lower_a, shortest_b, total_b = _violation_bound(Va, b)
+    lower_b, shortest_a, total_a = _violation_bound(Vb, a)
+    sq_a, sq_b = np.square(Va).sum(axis=1), np.square(Vb).sum(axis=1)
+    # the vertex gaps in place: one |V_a| x |V_b| array
+    gaps = Va @ Vb.T
+    gaps *= -2.0
+    gaps += sq_a[:, None]
+    gaps += sq_b
+    np.sqrt(np.maximum(gaps, 0.0, out=gaps), out=gaps)
+    upper = np.concatenate([gaps.min(axis=1), gaps.min(axis=0)])
+    radius = math.sqrt(max(sq_a.max(), sq_b.max()))
+    roundoff = 2.0 * math.sqrt((a.ambient_dim + 3) * np.finfo(float).eps)
+    margin = ((1.0 + radius) * (FEAS_TOL / min(shortest_a, shortest_b) + _STEP_TOL + roundoff)
+              + _DROP_TOL * max(total_a, total_b))
+    lower = max(lower_a, lower_b)
+    best = 0.0
+    for j in np.argsort(-upper, kind="stable").tolist():
+        if upper[j] + margin < max(lower - margin, best):
+            break
+        if j < len(Va):
+            best = max(best, distance(b, Va[j])[0])
+        else:
+            best = max(best, distance(a, Vb[j - len(Va)])[0])
+    return best
 
 
 def union_distance(pieces, x) -> float:

@@ -24,25 +24,41 @@ stacked them.  Both it and `reference_piece` take the face F_I from `_face`,
 which slices C's rows itself, where each template keeps its face's rows as
 views of the stacks `avi._build_templates` filled.  `box_bounds_loop` is
 the row-by-row loop `PolyhedralSet.box_bounds` ran before it read all rows
-in one vectorized pass.
+in one vectorized pass.  `extreme_rays_loop` is double description as
+`polyhedra._extreme_rays` ran it before it took each cut's adjacency test
+in products, one ray p at a time, with `scipy.linalg.null_space` for its
+null-space basis, and `hausdorff_vertex_loop` is `polyhedra.hausdorff` as
+it projected every vertex of both sets before its bounds skipped most.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import null_space
 from scipy.optimize import linprog
 
-from avibound import DimensionMismatch, EmptySet, PolyhedralSet
+from avibound import (
+    CapExceeded,
+    DimensionMismatch,
+    EmptySet,
+    NumericalBreakdown,
+    PolyhedralSet,
+    optkernel,
+)
 from avibound.avi import AviInstance
 from avibound.gpm import DualMultiplier, GpMultifunction
 from avibound.optkernel import FEAS_TOL, solve_feasibility
 from avibound.polyhedra import (
     _RANK_TOL,
+    _RAY_BUDGET,
+    _ZERO_TOL,
     GEOM_TOL,
     _extreme_rays,
+    _recession_cones_match,
     cone_generators,
+    distance,
     enumerate_vertices,
     is_nonempty,
 )
@@ -412,3 +428,64 @@ def reference_piece(inst: AviInstance, active: tuple, y) -> PolyhedralSet:
         eq_lhs=np.vstack([face.eq_lhs, -w_eq @ M]),
         eq_rhs=np.concatenate([face.eq_rhs + face.eq_lhs @ y, w_eq @ (q - y)]),
     )
+
+
+def extreme_rays_loop(H: np.ndarray, G: np.ndarray):
+    """Unit extreme rays (rows) of the pointed cone {z : H z = 0, G z <= 0}
+    by double description, each cut testing adjacency one infeasible ray p
+    at a time against all feasible rays at once; the same CapExceeded and
+    NumericalBreakdown as `_extreme_rays`."""
+    N = null_space(H, rcond=_RANK_TOL) if H.shape[0] else np.eye(H.shape[1])
+    k = N.shape[1]
+    if k == 0:
+        return np.zeros((0, H.shape[1]))
+    Gw = G @ N
+    if Gw.shape[0] < k:
+        raise NumericalBreakdown("cone numerically non-pointed")
+    lu, swaps = optkernel.lu_factor(Gw)
+    if abs(lu[k - 1, k - 1]) <= _RANK_TOL * abs(lu[0, 0]):
+        raise NumericalBreakdown("cone numerically non-pointed")
+    order = np.arange(Gw.shape[0])
+    for j, p in enumerate(swaps):
+        order[[j, p]] = order[[p, j]]
+    W = optkernel.lu_solve((lu[:k], np.arange(k, dtype=swaps.dtype)), -np.eye(k)).T
+    W /= np.linalg.norm(W, axis=1)[:, None]
+    zero_tol = _ZERO_TOL * np.linalg.norm(Gw, axis=1)
+    added = np.zeros(Gw.shape[0], dtype=bool)
+    added[order[:k]] = True
+    for i in np.flatnonzero(~added):
+        s = W @ Gw[i]
+        pos = np.flatnonzero(s > zero_tol[i])
+        neg = np.flatnonzero(s < -zero_tol[i])
+        joined = []
+        if pos.size and neg.size:
+            zero = np.abs(W @ Gw[added].T) <= zero_tol[added]
+            nonzero = (~zero).T.astype(float)
+            for p in pos:
+                common = zero[p] & zero[neg]
+                # rays other than p and q that vanish on every common row
+                witnesses = (common @ nonzero == 0).sum(axis=1) - 2
+                for q in neg[(common.sum(axis=1) >= k - 2) & (witnesses == 0)]:
+                    ray = s[p] * W[q] - s[q] * W[p]
+                    joined.append(ray / np.linalg.norm(ray))
+        W = np.vstack([W[s <= zero_tol[i]], *joined])
+        if W.shape[0] > _RAY_BUDGET:
+            raise CapExceeded(f"double description keeps {W.shape[0]} rays after a cut")
+        added[i] = True
+    return W @ N.T
+
+
+def hausdorff_vertex_loop(a: PolyhedralSet, b: PolyhedralSet) -> float:
+    """Hausdorff distance of two nonempty polyhedra: +inf when their
+    recession cones differ, else the largest distance from a vertex of
+    either set to the other, every vertex projected."""
+    va = enumerate_vertices(a)
+    vb = enumerate_vertices(b)
+    if not _recession_cones_match(va, vb, a, b):
+        return math.inf
+    value = 0.0
+    for v in va.vertices:
+        value = max(value, distance(b, v)[0])
+    for w in vb.vertices:
+        value = max(value, distance(a, w)[0])
+    return value

@@ -1,20 +1,28 @@
 import itertools
 import math
-from fractions import Fraction
-
 import os
 import sys
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_oracles import dedup_loop, from_generators
+from reference_oracles import dedup_loop, extreme_rays_loop, from_generators, hausdorff_vertex_loop
 from scipy.linalg import null_space
 from scipy.optimize import nnls
 from test_acceptance import _avi_corpus
 
-from avibound import CapExceeded, EmptySet, NumericalBreakdown, PolyhedralSet, optkernel, polyhedra
+from avibound import (
+    CapExceeded,
+    EmptySet,
+    NumericalBreakdown,
+    PolyhedralSet,
+    gpm,
+    optkernel,
+    polyhedra,
+)
 from avibound.avi import _face_templates
 from avibound.gpm import evaluate
 from avibound.instgen import canned_suite
@@ -895,7 +903,247 @@ def test_redundant_rows_cost_nothing(monkeypatch):
     calls = {}
     _count_calls(monkeypatch, np.linalg, "matrix_rank", calls)
     _count_calls(monkeypatch, np.linalg, "lstsq", calls)
-    _count_calls(monkeypatch, polyhedra, "null_space", calls)
+    _count_calls(monkeypatch, optkernel, "svd", calls)
     vs = enumerate_vertices(cube)
     assert len(vs.vertices) == 8 and vs.is_bounded
     assert sum(calls.values()) <= 3
+
+
+def _fresh(S):
+    """S again, with an empty cache."""
+    return PolyhedralSet(S.ambient_dim, ineq_lhs=S.ineq_lhs, ineq_rhs=S.ineq_rhs,
+                         eq_lhs=S.eq_lhs, eq_rhs=S.eq_rhs)
+
+
+def _pool_pass(pool):
+    """(cones, pairs, calls) of one pass of a benchmark pool: the (H, G) of
+    every `_extreme_rays` call, fresh copies of the section pairs
+    `gpm.hausdorff` measured, and the numbers of calls of `hausdorff`,
+    `distance`, `_gram_solve`, `enumerate_vertices` and `_extreme_rays`."""
+    cones, pairs, calls = [], [], {}
+
+    def counted(name, fn, record=None):
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            if record is not None:
+                record(args)
+            return fn(*args)
+        return wrapper
+
+    vertices = counted("enumerate_vertices", polyhedra.enumerate_vertices)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyhedra, "_extreme_rays", counted(
+            "_extreme_rays", polyhedra._extreme_rays,
+            lambda args: cones.append(tuple(x.copy() for x in args))))
+        mp.setattr(polyhedra, "enumerate_vertices", vertices)
+        mp.setattr(gpm, "enumerate_vertices", vertices)
+        mp.setattr(polyhedra, "distance", counted("distance", polyhedra.distance))
+        mp.setattr(optkernel, "_gram_solve", counted("_gram_solve", optkernel._gram_solve))
+        mp.setattr(gpm, "hausdorff", counted(
+            "hausdorff", polyhedra.hausdorff,
+            lambda args: pairs.append(tuple(_fresh(S) for S in args))))
+        for index in range(pool.pool_size):
+            pool.run(index, pool.build(index))
+    return cones, pairs, calls
+
+
+@pytest.fixture(scope="module")
+def multifunction_pass():
+    return _pool_pass(workloads.Multifunction())
+
+
+def _hausdorff_corpus():
+    """Pairs of nonempty polyhedra: same-row pairs with different
+    right-hand sides (every other one boxed), pairs with equality rows, with
+    zero rows, identical pairs, symmetric pairs whose maximum several
+    vertices tie for, and pairs whose maximum sits at vertices that project
+    onto the inside of one facet."""
+    rng = SplitMix64(0x4A35)
+    pairs = []
+    while len(pairs) < 60:
+        n, m = rng.randint(1, 3), rng.randint(1, 4)
+        A = _normals(rng, m, n)
+        if len(pairs) % 2:
+            A = np.vstack([A, np.eye(n), -np.eye(n)])
+        sets = [PolyhedralSet(n, ineq_lhs=A, ineq_rhs=[rng.normal() + 2.0 for _ in A])
+                for _ in range(2)]
+        if all(is_nonempty(S) for S in sets):
+            pairs.append(tuple(sets))
+    for S in _random_sets(47, 12):
+        n = S.ambient_dim
+        E = _normals(rng, 1 + len(pairs) % (n - 1), n)
+        a, b = (PolyhedralSet(n, ineq_lhs=S.ineq_lhs, ineq_rhs=S.ineq_rhs, eq_lhs=E,
+                              eq_rhs=E @ np.array([0.1 * rng.normal() for _ in range(n)]))
+                for _ in range(2))
+        if is_nonempty(a) and is_nonempty(b):
+            pairs.append((a, b))
+        pairs.append((S, _fresh(S)))
+    pairs += _zero_row_pairs() + _facet_pairs()
+    hexagon = np.array([[np.cos(t), np.sin(t)] for t in np.pi / 3 * np.arange(6)])
+    turned = np.array([[np.cos(t), np.sin(t)] for t in np.pi / 3 * np.arange(6) + np.pi / 6])
+    pairs += [
+        (box([-1, -1], [1, 1]), box([-2, -2], [2, 2])),
+        (box([0, 0, 0], [1, 1, 1]), box([-1, -1, -1], [2, 2, 2])),
+        (PolyhedralSet(2, ineq_lhs=hexagon, ineq_rhs=np.ones(6)),
+         PolyhedralSet(2, ineq_lhs=turned, ineq_rhs=np.ones(6))),
+        (PolyhedralSet(2, ineq_lhs=hexagon, ineq_rhs=np.ones(6)),
+         PolyhedralSet(2, ineq_lhs=hexagon, ineq_rhs=np.full(6, 3.0))),
+        (box([0, 0], [4, 1]), box([1, 0], [2, 3.5])),
+        (box([0.0], [1.0]), box([0.0], [2.0])),
+        (nonnegative_orthant(2), PolyhedralSet(2, ineq_lhs=-np.eye(2), ineq_rhs=[-1.0, -3.0])),
+        (nonnegative_orthant(1), box([0.0], [1.0])),
+    ]
+    return pairs
+
+
+def _facet_pairs():
+    """40 pairs of a 4 x 1 box and a triangle whose apex, its one farthest
+    vertex, projects onto the inside of the box's top facet, so that l = d
+    there; both turned by one seeded angle, so their rows are no box's."""
+    rng = SplitMix64(0x35F)
+    pairs = []
+    for _ in range(40):
+        t = rng.uniform_in(0.0, 2 * math.pi)
+        turn = np.array([[math.cos(t), math.sin(t)], [-math.sin(t), math.cos(t)]])
+        apex = np.array([rng.uniform_in(1.2, 2.8), rng.uniform_in(2.0, 4.0)])
+        triangle = from_generators([np.array([1.0, 0.2]), np.array([3.0, 0.2]), apex])
+        pairs.append(tuple(
+            PolyhedralSet(2, ineq_lhs=S.ineq_lhs @ turn, ineq_rhs=S.ineq_rhs)
+            for S in (box([0, 0], [4, 1]), triangle)))
+    return pairs
+
+
+def _zero_row_pairs():
+    """Boxes [0, 1]^2 and [0, 3] x [0, 1] with the zero rows 0 x <= 0,
+    0 x <= 1 and 0 x = 0 added: h = 2, at the two corners x1 = 3."""
+    zero = {"ineq_lhs": np.zeros((2, 2)), "ineq_rhs": [0.0, 1.0],
+            "eq_lhs": np.zeros((1, 2)), "eq_rhs": [0.0]}
+    pairs = []
+    for hi in ([1.0, 1.0], [3.0, 1.0]):
+        rows = np.vstack([np.eye(2), -np.eye(2), zero["ineq_lhs"]])
+        rhs = np.concatenate([hi, [0.0, 0.0], zero["ineq_rhs"]])
+        pairs.append(PolyhedralSet(2, ineq_lhs=rows, ineq_rhs=rhs,
+                                   eq_lhs=zero["eq_lhs"], eq_rhs=zero["eq_rhs"]))
+    return [tuple(pairs)]
+
+
+def test_pruned_hausdorff_matches_the_vertex_loop(multifunction_pass):
+    # the bounds skip vertices, never change the value: each pair on fresh
+    # copies, against every vertex projected, to the bit
+    _, pairs, _ = multifunction_pass
+    values = []
+    for a, b in _hausdorff_corpus() + pairs:
+        h = hausdorff(_fresh(a), _fresh(b))
+        assert h == hausdorff_vertex_loop(_fresh(a), _fresh(b))
+        values.append(h)
+    assert len(pairs) == 112
+    assert values.count(0.0) >= 12 and values.count(math.inf) >= 1
+    assert sum(0.0 < h < math.inf for h in values) >= 150
+
+
+def test_the_bounds_skip_vertices(monkeypatch):
+    # the zero rows leave the margin finite: of the 8 vertices only the two
+    # corners at x1 = 3 are projected
+    calls = {}
+    _count_calls(monkeypatch, polyhedra, "distance", calls)
+    (a, b), = _zero_row_pairs()
+    assert hausdorff(a, b) == 2.0
+    assert calls["distance"] == 2
+
+
+def test_multifunction_pass_prunes_hausdorff(multifunction_pass):
+    # one pool pass: 454 projections where every vertex took one (1,549),
+    # and 791 Gram solves (2,822); the enumerations are as many as before
+    _, _, calls = multifunction_pass
+    assert calls["hausdorff"] == 112
+    assert calls["distance"] == 454
+    assert calls["_gram_solve"] == 791
+    assert calls["enumerate_vertices"] == 264
+    assert calls["_extreme_rays"] == 212
+
+
+def _cones_of(sets):
+    """(H, G) of every `_extreme_rays` call the enumeration of each set
+    makes, on a fresh copy."""
+    cones = []
+    with pytest.MonkeyPatch.context() as mp:
+        original = polyhedra._extreme_rays
+        mp.setattr(polyhedra, "_extreme_rays",
+                   lambda H, G: cones.append((H.copy(), G.copy())) or original(H, G))
+        for S in sets:
+            try:
+                enumerate_vertices(_fresh(S))
+            except CapExceeded:
+                pass
+    return cones
+
+
+def _rays_or_error(fn, H, G):
+    try:
+        rays = fn(H, G)
+    except (CapExceeded, NumericalBreakdown) as error:
+        return type(error).__name__
+    return rays.shape, rays.tobytes()
+
+
+def _assert_scipys_null_space(H):
+    # the same basis as scipy's, to the bit, as the same transposed view
+    basis, expected = polyhedra._null_basis(H), null_space(H, rcond=polyhedra._RANK_TOL)
+    assert basis.shape == expected.shape and basis.tobytes() == expected.tobytes()
+    if H.size:
+        assert basis.strides == expected.strides
+
+
+def test_extreme_rays_match_the_per_ray_loop(multifunction_pass):
+    # every cut's adjacency test in products gives the per-ray loop's rays
+    # byte for byte, and raises where it raises, and gesdd bound in the
+    # kernel gives scipy's null-space basis: on the near-parallel and random
+    # sets, every cone of a `multifunction` pass (its dual balls and
+    # sections) and of a `preimage` pass (its faces of C and singular
+    # cells), the 11-cube past the ray budget and two non-pointed cones
+    preimage = _pool_pass(workloads.Preimage())[0]
+    cones = (_cones_of([S for _, S in _all_near_parallel_sets()] + _random_sets(5, 64)
+                       + [box(np.zeros(11), np.ones(11))])
+             + multifunction_pass[0] + preimage
+             + [(np.zeros((0, 3)), np.eye(3)[:2]),
+                (np.zeros((0, 2)), np.array([[1.0, 0.0], [1.0, 1e-12]]))])
+    outcomes = []
+    for H, G in cones:
+        outcome = _rays_or_error(polyhedra._extreme_rays, H, G)
+        assert outcome == _rays_or_error(extreme_rays_loop, H, G)
+        outcomes.append(outcome)
+        _assert_scipys_null_space(H)
+    assert outcomes.count("CapExceeded") == 1 and outcomes.count("NumericalBreakdown") == 2
+    assert len(preimage) >= 150 and len(multifunction_pass[0]) == 212
+
+
+def test_null_basis_keeps_scipys_edge_cases():
+    # empty H of either shape, a view with negative strides, and scipy's
+    # ValueError, word for word, on a non-finite H
+    for H in (np.zeros((0, 3)), np.zeros((2, 0)), np.eye(4)[:0:-1]):
+        _assert_scipys_null_space(H)
+    for H in (np.array([[1.0, np.nan]]), np.array([[np.inf, 0.0], [0.0, 1.0]])):
+        with pytest.raises(ValueError) as scipys:
+            null_space(H, rcond=polyhedra._RANK_TOL)
+        with pytest.raises(ValueError) as ours:
+            polyhedra._null_basis(H)
+        assert str(ours.value) == str(scipys.value)
+
+
+def _peak_mib(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_geometry_peak_memory_stays_small():
+    # the 10-cube (1,024 vertices) takes about 2.5 MiB to enumerate, and the
+    # Hausdorff distance of two shifted 10-cubes about 8.7 MiB, one
+    # 1,024 x 1,024 gap array; a |V| x |V| x n intermediate would take 80
+    cube = box(np.zeros(10), np.ones(10))
+    assert _peak_mib(lambda: enumerate_vertices(cube)) < 16
+    shifted = box(np.full(10, 0.5), np.full(10, 1.5))
+    assert _peak_mib(lambda: hausdorff(_fresh(cube), shifted)) < 16

@@ -34,6 +34,9 @@ Within `optkernel`, only `feasible_witness` writes the phase-one entry, so
 a set's phase-one point is always the one its own phase one found.  Only
 `optkernel` calls `.box_bounds()`, where `feasible_witness` reads a box's
 emptiness and point off it, so no other module grows its own box rule.
+Only `optkernel` imports from `scipy.linalg`, where the LAPACK routines are
+bound once (`lu_factor`, `lu_solve`, the Gram solve, `svd`), so no other
+module calls a scipy wrapper whose checks and bits may differ.
 """
 
 import argparse
@@ -125,6 +128,53 @@ def test_one_factorization_name():
                 names = {alias.name for alias in node.names}
                 imported += [f"{path.name}: {n}" for n in names & {"lu_factor", "lu_solve"}]
     assert not imported, imported
+
+
+def _scipy_linalg_imports(tree):
+    """Lines of every import of or from `scipy.linalg`, and of every
+    `scipy.linalg` attribute read."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute) and node.attr == "linalg":
+            names = ["scipy.linalg"] if ast.unparse(node.value) == "scipy" else []
+        else:
+            continue
+        if any(n == "scipy.linalg" or n.startswith("scipy.linalg.") for n in names):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "optkernel.py"],
+                         ids=lambda p: p.name)
+def test_only_the_kernel_imports_scipy_linalg(path):
+    found = _scipy_linalg_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert not found, f"{path.name} imports from scipy.linalg at lines {found}"
+
+
+def test_scipy_linalg_rule_catches_an_import():
+    polyhedra = (SRC / "polyhedra.py").read_text(encoding="utf-8")
+    assert _scipy_linalg_imports(ast.parse(polyhedra)) == []
+    lines = polyhedra.splitlines(keepends=True)
+    at = lines.index("import numpy as np\n") + 1
+    lines.insert(at, "from scipy.linalg import null_space\n")
+    assert _scipy_linalg_imports(ast.parse("".join(lines))) == [at + 1]
+    source = (
+        "from scipy import linalg\n"
+        "import scipy.linalg as sla\n"
+        "from scipy.linalg.lapack import dgesdd\n"
+        "x = scipy.linalg.svd(a)\n"
+        "from scipy.optimize import linprog\n"
+        "import scipy\n"
+        "y = np.linalg.svd(a)\n"
+    )
+    assert _scipy_linalg_imports(ast.parse(source)) == [1, 2, 3, 4]
+    assert _scipy_linalg_imports(
+        ast.parse((SRC / "optkernel.py").read_text(encoding="utf-8"))) != []
 
 
 def _stale_exports(tree):
