@@ -47,13 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch, EmptySet, NumericalBreakdown, SchemaError
-from .optkernel import (
-    FEAS_TOL,
-    LinearProgram,
-    QpProjectionProblem,
-    solve_lp,
-    solve_projection_qp,
-)
+from .optkernel import FEAS_TOL, LinearProgram, solve_lp, solve_projection_qp
 from .polyhedra import (
     PolyhedralSet,
     _minimal_face_rows,
@@ -131,10 +125,9 @@ def residual(inst: AviInstance, x) -> ResidualValue:
     does), and from C's phase-one witness otherwise.
     """
     x = _as_vector(x, inst.dim, "x")
-    target = x - inst.m_op @ x - inst.q
-    projected = solve_projection_qp(QpProjectionProblem(target, inst.c_set), x)
+    projected = solve_projection_qp(inst.c_set, x - inst.m_op @ x - inst.q, x)
     r = x - projected
-    return ResidualValue(r=r, projected_point=projected, norm=float(np.linalg.norm(r)))
+    return ResidualValue(r=r, projected_point=projected, norm=math.sqrt(r @ r))
 
 
 _RAY_BOX_RADIUS = 1e6
@@ -152,8 +145,8 @@ def is_solution(inst: AviInstance, x) -> bool:
     descent rays failing by an enormous margin.
     """
     x = _as_vector(x, inst.dim, "x")
-    scale = 1.0 + float(np.linalg.norm(x))
-    if not inst.c_set.contains(x, CMP_TOL * scale):
+    scale = 1.0 + math.sqrt(x @ x)
+    if not _satisfies_rows(inst.c_set, x, CMP_TOL * scale):
         return False
     w = inst.m_op @ x + inst.q
     res = solve_lp(LinearProgram(w, inst.c_set))
@@ -243,8 +236,6 @@ class _PieceTemplate:
         self._eq_kept = np.flatnonzero(np.max(np.abs(eq), axis=1) > 1e-12)
         self.ineq_lhs = ineq[self._ineq_kept]
         self.eq_lhs = eq[self._eq_kept]
-        self.ineq_lhs.setflags(write=False)
-        self.eq_lhs.setflags(write=False)
 
     def section(self, y) -> PolyhedralSet | None:
         """Nonempty x-space piece at level y, or None: the cell decides by
@@ -253,12 +244,13 @@ class _PieceTemplate:
         if not _satisfies_rows(self.cell, y, FEAS_TOL * (1.0 + math.sqrt(y @ y))):
             return None
         if not self.singular:
-            return PolyhedralSet(y.size, eq_lhs=np.eye(y.size), eq_rhs=self._x0 + self._x1 @ y)
+            return PolyhedralSet._computed(y.size, eq_lhs=np.eye(y.size),
+                                           eq_rhs=self._x0 + self._x1 @ y)
         self._x_rows()
         q = self._q
         ineq_rhs = np.concatenate([self._alpha_F + self._A_F @ y, self._w_ineq @ (q - y)])
         eq_rhs = np.concatenate([self._alpha_I + self._A_I @ y, self._w_eq @ (q - y)])
-        return PolyhedralSet(
+        return PolyhedralSet._computed(
             y.size,
             ineq_lhs=self.ineq_lhs,
             ineq_rhs=ineq_rhs[self._ineq_kept],

@@ -132,7 +132,7 @@ class DualMultiplier:
 def evaluate(f: GpMultifunction, x) -> PolyhedralSet:
     """Section F(x) as a polyhedral set in the output space (may be empty)."""
     x = _as_vector(x, f.input_dim, "x")
-    return PolyhedralSet(
+    return PolyhedralSet._computed(
         f.output_dim,
         eq_lhs=f.a2,
         eq_rhs=f.z - f.a1 @ x,
@@ -171,7 +171,7 @@ def _solve_gap_primal(f: GpMultifunction, x: np.ndarray) -> float:
         f.row_y,
         np.zeros((1, r)),
     ])
-    epigraph = PolyhedralSet(
+    epigraph = PolyhedralSet._computed(
         r + 1,
         ineq_lhs=np.hstack([y_rows, -np.ones((y_rows.shape[0], 1))]),
         ineq_rhs=np.concatenate([np.stack([res, -res], axis=1).reshape(2 * k),

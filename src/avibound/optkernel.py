@@ -2,10 +2,9 @@
 
 Everything downstream (geometry, multifunction gaps, piece enumeration)
 reduces to the three solvers in this module.  All three take their rows as
-one `PolyhedralSet`, which has validated them, and no tolerance: a point
-counts as feasible within `FEAS_TOL`.  Instances are desk-scale
-(n + m up to ~100), so the pivots are chosen for determinism and exact
-classification, and each pivot is kept cheap:
+one `PolyhedralSet` and no tolerance: a point counts as feasible within
+`FEAS_TOL`.  Instances are desk-scale (n + m up to ~100), so the pivots
+are chosen for determinism and exact classification, each kept cheap:
 
 - `solve_lp`: two-phase dense revised simplex with Bland's rule for
   anti-cycling, whose phase one starts from the slack basis: an inequality
@@ -15,11 +14,11 @@ classification, and each pivot is kept cheap:
   on request, the slack basis, returning a witness point (the origin, for
   a set without rows), or for an empty set the Farkas ray read off phase
   one's final basis.
-- `solve_projection_qp`: a lookup of the set's last optimal cell, then a
-  primal active-set method for the strictly convex problem min ||z - u||^2
-  over a polyhedron, started from a caller's point of the set (the solvers'
-  iterates, and the point at which `avi.residual` is evaluated) or from its
-  phase-one witness.
+- `solve_projection_qp(S, u, start)`: a lookup of the set's last optimal
+  cell, then a primal active-set method for the strictly convex problem
+  min ||z - u||^2 over a polyhedron, started from a caller's point of the
+  set (the solvers' iterates, and the point at which `avi.residual` is
+  evaluated) or from its phase-one witness.
 
 The two simplex solves share one pipeline: `_standard_form` writes the
 rows once as {A_std v = rhs, v >= 0} with its slack columns and pivot
@@ -163,19 +162,6 @@ class LinearProgram:
             raise ValueError(f"sense must be minimize or maximize, got {self.sense!r}")
         c.setflags(write=False)
         object.__setattr__(self, "objective", c)
-
-
-@dataclass(frozen=True)
-class QpProjectionProblem:
-    """Project `target` onto `feasible_set` in the Euclidean norm."""
-
-    target: np.ndarray
-    feasible_set: PolyhedralSet
-
-    def __post_init__(self):
-        u = _as_vector(self.target, self.feasible_set.ambient_dim, "target")
-        u.setflags(write=False)
-        object.__setattr__(self, "target", u)
 
 
 @dataclass(frozen=True)
@@ -506,8 +492,12 @@ def _keep_cell(S, active, G, h, working, longest, total):
         S._cache["gram"] = (key, factor, cholesky, cell)
 
 
-def solve_projection_qp(problem: QpProjectionProblem, start=None) -> np.ndarray:
-    """Euclidean projection of `problem.target` onto `problem.feasible_set`.
+def solve_projection_qp(S: PolyhedralSet, u, start=None) -> np.ndarray:
+    """Euclidean projection of the target `u` onto `S`.
+
+    Callers compute u and `start` from validated arrays, so each is screened
+    (type, dtype, shape, and a finite 1 + ||u|| or start . start), not
+    scanned; only a failed screen runs `_as_vector`, to convert or raise.
 
     If the target u is feasible it is returned at once, and a box
     (`S.box_bounds()`) short-circuits to coordinate clipping, once
@@ -570,9 +560,12 @@ def solve_projection_qp(problem: QpProjectionProblem, start=None) -> np.ndarray:
 
     Raises EmptySet when `feasible_witness` finds the feasible set empty.
     """
-    u = problem.target
-    S = problem.feasible_set
+    n = S.ambient_dim
+    if not (isinstance(u, np.ndarray) and u.dtype == float and u.shape == (n,)):
+        u = _as_vector(u, n, "target")
     scale = 1.0 + math.sqrt(u @ u)
+    if not math.isfinite(scale):
+        _as_vector(u, n, "target")
     tol = FEAS_TOL * scale
     if _satisfies_rows(S, u, tol):
         return u.copy()
@@ -597,8 +590,9 @@ def solve_projection_qp(problem: QpProjectionProblem, start=None) -> np.ndarray:
             margin = tol + longest * (_DROP_TOL * total + math.sqrt(E))
             if (room - outside @ w > margin).all():
                 return w
-    if start is not None:
-        start = _as_vector(start, u.size, "start")
+    if start is not None and not (isinstance(start, np.ndarray) and start.dtype == float
+                                  and start.shape == (n,) and math.isfinite(start @ start)):
+        start = _as_vector(start, n, "start")
     if start is None or not _satisfies_rows(S, start, tol):
         start = feasible_witness(S)
         if start is None:
@@ -610,7 +604,7 @@ def solve_projection_qp(problem: QpProjectionProblem, start=None) -> np.ndarray:
     working = np.abs(b - A @ z) <= tol
     eq_rows = np.arange(k_eq)
     step_tol = _STEP_TOL * scale
-    max_iters = 50 * (A.shape[0] + k_eq + u.size + 10)
+    max_iters = 50 * (A.shape[0] + k_eq + n + 10)
     solved = False  # whether nu and w = u - G^T nu belong to the working set
     for _ in range(max_iters):
         if not solved:

@@ -28,11 +28,10 @@ from .optkernel import (
     _DROP_TOL,
     _STEP_TOL,
     FEAS_TOL,
-    QpProjectionProblem,
     feasible_witness,
     solve_projection_qp,
 )
-from .sets import PolyhedralSet, box, nonnegative_orthant  # re-export
+from .sets import PolyhedralSet, _as_vector, box, nonnegative_orthant  # re-export
 
 __all__ = [
     "GEOM_TOL",
@@ -255,6 +254,8 @@ def _projections(K, d0, D, L, r0, R):
     one per member, whose rows are each divided by the larger of 1 and the
     norm of their coefficients, z0 and Z1 stacked, and singular a boolean
     array, True for each member whose K is rank-deficient under that rule.
+    A nonsingular member's set is its slice of the stack, which one scan
+    checks finite (K^+ can overflow); a singular member's set is validated.
     Passes on `_extreme_rays`' CapExceeded and NumericalBreakdown.
     """
     U, s, Vt = np.linalg.svd(K)
@@ -265,17 +266,19 @@ def _projections(K, d0, D, L, r0, R):
     lhs, rhs = L @ Z1 - R, r0 - (L @ z0[..., None])[..., 0]
     unit_lhs, unit_rhs = _scaled_rows(lhs, rhs)
     ranks = np.count_nonzero(kept, axis=1)
+    cell = (PolyhedralSet._computed
+            if np.isfinite(unit_lhs).all() and np.isfinite(unit_rhs).all() else PolyhedralSet)
     rows = []
     for j, rank in enumerate(ranks):
-        ineq_lhs, ineq_rhs = unit_lhs[j], unit_rhs[j]
-        eq_lhs = eq_rhs = None
         if rank < K.shape[1]:
             U0, N = U[j][:, rank:], Vt[j][rank:].T
             rays = _extreme_rays((L[j] @ N).T, -np.eye(L.shape[1]))
             eq_lhs, eq_rhs = _scaled_rows(U0.T @ D[j], -U0.T @ d0[j])
             ineq_lhs, ineq_rhs = _scaled_rows(rays @ lhs[j], rays @ rhs[j])
-        rows.append(PolyhedralSet(D.shape[2], ineq_lhs=ineq_lhs, ineq_rhs=ineq_rhs,
-                                  eq_lhs=eq_lhs, eq_rhs=eq_rhs))
+            rows.append(PolyhedralSet(D.shape[2], ineq_lhs=ineq_lhs, ineq_rhs=ineq_rhs,
+                                      eq_lhs=eq_lhs, eq_rhs=eq_rhs))
+        else:
+            rows.append(cell(D.shape[2], ineq_lhs=unit_lhs[j], ineq_rhs=unit_rhs[j]))
     return rows, z0, Z1, ranks < K.shape[1]
 
 
@@ -365,8 +368,10 @@ def _minimal_face_rows(S: PolyhedralSet) -> list:
 
 def distance(S: PolyhedralSet, x):
     """(d(x, S), nearest point).  Raises EmptySet for empty S."""
-    z = solve_projection_qp(QpProjectionProblem(np.asarray(x, dtype=float), S))
-    return float(np.linalg.norm(np.asarray(x, dtype=float) - z)), z
+    x = _as_vector(x, S.ambient_dim, "target")
+    z = solve_projection_qp(S, x)
+    d = x - z
+    return math.sqrt(d @ d), z
 
 
 def _recession_cones_match(va: VertexSet, vb: VertexSet,

@@ -6,12 +6,15 @@ are kept separate from inequalities on purpose: converting them to pairs of
 inequalities destroys the conditioning of the active-set projection solver.
 Instances are immutable after construction.
 
-Rows are validated only here, by `_as_matrix` and `_as_vector`, which read
-None or an empty array as a block with no rows: a zero-row array.
+Arrays are validated once, where they enter the program, by `_as_matrix`
+and `_as_vector` (None or an empty array is a zero-row block): in the public
+constructors and each public function's own arguments.  Rows the program
+computes from validated arrays build their set by `PolyhedralSet._computed`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +23,7 @@ from .errors import DimensionMismatch, SchemaError
 
 
 def _as_matrix(a, ncols: int, name: str) -> np.ndarray:
-    arr = np.asarray([] if a is None else a, dtype=float)
+    arr = np.array([] if a is None else a, dtype=float)
     if arr.size == 0:
         return np.zeros((0, ncols))
     if arr.ndim != 2 or arr.shape[1] != ncols:
@@ -31,7 +34,7 @@ def _as_matrix(a, ncols: int, name: str) -> np.ndarray:
 
 
 def _as_vector(a, nrows: int, name: str) -> np.ndarray:
-    arr = np.asarray([] if a is None else a, dtype=float).reshape(-1)
+    arr = np.array([] if a is None else a, dtype=float).reshape(-1)
     if arr.shape != (nrows,):
         raise DimensionMismatch(f"{name}: expected length {nrows}, got {arr.shape}")
     if not np.isfinite(arr).all():
@@ -41,7 +44,9 @@ def _as_vector(a, nrows: int, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PolyhedralSet:
-    """Polyhedral convex set in inequality/equality form."""
+    """Polyhedral convex set in inequality/equality form.  The constructor
+    keeps read-only copies of the blocks it validates, so the caller's arrays
+    stay writable and no write to them reaches the set or its cache."""
 
     ambient_dim: int
     ineq_lhs: np.ndarray = field(default=None)
@@ -53,15 +58,31 @@ class PolyhedralSet:
         n = int(self.ambient_dim)
         if n <= 0:
             raise DimensionMismatch("ambient_dim must be positive")
-        object.__setattr__(self, "ambient_dim", n)
         A = _as_matrix(self.ineq_lhs, n, "ineq_lhs")
         b = _as_vector(self.ineq_rhs, A.shape[0], "ineq_rhs")
         E = _as_matrix(self.eq_lhs, n, "eq_lhs")
-        d = _as_vector(self.eq_rhs, E.shape[0], "eq_rhs")
+        self._keep(n, A, b, E, _as_vector(self.eq_rhs, E.shape[0], "eq_rhs"))
+
+    def _keep(self, n, A, b, E, d):
+        object.__setattr__(self, "ambient_dim", n)
         for name, arr in (("ineq_lhs", A), ("ineq_rhs", b), ("eq_lhs", E), ("eq_rhs", d)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "_cache", {})
+        return self
+
+    @classmethod
+    def _computed(cls, n: int, ineq_lhs=None, ineq_rhs=None, eq_lhs=None, eq_rhs=None):
+        """The set of rows the program computed from validated arrays (None
+        for no rows), kept read-only, with no copy and no scan.  A right-hand
+        side that overflowed on a huge point fails a dot-product screen and
+        goes through the constructor, which raises its error."""
+        empty = np.zeros((0, n)), np.zeros(0)
+        A, b = empty if ineq_lhs is None else (ineq_lhs, ineq_rhs)
+        E, d = empty if eq_lhs is None else (eq_lhs, eq_rhs)
+        if not math.isfinite(b @ b + d @ d):
+            return cls(n, ineq_lhs=A, ineq_rhs=b, eq_lhs=E, eq_rhs=d)
+        return object.__new__(cls)._keep(n, A, b, E, d)
 
     @property
     def num_ineq(self) -> int:
@@ -78,12 +99,8 @@ class PolyhedralSet:
     def violation(self, x) -> float:
         """Largest constraint violation at x (0 inside)."""
         x = _as_vector(x, self.ambient_dim, "x")
-        worst = 0.0
-        if self.num_eq:
-            worst = max(worst, float(np.max(np.abs(self.eq_lhs @ x - self.eq_rhs))))
-        if self.num_ineq:
-            worst = max(worst, float(np.max(self.ineq_lhs @ x - self.ineq_rhs)))
-        return worst
+        return max(0.0, float(np.abs(self.eq_lhs @ x - self.eq_rhs).max(initial=0.0)),
+                   float((self.ineq_lhs @ x - self.ineq_rhs).max(initial=0.0)))
 
     def box_bounds(self):
         """(lo, hi) coordinate bounds when every row has exactly one nonzero
@@ -158,9 +175,9 @@ def nonnegative_orthant(n: int) -> PolyhedralSet:
 def _satisfies_rows(S: PolyhedralSet, x: np.ndarray, tol: float) -> bool:
     """Whether every row of S holds at x within slack `tol`.
 
-    x must be a finite float vector of length `S.ambient_dim`, as
-    `_as_vector` returns it: a NaN residual compares False against `tol`,
-    so this test alone would accept a non-finite x.
+    x must be a finite float vector of length `S.ambient_dim`, validated
+    where it entered the program: a NaN residual compares False against
+    `tol`, so this test alone would accept a non-finite x.
     """
     if S.num_eq and np.abs(S.eq_lhs @ x - S.eq_rhs).max() > tol:
         return False

@@ -17,7 +17,7 @@ import numpy as np
 
 from .avi import AviInstance, residual
 from .bounds import SolutionGeometry
-from .optkernel import QpProjectionProblem, solve_projection_qp
+from .optkernel import solve_projection_qp
 from .ratios import ZERO_OVER_ZERO_FLOOR, HoldoutReport, holdout
 from .sets import _as_vector
 
@@ -99,17 +99,9 @@ def solve(inst: AviInstance, cfg: SolverConfig = SolverConfig()) -> SolveTrace:
     than raising.  The run stops at `cfg.stop_residual` alone, however far
     below the verdicts' comparison slack `ratios.CMP_TOL` it lies.
     """
-    x = (
-        _as_vector(cfg.x0, inst.dim, "x0").copy()
-        if cfg.x0 is not None
-        else np.zeros(inst.dim)
-    )
+    x = np.zeros(inst.dim) if cfg.x0 is None else _as_vector(cfg.x0, inst.dim, "x0")
     step = cfg.step if cfg.step is not None else default_step(inst)
     M, q, C = inst.m_op, inst.q, inst.c_set
-
-    def proj(u, start):
-        return solve_projection_qp(QpProjectionProblem(u, C), start)
-
     records = []
     points = []
     converged = False
@@ -123,16 +115,16 @@ def solve(inst: AviInstance, cfg: SolverConfig = SolverConfig()) -> SolveTrace:
             break
         if it == cfg.max_iters:
             break
-        if np.linalg.norm(x) > DIVERGENCE_NORM:
+        if math.sqrt(x @ x) > DIVERGENCE_NORM:
             diverged = True
             break
         # Warm starts: x (once past x0) and midpoint already lie in C, and so
         # the next residual's projection starts from the new x as well.
         if cfg.method == "projected_fixed_point":
-            x = proj(x - step * (M @ x + q), x)
+            x = solve_projection_qp(C, x - step * (M @ x + q), x)
         else:
-            midpoint = proj(x - step * (M @ x + q), x)
-            x = proj(x - step * (M @ midpoint + q), midpoint)
+            midpoint = solve_projection_qp(C, x - step * (M @ x + q), x)
+            x = solve_projection_qp(C, x - step * (M @ midpoint + q), midpoint)
     return SolveTrace(
         method=cfg.method,
         step=step,

@@ -31,7 +31,6 @@ from avibound.gpm import (
 from avibound.instgen import TruncationFamily, canned_suite, generate_random_avi
 from avibound.optkernel import (
     LinearProgram,
-    QpProjectionProblem,
     solve_lp,
     solve_projection_qp,
 )
@@ -351,7 +350,7 @@ def test_criterion_9_kernel_sanity():
         if not is_nonempty(S):
             continue
         u = np.array([5.0 * rng.normal() for _ in range(n)])
-        z = solve_projection_qp(QpProjectionProblem(u, S))
+        z = solve_projection_qp(S, u)
         for v in enumerate_vertices(S).vertices:
             worst_vi = max(worst_vi, float((u - z) @ (v - z)))
         qp_checked += 1

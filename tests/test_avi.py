@@ -44,7 +44,7 @@ from avibound.bounds import (
     verify_upper_lipschitz_inverse,
 )
 from avibound.instgen import MONOTONICITY_CLASSES, canned_suite, generate_random_avi
-from avibound.optkernel import FEAS_TOL, QpProjectionProblem, solve_projection_qp
+from avibound.optkernel import FEAS_TOL, solve_projection_qp
 from avibound.polyhedra import (
     box,
     enumerate_vertices,
@@ -150,7 +150,7 @@ class TestResidual:
             np.testing.assert_allclose(x - val.r, val.projected_point, atol=1e-10)
             inside = val.projected_point
             u = inside - inst.m_op @ inside - inst.q
-            cold = solve_projection_qp(QpProjectionProblem(u, inst.c_set))
+            cold = solve_projection_qp(inst.c_set, u)
             scale = 1.0 + np.linalg.norm(u)
             assert np.linalg.norm(residual(inst, inside).projected_point - cold) <= 1e-12 * scale
             warm += not inst.c_set.contains(u, FEAS_TOL * scale)
@@ -988,7 +988,7 @@ def test_near_parallel_preimages_of_zero():
     for k, S in _all_near_parallel_sets():
         n = S.ambient_dim
         inst = AviInstance(m_op=np.eye(n), q=np.zeros(n), c_set=S)
-        nearest = solve_projection_qp(QpProjectionProblem(np.zeros(n), S))
+        nearest = solve_projection_qp(S, np.zeros(n))
         pieces = inverse_residual(inst, np.zeros(n))
         assert pieces, k
         for piece in pieces:

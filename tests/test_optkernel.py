@@ -28,7 +28,6 @@ from avibound import (
 from avibound.optkernel import (
     FEAS_TOL,
     LinearProgram,
-    QpProjectionProblem,
     feasible_witness,
     solve_feasibility,
     solve_lp,
@@ -283,7 +282,7 @@ class TestSolveFeasibility:
 
 
 def project_onto(u, S, **kw):
-    return solve_projection_qp(QpProjectionProblem(np.asarray(u, float), S), **kw)
+    return solve_projection_qp(S, np.asarray(u, float), **kw)
 
 
 class TestProjectionQp:
@@ -963,13 +962,12 @@ def test_solver_tail_pass_factors_each_working_set_once(monkeypatch):
     hits = [0]
     project = optkernel.solve_projection_qp
 
-    def classified(problem, start=None):
+    def classified(S, u, start=None):
         # a call that neither returns its target nor runs the loop took the
         # cell (no set of the pool is a box)
         before = len(loops)
-        z = project(problem, start)
-        u = problem.target
-        outside = not problem.feasible_set.contains(u, FEAS_TOL * (1.0 + np.linalg.norm(u)))
+        z = project(S, u, start)
+        outside = not S.contains(u, FEAS_TOL * (1.0 + np.linalg.norm(u)))
         hits[0] += outside and len(loops) == before
         return z
 
@@ -980,6 +978,33 @@ def test_solver_tail_pass_factors_each_working_set_once(monkeypatch):
         assert pool.run(index, pool.build(index))["invariants"]
     assert counts == {"_potrf": 566, "_potrs": 6785}
     assert (hits[0], len(loops)) == (5652, 393)
+
+
+def test_solver_tail_pass_calls_the_public_names(monkeypatch):
+    # One pass over the `solver_tail` pool makes 2,459 residual evaluations
+    # and 7,345 projections (one per residual, two per extragradient step),
+    # every one through the module bindings of `residual` and
+    # `solve_projection_qp`, which the benchmark's tracer counts.  A caller
+    # that bypassed either name (an inlined residual, a private projection
+    # entry) would lower these counts.
+    counts = {"residual": 0, "solve_projection_qp": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name, module in (("residual", avi), ("solve_projection_qp", optkernel)):
+        original = getattr(module, name)
+        for bound in (avi, optkernel, solvers):
+            if getattr(bound, name, None) is original:
+                monkeypatch.setattr(bound, name, counted(name, original))
+    pool = workloads.SolverTail()
+    for index in range(pool.pool_size):
+        assert pool.run(index, pool.build(index))["invariants"]
+    assert counts == {"residual": 2459, "solve_projection_qp": 7345}
 
 
 def _count_loops(monkeypatch):
@@ -1148,7 +1173,7 @@ class TestDegenerateInputs:
             S = PolyhedralSet(n, ineq_lhs=A, ineq_rhs=b)
             u = np.array([3 * rng.normal() for _ in range(n)])
             try:
-                z = solve_projection_qp(QpProjectionProblem(u, S))
+                z = solve_projection_qp(S, u)
             except EmptySet:
                 continue
             assert S.contains(z, 1e-7)

@@ -36,11 +36,17 @@ a set's phase-one point is always the one its own phase one found.  Only
 emptiness and point off it, so no other module grows its own box rule.
 Only `optkernel` imports from `scipy.linalg`, where the LAPACK routines are
 bound once (`lu_factor`, `lu_solve`, the Gram solve, `svd`), so no other
-module calls a scipy wrapper whose checks and bits may differ.
+module calls a scipy wrapper whose checks and bits may differ.  Arrays are
+validated where they enter the program: only the public constructors and
+the public functions listed in `VALIDATORS` call `_as_vector` or
+`_as_matrix`, each as often as listed, so no validation pass comes back
+inside the program, and the projection's three calls sit under the screens
+of its target and start.
 """
 
 import argparse
 import ast
+import collections
 import dataclasses
 import inspect
 import textwrap
@@ -692,3 +698,66 @@ def test_box_bounds_rule_catches_a_call():
         "S.box_bound()\n"
     )
     assert _box_bounds_calls(ast.parse(source)) == [1, 2, 3]
+
+
+# The routines that validate arrays where they enter the program, with the
+# number of `_as_vector`/`_as_matrix` calls each makes: the public
+# constructors and the public functions' own arguments.  The projection's
+# three run only when a screen of its target or start fails; every other
+# routine takes the arrays it is handed, or computes, as validated.
+VALIDATORS = {
+    ("avi.py", "AviInstance.__post_init__"): 2,
+    ("avi.py", "inverse_residual"): 1,
+    ("avi.py", "is_solution"): 1,
+    ("avi.py", "residual"): 1,
+    ("bounds.py", "verify_upper_lipschitz_inverse"): 1,
+    ("gpm.py", "GpMultifunction.__post_init__"): 6,
+    ("gpm.py", "evaluate"): 1,
+    ("gpm.py", "gap_dual"): 1,
+    ("gpm.py", "gap_primal"): 1,
+    ("optkernel.py", "LinearProgram.__post_init__"): 1,
+    ("optkernel.py", "solve_projection_qp"): 3,
+    ("polyhedra.py", "distance"): 1,
+    ("sets.py", "PolyhedralSet.__post_init__"): 4,
+    ("sets.py", "PolyhedralSet.contains"): 1,
+    ("sets.py", "PolyhedralSet.violation"): 1,
+    ("solvers.py", "solve"): 1,
+}
+
+
+def _validation_calls(tree):
+    """Calls of `_as_vector` or `_as_matrix`, by name or as an attribute,
+    counted by enclosing routine."""
+    return collections.Counter(
+        scope for node, scope in _scoped_nodes(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("_as_vector", "_as_matrix")
+    )
+
+
+def test_arrays_are_validated_where_they_enter():
+    found = {
+        (path.name, scope): count
+        for path in MODULES
+        for scope, count in _validation_calls(ast.parse(path.read_text(encoding="utf-8"))).items()
+    }
+    assert found == VALIDATORS
+
+
+def test_validation_rule_catches_a_call_in_the_kernel():
+    optkernel = (SRC / "optkernel.py").read_text(encoding="utf-8")
+    assert _validation_calls(ast.parse(optkernel))["solve_projection_qp"] == 3
+    lines = optkernel.splitlines(keepends=True)
+    at = lines.index("    k_eq = S.num_eq\n")
+    lines.insert(at, '    start = _as_vector(start, n, "start")\n')
+    assert _validation_calls(ast.parse("".join(lines)))["solve_projection_qp"] == 4
+    source = (
+        "def distance(S, x):\n    x = _as_vector(x, 2, 'x')\n"
+        "class Piece:\n"
+        "    def section(self, y):\n"
+        "        return sets._as_matrix(y, 2, 'y'), _as_vector(y, 2, 'y')\n"
+        "_as_vector([0.0], 1, 'module level')\n"
+        "as_vector(x)\n"
+        "_as_vector\n"
+    )
+    assert _validation_calls(ast.parse(source)) == {"distance": 1, "Piece.section": 2, "": 1}
