@@ -26,9 +26,10 @@ and a level tests its rows with one product; no phase one, and no other
 row, decides a section.  The templates of an instance are built whole, once,
 with the face search (`_build_templates`): the sections of one pattern size
 have rows of one shape, so each size is one stacked projection
-(`polyhedra._projections`), and only a singular section runs double
-description.  Each template keeps the rows of its face F_I as views of
-the stacks its cell was built from.  Where the section's equality rows are
+(`polyhedra._projections`); a singular section whose K has corank one
+takes its cell's rays in closed form, and only one of corank two or more
+runs double description.  Each template keeps the rows of its face F_I as
+views of the stacks its cell was built from.  Where the section's equality rows are
 nonsingular, a nonempty section is one point, and the piece is its x-part
 x0 + X1 y, written as the rows I x = x0 + X1 y: a box, which `is_nonempty`,
 `distance` and `enumerate_vertices` read off its bounds with no phase one,
@@ -170,11 +171,15 @@ class _PieceTemplate:
     Built whole by `_build_templates`, with its cell: the lifted section
     {(x, lambda) : x - y in F_I, M x + A_I^T lambda = y - q, lambda >= 0},
     lambda on the active rows A_I of C, projected onto y, and the x-part
-    x0 + X1 y of the section's particular point.  The cell alone decides a
-    level, by one tolerance rule: y lies in the cell when every row of
-    `cell`, divided by the larger of 1 and the norm of its coefficients,
-    holds within FEAS_TOL (1 + ||y||), the slack at which the kernel accepts
-    a point.
+    x0 + X1 y of the section's particular point.  The cell's rows combine
+    the section's inequality rows by the extreme rays of its projection
+    cone (`polyhedra._projections`): the unit vectors where K below is
+    nonsingular, rays in closed form where K has corank one, and double
+    description's rays only where its corank is two or more.  The cell
+    alone decides a level, by one tolerance rule: y lies in the cell when
+    every row of `cell`, divided by the larger of 1 and the norm of its
+    coefficients, holds within FEAS_TOL (1 + ||y||), the slack at which the
+    kernel accepts a point.
 
     The x-space piece is the section projected onto x.  When the section's
     equality rows K z = d0 + D y, with z = (x, lambda) and K = [[A_I, 0],

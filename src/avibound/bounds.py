@@ -149,10 +149,14 @@ def _jsonable(value):
 class ErrorBoundSample:
     point: np.ndarray
     residual_norm: float
-    distance: float
+    distance: float | None  # None where no residual filter can keep it
 
 
-def _sample_error_bound_table(inst, geometry, num_samples, master_seed):
+def _sample_error_bound_table(inst, geometry, num_samples, master_seed, top):
+    """The seeded samples, each with its residual norm, and its distance to
+    the solution set only where `_filter_error_bound` at some epsilon <= top
+    (the largest the table is filtered at) can keep the sample: not below
+    ZERO_OVER_ZERO_FLOOR and not above top.  No filter reads the others'."""
     anchors = geometry.anchors
     table = []
     for i in range(num_samples):
@@ -161,7 +165,8 @@ def _sample_error_bound_table(inst, geometry, num_samples, master_seed):
         scale = DEFAULT_NOISE_SCALES[stream.randint(0, len(DEFAULT_NOISE_SCALES) - 1)]
         x = anchor + scale * np.array(stream.normals(inst.dim))
         rnorm = residual(inst, x).norm
-        dist = geometry.distance(x)
+        kept = not (rnorm < ZERO_OVER_ZERO_FLOOR or rnorm > top)
+        dist = geometry.distance(x) if kept else None
         table.append(ErrorBoundSample(point=x, residual_norm=rnorm, distance=dist))
     return table
 
@@ -201,7 +206,7 @@ def verify_error_bound(inst: AviInstance, epsilon: float,
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     geometry = geometry or SolutionGeometry.from_instance(inst)
-    table = _sample_error_bound_table(inst, geometry, num_samples, master_seed)
+    table = _sample_error_bound_table(inst, geometry, num_samples, master_seed, epsilon)
     kept, excluded_floor, filtered_eps = _filter_error_bound(table, epsilon)
     if not kept:
         raise DegenerateSampler(
@@ -354,7 +359,8 @@ def find_local_radius(inst: AviInstance,
     a monotone reduction of the same data rather than fresh noise per level.
     """
     geometry = geometry or SolutionGeometry.from_instance(inst)
-    table = _sample_error_bound_table(inst, geometry, num_samples, master_seed)
+    table = _sample_error_bound_table(inst, geometry, num_samples, master_seed,
+                                      EPSILON_LADDER[0])
     curve = []
     chosen = None
     for eps in EPSILON_LADDER:

@@ -226,6 +226,40 @@ def _joined_rays(W, s, pos, neg, zero, k):
     return rays / np.array([math.sqrt(r @ r) for r in rays]).reshape(-1, 1)
 
 
+def _corank_one_rays(c: np.ndarray):
+    """Unit extreme rays (rows) of the cone {u >= 0 : c . u = 0}, in closed
+    form: one Fourier–Motzkin step (Motzkin 1936) eliminating the one free
+    coordinate t of a projection whose null(K) is one column N, c = L N.
+
+    An extreme ray has m - 1 independent tight rows, c among them, so at
+    most two nonzero entries: e_i where c_i = 0, and, for each pair
+    c_i > 0 > c_j, the ray -c_j e_i + c_i e_j, divided by hypot(c_i, c_j);
+    zeros first, then pairs, i-major and in ascending j for each i (double
+    description's order is its pivots', so only the set of rays is the
+    same).  Zero rule: double description
+    counts a row value at a unit ray within _ZERO_TOL of the row's norm as
+    zero; the one row is c and c . e_i = c_i, so c_i is zero when
+    |c_i| <= _ZERO_TOL ||c|| (every c_i when c = 0, where the null basis of
+    a zero row is the whole space), and positive or negative past it.  The
+    ray count |zero| + |pos| |neg| is what double description's one cut
+    keeps, and past _RAY_BUDGET it raises the same CapExceeded.
+    """
+    tol = _ZERO_TOL * math.sqrt(c @ c)
+    zero = np.flatnonzero(np.abs(c) <= tol)
+    pos, neg = np.flatnonzero(c > tol), np.flatnonzero(c < -tol)
+    count = zero.size + pos.size * neg.size
+    if count > _RAY_BUDGET:
+        raise CapExceeded(
+            f"double description keeps {count} rays after a cut, budget {_RAY_BUDGET}"
+        )
+    rays = np.zeros((count, c.size))
+    rays[np.arange(zero.size), zero] = 1.0
+    i, j = np.repeat(pos, neg.size), np.tile(neg, pos.size)
+    pairs, norm = np.arange(zero.size, count), np.hypot(c[i], c[j])
+    rays[pairs, i], rays[pairs, j] = -c[j] / norm, c[i] / norm
+    return rays
+
+
 def _scaled_rows(lhs, rhs):
     """The rows (last axis) of lhs, and rhs, divided by the larger of 1 and
     the norm of their coefficients."""
@@ -246,17 +280,24 @@ def _projections(K, d0, D, L, r0, R):
     some t exactly when u . ((L Z1 - R) p) <= u . (r0 - L z0) for every
     extreme ray u of the projection cone {u >= 0 : (L N)^T u = 0} (Balas
     1998).  For a nonsingular K, N has no columns and the rays are the unit
-    vectors: one row per row of L, so only a rank-deficient member runs a
-    double description (`_extreme_rays`).  One SVD and one product per
-    step serve the whole stack; K^+ divides by infinity in place of each
-    dropped singular value.
+    vectors: one row per row of L.  For K of corank one, N is one column
+    and the cone is {u >= 0 : c . u = 0} with c = L N, whose rays one
+    Fourier–Motzkin step gives in closed form (`_corank_one_rays`: e_i for
+    each |c_i| <= _ZERO_TOL ||c||, and one unit pair ray for each c_i > 0 >
+    c_j, with double description's ray budget).  Only a member of corank
+    two or more runs a double description (`_extreme_rays`).  One SVD and
+    one product per step serve the whole stack; K^+ divides by infinity in
+    place of each dropped singular value.
     Returns (rows, z0, Z1, singular): rows a list of PolyhedralSets over p,
     one per member, whose rows are each divided by the larger of 1 and the
     norm of their coefficients, z0 and Z1 stacked, and singular a boolean
     array, True for each member whose K is rank-deficient under that rule.
     A nonsingular member's set is its slice of the stack, which one scan
-    checks finite (K^+ can overflow); a singular member's set is validated.
-    Passes on `_extreme_rays`' CapExceeded and NumericalBreakdown.
+    checks finite (K^+ can overflow); a singular member's rows, its rays'
+    combinations of the stack's rows, get one scan of their own.  A set
+    that fails its scan goes through the validating constructor, which
+    raises.  Passes on CapExceeded (either ray routine) and on
+    `_extreme_rays`' NumericalBreakdown.
     """
     U, s, Vt = np.linalg.svd(K)
     kept = s > _RANK_TOL * s[:, :1]
@@ -271,12 +312,16 @@ def _projections(K, d0, D, L, r0, R):
     rows = []
     for j, rank in enumerate(ranks):
         if rank < K.shape[1]:
-            U0, N = U[j][:, rank:], Vt[j][rank:].T
-            rays = _extreme_rays((L[j] @ N).T, -np.eye(L.shape[1]))
-            eq_lhs, eq_rhs = _scaled_rows(U0.T @ D[j], -U0.T @ d0[j])
-            ineq_lhs, ineq_rhs = _scaled_rows(rays @ lhs[j], rays @ rhs[j])
-            rows.append(PolyhedralSet(D.shape[2], ineq_lhs=ineq_lhs, ineq_rhs=ineq_rhs,
-                                      eq_lhs=eq_lhs, eq_rhs=eq_rhs))
+            U0, LN = U[j][:, rank:], L[j] @ Vt[j][rank:].T
+            rays = (_corank_one_rays(LN[:, 0]) if LN.shape[1] == 1
+                    else _extreme_rays(LN.T, -np.eye(L.shape[1])))
+            k = U0.shape[1]
+            cell_lhs, cell_rhs = _scaled_rows(np.vstack([U0.T @ D[j], rays @ lhs[j]]),
+                                              np.concatenate([-U0.T @ d0[j], rays @ rhs[j]]))
+            singular_cell = (PolyhedralSet._computed if np.isfinite(cell_lhs).all()
+                             and np.isfinite(cell_rhs).all() else PolyhedralSet)
+            rows.append(singular_cell(D.shape[2], ineq_lhs=cell_lhs[k:], ineq_rhs=cell_rhs[k:],
+                                      eq_lhs=cell_lhs[:k], eq_rhs=cell_rhs[:k]))
         else:
             rows.append(cell(D.shape[2], ineq_lhs=unit_lhs[j], ineq_rhs=unit_rhs[j]))
     return rows, z0, Z1, ranks < K.shape[1]

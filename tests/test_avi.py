@@ -16,6 +16,7 @@ from reference_oracles import (
     reference_cell,
     reference_piece,
 )
+from scipy.optimize import linear_sum_assignment
 from test_acceptance import _avi_corpus
 from test_polyhedra import _all_near_parallel_sets, _count_calls
 
@@ -751,13 +752,18 @@ def test_cell_verdicts_match_the_x_space_pieces():
     assert compared > 5000 and nonempty > 300
 
 
-def _is_singular(template, inst):
-    """Whether the lifted section's equality rows K = [[A_I, 0], [M, A_I^T]]
-    are singular, so that the cell is a projection along null(K)."""
+def _corank(template, inst):
+    """The dimension of null(K) for the lifted section's equality rows
+    K = [[A_I, 0], [M, A_I^T]], along which the cell is a projection."""
     A_I = inst.c_set.ineq_lhs[list(template.active)]
     k = A_I.shape[0]
     K = np.block([[A_I, np.zeros((k, k))], [inst.m_op, A_I.T]])
-    return np.linalg.matrix_rank(K) < K.shape[0]
+    return K.shape[0] - np.linalg.matrix_rank(K)
+
+
+def _is_singular(template, inst):
+    """Whether K is singular, so that the cell is a projection along null(K)."""
+    return _corank(template, inst) > 0
 
 
 def _edge_levels(template, y, d):
@@ -832,29 +838,50 @@ def _record_callers(monkeypatch, module, name):
 
 def test_nonsingular_cells_run_no_double_description(monkeypatch):
     # the projection cone of a nonsingular K is the orthant, whose rays are
-    # the unit vectors, so only a template whose K is singular runs a double
+    # the unit vectors, and that of a K of corank one has its rays in closed
+    # form, so only a template whose K has corank two or more runs a double
     # description for its cell; counted on a fresh instance, whose first
     # inverse_residual builds its templates
     callers = _record_callers(monkeypatch, polyhedra, "_extreme_rays")
-    singular = 0
-    for name, inst in _pool_shaped_instances():
+    closed_form = _record_callers(monkeypatch, polyhedra, "_corank_one_rays")
+    counts = {1: 0, 2: 0}
+    for name, inst in _pool_shaped_instances() + _singular_corpus():
         callers.clear()
+        closed_form.clear()
         inverse_residual(inst, np.zeros(inst.dim))
-        expected = sum(bool(_is_singular(t, inst)) for t in _face_templates(inst))
-        assert callers.count("_projections") == expected, name
-        singular += expected
-    assert singular > 0
+        coranks = [_corank(t, inst) for t in _face_templates(inst)]
+        expected = {1: coranks.count(1), 2: sum(int(c >= 2) for c in coranks)}
+        assert callers.count("_projections") == expected[2], name
+        assert closed_form == ["_projections"] * expected[1], name
+        for corank in counts:
+            counts[corank] += expected[corank]
+    assert counts[1] > 50 and counts[2] > 10, counts
 
 
 def _cell_arrays(cell, x0, x1):
     return [cell.ineq_lhs, cell.ineq_rhs, cell.eq_lhs, cell.eq_rhs, x0, x1]
 
 
+def _in_row_order(got, expected):
+    """The inequality rows of `got` (cell arrays) put in the order of their
+    nearest match in `expected`: the assignment of rows [lhs | rhs] that
+    minimizes the summed largest entry difference."""
+    got_rows, expected_rows = (np.column_stack(arrays[:2]) for arrays in (got, expected))
+    if got_rows.shape != expected_rows.shape or not got_rows.size:
+        return got
+    gaps = np.abs(got_rows[:, None, :] - expected_rows[None, :, :]).max(axis=2)
+    got_index, expected_index = linear_sum_assignment(gaps)
+    order = got_index[np.argsort(expected_index)]
+    return [got[0][order], got[1][order]] + got[2:]
+
+
 def test_stacked_cells_match_one_system_projections():
     # each template's cell, x0 and X1 from the stacked projection against the
-    # same projection run on its system alone: equal for a nonsingular K (up
-    # to the sign of a zero, which the one-system route's identity product
-    # of rays folds to +0), within 1e-12 relative for a singular one
+    # same projection run on its system alone, which runs double description
+    # on every singular cone: equal for a nonsingular K (up to the sign of a
+    # zero, which the one-system route's identity product of rays folds to
+    # +0), and within 1e-12 relative for a singular one, whose inequality
+    # rows a corank-one cone's closed-form rays give in another order
     corpus = _pool_shaped_instances() + _piece_corpus() + _degenerate_instances()
     corpus.append(("no rows, M = 0", AviInstance(m_op=np.zeros((2, 2)), q=[1.0, -1.0],
                                                  c_set=PolyhedralSet(2))))
@@ -866,6 +893,8 @@ def test_stacked_cells_match_one_system_projections():
             counts[singular] += 1
             stacked = _cell_arrays(template.cell, template._x0, template._x1)
             alone = _cell_arrays(*reference_cell(inst, template.active))
+            if singular:
+                stacked = _in_row_order(stacked, alone)
             for got, expected in zip(stacked, alone):
                 assert got.shape == expected.shape, (name, template.active)
                 if singular:

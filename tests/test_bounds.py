@@ -15,6 +15,7 @@ from avibound.bounds import (
 )
 from avibound.instgen import TruncationFamily, generate_random_avi
 from avibound.polyhedra import nonnegative_orthant, union_distance
+from avibound.ratios import ZERO_OVER_ZERO_FLOOR
 from avibound.rng import SplitMix64
 
 
@@ -227,3 +228,29 @@ class TestSolutionGeometry:
         for _ in range(25):
             x = np.array([1.0 + rng.normal() for _ in range(n)])
             assert separable.distance(x) == pytest.approx(generic.distance(x), abs=1e-7)
+
+
+def test_sampler_measures_only_the_samples_a_filter_can_keep():
+    # d(x, SOL) is computed only for a sample whose residual norm lies in
+    # [ZERO_OVER_ZERO_FLOOR, top], top the largest epsilon the table is
+    # filtered at (epsilon itself in verify_error_bound, the ladder's top in
+    # find_local_radius); those distances are the ones a table measuring
+    # every sample holds, so the filters keep the same ratios
+    inst = generate_random_avi(n=3, m=4, monotonicity="strongly_monotone", seed=2003)
+    geometry = SolutionGeometry.from_instance(inst)
+    full = bounds._sample_error_bound_table(inst, geometry, 300, 11, np.inf)
+    for top in (0.25, bounds.EPSILON_LADDER[0]):
+        table = bounds._sample_error_bound_table(inst, geometry, 300, 11, top)
+        measured = [ZERO_OVER_ZERO_FLOOR <= s.residual_norm <= top for s in full]
+        assert 0 < sum(measured) < len(full)
+        for sample, reference, kept in zip(table, full, measured):
+            assert sample.residual_norm == reference.residual_norm
+            assert sample.distance == (reference.distance if kept else None)
+    calls = []
+    counting = SolutionGeometry(lambda x: calls.append(x) or geometry.distance(x),
+                                geometry.anchors)
+    for run, top in ((lambda: verify_error_bound(inst, 0.25, 300, 11, counting), 0.25),
+                     (lambda: find_local_radius(inst, 300, 11, counting), 1.0)):
+        calls.clear()
+        run()
+        assert len(calls) == sum(ZERO_OVER_ZERO_FLOOR <= s.residual_norm <= top for s in full)

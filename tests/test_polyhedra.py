@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_oracles import dedup_loop, extreme_rays_loop, from_generators, hausdorff_vertex_loop
 from scipy.linalg import null_space
-from scipy.optimize import nnls
+from scipy.optimize import linear_sum_assignment, nnls
 from test_acceptance import _avi_corpus
 
 from avibound import (
@@ -915,11 +915,25 @@ def _fresh(S):
                          eq_lhs=S.eq_lhs, eq_rhs=S.eq_rhs)
 
 
+def _recording_cones(cones):
+    """`_corank_one_rays`, recording each cone {u >= 0 : c . u = 0} in
+    cones as (H, G) = (c as one row, -I), the arguments `_extreme_rays`
+    would take for it."""
+    original = polyhedra._corank_one_rays
+
+    def recording(c):
+        cones.append((c[None, :].copy(), -np.eye(c.size)))
+        return original(c)
+    return recording
+
+
 def _pool_pass(pool):
     """(cones, pairs, calls) of one pass of a benchmark pool: the (H, G) of
-    every `_extreme_rays` call, fresh copies of the section pairs
-    `gpm.hausdorff` measured, and the numbers of calls of `hausdorff`,
-    `distance`, `_gram_solve`, `enumerate_vertices` and `_extreme_rays`."""
+    every `_extreme_rays` call and of every corank-one projection cone of a
+    template's cell (H the one row c, G = -I), whose rays `_projections`
+    takes in closed form, fresh copies of the section pairs `gpm.hausdorff`
+    measured, and the numbers of calls of `hausdorff`, `distance`,
+    `_gram_solve`, `enumerate_vertices` and `_extreme_rays`."""
     cones, pairs, calls = [], [], {}
 
     def counted(name, fn, record=None):
@@ -935,6 +949,7 @@ def _pool_pass(pool):
         mp.setattr(polyhedra, "_extreme_rays", counted(
             "_extreme_rays", polyhedra._extreme_rays,
             lambda args: cones.append(tuple(x.copy() for x in args))))
+        mp.setattr(polyhedra, "_corank_one_rays", _recording_cones(cones))
         mp.setattr(polyhedra, "enumerate_vertices", vertices)
         mp.setattr(gpm, "enumerate_vertices", vertices)
         mp.setattr(polyhedra, "distance", counted("distance", polyhedra.distance))
@@ -1128,6 +1143,103 @@ def test_null_basis_keeps_scipys_edge_cases():
         with pytest.raises(ValueError) as ours:
             polyhedra._null_basis(H)
         assert str(ours.value) == str(scipys.value)
+
+
+def _assert_same_rays(got, expected, tol=1e-12):
+    """The same rays up to row order: equal shapes, and a one-to-one matching
+    of the rows within tol in every entry."""
+    assert got.shape == expected.shape
+    if got.size:
+        gaps = np.abs(got[:, None, :] - expected[None, :, :]).max(axis=2)
+        rows, cols = linear_sum_assignment(gaps)
+        assert gaps[rows, cols].max() <= tol, gaps[rows, cols].max()
+
+
+def _corank_one_cs(run):
+    """The c of every corank-one projection cone {u >= 0 : c . u = 0} whose
+    rays `_projections` takes in closed form while `run()` runs."""
+    cones = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyhedra, "_corank_one_rays", _recording_cones(cones))
+        run()
+    return [H[0] for H, _ in cones]
+
+
+def _at_zero_threshold(base, factor):
+    """base with one entry appended at factor times the zero threshold
+    _ZERO_TOL ||base|| of `_corank_one_rays`."""
+    return np.append(base, factor * polyhedra._ZERO_TOL * np.linalg.norm(base))
+
+
+def _closed_form_or_dd(c):
+    """(closed-form rays, double description's rays) of {u >= 0 : c . u = 0}."""
+    return polyhedra._corank_one_rays(c), polyhedra._extreme_rays(c[None, :], -np.eye(c.size))
+
+
+def test_closed_form_rays_match_double_description():
+    # every corank-one projection cone of a `preimage` pool pass and of the
+    # template corpora of tests/test_avi.py: the closed form gives double
+    # description's rays as a set, within 1e-12
+    from test_avi import _degenerate_instances, _piece_corpus, _pool_shaped_instances
+
+    instances = _pool_shaped_instances() + _piece_corpus() + _degenerate_instances()
+    cs = _corank_one_cs(lambda: [_face_templates(inst) for _, inst in instances])
+    pool = workloads.Preimage()
+    cs += _corank_one_cs(lambda: [pool.run(i, pool.build(i)) for i in range(pool.pool_size)])
+    for c in cs:
+        _assert_same_rays(*_closed_form_or_dd(c))
+    assert len(cs) >= 600, len(cs)
+
+
+def test_closed_form_rays_at_the_edges():
+    # exact zeros, one sign only (no pair rays), entries at 0.1 and 10 times
+    # the zero threshold on either side, m = 1 and c = 0: the closed form's
+    # count is |zero| + |pos| |neg|, its rays are unit, and double
+    # description gives the same rays as a set, within 1e-12.  For an entry
+    # c_i that both count as zero, double description keeps its simplicial
+    # start's ray e_i + (c_i / |c_l|) e_l, c_l the entry of the row it cuts
+    # with, where the closed form keeps e_i: there the two agree within
+    # 1e-12 + |c_i| / min |c_l| over the nonzero entries (1.25e-12 apart here)
+    base = np.array([1.0, -1.0, 0.5, -2.0])
+    start_slack = 1e-12 + 0.1 * polyhedra._ZERO_TOL * np.linalg.norm(base) / 0.5
+    cases = [
+        (np.array([1.0, 0.0, -2.0, 0.0, 0.5]), 2 + 2 * 1, 1e-12),
+        (np.array([1.0, 2.0, 0.5]), 0, 1e-12),
+        (np.array([-1.0, -3.0]), 0, 1e-12),
+        (np.array([0.0, 1.0, 3.0]), 1, 1e-12),
+        (_at_zero_threshold(base, 0.1), 1 + 2 * 2, start_slack),
+        (_at_zero_threshold(base, -0.1), 1 + 2 * 2, start_slack),
+        (_at_zero_threshold(base, 10.0), 3 * 2, 1e-12),
+        (_at_zero_threshold(base, -10.0), 2 * 3, 1e-12),
+        (np.array([2.0]), 0, 1e-12),
+        (np.array([-3.0]), 0, 1e-12),
+        (np.array([0.0]), 1, 1e-12),
+        (np.zeros(3), 3, 1e-12),
+    ]
+    for c, count, tol in cases:
+        closed, dd = _closed_form_or_dd(c)
+        assert closed.shape == (count, c.size), c
+        assert np.allclose(np.linalg.norm(closed, axis=1), 1.0, rtol=0.0, atol=1e-15)
+        # in the cone, up to the zero rule's |c_i| <= _ZERO_TOL ||c||
+        assert np.all(closed >= 0.0)
+        assert np.all(np.abs(closed @ c) <= polyhedra._ZERO_TOL * np.linalg.norm(c))
+        _assert_same_rays(closed, dd, tol)
+    rays = polyhedra._corank_one_rays(np.array([3.0, -4.0, 0.0]))
+    assert np.array_equal(rays, [[0.0, 0.0, 1.0], [0.8, 0.6, 0.0]])
+
+
+def test_closed_form_keeps_the_ray_budget():
+    # 33 positive and 33 negative entries leave 1,089 rays after double
+    # description's one cut, past the 1,024 budget: the closed form raises
+    # the same CapExceeded, word for word
+    rng = SplitMix64(37)
+    c = np.array([abs(rng.normal()) + 0.1 for _ in range(66)]) * np.repeat([1.0, -1.0], 33)
+    with pytest.raises(CapExceeded) as closed:
+        polyhedra._corank_one_rays(c)
+    with pytest.raises(CapExceeded) as dd:
+        polyhedra._extreme_rays(c[None, :], -np.eye(c.size))
+    assert str(closed.value) == str(dd.value) == (
+        "double description keeps 1089 rays after a cut, budget 1024")
 
 
 def _peak_mib(run):

@@ -474,10 +474,12 @@ def test_parameter_rule_catches_a_dead_pass_through():
 
 
 # The routines that count the work their budget bounds: the rays double
-# description keeps, the patterns the face search collects, and the sizes a
-# generator is asked for.
+# description keeps (or its one cut would keep, counted in closed form for a
+# corank-one projection cone), the patterns the face search collects, and the
+# sizes a generator is asked for.
 CAP_GUARDS = {
     ("polyhedra.py", "_extreme_rays"),
+    ("polyhedra.py", "_corank_one_rays"),
     ("avi.py", "_face_templates"),
     ("instgen.py", "TruncationFamily.instance"),
     ("instgen.py", "generate_random_avi"),
