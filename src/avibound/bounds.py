@@ -254,6 +254,10 @@ class LipschitzCheckConfig:
         positive = all(math.isfinite(r) and r > 0 for r in radii)
         if not positive or list(radii) != sorted(radii):
             raise ValueError("radius ladder must be finite, positive and increasing")
+        if not radii or self.samples_per_radius < 1:
+            # a plan that draws no y would pass with num_samples 0
+            raise ValueError("a sampling plan must draw at least one y: "
+                             "a nonempty radius ladder and samples_per_radius >= 1")
         object.__setattr__(self, "radius_ladder", radii)
 
 

@@ -46,10 +46,8 @@ which call LAPACK getrf/getrs directly, without scipy's batching and
 array-API checks; the factors, and hence the pivots, are those of
 `scipy.linalg.lu_factor`/`lu_solve`.  A pivot then costs one
 factorization, three solves with its factors, one vectorized scan for the
-entering column and a ratio test over Python floats.  `svd`, whose right
-singular vectors give the geometry its null-space bases, calls gesdd the
-same way, with `scipy.linalg.svd`'s workspace query and hence its bits, so
-this module is the only one that imports from `scipy.linalg`.
+entering column and a ratio test over Python floats.  This module is the
+only one that imports from `scipy.linalg`.
 
 The projection calls LAPACK the same way: each working set it visits gets
 one Gram solve, `_gram_solve`, a Cholesky factorization (potrf/potrs) of
@@ -61,21 +59,21 @@ next iteration reuses that solve.  The rows are stacked once per set
 (`_projection_rows`) and indexed by the working set, and the blocking-row
 ratio test takes all rates in one product.
 
-A set's cache holds what its solves would otherwise repeat.
+A set's cache holds what its solves would otherwise repeat: its phase-one
+point, its box bounds, its stacked rows and its last optimal cell.
 `feasible_witness` decides a set at most once and keeps its point (or None
-for an empty set), and nothing else writes that entry.  The projection
-keeps its stacked rows there, and `_gram_solve` the factor of the last
-working set it solved.  When a projection ends on that working set with a
-Cholesky factor, the entry grows into the set's last optimal cell: P_C is
-piecewise affine, and the solvers project onto one C again and again with
-targets that move little, so the next target usually lies in the same
-cell.  The projection tries that cell first, with one Gram solve and a KKT
-test, and runs the active-set loop only when the test fails.  Both paths
-return the KKT point of their working set, computed by the same products
-from the same factor, and the test's margins rule out every other working
-set at which the loop could stop, so a projection does not depend on the
-projections that ran before it; only the phase-one point, from which a
-projection without a start begins, depends on how the set was used.
+for an empty set), and nothing else writes that entry.  A projection that
+ends on a working set with a Cholesky factor keeps that working set's cell
+with the factor (`_keep_cell`): P_C is piecewise affine, and the solvers
+project onto one C again and again with targets that move little, so the
+next target usually lies in the same cell.  The projection tries that cell
+first, with one potrs on its factor and a KKT test, and runs the
+active-set loop only when the test fails.  Both paths return the KKT point
+of their working set, computed by the same products from the same factor
+(potrf is deterministic), and the test's margins rule out every other
+working set at which the loop could stop, so a projection does not depend
+on the projections that ran before it; only the phase-one point, from which
+a projection without a start begins, depends on how the set was used.
 """
 
 from __future__ import annotations
@@ -102,8 +100,8 @@ _PIVOT_TOL = 1e-10
 _DROP_TOL = 1e-7
 _STEP_TOL = 1e-11
 
-_getrf, _getrs, _potrf, _potrs, _trtri, _gesdd, _gesdd_lwork = get_lapack_funcs(
-    ("getrf", "getrs", "potrf", "potrs", "trtri", "gesdd", "gesdd_lwork"), dtype=np.float64
+_getrf, _getrs, _potrf, _potrs, _trtri = get_lapack_funcs(
+    ("getrf", "getrs", "potrf", "potrs", "trtri"), dtype=np.float64
 )
 
 
@@ -126,23 +124,6 @@ def lu_solve(lu_piv, b, trans=0):
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of getrs")
     return x
-
-
-def svd(a):
-    """Full SVD (u, s, vt) of the nonempty matrix `a` by LAPACK gesdd, as
-    scipy.linalg.svd(a) gives it: the same workspace query, so the same
-    bits.  Raises ValueError for a non-finite `a`, as scipy does, and
-    np.linalg.LinAlgError when gesdd does not converge."""
-    a = np.asarray_chkfinite(a)
-    work, info = _gesdd_lwork(a.shape[0], a.shape[1])
-    if info != 0:
-        raise ValueError(f"Internal work array size computation failed: {info}")
-    u, s, vt, info = _gesdd(a, lwork=int(work))
-    if info > 0:
-        raise np.linalg.LinAlgError("SVD did not converge")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of gesdd")
-    return u, s, vt
 
 
 @dataclass(frozen=True)
@@ -422,74 +403,56 @@ def feasible_witness(S: PolyhedralSet) -> np.ndarray | None:
 
 
 def _projection_rows(S: PolyhedralSet):
-    """(rows, rhs, longest, total) of S: rows = [eq_lhs; ineq_lhs] and
+    """(rows, rhs, lengths, total) of S: rows = [eq_lhs; ineq_lhs] and
     rhs = [eq_rhs; ineq_rhs], the rows the projection indexes by its working
-    set, the length of the longest row and the sum of the inequality rows'
-    lengths, which the cell's margins read; computed once per set and kept,
-    read-only, in `S._cache`."""
+    set, each row's length and the sum of the inequality rows' lengths,
+    which the cell's margins and `polyhedra.hausdorff`'s bounds read;
+    computed once per set and kept, read-only, in `S._cache`."""
     stacked = S._cache.get("projection rows")
     if stacked is None:
         rows = np.vstack([S.eq_lhs, S.ineq_lhs])
         rhs = np.concatenate([S.eq_rhs, S.ineq_rhs])
-        rows.setflags(write=False)
-        rhs.setflags(write=False)
         lengths = np.sqrt(np.square(rows).sum(axis=1))
+        for array in (rows, rhs, lengths):
+            array.setflags(write=False)
         stacked = S._cache["projection rows"] = (
-            rows, rhs, float(lengths.max(initial=0.0)), float(lengths[S.num_eq:].sum()))
+            rows, rhs, lengths, float(lengths[S.num_eq:].sum()))
     return stacked
 
 
-def _gram_solve(G, rhs, S, active):
-    """nu with G G^T nu = rhs: the Gram solve of the projection's working rows.
-
-    G holds the rows `active` of S's stacked projection rows.  Cholesky
-    (LAPACK potrf/potrs) when the factorization succeeds and its smallest
-    pivot L_ii^2 is at least 1e-10 of its largest; otherwise, as for
-    dependent working rows, the minimum-norm least-squares solution.  The
-    last working set factored on S stays in `S._cache["gram"]`, keyed by the
-    exact bytes of `active`, with its Cholesky factor (or, on the `lstsq`
-    path, its Gram matrix), so the next solve on that working set, in this
-    call or a later one, skips the factorization.  potrf is deterministic,
-    so a cached factor is the one a fresh factorization would give, and nu
-    does not depend on the call history.  The entry's last field is the
-    cell `solve_projection_qp` tries first: None until a projection ends on
-    that working set with a Cholesky factor.
+def _gram_solve(G, rhs):
+    """(nu, U) with G G^T nu = rhs: the Gram solve of the projection's
+    working rows G.  Cholesky (LAPACK potrf/potrs), U the upper factor, when
+    the factorization succeeds and its smallest pivot U_ii^2 is at least
+    1e-10 of its largest; otherwise, as for dependent working rows, the
+    minimum-norm least-squares solution, and U is None.
     """
-    key = active.tobytes()
-    last = S._cache.get("gram")
-    if last is None or last[0] != key:
-        gram = G @ G.T
-        factor, info = _potrf(gram)
-        diag = factor.diagonal()
-        if info == 0 and diag.min() ** 2 >= 1e-10 * diag.max() ** 2:
-            last = (key, factor, True, None)
-        else:
-            last = (key, gram, False, None)
-        S._cache["gram"] = last
-    _, matrix, cholesky, _ = last
-    if cholesky:
-        return _potrs(matrix, rhs)[0]
-    return np.linalg.lstsq(matrix, rhs, rcond=None)[0]
+    gram = G @ G.T
+    factor, info = _potrf(gram)
+    diag = factor.diagonal()
+    if info == 0 and diag.min() ** 2 >= 1e-10 * diag.max() ** 2:
+        return _potrs(factor, rhs)[0], factor
+    return np.linalg.lstsq(gram, rhs, rcond=None)[0], None
 
 
-def _keep_cell(S, active, G, h, working, longest, total):
-    """Grow S's Gram entry, the Cholesky factor U of the working set
-    `active` (rows G, right-hand side h, inequality rows `working`) on
-    which a projection ended, into that working set's cell, with what the
-    lookup's margins read (see `solve_projection_qp`): the rows outside W
-    with their right-hand sides, S's `longest` row length L and `total`
-    inequality row length, and `floor` = feas sqrt(|W|) trace((G G^T)^{-1})
-    with feas = FEAS_TOL + _STEP_TOL L, the trace being ||U^{-1}||_F^2.  A
-    factor from `lstsq`'s path, or one whose cell is kept already, is left
-    as it is."""
-    key, factor, cholesky, cell = S._cache["gram"]
-    if cholesky and cell is None:
-        inverse, _ = _trtri(factor)
+def _keep_cell(S, G, h, U, working, lengths, total):
+    """Keep in `S._cache["cell"]` the cell of the working set W on which a
+    projection ended (rows G, right-hand side h, Cholesky factor U,
+    inequality rows `working`), with what the lookup's margins read (see
+    `solve_projection_qp`): the rows outside W with their right-hand sides,
+    the length L of S's longest row, S's `total` inequality row length, and
+    `floor` = feas sqrt(|W|) trace((G G^T)^{-1}) with feas = FEAS_TOL +
+    _STEP_TOL L, the trace being ||U^{-1}||_F^2.  A working set solved by
+    `lstsq` (U is None) leaves no cell."""
+    cell = None
+    if U is not None:
+        longest = float(lengths.max(initial=0.0))
+        inverse, _ = _trtri(U)
         feas = FEAS_TOL + _STEP_TOL * longest
-        floor = feas * math.sqrt(active.size - S.num_eq) * float(np.square(inverse).sum())
+        floor = feas * math.sqrt(G.shape[0] - S.num_eq) * float(np.square(inverse).sum())
         outside = ~working
-        cell = (active, G, h, floor, S.ineq_lhs[outside], S.ineq_rhs[outside], longest, total)
-        S._cache["gram"] = (key, factor, cholesky, cell)
+        cell = (G, h, U, floor, S.ineq_lhs[outside], S.ineq_rhs[outside], longest, total)
+    S._cache["cell"] = cell
 
 
 def solve_projection_qp(S: PolyhedralSet, u, start=None) -> np.ndarray:
@@ -508,17 +471,17 @@ def solve_projection_qp(S: PolyhedralSet, u, start=None) -> np.ndarray:
     P_C is piecewise affine: on the cell where the working set W is optimal,
     P_C(u) = u - G^T (G G^T)^{-1} (G u - h) for W's rows G z = h (every
     equality row and the inequality rows of W).  A projection that ends on a
-    working set with a Cholesky factor keeps it in `S._cache["gram"]` with
-    its cell (`_keep_cell`): G, h and the inequality rows outside W.  The
-    lookup makes one Gram solve on the cached factor, nu = (G G^T)^{-1}
-    (G u - h), and w = u - G^T nu, and accepts w only with the strict
-    margins derived below: every inequality multiplier nu_i of W above
-    _DROP_TOL and above ||e_W|| trace((G G^T)^{-1}), and every row a_j z <=
-    b_j outside W slack at w by more than FEAS_TOL (1 + ||u||) +
-    L (_DROP_TOL sum_k ||a_k|| + sqrt(E)), with E = sum_W nu_i e_i.  Here
-    e_i = (1 + ||u||) (FEAS_TOL + _STEP_TOL ||a_i||), L is the length of
-    S's longest row, and the sum runs over S's inequality rows; the lookup
-    bounds ||a_i|| by L throughout.  A hit does not read `start`.
+    working set with a Cholesky factor keeps its cell (`_keep_cell`): G, h,
+    the factor and the inequality rows outside W.  The lookup makes one
+    potrs on the cell's factor, nu = (G G^T)^{-1} (G u - h), and
+    w = u - G^T nu, and accepts w only with the strict margins derived
+    below: every inequality multiplier nu_i of W above _DROP_TOL and above
+    ||e_W|| trace((G G^T)^{-1}), and every row a_j z <= b_j outside W slack
+    at w by more than FEAS_TOL (1 + ||u||) + L (_DROP_TOL sum_k ||a_k|| +
+    sqrt(E)), with E = sum_W nu_i e_i.  Here e_i = (1 + ||u||) (FEAS_TOL +
+    _STEP_TOL ||a_i||), L is the length of S's longest row, and the sum runs
+    over S's inequality rows; the lookup bounds ||a_i|| by L throughout.  A
+    hit does not read `start`.
 
     Otherwise a primal active-set method runs from `start`, a point of the
     set whose tight rows form the first working set.  When `start` is None
@@ -526,11 +489,10 @@ def solve_projection_qp(S: PolyhedralSet, u, start=None) -> np.ndarray:
     iteration starts from the set's cached phase-one witness
     (`feasible_witness`) instead.  Each working set gets one Gram solve
     (`_gram_solve`: a Cholesky solve, or `lstsq` when a pivot falls below
-    1e-10 of the largest, reusing the set's cached factor when the working
-    set is the last one it factored) of the working rows G, for the
-    multipliers nu of min ||z - u|| over {G z = h}; an iteration whose
-    working set did not change since the last solve (after a full step with
-    no blocking row) reuses it.  When the step vanishes, u - z = G^T nu, so
+    1e-10 of the largest) of the working rows G, for the multipliers nu of
+    min ||z - u|| over {G z = h}; an iteration whose working set did not
+    change since the last solve (after a full step with no blocking row)
+    reuses it.  When the step vanishes, u - z = G^T nu, so
     nu also gives the drop rule its multipliers.  Ties in blocking-constraint
     selection and in the drop rule are broken by lowest row index.  The
     loop returns the KKT point w = u - G^T nu of its final working set, not
@@ -576,12 +538,12 @@ def solve_projection_qp(S: PolyhedralSet, u, start=None) -> np.ndarray:
         lo, hi = bounds
         return np.minimum(np.maximum(u, lo), hi)
     k_eq = S.num_eq
-    # the last optimal cell: one Gram solve, accepted with the margins the
-    # docstring derives
-    last = S._cache.get("gram")
-    if last is not None and last[3] is not None:
-        active, G, h, floor, outside, room, longest, total = last[3]
-        nu = _gram_solve(G, G @ u - h, S, active)
+    # the last optimal cell: one potrs on its factor, accepted with the
+    # margins the docstring derives
+    cell = S._cache.get("cell")
+    if cell is not None:
+        G, h, U, floor, outside, room, longest, total = cell
+        nu = _potrs(U, G @ u - h)[0]
         w = u - G.T @ nu
         mu = nu[k_eq:]
         if (mu > max(_DROP_TOL, scale * floor)).all():
@@ -598,7 +560,7 @@ def solve_projection_qp(S: PolyhedralSet, u, start=None) -> np.ndarray:
         if start is None:
             raise EmptySet("projection onto an empty polyhedron")
     A, b = S.ineq_lhs, S.ineq_rhs
-    rows, rhs, longest, total = _projection_rows(S)
+    rows, rhs, lengths, total = _projection_rows(S)
     z = start.copy()
     # the working set: the tight inequality rows, read in ascending order
     working = np.abs(b - A @ z) <= tol
@@ -613,7 +575,7 @@ def solve_projection_qp(S: PolyhedralSet, u, start=None) -> np.ndarray:
             if active.size:
                 G = rows[active]
                 h = rhs[active]
-                nu = _gram_solve(G, G @ u - h, S, active)
+                nu, U = _gram_solve(G, G @ u - h)
                 w = u - G.T @ nu
             else:
                 w = u.copy()
@@ -623,7 +585,7 @@ def solve_projection_qp(S: PolyhedralSet, u, start=None) -> np.ndarray:
             negative = (nu[k_eq:] < -_DROP_TOL).nonzero()[0] if tight.size else ()
             if not len(negative):
                 if active.size:
-                    _keep_cell(S, active, G, h, working, longest, total)
+                    _keep_cell(S, G, h, U, working, lengths, total)
                 return w
             working[tight[negative[0]]] = False
             solved = False

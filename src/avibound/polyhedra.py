@@ -31,7 +31,7 @@ from .optkernel import (
     feasible_witness,
     solve_projection_qp,
 )
-from .sets import PolyhedralSet, _as_vector, box, nonnegative_orthant  # re-export
+from .sets import PolyhedralSet, _as_matrix, _as_vector, box, nonnegative_orthant  # re-export
 
 __all__ = [
     "GEOM_TOL",
@@ -120,15 +120,17 @@ def _null_basis(H: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of {x : H x = 0}; the identity when H has
     no rows (or no columns).
 
-    The right singular vectors of H (`optkernel.svd`, LAPACK gesdd) past
+    The right singular vectors of H (`np.linalg.svd`, LAPACK gesdd) past
     its singular values above _RANK_TOL times the largest, as a view of
-    them: bit for bit `scipy.linalg.null_space(H, rcond=_RANK_TOL)`, which
-    also raises ValueError for a non-finite H.
+    their Fortran-ordered copy: bit for bit, and in the same memory layout,
+    `scipy.linalg.null_space(H, rcond=_RANK_TOL)`, so the products taken
+    with the basis round as with scipy's.  Like it, raises ValueError for a
+    non-finite H.
     """
     if not H.size:
         return np.eye(H.shape[1])
-    _, s, vt = optkernel.svd(H)
-    return vt[np.count_nonzero(s > s.max() * _RANK_TOL):].T
+    _, s, vt = np.linalg.svd(np.asarray_chkfinite(H))
+    return np.asfortranarray(vt)[np.count_nonzero(s > s.max() * _RANK_TOL):].T
 
 
 def _pointed_part(S: PolyhedralSet):
@@ -434,20 +436,19 @@ def _recession_cones_match(va: VertexSet, vb: VertexSet,
 
 
 def _violation_bound(points: np.ndarray, S: PolyhedralSet):
-    """(l, shortest, total): l the largest violation at any of the points of
-    a nonzero row of S divided by the row's length (an equality row both
-    ways), at least 0, which bounds below the largest distance from one of
-    them to S; shortest the length of S's shortest nonzero row (inf when it
-    has none) and total the summed length of its inequality rows."""
-    rows = np.vstack([S.eq_lhs, S.ineq_lhs])
-    rhs = np.concatenate([S.eq_rhs, S.ineq_rhs])
-    lengths = np.sqrt(np.square(rows).sum(axis=1))
+    """(l, shortest, total), read off S's stacked rows, which the projection
+    keeps (`optkernel._projection_rows`): l the largest violation at any of
+    the points of a nonzero row of S divided by the row's length (an
+    equality row both ways), at least 0, which bounds below the largest
+    distance from one of them to S; shortest the length of S's shortest
+    nonzero row (inf when it has none) and total the summed length of its
+    inequality rows."""
+    rows, rhs, lengths, total = optkernel._projection_rows(S)
     keep = lengths > 0.0
     gaps = (points @ rows[keep].T - rhs[keep]) / lengths[keep]
     equality = keep[:S.num_eq].sum()
     gaps[:, :equality] = np.abs(gaps[:, :equality])
-    return (float(gaps.max(initial=0.0)), float(lengths[keep].min(initial=math.inf)),
-            float(lengths[S.num_eq:].sum()))
+    return float(gaps.max(initial=0.0)), float(lengths[keep].min(initial=math.inf)), total
 
 
 def hausdorff(a: PolyhedralSet, b: PolyhedralSet) -> float:
@@ -567,11 +568,12 @@ def cone_generators(rows: np.ndarray):
     description finds them, without repeats within GEOM_TOL and sorted by
     their tight rows.  So K = cone(rays) + span(lineality); both are
     C-contiguous, (k, n) and (l, n).  No emptiness test and no vertex
-    search runs.  Passes on `_extreme_rays`' CapExceeded (more than 1,024
-    rays after a cut) and NumericalBreakdown (the pointed part is not
-    pointed in floating point).
+    search runs.  Raises DimensionMismatch when `rows` is not a matrix and
+    ValueError for a non-finite entry, and passes on `_extreme_rays`'
+    CapExceeded (more than 1,024 rays after a cut) and NumericalBreakdown
+    (the pointed part is not pointed in floating point).
     """
-    rows = np.asarray(rows, dtype=float)
+    rows = _as_matrix(rows, np.shape(rows)[-1] if np.ndim(rows) else 0, "rows")
     lineality = _null_basis(rows).T.copy()
     Z = _extreme_rays(lineality, rows)
     rays = np.array(_dedup(_by_tight_rows(rows, Z), relative=False))

@@ -17,7 +17,7 @@ import pytest
 from avibound import gpm, solvers
 from avibound.avi import AviInstance, inverse_residual, is_solution, residual
 from avibound.optkernel import LinearProgram, solve_projection_qp
-from avibound.polyhedra import PolyhedralSet, distance
+from avibound.polyhedra import PolyhedralSet, cone_generators, distance
 
 
 def _triangle():
@@ -163,3 +163,26 @@ def test_cells_that_overflow_raise_the_recorded_error():
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         with pytest.raises(ValueError, match="^ineq_lhs contains non-finite entries$"):
             inverse_residual(inst, [0.5])
+
+
+# `cone_generators` validates its rows where they enter, as a matrix.
+# Unlike the cases above these are not the old code's outcomes: it raised
+# an untyped IndexError for a vector and read a stack of matrices as one.
+CONE_ROWS = {
+    "vector": ([1.0, 2.0], ("DimensionMismatch", "rows: expected shape (*, 2), got (2,)")),
+    "stack": ([[[1.0]]], ("DimensionMismatch", "rows: expected shape (*, 1), got (1, 1, 1)")),
+    "nan": ([[1.0, math.nan]], ("ValueError", "rows contains non-finite entries")),
+    "inf": ([[math.inf, 0.0], [0.0, 1.0]], ("ValueError", "rows contains non-finite entries")),
+    "list": ([[1.0, 0.0], [0.0, 1.0]], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONE_ROWS))
+def test_cone_generators_take_a_matrix(case):
+    rows, expected = CONE_ROWS[case]
+    try:
+        cone_generators(rows)
+    except Exception as exc:  # the class itself is what the test compares
+        assert (type(exc).__name__, str(exc)) == expected
+    else:
+        assert expected is None

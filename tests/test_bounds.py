@@ -115,6 +115,16 @@ class TestVerifyUpperLipschitz:
         assert report.notes.get("empty_base_preimage") is True
         assert report.num_samples == 0
 
+    @pytest.mark.parametrize("plan", [
+        dict(radius_ladder=()), dict(samples_per_radius=0), dict(samples_per_radius=-1),
+    ])
+    def test_a_plan_that_draws_nothing_is_refused(self, plan):
+        # a plan that draws no y would pass on the ray at y0 = (1, 0) with
+        # num_samples 0, where the default plan draws 36 y, and would blame
+        # the domain (DegenerateSampler) where the base preimage is nonempty
+        with pytest.raises(ValueError, match="must draw at least one y"):
+            LipschitzCheckConfig(base_point=[1.0, 0.0], **plan)
+
     def test_per_family_moduli_reported(self):
         cfg = LipschitzCheckConfig(base_point=[0.0], master_seed=8)
         report = verify_upper_lipschitz_inverse(lcp_1d(), cfg)

@@ -938,13 +938,14 @@ def test_projections_do_not_depend_on_call_history(monkeypatch):
 def test_solver_tail_pass_factors_each_working_set_once(monkeypatch):
     # One pass over the benchmark's `solver_tail` pool (16 extragradient
     # solves, 7,345 projections onto their C).  A set keeps the cell of the
-    # last working set a projection ended on, and the next target onto it
-    # usually lies in that cell: 5,652 calls take the cell with one potrs,
-    # and 393 run the active-set loop.  A loop keeps the Cholesky factor of
-    # the last working set it solved and does not solve an unchanged working
-    # set twice.  With the factorization and solve rerun at every iteration,
-    # the pass made 12,569 potrf and 12,569 potrs calls; with the factor
-    # cache alone, 643 and 6,455, and 6,045 calls ran the loop.
+    # last working set a projection ended on, with its Cholesky factor, and
+    # the next target onto it usually lies in that cell: 5,652 calls take
+    # the cell with one potrs on its factor, and 393 run the active-set
+    # loop, which factors each working set it visits and does not solve an
+    # unchanged working set twice.  With the factorization and solve rerun
+    # at every iteration, the pass made 12,569 potrf and 12,569 potrs calls;
+    # with a cache of the last factored working set alone, 643 and 6,455,
+    # and 6,045 calls ran the loop.
     counts = {"_potrf": 0, "_potrs": 0}
 
     def counted(name):
@@ -976,7 +977,7 @@ def test_solver_tail_pass_factors_each_working_set_once(monkeypatch):
     pool = workloads.SolverTail()
     for index in range(pool.pool_size):
         assert pool.run(index, pool.build(index))["invariants"]
-    assert counts == {"_potrf": 566, "_potrs": 6785}
+    assert counts == {"_potrf": 756, "_potrs": 6785}
     assert (hits[0], len(loops)) == (5652, 393)
 
 
@@ -1009,12 +1010,14 @@ def test_solver_tail_pass_calls_the_public_names(monkeypatch):
 
 def _count_loops(monkeypatch):
     """The sets on which `solve_projection_qp` ran its active-set loop,
-    one entry per run, recorded through `_projection_rows`."""
+    one entry per run, recorded through the loop's `_projection_rows` call
+    (`polyhedra.hausdorff` reads the stacked rows too)."""
     loops = []
     original = optkernel._projection_rows
 
     def recording(S):
-        loops.append(S)
+        if sys._getframe(1).f_code is optkernel.solve_projection_qp.__code__:
+            loops.append(S)
         return original(S)
 
     monkeypatch.setattr(optkernel, "_projection_rows", recording)
@@ -1047,6 +1050,20 @@ class TestCellLookup:
             np.testing.assert_allclose(z, [1.0, u[1]], atol=1e-12)
             assert z.tobytes() == project_onto(u, _fresh(hexagon)).tobytes()
         assert _runs(loops, hexagon) == 1
+
+    def test_a_hit_solves_on_the_cells_own_factor(self, monkeypatch):
+        # the cell keeps the factor its projection ended with: a hit makes
+        # one potrs on it and no factorization
+        hexagon = _hexagon()
+        project_onto([2.0, 0.0], hexagon)
+        calls = []
+        for name in ("_potrf", "_potrs"):
+            original = getattr(optkernel, name)
+            monkeypatch.setattr(optkernel, name,
+                                lambda *a, _name=name, _f=original: calls.append(_name) or _f(*a))
+        z = project_onto([1.5, 0.3], hexagon)
+        assert calls == ["_potrs"]
+        assert z.tobytes() == project_onto([1.5, 0.3], _fresh(hexagon)).tobytes()
 
     def test_a_neighbouring_cell_misses(self, monkeypatch):
         loops = _count_loops(monkeypatch)
@@ -1122,7 +1139,7 @@ class TestCellLookup:
                           ineq_rhs=np.zeros(2))
         z = project_onto([2e-9, 0.0], S, start=np.array([-1e6, 0.0]))
         np.testing.assert_array_equal(z, [2e-9, 0.0])
-        assert "gram" not in S._cache
+        assert "cell" not in S._cache
 
     def test_dependent_working_sets_keep_no_cell(self, monkeypatch):
         # from the degenerate vertex v the loop ends on the n + 2 dependent
@@ -1139,11 +1156,10 @@ class TestCellLookup:
             for _ in range(2):
                 z = project_onto(u, S, start=v)
                 assert z.tobytes() == project_onto(u, _fresh(S), start=v).tobytes()
-                _, _, cholesky, cell = S._cache["gram"]
-                assert not cholesky and cell is None, seed
-            if S._cache["gram"][3] is None:
+                assert S._cache["cell"] is None, seed
+            if S._cache["cell"] is None:
                 project_onto(u, S)
-            if S._cache["gram"][3] is not None:
+            if S._cache["cell"] is not None:
                 before = _runs(loops, S)
                 z = project_onto(u, S, start=v)
                 assert _runs(loops, S) == before + 1, seed

@@ -28,15 +28,16 @@ fails here.  The layers below the verdicts, `sets`, `optkernel` and
 `polyhedra.GEOM_TOL`), so the comparison slack cannot leak back into the
 geometry or the kernel.  Only `sets` and `optkernel` read or write a
 `._cache` attribute, so each entry of a set's cache (the box bounds, the
-phase-one point, the stacked projection rows, the last Gram factor) has one
-owner that decides when it is filled and what it may be trusted for.
-Within `optkernel`, only `feasible_witness` writes the phase-one entry, so
-a set's phase-one point is always the one its own phase one found.  Only
-`optkernel` calls `.box_bounds()`, where `feasible_witness` reads a box's
-emptiness and point off it, so no other module grows its own box rule.
-Only `optkernel` imports from `scipy.linalg`, where the LAPACK routines are
-bound once (`lu_factor`, `lu_solve`, the Gram solve, `svd`), so no other
-module calls a scipy wrapper whose checks and bits may differ.  Arrays are
+phase-one point, the stacked projection rows, the last optimal cell) has
+one owner that decides when it is filled and what it may be trusted for.
+Each entry has one writing routine, listed in `CACHE_WRITERS` (only
+`feasible_witness` writes the phase-one entry, so a set's phase-one point
+is always the one its own phase one found), and no other entry is
+written.  Only `optkernel` calls `.box_bounds()`, where `feasible_witness`
+reads a box's emptiness and point off it, so no other module grows its own
+box rule.  Only `optkernel` imports from `scipy.linalg`, where the LAPACK
+routines are bound once (`lu_factor`, `lu_solve`, the Gram solve), so no
+other module calls a scipy wrapper whose checks and bits may differ.  Arrays are
 validated where they enter the program: only the public constructors and
 the public functions listed in `VALIDATORS` call `_as_vector` or
 `_as_matrix`, each as often as listed, so no validation pass comes back
@@ -583,9 +584,21 @@ def test_layering_rule_catches_a_config_import():
     assert _ratios_imports(ast.parse(source)) == [2, 4, 5, 6]
 
 
-# The modules that own the entries of a set's cache: `sets` its box bounds,
-# `optkernel` its phase-one point, projection rows and last Gram factor.
-CACHE_OWNERS = ("sets.py", "optkernel.py")
+# Each entry of a set's cache and the one routine that writes it, so an
+# entry always holds what its own routine computed for that set: a set's
+# phase-one point is the one its own phase one found, and its cell the one
+# its last projection ended on.
+CACHE_WRITERS = {
+    "phase one": ("optkernel.py", "feasible_witness"),
+    "box": ("sets.py", "PolyhedralSet.box_bounds"),
+    "projection rows": ("optkernel.py", "_projection_rows"),
+    "cell": ("optkernel.py", "_keep_cell"),
+}
+
+# The modules that own the entries of a set's cache, the only ones that
+# read or write one: `sets` its box bounds, `optkernel` its phase-one point,
+# projection rows and last optimal cell.
+CACHE_OWNERS = {path for path, _ in CACHE_WRITERS.values()}
 
 
 def _cache_accesses(tree):
@@ -615,43 +628,42 @@ def test_cache_rule_catches_an_access():
     assert _cache_accesses(ast.parse(source)) == [1, 2, 3]
 
 
-def _phase_one_writes(tree):
-    """(line, enclosing routine) of every write or deletion of a
-    `._cache["phase one"]` entry: a store or `del` on the subscript, or a
-    method call on a `._cache` other than `get` that names the entry."""
+def _cache_writes(tree):
+    """(line, enclosing routine, entry) of every write or deletion of a
+    `._cache` entry: a store or `del` on a subscript of a `._cache`, or a
+    method call on a `._cache` other than `get`.  The entry is the first
+    string constant the subscript or the call's arguments name, None when
+    they name none."""
 
     def on_cache(node):
         return isinstance(node, ast.Attribute) and node.attr == "_cache"
 
-    def names_entry(node):
-        return any(isinstance(n, ast.Constant) and n.value == "phase one"
-                   for n in ast.walk(node))
+    def entry(nodes):
+        names = [n.value for node in nodes for n in ast.walk(node)
+                 if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+        return names[0] if names else None
 
     found = []
     for node, scope in _scoped_nodes(tree):
-        if isinstance(node, ast.Subscript):
-            writes = (on_cache(node.value) and not isinstance(node.ctx, ast.Load)
-                      and names_entry(node.slice))
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            writes = (on_cache(node.func.value) and node.func.attr != "get"
-                      and any(names_entry(a) for a in [*node.args, *node.keywords]))
-        else:
-            writes = False
-        if writes:
-            found.append((node.lineno, scope))
+        if (isinstance(node, ast.Subscript) and on_cache(node.value)
+                and not isinstance(node.ctx, ast.Load)):
+            found.append((node.lineno, scope, entry([node.slice])))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and on_cache(node.func.value) and node.func.attr != "get"):
+            found.append((node.lineno, scope, entry([*node.args, *node.keywords])))
     return found
 
 
-def test_only_phase_one_writes_the_phase_one_point():
-    writers = {
-        (path.name, scope)
+def test_each_cache_entry_has_its_one_writer():
+    writes = {
+        (entry, (path.name, scope))
         for path in MODULES
-        for _, scope in _phase_one_writes(ast.parse(path.read_text(encoding="utf-8")))
+        for _, scope, entry in _cache_writes(ast.parse(path.read_text(encoding="utf-8")))
     }
-    assert writers == {("optkernel.py", "feasible_witness")}, writers
+    assert writes == set(CACHE_WRITERS.items()), writes
 
 
-def test_phase_one_rule_catches_a_write():
+def test_cache_writer_rule_catches_a_write():
     source = (
         "def feasible_witness(S):\n"
         "    S._cache['phase one'] = solve(S)\n"
@@ -667,10 +679,19 @@ def test_phase_one_rule_catches_a_write():
         "        self._cache.get('phase one')\n"
         "        self._cache['box'] = None\n"
         "S._cache.pop('phase one')\n"
+        "def _keep_cell(S, cell):\n"
+        "    S._cache['cell'] = cell\n"
+        "    rows = S._cache['projection rows'] = stack(S)\n"
+        "    S._cache[key] = cell\n"
+        "    S._cache.clear()\n"
+        "    S._cache.get('gram')\n"
     )
-    assert _phase_one_writes(ast.parse(source)) == [
-        (2, "feasible_witness"), (6, "seed"), (9, "Piece.reset"), (10, "Piece.reset"),
-        (11, "Piece.reset"), (14, ""),
+    assert _cache_writes(ast.parse(source)) == [
+        (2, "feasible_witness", "phase one"), (6, "seed", "phase one"),
+        (9, "Piece.reset", "phase one"), (10, "Piece.reset", "phase one"),
+        (11, "Piece.reset", "phase one"), (13, "Piece.reset", "box"), (14, "", "phase one"),
+        (16, "_keep_cell", "cell"), (17, "_keep_cell", "projection rows"),
+        (18, "_keep_cell", None), (19, "_keep_cell", None),
     ]
 
 
@@ -719,6 +740,7 @@ VALIDATORS = {
     ("gpm.py", "gap_primal"): 1,
     ("optkernel.py", "LinearProgram.__post_init__"): 1,
     ("optkernel.py", "solve_projection_qp"): 3,
+    ("polyhedra.py", "cone_generators"): 1,
     ("polyhedra.py", "distance"): 1,
     ("sets.py", "PolyhedralSet.__post_init__"): 4,
     ("sets.py", "PolyhedralSet.contains"): 1,
