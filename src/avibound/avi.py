@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch, EmptySet, NumericalBreakdown, SchemaError
-from .optkernel import FEAS_TOL, LinearProgram, solve_lp, solve_projection_qp
+from .optkernel import FEAS_TOL, solve_lp, solve_projection_qp
 from .polyhedra import (
     PolyhedralSet,
     _minimal_face_rows,
@@ -119,14 +119,9 @@ class ResidualValue:
 
 
 def residual(inst: AviInstance, x) -> ResidualValue:
-    """Natural residual R(x) = x - P_C(x - Mx - q).
-
-    The projection starts from x itself when x lies in C, up to the slack
-    `solve_projection_qp` accepts (as every iterate of a projection solver
-    does), and from C's phase-one witness otherwise.
-    """
+    """Natural residual R(x) = x - P_C(x - Mx - q)."""
     x = _as_vector(x, inst.dim, "x")
-    projected = solve_projection_qp(inst.c_set, x - inst.m_op @ x - inst.q, x)
+    projected = solve_projection_qp(inst.c_set, x - inst.m_op @ x - inst.q)
     r = x - projected
     return ResidualValue(r=r, projected_point=projected, norm=math.sqrt(r @ r))
 
@@ -150,16 +145,16 @@ def is_solution(inst: AviInstance, x) -> bool:
     if not _satisfies_rows(inst.c_set, x, CMP_TOL * scale):
         return False
     w = inst.m_op @ x + inst.q
-    res = solve_lp(LinearProgram(w, inst.c_set))
+    res = solve_lp(inst.c_set, w)
     if res.status == "unbounded":
         n = inst.dim
         radius = _RAY_BOX_RADIUS * scale
-        boxed = PolyhedralSet(
+        boxed = PolyhedralSet._computed(
             n,
             ineq_lhs=np.vstack([inst.c_set.ineq_lhs, np.eye(n), -np.eye(n)]),
             ineq_rhs=np.concatenate([inst.c_set.ineq_rhs, x + radius, radius - x]),
         )
-        res = solve_lp(LinearProgram(w, boxed))
+        res = solve_lp(boxed, w)
     if not res.is_optimal:  # C is nonempty by construction
         raise NumericalBreakdown(f"solution-test LP reported {res.status}")
     return res.value >= float(w @ x) - CMP_TOL * scale

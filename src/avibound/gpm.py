@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSampler, DimensionMismatch, SchemaError
-from .optkernel import LinearProgram, solve_feasibility, solve_lp
+from .optkernel import solve_feasibility, solve_lp
 from .polyhedra import PolyhedralSet, enumerate_vertices, hausdorff, is_nonempty
 from .ratios import CMP_TOL, HoldoutReport, holdout, running_max
 from .rng import SplitMix64, derive_seed
@@ -178,7 +178,7 @@ def _solve_gap_primal(f: GpMultifunction, x: np.ndarray) -> float:
                                  f.rhs - f.row_x @ x, [0.0]]),
     )
     objective = np.concatenate([np.zeros(r), [1.0]])
-    status = solve_lp(LinearProgram(objective, epigraph))
+    status = solve_lp(epigraph, objective)
     if not status.is_optimal:  # t >= 0 keeps this LP solvable
         return -math.inf if status.status == "unbounded" else math.inf
     return float(status.value)
@@ -204,7 +204,7 @@ def _dual_vertices(f: GpMultifunction):
         if nw == 0:
             V = np.zeros((1, 0))
         else:
-            ball = PolyhedralSet(
+            ball = PolyhedralSet._computed(
                 nw,
                 ineq_lhs=np.vstack([np.ones((1, nw)), -np.eye(nw)]),
                 ineq_rhs=np.concatenate([[1.0], np.zeros(nw)]),
@@ -402,7 +402,7 @@ def _domain_witness(f: GpMultifunction) -> np.ndarray:
     centered on this point, so the vertex of the all-artificial start keeps
     the sampled pairs (and the benchmark's recorded moduli) as they are.
     """
-    graph = PolyhedralSet(
+    graph = PolyhedralSet._computed(
         f.input_dim + f.output_dim,
         ineq_lhs=np.hstack([f.row_x, f.row_y]),
         ineq_rhs=f.rhs,

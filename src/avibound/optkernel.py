@@ -2,23 +2,24 @@
 
 Everything downstream (geometry, multifunction gaps, piece enumeration)
 reduces to the three solvers in this module.  All three take their rows as
-one `PolyhedralSet` and no tolerance: a point counts as feasible within
-`FEAS_TOL`.  Instances are desk-scale (n + m up to ~100), so the pivots
-are chosen for determinism and exact classification, each kept cheap:
+one `PolyhedralSet`, their first argument, and no tolerance: a point counts
+as feasible within `FEAS_TOL`.  Instances are desk-scale (n + m up to
+~100), so the pivots are chosen for determinism and exact classification,
+each kept cheap:
 
-- `solve_lp`: two-phase dense revised simplex with Bland's rule for
-  anti-cycling, whose phase one starts from the slack basis: an inequality
-  row with rhs >= 0 starts with its slack basic, and only equality rows and
-  rows with rhs < 0 start with an artificial (Bixby 1992's crash basis).
+- `solve_lp(S, objective, sense)`: two-phase dense revised simplex with
+  Bland's rule for anti-cycling, whose phase one starts from the slack
+  basis: an inequality row with rhs >= 0 starts with its slack basic, and
+  only equality rows and rows with rhs < 0 start with an artificial
+  (Bixby 1992's crash basis).
 - `solve_feasibility`: phase one only, from the all-artificial basis or,
   on request, the slack basis, returning a witness point (the origin, for
   a set without rows), or for an empty set the Farkas ray read off phase
   one's final basis.
-- `solve_projection_qp(S, u, start)`: a lookup of the set's last optimal
-  cell, then a primal active-set method for the strictly convex problem
-  min ||z - u||^2 over a polyhedron, started from a caller's point of the
-  set (the solvers' iterates, and the point at which `avi.residual` is
-  evaluated) or from its phase-one witness.
+- `solve_projection_qp(S, u)`: a lookup of the set's last optimal cell,
+  then a primal active-set method for the strictly convex problem
+  min ||z - u||^2 over a polyhedron, started from the set's phase-one
+  witness.
 
 The two simplex solves share one pipeline: `_standard_form` writes the
 rows once as {A_std v = rhs, v >= 0} with its slack columns and pivot
@@ -71,9 +72,10 @@ first, with one potrs on its factor and a KKT test, and runs the
 active-set loop only when the test fails.  Both paths return the KKT point
 of their working set, computed by the same products from the same factor
 (potrf is deterministic), and the test's margins rule out every other
-working set at which the loop could stop, so a projection does not depend
-on the projections that ran before it; only the phase-one point, from which
-a projection without a start begins, depends on how the set was used.
+working set at which the loop could stop.  The loop starts only from the
+set's phase-one witness, which is a function of the set's rows, so a
+projection P_S(u) is a function of S's rows and u alone: it does not depend
+on the projections that ran before it or on who asks.
 """
 
 from __future__ import annotations
@@ -89,8 +91,8 @@ from .sets import PolyhedralSet, _as_vector, _satisfies_rows
 
 # The feasibility slack of every solve: phase one calls a set empty when its
 # artificials sum to more than FEAS_TOL, Bland's rule stops once no reduced
-# cost is below -FEAS_TOL, and the projection accepts a point (its target, a
-# start, a tight row) within FEAS_TOL * (1 + ||target||).  `polyhedra` and
+# cost is below -FEAS_TOL, and the projection accepts a point (its target or
+# a tight row) within FEAS_TOL * (1 + ||target||).  `polyhedra` and
 # `avi` read it where they mirror the kernel's acceptance.
 FEAS_TOL = 1e-9
 _PIVOT_TOL = 1e-10
@@ -124,25 +126,6 @@ def lu_solve(lu_piv, b, trans=0):
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of getrs")
     return x
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    """Dense LP: optimize `objective` over `feasible_set`.
-
-    Variables are free reals; sign restrictions go in as inequality rows.
-    """
-
-    objective: np.ndarray
-    feasible_set: PolyhedralSet
-    sense: str = "minimize"
-
-    def __post_init__(self):
-        c = _as_vector(self.objective, self.feasible_set.ambient_dim, "objective")
-        if self.sense not in ("minimize", "maximize"):
-            raise ValueError(f"sense must be minimize or maximize, got {self.sense!r}")
-        c.setflags(write=False)
-        object.__setattr__(self, "objective", c)
 
 
 @dataclass(frozen=True)
@@ -313,27 +296,38 @@ def _basic_point(A, b, basis, n):
     return v[:n] - v[n : 2 * n], lu
 
 
-def solve_lp(lp: LinearProgram) -> SolveStatus:
-    """Solve a dense LP, classifying optimal / infeasible / unbounded exactly.
+def solve_lp(S: PolyhedralSet, objective, sense: str = "minimize") -> SolveStatus:
+    """Minimize or maximize (`sense`) `objective` . x over x in S,
+    classifying optimal / infeasible / unbounded exactly.  The variables are
+    free reals; sign restrictions go in as inequality rows of S.
+
+    Callers compute the objective from validated arrays, so it is screened
+    (type, dtype, shape, and a finite c . c), not scanned; only a failed
+    screen runs `_as_vector`, to convert or raise.
 
     Phase one on the standard form from the slack basis, then Bland pivots
     on the objective; see the class docstring of `SolveStatus` for the dual
     convention.  Raises NumericalBreakdown when the final point misses a row
     by more than FEAS_TOL (1 + ||x||), the rule `feasible_witness` applies.
     """
-    n = lp.objective.size
-    c_user = lp.objective if lp.sense == "minimize" else -lp.objective
-    A_std, rhs, slacks, budget = _standard_form(lp.feasible_set)
-    c_std = np.concatenate([c_user, -c_user, np.zeros(lp.feasible_set.num_ineq)])
+    n = S.ambient_dim
+    if not (isinstance(objective, np.ndarray) and objective.dtype == float
+            and objective.shape == (n,) and math.isfinite(objective @ objective)):
+        objective = _as_vector(objective, n, "objective")
+    if sense not in ("minimize", "maximize"):
+        raise ValueError(f"sense must be minimize or maximize, got {sense!r}")
+    c_user = objective if sense == "minimize" else -objective
+    A_std, rhs, slacks, budget = _standard_form(S)
+    c_std = np.concatenate([c_user, -c_user, np.zeros(S.num_ineq)])
     ray, A1, b1, basis, kept = _phase_one(A_std, rhs, budget, slacks)
     if ray is not None:
-        inf_value = math.inf if lp.sense == "minimize" else -math.inf
+        inf_value = math.inf if sense == "minimize" else -math.inf
         return SolveStatus(status="infeasible", value=inf_value, dual=ray)
     if _bland_iterate(A1, b1, c_std, basis, A_std.shape[1], budget) == "unbounded":
-        unb_value = -math.inf if lp.sense == "minimize" else math.inf
+        unb_value = -math.inf if sense == "minimize" else math.inf
         return SolveStatus(status="unbounded", value=unb_value)
     x, lu = _basic_point(A1, b1, basis, n)
-    if not _satisfies_rows(lp.feasible_set, x, FEAS_TOL * (1.0 + math.sqrt(x @ x))):
+    if not _satisfies_rows(S, x, FEAS_TOL * (1.0 + math.sqrt(x @ x))):
         # a final basis that lost primal feasibility on near-parallel rows,
         # which `_basic_point` clipped to a point outside the set
         raise NumericalBreakdown("simplex ended at a point that violates a row")
@@ -343,7 +337,7 @@ def solve_lp(lp: LinearProgram) -> SolveStatus:
     if lu is not None:
         signs = np.where(rhs < 0, -1.0, 1.0)
         duals[kept] = signs[kept] * lu_solve(lu, c_std[basis], trans=1)
-    if lp.sense == "maximize":
+    if sense == "maximize":
         duals = -duals
         value = -value
     return SolveStatus(status="optimal", value=value, point=x, dual=duals)
@@ -455,12 +449,12 @@ def _keep_cell(S, G, h, U, working, lengths, total):
     S._cache["cell"] = cell
 
 
-def solve_projection_qp(S: PolyhedralSet, u, start=None) -> np.ndarray:
+def solve_projection_qp(S: PolyhedralSet, u) -> np.ndarray:
     """Euclidean projection of the target `u` onto `S`.
 
-    Callers compute u and `start` from validated arrays, so each is screened
-    (type, dtype, shape, and a finite 1 + ||u|| or start . start), not
-    scanned; only a failed screen runs `_as_vector`, to convert or raise.
+    Callers compute u from validated arrays, so it is screened (type,
+    dtype, shape, and a finite 1 + ||u||), not scanned; only a failed screen
+    runs `_as_vector`, to convert or raise.
 
     If the target u is feasible it is returned at once, and a box
     (`S.box_bounds()`) short-circuits to coordinate clipping, once
@@ -480,14 +474,11 @@ def solve_projection_qp(S: PolyhedralSet, u, start=None) -> np.ndarray:
     at w by more than FEAS_TOL (1 + ||u||) + L (_DROP_TOL sum_k ||a_k|| +
     sqrt(E)), with E = sum_W nu_i e_i.  Here e_i = (1 + ||u||) (FEAS_TOL +
     _STEP_TOL ||a_i||), L is the length of S's longest row, and the sum runs
-    over S's inequality rows; the lookup bounds ||a_i|| by L throughout.  A
-    hit does not read `start`.
+    over S's inequality rows; the lookup bounds ||a_i|| by L throughout.
 
-    Otherwise a primal active-set method runs from `start`, a point of the
-    set whose tight rows form the first working set.  When `start` is None
-    or lies outside the set by more than FEAS_TOL * (1 + ||u||), the
-    iteration starts from the set's cached phase-one witness
-    (`feasible_witness`) instead.  Each working set gets one Gram solve
+    Otherwise a primal active-set method runs from the set's phase-one
+    witness (`feasible_witness`), whose tight rows form the first working
+    set; it is the loop's only start.  Each working set gets one Gram solve
     (`_gram_solve`: a Cholesky solve, or `lstsq` when a pivot falls below
     1e-10 of the largest) of the working rows G, for the multipliers nu of
     min ||z - u|| over {G z = h}; an iteration whose working set did not
@@ -499,11 +490,14 @@ def solve_projection_qp(S: PolyhedralSet, u, start=None) -> np.ndarray:
     its iterate z, so both paths compute their result from (u, W) alone, by
     the same products.
 
-    So the result does not depend on call history: where the lookup
-    accepts W, the loop, from any start, ends on W too.  Say the loop ended
-    on W' != W instead, with point w' and multipliers nu'; let d = w' - w,
-    and P = W \\ W' and Q = W' \\ W (inequality rows).  From u - w =
-    G_W^T nu and u - w' = G_W'^T nu',
+    So P_S(u) depends only on S's rows and u.  The loop's start,
+    `feasible_witness(S)`, comes from a deterministic phase one on S's rows,
+    so the loop's result is a function of (S, u); and where the lookup
+    accepts W, the loop ends on W too, so a hit returns the loop's bits and
+    the result does not depend on the projections that ran before it.  Say
+    the loop ended on W' != W instead, with point w' and multipliers nu';
+    let d = w' - w, and P = W \\ W' and Q = W' \\ W (inequality rows).
+    From u - w = G_W^T nu and u - w' = G_W'^T nu',
 
         ||d||^2 = sum_P nu_i a_i.d - sum_Q nu'_j a_j.d.
 
@@ -552,17 +546,12 @@ def solve_projection_qp(S: PolyhedralSet, u, start=None) -> np.ndarray:
             margin = tol + longest * (_DROP_TOL * total + math.sqrt(E))
             if (room - outside @ w > margin).all():
                 return w
-    if start is not None and not (isinstance(start, np.ndarray) and start.dtype == float
-                                  and start.shape == (n,) and math.isfinite(start @ start)):
-        start = _as_vector(start, n, "start")
-    if start is None or not _satisfies_rows(S, start, tol):
-        start = feasible_witness(S)
-        if start is None:
-            raise EmptySet("projection onto an empty polyhedron")
+    z = feasible_witness(S)  # read-only: the loop rebinds z, never writes it
+    if z is None:
+        raise EmptySet("projection onto an empty polyhedron")
     A, b = S.ineq_lhs, S.ineq_rhs
     rows, rhs, lengths, total = _projection_rows(S)
-    z = start.copy()
-    # the working set: the tight inequality rows, read in ascending order
+    # the working set: the witness's tight inequality rows, in ascending order
     working = np.abs(b - A @ z) <= tol
     eq_rows = np.arange(k_eq)
     step_tol = _STEP_TOL * scale

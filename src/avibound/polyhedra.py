@@ -74,12 +74,11 @@ class VertexSet:
     """V-representation: conv(vertices) + cone(recession_rays)."""
 
     vertices: list
-    is_bounded: bool
     recession_rays: list
 
-    def __post_init__(self):
-        if self.is_bounded and self.recession_rays:
-            raise ValueError("a bounded vertex set cannot have recession rays")
+    @property
+    def is_bounded(self) -> bool:
+        return not self.recession_rays
 
 
 def is_nonempty(S: PolyhedralSet) -> bool:
@@ -391,7 +390,7 @@ def enumerate_vertices(S: PolyhedralSet) -> VertexSet:
     rays = _dedup(directions, relative=False)
     for j in range(L.shape[1]):
         rays.extend([L[:, j], -L[:, j]])
-    return VertexSet(vertices=vertices, is_bounded=not rays, recession_rays=rays)
+    return VertexSet(vertices=vertices, recession_rays=rays)
 
 
 def _minimal_face_rows(S: PolyhedralSet) -> list:

@@ -118,13 +118,11 @@ def solve(inst: AviInstance, cfg: SolverConfig = SolverConfig()) -> SolveTrace:
         if math.sqrt(x @ x) > DIVERGENCE_NORM:
             diverged = True
             break
-        # Warm starts: x (once past x0) and midpoint already lie in C, and so
-        # the next residual's projection starts from the new x as well.
         if cfg.method == "projected_fixed_point":
-            x = solve_projection_qp(C, x - step * (M @ x + q), x)
+            x = solve_projection_qp(C, x - step * (M @ x + q))
         else:
-            midpoint = solve_projection_qp(C, x - step * (M @ x + q), x)
-            x = solve_projection_qp(C, x - step * (M @ midpoint + q), midpoint)
+            midpoint = solve_projection_qp(C, x - step * (M @ x + q))
+            x = solve_projection_qp(C, x - step * (M @ midpoint + q))
     return SolveTrace(
         method=cfg.method,
         step=step,

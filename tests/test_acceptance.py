@@ -30,7 +30,6 @@ from avibound.gpm import (
 )
 from avibound.instgen import TruncationFamily, canned_suite, generate_random_avi
 from avibound.optkernel import (
-    LinearProgram,
     solve_lp,
     solve_projection_qp,
 )
@@ -329,9 +328,7 @@ def test_criterion_9_kernel_sanity():
         A = np.vstack([A, np.eye(n), -np.eye(n)])
         b = np.concatenate([b, np.full(n, 5.0), np.full(n, 5.0)])
         c = np.array([rng.normal() for _ in range(n)])
-        res = solve_lp(
-            LinearProgram(c, PolyhedralSet(n, ineq_lhs=A, ineq_rhs=b, eq_lhs=E, eq_rhs=d))
-        )
+        res = solve_lp(PolyhedralSet(n, ineq_lhs=A, ineq_rhs=b, eq_lhs=E, eq_rhs=d), c)
         if not res.is_optimal:
             continue
         rhs_all = np.concatenate([b, d])

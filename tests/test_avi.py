@@ -18,6 +18,7 @@ from reference_oracles import (
 )
 from scipy.optimize import linear_sum_assignment
 from test_acceptance import _avi_corpus
+from test_optkernel import _degenerate_sets
 from test_polyhedra import _all_near_parallel_sets, _count_calls
 
 from avibound import (
@@ -48,6 +49,7 @@ from avibound.instgen import MONOTONICITY_CLASSES, canned_suite, generate_random
 from avibound.optkernel import FEAS_TOL, solve_projection_qp
 from avibound.polyhedra import (
     box,
+    distance,
     enumerate_vertices,
     feasible_point,
     is_nonempty,
@@ -139,8 +141,9 @@ class TestResidual:
         assert val.projected_point[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_projection_lands_in_constraint_set(self):
-        # At a point inside C the projection starts from that point; it must
-        # land where the projection started from C's phase-one witness does.
+        # A projection is a function of its set and its target: at a point
+        # inside C the residual's projection lands, bit for bit, where a
+        # direct projection of the same target onto C does.
         rng = SplitMix64(11)
         warm = 0
         for seed in range(20):
@@ -153,9 +156,28 @@ class TestResidual:
             u = inside - inst.m_op @ inside - inst.q
             cold = solve_projection_qp(inst.c_set, u)
             scale = 1.0 + np.linalg.norm(u)
-            assert np.linalg.norm(residual(inst, inside).projected_point - cold) <= 1e-12 * scale
+            assert residual(inst, inside).projected_point.tobytes() == cold.tobytes()
             warm += not inst.c_set.contains(u, FEAS_TOL * scale)
         assert warm >= 10
+
+    def test_residual_and_distance_project_alike(self):
+        # With M = 0 and q = v - u, the residual's target at v is u itself,
+        # so R(v) and d(u, S) project the same target onto the same set and
+        # must get the same bits, though the residual is evaluated at the
+        # degenerate vertex v.  Sets with equality rows are left out.
+        compared = 0
+        for seed, (S, v, normals) in enumerate(_degenerate_sets()):
+            if S.num_eq:
+                continue
+            rng = SplitMix64(9000 + seed)
+            weights = np.array([abs(rng.normal()) for _ in range(len(normals))])
+            u = v + weights @ normals
+            n = S.ambient_dim
+            inst = AviInstance(m_op=np.zeros((n, n)), q=v - u, c_set=S)
+            assert (v - inst.m_op @ v - inst.q).tobytes() == u.tobytes(), seed
+            assert residual(inst, v).projected_point.tobytes() == distance(S, u)[1].tobytes()
+            compared += 1
+        assert compared == 30
 
     def test_residual_outside_c_starts_near_the_slack_point(self, monkeypatch):
         # error_bound-style samples, the solution plus noise, that lie

@@ -16,13 +16,13 @@ import pytest
 
 from avibound import gpm, solvers
 from avibound.avi import AviInstance, inverse_residual, is_solution, residual
-from avibound.optkernel import LinearProgram, solve_projection_qp
+from avibound.optkernel import solve_lp, solve_projection_qp
 from avibound.polyhedra import PolyhedralSet, cone_generators, distance
 
 
 def _triangle():
     # {x1 + x2 <= 1, x >= 0}, a fresh set each time: not a box, so the
-    # projection reads its start, and no cell is kept yet
+    # projection runs its active-set loop, and no cell is kept yet
     return PolyhedralSet(2, ineq_lhs=[[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
                          ineq_rhs=[1.0, 0.0, 0.0])
 
@@ -38,14 +38,12 @@ def _multifunction():
 
 VECTOR_ENTRIES = {
     "solve_projection_qp target": lambda v: solve_projection_qp(_triangle(), v),
-    "solve_projection_qp start":
-        lambda v: solve_projection_qp(_triangle(), np.array([2.0, 2.0]), v),
     "residual": lambda v: residual(_instance(), v),
     "is_solution": lambda v: is_solution(_instance(), v),
     "inverse_residual": lambda v: inverse_residual(_instance(), v),
     "distance": lambda v: distance(_triangle(), v),
     "solvers.solve x0": lambda v: solvers.solve(_instance(), solvers.SolverConfig(x0=v)),
-    "LinearProgram": lambda v: LinearProgram(v, _triangle()),
+    "solve_lp objective": lambda v: solve_lp(_triangle(), v),
     "gpm.evaluate": lambda v: gpm.evaluate(_multifunction(), v),
     "gpm.gap_primal": lambda v: gpm.gap_primal(_multifunction(), v),
     "gpm.gap_dual": lambda v: gpm.gap_dual(_multifunction(), v),
@@ -74,9 +72,9 @@ ROWS = {
 }
 
 _NON_FINITE = {
-    "solve_projection_qp target": "target", "solve_projection_qp start": "start",
+    "solve_projection_qp target": "target",
     "residual": "x", "is_solution": "x", "inverse_residual": "y", "distance": "target",
-    "solvers.solve x0": "x0", "LinearProgram": "objective", "gpm.evaluate": "x",
+    "solvers.solve x0": "x0", "solve_lp objective": "objective", "gpm.evaluate": "x",
     "gpm.gap_primal": "x", "gpm.gap_dual": "x",
 }
 
@@ -146,11 +144,21 @@ def test_entry_raises_the_recorded_error(entry, case):
 
 
 def test_a_list_target_is_converted():
-    # the projection takes float arrays, and converts what is not one
+    # the projection and the LP take float arrays, and convert what is not
+    # one
     S = _triangle()
-    z = solve_projection_qp(S, [2.0, 2.0], [0.0, 0.0])
+    z = solve_projection_qp(S, [2.0, 2.0])
     assert z.tobytes() == solve_projection_qp(_triangle(), np.array([2.0, 2.0])).tobytes()
     assert solve_projection_qp(S, [0, 0]).dtype == float
+    lp = solve_lp(S, [-1, -2], sense="maximize")
+    same = solve_lp(_triangle(), np.array([-1.0, -2.0]), sense="maximize")
+    assert (lp.value, lp.point.tobytes()) == (same.value, same.point.tobytes())
+
+
+def test_an_unknown_sense_is_refused():
+    # the message `LinearProgram` raised, which `solve_lp` keeps
+    with pytest.raises(ValueError, match="^sense must be minimize or maximize, got 'max'$"):
+        solve_lp(_triangle(), np.ones(2), sense="max")
 
 
 def test_cells_that_overflow_raise_the_recorded_error():

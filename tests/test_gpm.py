@@ -21,7 +21,7 @@ from avibound.gpm import (
     verify_domain_characterization,
     verify_minimax,
 )
-from avibound.optkernel import LinearProgram, solve_lp
+from avibound.optkernel import solve_lp
 from avibound.polyhedra import PolyhedralSet, _projections, enumerate_vertices, is_nonempty
 from avibound.ratios import CMP_TOL
 from avibound.rng import SplitMix64
@@ -190,7 +190,7 @@ def reference_gap_primal(f, x):
     rows.append(np.concatenate([np.zeros(r), [-1.0]]))
     rhs.append(0.0)
     S = PolyhedralSet(r + 1, ineq_lhs=np.array(rows), ineq_rhs=np.array(rhs))
-    return solve_lp(LinearProgram(np.concatenate([np.zeros(r), [1.0]]), S))
+    return solve_lp(S, np.concatenate([np.zeros(r), [1.0]]))
 
 
 def reference_gap_dual(f, x):
@@ -206,7 +206,7 @@ def reference_gap_dual(f, x):
         eq_lhs=np.hstack([f.a2.T, -f.a2.T, f.row_y.T]),
         eq_rhs=np.zeros(r),
     )
-    return solve_lp(LinearProgram(objective, S, sense="maximize"))
+    return solve_lp(S, objective, sense="maximize")
 
 
 class TestGapRowOrder:
@@ -280,7 +280,7 @@ class TestDualVertices:
         # one product with H
         lps, balls = [], []
         original_lp, original_vertices = gpm.solve_lp, gpm.enumerate_vertices
-        monkeypatch.setattr(gpm, "solve_lp", lambda lp: lps.append(lp) or original_lp(lp))
+        monkeypatch.setattr(gpm, "solve_lp", lambda *a: lps.append(a) or original_lp(*a))
         monkeypatch.setattr(gpm, "enumerate_vertices",
                             lambda S: balls.append(S) or original_vertices(S))
         for seed in range(1, 11):
@@ -464,9 +464,9 @@ class TestDomainCharacterization:
         lps = []
         original = gpm.solve_lp
 
-        def counting(lp):
-            lps.append(lp)
-            return original(lp)
+        def counting(*args):
+            lps.append(args)
+            return original(*args)
 
         monkeypatch.setattr(gpm, "solve_lp", counting)
         minimax = verify_minimax(f, xs)

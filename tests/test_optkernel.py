@@ -27,7 +27,6 @@ from avibound import (
 )
 from avibound.optkernel import (
     FEAS_TOL,
-    LinearProgram,
     feasible_witness,
     solve_feasibility,
     solve_lp,
@@ -67,23 +66,20 @@ def brute_force_lp_min(c, A, b):
 
 class TestSolveLp:
     def test_nonnegativity_cone(self):
-        lp = LinearProgram([1.0], PolyhedralSet(1, ineq_lhs=[[-1.0]], ineq_rhs=[0.0]))
-        res = solve_lp(lp)
+        res = solve_lp(PolyhedralSet(1, ineq_lhs=[[-1.0]], ineq_rhs=[0.0]), [1.0])
         assert res.status == "optimal"
         assert res.value == pytest.approx(0.0, abs=1e-9)
         assert res.point[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_empty_system(self):
-        lp = LinearProgram(
-            [1.0], PolyhedralSet(1, ineq_lhs=[[1.0], [-1.0]], ineq_rhs=[-1.0, 0.0])
-        )
-        assert solve_lp(lp).status == "infeasible"
+        S = PolyhedralSet(1, ineq_lhs=[[1.0], [-1.0]], ineq_rhs=[-1.0, 0.0])
+        assert solve_lp(S, [1.0]).status == "infeasible"
 
     def test_simplex_facet(self):
         c = [-1.0, -1.0]
         A = [[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
         b = [1.0, 0.0, 0.0]
-        res = solve_lp(LinearProgram(c, PolyhedralSet(2, ineq_lhs=A, ineq_rhs=b)))
+        res = solve_lp(PolyhedralSet(2, ineq_lhs=A, ineq_rhs=b), c)
         oracle_value, _ = brute_force_lp_min(c, A, b)
         assert oracle_value == pytest.approx(-1.0)
         assert res.status == "optimal"
@@ -91,48 +87,39 @@ class TestSolveLp:
         assert res.point[0] + res.point[1] == pytest.approx(1.0, abs=1e-8)
 
     def test_unbounded(self):
-        lp = LinearProgram([-1.0], PolyhedralSet(1, ineq_lhs=[[-1.0]], ineq_rhs=[0.0]))
-        res = solve_lp(lp)
+        res = solve_lp(PolyhedralSet(1, ineq_lhs=[[-1.0]], ineq_rhs=[0.0]), [-1.0])
         assert res.status == "unbounded"
         assert res.value == -np.inf
 
     def test_maximize_sense(self):
-        lp = LinearProgram(
-            [1.0, 1.0],
-            PolyhedralSet(
-                2,
-                ineq_lhs=[[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
-                ineq_rhs=[1.0, 0.0, 0.0],
-            ),
-            sense="maximize",
+        S = PolyhedralSet(
+            2,
+            ineq_lhs=[[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+            ineq_rhs=[1.0, 0.0, 0.0],
         )
-        res = solve_lp(lp)
+        res = solve_lp(S, [1.0, 1.0], sense="maximize")
         assert res.status == "optimal"
         assert res.value == pytest.approx(1.0, abs=1e-8)
-        rhs = lp.feasible_set.ineq_rhs
+        rhs = S.ineq_rhs
         assert res.dual is not None
         assert float(rhs @ res.dual) == pytest.approx(res.value, abs=1e-7)
         assert np.all(res.dual >= -1e-9)
 
     def test_equality_rows(self):
-        lp = LinearProgram(
-            [1.0, 2.0],
-            PolyhedralSet(
-                2,
-                eq_lhs=[[1.0, 1.0]],
-                eq_rhs=[3.0],
-                ineq_lhs=[[-1.0, 0.0], [0.0, -1.0]],
-                ineq_rhs=[0.0, 0.0],
-            ),
+        S = PolyhedralSet(
+            2,
+            eq_lhs=[[1.0, 1.0]],
+            eq_rhs=[3.0],
+            ineq_lhs=[[-1.0, 0.0], [0.0, -1.0]],
+            ineq_rhs=[0.0, 0.0],
         )
-        res = solve_lp(lp)
+        res = solve_lp(S, [1.0, 2.0])
         assert res.status == "optimal"
         assert res.value == pytest.approx(3.0, abs=1e-8)
         np.testing.assert_allclose(res.point, [3.0, 0.0], atol=1e-8)
 
     def test_redundant_equalities(self):
-        lp = LinearProgram([1.0], PolyhedralSet(1, eq_lhs=[[1.0], [2.0]], eq_rhs=[2.0, 4.0]))
-        res = solve_lp(lp)
+        res = solve_lp(PolyhedralSet(1, eq_lhs=[[1.0], [2.0]], eq_rhs=[2.0, 4.0]), [1.0])
         assert res.status == "optimal"
         assert res.point[0] == pytest.approx(2.0, abs=1e-9)
 
@@ -145,8 +132,7 @@ class TestSolveLp:
             A = np.array([[rng.normal() for _ in range(n)] for _ in range(m)])
             b = np.array([rng.normal() for _ in range(m)])
             c = np.array([rng.normal() for _ in range(n)])
-            lp = LinearProgram(c, PolyhedralSet(n, ineq_lhs=A, ineq_rhs=b))
-            res = solve_lp(lp)
+            res = solve_lp(PolyhedralSet(n, ineq_lhs=A, ineq_rhs=b), c)
             # presolve collapses "unbounded" into "infeasible" on some inputs
             ref = linprog(
                 c,
@@ -189,9 +175,8 @@ class TestSolveLp:
             b[[rng.randint(0, 2) == 0 for _ in range(m)]] = 0.0
             c = np.array([rng.normal() for _ in range(n)])
             sense = "maximize" if rng.randint(0, 1) else "minimize"
-            lp = LinearProgram(c, PolyhedralSet(n, ineq_lhs=A, ineq_rhs=b, eq_lhs=E, eq_rhs=d),
-                               sense=sense)
-            res = solve_lp(lp)
+            res = solve_lp(PolyhedralSet(n, ineq_lhs=A, ineq_rhs=b, eq_lhs=E, eq_rhs=d), c,
+                           sense=sense)
             sign = 1.0 if sense == "minimize" else -1.0
             ref = linprog(
                 sign * c,
@@ -271,7 +256,7 @@ class TestSolveFeasibility:
             d = np.array([rng.normal() for _ in range(k)])
             S = PolyhedralSet(n, ineq_lhs=A, ineq_rhs=b, eq_lhs=E, eq_rhs=d)
             oracle = solve_feasibility(S)
-            lp = solve_lp(LinearProgram(np.zeros(n), S))
+            lp = solve_lp(S, np.zeros(n))
             assert (oracle.status == "optimal") == (lp.status == "optimal")
             if oracle.status == "optimal":
                 assert np.max(A @ oracle.point - b) <= 1e-8
@@ -281,8 +266,8 @@ class TestSolveFeasibility:
         assert agreements == 1000
 
 
-def project_onto(u, S, **kw):
-    return solve_projection_qp(S, np.asarray(u, float), **kw)
+def project_onto(u, S):
+    return solve_projection_qp(S, np.asarray(u, float))
 
 
 class TestProjectionQp:
@@ -316,38 +301,6 @@ class TestProjectionQp:
         S = PolyhedralSet(1, ineq_lhs=[[1.0], [-1.0]], ineq_rhs=[-1.0, 0.0])
         with pytest.raises(EmptySet):
             project_onto([0.0], S)
-
-    def test_two_starts_agree(self):
-        # no start, a start at a vertex, a start at an earlier projection and
-        # a start just outside the set, within the slack the kernel accepts
-        # (as a residual's x can be)
-        rng = SplitMix64(5)
-        compared = outside = 0
-        for _ in range(50):
-            n = rng.randint(1, 5)
-            m = rng.randint(1, 8)
-            A = np.array([[rng.normal() for _ in range(n)] for _ in range(m)])
-            b = np.array([rng.normal() + 1.0 for _ in range(m)])
-            S = PolyhedralSet(n, ineq_lhs=A, ineq_rhs=b)
-            if solve_feasibility(S).status != "optimal":
-                continue
-            u = np.array([3.0 * rng.normal() for _ in range(n)])
-            earlier = project_onto([3.0 * rng.normal() for _ in range(n)], S)
-            starts = [earlier] + enumerate_vertices(S).vertices[:1]
-            slack = FEAS_TOL * (1.0 + np.linalg.norm(u))
-            if len(starts) == 2 and not S.contains(u, slack):
-                row = A[np.argmax(A @ starts[1] - b)]
-                step = 0.5 * slack / np.max(np.linalg.norm(A, axis=1))
-                start = starts[1] + step * row / np.linalg.norm(row)
-                assert not S.contains(start, 0.0) and S.contains(start, slack)
-                starts.append(start)
-                outside += 1
-            z1 = project_onto(u, S)
-            for start in starts:
-                z2 = project_onto(u, S, start=start)
-                assert np.linalg.norm(z1 - z2) <= 1e-6
-            compared += len(starts)
-        assert compared > 50 and outside > 10
 
     def test_variational_characterization_random(self):
         # <u - z*, y - z*> <= 0 for all vertices y of the feasible set.
@@ -429,12 +382,6 @@ class TestProjectionQp:
             drops += sum(after[0] < before[0] for before, after in zip(shapes, shapes[1:]))
         assert iterated >= 30 and drops > 0
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_start_raises(self, bad):
-        # the row test alone would accept a NaN start: nan > tol is False
-        with pytest.raises(ValueError):
-            project_onto([2.0, 2.0], _triangle(), start=[0.25, bad])
-
 
 def _triangle():
     # {x1 + x2 <= 1, x >= 0}: the first row keeps it off the box fast path
@@ -494,7 +441,7 @@ def test_infeasible_outcomes_carry_a_farkas_ray():
         # an LP's phase one starts from the slack basis, so it may end on
         # another ray, but that ray certifies emptiness too
         assert not is_nonempty(S)
-        lp = solve_lp(LinearProgram(np.ones(S.ambient_dim), S))
+        lp = solve_lp(S, np.ones(S.ambient_dim))
         assert lp.status == "infeasible"
         _assert_farkas_ray(lp.dual, S)
     assert counts["infeasible"] >= 100 and counts["optimal"] >= 30
@@ -535,9 +482,9 @@ def test_lp_phase_one_starts_from_the_slack_basis(monkeypatch):
     b = np.array([abs(rng.normal()) for _ in range(12)])
     b[[1, 5, 9]] = 0.0
     S = PolyhedralSet(n, ineq_lhs=A, ineq_rhs=b)
-    lp = LinearProgram(np.array(rng.normals(n)), S)
-    assert _phase_one_factorizations(monkeypatch, solve_lp, lp) == 2
-    assert solve_lp(lp).status == "optimal"
+    c = np.array(rng.normals(n))
+    assert _phase_one_factorizations(monkeypatch, solve_lp, S, c) == 2
+    assert solve_lp(S, c).status == "optimal"
     # the feasibility solve keeps its all-artificial start and its count
     assert _phase_one_factorizations(monkeypatch, solve_feasibility, S) == 16
 
@@ -570,7 +517,7 @@ def test_lp_optimum_satisfies_its_rows_or_breaks_down():
         for c in (np.ones(n), -np.ones(n), np.eye(n)[0]):
             for sense in ("minimize", "maximize"):
                 try:
-                    res = solve_lp(LinearProgram(c, S, sense=sense))
+                    res = solve_lp(S, c, sense=sense)
                 except NumericalBreakdown as exc:
                     breakdowns.setdefault(k, []).append(str(exc))
                     continue
@@ -632,13 +579,6 @@ class TestWitnessCache:
         p += 7.0
         np.testing.assert_array_equal(project_onto(u, S), w)
         np.testing.assert_array_equal(feasible_point(S), w)
-
-    def test_start_outside_the_set_falls_back_to_the_witness(self):
-        S = _triangle()
-        for u in ([2.0, 2.0], [-1.0, 3.0], [3.0, -1.0]):
-            np.testing.assert_array_equal(
-                project_onto(u, S, start=[5.0, 5.0]), project_onto(u, S)
-            )
 
     def test_empty_set_cached_as_empty(self, feasibility_calls):
         S = PolyhedralSet(2, ineq_lhs=[[1.0, 1.0], [-1.0, -1.0]], ineq_rhs=[-1.0, 0.0])
@@ -823,11 +763,26 @@ def _degenerate_sets():
         yield PolyhedralSet(n, ineq_lhs=A, ineq_rhs=b, eq_lhs=eq_lhs, eq_rhs=eq_rhs), v, normals
 
 
+def _moved_to_origin(S, x):
+    """S - x = {z : A z <= b - A x, E z = d - E x}, with every right-hand
+    side within 1e-12 of 0 set to 0: the rows through x pass through the
+    origin, which is the set's phase-one witness and so the start of every
+    projection loop on it."""
+    b = S.ineq_rhs - S.ineq_lhs @ x
+    d = S.eq_rhs - S.eq_lhs @ x
+    b[np.abs(b) <= 1e-12] = 0.0
+    d[np.abs(d) <= 1e-12] = 0.0
+    T = PolyhedralSet(S.ambient_dim, S.ineq_lhs, b, S.eq_lhs, d)
+    assert not feasible_witness(T).any()
+    return T
+
+
 def test_projection_matches_the_brute_force_oracle(monkeypatch):
-    # Started at the degenerate vertex v, the first working set holds more
-    # than n dependent rows, so the Gram solve must fall back to lstsq; the
-    # targets are v pushed out along its normal cone (projection v), points
-    # near v and far points, from v and from the phase-one witness.
+    # Each set is projected onto as it is, from its phase-one witness, and
+    # moved so that its degenerate vertex v is the origin, its witness:
+    # from there the first working set holds more than n dependent rows, so
+    # the Gram solve must fall back to lstsq.  The targets are v pushed out
+    # along its normal cone (projection v), points near v and far points.
     fallbacks = []
     original = np.linalg.lstsq
 
@@ -841,12 +796,13 @@ def test_projection_matches_the_brute_force_oracle(monkeypatch):
         n = S.ambient_dim
         weights = np.array([abs(rng.normal()) for _ in range(len(normals))])
         targets = [v + weights @ normals, v + 0.3 * _unit(rng, n), 4.0 * _unit(rng, n)]
+        at_v = _moved_to_origin(S, v)
         for u in targets:
             expected = brute_force_projection(u, S)
-            for start in (v, None):
-                with monkeypatch.context() as patch:
-                    patch.setattr(np.linalg, "lstsq", counting)
-                    z = project_onto(u, S, start=start)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "lstsq", counting)
+                projections = (project_onto(u, S), v + project_onto(u - v, at_v))
+            for z in projections:
                 assert np.linalg.norm(z - expected) <= 1e-9 * (1.0 + np.linalg.norm(u)), seed
                 compared += 1
     assert compared == 240
@@ -888,14 +844,16 @@ def _shuffled(rng, items):
 
 
 def test_projections_do_not_depend_on_call_history(monkeypatch):
-    # A set keeps its stacked projection rows and the Gram factor of the
-    # last working set it solved, and a call solves an unchanged working set
-    # once.  So a target projected onto a set whose cache is warm from the
-    # other targets, in shuffled order, lands bit for bit where it lands on
-    # a fresh copy of the set from the same start.  The degenerate sets'
-    # vertices take the lstsq fallback; on the hexagon the targets ring the
-    # set and end on its 6 edges and 6 vertices, so a call often starts from
-    # another working set of the size of the cached one.
+    # A set keeps its stacked projection rows and the cell, with its
+    # Cholesky factor, of the last working set a projection ended on.  So a
+    # target projected onto a set whose cache is warm from the other
+    # targets, in shuffled order, lands bit for bit where it lands on a
+    # fresh copy of the set.  Each set is taken as it is and moved so that
+    # its seeded point is the origin, its phase-one witness
+    # (`_moved_to_origin`); from the degenerate sets' vertices the loop
+    # takes the lstsq fallback.  On the hexagon the targets ring the set and
+    # end on its 6 edges and 6 vertices, so the kept cell changes from call
+    # to call.
     fallbacks = [0]
     original = np.linalg.lstsq
 
@@ -911,27 +869,29 @@ def test_projections_do_not_depend_on_call_history(monkeypatch):
 
     ring = 3.0 * np.column_stack([np.cos(np.pi / 6.0 * np.arange(12)),
                                   np.sin(np.pi / 6.0 * np.arange(12))])
-    cases = [(S, [None, x], seeded(S, 9600 + i))
-             for i, (S, x) in enumerate(_sets_with_equality_rows())]
-    cases += [(S, [None, v], seeded(S, 9700 + i))
-              for i, (S, v, _) in enumerate(_degenerate_sets())]
-    cases.append((_hexagon(), [None, np.zeros(2)], list(ring)))
+    cases = []
+    for i, (S, x) in enumerate(_sets_with_equality_rows()):
+        targets = seeded(S, 9600 + i)
+        cases += [(S, targets), (_moved_to_origin(S, x), [u - x for u in targets])]
+    for i, (S, v, _) in enumerate(_degenerate_sets()):
+        targets = seeded(S, 9700 + i)
+        cases += [(S, targets), (_moved_to_origin(S, v), [u - v for u in targets])]
+    cases.append((_hexagon(), list(ring)))
     compared = 0
-    for index, (S, starts, targets) in enumerate(cases):
-        jobs = [(u, start) for u in targets for start in starts]
-        for u, start in jobs:
-            project_onto(u, S, start=start)
-        for u, start in _shuffled(SplitMix64(9800 + index), jobs):
-            warm = project_onto(u, S, start=start)
-            cold = project_onto(u, _fresh(S), start=start)
-            assert warm.tobytes() == cold.tobytes(), (index, u, start)
+    for index, (S, targets) in enumerate(cases):
+        for u in targets:
+            project_onto(u, S)
+        for u in _shuffled(SplitMix64(9800 + index), targets):
+            warm = project_onto(u, S)
+            cold = project_onto(u, _fresh(S))
+            assert warm.tobytes() == cold.tobytes(), (index, u)
             compared += 1
     hexagon = _hexagon()
     tight_sets = {
         tuple(np.flatnonzero(np.abs(hexagon.ineq_lhs @ project_onto(u, hexagon) - 1.0) <= 1e-9))
         for u in ring
     }
-    assert compared == 30 * 16 + 40 * 16 + 24
+    assert compared == 30 * 16 + 40 * 16 + 12
     assert len(tight_sets) == 12 and fallbacks[0] > 0
 
 
@@ -942,10 +902,12 @@ def test_solver_tail_pass_factors_each_working_set_once(monkeypatch):
     # the next target onto it usually lies in that cell: 5,652 calls take
     # the cell with one potrs on its factor, and 393 run the active-set
     # loop, which factors each working set it visits and does not solve an
-    # unchanged working set twice.  With the factorization and solve rerun
-    # at every iteration, the pass made 12,569 potrf and 12,569 potrs calls;
-    # with a cache of the last factored working set alone, 643 and 6,455,
-    # and 6,045 calls ran the loop.
+    # unchanged working set twice.  Each loop starts from its set's
+    # phase-one witness; when the solvers handed the loop their last
+    # iterate as its start, the pass made 756 potrf and 6,785 potrs calls.
+    # With a start and the factorization and solve rerun at every
+    # iteration, it made 12,569 of each; with a cache of the last factored
+    # working set alone, 643 and 6,455, and 6,045 calls ran the loop.
     counts = {"_potrf": 0, "_potrs": 0}
 
     def counted(name):
@@ -963,11 +925,11 @@ def test_solver_tail_pass_factors_each_working_set_once(monkeypatch):
     hits = [0]
     project = optkernel.solve_projection_qp
 
-    def classified(S, u, start=None):
+    def classified(S, u):
         # a call that neither returns its target nor runs the loop took the
         # cell (no set of the pool is a box)
         before = len(loops)
-        z = project(S, u, start)
+        z = project(S, u)
         outside = not S.contains(u, FEAS_TOL * (1.0 + np.linalg.norm(u)))
         hits[0] += outside and len(loops) == before
         return z
@@ -977,7 +939,7 @@ def test_solver_tail_pass_factors_each_working_set_once(monkeypatch):
     pool = workloads.SolverTail()
     for index in range(pool.pool_size):
         assert pool.run(index, pool.build(index))["invariants"]
-    assert counts == {"_potrf": 756, "_potrs": 6785}
+    assert counts == {"_potrf": 1001, "_potrs": 7030}
     assert (hits[0], len(loops)) == (5652, 393)
 
 
@@ -1098,21 +1060,24 @@ class TestCellLookup:
         assert z.tobytes() == project_onto(u, _fresh(hexagon)).tobytes()
 
     def test_a_row_the_loop_can_bind_refuses_the_cell(self, monkeypatch):
-        # S = {x2 <= 0, x1 + x2 <= 1}.  (0.5, 1) leaves W = {0}, whose point
-        # for u = (1 - 5e-8, 1) is (1 - 5e-8, 0): row 1 is slack there by
-        # 5e-8, more than FEAS_TOL (1 + ||u||) but less than
-        # _DROP_TOL ||a_1||^2.  From (10.9, -10) the loop blocks on row 1,
-        # then on row 0, and stops at the vertex (1, 0), where row 1's
-        # multiplier is -5e-8; the cell must not answer for it.
+        # S = {x2 <= 0, x1 + x2 <= 1}, moved by s = (10.875, -10) so that s
+        # is the origin, S's phase-one witness; below, points are named
+        # before the move.  (0.5, 1) leaves W = {0}, whose point for
+        # u = (1 - 5e-8, 1) is (1 - 5e-8, 0): row 1 is slack there by 5e-8,
+        # more than FEAS_TOL (1 + ||u - s||) but less than
+        # _DROP_TOL ||a_1||^2.  From s the loop blocks on row 1, then on
+        # row 0, and stops at the vertex (1, 0), where row 1's multiplier is
+        # -5e-8; the cell must not answer for it.
         loops = _count_loops(monkeypatch)
-        S = PolyhedralSet(2, ineq_lhs=np.array([[0.0, 1.0], [1.0, 1.0]]),
-                          ineq_rhs=np.array([0.0, 1.0]))
-        project_onto([0.5, 1.0], S)
-        u, start = [1.0 - 5e-8, 1.0], np.array([10.9, -10.0])
-        z = project_onto(u, S, start=start)
+        s = np.array([10.875, -10.0])
+        rows = np.array([[0.0, 1.0], [1.0, 1.0]])
+        S = PolyhedralSet(2, ineq_lhs=rows, ineq_rhs=np.array([0.0, 1.0]) - rows @ s)
+        project_onto(np.array([0.5, 1.0]) - s, S)
+        u = np.array([1.0 - 5e-8, 1.0]) - s
+        z = project_onto(u, S)
         assert _runs(loops, S) == 2
-        np.testing.assert_array_equal(z, [1.0, 0.0])
-        assert z.tobytes() == project_onto(u, _fresh(S), start=start).tobytes()
+        np.testing.assert_array_equal(z + s, [1.0, 0.0])
+        assert z.tobytes() == project_onto(u, _fresh(S)).tobytes()
 
     @pytest.mark.parametrize("t, hit", [(1e-6, True), (2e-7, False)])
     def test_a_multiplier_below_the_floor_runs_the_loop(self, monkeypatch, t, hit):
@@ -1132,38 +1097,43 @@ class TestCellLookup:
         assert z.tobytes() == project_onto(u, _fresh(S)).tobytes()
 
     def test_a_loop_that_ends_with_no_working_row_keeps_no_cell(self):
-        # u = (2e-9, 0) violates both rows by more than FEAS_TOL (1 + ||u||),
-        # but from (-1e6, 0) both rows' rooms round to 1 - 2e-15, not below
+        # S = {x1 + x2 <= 1, x1 - x2 <= 1}, each row scaled by 1e6, holds its
+        # witness, the origin, with no row tight.  u = (1 + 20 eps, 0)
+        # violates both rows by 4.4e-9, more than FEAS_TOL (1 + ||u||), but
+        # both rows' rooms from the origin round to 1 - 4.4e-15, not below
         # the full step, which reaches u with no row in the working set
-        S = PolyhedralSet(2, ineq_lhs=np.array([[1.0, 1.0], [1.0, -1.0]]),
-                          ineq_rhs=np.zeros(2))
-        z = project_onto([2e-9, 0.0], S, start=np.array([-1e6, 0.0]))
-        np.testing.assert_array_equal(z, [2e-9, 0.0])
+        rows = 1e6 * np.array([[1.0, 1.0], [1.0, -1.0]])
+        S = PolyhedralSet(2, ineq_lhs=rows, ineq_rhs=np.full(2, 1e6))
+        u = np.array([1.0 + 20 * np.finfo(float).eps, 0.0])
+        assert not S.contains(u, FEAS_TOL * (1.0 + np.linalg.norm(u)))
+        z = project_onto(u, S)
+        np.testing.assert_array_equal(z, u)
         assert "cell" not in S._cache
 
     def test_dependent_working_sets_keep_no_cell(self, monkeypatch):
-        # from the degenerate vertex v the loop ends on the n + 2 dependent
-        # rows through v, solved by lstsq, and keeps no cell; from the
-        # phase-one witness it can end on n independent rows through v, and
-        # then the rows through v left out of W are tight, so the cell is
-        # refused and the loop decides again
+        # with the degenerate vertex v moved to the origin, the phase-one
+        # witness, the loop ends on the n + 2 dependent rows through v,
+        # solved by lstsq, and keeps no cell; from the witness of the set as
+        # it is, it can end on n independent rows through v, and then the
+        # rows through v left out of W are tight, so the cell is refused and
+        # the loop decides again
         loops = _count_loops(monkeypatch)
         refused = 0
         for seed, (S, v, normals) in enumerate(_degenerate_sets()):
             rng = SplitMix64(9000 + seed)
             weights = np.array([abs(rng.normal()) for _ in range(len(normals))])
             u = v + weights @ normals
+            at_v = _moved_to_origin(S, v)
             for _ in range(2):
-                z = project_onto(u, S, start=v)
-                assert z.tobytes() == project_onto(u, _fresh(S), start=v).tobytes()
-                assert S._cache["cell"] is None, seed
-            if S._cache["cell"] is None:
-                project_onto(u, S)
+                z = project_onto(u - v, at_v)
+                assert z.tobytes() == project_onto(u - v, _fresh(at_v)).tobytes()
+                assert at_v._cache["cell"] is None, seed
+            project_onto(u, S)
             if S._cache["cell"] is not None:
                 before = _runs(loops, S)
-                z = project_onto(u, S, start=v)
+                z = project_onto(u, S)
                 assert _runs(loops, S) == before + 1, seed
-                assert z.tobytes() == project_onto(u, _fresh(S), start=v).tobytes()
+                assert z.tobytes() == project_onto(u, _fresh(S)).tobytes()
                 refused += 1
         assert refused > 5
 
@@ -1182,7 +1152,7 @@ class TestDegenerateInputs:
             A = np.vstack([A, A[0], 2.0 * A[0]])
             b = np.concatenate([b, [b[0]], [2.0 * b[0]]])
             c = np.array([rng.normal() for _ in range(n)])
-            res = solve_lp(LinearProgram(c, PolyhedralSet(n, ineq_lhs=A, ineq_rhs=b)))
+            res = solve_lp(PolyhedralSet(n, ineq_lhs=A, ineq_rhs=b), c)
             if res.is_optimal:
                 assert np.max(A @ res.point - b) <= 1e-8
                 assert abs(res.value - b @ res.dual) <= 1e-7 * (1 + abs(res.value))
@@ -1250,7 +1220,8 @@ _PIVOT_RECORD = Path(__file__).parent / "data" / "pivot_sequence.json"
 
 
 def _random_lp(seed, n, num_eq=0):
-    """Feasible LP with 4n random rows (bounded or not, as the draw falls)."""
+    """(S, objective) of a feasible LP with 4n random rows (bounded or not,
+    as the draw falls)."""
     rng = SplitMix64(seed)
     m = 4 * n
     witness = np.array(rng.normals(n))
@@ -1258,7 +1229,7 @@ def _random_lp(seed, n, num_eq=0):
     b = A @ witness + np.array([abs(rng.normal()) + 0.1 for _ in range(m)])
     E = np.array([rng.normals(n) for _ in range(num_eq)]).reshape(num_eq, n)
     rows = PolyhedralSet(n, ineq_lhs=A, ineq_rhs=b, eq_lhs=E, eq_rhs=E @ witness)
-    return LinearProgram(rng.normals(n), rows)
+    return rows, rng.normals(n)
 
 
 def _random_system(seed, n, num_eq, shift):
@@ -1271,22 +1242,19 @@ def _random_system(seed, n, num_eq, shift):
     return PolyhedralSet(n, ineq_lhs=A, ineq_rhs=b, eq_lhs=E, eq_rhs=d)
 
 
-def _beale_lp():
+def _solve_beale_lp():
     # Beale's example: the textbook rule cycles on it, Bland's rule must
     # break the ratio-test ties at the degenerate origin.
-    return LinearProgram(
-        [0.75, -20.0, 0.5, -6.0],
-        PolyhedralSet(
-            4,
-            ineq_lhs=[
-                [0.25, -8.0, -1.0, 9.0],
-                [0.5, -12.0, -0.5, 3.0],
-                [0.0, 0.0, 1.0, 0.0],
-            ] + (-np.eye(4)).tolist(),
-            ineq_rhs=[0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
-        ),
-        sense="maximize",
+    S = PolyhedralSet(
+        4,
+        ineq_lhs=[
+            [0.25, -8.0, -1.0, 9.0],
+            [0.5, -12.0, -0.5, 3.0],
+            [0.0, 0.0, 1.0, 0.0],
+        ] + (-np.eye(4)).tolist(),
+        ineq_rhs=[0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
     )
+    return solve_lp(S, [0.75, -20.0, 0.5, -6.0], sense="maximize")
 
 
 def _pivot_corpus():
@@ -1295,22 +1263,17 @@ def _pivot_corpus():
     for n in (3, 6, 10):
         for k in range(3):
             lp = _random_lp(1000 * n + k, n, num_eq=k % 2)
-            corpus.append((f"lp_n{n}_{k}", lambda lp=lp: [solve_lp(lp)]))
+            corpus.append((f"lp_n{n}_{k}", lambda lp=lp: [solve_lp(*lp)]))
         for k, shift in enumerate((1.0, 1.0, -0.5)):
             S = _random_system(2000 * n + k, n, num_eq=k, shift=shift)
             corpus.append((f"feas_n{n}_{k}", lambda S=S: [solve_feasibility(S)]))
-    corpus.append(("beale_degenerate", lambda: [solve_lp(_beale_lp())]))
-    infeasible = LinearProgram(
-        [1.0, 1.0],
-        PolyhedralSet(
-            2, ineq_lhs=[[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], ineq_rhs=[-1.0, 0.0, 0.0]
-        ),
+    corpus.append(("beale_degenerate", lambda: [_solve_beale_lp()]))
+    infeasible = PolyhedralSet(
+        2, ineq_lhs=[[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], ineq_rhs=[-1.0, 0.0, 0.0]
     )
-    corpus.append(("lp_infeasible", lambda: [solve_lp(infeasible)]))
-    unbounded = LinearProgram(
-        [-1.0, 0.5], PolyhedralSet(2, ineq_lhs=[[-1.0, 1.0], [0.0, -1.0]], ineq_rhs=[1.0, 0.0])
-    )
-    corpus.append(("lp_unbounded", lambda: [solve_lp(unbounded)]))
+    corpus.append(("lp_infeasible", lambda: [solve_lp(infeasible, [1.0, 1.0])]))
+    unbounded = PolyhedralSet(2, ineq_lhs=[[-1.0, 1.0], [0.0, -1.0]], ineq_rhs=[1.0, 0.0])
+    corpus.append(("lp_unbounded", lambda: [solve_lp(unbounded, [-1.0, 0.5])]))
     redundant = PolyhedralSet(
         2,
         eq_lhs=[[1.0, 1.0], [2.0, 2.0], [1.0, -1.0]],
@@ -1332,8 +1295,8 @@ def _is_solution_ray_solves():
     )
     results = []
 
-    def recording(lp):
-        results.append(solve_lp(lp))
+    def recording(*args):
+        results.append(solve_lp(*args))
         return results[-1]
 
     original = avi.solve_lp

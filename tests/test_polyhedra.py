@@ -226,7 +226,7 @@ class TestEnumerateVertices:
     def test_hull_plus_rays_covers_members(self):
         # every sampled member must be conv(V) + cone(R) representable,
         # checked by LP feasibility on the hull coefficients
-        from avibound.optkernel import LinearProgram, solve_lp
+        from avibound.optkernel import solve_lp
 
         S = PolyhedralSet(
             2, ineq_lhs=[[-1.0, 0.0], [0.0, -1.0], [-1.0, 1.0]], ineq_rhs=[0.0, 0.0, 1.0]
@@ -251,17 +251,14 @@ class TestEnumerateVertices:
                 ]
             )
             rhs = np.concatenate([x, [1.0]])
-            lp = LinearProgram(
-                np.zeros(nv + nr),
-                PolyhedralSet(
-                    nv + nr,
-                    eq_lhs=eq,
-                    eq_rhs=rhs,
-                    ineq_lhs=-np.eye(nv + nr),
-                    ineq_rhs=np.zeros(nv + nr),
-                ),
+            hull = PolyhedralSet(
+                nv + nr,
+                eq_lhs=eq,
+                eq_rhs=rhs,
+                ineq_lhs=-np.eye(nv + nr),
+                ineq_rhs=np.zeros(nv + nr),
             )
-            assert solve_lp(lp).status == "optimal"
+            assert solve_lp(hull, np.zeros(nv + nr)).status == "optimal"
 
 
 class TestDistance:

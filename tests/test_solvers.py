@@ -3,7 +3,7 @@ import pytest
 
 from avibound import optkernel, solvers
 from avibound.avi import AviInstance, is_solution
-from avibound.optkernel import LinearProgram, solve_lp
+from avibound.optkernel import solve_lp
 from avibound.bounds import find_local_radius
 from avibound.instgen import generate_random_avi
 from avibound.polyhedra import nonnegative_orthant
@@ -112,7 +112,7 @@ class TestSolve:
         slack = check_tol * (1.0 + np.linalg.norm(x))
         assert inst.c_set.contains(x, slack)
         w = inst.m_op @ x + inst.q
-        res = solve_lp(LinearProgram(w, inst.c_set))
+        res = solve_lp(inst.c_set, w)
         assert res.is_optimal
         assert res.value >= w @ x - slack
 
@@ -141,11 +141,13 @@ class TestSolve:
         assert np.linalg.norm(trace.final_x - solution) <= 1e-6
 
     @pytest.mark.parametrize("index", range(8))
-    def test_residual_projections_start_from_the_iterate(self, index, monkeypatch):
-        # Every iterate past x0 lies in C, so the residual's projection starts
-        # there and needs few Gram solves (`optkernel._gram_solve` calls);
-        # started from C's phase-one witness it averages 4.7 to 12.8 per call
-        # here.
+    def test_residual_projections_mostly_take_the_cell(self, index, monkeypatch):
+        # Iterates move little, so a residual's target usually lies in the
+        # cell that the last projection onto C ended on, and the cell answers
+        # with one potrs on its kept factor and no Gram solve
+        # (`optkernel._gram_solve` call): these runs make 0.01 to 0.57 Gram
+        # solves per residual.  With every projection running the active-set
+        # loop from C's phase-one witness, they averaged 4.7 to 12.8.
         n = 3 + index % 2
         inst = generate_random_avi(n=n, m=n + 1 + (index // 2) % (7 - n),
                                    monotonicity="strongly_monotone", seed=3000 + index)
@@ -171,7 +173,7 @@ class TestSolve:
         trace = solve(inst, SolverConfig(stop_residual=1e-6, x0=x0))
         assert trace.converged
         assert counts["residual"] == len(trace.records) > 50
-        assert 0 < counts["gram"] <= 3 * counts["residual"], counts
+        assert 0 < counts["gram"] <= counts["residual"], counts
 
     def test_divergence_aborts(self):
         # expansive operator pushed away from the solution diverges under

@@ -41,8 +41,8 @@ other module calls a scipy wrapper whose checks and bits may differ.  Arrays are
 validated where they enter the program: only the public constructors and
 the public functions listed in `VALIDATORS` call `_as_vector` or
 `_as_matrix`, each as often as listed, so no validation pass comes back
-inside the program, and the projection's three calls sit under the screens
-of its target and start.
+inside the program, and the calls of the projection and the LP sit under
+the screens of the target and the objective.
 """
 
 import argparse
@@ -726,8 +726,9 @@ def test_box_bounds_rule_catches_a_call():
 # The routines that validate arrays where they enter the program, with the
 # number of `_as_vector`/`_as_matrix` calls each makes: the public
 # constructors and the public functions' own arguments.  The projection's
-# three run only when a screen of its target or start fails; every other
-# routine takes the arrays it is handed, or computes, as validated.
+# two run only when the screen of its target fails, and the LP's one only
+# when the screen of its objective fails; every other routine takes the
+# arrays it is handed, or computes, as validated.
 VALIDATORS = {
     ("avi.py", "AviInstance.__post_init__"): 2,
     ("avi.py", "inverse_residual"): 1,
@@ -738,8 +739,8 @@ VALIDATORS = {
     ("gpm.py", "evaluate"): 1,
     ("gpm.py", "gap_dual"): 1,
     ("gpm.py", "gap_primal"): 1,
-    ("optkernel.py", "LinearProgram.__post_init__"): 1,
-    ("optkernel.py", "solve_projection_qp"): 3,
+    ("optkernel.py", "solve_lp"): 1,
+    ("optkernel.py", "solve_projection_qp"): 2,
     ("polyhedra.py", "cone_generators"): 1,
     ("polyhedra.py", "distance"): 1,
     ("sets.py", "PolyhedralSet.__post_init__"): 4,
@@ -770,11 +771,11 @@ def test_arrays_are_validated_where_they_enter():
 
 def test_validation_rule_catches_a_call_in_the_kernel():
     optkernel = (SRC / "optkernel.py").read_text(encoding="utf-8")
-    assert _validation_calls(ast.parse(optkernel))["solve_projection_qp"] == 3
+    assert _validation_calls(ast.parse(optkernel))["solve_projection_qp"] == 2
     lines = optkernel.splitlines(keepends=True)
     at = lines.index("    k_eq = S.num_eq\n")
-    lines.insert(at, '    start = _as_vector(start, n, "start")\n')
-    assert _validation_calls(ast.parse("".join(lines)))["solve_projection_qp"] == 4
+    lines.insert(at, '    u = _as_vector(u, n, "target")\n')
+    assert _validation_calls(ast.parse("".join(lines)))["solve_projection_qp"] == 3
     source = (
         "def distance(S, x):\n    x = _as_vector(x, 2, 'x')\n"
         "class Piece:\n"
