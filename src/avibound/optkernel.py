@@ -16,10 +16,10 @@ each kept cheap:
   on request, the slack basis, returning a witness point (the origin, for
   a set without rows), or for an empty set the Farkas ray read off phase
   one's final basis.
-- `solve_projection_qp(S, u)`: a lookup of the set's last optimal cell,
-  then a primal active-set method for the strictly convex problem
-  min ||z - u||^2 over a polyhedron, started from the set's phase-one
-  witness.
+- `solve_projection_qp(S, u)`: a lookup of the set's most recently used
+  optimal cells, then a primal active-set method for the strictly convex
+  problem min ||z - u||^2 over a polyhedron, started from the set's
+  phase-one witness.
 
 The two simplex solves share one pipeline: `_standard_form` writes the
 rows once as {A_std v = rhs, v >= 0} with its slack columns and pivot
@@ -61,21 +61,28 @@ next iteration reuses that solve.  The rows are stacked once per set
 ratio test takes all rates in one product.
 
 A set's cache holds what its solves would otherwise repeat: its phase-one
-point, its box bounds, its stacked rows and its last optimal cell.
-`feasible_witness` decides a set at most once and keeps its point (or None
-for an empty set), and nothing else writes that entry.  A projection that
-ends on a working set with a Cholesky factor keeps that working set's cell
-with the factor (`_keep_cell`): P_C is piecewise affine, and the solvers
-project onto one C again and again with targets that move little, so the
-next target usually lies in the same cell.  The projection tries that cell
-first, with one potrs on its factor and a KKT test, and runs the
-active-set loop only when the test fails.  Both paths return the KKT point
-of their working set, computed by the same products from the same factor
-(potrf is deterministic), and the test's margins rule out every other
-working set at which the loop could stop.  The loop starts only from the
-set's phase-one witness, which is a function of the set's rows, so a
-projection P_S(u) is a function of S's rows and u alone: it does not depend
-on the projections that ran before it or on who asks.
+point, its box bounds, its stacked rows and its most recently used optimal
+cells.  `feasible_witness` decides a set at most once and keeps its point
+(or None for an empty set), and nothing else writes that entry.  A
+projection that ends on a working set with a Cholesky factor keeps that
+working set's cell with the factor (`_keep_cell`): P_C is piecewise
+affine, and the solvers project onto one C again and again with targets
+that move little, so the next target usually lies in a cell the set has
+seen.  An extragradient step alternates between two such cells, that of
+the residual's target x - (M x + q) and that of the step's x - a (M y + q),
+so the set keeps `_CELLS` of them, most recently used first.  The
+projection tries each kept cell in that order, with one potrs on its
+factor and a KKT test, moves the cell that passes to the front, and runs
+the active-set loop only when every kept cell fails.  Both paths return
+the KKT point of their working set, computed by the same products from
+the same factor (potrf is deterministic), and the test's margins rule out
+every other working set at which the loop could stop, whichever kept cell
+is tried.  The loop starts only from the set's phase-one witness, which is
+a function of the set's rows, so a projection P_S(u) is a function of S's
+rows and u alone: it does not depend on the projections that ran before it
+or on who asks.  That needs the loop to finish: on near-parallel rows it
+can cycle until its cap and raise NumericalBreakdown on a fresh set, where
+a set that kept the target's cell answers from the cell.
 """
 
 from __future__ import annotations
@@ -101,6 +108,9 @@ _PIVOT_TOL = 1e-10
 # _STEP_TOL * (1 + ||target||).
 _DROP_TOL = 1e-7
 _STEP_TOL = 1e-11
+# A set keeps the optimal cells of this many working sets, most recently
+# used first (`_keep_cell`).
+_CELLS = 4
 
 _getrf, _getrs, _potrf, _potrs, _trtri = get_lapack_funcs(
     ("getrf", "getrs", "potrf", "potrs", "trtri"), dtype=np.float64
@@ -429,24 +439,32 @@ def _gram_solve(G, rhs):
     return np.linalg.lstsq(gram, rhs, rcond=None)[0], None
 
 
-def _keep_cell(S, G, h, U, working, lengths, total):
-    """Keep in `S._cache["cell"]` the cell of the working set W on which a
-    projection ended (rows G, right-hand side h, Cholesky factor U,
-    inequality rows `working`), with what the lookup's margins read (see
-    `solve_projection_qp`): the rows outside W with their right-hand sides,
-    the length L of S's longest row, S's `total` inequality row length, and
-    `floor` = feas sqrt(|W|) trace((G G^T)^{-1}) with feas = FEAS_TOL +
-    _STEP_TOL L, the trace being ||U^{-1}||_F^2.  A working set solved by
-    `lstsq` (U is None) leaves no cell."""
-    cell = None
-    if U is not None:
-        longest = float(lengths.max(initial=0.0))
-        inverse, _ = _trtri(U)
-        feas = FEAS_TOL + _STEP_TOL * longest
-        floor = feas * math.sqrt(G.shape[0] - S.num_eq) * float(np.square(inverse).sum())
-        outside = ~working
-        cell = (G, h, U, floor, S.ineq_lhs[outside], S.ineq_rhs[outside], longest, total)
-    S._cache["cell"] = cell
+def _cell(S, G, h, U, working, lengths, total):
+    """The cell of the working set W on which a projection ended (rows G,
+    right-hand side h, Cholesky factor U, inequality rows `working`), with
+    what the lookup's margins read (see `solve_projection_qp`): W's key
+    (the bytes of `working`), the rows outside W with their right-hand
+    sides, the length L of S's longest row, S's `total` inequality row
+    length, and `floor` = feas sqrt(|W|) trace((G G^T)^{-1}) with feas =
+    FEAS_TOL + _STEP_TOL L, the trace being ||U^{-1}||_F^2."""
+    longest = float(lengths.max(initial=0.0))
+    inverse, _ = _trtri(U)
+    feas = FEAS_TOL + _STEP_TOL * longest
+    floor = feas * math.sqrt(G.shape[0] - S.num_eq) * float(np.square(inverse).sum())
+    outside = ~working
+    return (working.tobytes(), G, h, U, floor, S.ineq_lhs[outside], S.ineq_rhs[outside],
+            longest, total)
+
+
+def _keep_cell(S, cell):
+    """Put `cell` first in `S._cache["cells"]`, the set's kept cells, most
+    recently used first: a tuple, so no reader can reorder it in place.  A
+    kept cell of the same working set goes, and so does the oldest beyond
+    `_CELLS`.  Both the loop's new cell and the lookup's hit on a cell that
+    is not first come through here."""
+    key = cell[0]
+    kept = S._cache.get("cells", ())
+    S._cache["cells"] = (cell, *(c for c in kept if c[0] != key))[:_CELLS]
 
 
 def solve_projection_qp(S: PolyhedralSet, u) -> np.ndarray:
@@ -458,23 +476,26 @@ def solve_projection_qp(S: PolyhedralSet, u) -> np.ndarray:
 
     If the target u is feasible it is returned at once, and a box
     (`S.box_bounds()`) short-circuits to coordinate clipping, once
-    `feasible_witness` has found it nonempty.  Otherwise the set's last
-    optimal cell is tried, and the active-set method runs only when it
-    fails.
+    `feasible_witness` has found it nonempty.  Otherwise the set's kept
+    optimal cells are tried, most recently used first, and the active-set
+    method runs only when every one fails.
 
     P_C is piecewise affine: on the cell where the working set W is optimal,
     P_C(u) = u - G^T (G G^T)^{-1} (G u - h) for W's rows G z = h (every
     equality row and the inequality rows of W).  A projection that ends on a
-    working set with a Cholesky factor keeps its cell (`_keep_cell`): G, h,
-    the factor and the inequality rows outside W.  The lookup makes one
-    potrs on the cell's factor, nu = (G G^T)^{-1} (G u - h), and
-    w = u - G^T nu, and accepts w only with the strict margins derived
-    below: every inequality multiplier nu_i of W above _DROP_TOL and above
-    ||e_W|| trace((G G^T)^{-1}), and every row a_j z <= b_j outside W slack
-    at w by more than FEAS_TOL (1 + ||u||) + L (_DROP_TOL sum_k ||a_k|| +
-    sqrt(E)), with E = sum_W nu_i e_i.  Here e_i = (1 + ||u||) (FEAS_TOL +
-    _STEP_TOL ||a_i||), L is the length of S's longest row, and the sum runs
-    over S's inequality rows; the lookup bounds ||a_i|| by L throughout.
+    working set with a Cholesky factor keeps its cell (`_cell`, `_keep_cell`):
+    G, h, the factor and the inequality rows outside W; the set keeps the
+    `_CELLS` most recently used.  The lookup makes one potrs on a kept
+    cell's factor, nu = (G G^T)^{-1} (G u - h), and w = u - G^T nu, and
+    accepts w only with the strict margins derived below: every inequality
+    multiplier nu_i of W above _DROP_TOL and above ||e_W|| trace((G G^T)^{-1}),
+    and every row a_j z <= b_j outside W slack at w by more than
+    FEAS_TOL (1 + ||u||) + L (_DROP_TOL sum_k ||a_k|| + sqrt(E)), with
+    E = sum_W nu_i e_i.  Here e_i = (1 + ||u||) (FEAS_TOL + _STEP_TOL ||a_i||),
+    L is the length of S's longest row, and the sum runs over S's inequality
+    rows; the lookup bounds ||a_i|| by L throughout.  A cell that is
+    accepted moves to the front; one that fails hands the target to the
+    next.
 
     Otherwise a primal active-set method runs from the set's phase-one
     witness (`feasible_witness`), whose tight rows form the first working
@@ -493,11 +514,12 @@ def solve_projection_qp(S: PolyhedralSet, u) -> np.ndarray:
     So P_S(u) depends only on S's rows and u.  The loop's start,
     `feasible_witness(S)`, comes from a deterministic phase one on S's rows,
     so the loop's result is a function of (S, u); and where the lookup
-    accepts W, the loop ends on W too, so a hit returns the loop's bits and
-    the result does not depend on the projections that ran before it.  Say
-    the loop ended on W' != W instead, with point w' and multipliers nu';
-    let d = w' - w, and P = W \\ W' and Q = W' \\ W (inequality rows).
-    From u - w = G_W^T nu and u - w' = G_W'^T nu',
+    accepts any kept cell W, the loop ends on W too, so a hit returns the
+    loop's bits, whatever history left W among the kept cells and in
+    whichever place, and the result does not depend on the projections that
+    ran before it.  Say the loop ended on W' != W instead, with point w' and
+    multipliers nu'; let d = w' - w, and P = W \\ W' and Q = W' \\ W
+    (inequality rows).  From u - w = G_W^T nu and u - w' = G_W'^T nu',
 
         ||d||^2 = sum_P nu_i a_i.d - sum_Q nu'_j a_j.d.
 
@@ -509,10 +531,15 @@ def solve_projection_qp(S: PolyhedralSet, u) -> np.ndarray:
     ||a_j|| ||d|| <= ||a_j|| (_DROP_TOL sum_Q ||a_k|| + sqrt(E)), which the
     lookup's slack margin rules out.  If Q is empty, d = G_W^T (nu - nu')
     with nu' zero on P, so ||nu_P||^2 / trace((G G^T)^{-1}) <= ||d||^2 <=
-    ||nu_P|| ||e_W||, which the multiplier margin rules out.  Where the
-    margins fail, the lookup misses and the loop decides, as on a fresh set.
-    W's rows are independent (it has a Cholesky factor); a working set with
-    dependent rows takes the `lstsq` path and keeps no cell.
+    ||nu_P|| ||e_W||, which the multiplier margin rules out.  The argument
+    reads only W's rows and u, not the cell's place among the kept ones,
+    but it needs the loop to end: where the loop cycles until its cap, a
+    fresh set raises NumericalBreakdown and a set that kept an accepted
+    cell returns that cell's point.  Where the margins fail for every kept
+    cell, the lookup misses and the loop decides, as on a fresh set.  W's
+    rows are independent (it has a Cholesky factor); a working set with
+    dependent rows takes the `lstsq` path and adds no cell, nor removes
+    one.
 
     Raises EmptySet when `feasible_witness` finds the feasible set empty.
     """
@@ -532,11 +559,10 @@ def solve_projection_qp(S: PolyhedralSet, u) -> np.ndarray:
         lo, hi = bounds
         return np.minimum(np.maximum(u, lo), hi)
     k_eq = S.num_eq
-    # the last optimal cell: one potrs on its factor, accepted with the
-    # margins the docstring derives
-    cell = S._cache.get("cell")
-    if cell is not None:
-        G, h, U, floor, outside, room, longest, total = cell
+    # the kept cells, most recent first: one potrs on each cell's factor,
+    # accepted with the margins the docstring derives
+    for rank, cell in enumerate(S._cache.get("cells", ())):
+        _, G, h, U, floor, outside, room, longest, total = cell
         nu = _potrs(U, G @ u - h)[0]
         w = u - G.T @ nu
         mu = nu[k_eq:]
@@ -545,6 +571,8 @@ def solve_projection_qp(S: PolyhedralSet, u) -> np.ndarray:
             E = scale * (FEAS_TOL + _STEP_TOL * longest) * sum(mu.tolist())
             margin = tol + longest * (_DROP_TOL * total + math.sqrt(E))
             if (room - outside @ w > margin).all():
+                if rank:
+                    _keep_cell(S, cell)
                 return w
     z = feasible_witness(S)  # read-only: the loop rebinds z, never writes it
     if z is None:
@@ -573,8 +601,8 @@ def solve_projection_qp(S: PolyhedralSet, u) -> np.ndarray:
         if math.sqrt(p @ p) <= step_tol:
             negative = (nu[k_eq:] < -_DROP_TOL).nonzero()[0] if tight.size else ()
             if not len(negative):
-                if active.size:
-                    _keep_cell(S, G, h, U, working, lengths, total)
+                if active.size and U is not None:
+                    _keep_cell(S, _cell(S, G, h, U, working, lengths, total))
                 return w
             working[tight[negative[0]]] = False
             solved = False

@@ -23,9 +23,11 @@ from avibound import (
     box,
     nonnegative_orthant,
     optkernel,
+    polyhedra,
     solvers,
 )
 from avibound.optkernel import (
+    _DROP_TOL,
     FEAS_TOL,
     feasible_witness,
     solve_feasibility,
@@ -844,15 +846,15 @@ def _shuffled(rng, items):
 
 
 def test_projections_do_not_depend_on_call_history(monkeypatch):
-    # A set keeps its stacked projection rows and the cell, with its
-    # Cholesky factor, of the last working set a projection ended on.  So a
+    # A set keeps its stacked projection rows and the cells, with their
+    # Cholesky factors, of the last working sets its projections ended on.  So a
     # target projected onto a set whose cache is warm from the other
     # targets, in shuffled order, lands bit for bit where it lands on a
     # fresh copy of the set.  Each set is taken as it is and moved so that
     # its seeded point is the origin, its phase-one witness
     # (`_moved_to_origin`); from the degenerate sets' vertices the loop
     # takes the lstsq fallback.  On the hexagon the targets ring the set and
-    # end on its 6 edges and 6 vertices, so the kept cell changes from call
+    # end on its 6 edges and 6 vertices, so the kept cells change from call
     # to call.
     fallbacks = [0]
     original = np.linalg.lstsq
@@ -895,19 +897,11 @@ def test_projections_do_not_depend_on_call_history(monkeypatch):
     assert len(tight_sets) == 12 and fallbacks[0] > 0
 
 
-def test_solver_tail_pass_factors_each_working_set_once(monkeypatch):
-    # One pass over the benchmark's `solver_tail` pool (16 extragradient
-    # solves, 7,345 projections onto their C).  A set keeps the cell of the
-    # last working set a projection ended on, with its Cholesky factor, and
-    # the next target onto it usually lies in that cell: 5,652 calls take
-    # the cell with one potrs on its factor, and 393 run the active-set
-    # loop, which factors each working set it visits and does not solve an
-    # unchanged working set twice.  Each loop starts from its set's
-    # phase-one witness; when the solvers handed the loop their last
-    # iterate as its start, the pass made 756 potrf and 6,785 potrs calls.
-    # With a start and the factorization and solve rerun at every
-    # iteration, it made 12,569 of each; with a cache of the last factored
-    # working set alone, 643 and 6,455, and 6,045 calls ran the loop.
+def _pass_counts(monkeypatch, pool):
+    """((potrf, potrs, hits, loops), outcomes) of one pass over `pool`: the
+    LAPACK Cholesky calls, the projections of a target outside a set that is
+    not a box which a kept cell answered, the active-set loops, and what
+    each task returned."""
     counts = {"_potrf": 0, "_potrs": 0}
 
     def counted(name):
@@ -926,21 +920,49 @@ def test_solver_tail_pass_factors_each_working_set_once(monkeypatch):
     project = optkernel.solve_projection_qp
 
     def classified(S, u):
-        # a call that neither returns its target nor runs the loop took the
-        # cell (no set of the pool is a box)
+        # a call that neither returns its target, nor clips onto a box, nor
+        # runs the loop took a kept cell
         before = len(loops)
         z = project(S, u)
         outside = not S.contains(u, FEAS_TOL * (1.0 + np.linalg.norm(u)))
-        hits[0] += outside and len(loops) == before
+        hits[0] += outside and S.box_bounds() is None and len(loops) == before
         return z
 
-    for module in (avi, solvers):
+    for module in (avi, polyhedra, solvers):
         monkeypatch.setattr(module, "solve_projection_qp", classified)
-    pool = workloads.SolverTail()
-    for index in range(pool.pool_size):
-        assert pool.run(index, pool.build(index))["invariants"]
-    assert counts == {"_potrf": 1001, "_potrs": 7030}
-    assert (hits[0], len(loops)) == (5652, 393)
+    outcomes = [pool.run(index, pool.build(index)) for index in range(pool.pool_size)]
+    return (counts["_potrf"], counts["_potrs"], hits[0], len(loops)), outcomes
+
+
+def test_solver_tail_pass_factors_each_working_set_once(monkeypatch):
+    # One pass over the benchmark's `solver_tail` pool (16 extragradient
+    # solves, 7,345 projections onto their C).  A set keeps the cells of the
+    # last four working sets its projections ended on, each with its
+    # Cholesky factor, and the next target onto it usually lies in one of
+    # them: an extragradient iteration alternates between the cell of the
+    # residual's target and that of its steps' targets.  5,985 calls take a
+    # kept cell with one potrs on each factor tried, and 60 run the
+    # active-set loop from the set's phase-one witness, which factors each
+    # working set it visits and does not solve an unchanged working set
+    # twice.  When a set kept only its last cell, the two cells evicted each
+    # other: 5,652 hits, 393 loops, 1,001 potrf and 7,030 potrs calls.
+    counts, outcomes = _pass_counts(monkeypatch, workloads.SolverTail())
+    assert all(outcome["invariants"] for outcome in outcomes)
+    assert counts == (179, 6600, 5985, 60)
+
+
+@pytest.mark.parametrize("pool, expected", [
+    # random samples and their projections onto C and the solution pieces;
+    # with one kept cell per set: 964, 2,150, 802 and 413
+    (workloads.ErrorBound, (392, 2171, 1069, 146)),
+    # Hausdorff distances between sections, projecting their vertices; with
+    # one kept cell per set: 590, 791, 41 and 254
+    (workloads.Multifunction, (452, 859, 97, 198)),
+], ids=["error_bound", "multifunction"])
+def test_pool_pass_keeps_four_cells_per_set(monkeypatch, pool, expected):
+    # (potrf, potrs, hits, loops) over one pool pass: a change that loses a
+    # set's kept cells raises the loops and the factorizations here
+    assert _pass_counts(monkeypatch, pool())[0] == expected
 
 
 def test_solver_tail_pass_calls_the_public_names(monkeypatch):
@@ -1032,14 +1054,15 @@ class TestCellLookup:
         hexagon = _hexagon()
         project_onto([2.0, 0.0], hexagon)
         # (2, 2) projects onto the vertex of rows 0 and 1, where row 1 is
-        # violated by W = {0}'s point; (0.5, 2.5) projects onto edge 1
-        for count, u in enumerate(([2.0, 2.0], [0.5, 2.5], [2.0, 0.0]), start=2):
+        # violated by W = {0}'s point; (0.5, 2.5) projects onto edge 1; the
+        # set still keeps W = {0}, third, and (2, 0) hits it
+        for count, u in zip((2, 3, 3), ([2.0, 2.0], [0.5, 2.5], [2.0, 0.0])):
             z = project_onto(u, hexagon)
             assert _runs(loops, hexagon) == count, u
             assert z.tobytes() == project_onto(u, _fresh(hexagon)).tobytes()
-        # the last call left W = {0} again, and (3, 0.2) lies in its cell
+        # the hit moved W = {0} to the front, and (3, 0.2) lies in its cell
         project_onto([3.0, 0.2], hexagon)
-        assert _runs(loops, hexagon) == 4
+        assert _runs(loops, hexagon) == 3
 
     @pytest.mark.parametrize("u", [
         # a multiplier of 5e-8, below _DROP_TOL
@@ -1108,12 +1131,12 @@ class TestCellLookup:
         assert not S.contains(u, FEAS_TOL * (1.0 + np.linalg.norm(u)))
         z = project_onto(u, S)
         np.testing.assert_array_equal(z, u)
-        assert "cell" not in S._cache
+        assert "cells" not in S._cache
 
     def test_dependent_working_sets_keep_no_cell(self, monkeypatch):
         # with the degenerate vertex v moved to the origin, the phase-one
         # witness, the loop ends on the n + 2 dependent rows through v,
-        # solved by lstsq, and keeps no cell; from the witness of the set as
+        # solved by lstsq, and adds no cell; from the witness of the set as
         # it is, it can end on n independent rows through v, and then the
         # rows through v left out of W are tight, so the cell is refused and
         # the loop decides again
@@ -1127,15 +1150,189 @@ class TestCellLookup:
             for _ in range(2):
                 z = project_onto(u - v, at_v)
                 assert z.tobytes() == project_onto(u - v, _fresh(at_v)).tobytes()
-                assert at_v._cache["cell"] is None, seed
+                assert "cells" not in at_v._cache, seed
             project_onto(u, S)
-            if S._cache["cell"] is not None:
+            if S._cache.get("cells"):
                 before = _runs(loops, S)
                 z = project_onto(u, S)
                 assert _runs(loops, S) == before + 1, seed
                 assert z.tobytes() == project_onto(u, _fresh(S)).tobytes()
                 refused += 1
         assert refused > 5
+
+
+def _edge_target(k):
+    """2 a_k for the hexagon's unit normal a_k: it projects onto the middle
+    of edge k, with W = {k} and multiplier 1."""
+    return 2.0 * np.array([math.cos(k * math.pi / 3.0), math.sin(k * math.pi / 3.0)])
+
+
+class TestKeptCells:
+    """A set keeps the cells of the last four working sets its projections
+    ended on, most recently used first; a hit on a cell that is not first
+    moves it to the front."""
+
+    def test_alternating_cells_run_the_loop_once_each(self, monkeypatch):
+        # as an extragradient step alternates between the residual's target
+        # and the step's, the targets alternate between edges 0 and 1
+        loops = _count_loops(monkeypatch)
+        hexagon = _hexagon()
+        for round in range(10):
+            for k in (0, 1):
+                u = _edge_target(k) + 0.01 * round * np.array([1.0, 0.5])
+                z = project_onto(u, hexagon)
+                assert z.tobytes() == project_onto(u, _fresh(hexagon)).tobytes(), (round, k)
+        assert _runs(loops, hexagon) == 2
+
+    def test_a_fifth_cell_drops_the_oldest(self, monkeypatch):
+        loops = _count_loops(monkeypatch)
+        hexagon = _hexagon()
+        for k in range(5):
+            project_onto(_edge_target(k), hexagon)
+        assert _runs(loops, hexagon) == 5
+        assert len(hexagon._cache["cells"]) == 4
+        # edge 0's cell went when edge 4's came, so the loop runs again
+        z = project_onto(_edge_target(0), hexagon)
+        assert _runs(loops, hexagon) == 6
+        assert z.tobytes() == project_onto(_edge_target(0), _fresh(hexagon)).tobytes()
+        # and edge 1's went for it; edges 4, 3 and 2 are still kept
+        for k in (4, 3, 2):
+            project_onto(_edge_target(k), hexagon)
+        assert _runs(loops, hexagon) == 6
+        project_onto(_edge_target(1), hexagon)
+        assert _runs(loops, hexagon) == 7
+
+    def test_a_hit_moves_its_cell_to_the_front(self, monkeypatch):
+        # with W = {1} kept before W = {0}, a target in edge 0's cell tries
+        # W = {1} first (its point leaves row 0) and then W = {0}: two
+        # potrs; the hit moved W = {0} to the front, so the next target in
+        # its cell takes one
+        hexagon = _hexagon()
+        for k in (0, 1):
+            project_onto(_edge_target(k), hexagon)
+        calls = []
+        original = optkernel._potrs
+        monkeypatch.setattr(optkernel, "_potrs", lambda *a: calls.append(a) or original(*a))
+        per_call = []
+        for u in ([1.5, 0.3], [3.0, -0.4]):
+            before = len(calls)
+            z = project_onto(u, hexagon)
+            per_call.append(len(calls) - before)
+            np.testing.assert_allclose(z, [1.0, u[1]], atol=1e-12)
+            assert z.tobytes() == project_onto(u, _fresh(hexagon)).tobytes()
+        assert per_call == [2, 1]
+
+
+def _fuzz_polytope(rng):
+    """A polytope in R^2..R^4 holding the origin in its interior: random
+    unit rows with right-hand sides in [0.5, 1.5], one to three of them
+    copied with a tilt of 10^-(3..10) and the same or a nudged right-hand
+    side, and a box of half-width 3."""
+    n = rng.randint(2, 4)
+    m = rng.randint(n + 1, n + 5)
+    rows = [_unit(rng, n) for _ in range(m)]
+    rhs = [0.5 + rng.uniform() for _ in range(m)]
+    for _ in range(rng.randint(1, 3)):
+        j = rng.randint(0, m - 1)
+        tilt = 10.0 ** -rng.randint(3, 10)
+        rows.append(rows[j] + tilt * np.array(rng.normals(n)))
+        rhs.append(rhs[j] + (tilt * rng.normal() if rng.uniform() < 0.5 else 0.0))
+    A = np.vstack(rows + [np.eye(n), -np.eye(n)])
+    b = np.concatenate([rhs, np.full(2 * n, 3.0)])
+    return PolyhedralSet(n, ineq_lhs=A, ineq_rhs=b)
+
+
+def _fuzz_targets(rng, S, centres=5, rounds=6):
+    """Targets near the boundaries of the cells around `centres` points
+    outside S, in interleaved order: each round takes one target per centre.
+    A target is the projection p of its centre (onto a fresh copy of S)
+    pushed out along each row tight at p by a multiplier of 1, of about
+    _DROP_TOL or of 0, then moved by 10^-(4..9) in a random direction, so
+    that it lies within the loop's tolerances of a neighbouring cell."""
+    n = S.ambient_dim
+    feet = []
+    for _ in range(centres):
+        p = project_onto((1.0 + 3.0 * rng.uniform()) * _unit(rng, n), _fresh(S))
+        feet.append((p, S.ineq_lhs[np.abs(S.ineq_lhs @ p - S.ineq_rhs) <= 1e-9]))
+    targets = []
+    for _ in range(rounds):
+        for p, tight in feet:
+            weights = np.array([(1.0, 10.0 ** -rng.randint(5, 9) * rng.uniform(), 0.0)[rng.randint(0, 2)]
+                                 for _ in tight])
+            shift = 10.0 ** -rng.randint(4, 9) * np.array(rng.normals(n))
+            targets.append(p + weights @ tight + shift)
+    return targets
+
+
+def _projection_or_breakdown(S, u):
+    try:
+        return project_onto(u, S).tobytes()
+    except NumericalBreakdown:
+        return "NumericalBreakdown"
+
+
+def test_warm_sets_project_as_fresh_ones(monkeypatch):
+    # Seeded warm-against-fresh fuzz: each target is projected onto one set
+    # that keeps the cells of the targets before it and onto a fresh copy,
+    # and the two must agree to the bit, or both raise NumericalBreakdown.
+    # The near-parallel row pairs make thin cells, the targets lie within
+    # the loop's tolerances of their cells' boundaries, and interleaving
+    # them around five points changes the front cell on most calls.  The
+    # only disagreements are the two targets of trial 102 on which a fresh
+    # set's loop cycles to its cap while the warm set holds their cell; they
+    # are pinned here and in `test_a_kept_cell_answers_where_the_loop_cycles`.
+    loops = _count_loops(monkeypatch)
+    compared = hits = 0
+    disagreements = []
+    for trial in range(300):
+        rng = SplitMix64(12_000 + trial)
+        S = _fuzz_polytope(rng)
+        for index, u in enumerate(_fuzz_targets(rng, S)):
+            before = len(loops)
+            warm = _projection_or_breakdown(S, u)
+            outside = not S.contains(u, FEAS_TOL * (1.0 + np.linalg.norm(u)))
+            hits += outside and len(loops) == before
+            fresh = _projection_or_breakdown(_fresh(S), u)
+            if warm != fresh:
+                disagreements.append((trial, index, fresh))
+                assert fresh == "NumericalBreakdown" and outside and len(loops) == before + 1
+                oracle = brute_force_projection(u, S)
+                assert np.linalg.norm(np.frombuffer(warm) - oracle) <= 1e-12
+            compared += 1
+    assert compared == 300 * 30
+    assert hits > 1500
+    assert disagreements == [(102, 6, "NumericalBreakdown"), (102, 16, "NumericalBreakdown")]
+
+
+def test_a_kept_cell_answers_where_the_loop_cycles():
+    # Trial 102 of the fuzz above: row 4 is row 2 tilted by about 1e-8 and
+    # row 5 is row 0 tilted by about 1e-9.  From the witness (the origin)
+    # the loop reaches a working set of four dependent rows in R^3, solved
+    # by lstsq, drops a row, blocks on it again and cycles until its cap on
+    # a fresh set.  A set that kept the cell of `near`, a target the loop
+    # does finish, answers `u` from that cell with the oracle's point, so a
+    # projection is a function of (S, u) only where the loop finishes.  An
+    # anti-cycling drop rule should make the fresh set agree; this pins the
+    # case before the loop changes.
+    A = np.array([
+        [-0.7277541154113606, 0.6212077401501541, 0.2906456452097067],
+        [-0.7990059688422453, -0.1662641299326178, 0.5778803516751667],
+        [-0.601256180047457, -0.32129500278517026, -0.7316150129268926],
+        [0.012544418115382731, -0.5054390896906031, -0.8627710960543826],
+        [-0.6012562064604273, -0.32129499975007875, -0.7316150027401384],
+        [-0.727754116956643, 0.6212077398078537, 0.29064564615697064],
+    ])
+    b = [0.7665253746476879, 0.6241646839698928, 0.5182168204810906,
+         0.8395170001993182, 0.5182168204810906, 0.766525376895519]
+    S = PolyhedralSet(3, ineq_lhs=np.vstack([A, np.eye(3), -np.eye(3)]),
+                      ineq_rhs=np.concatenate([b, np.full(6, 3.0)]))
+    near = np.array([0.3889673482192549, -3.4453283023780914, -0.10806329236393111])
+    u = np.array([-0.4100387039062987, -3.611592291687066, 0.46981684685194236])
+    with pytest.raises(NumericalBreakdown, match="iteration cap exhausted"):
+        project_onto(u, _fresh(S))
+    project_onto(near, S)
+    z = project_onto(u, S)
+    assert np.linalg.norm(z - brute_force_projection(u, S)) <= 1e-12
 
 
 class TestDegenerateInputs:

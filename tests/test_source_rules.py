@@ -28,7 +28,7 @@ fails here.  The layers below the verdicts, `sets`, `optkernel` and
 `polyhedra.GEOM_TOL`), so the comparison slack cannot leak back into the
 geometry or the kernel.  Only `sets` and `optkernel` read or write a
 `._cache` attribute, so each entry of a set's cache (the box bounds, the
-phase-one point, the stacked projection rows, the last optimal cell) has
+phase-one point, the stacked projection rows, the kept optimal cells) has
 one owner that decides when it is filled and what it may be trusted for.
 Each entry has one writing routine, listed in `CACHE_WRITERS` (only
 `feasible_witness` writes the phase-one entry, so a set's phase-one point
@@ -592,12 +592,12 @@ CACHE_WRITERS = {
     "phase one": ("optkernel.py", "feasible_witness"),
     "box": ("sets.py", "PolyhedralSet.box_bounds"),
     "projection rows": ("optkernel.py", "_projection_rows"),
-    "cell": ("optkernel.py", "_keep_cell"),
+    "cells": ("optkernel.py", "_keep_cell"),
 }
 
 # The modules that own the entries of a set's cache, the only ones that
 # read or write one: `sets` its box bounds, `optkernel` its phase-one point,
-# projection rows and last optimal cell.
+# projection rows and kept optimal cells.
 CACHE_OWNERS = {path for path, _ in CACHE_WRITERS.values()}
 
 
@@ -628,15 +628,26 @@ def test_cache_rule_catches_an_access():
     assert _cache_accesses(ast.parse(source)) == [1, 2, 3]
 
 
+# Methods that change a list, dict or array in place.
+MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse",
+            "update", "setdefault", "popitem", "fill", "put", "resize", "setflags"}
+
+
 def _cache_writes(tree):
     """(line, enclosing routine, entry) of every write or deletion of a
-    `._cache` entry: a store or `del` on a subscript of a `._cache`, or a
-    method call on a `._cache` other than `get`.  The entry is the first
-    string constant the subscript or the call's arguments name, None when
-    they name none."""
+    `._cache` entry: a store or `del` on a subscript of a `._cache` or of
+    one of its entries, a method call on a `._cache` other than `get`, or a
+    `MUTATORS` call on an entry (`S._cache[...]` or `S._cache.get(...)`).
+    The entry is the first string constant the subscripts or the call's
+    arguments name, None when they name none."""
 
     def on_cache(node):
         return isinstance(node, ast.Attribute) and node.attr == "_cache"
+
+    def on_entry(node):
+        return (isinstance(node, ast.Subscript) and on_cache(node.value)
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and on_cache(node.func.value) and node.func.attr == "get")
 
     def entry(nodes):
         names = [n.value for node in nodes for n in ast.walk(node)
@@ -645,21 +656,31 @@ def _cache_writes(tree):
 
     found = []
     for node, scope in _scoped_nodes(tree):
-        if (isinstance(node, ast.Subscript) and on_cache(node.value)
-                and not isinstance(node.ctx, ast.Load)):
-            found.append((node.lineno, scope, entry([node.slice])))
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-              and on_cache(node.func.value) and node.func.attr != "get"):
-            found.append((node.lineno, scope, entry([*node.args, *node.keywords])))
+        if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+            if on_cache(node.value):
+                found.append((node.lineno, scope, entry([node.slice])))
+            elif on_entry(node.value):
+                found.append((node.lineno, scope, entry([node.value, node.slice])))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if on_cache(node.func.value) and node.func.attr != "get":
+                found.append((node.lineno, scope, entry([*node.args, *node.keywords])))
+            elif on_entry(node.func.value) and node.func.attr in MUTATORS:
+                found.append((node.lineno, scope, entry([node.func.value])))
     return found
 
 
-def test_each_cache_entry_has_its_one_writer():
-    writes = {
-        (entry, (path.name, scope))
-        for path in MODULES
-        for _, scope, entry in _cache_writes(ast.parse(path.read_text(encoding="utf-8")))
+def _writers(sources):
+    """{(entry, (file name, routine))} of the cache writes in `sources`, a
+    map from file name to source text."""
+    return {
+        (entry, (name, scope))
+        for name, source in sources.items()
+        for _, scope, entry in _cache_writes(ast.parse(source))
     }
+
+
+def test_each_cache_entry_has_its_one_writer():
+    writes = _writers({path.name: path.read_text(encoding="utf-8") for path in MODULES})
     assert writes == set(CACHE_WRITERS.items()), writes
 
 
@@ -680,19 +701,43 @@ def test_cache_writer_rule_catches_a_write():
         "        self._cache['box'] = None\n"
         "S._cache.pop('phase one')\n"
         "def _keep_cell(S, cell):\n"
-        "    S._cache['cell'] = cell\n"
+        "    S._cache['cells'] = (cell,)\n"
         "    rows = S._cache['projection rows'] = stack(S)\n"
         "    S._cache[key] = cell\n"
         "    S._cache.clear()\n"
         "    S._cache.get('gram')\n"
+        "def solve_projection_qp(S, u):\n"
+        "    S._cache['cells'].insert(0, S._cache['cells'].pop(2))\n"
+        "    S._cache.get('cells', [])[0] = cell\n"
+        "    del S._cache['cells'][3:]\n"
+        "    S._cache['projection rows'][0].copy()\n"
+        "    S._cache['cells'][0]\n"
     )
     assert _cache_writes(ast.parse(source)) == [
         (2, "feasible_witness", "phase one"), (6, "seed", "phase one"),
         (9, "Piece.reset", "phase one"), (10, "Piece.reset", "phase one"),
         (11, "Piece.reset", "phase one"), (13, "Piece.reset", "box"), (14, "", "phase one"),
-        (16, "_keep_cell", "cell"), (17, "_keep_cell", "projection rows"),
+        (16, "_keep_cell", "cells"), (17, "_keep_cell", "projection rows"),
         (18, "_keep_cell", None), (19, "_keep_cell", None),
+        (22, "solve_projection_qp", "cells"), (22, "solve_projection_qp", "cells"),
+        (23, "solve_projection_qp", "cells"), (24, "solve_projection_qp", "cells"),
     ]
+
+
+def test_a_lookup_that_reorders_the_cells_itself_fails_the_rule():
+    # the lookup's move of a hit to the front goes through `_keep_cell`;
+    # the same move written in `solve_projection_qp` is a second writer
+    path = SRC / "optkernel.py"
+    source = path.read_text(encoding="utf-8")
+    move = "                    _keep_cell(S, cell)\n"
+    assert source.count(move) == 1
+    inline = ('                    S._cache["cells"] = (cell, *(c for c in S._cache["cells"]'
+              ' if c is not cell))\n')
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    sources[path.name] = source.replace(move, inline)
+    writes = _writers(sources)
+    assert ("cells", ("optkernel.py", "solve_projection_qp")) in writes
+    assert writes != set(CACHE_WRITERS.items())
 
 
 def _box_bounds_calls(tree):
