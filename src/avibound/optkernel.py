@@ -17,9 +17,10 @@ each kept cheap:
   a set without rows), or for an empty set the Farkas ray read off phase
   one's final basis.
 - `solve_projection_qp(S, u)`: a lookup of the set's most recently used
-  optimal cells, then a primal active-set method for the strictly convex
-  problem min ||z - u||^2 over a polyhedron, started from the set's
-  phase-one witness.
+  optimal cells, then Goldfarb & Idnani's (1983) dual active-set method
+  for the strictly convex problem min ||z - u||^2 over a polyhedron, which
+  starts from u itself: it needs no feasible point, and proves a set empty
+  by a Farkas certificate.
 
 The two simplex solves share one pipeline: `_standard_form` writes the
 rows once as {A_std v = rhs, v >= 0} with its slack columns and pivot
@@ -28,9 +29,9 @@ budget, `_phase_one` finds a feasible basis (and is all
 
 `feasible_witness` is the one place that decides whether a set is empty
 and which point it holds; `polyhedra.is_nonempty`, `feasible_point`,
-`enumerate_vertices` and the projection all take its answer.  A box (every
-row on one coordinate) is read off its bounds with no phase one.  Any
-other set runs phase one, and which basis it starts from depends on what
+`enumerate_vertices` and the projection's box path take its answer.  A
+box (every row on one coordinate) is read off its bounds with no phase
+one.  Any other set runs phase one, and which basis it starts from depends on what
 the caller reads.  An LP returns only its final vertex, and
 `feasible_witness` only a verdict and some point of the set, so both start
 from the slack basis, which is often feasible at once (for a set holding
@@ -50,22 +51,20 @@ factorization, three solves with its factors, one vectorized scan for the
 entering column and a ratio test over Python floats.  This module is the
 only one that imports from `scipy.linalg`.
 
-The projection calls LAPACK the same way: each working set it visits gets
-one Gram solve, `_gram_solve`, a Cholesky factorization (potrf/potrs) of
-the working rows' Gram matrix, falling back to `np.linalg.lstsq` when the
-factorization fails or its smallest pivot is below 1e-10 of its largest
-(dependent working rows, as at a degenerate vertex).  An iteration that
-takes a full step without a blocking row keeps its working set, and the
-next iteration reuses that solve.  The rows are stacked once per set
-(`_projection_rows`) and indexed by the working set, and the blocking-row
-ratio test takes all rates in one product.
+The projection calls LAPACK the same way: each working set its loop
+visits gets one Gram solve, `_gram_solve`, a Cholesky factorization
+(potrf/potrs) of the working rows' Gram matrix.  A row joins the working
+set only when the grown set's factor passes potrf's rule (no pivot below
+1e-10 of the largest, squared), so the working rows stay independent.
+The rows are stacked once per set (`_projection_rows`) and indexed by the
+working set.
 
 A set's cache holds what its solves would otherwise repeat: its phase-one
 point, its box bounds, its stacked rows and its most recently used optimal
 cells.  `feasible_witness` decides a set at most once and keeps its point
 (or None for an empty set), and nothing else writes that entry.  A
-projection that ends on a working set with a Cholesky factor keeps that
-working set's cell with the factor (`_keep_cell`): P_C is piecewise
+projection whose loop ends on a working set keeps that working set's cell
+with its Cholesky factor (`_keep_cell`): P_C is piecewise
 affine, and the solvers project onto one C again and again with targets
 that move little, so the next target usually lies in a cell the set has
 seen.  An extragradient step alternates between two such cells, that of
@@ -73,16 +72,14 @@ the residual's target x - (M x + q) and that of the step's x - a (M y + q),
 so the set keeps `_CELLS` of them, most recently used first.  The
 projection tries each kept cell in that order, with one potrs on its
 factor and a KKT test, moves the cell that passes to the front, and runs
-the active-set loop only when every kept cell fails.  Both paths return
-the KKT point of their working set, computed by the same products from
-the same factor (potrf is deterministic), and the test's margins rule out
-every other working set at which the loop could stop, whichever kept cell
-is tried.  The loop starts only from the set's phase-one witness, which is
-a function of the set's rows, so a projection P_S(u) is a function of S's
-rows and u alone: it does not depend on the projections that ran before it
-or on who asks.  That needs the loop to finish: on near-parallel rows it
-can cycle until its cap and raise NumericalBreakdown on a fresh set, where
-a set that kept the target's cell answers from the cell.
+the dual loop only when every kept cell fails.  Both paths return the KKT
+point of their working set, computed by the same products from the same
+factor (potrf is deterministic), and the test's margins rule out every
+other working set at which the loop could stop, whichever kept cell is
+tried.  The loop starts from the target alone and ends (the dual objective
+rises at every step that moves its iterate, so no working set repeats), so
+a projection P_S(u) is a function of S's rows and u alone: it does not
+depend on the projections that ran before it or on who asks.
 """
 
 from __future__ import annotations
@@ -103,11 +100,6 @@ from .sets import PolyhedralSet, _as_vector, _satisfies_rows
 # `avi` read it where they mirror the kernel's acceptance.
 FEAS_TOL = 1e-9
 _PIVOT_TOL = 1e-10
-# The projection drops a working row whose multiplier is below -_DROP_TOL,
-# and its active-set loop stops once a step is shorter than
-# _STEP_TOL * (1 + ||target||).
-_DROP_TOL = 1e-7
-_STEP_TOL = 1e-11
 # A set keeps the optimal cells of this many working sets, most recently
 # used first (`_keep_cell`).
 _CELLS = 4
@@ -407,11 +399,11 @@ def feasible_witness(S: PolyhedralSet) -> np.ndarray | None:
 
 
 def _projection_rows(S: PolyhedralSet):
-    """(rows, rhs, lengths, total) of S: rows = [eq_lhs; ineq_lhs] and
+    """(rows, rhs, lengths) of S: rows = [eq_lhs; ineq_lhs] and
     rhs = [eq_rhs; ineq_rhs], the rows the projection indexes by its working
-    set, each row's length and the sum of the inequality rows' lengths,
-    which the cell's margins and `polyhedra.hausdorff`'s bounds read;
-    computed once per set and kept, read-only, in `S._cache`."""
+    set, and each row's length, which the cell's margins and
+    `polyhedra.hausdorff`'s bounds read; computed once per set and kept,
+    read-only, in `S._cache`."""
     stacked = S._cache.get("projection rows")
     if stacked is None:
         rows = np.vstack([S.eq_lhs, S.ineq_lhs])
@@ -419,41 +411,35 @@ def _projection_rows(S: PolyhedralSet):
         lengths = np.sqrt(np.square(rows).sum(axis=1))
         for array in (rows, rhs, lengths):
             array.setflags(write=False)
-        stacked = S._cache["projection rows"] = (
-            rows, rhs, lengths, float(lengths[S.num_eq:].sum()))
+        stacked = S._cache["projection rows"] = (rows, rhs, lengths)
     return stacked
 
 
 def _gram_solve(G, rhs):
-    """(nu, U) with G G^T nu = rhs: the Gram solve of the projection's
-    working rows G.  Cholesky (LAPACK potrf/potrs), U the upper factor, when
-    the factorization succeeds and its smallest pivot U_ii^2 is at least
-    1e-10 of its largest; otherwise, as for dependent working rows, the
-    minimum-norm least-squares solution, and U is None.
-    """
-    gram = G @ G.T
-    factor, info = _potrf(gram)
-    diag = factor.diagonal()
-    if info == 0 and diag.min() ** 2 >= 1e-10 * diag.max() ** 2:
-        return _potrs(factor, rhs)[0], factor
-    return np.linalg.lstsq(gram, rhs, rcond=None)[0], None
+    """(nu, U) with G G^T nu = rhs: the Gram solve of the projection's rows
+    G, by Cholesky (LAPACK potrf/potrs), U the upper factor.  None when
+    potrf fails or a pivot U_ii^2 is below 1e-10 of the largest, potrf's
+    rule: the rows then count as dependent, and the loop does not take them
+    as its working set."""
+    factor, info = _potrf(G @ G.T)
+    pivots = np.square(factor.diagonal())
+    if info or pivots.min() < 1e-10 * pivots.max():
+        return None
+    return _potrs(factor, rhs)[0], factor
 
 
-def _cell(S, G, h, U, working, lengths, total):
+def _cell(S, G, h, U, working, lengths):
     """The cell of the working set W on which a projection ended (rows G,
     right-hand side h, Cholesky factor U, inequality rows `working`), with
     what the lookup's margins read (see `solve_projection_qp`): W's key
     (the bytes of `working`), the rows outside W with their right-hand
-    sides, the length L of S's longest row, S's `total` inequality row
-    length, and `floor` = feas sqrt(|W|) trace((G G^T)^{-1}) with feas =
-    FEAS_TOL + _STEP_TOL L, the trace being ||U^{-1}||_F^2."""
-    longest = float(lengths.max(initial=0.0))
+    sides, the length L of S's longest row, and `floor` =
+    FEAS_TOL sqrt(|W|) trace((G G^T)^{-1}), the trace being ||U^{-1}||_F^2."""
     inverse, _ = _trtri(U)
-    feas = FEAS_TOL + _STEP_TOL * longest
-    floor = feas * math.sqrt(G.shape[0] - S.num_eq) * float(np.square(inverse).sum())
+    floor = FEAS_TOL * math.sqrt(G.shape[0] - S.num_eq) * float(np.square(inverse).sum())
     outside = ~working
     return (working.tobytes(), G, h, U, floor, S.ineq_lhs[outside], S.ineq_rhs[outside],
-            longest, total)
+            float(lengths.max(initial=0.0)))
 
 
 def _keep_cell(S, cell):
@@ -474,74 +460,70 @@ def solve_projection_qp(S: PolyhedralSet, u) -> np.ndarray:
     dtype, shape, and a finite 1 + ||u||), not scanned; only a failed screen
     runs `_as_vector`, to convert or raise.
 
-    If the target u is feasible it is returned at once, and a box
-    (`S.box_bounds()`) short-circuits to coordinate clipping, once
-    `feasible_witness` has found it nonempty.  Otherwise the set's kept
-    optimal cells are tried, most recently used first, and the active-set
-    method runs only when every one fails.
+    If the target u holds every row within tol = FEAS_TOL (1 + ||u||) it is
+    returned at once, and a box (`S.box_bounds()`) short-circuits to
+    coordinate clipping, once `feasible_witness` has found it nonempty.
+    Otherwise the set's kept optimal cells are tried, most recently used
+    first, and the dual loop runs only when every one fails.
 
     P_C is piecewise affine: on the cell where the working set W is optimal,
     P_C(u) = u - G^T (G G^T)^{-1} (G u - h) for W's rows G z = h (every
-    equality row and the inequality rows of W).  A projection that ends on a
-    working set with a Cholesky factor keeps its cell (`_cell`, `_keep_cell`):
-    G, h, the factor and the inequality rows outside W; the set keeps the
-    `_CELLS` most recently used.  The lookup makes one potrs on a kept
-    cell's factor, nu = (G G^T)^{-1} (G u - h), and w = u - G^T nu, and
-    accepts w only with the strict margins derived below: every inequality
-    multiplier nu_i of W above _DROP_TOL and above ||e_W|| trace((G G^T)^{-1}),
-    and every row a_j z <= b_j outside W slack at w by more than
-    FEAS_TOL (1 + ||u||) + L (_DROP_TOL sum_k ||a_k|| + sqrt(E)), with
-    E = sum_W nu_i e_i.  Here e_i = (1 + ||u||) (FEAS_TOL + _STEP_TOL ||a_i||),
-    L is the length of S's longest row, and the sum runs over S's inequality
-    rows; the lookup bounds ||a_i|| by L throughout.  A cell that is
+    equality row and the inequality rows of W).  The loop keeps the cell of
+    the working set it ends on (`_cell`, `_keep_cell`): G, h, the Cholesky
+    factor and the inequality rows outside W; the set keeps the `_CELLS`
+    most recently used.  The lookup makes one potrs on a kept cell's factor,
+    nu = (G G^T)^{-1} (G u - h), and w = u - G^T nu, and accepts w only with
+    the strict margins derived below: every inequality multiplier nu_i of W
+    above (1 + ||u||) FEAS_TOL sqrt(|W|) trace((G G^T)^{-1}), and every row
+    a_j z <= b_j outside W slack at w by more than tol + L sqrt(E), with
+    E = tol sum_W nu_i and L the length of S's longest row.  A cell that is
     accepted moves to the front; one that fails hands the target to the
     next.
 
-    Otherwise a primal active-set method runs from the set's phase-one
-    witness (`feasible_witness`), whose tight rows form the first working
-    set; it is the loop's only start.  Each working set gets one Gram solve
-    (`_gram_solve`: a Cholesky solve, or `lstsq` when a pivot falls below
-    1e-10 of the largest) of the working rows G, for the multipliers nu of
-    min ||z - u|| over {G z = h}; an iteration whose working set did not
-    change since the last solve (after a full step with no blocking row)
-    reuses it.  When the step vanishes, u - z = G^T nu, so
-    nu also gives the drop rule its multipliers.  Ties in blocking-constraint
-    selection and in the drop rule are broken by lowest row index.  The
-    loop returns the KKT point w = u - G^T nu of its final working set, not
-    its iterate z, so both paths compute their result from (u, W) alone, by
-    the same products.
+    The loop is Goldfarb & Idnani's (1983) dual active-set method for the
+    identity Hessian.  It starts at w = u with no working row, takes up the
+    equality rows in order, and then, while some inequality row is violated
+    by more than tol at W's KKT point w, the most violated one, a_p (the
+    lowest on ties).  A step moves the multipliers linearly toward nu, those
+    of W + p (`_gram_solve` of its rows in S's order): a full step gets
+    there, adds a_p and moves w to u - G^T nu, the KKT point a hit computes;
+    a partial one stops where the first inequality multiplier of W reaches
+    0 and drops that row.  So the multipliers stay >= 0, and the working
+    rows independent: a_p joins only when the factor of W + p passes
+    potrf's rule.  When it fails, a_p = G^T r for W's rows, and a step moves
+    only the multipliers (W's by -t r, a_p's by t) until one of W's reaches
+    0; when none can, r <= 0 on W's inequality rows is a Farkas certificate,
+    and the loop raises EmptySet.  A dependent equality row within tol is
+    implied by those before it and is skipped, and a loop that skips one
+    keeps no cell.  The loop tests the rows at the w it returns.  In exact
+    arithmetic it ends (the dual objective rises at every step that moves
+    the primal iterate, so no working set repeats); its iteration cap
+    raises NumericalBreakdown.
 
-    So P_S(u) depends only on S's rows and u.  The loop's start,
-    `feasible_witness(S)`, comes from a deterministic phase one on S's rows,
-    so the loop's result is a function of (S, u); and where the lookup
-    accepts any kept cell W, the loop ends on W too, so a hit returns the
-    loop's bits, whatever history left W among the kept cells and in
-    whichever place, and the result does not depend on the projections that
-    ran before it.  Say the loop ended on W' != W instead, with point w' and
-    multipliers nu'; let d = w' - w, and P = W \\ W' and Q = W' \\ W
-    (inequality rows).  From u - w = G_W^T nu and u - w' = G_W'^T nu',
+    So P_S(u) depends only on S's rows and u: the loop is a function of
+    (S, u), and where the lookup accepts any kept cell W, the loop ends on W
+    too, so a hit returns the loop's bits, whatever history left W among the
+    kept cells and in whichever place.  Say the loop ended on W' != W
+    instead, with point w' and multipliers nu' (>= 0 on inequality rows);
+    let d = w' - w, and P = W \\ W' and Q = W' \\ W (inequality rows).  From
+    u - w = G_W^T nu and u - w' = G_W'^T nu',
 
         ||d||^2 = sum_P nu_i a_i.d - sum_Q nu'_j a_j.d.
 
-    For j in Q, a_j.d is j's slack at w, and nu'_j >= -_DROP_TOL where the
-    loop stops.  For i in P, a_i.d is i's violation at w', at most e_i: the
-    loop's iterate leaves C by at most FEAS_TOL (1 + ||u||), as its start
-    does, and ends within its step tolerance of w'.  So ||d||^2 <= E +
-    _DROP_TOL ||d|| sum_Q ||a_k||, and every j in Q is slack at w by at most
-    ||a_j|| ||d|| <= ||a_j|| (_DROP_TOL sum_Q ||a_k|| + sqrt(E)), which the
-    lookup's slack margin rules out.  If Q is empty, d = G_W^T (nu - nu')
-    with nu' zero on P, so ||nu_P||^2 / trace((G G^T)^{-1}) <= ||d||^2 <=
-    ||nu_P|| ||e_W||, which the multiplier margin rules out.  The argument
-    reads only W's rows and u, not the cell's place among the kept ones,
-    but it needs the loop to end: where the loop cycles until its cap, a
-    fresh set raises NumericalBreakdown and a set that kept an accepted
-    cell returns that cell's point.  Where the margins fail for every kept
-    cell, the lookup misses and the loop decides, as on a fresh set.  W's
-    rows are independent (it has a Cholesky factor); a working set with
-    dependent rows takes the `lstsq` path and adds no cell, nor removes
-    one.
+    For j in Q, a_j.d is j's slack at w, and nu'_j >= 0.  For i in P, a_i.d
+    is i's violation at w', at most tol where the loop stops.  So
+    ||d||^2 <= E, and every j in Q is slack at w by at most
+    ||a_j|| ||d|| <= L sqrt(E), which the slack margin rules out.  If Q is
+    empty, d = G_W^T (nu - nu') with nu' zero on P, so
+    ||nu_P||^2 / trace((G G^T)^{-1}) <= ||d||^2 <= tol sqrt(|W|) ||nu_P||,
+    which the multiplier margin rules out.  The argument runs in exact
+    arithmetic on the points both paths return; the margin's tol term is
+    room for their rounding.  It reads only W's rows and u, not the cell's
+    place among the kept ones; where the margins fail for every kept cell,
+    the lookup misses and the loop decides, as on a fresh set.
 
-    Raises EmptySet when `feasible_witness` finds the feasible set empty.
+    Raises EmptySet when S is empty: a box by `feasible_witness`, any other
+    set by the loop's Farkas certificate.
     """
     n = S.ambient_dim
     if not (isinstance(u, np.ndarray) and u.dtype == float and u.shape == (n,)):
@@ -562,63 +544,71 @@ def solve_projection_qp(S: PolyhedralSet, u) -> np.ndarray:
     # the kept cells, most recent first: one potrs on each cell's factor,
     # accepted with the margins the docstring derives
     for rank, cell in enumerate(S._cache.get("cells", ())):
-        _, G, h, U, floor, outside, room, longest, total = cell
+        _, G, h, U, floor, outside, room, longest = cell
         nu = _potrs(U, G @ u - h)[0]
         w = u - G.T @ nu
         mu = nu[k_eq:]
-        if (mu > max(_DROP_TOL, scale * floor)).all():
+        if (mu > scale * floor).all():
             # E, summed in Python: mu has at most n entries
-            E = scale * (FEAS_TOL + _STEP_TOL * longest) * sum(mu.tolist())
-            margin = tol + longest * (_DROP_TOL * total + math.sqrt(E))
+            margin = tol + longest * math.sqrt(tol * sum(mu.tolist()))
             if (room - outside @ w > margin).all():
                 if rank:
                     _keep_cell(S, cell)
                 return w
-    z = feasible_witness(S)  # read-only: the loop rebinds z, never writes it
-    if z is None:
-        raise EmptySet("projection onto an empty polyhedron")
-    A, b = S.ineq_lhs, S.ineq_rhs
-    rows, rhs, lengths, total = _projection_rows(S)
-    # the working set: the witness's tight inequality rows, in ascending order
-    working = np.abs(b - A @ z) <= tol
-    eq_rows = np.arange(k_eq)
-    step_tol = _STEP_TOL * scale
-    max_iters = 50 * (A.shape[0] + k_eq + n + 10)
-    solved = False  # whether nu and w = u - G^T nu belong to the working set
-    for _ in range(max_iters):
-        if not solved:
-            tight = working.nonzero()[0]
-            active = np.concatenate([eq_rows, k_eq + tight])
-            if active.size:
-                G = rows[active]
-                h = rhs[active]
-                nu, U = _gram_solve(G, G @ u - h)
-                w = u - G.T @ nu
+    rows, rhs, lengths = _projection_rows(S)
+    index = np.arange(rhs.size)  # over `rows`: equality rows first
+    working = np.zeros(rhs.size, dtype=bool)
+    lam = np.zeros(rhs.size)  # the multipliers of the working rows and of row p
+    w, p, joined = u, -1, 0  # w: W's KKT point; p: the row being added
+    for _ in range(50 * (rhs.size + n + 10)):
+        if p < 0:
+            # every equality row joins, in order, then the most violated
+            # inequality row (the lowest on ties)
+            gaps = S.ineq_lhs @ w - S.ineq_rhs
+            if joined < k_eq:
+                p, joined = joined, joined + 1
+            elif gaps.max(initial=0.0) > tol:
+                p = k_eq + int(gaps.argmax())
             else:
-                w = u.copy()
-            solved = True
-        p = w - z
-        if math.sqrt(p @ p) <= step_tol:
-            negative = (nu[k_eq:] < -_DROP_TOL).nonzero()[0] if tight.size else ()
-            if not len(negative):
-                if active.size and U is not None:
-                    _keep_cell(S, _cell(S, G, h, U, working, lengths, total))
+                if working[:k_eq].all():
+                    _keep_cell(S, _cell(S, *kkt, working[k_eq:], lengths))
                 return w
-            working[tight[negative[0]]] = False
-            solved = False
-            continue
-        alpha = 1.0
-        blocking = -1
-        rates = A @ p
-        candidates = ((rates > _PIVOT_TOL) & ~working).nonzero()[0]
-        if candidates.size:
-            rooms = np.maximum(b[candidates] - A[candidates] @ z, 0.0) / rates[candidates]
-            for i, room in zip(candidates.tolist(), rooms.tolist()):
-                if room < alpha - 1e-14:
-                    alpha = room
-                    blocking = i
-        z = z + alpha * p
-        if blocking >= 0:
-            working[blocking] = True
-            solved = False
+        grown = working | (index == p)
+        G, h = rows[grown], rhs[grown]
+        solved = _gram_solve(G, G @ u - h)
+        if solved is not None:
+            # the multipliers move linearly to those of W + p, nu; a full step
+            # gets there, and a partial one stops where the first inequality
+            # multiplier of W reaches 0, and drops its row
+            nu, U = solved
+            now, rank = lam[grown], index[grown]
+            falling = (nu < 0.0) & (rank >= k_eq) & (rank != p)
+            if not falling.any():
+                working, lam[grown], p = grown, np.maximum(nu, 0.0), -1
+                w, kkt = u - G.T @ nu, (G, h, U)
+                continue
+            ratios = now[falling] / (now[falling] - nu[falling])
+            lam[grown] = np.maximum(now + ratios.min() * (nu - now), 0.0)
+            k = rank[falling][ratios.argmin()]
+        else:
+            # a_p = G^T r for W's rows G: a step moves only the multipliers
+            a = rows[p]
+            if p < k_eq and abs(a @ w - rhs[p]) <= tol:
+                p = -1  # an equality row the working ones imply
+                continue
+            G = rows[working]
+            solved = _gram_solve(G, G @ a) if working.any() else (np.zeros(0), None)
+            if solved is None:  # a drop left W's factor below potrf's rule
+                raise NumericalBreakdown("projection working rows became dependent")
+            r = solved[0]
+            droppable = (r > 0.0) & (index[working] >= k_eq)
+            if not droppable.any():  # r <= 0 on inequality rows: a Farkas ray
+                raise EmptySet("projection onto an empty polyhedron")
+            ratios = lam[working][droppable] / r[droppable]
+            t = ratios.min()
+            lam[working] = np.maximum(lam[working] - t * r, 0.0)
+            lam[p] += t
+            k = index[working][droppable][ratios.argmin()]
+        working[k] = False
+        lam[k] = 0.0
     raise NumericalBreakdown("projection active-set iteration cap exhausted")

@@ -24,13 +24,7 @@ import numpy as np
 
 from . import optkernel
 from .errors import CapExceeded, EmptySet, NumericalBreakdown
-from .optkernel import (
-    _DROP_TOL,
-    _STEP_TOL,
-    FEAS_TOL,
-    feasible_witness,
-    solve_projection_qp,
-)
+from .optkernel import FEAS_TOL, feasible_witness, solve_projection_qp
 from .sets import PolyhedralSet, _as_matrix, _as_vector, box, nonnegative_orthant  # re-export
 
 __all__ = [
@@ -435,19 +429,18 @@ def _recession_cones_match(va: VertexSet, vb: VertexSet,
 
 
 def _violation_bound(points: np.ndarray, S: PolyhedralSet):
-    """(l, shortest, total), read off S's stacked rows, which the projection
-    keeps (`optkernel._projection_rows`): l the largest violation at any of
-    the points of a nonzero row of S divided by the row's length (an
-    equality row both ways), at least 0, which bounds below the largest
-    distance from one of them to S; shortest the length of S's shortest
-    nonzero row (inf when it has none) and total the summed length of its
-    inequality rows."""
-    rows, rhs, lengths, total = optkernel._projection_rows(S)
+    """(l, shortest), read off S's stacked rows, which the projection keeps
+    (`optkernel._projection_rows`): l the largest violation at any of the
+    points of a nonzero row of S divided by the row's length (an equality
+    row both ways), at least 0, which bounds below the largest distance
+    from one of them to S; shortest the length of S's shortest nonzero row
+    (inf when it has none)."""
+    rows, rhs, lengths = optkernel._projection_rows(S)
     keep = lengths > 0.0
     gaps = (points @ rows[keep].T - rhs[keep]) / lengths[keep]
     equality = keep[:S.num_eq].sum()
     gaps[:, :equality] = np.abs(gaps[:, :equality])
-    return float(gaps.max(initial=0.0)), float(lengths[keep].min(initial=math.inf)), total
+    return float(gaps.max(initial=0.0)), float(lengths[keep].min(initial=math.inf))
 
 
 def hausdorff(a: PolyhedralSet, b: PolyhedralSet) -> float:
@@ -486,27 +479,24 @@ def hausdorff(a: PolyhedralSet, b: PolyhedralSet) -> float:
     The margin covers what separates the computed distance d~(v) = |v - z|
     (z the projection's point) from the exact one, d(v), and the rounding of
     the bounds.  Let R be the largest vertex norm of the two sets, n the
-    dimension, eps the unit roundoff, and, over the rows of both sets,
-    ell the shortest nonzero row and T the larger total inequality row
-    length of one set; then
+    dimension, eps the unit roundoff and ell the shortest nonzero row of
+    either set; then
 
-        margin = (1 + R) (FEAS_TOL / ell + _STEP_TOL + 2 sqrt((n + 3) eps))
-                 + _DROP_TOL T.
+        margin = (1 + R) (FEAS_TOL / ell + 2 sqrt((n + 3) eps)).
 
-    Below: z leaves row i of S by at most e_i = (1 + |v|) (FEAS_TOL +
-    _STEP_TOL |a_i|) (a target the projection accepts as a point of S, or
-    the active-set loop's point; `solve_projection_qp`), so d~(v) >=
-    l(v) - (1 + R) (FEAS_TOL / ell + _STEP_TOL).  Above: z is the KKT
-    point of its working set W, v - z = G^T nu with G z = h, and with p the
-    exact projection, |v - p|^2 = d~^2 + 2 sum_W nu_i (h_i - a_i.p) +
-    |z - p|^2.  An equality row adds 0; an inequality row of W has
-    h_i - a_i.p in [0, |a_i| |z - p|] and nu_i >= -_DROP_TOL, where the loop
-    stops (above _DROP_TOL on a cell hit), so d~^2 <= d^2 + 2 _DROP_TOL T
-    |z - p| - |z - p|^2 <= d^2 + (_DROP_TOL T)^2, and d~(v) <= d(v) +
-    _DROP_TOL T <= u(v) + _DROP_TOL T.  A box projection is exact.  The
-    computed u(v)^2 is off by at most 4 (n + 3) eps R^2, so u(v) by at most
-    2 sqrt((n + 3) eps) R; the rounding of l(v) is far smaller at the rows
-    that bound it.  So d~ lies within margin of [l, u] at every vertex.
+    Below: z leaves row i of S by at most (1 + |v|) FEAS_TOL (a target the
+    projection accepts as a point of S, or the point its loop returns,
+    whose rows the loop tests at that point; `solve_projection_qp`), so
+    d~(v) >= l(v) - (1 + R) FEAS_TOL / ell.  Above: z is the KKT point of
+    its working set W, v - z = G^T nu with G z = h and nu_i >= 0 on W's
+    inequality rows (the loop's multipliers, above 0 on a cell hit), and
+    with p the exact projection, |v - p|^2 = d~^2 + 2 sum_W nu_i
+    (h_i - a_i.p) + |z - p|^2 >= d~^2: an equality row adds 0, and an
+    inequality row of W has h_i - a_i.p >= 0.  So d~(v) <= d(v) <= u(v).
+    A box projection is exact.  The computed u(v)^2 is off by at most
+    4 (n + 3) eps R^2, so u(v) by at most 2 sqrt((n + 3) eps) R; the
+    rounding of l(v) is far smaller at the rows that bound it.  So d~ lies
+    within margin of [l, u] at every vertex.
 
     Now let v stop the walk and v' be any vertex after it.  d~(v') <=
     u(v') + margin <= u(v) + margin, below the larger of best and
@@ -521,8 +511,8 @@ def hausdorff(a: PolyhedralSet, b: PolyhedralSet) -> float:
     if not _recession_cones_match(va, vb, a, b):
         return math.inf
     Va, Vb = np.array(va.vertices), np.array(vb.vertices)
-    lower_a, shortest_b, total_b = _violation_bound(Va, b)
-    lower_b, shortest_a, total_a = _violation_bound(Vb, a)
+    lower_a, shortest_b = _violation_bound(Va, b)
+    lower_b, shortest_a = _violation_bound(Vb, a)
     sq_a, sq_b = np.square(Va).sum(axis=1), np.square(Vb).sum(axis=1)
     # the vertex gaps in place: one |V_a| x |V_b| array
     gaps = Va @ Vb.T
@@ -533,8 +523,7 @@ def hausdorff(a: PolyhedralSet, b: PolyhedralSet) -> float:
     upper = np.concatenate([gaps.min(axis=1), gaps.min(axis=0)])
     radius = math.sqrt(max(sq_a.max(), sq_b.max()))
     roundoff = 2.0 * math.sqrt((a.ambient_dim + 3) * np.finfo(float).eps)
-    margin = ((1.0 + radius) * (FEAS_TOL / min(shortest_a, shortest_b) + _STEP_TOL + roundoff)
-              + _DROP_TOL * max(total_a, total_b))
+    margin = (1.0 + radius) * (FEAS_TOL / min(shortest_a, shortest_b) + roundoff)
     lower = max(lower_a, lower_b)
     best = 0.0
     for j in np.argsort(-upper, kind="stable").tolist():

@@ -2,8 +2,10 @@
 
 A set is ``{x : eq_lhs x = eq_rhs, ineq_lhs x <= ineq_rhs}``.  Equality rows
 encode the affine-subspace part of a generalized polyhedral convex set and
-are kept separate from inequalities on purpose: converting them to pairs of
-inequalities destroys the conditioning of the active-set projection solver.
+are kept separate from inequalities on purpose: the projection's dual loop
+takes every equality row into its working set first and never drops one,
+while a pair of opposite inequalities is two dependent rows, of which its
+working set can hold only one.
 Instances are immutable after construction.
 
 Arrays are validated once, where they enter the program, by `_as_matrix`

@@ -21,13 +21,13 @@ from avibound import (
     PolyhedralSet,
     avi,
     box,
+    gpm,
     nonnegative_orthant,
     optkernel,
     polyhedra,
     solvers,
 )
 from avibound.optkernel import (
-    _DROP_TOL,
     FEAS_TOL,
     feasible_witness,
     solve_feasibility,
@@ -356,11 +356,9 @@ class TestProjectionQp:
             np.testing.assert_allclose(z, best, atol=1e-8)
 
     def test_one_gram_solve_per_working_set(self, monkeypatch):
-        # Every working set the active-set method visits makes one Gram
-        # solve, `_gram_solve`, of the square system G G^T nu = rhs; the drop
-        # rule reads its multipliers from that solve, with no second one on
-        # G^T.  A working set that shrinks between two solves shows the drop
-        # rule fired.
+        # Every working set the dual loop visits makes one Gram solve,
+        # `_gram_solve`, of the square system G G^T nu = rhs.  A working set
+        # that shrinks between two solves shows a partial step dropped a row.
         shapes = []
         original = optkernel._gram_solve
 
@@ -779,20 +777,18 @@ def _moved_to_origin(S, x):
     return T
 
 
-def test_projection_matches_the_brute_force_oracle(monkeypatch):
-    # Each set is projected onto as it is, from its phase-one witness, and
-    # moved so that its degenerate vertex v is the origin, its witness:
-    # from there the first working set holds more than n dependent rows, so
-    # the Gram solve must fall back to lstsq.  The targets are v pushed out
-    # along its normal cone (projection v), points near v and far points.
-    fallbacks = []
-    original = np.linalg.lstsq
+def _on_a_degenerate_vertex(S, z):
+    """Whether more than n inequality rows of S are tight at z."""
+    return np.sum(np.abs(S.ineq_lhs @ z - S.ineq_rhs) <= 1e-9) > S.ambient_dim
 
-    def counting(*args, **kwargs):
-        fallbacks.append(seed)
-        return original(*args, **kwargs)
 
+def test_projection_matches_the_brute_force_oracle():
+    # Each set is projected onto as it is and moved so that its degenerate
+    # vertex v is the origin.  The targets are v pushed out along its
+    # normal cone (projection v, where n + 4 rows are tight and the loop
+    # ends on independent ones among them), points near v and far points.
     compared = 0
+    reached = set()
     for seed, (S, v, normals) in enumerate(_degenerate_sets()):
         rng = SplitMix64(9000 + seed)
         n = S.ambient_dim
@@ -801,14 +797,13 @@ def test_projection_matches_the_brute_force_oracle(monkeypatch):
         at_v = _moved_to_origin(S, v)
         for u in targets:
             expected = brute_force_projection(u, S)
-            with monkeypatch.context() as patch:
-                patch.setattr(np.linalg, "lstsq", counting)
-                projections = (project_onto(u, S), v + project_onto(u - v, at_v))
-            for z in projections:
+            for z in (project_onto(u, S), v + project_onto(u - v, at_v)):
                 assert np.linalg.norm(z - expected) <= 1e-9 * (1.0 + np.linalg.norm(u)), seed
                 compared += 1
+                if _on_a_degenerate_vertex(S, z):
+                    reached.add(seed)
     assert compared == 240
-    assert len(set(fallbacks)) > 20
+    assert len(reached) == 40
 
 
 def _fresh(S):
@@ -845,26 +840,16 @@ def _shuffled(rng, items):
     return items
 
 
-def test_projections_do_not_depend_on_call_history(monkeypatch):
+def test_projections_do_not_depend_on_call_history():
     # A set keeps its stacked projection rows and the cells, with their
     # Cholesky factors, of the last working sets its projections ended on.  So a
     # target projected onto a set whose cache is warm from the other
     # targets, in shuffled order, lands bit for bit where it lands on a
     # fresh copy of the set.  Each set is taken as it is and moved so that
     # its seeded point is the origin, its phase-one witness
-    # (`_moved_to_origin`); from the degenerate sets' vertices the loop
-    # takes the lstsq fallback.  On the hexagon the targets ring the set and
-    # end on its 6 edges and 6 vertices, so the kept cells change from call
-    # to call.
-    fallbacks = [0]
-    original = np.linalg.lstsq
-
-    def counting(*args, **kwargs):
-        fallbacks[0] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "lstsq", counting)
-
+    # (`_moved_to_origin`); some targets project onto the degenerate sets'
+    # vertices.  On the hexagon the targets ring the set and end on its 6
+    # edges and 6 vertices, so the kept cells change from call to call.
     def seeded(S, seed):
         rng = SplitMix64(seed)
         return [4.0 * np.array(rng.normals(S.ambient_dim)) for _ in range(8)]
@@ -879,7 +864,7 @@ def test_projections_do_not_depend_on_call_history(monkeypatch):
         targets = seeded(S, 9700 + i)
         cases += [(S, targets), (_moved_to_origin(S, v), [u - v for u in targets])]
     cases.append((_hexagon(), list(ring)))
-    compared = 0
+    compared = degenerate = 0
     for index, (S, targets) in enumerate(cases):
         for u in targets:
             project_onto(u, S)
@@ -888,13 +873,14 @@ def test_projections_do_not_depend_on_call_history(monkeypatch):
             cold = project_onto(u, _fresh(S))
             assert warm.tobytes() == cold.tobytes(), (index, u)
             compared += 1
+            degenerate += _on_a_degenerate_vertex(S, warm)
     hexagon = _hexagon()
     tight_sets = {
         tuple(np.flatnonzero(np.abs(hexagon.ineq_lhs @ project_onto(u, hexagon) - 1.0) <= 1e-9))
         for u in ring
     }
     assert compared == 30 * 16 + 40 * 16 + 12
-    assert len(tight_sets) == 12 and fallbacks[0] > 0
+    assert len(tight_sets) == 12 and degenerate > 0
 
 
 def _pass_counts(monkeypatch, pool):
@@ -941,23 +927,26 @@ def test_solver_tail_pass_factors_each_working_set_once(monkeypatch):
     # Cholesky factor, and the next target onto it usually lies in one of
     # them: an extragradient iteration alternates between the cell of the
     # residual's target and that of its steps' targets.  5,985 calls take a
-    # kept cell with one potrs on each factor tried, and 60 run the
-    # active-set loop from the set's phase-one witness, which factors each
-    # working set it visits and does not solve an unchanged working set
-    # twice.  When a set kept only its last cell, the two cells evicted each
-    # other: 5,652 hits, 393 loops, 1,001 potrf and 7,030 potrs calls.
+    # kept cell with one potrs on each factor tried, and 60 run the dual
+    # loop, which factors each working set it tries once.  The primal loop
+    # it replaced, started from the set's phase-one witness, made 179 potrf
+    # and 6,600 potrs calls; when a set kept only its last cell, the two
+    # cells evicted each other: 5,652 hits, 393 loops, 1,001 potrf and 7,030
+    # potrs calls.
     counts, outcomes = _pass_counts(monkeypatch, workloads.SolverTail())
     assert all(outcome["invariants"] for outcome in outcomes)
-    assert counts == (179, 6600, 5985, 60)
+    assert counts == (108, 6528, 5985, 60)
 
 
 @pytest.mark.parametrize("pool, expected", [
     # random samples and their projections onto C and the solution pieces;
-    # with one kept cell per set: 964, 2,150, 802 and 413
-    (workloads.ErrorBound, (392, 2171, 1069, 146)),
+    # with the primal loop: 392, 2,171, 1,069 and 146, and with one kept
+    # cell per set: 964, 2,150, 802 and 413
+    (workloads.ErrorBound, (301, 2080, 1069, 146)),
     # Hausdorff distances between sections, projecting their vertices; with
-    # one kept cell per set: 590, 791, 41 and 254
-    (workloads.Multifunction, (452, 859, 97, 198)),
+    # the primal loop: 452, 859, 97 and 198, and with one kept cell per
+    # set: 590, 791, 41 and 254
+    (workloads.Multifunction, (438, 842, 97, 198)),
 ], ids=["error_bound", "multifunction"])
 def test_pool_pass_keeps_four_cells_per_set(monkeypatch, pool, expected):
     # (potrf, potrs, hits, loops) over one pool pass: a change that loses a
@@ -1013,13 +1002,13 @@ def _runs(loops, S):
 
 
 class TestCellLookup:
-    """A projection that ends on a working set W with a Cholesky factor
-    leaves W's cell in its set's cache, and the next projection onto the set
-    tries it first: it is accepted only with margins that no other working
-    set at which the loop could stop can meet (every inequality multiplier
-    of W above `_DROP_TOL` and a floor set by W's conditioning, every row
-    outside W slack by more than FEAS_TOL (1 + ||u||) and a reach set by
-    `_DROP_TOL`), and otherwise the loop runs as on a fresh set.  On the
+    """A projection that ends on a working set W leaves W's cell in its
+    set's cache, and the next projection onto the set tries it first: it is
+    accepted only with margins that no other working set at which the loop
+    could stop can meet (every inequality multiplier of W above a floor set
+    by W's conditioning, every row outside W slack by more than
+    FEAS_TOL (1 + ||u||) and a reach L sqrt(E) set by the multipliers), and
+    otherwise the loop runs as on a fresh set.  On the
     hexagon, W = {0} is optimal for u = (t, y) with t > 1 and
     |y| < 1 / sqrt(3), and P(u) = (1, y)."""
 
@@ -1064,33 +1053,35 @@ class TestCellLookup:
         project_onto([3.0, 0.2], hexagon)
         assert _runs(loops, hexagon) == 3
 
-    @pytest.mark.parametrize("u", [
-        # a multiplier of 5e-8, below _DROP_TOL
-        [1.0 + 5e-8, 0.1],
+    @pytest.mark.parametrize("u, runs", [
+        # a multiplier of 5e-8, above W's floor of 2e-9: the cell answers
+        # (the primal loop's drop tolerance of 1e-7 refused it)
+        ([1.0 + 5e-8, 0.1], 1),
         # W = {0}'s point leaves row 1 slack by 1e-10, within FEAS_TOL
-        [2.0, (0.5 - 1e-10) / math.sin(math.pi / 3.0)],
+        ([2.0, (0.5 - 1e-10) / math.sin(math.pi / 3.0)], 2),
         # a multiplier of 999 at ||u|| = 1000: row 1 is slack by 0.017,
-        # within the reach sqrt(E) = 0.03 of the loop's tolerances
-        [1000.0, 1.0 / math.sqrt(3.0) - 0.02],
-    ])
-    def test_a_target_on_a_cell_boundary_runs_the_loop(self, monkeypatch, u):
+        # within the reach sqrt(E) = 0.03 of the loop's tolerance
+        ([1000.0, 1.0 / math.sqrt(3.0) - 0.02], 2),
+    ], ids=["u0", "u1", "u2"])
+    def test_a_target_on_a_cell_boundary_runs_the_loop(self, monkeypatch, u, runs):
         loops = _count_loops(monkeypatch)
         hexagon = _hexagon()
         project_onto([2.0, 0.0], hexagon)
         assert not hexagon.contains(u, FEAS_TOL * (1.0 + np.linalg.norm(u)))
         z = project_onto(u, hexagon)
-        assert _runs(loops, hexagon) == 2
+        assert _runs(loops, hexagon) == runs
         assert z.tobytes() == project_onto(u, _fresh(hexagon)).tobytes()
 
     def test_a_row_the_loop_can_bind_refuses_the_cell(self, monkeypatch):
-        # S = {x2 <= 0, x1 + x2 <= 1}, moved by s = (10.875, -10) so that s
-        # is the origin, S's phase-one witness; below, points are named
-        # before the move.  (0.5, 1) leaves W = {0}, whose point for
-        # u = (1 - 5e-8, 1) is (1 - 5e-8, 0): row 1 is slack there by 5e-8,
-        # more than FEAS_TOL (1 + ||u - s||) but less than
-        # _DROP_TOL ||a_1||^2.  From s the loop blocks on row 1, then on
-        # row 0, and stops at the vertex (1, 0), where row 1's multiplier is
-        # -5e-8; the cell must not answer for it.
+        # S = {x2 <= 0, x1 + x2 <= 1}, moved by s = (10.875, -10); below,
+        # points are named before the move.  (0.5, 1) leaves W = {0}, whose
+        # point for u = (1 - 5e-8, 1) is (1 - 5e-8, 0): row 1 is slack there
+        # by 5e-8, more than FEAS_TOL (1 + ||u - s||) but within the reach
+        # L sqrt(E) = 1.8e-4 of the margin, so the cell is refused.  The
+        # loop adds row 0, the most violated, and stops at (1 - 5e-8, 0),
+        # the exact projection, on warm and fresh sets alike.  The primal
+        # loop, started from s, blocked on row 1, then on row 0, and stopped
+        # at the vertex (1, 0), where row 1's multiplier is -5e-8.
         loops = _count_loops(monkeypatch)
         s = np.array([10.875, -10.0])
         rows = np.array([[0.0, 1.0], [1.0, 1.0]])
@@ -1099,15 +1090,14 @@ class TestCellLookup:
         u = np.array([1.0 - 5e-8, 1.0]) - s
         z = project_onto(u, S)
         assert _runs(loops, S) == 2
-        np.testing.assert_array_equal(z + s, [1.0, 0.0])
+        np.testing.assert_allclose(z + s, [1.0 - 5e-8, 0.0], rtol=0.0, atol=1e-14)
         assert z.tobytes() == project_onto(u, _fresh(S)).tobytes()
 
     @pytest.mark.parametrize("t, hit", [(1e-6, True), (2e-7, False)])
     def test_a_multiplier_below_the_floor_runs_the_loop(self, monkeypatch, t, hit):
         # S = {x2 <= 0, s x1 + c x2 <= 0} with c = 0.99: at the vertex 0,
         # W = {0, 1} has trace((G G^T)^{-1}) = 2 / (1 - c^2), about 100, so a
-        # multiplier must exceed about 2.9e-7 for u = a_0 + t a_1, not only
-        # _DROP_TOL
+        # multiplier must exceed about 2.9e-7 for u = a_0 + t a_1
         loops = _count_loops(monkeypatch)
         c = 0.99
         rows = np.array([[0.0, 1.0], [math.sqrt(1.0 - c * c), c]])
@@ -1120,45 +1110,45 @@ class TestCellLookup:
         assert z.tobytes() == project_onto(u, _fresh(S)).tobytes()
 
     def test_a_loop_that_ends_with_no_working_row_keeps_no_cell(self):
-        # S = {x1 + x2 <= 1, x1 - x2 <= 1}, each row scaled by 1e6, holds its
-        # witness, the origin, with no row tight.  u = (1 + 20 eps, 0)
-        # violates both rows by 4.4e-9, more than FEAS_TOL (1 + ||u||), but
-        # both rows' rooms from the origin round to 1 - 4.4e-15, not below
-        # the full step, which reaches u with no row in the working set
+        # S = {x1 + x2 <= 1, x1 - x2 <= 1}, each row scaled by 1e6.
+        # u = (1 + 20 eps, 0) violates both rows by 4.4e-9, more than
+        # FEAS_TOL (1 + ||u||).  The primal loop, started from the origin,
+        # reached u with no row in its working set, returned u and kept no
+        # cell.  The dual loop starts at u and adds the violated rows, so it
+        # never ends with no working row: u is projected onto the vertex
+        # (1, 0), and the set keeps the cell of W = {0, 1}
         rows = 1e6 * np.array([[1.0, 1.0], [1.0, -1.0]])
         S = PolyhedralSet(2, ineq_lhs=rows, ineq_rhs=np.full(2, 1e6))
         u = np.array([1.0 + 20 * np.finfo(float).eps, 0.0])
         assert not S.contains(u, FEAS_TOL * (1.0 + np.linalg.norm(u)))
         z = project_onto(u, S)
-        np.testing.assert_array_equal(z, u)
-        assert "cells" not in S._cache
+        np.testing.assert_allclose(z, [1.0, 0.0], rtol=0.0, atol=1e-14)
+        assert [cell[0] for cell in S._cache["cells"]] == [np.ones(2, dtype=bool).tobytes()]
 
     def test_dependent_working_sets_keep_no_cell(self, monkeypatch):
-        # with the degenerate vertex v moved to the origin, the phase-one
-        # witness, the loop ends on the n + 2 dependent rows through v,
-        # solved by lstsq, and adds no cell; from the witness of the set as
-        # it is, it can end on n independent rows through v, and then the
-        # rows through v left out of W are tight, so the cell is refused and
-        # the loop decides again
+        # At a degenerate vertex v, n + 4 rows are tight (and for every
+        # fourth set an equality row passes through v).  The loop ends on n
+        # independent rows through v, never on dependent ones, and keeps
+        # their cell; the rows through v left out of W are tight at v, so
+        # for a target that projects onto v the cell is refused and the loop
+        # decides again, with the same bits.  The primal loop, on the set
+        # moved so that v was its phase-one witness, ended on all the rows
+        # through v, solved by lstsq, and kept no cell.
         loops = _count_loops(monkeypatch)
         refused = 0
         for seed, (S, v, normals) in enumerate(_degenerate_sets()):
             rng = SplitMix64(9000 + seed)
             weights = np.array([abs(rng.normal()) for _ in range(len(normals))])
             u = v + weights @ normals
-            at_v = _moved_to_origin(S, v)
-            for _ in range(2):
-                z = project_onto(u - v, at_v)
-                assert z.tobytes() == project_onto(u - v, _fresh(at_v)).tobytes()
-                assert "cells" not in at_v._cache, seed
-            project_onto(u, S)
-            if S._cache.get("cells"):
-                before = _runs(loops, S)
-                z = project_onto(u, S)
-                assert _runs(loops, S) == before + 1, seed
-                assert z.tobytes() == project_onto(u, _fresh(S)).tobytes()
+            for T, target in ((_moved_to_origin(S, v), u - v), (S, u)):
+                for run in (1, 2):
+                    z = project_onto(target, T)
+                    assert _runs(loops, T) == run, seed
+                    assert z.tobytes() == project_onto(target, _fresh(T)).tobytes()
+                    working = np.frombuffer(T._cache["cells"][0][0], dtype=bool)
+                    assert T.num_eq + working.sum() == T.ambient_dim, seed
                 refused += 1
-        assert refused > 5
+        assert refused == 80
 
 
 def _edge_target(k):
@@ -1246,9 +1236,9 @@ def _fuzz_targets(rng, S, centres=5, rounds=6):
     """Targets near the boundaries of the cells around `centres` points
     outside S, in interleaved order: each round takes one target per centre.
     A target is the projection p of its centre (onto a fresh copy of S)
-    pushed out along each row tight at p by a multiplier of 1, of about
-    _DROP_TOL or of 0, then moved by 10^-(4..9) in a random direction, so
-    that it lies within the loop's tolerances of a neighbouring cell."""
+    pushed out along each row tight at p by a multiplier of 1, of 1e-9 to
+    1e-5 or of 0, then moved by 10^-(4..9) in a random direction, so that
+    it lies near the boundary of a neighbouring cell."""
     n = S.ambient_dim
     feet = []
     for _ in range(centres):
@@ -1264,56 +1254,39 @@ def _fuzz_targets(rng, S, centres=5, rounds=6):
     return targets
 
 
-def _projection_or_breakdown(S, u):
-    try:
-        return project_onto(u, S).tobytes()
-    except NumericalBreakdown:
-        return "NumericalBreakdown"
-
-
 def test_warm_sets_project_as_fresh_ones(monkeypatch):
     # Seeded warm-against-fresh fuzz: each target is projected onto one set
     # that keeps the cells of the targets before it and onto a fresh copy,
-    # and the two must agree to the bit, or both raise NumericalBreakdown.
-    # The near-parallel row pairs make thin cells, the targets lie within
-    # the loop's tolerances of their cells' boundaries, and interleaving
-    # them around five points changes the front cell on most calls.  The
-    # only disagreements are the two targets of trial 102 on which a fresh
-    # set's loop cycles to its cap while the warm set holds their cell; they
-    # are pinned here and in `test_a_kept_cell_answers_where_the_loop_cycles`.
+    # and the two must agree to the bit.  The near-parallel row pairs make
+    # thin cells, the targets lie near their cells' boundaries, and
+    # interleaving them around five points changes the front cell on most
+    # calls.  With the primal loop, the two targets of trial 102 disagreed:
+    # a fresh set's loop cycled to its cap while the warm set held their
+    # cell (`test_a_kept_cell_answers_where_the_loop_cycles`).
     loops = _count_loops(monkeypatch)
     compared = hits = 0
-    disagreements = []
     for trial in range(300):
         rng = SplitMix64(12_000 + trial)
         S = _fuzz_polytope(rng)
         for index, u in enumerate(_fuzz_targets(rng, S)):
             before = len(loops)
-            warm = _projection_or_breakdown(S, u)
+            warm = project_onto(u, S)
             outside = not S.contains(u, FEAS_TOL * (1.0 + np.linalg.norm(u)))
             hits += outside and len(loops) == before
-            fresh = _projection_or_breakdown(_fresh(S), u)
-            if warm != fresh:
-                disagreements.append((trial, index, fresh))
-                assert fresh == "NumericalBreakdown" and outside and len(loops) == before + 1
-                oracle = brute_force_projection(u, S)
-                assert np.linalg.norm(np.frombuffer(warm) - oracle) <= 1e-12
+            assert warm.tobytes() == project_onto(u, _fresh(S)).tobytes(), (trial, index)
             compared += 1
     assert compared == 300 * 30
     assert hits > 1500
-    assert disagreements == [(102, 6, "NumericalBreakdown"), (102, 16, "NumericalBreakdown")]
 
 
 def test_a_kept_cell_answers_where_the_loop_cycles():
     # Trial 102 of the fuzz above: row 4 is row 2 tilted by about 1e-8 and
     # row 5 is row 0 tilted by about 1e-9.  From the witness (the origin)
-    # the loop reaches a working set of four dependent rows in R^3, solved
-    # by lstsq, drops a row, blocks on it again and cycles until its cap on
-    # a fresh set.  A set that kept the cell of `near`, a target the loop
-    # does finish, answers `u` from that cell with the oracle's point, so a
-    # projection is a function of (S, u) only where the loop finishes.  An
-    # anti-cycling drop rule should make the fresh set agree; this pins the
-    # case before the loop changes.
+    # the primal loop reached a working set of four dependent rows in R^3,
+    # solved by lstsq, dropped a row, blocked on it again and cycled until
+    # its cap on a fresh set, while a set that kept the cell of `near`
+    # answered `u` from that cell.  The dual loop ends on a fresh set too,
+    # with the oracle's point, to the bit the kept cell's.
     A = np.array([
         [-0.7277541154113606, 0.6212077401501541, 0.2906456452097067],
         [-0.7990059688422453, -0.1662641299326178, 0.5778803516751667],
@@ -1328,33 +1301,44 @@ def test_a_kept_cell_answers_where_the_loop_cycles():
                       ineq_rhs=np.concatenate([b, np.full(6, 3.0)]))
     near = np.array([0.3889673482192549, -3.4453283023780914, -0.10806329236393111])
     u = np.array([-0.4100387039062987, -3.611592291687066, 0.46981684685194236])
-    with pytest.raises(NumericalBreakdown, match="iteration cap exhausted"):
-        project_onto(u, _fresh(S))
+    fresh = project_onto(u, _fresh(S))
+    assert np.linalg.norm(fresh - brute_force_projection(u, S)) <= 1e-12
     project_onto(near, S)
-    z = project_onto(u, S)
-    assert np.linalg.norm(z - brute_force_projection(u, S)) <= 1e-12
+    assert project_onto(u, S).tobytes() == fresh.tobytes()
+
+
+def _duplicate_and_scaled_rows():
+    """150 seeded sets in R^1..R^4, one row of each copied exactly and
+    doubled, with an objective and a target each.  Yields (A, b, c, u)."""
+    rng = SplitMix64(777)
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        m = rng.randint(2, 6)
+        A = np.array([[rng.normal() for _ in range(n)] for _ in range(m)])
+        b = np.array([rng.normal() + 1.0 for _ in range(m)])
+        A = np.vstack([A, A[0], 2.0 * A[0]])
+        b = np.concatenate([b, [b[0]], [2.0 * b[0]]])
+        c = np.array([rng.normal() for _ in range(n)])
+        yield A, b, c, np.array([3 * rng.normal() for _ in range(n)])
+
+
+def _overdetermined_corner():
+    """{x1 + x2 <= 1, x1 <= 1, x2 >= 0}: three rows meet at (1, 0)."""
+    return PolyhedralSet(2, ineq_lhs=[[1.0, 1.0], [1.0, 0.0], [0.0, -1.0]],
+                         ineq_rhs=[1.0, 1.0, 0.0])
 
 
 class TestDegenerateInputs:
     def test_duplicate_and_scaled_rows(self):
         # exactly duplicated and positively rescaled constraint rows must not
         # break pivoting or the active-set iteration
-        rng = SplitMix64(777)
         feasible_seen = 0
-        for _ in range(150):
-            n = rng.randint(1, 4)
-            m = rng.randint(2, 6)
-            A = np.array([[rng.normal() for _ in range(n)] for _ in range(m)])
-            b = np.array([rng.normal() + 1.0 for _ in range(m)])
-            A = np.vstack([A, A[0], 2.0 * A[0]])
-            b = np.concatenate([b, [b[0]], [2.0 * b[0]]])
-            c = np.array([rng.normal() for _ in range(n)])
-            res = solve_lp(PolyhedralSet(n, ineq_lhs=A, ineq_rhs=b), c)
+        for A, b, c, u in _duplicate_and_scaled_rows():
+            res = solve_lp(PolyhedralSet(A.shape[1], ineq_lhs=A, ineq_rhs=b), c)
             if res.is_optimal:
                 assert np.max(A @ res.point - b) <= 1e-8
                 assert abs(res.value - b @ res.dual) <= 1e-7 * (1 + abs(res.value))
-            S = PolyhedralSet(n, ineq_lhs=A, ineq_rhs=b)
-            u = np.array([3 * rng.normal() for _ in range(n)])
+            S = PolyhedralSet(A.shape[1], ineq_lhs=A, ineq_rhs=b)
             try:
                 z = solve_projection_qp(S, u)
             except EmptySet:
@@ -1365,14 +1349,85 @@ class TestDegenerateInputs:
 
     def test_overdetermined_corner_projection(self):
         # three constraints meet at (1, 0); projecting from outside the
-        # corner exercises the redundant-multiplier drop rule
-        S = PolyhedralSet(
-            2,
-            ineq_lhs=[[1.0, 1.0], [1.0, 0.0], [0.0, -1.0]],
-            ineq_rhs=[1.0, 1.0, 0.0],
-        )
-        z = project_onto([2.0, -1.0], S)
+        # corner, the loop ends on two of them
+        z = project_onto([2.0, -1.0], _overdetermined_corner())
         np.testing.assert_allclose(z, [1.0, 0.0], atol=1e-9)
+
+
+def test_the_loop_and_phase_one_agree_on_emptiness():
+    # The dual loop proves a set empty by its own Farkas certificate, with
+    # no phase one.  On the 40 near-parallel sets (k = 7, 30 and 38, where
+    # the all-artificial phase one breaks down, included) and on the sets of
+    # `TestDegenerateInputs`, it raises EmptySet for three targets each
+    # exactly when `feasible_witness` finds the set empty.  Four of those
+    # sets are empty and not boxes, so their verdict is the loop's own.
+    sets = [S for _, S in _all_near_parallel_sets()]
+    sets += [PolyhedralSet(A.shape[1], ineq_lhs=A, ineq_rhs=b)
+             for A, b, _, _ in _duplicate_and_scaled_rows()]
+    sets.append(_overdetermined_corner())
+    loop_verdicts = 0
+    for index, S in enumerate(sets):
+        empty = feasible_witness(S) is None
+        rng = SplitMix64(9900 + index)
+        for u in [3.0 * np.array(rng.normals(S.ambient_dim)) for _ in range(3)]:
+            try:
+                project_onto(u, _fresh(S))
+            except EmptySet:
+                assert empty, index
+                continue
+            assert not empty, index
+        loop_verdicts += empty and S.box_bounds() is None
+    assert len(sets) == 191 and loop_verdicts == 4
+
+
+def _dependent_equality_rows():
+    """20 gpm sections with more equality rows than output dimensions and
+    20 sets in R^3..R^5 whose equality rows are e_1, e_1 again, e_2 and
+    e_1 + 2 e_2, all holding a seeded point with every inequality row slack;
+    each with a twin whose equality rows are inconsistent (the section at a
+    moved input, or the last right-hand side moved by 1e-3).  Yields
+    (S, empty twin, targets)."""
+    for seed in range(40):
+        rng = SplitMix64(9900 + seed)
+        r = 2 + seed % 3
+        y = np.array(rng.normals(r))
+        ineq = np.array([rng.normals(r) for _ in range(r + 2)])
+        slack = np.array([abs(rng.normal()) + 0.1 for _ in range(r + 2)])
+        if seed < 20:
+            x = np.array(rng.normals(2))
+            a1 = np.array([rng.normals(2) for _ in range(r + 1 + seed % 2)])
+            a2 = np.array([rng.normals(r) for _ in range(len(a1))])
+            row_x = np.array([rng.normals(2) for _ in range(len(ineq))])
+            f = gpm.GpMultifunction(input_dim=2, output_dim=r, a1=a1, a2=a2, z=a1 @ x + a2 @ y,
+                                    row_x=row_x, row_y=ineq, rhs=row_x @ x + ineq @ y + slack)
+            S, empty = gpm.evaluate(f, x), gpm.evaluate(f, x + 0.1 * np.array(rng.normals(2)))
+        else:
+            r += 1
+            y = np.append(y, rng.normal())
+            ineq = np.column_stack([ineq, rng.normals(len(ineq))])
+            e1, e2 = np.array(rng.normals(r)), np.array(rng.normals(r))
+            E = np.array([e1, e1, e2, e1 + 2.0 * e2])
+            S = PolyhedralSet(r, ineq_lhs=ineq, ineq_rhs=ineq @ y + slack, eq_lhs=E, eq_rhs=E @ y)
+            empty = PolyhedralSet(r, ineq_lhs=ineq, ineq_rhs=ineq @ y + slack, eq_lhs=E,
+                                  eq_rhs=E @ y + np.array([0.0, 0.0, 0.0, 1e-3]))
+        yield S, empty, [y + 3.0 * np.array(rng.normals(r)) for _ in range(4)]
+
+
+def test_dependent_equality_rows():
+    # The loop takes up the equality rows in order and skips one that the
+    # rows before it imply within FEAS_TOL (1 + ||u||); a set whose loop
+    # skips one keeps no cell, so no lookup reads a multiplier off the
+    # wrong row.  Inconsistent equality rows raise EmptySet.
+    for seed, (S, empty, targets) in enumerate(_dependent_equality_rows()):
+        for u in targets:
+            z = project_onto(u, S)
+            gap = np.linalg.norm(z - brute_force_projection(u, S))
+            assert gap <= 1e-9 * (1.0 + np.linalg.norm(u)), seed
+            assert z.tobytes() == project_onto(u, _fresh(S)).tobytes(), seed
+        assert "cells" not in S._cache, seed
+        with pytest.raises(EmptySet):
+            project_onto(targets[0], empty)
+        assert feasible_witness(empty) is None, seed
 
 
 @settings(max_examples=60, deadline=None)

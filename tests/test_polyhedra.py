@@ -1065,13 +1065,13 @@ def test_the_bounds_skip_vertices(monkeypatch):
 
 def test_multifunction_pass_prunes_hausdorff(multifunction_pass):
     # one pool pass: 454 projections where every vertex took one (1,549),
-    # and 452 Gram solves of the active-set loop (2,822; 590 when a set kept
-    # one cell), a cell hit making none; the enumerations are as many as
-    # before
+    # and 438 Gram solves of the dual loop (452 with the primal loop it
+    # replaced, 2,822 before the pruning, 590 when a set kept one cell), a
+    # cell hit making none; the enumerations are as many as before
     _, _, calls = multifunction_pass
     assert calls["hausdorff"] == 112
     assert calls["distance"] == 454
-    assert calls["_gram_solve"] == 452
+    assert calls["_gram_solve"] == 438
     assert calls["enumerate_vertices"] == 264
     assert calls["_extreme_rays"] == 212
 

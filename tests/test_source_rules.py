@@ -42,7 +42,11 @@ validated where they enter the program: only the public constructors and
 the public functions listed in `VALIDATORS` call `_as_vector` or
 `_as_matrix`, each as often as listed, so no validation pass comes back
 inside the program, and the calls of the projection and the LP sit under
-the screens of the target and the objective.
+the screens of the target and the objective.  No module of `src/avibound`
+names `lstsq`, and `solve_projection_qp` calls `feasible_witness` only on
+its box path: the dual loop keeps its working rows independent and proves
+emptiness itself, so neither a least-squares fallback nor a phase one comes
+back into the projection.
 """
 
 import argparse
@@ -831,3 +835,64 @@ def test_validation_rule_catches_a_call_in_the_kernel():
         "_as_vector\n"
     )
     assert _validation_calls(ast.parse(source)) == {"distance": 1, "Piece.section": 2, "": 1}
+
+
+def _lstsq_names(tree):
+    """Lines of every name, attribute or import of `lstsq`."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "lstsq"
+        or isinstance(node, ast.Attribute) and node.attr == "lstsq"
+        or isinstance(node, ast.ImportFrom) and any(a.name == "lstsq" for a in node.names)
+    )
+
+
+def _phase_ones_off_the_box_path(tree):
+    """Lines of the calls of `feasible_witness` in `solve_projection_qp`
+    outside its box path, the body of its `if bounds is not None:`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "solve_projection_qp":
+            box_path = {
+                id(inner) for branch in ast.walk(node)
+                if isinstance(branch, ast.If) and ast.unparse(branch.test) == "bounds is not None"
+                for statement in branch.body for inner in ast.walk(statement)
+            }
+            found += [
+                call.lineno for call in ast.walk(node)
+                if isinstance(call, ast.Call) and id(call) not in box_path
+                and getattr(call.func, "id", None) == "feasible_witness"
+            ]
+    return sorted(found)
+
+
+def test_the_projection_needs_no_lstsq_and_no_phase_one():
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not _lstsq_names(tree), f"{path.name} names lstsq"
+        assert not _phase_ones_off_the_box_path(tree), path.name
+
+
+def test_projection_rules_catch_an_injected_call():
+    optkernel = (SRC / "optkernel.py").read_text(encoding="utf-8")
+    lines = optkernel.splitlines(keepends=True)
+    at = lines.index("    k_eq = S.num_eq\n")
+    lines.insert(at, "    start = feasible_witness(S)\n")
+    injected = ast.parse("".join(lines))
+    assert _phase_ones_off_the_box_path(injected) == [at + 1]
+    source = (
+        "x = np.linalg.lstsq(G, h, rcond=None)[0]\n"
+        "from numpy.linalg import lstsq, solve\n"
+        "y = lstsq(G, h)\n"
+        "z = np.linalg.solve(G, h)\n"
+        "def solve_projection_qp(S, u):\n"
+        "    bounds = S.box_bounds()\n"
+        "    if bounds is not None:\n"
+        "        return feasible_witness(S)\n"
+        "    return feasible_witness(S)\n"
+        "def enumerate_vertices(S):\n"
+        "    return feasible_witness(S)\n"
+    )
+    tree = ast.parse(source)
+    assert _lstsq_names(tree) == [1, 2, 3]
+    assert _phase_ones_off_the_box_path(tree) == [9]
