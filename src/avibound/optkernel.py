@@ -19,8 +19,8 @@ each kept cheap:
 - `solve_projection_qp(S, u)`: a lookup of the set's most recently used
   optimal cells, then Goldfarb & Idnani's (1983) dual active-set method
   for the strictly convex problem min ||z - u||^2 over a polyhedron, which
-  starts from u itself: it needs no feasible point, and proves a set empty
-  by a Farkas certificate.
+  starts from u itself: it needs no feasible point, and asks phase one
+  only when a violated row depends on its working rows with none to drop.
 
 The two simplex solves share one pipeline: `_standard_form` writes the
 rows once as {A_std v = rhs, v >= 0} with its slack columns and pivot
@@ -29,7 +29,7 @@ budget, `_phase_one` finds a feasible basis (and is all
 
 `feasible_witness` is the one place that decides whether a set is empty
 and which point it holds; `polyhedra.is_nonempty`, `feasible_point`,
-`enumerate_vertices` and the projection's box path take its answer.  A
+`enumerate_vertices` and the projection take its answer.  A
 box (every row on one coordinate) is read off its bounds with no phase
 one.  Any other set runs phase one, and which basis it starts from depends on what
 the caller reads.  An LP returns only its final vertex, and
@@ -492,21 +492,28 @@ def solve_projection_qp(S: PolyhedralSet, u) -> np.ndarray:
     rows independent: a_p joins only when the factor of W + p passes
     potrf's rule.  When it fails, a_p = G^T r for W's rows, and a step moves
     only the multipliers (W's by -t r, a_p's by t) until one of W's reaches
-    0; when none can, r <= 0 on W's inequality rows is a Farkas certificate,
-    and the loop raises EmptySet.  A dependent equality row within tol is
-    implied by those before it and is skipped, and a loop that skips one
-    keeps no cell.  The loop tests the rows at the w it returns.  In exact
-    arithmetic it ends (the dual objective rises at every step that moves
-    the primal iterate, so no working set repeats); its iteration cap
-    raises NumericalBreakdown.
+    0.  When none can, r <= 0 on W's inequality rows would be a Farkas
+    certificate if a_p were exactly G^T r, but potrf's rule also passes
+    rows some 1e-5 apart in angle as dependent, and then r only shows that
+    S has no point within v / ||a_p - G^T r|| of w, v being a_p's
+    violation.  So `feasible_witness` decides: EmptySet when it finds S
+    empty, and NumericalBreakdown when it does not (the optimal working set
+    then holds rows too near to dependent for potrf's rule, as at the thin
+    end of a slab between near-parallel rows).  A dependent equality row
+    within tol is implied by those before it and is skipped, and a loop
+    that skips one keeps no cell.  The loop tests the rows at the w it
+    returns.  In exact arithmetic it ends (the dual objective rises at
+    every step that moves the primal iterate, so no working set repeats);
+    its iteration cap raises NumericalBreakdown.
 
     So P_S(u) depends only on S's rows and u: the loop is a function of
-    (S, u), and where the lookup accepts any kept cell W, the loop ends on W
-    too, so a hit returns the loop's bits, whatever history left W among the
-    kept cells and in whichever place.  Say the loop ended on W' != W
-    instead, with point w' and multipliers nu' (>= 0 on inequality rows);
-    let d = w' - w, and P = W \\ W' and Q = W' \\ W (inequality rows).  From
-    u - w = G_W^T nu and u - w' = G_W'^T nu',
+    (S, u), and where the lookup accepts any kept cell W, a loop that ends
+    with a point ends on W too, so a hit returns the loop's bits, whatever
+    history left W among the kept cells and in whichever place (where the
+    loop raises NumericalBreakdown, a kept cell may still answer).  Say the
+    loop ended on W' != W instead, with point w' and multipliers nu' (>= 0
+    on inequality rows); let d = w' - w, and P = W \\ W' and Q = W' \\ W
+    (inequality rows).  From u - w = G_W^T nu and u - w' = G_W'^T nu',
 
         ||d||^2 = sum_P nu_i a_i.d - sum_Q nu'_j a_j.d.
 
@@ -522,8 +529,8 @@ def solve_projection_qp(S: PolyhedralSet, u) -> np.ndarray:
     place among the kept ones; where the margins fail for every kept cell,
     the lookup misses and the loop decides, as on a fresh set.
 
-    Raises EmptySet when S is empty: a box by `feasible_witness`, any other
-    set by the loop's Farkas certificate.
+    Raises EmptySet only when `feasible_witness` finds S empty, which the
+    projection asks on its box path and where the loop has no row to drop.
     """
     n = S.ambient_dim
     if not (isinstance(u, np.ndarray) and u.dtype == float and u.shape == (n,)):
@@ -602,8 +609,13 @@ def solve_projection_qp(S: PolyhedralSet, u) -> np.ndarray:
                 raise NumericalBreakdown("projection working rows became dependent")
             r = solved[0]
             droppable = (r > 0.0) & (index[working] >= k_eq)
-            if not droppable.any():  # r <= 0 on inequality rows: a Farkas ray
-                raise EmptySet("projection onto an empty polyhedron")
+            if not droppable.any():
+                # r <= 0 on inequality rows is a Farkas ray only if a_p is
+                # exactly G^T r; potrf's rule also passes rows some 1e-5
+                # apart, so phase one decides
+                if feasible_witness(S) is None:
+                    raise EmptySet("projection onto an empty polyhedron")
+                raise NumericalBreakdown("projection rows too near to dependent to join")
             ratios = lam[working][droppable] / r[droppable]
             t = ratios.min()
             lam[working] = np.maximum(lam[working] - t * r, 0.0)

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -928,24 +929,16 @@ def test_solver_tail_pass_factors_each_working_set_once(monkeypatch):
     # them: an extragradient iteration alternates between the cell of the
     # residual's target and that of its steps' targets.  5,985 calls take a
     # kept cell with one potrs on each factor tried, and 60 run the dual
-    # loop, which factors each working set it tries once.  The primal loop
-    # it replaced, started from the set's phase-one witness, made 179 potrf
-    # and 6,600 potrs calls; when a set kept only its last cell, the two
-    # cells evicted each other: 5,652 hits, 393 loops, 1,001 potrf and 7,030
-    # potrs calls.
+    # loop, which factors each working set it tries once.
     counts, outcomes = _pass_counts(monkeypatch, workloads.SolverTail())
     assert all(outcome["invariants"] for outcome in outcomes)
     assert counts == (108, 6528, 5985, 60)
 
 
 @pytest.mark.parametrize("pool, expected", [
-    # random samples and their projections onto C and the solution pieces;
-    # with the primal loop: 392, 2,171, 1,069 and 146, and with one kept
-    # cell per set: 964, 2,150, 802 and 413
+    # random samples and their projections onto C and the solution pieces
     (workloads.ErrorBound, (301, 2080, 1069, 146)),
-    # Hausdorff distances between sections, projecting their vertices; with
-    # the primal loop: 452, 859, 97 and 198, and with one kept cell per
-    # set: 590, 791, 41 and 254
+    # Hausdorff distances between sections, projecting their vertices
     (workloads.Multifunction, (438, 842, 97, 198)),
 ], ids=["error_bound", "multifunction"])
 def test_pool_pass_keeps_four_cells_per_set(monkeypatch, pool, expected):
@@ -1055,7 +1048,6 @@ class TestCellLookup:
 
     @pytest.mark.parametrize("u, runs", [
         # a multiplier of 5e-8, above W's floor of 2e-9: the cell answers
-        # (the primal loop's drop tolerance of 1e-7 refused it)
         ([1.0 + 5e-8, 0.1], 1),
         # W = {0}'s point leaves row 1 slack by 1e-10, within FEAS_TOL
         ([2.0, (0.5 - 1e-10) / math.sin(math.pi / 3.0)], 2),
@@ -1079,9 +1071,7 @@ class TestCellLookup:
         # by 5e-8, more than FEAS_TOL (1 + ||u - s||) but within the reach
         # L sqrt(E) = 1.8e-4 of the margin, so the cell is refused.  The
         # loop adds row 0, the most violated, and stops at (1 - 5e-8, 0),
-        # the exact projection, on warm and fresh sets alike.  The primal
-        # loop, started from s, blocked on row 1, then on row 0, and stopped
-        # at the vertex (1, 0), where row 1's multiplier is -5e-8.
+        # the exact projection, on warm and fresh sets alike.
         loops = _count_loops(monkeypatch)
         s = np.array([10.875, -10.0])
         rows = np.array([[0.0, 1.0], [1.0, 1.0]])
@@ -1112,11 +1102,9 @@ class TestCellLookup:
     def test_a_loop_that_ends_with_no_working_row_keeps_no_cell(self):
         # S = {x1 + x2 <= 1, x1 - x2 <= 1}, each row scaled by 1e6.
         # u = (1 + 20 eps, 0) violates both rows by 4.4e-9, more than
-        # FEAS_TOL (1 + ||u||).  The primal loop, started from the origin,
-        # reached u with no row in its working set, returned u and kept no
-        # cell.  The dual loop starts at u and adds the violated rows, so it
-        # never ends with no working row: u is projected onto the vertex
-        # (1, 0), and the set keeps the cell of W = {0, 1}
+        # FEAS_TOL (1 + ||u||).  The loop starts at u and adds the violated
+        # rows, so it never ends with no working row: u is projected onto the
+        # vertex (1, 0), and the set keeps the cell of W = {0, 1}
         rows = 1e6 * np.array([[1.0, 1.0], [1.0, -1.0]])
         S = PolyhedralSet(2, ineq_lhs=rows, ineq_rhs=np.full(2, 1e6))
         u = np.array([1.0 + 20 * np.finfo(float).eps, 0.0])
@@ -1131,9 +1119,7 @@ class TestCellLookup:
         # independent rows through v, never on dependent ones, and keeps
         # their cell; the rows through v left out of W are tight at v, so
         # for a target that projects onto v the cell is refused and the loop
-        # decides again, with the same bits.  The primal loop, on the set
-        # moved so that v was its phase-one witness, ended on all the rows
-        # through v, solved by lstsq, and kept no cell.
+        # decides again, with the same bits.
         loops = _count_loops(monkeypatch)
         refused = 0
         for seed, (S, v, normals) in enumerate(_degenerate_sets()):
@@ -1260,9 +1246,8 @@ def test_warm_sets_project_as_fresh_ones(monkeypatch):
     # and the two must agree to the bit.  The near-parallel row pairs make
     # thin cells, the targets lie near their cells' boundaries, and
     # interleaving them around five points changes the front cell on most
-    # calls.  With the primal loop, the two targets of trial 102 disagreed:
-    # a fresh set's loop cycled to its cap while the warm set held their
-    # cell (`test_a_kept_cell_answers_where_the_loop_cycles`).
+    # calls.  Trial 102 holds the case of
+    # `test_a_kept_cell_answers_where_the_loop_cycles`.
     loops = _count_loops(monkeypatch)
     compared = hits = 0
     for trial in range(300):
@@ -1281,12 +1266,11 @@ def test_warm_sets_project_as_fresh_ones(monkeypatch):
 
 def test_a_kept_cell_answers_where_the_loop_cycles():
     # Trial 102 of the fuzz above: row 4 is row 2 tilted by about 1e-8 and
-    # row 5 is row 0 tilted by about 1e-9.  From the witness (the origin)
-    # the primal loop reached a working set of four dependent rows in R^3,
-    # solved by lstsq, dropped a row, blocked on it again and cycled until
-    # its cap on a fresh set, while a set that kept the cell of `near`
-    # answered `u` from that cell.  The dual loop ends on a fresh set too,
-    # with the oracle's point, to the bit the kept cell's.
+    # row 5 is row 0 tilted by about 1e-9, rows on which a primal
+    # active-set loop can drop a row and block on it again until its cap.
+    # A set that kept the cell of `near` answers `u` from that cell, and
+    # the loop ends on a fresh set with the oracle's point, to the bit the
+    # kept cell's.
     A = np.array([
         [-0.7277541154113606, 0.6212077401501541, 0.2906456452097067],
         [-0.7990059688422453, -0.1662641299326178, 0.5778803516751667],
@@ -1355,12 +1339,13 @@ class TestDegenerateInputs:
 
 
 def test_the_loop_and_phase_one_agree_on_emptiness():
-    # The dual loop proves a set empty by its own Farkas certificate, with
-    # no phase one.  On the 40 near-parallel sets (k = 7, 30 and 38, where
-    # the all-artificial phase one breaks down, included) and on the sets of
-    # `TestDegenerateInputs`, it raises EmptySet for three targets each
-    # exactly when `feasible_witness` finds the set empty.  Four of those
-    # sets are empty and not boxes, so their verdict is the loop's own.
+    # The dual loop runs no phase one until a violated row is dependent on
+    # the working rows with none to drop.  On the 40 near-parallel sets
+    # (k = 7, 30 and 38, where the all-artificial phase one breaks down,
+    # included) and on the sets of `TestDegenerateInputs`, it raises
+    # EmptySet for three targets each exactly when `feasible_witness` finds
+    # the set empty.  Four of those sets are empty and not boxes, so the
+    # loop reaches that branch on them.
     sets = [S for _, S in _all_near_parallel_sets()]
     sets += [PolyhedralSet(A.shape[1], ineq_lhs=A, ineq_rhs=b)
              for A, b, _, _ in _duplicate_and_scaled_rows()]
@@ -1378,6 +1363,50 @@ def test_the_loop_and_phase_one_agree_on_emptiness():
             assert not empty, index
         loop_verdicts += empty and S.box_bounds() is None
     assert len(sets) == 191 and loop_verdicts == 4
+
+
+def _thin_slabs():
+    """(k, g, S) for each of the 40 near-parallel sets with its tilted row
+    a x <= b added reversed, -a x <= -(b + g): a slab of width -g along a
+    row some 10^-(3 + k % 8) from parallel to another, for g in 3e-10
+    (empty, but within FEAS_TOL), 0, -1e-9, -1e-7 and -1e-5."""
+    for k, S in _all_near_parallel_sets():
+        a, b = S.ineq_lhs[-1], S.ineq_rhs[-1]
+        for g in (3e-10, 0.0, -1e-9, -1e-7, -1e-5):
+            yield k, g, PolyhedralSet(S.ambient_dim, ineq_lhs=np.vstack([S.ineq_lhs, -a]),
+                                      ineq_rhs=np.append(S.ineq_rhs, -(b + g)))
+
+
+def test_thin_slabs_raise_empty_set_only_on_empty_sets():
+    # On a thin slab the optimal working set holds the slab's row and the
+    # row nearly parallel to it, and their Gram factor fails potrf's rule.
+    # So the loop meets a violated row that counts as dependent with no
+    # row to drop, but whose residual off the working rows is 1e-5 to 1e-8
+    # of its length: r <= 0 then proves only that the set has no point near
+    # the iterate (the oracle projects 1.9 to 8.7 away).  There the loop
+    # asks phase one: an empty set raises EmptySet, and a nonempty one
+    # NumericalBreakdown, on 57 of the 600 (slab, target) pairs below, all
+    # at tilts of 1e-5 to 1e-8.  Every point returned holds the rows.
+    breakdowns = collections.Counter()
+    empty = 0
+    for k, g, S in _thin_slabs():
+        witness = feasible_witness(S)
+        rng = SplitMix64(k)
+        for u in [3.0 * np.array(rng.normals(S.ambient_dim)) for _ in range(3)]:
+            try:
+                z = project_onto(u, _fresh(S))
+            except EmptySet:
+                assert witness is None, (k, g)
+                empty += 1
+                continue
+            except NumericalBreakdown:
+                assert witness is not None, (k, g)
+                breakdowns[k] += 1
+                continue
+            assert witness is not None, (k, g)
+            assert S.contains(z, FEAS_TOL * (1.0 + np.linalg.norm(u))), (k, g)
+    assert empty == 129
+    assert breakdowns == {2: 8, 3: 8, 5: 6, 10: 1, 18: 5, 19: 8, 27: 4, 34: 5, 36: 12}
 
 
 def _dependent_equality_rows():

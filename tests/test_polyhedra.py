@@ -1065,9 +1065,8 @@ def test_the_bounds_skip_vertices(monkeypatch):
 
 def test_multifunction_pass_prunes_hausdorff(multifunction_pass):
     # one pool pass: 454 projections where every vertex took one (1,549),
-    # and 438 Gram solves of the dual loop (452 with the primal loop it
-    # replaced, 2,822 before the pruning, 590 when a set kept one cell), a
-    # cell hit making none; the enumerations are as many as before
+    # and 438 Gram solves of the dual loop, a cell hit making none; the
+    # enumerations are as many as without the pruning
     _, _, calls = multifunction_pass
     assert calls["hausdorff"] == 112
     assert calls["distance"] == 454

@@ -44,8 +44,9 @@ the public functions listed in `VALIDATORS` call `_as_vector` or
 inside the program, and the calls of the projection and the LP sit under
 the screens of the target and the objective.  No module of `src/avibound`
 names `lstsq`, and `solve_projection_qp` calls `feasible_witness` only on
-its box path: the dual loop keeps its working rows independent and proves
-emptiness itself, so neither a least-squares fallback nor a phase one comes
+its box path and where the dual loop finds no row to drop: the loop keeps
+its working rows independent and asks phase one only for a verdict on
+emptiness, so neither a least-squares fallback nor a phase-one start comes
 back into the projection.
 """
 
@@ -847,20 +848,22 @@ def _lstsq_names(tree):
     )
 
 
-def _phase_ones_off_the_box_path(tree):
+def _stray_phase_ones(tree):
     """Lines of the calls of `feasible_witness` in `solve_projection_qp`
-    outside its box path, the body of its `if bounds is not None:`."""
+    outside its box path, the body of its `if bounds is not None:`, and
+    outside the loop's branch with no row to drop, `if not droppable.any():`."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef) and node.name == "solve_projection_qp":
-            box_path = {
+            allowed = {
                 id(inner) for branch in ast.walk(node)
-                if isinstance(branch, ast.If) and ast.unparse(branch.test) == "bounds is not None"
+                if isinstance(branch, ast.If)
+                and ast.unparse(branch.test) in ("bounds is not None", "not droppable.any()")
                 for statement in branch.body for inner in ast.walk(statement)
             }
             found += [
                 call.lineno for call in ast.walk(node)
-                if isinstance(call, ast.Call) and id(call) not in box_path
+                if isinstance(call, ast.Call) and id(call) not in allowed
                 and getattr(call.func, "id", None) == "feasible_witness"
             ]
     return sorted(found)
@@ -870,7 +873,7 @@ def test_the_projection_needs_no_lstsq_and_no_phase_one():
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         assert not _lstsq_names(tree), f"{path.name} names lstsq"
-        assert not _phase_ones_off_the_box_path(tree), path.name
+        assert not _stray_phase_ones(tree), path.name
 
 
 def test_projection_rules_catch_an_injected_call():
@@ -879,7 +882,7 @@ def test_projection_rules_catch_an_injected_call():
     at = lines.index("    k_eq = S.num_eq\n")
     lines.insert(at, "    start = feasible_witness(S)\n")
     injected = ast.parse("".join(lines))
-    assert _phase_ones_off_the_box_path(injected) == [at + 1]
+    assert _stray_phase_ones(injected) == [at + 1]
     source = (
         "x = np.linalg.lstsq(G, h, rcond=None)[0]\n"
         "from numpy.linalg import lstsq, solve\n"
@@ -889,10 +892,14 @@ def test_projection_rules_catch_an_injected_call():
         "    bounds = S.box_bounds()\n"
         "    if bounds is not None:\n"
         "        return feasible_witness(S)\n"
+        "    if not droppable.any():\n"
+        "        empty = feasible_witness(S) is None\n"
+        "    if droppable.any():\n"
+        "        return feasible_witness(S)\n"
         "    return feasible_witness(S)\n"
         "def enumerate_vertices(S):\n"
         "    return feasible_witness(S)\n"
     )
     tree = ast.parse(source)
     assert _lstsq_names(tree) == [1, 2, 3]
-    assert _phase_ones_off_the_box_path(tree) == [9]
+    assert _stray_phase_ones(tree) == [12, 13]
