@@ -267,9 +267,13 @@ def verify_upper_lipschitz_inverse(inst: AviInstance, cfg: LipschitzCheckConfig)
     Every vertex of every piece of the sampled preimage must sit within
     c * ||y - y0|| of the base preimage; c_emp is the largest observed
     distance ratio.  Per-active-pattern ratios are reported alongside, since
-    the global modulus is the maximum of the per-pattern ones.  A base point
-    outside the (closed) domain of the inverse passes vacuously with a note
-    as long as sampled neighbors stay outside too.
+    the global modulus is the maximum of the per-pattern ones.
+
+    A base point outside the domain of the inverse passes vacuously, with
+    no ratio (c_emp 0, per_family None): the domain is closed, so a ball
+    around y0 misses it, and the property is local.  The notes mark
+    `empty_base_preimage`; `near_domain_hits` counts sampled y in the
+    domain, which lie outside that ball and do not bear on the verdict.
     """
     y0 = _as_vector(cfg.base_point, inst.dim, "base_point")
     base_labelled = inverse_residual(inst, y0, keep_active=True)
@@ -314,35 +318,22 @@ def verify_upper_lipschitz_inverse(inst: AviInstance, cfg: LipschitzCheckConfig)
         "outside_domain": outside_domain,
         "family_mismatches": family_mismatches,
     }
-    violations = []
     if not base_labelled:
         notes["empty_base_preimage"] = True
         notes["near_domain_hits"] = near_domain_hits
-        return BoundReport(
-            kind="upper_lipschitz_inverse",
-            c_emp=0.0,
-            epsilon=None,
-            num_samples=0,
-            worst_ratio_witness=None,
-            violations=[],
-            ratio_trace=[],
-            notes=notes,
-        )
-    if not ratios:
+    elif not ratios:
         raise DegenerateSampler("all sampled y landed outside dom R^{-1}")
     reduced = running_max(ratios)
-    if not math.isfinite(reduced.c_emp):
-        violations.append("ratio diverged")
     return BoundReport(
         kind="upper_lipschitz_inverse",
         c_emp=reduced.c_emp,
         epsilon=None,
         num_samples=len(ratios),
         worst_ratio_witness=None if reduced.witness is None else vertices[reduced.witness],
-        violations=violations,
+        violations=[] if math.isfinite(reduced.c_emp) else ["ratio diverged"],
         ratio_trace=reduced.trace,
         notes=notes,
-        per_family=per_family,
+        per_family=per_family if base_labelled else None,
     )
 
 

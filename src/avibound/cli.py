@@ -3,7 +3,8 @@
 Exit codes: 0 all requested verdicts pass, 1 a verdict failed, 2 usage
 error, 3 a cap or resource limit was hit.  Reports are written as JSON (plus
 CSV for traces and tables) under --out; every run prints a one-line verdict
-summary to stdout.
+summary to stdout.  Each subcommand ends in `_emit`, which prints that line
+and writes its reports; each suite entry ends in `_write_entry`.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from .errors import (
     CapExceeded,
     DegenerateSampler,
     DimensionMismatch,
-    EmptySet,
-    NoSolution,
     NumericalBreakdown,
     SchemaError,
 )
@@ -58,30 +57,34 @@ def _parse_dims(text: str) -> list:
     return dims
 
 
-def _write_json(payload: dict, path: str) -> None:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 def _write_text(text: str, path: str) -> None:
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
 
 
-def _load_avi(path: str) -> AviInstance:
-    obj = instgen.load(path)
-    if not isinstance(obj, AviInstance):
-        raise SchemaError(f"{path} does not hold an AVI instance")
-    return obj
+def _write_json(payload: dict, path: str) -> None:
+    _write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", path)
 
 
-def _load_gpm(path: str) -> GpMultifunction:
+def _emit(out, line: str, outputs: dict, code: int) -> int:
+    """Print a subcommand's summary line, write each named output under `out`
+    when it is set (a dict as JSON, a string as text) and return `code`."""
+    print(line)
+    if out:
+        for name, content in outputs.items():
+            path = os.path.join(out, name)
+            if isinstance(content, str):
+                _write_text(content, path)
+            else:
+                _write_json(content, path)
+    return code
+
+
+def _load(path: str, cls, what: str):
     obj = instgen.load(path)
-    if not isinstance(obj, GpMultifunction):
-        raise SchemaError(f"{path} does not hold a multifunction")
+    if not isinstance(obj, cls):
+        raise SchemaError(f"{path} does not hold {what}")
     return obj
 
 
@@ -117,52 +120,42 @@ def cmd_generate(args) -> int:
 
 
 def cmd_project(args) -> int:
-    obj = instgen.load(args.instance)
-    if isinstance(obj, AviInstance):
-        target_set = obj.c_set
-    elif isinstance(obj, PolyhedralSet):
-        target_set = obj
-    else:
+    target_set = instgen.load(args.instance)
+    if isinstance(target_set, AviInstance):
+        target_set = target_set.c_set
+    if not isinstance(target_set, PolyhedralSet):
         raise SchemaError("project needs an AVI instance or a polyhedral set")
     x = _parse_vector(args.x)
     dist, point = distance(target_set, x)
     formatted = "[" + ", ".join(f"{v:g}" for v in point) + "]"
-    print(f"project: point={formatted} distance={dist:g}")
-    if args.out:
-        _write_json(
-            {
-                "kind": "projection",
-                "x": [float(v) for v in x],
-                "point": [float(v) for v in point],
-                "distance": dist,
-            },
-            os.path.join(args.out, "projection.json"),
-        )
-    return EXIT_PASS
+    return _emit(args.out, f"project: point={formatted} distance={dist:g}", {
+        "projection.json": {
+            "kind": "projection",
+            "x": [float(v) for v in x],
+            "point": [float(v) for v in point],
+            "distance": dist,
+        },
+    }, EXIT_PASS)
 
 
 def cmd_residual(args) -> int:
-    inst = _load_avi(args.instance)
+    inst = _load(args.instance, AviInstance, "an AVI instance")
     x = _parse_vector(args.x)
     val = residual(inst, x)
     r_formatted = "[" + ", ".join(f"{v:g}" for v in val.r) + "]"
-    print(f"residual: r={r_formatted}, norm={val.norm:g}")
-    if args.out:
-        _write_json(
-            {
-                "kind": "residual",
-                "x": [float(v) for v in x],
-                "r": [float(v) for v in val.r],
-                "projected_point": [float(v) for v in val.projected_point],
-                "norm": val.norm,
-            },
-            os.path.join(args.out, "residual.json"),
-        )
-    return EXIT_PASS
+    return _emit(args.out, f"residual: r={r_formatted}, norm={val.norm:g}", {
+        "residual.json": {
+            "kind": "residual",
+            "x": [float(v) for v in x],
+            "r": [float(v) for v in val.r],
+            "projected_point": [float(v) for v in val.projected_point],
+            "norm": val.norm,
+        },
+    }, EXIT_PASS)
 
 
 def cmd_solve(args) -> int:
-    inst = _load_avi(args.instance)
+    inst = _load(args.instance, AviInstance, "an AVI instance")
     cfg = solvers_mod.SolverConfig(
         method=args.method,
         step=args.step,
@@ -171,14 +164,13 @@ def cmd_solve(args) -> int:
         x0=_parse_vector(args.x0) if args.x0 else None,
     )
     trace = solvers_mod.solve(inst, cfg)
-    print(
+    return _emit(
+        args.out,
         f"solve: method={trace.method} converged={trace.converged} "
-        f"iters={trace.iterations} final_residual={trace.records[-1].residual_norm:g}"
+        f"iters={trace.iterations} final_residual={trace.records[-1].residual_norm:g}",
+        {"solve_trace.json": trace.to_json_dict(), "solve_trace.csv": trace.to_csv()},
+        EXIT_PASS if trace.converged else EXIT_FAIL,
     )
-    if args.out:
-        _write_json(trace.to_json_dict(), os.path.join(args.out, "solve_trace.json"))
-        _write_text(trace.to_csv(), os.path.join(args.out, "solve_trace.csv"))
-    return EXIT_PASS if trace.converged else EXIT_FAIL
 
 
 def _checked_pieces(inst):
@@ -192,45 +184,38 @@ def _checked_pieces(inst):
 
 
 def cmd_enumerate(args) -> int:
-    inst = _load_avi(args.instance)
+    inst = _load(args.instance, AviInstance, "an AVI instance")
     pieces, vertex_sets, sound = _checked_pieces(inst)
-    print(f"enumerate: pieces={len(pieces)} vertex_check={'pass' if sound else 'fail'}")
-    if args.out:
-        _write_json(
-            {
-                "kind": "solution_set",
-                "num_pieces": len(pieces),
-                "vertex_check": sound,
-                "pieces": _piece_payload(pieces, vertex_sets),
-            },
-            os.path.join(args.out, "solution_set.json"),
-        )
-    return EXIT_PASS if sound else EXIT_FAIL
+    return _emit(
+        args.out,
+        f"enumerate: pieces={len(pieces)} vertex_check={'pass' if sound else 'fail'}",
+        {"solution_set.json": {
+            "kind": "solution_set",
+            "num_pieces": len(pieces),
+            "vertex_check": sound,
+            "pieces": _piece_payload(pieces, vertex_sets),
+        }},
+        EXIT_PASS if sound else EXIT_FAIL,
+    )
 
 
 def cmd_verify_error_bound(args) -> int:
-    inst = _load_avi(args.instance)
-    report = bounds_mod.verify_error_bound(
-        inst,
-        epsilon=args.eps,
-        num_samples=args.samples,
-        master_seed=args.seed,
-    )
-    print(
+    inst = _load(args.instance, AviInstance, "an AVI instance")
+    report = bounds_mod.verify_error_bound(inst, epsilon=args.eps, num_samples=args.samples,
+                                           master_seed=args.seed)
+    return _emit(
+        args.out,
         f"verify-error-bound: passed={report.passed} c_emp={report.c_emp:g} "
-        f"epsilon={report.epsilon:g} samples={report.num_samples}"
+        f"epsilon={report.epsilon:g} samples={report.num_samples}",
+        {"error_bound.json": report.to_json_dict(),
+         "error_bound_trace.csv": "samples,c_emp\n" + "".join(
+             f"{c},{v}\n" for c, v in report.ratio_trace)},
+        EXIT_PASS if report.passed else EXIT_FAIL,
     )
-    if args.out:
-        _write_json(report.to_json_dict(), os.path.join(args.out, "error_bound.json"))
-        trace_csv = "samples,c_emp\n" + "".join(
-            f"{c},{v}\n" for c, v in report.ratio_trace
-        )
-        _write_text(trace_csv, os.path.join(args.out, "error_bound_trace.csv"))
-    return EXIT_PASS if report.passed else EXIT_FAIL
 
 
 def cmd_verify_lipschitz(args) -> int:
-    inst = _load_avi(args.instance)
+    inst = _load(args.instance, AviInstance, "an AVI instance")
     ybar = _parse_vector(args.ybar) if args.ybar else np.zeros(inst.dim)
     radii = (tuple(float(r) for r in args.radii.split(",")) if args.radii
              else bounds_mod.DEFAULT_RADIUS_LADDER)
@@ -241,47 +226,50 @@ def cmd_verify_lipschitz(args) -> int:
         master_seed=args.seed,
     )
     report = bounds_mod.verify_upper_lipschitz_inverse(inst, cfg)
-    print(
+    return _emit(
+        args.out,
         f"verify-lipschitz: passed={report.passed} c_emp={report.c_emp:g} "
-        f"samples={report.num_samples}"
+        f"samples={report.num_samples}",
+        {"lipschitz.json": report.to_json_dict()},
+        EXIT_PASS if report.passed else EXIT_FAIL,
     )
-    if args.out:
-        _write_json(report.to_json_dict(), os.path.join(args.out, "lipschitz.json"))
-    return EXIT_PASS if report.passed else EXIT_FAIL
+
+
+def _section_gap_checks(f, seed: int, salt: int, scale: float, count: int):
+    """(minimax report, domain report) of `f` at `count` probe points, each
+    coordinate `scale` times a normal draw from the stream of (seed, salt)."""
+    rng = SplitMix64(derive_seed(seed, salt))
+    points = [
+        np.array([scale * rng.normal() for _ in range(f.input_dim)]) for _ in range(count)
+    ]
+    return gpm_mod.verify_minimax(f, points), gpm_mod.verify_domain_characterization(f, points)
 
 
 def cmd_verify_minimax(args) -> int:
-    f = _load_gpm(args.instance)
-    rng = SplitMix64(derive_seed(args.seed, 0x3A))
-    points = [
-        np.array([2.0 * rng.normal() for _ in range(f.input_dim)])
-        for _ in range(args.samples)
-    ]
-    minimax = gpm_mod.verify_minimax(f, points)
-    domain = gpm_mod.verify_domain_characterization(f, points)
+    f = _load(args.instance, GpMultifunction, "a multifunction")
+    minimax, domain = _section_gap_checks(f, args.seed, 0x3A, 2.0, args.samples)
     ok = minimax.passed and domain.passed
-    print(
+    return _emit(
+        args.out,
         f"verify-minimax: passed={ok} max_gap={minimax.max_gap:g} "
-        f"domain_mismatches={len(domain.mismatches)}"
+        f"domain_mismatches={len(domain.mismatches)}",
+        {"minimax.json": minimax.to_json_dict(), "domain.json": domain.to_json_dict()},
+        EXIT_PASS if ok else EXIT_FAIL,
     )
-    if args.out:
-        _write_json(minimax.to_json_dict(), os.path.join(args.out, "minimax.json"))
-        _write_json(domain.to_json_dict(), os.path.join(args.out, "domain.json"))
-    return EXIT_PASS if ok else EXIT_FAIL
 
 
 def cmd_truncation_study(args) -> int:
     family = instgen.TruncationFamily(args.family)
     dims = _parse_dims(args.dims)
-    table = bounds_mod.truncation_study(
-        family, dims, num_samples=args.samples, master_seed=args.seed
-    )
+    table = bounds_mod.truncation_study(family, dims, num_samples=args.samples,
+                                        master_seed=args.seed)
     cs = ", ".join(f"c({row.dim})={row.c_emp:.3g}" for row in table.rows)
-    print(f"truncation-study: spectrum={args.family} {cs}")
-    if args.out:
-        _write_json(table.to_json_dict(), os.path.join(args.out, "truncation.json"))
-        _write_text(table.to_csv(), os.path.join(args.out, "truncation.csv"))
-    return EXIT_PASS
+    return _emit(
+        args.out,
+        f"truncation-study: spectrum={args.family} {cs}",
+        {"truncation.json": table.to_json_dict(), "truncation.csv": table.to_csv()},
+        EXIT_PASS,
+    )
 
 
 def main(argv=None) -> int:
@@ -301,7 +289,7 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error (usage): {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (EmptySet, NoSolution, AviboundError) as exc:
+    except AviboundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 
@@ -388,6 +376,22 @@ def build_parser() -> argparse.ArgumentParser:
 # --- canned suite runner ----------------------------------------------------
 
 
+def _write_entry(entry, failures: list, out_dir: str, **reports) -> bool:
+    """Write a suite entry's header and `reports`; returns whether it passed."""
+    _write_json(
+        {
+            "kind": "suite_entry",
+            "name": entry.name,
+            "entry_kind": entry.kind,
+            "passed": not failures,
+            "failures": failures,
+            **reports,
+        },
+        os.path.join(out_dir, f"{entry.name}.json"),
+    )
+    return not failures
+
+
 def _run_avi_entry(entry, seed, out_dir):
     inst = entry.payload
     expectations = entry.expectations
@@ -430,32 +434,17 @@ def _run_avi_entry(entry, seed, out_dir):
         solve_payload = trace.to_json_dict()
         if not trace.converged:
             failures.append("extragradient did not converge")
-    payload = {
-        "kind": "suite_entry",
-        "name": entry.name,
-        "entry_kind": "avi",
-        "passed": not failures,
-        "failures": failures,
-        "error_bound": report.to_json_dict(),
-        "lipschitz": lip_payload,
-        "solve": solve_payload,
-    }
-    _write_json(payload, os.path.join(out_dir, f"{entry.name}.json"))
-    return not failures
+    return _write_entry(entry, failures, out_dir, error_bound=report.to_json_dict(),
+                        lipschitz=lip_payload, solve=solve_payload)
 
 
 def _run_gpm_entry(entry, seed, out_dir):
     f = entry.payload
     expectations = entry.expectations
     failures = []
-    rng = SplitMix64(derive_seed(seed, 0x617))
-    points = [
-        np.array([1.5 * rng.normal() for _ in range(f.input_dim)]) for _ in range(10)
-    ]
-    minimax = gpm_mod.verify_minimax(f, points)
+    minimax, domain = _section_gap_checks(f, seed, 0x617, 1.5, 10)
     if not minimax.passed:
         failures.append(f"minimax gap {minimax.max_gap}")
-    domain = gpm_mod.verify_domain_characterization(f, points)
     if not domain.passed:
         failures.append("domain characterization mismatch")
     modulus_payload = None
@@ -471,18 +460,8 @@ def _run_gpm_entry(entry, seed, out_dir):
             top = float(np.linalg.norm(np.array(matrix), 2))
             if not (0.9 * top <= c_emp <= 1.001 * top):
                 failures.append(f"modulus {c_emp} vs spectral norm {top}")
-    payload = {
-        "kind": "suite_entry",
-        "name": entry.name,
-        "entry_kind": "gpm",
-        "passed": not failures,
-        "failures": failures,
-        "minimax": minimax.to_json_dict(),
-        "domain": domain.to_json_dict(),
-        "modulus": modulus_payload,
-    }
-    _write_json(payload, os.path.join(out_dir, f"{entry.name}.json"))
-    return not failures
+    return _write_entry(entry, failures, out_dir, minimax=minimax.to_json_dict(),
+                        domain=domain.to_json_dict(), modulus=modulus_payload)
 
 
 def _run_truncation_entry(entry, seed, out_dir):
@@ -497,32 +476,19 @@ def _run_truncation_entry(entry, seed, out_dir):
     c_range = entry.expectations.get("c_range")
     if c_range and not all(c_range[0] <= c <= c_range[1] for c in cs):
         failures.append(f"constants {cs} outside {c_range}")
-    payload = {
-        "kind": "suite_entry",
-        "name": entry.name,
-        "entry_kind": "truncation",
-        "passed": not failures,
-        "failures": failures,
-        "table": table.to_json_dict(),
-    }
-    _write_json(payload, os.path.join(out_dir, f"{entry.name}.json"))
-    return not failures
+    return _write_entry(entry, failures, out_dir, table=table.to_json_dict())
 
 
 def run_suite(seed: int, out_dir: str) -> dict:
     """Run every canned entry; returns the summary payload."""
     entries = instgen.canned_suite()
     os.makedirs(out_dir, exist_ok=True)
-    results = []
-    for index, entry in enumerate(entries):
-        entry_seed = derive_seed(seed, index)
-        if entry.kind == "avi":
-            ok = _run_avi_entry(entry, entry_seed, out_dir)
-        elif entry.kind == "gpm":
-            ok = _run_gpm_entry(entry, entry_seed, out_dir)
-        else:
-            ok = _run_truncation_entry(entry, entry_seed, out_dir)
-        results.append((entry.name, ok))
+    runners = {"avi": _run_avi_entry, "gpm": _run_gpm_entry,
+               "truncation": _run_truncation_entry}
+    results = [
+        (entry.name, runners[entry.kind](entry, derive_seed(seed, index), out_dir))
+        for index, entry in enumerate(entries)
+    ]
     summary = {
         "kind": "suite_summary",
         "seed": seed,

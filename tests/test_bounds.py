@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from avibound import DegenerateSampler, NoSolution, PolyhedralSet, bounds
-from avibound.avi import AviInstance, enumerate_solution_set, residual
+from avibound.avi import AviInstance, enumerate_solution_set, inverse_residual, residual
 from avibound.bounds import (
     LipschitzCheckConfig,
     SolutionGeometry,
@@ -16,7 +16,7 @@ from avibound.bounds import (
 from avibound.instgen import TruncationFamily, generate_random_avi
 from avibound.polyhedra import nonnegative_orthant, union_distance
 from avibound.ratios import ZERO_OVER_ZERO_FLOOR
-from avibound.rng import SplitMix64
+from avibound.rng import SplitMix64, derive_seed
 
 
 def lcp_1d():
@@ -114,6 +114,28 @@ class TestVerifyUpperLipschitz:
         assert report.passed
         assert report.notes.get("empty_base_preimage") is True
         assert report.num_samples == 0
+
+    def test_domain_hits_far_from_a_base_point_outside_range(self):
+        # dom R^{-1} of the ray instance lies in the closed half-plane
+        # y1 <= 0, at distance 1 from y0 = (1, 0).  The default ladder lands
+        # 2 of its 36 y in the domain; each is at least 1 from y0, outside a
+        # ball the domain misses, so the pass stands.
+        inst = ray_2d()
+        cfg = LipschitzCheckConfig(base_point=[1.0, 0.0], master_seed=6)
+        report = verify_upper_lipschitz_inverse(inst, cfg)
+        assert report.passed and report.c_emp == 0.0 and report.num_samples == 0
+        assert report.per_family is None and report.ratio_trace == []
+        assert report.notes["empty_base_preimage"] is True
+        assert report.notes["near_domain_hits"] == 2
+        assert report.notes["outside_domain"] == 34
+        hits = []
+        for r_index, radius in enumerate(cfg.radius_ladder):
+            for j in range(cfg.samples_per_radius):
+                stream = SplitMix64(derive_seed(cfg.master_seed, r_index, j))
+                y = cfg.base_point + radius * np.array(stream.normals(inst.dim))
+                if inverse_residual(inst, y):
+                    hits.append(float(np.linalg.norm(y - cfg.base_point)))
+        assert len(hits) == 2 and min(hits) >= 1.0
 
     @pytest.mark.parametrize("plan", [
         dict(radius_ladder=()), dict(samples_per_radius=0), dict(samples_per_radius=-1),
