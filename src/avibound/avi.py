@@ -119,11 +119,22 @@ class ResidualValue:
 
 
 def residual(inst: AviInstance, x) -> ResidualValue:
-    """Natural residual R(x) = x - P_C(x - Mx - q)."""
-    x = _as_vector(x, inst.dim, "x")
-    projected = solve_projection_qp(inst.c_set, x - inst.m_op @ x - inst.q)
+    """Natural residual R(x) = x - P_C(x - Mx - q).
+
+    Callers mostly hand x over as an array they computed, so it is screened
+    the way the projection screens its target (type, dtype, shape, and a
+    finite x.x, which no x with an inf or NaN entry has), not scanned; only
+    a failed screen runs `_as_vector`, to convert or raise.  An x that
+    passes is not copied: the residual and the projected point are new
+    arrays either way.
+    """
+    n = inst.dim
+    if not (isinstance(x, np.ndarray) and x.dtype == float and x.shape == (n,)
+            and math.isfinite(x.dot(x))):
+        x = _as_vector(x, n, "x")
+    projected = solve_projection_qp(inst.c_set, x - inst.m_op.dot(x) - inst.q)
     r = x - projected
-    return ResidualValue(r=r, projected_point=projected, norm=math.sqrt(r @ r))
+    return ResidualValue(r=r, projected_point=projected, norm=math.sqrt(r.dot(r)))
 
 
 _RAY_BOX_RADIUS = 1e6

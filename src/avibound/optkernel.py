@@ -59,6 +59,21 @@ set only when the grown set's factor passes potrf's rule (no pivot below
 The rows are stacked once per set (`_projection_rows`) and indexed by the
 working set.
 
+Almost every projection the solvers make ends in the screen of its target
+or in a kept cell (below), where the work is a few products and tests on
+vectors of 2 to 7 entries and numpy's per-call dispatch costs more than
+the arithmetic.  So the hot path (`solve_projection_qp`, `_satisfies_rows`,
+`avi.residual` and the loop of `solvers.solve`) makes every product by
+`ndarray.dot`, which calls the same BLAS gemv or ddot as `@` on the same
+operands, at about half its dispatch cost, and so keeps every bit; and it
+tests Python floats, `min` and `max` over `.tolist()`, where numpy's
+`.max()` and `.all()` ran.  Those keep every verdict, a NaN's too (a row
+whose products overflow both ways): numpy's reductions returned NaN, which
+fails every comparison, and Python's `min` and `max` skip a NaN that is not
+first, so each test that passes checks for one by a sum that is NaN exactly
+when an entry is.  `_gram_solve` keeps `G @ G.T`, which BLAS may compute by
+syrk, so `.dot` need not match it.
+
 A set's cache holds what its solves would otherwise repeat: its phase-one
 point, its box bounds, its stacked rows and its most recently used optimal
 cells.  `feasible_witness` decides a set at most once and keeps its point
@@ -535,7 +550,7 @@ def solve_projection_qp(S: PolyhedralSet, u) -> np.ndarray:
     n = S.ambient_dim
     if not (isinstance(u, np.ndarray) and u.dtype == float and u.shape == (n,)):
         u = _as_vector(u, n, "target")
-    scale = 1.0 + math.sqrt(u @ u)
+    scale = 1.0 + math.sqrt(u.dot(u))
     if not math.isfinite(scale):
         _as_vector(u, n, "target")
     tol = FEAS_TOL * scale
@@ -552,13 +567,16 @@ def solve_projection_qp(S: PolyhedralSet, u) -> np.ndarray:
     # accepted with the margins the docstring derives
     for rank, cell in enumerate(S._cache.get("cells", ())):
         _, G, h, U, floor, outside, room, longest = cell
-        nu = _potrs(U, G @ u - h)[0]
-        w = u - G.T @ nu
-        mu = nu[k_eq:]
-        if (mu > scale * floor).all():
-            # E, summed in Python: mu has at most n entries
-            margin = tol + longest * math.sqrt(tol * sum(mu.tolist()))
-            if (room - outside @ w > margin).all():
+        nu = _potrs(U, G.dot(u) - h)[0]
+        w = u - nu.dot(G)
+        mu = nu[k_eq:].tolist()
+        if not mu or min(mu) > scale * floor:
+            energy = sum(mu)
+            margin = tol + longest * math.sqrt(tol * energy)
+            slack = (room - outside.dot(w)).tolist()
+            # min skips a NaN that is not first; every other entry passed
+            # a positive bound, so the sum is NaN exactly when one is
+            if (not slack or min(slack) > margin) and not math.isnan(energy + sum(slack)):
                 if rank:
                     _keep_cell(S, cell)
                 return w
@@ -571,7 +589,7 @@ def solve_projection_qp(S: PolyhedralSet, u) -> np.ndarray:
         if p < 0:
             # every equality row joins, in order, then the most violated
             # inequality row (the lowest on ties)
-            gaps = S.ineq_lhs @ w - S.ineq_rhs
+            gaps = S.ineq_lhs.dot(w) - S.ineq_rhs
             if joined < k_eq:
                 p, joined = joined, joined + 1
             elif gaps.max(initial=0.0) > tol:
@@ -582,7 +600,7 @@ def solve_projection_qp(S: PolyhedralSet, u) -> np.ndarray:
                 return w
         grown = working | (index == p)
         G, h = rows[grown], rhs[grown]
-        solved = _gram_solve(G, G @ u - h)
+        solved = _gram_solve(G, G.dot(u) - h)
         if solved is not None:
             # the multipliers move linearly to those of W + p, nu; a full step
             # gets there, and a partial one stops where the first inequality
@@ -592,7 +610,7 @@ def solve_projection_qp(S: PolyhedralSet, u) -> np.ndarray:
             falling = (nu < 0.0) & (rank >= k_eq) & (rank != p)
             if not falling.any():
                 working, lam[grown], p = grown, np.maximum(nu, 0.0), -1
-                w, kkt = u - G.T @ nu, (G, h, U)
+                w, kkt = u - nu.dot(G), (G, h, U)
                 continue
             ratios = now[falling] / (now[falling] - nu[falling])
             lam[grown] = np.maximum(now + ratios.min() * (nu - now), 0.0)
@@ -600,11 +618,11 @@ def solve_projection_qp(S: PolyhedralSet, u) -> np.ndarray:
         else:
             # a_p = G^T r for W's rows G: a step moves only the multipliers
             a = rows[p]
-            if p < k_eq and abs(a @ w - rhs[p]) <= tol:
+            if p < k_eq and abs(a.dot(w) - rhs[p]) <= tol:
                 p = -1  # an equality row the working ones imply
                 continue
             G = rows[working]
-            solved = _gram_solve(G, G @ a) if working.any() else (np.zeros(0), None)
+            solved = _gram_solve(G, G.dot(a)) if working.any() else (np.zeros(0), None)
             if solved is None:  # a drop left W's factor below potrf's rule
                 raise NumericalBreakdown("projection working rows became dependent")
             r = solved[0]

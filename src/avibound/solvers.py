@@ -115,14 +115,14 @@ def solve(inst: AviInstance, cfg: SolverConfig = SolverConfig()) -> SolveTrace:
             break
         if it == cfg.max_iters:
             break
-        if math.sqrt(x @ x) > DIVERGENCE_NORM:
+        if math.sqrt(x.dot(x)) > DIVERGENCE_NORM:
             diverged = True
             break
         if cfg.method == "projected_fixed_point":
-            x = solve_projection_qp(C, x - step * (M @ x + q))
+            x = solve_projection_qp(C, x - step * (M.dot(x) + q))
         else:
-            midpoint = solve_projection_qp(C, x - step * (M @ x + q))
-            x = solve_projection_qp(C, x - step * (M @ midpoint + q))
+            midpoint = solve_projection_qp(C, x - step * (M.dot(x) + q))
+            x = solve_projection_qp(C, x - step * (M.dot(midpoint) + q))
     return SolveTrace(
         method=cfg.method,
         step=step,

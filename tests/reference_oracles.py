@@ -24,7 +24,11 @@ stacked them.  Both it and `reference_piece` take the face F_I from `_face`,
 which slices C's rows itself, where each template keeps its face's rows as
 views of the stacks `avi._build_templates` filled.  `box_bounds_loop` is
 the row-by-row loop `PolyhedralSet.box_bounds` ran before it read all rows
-in one vectorized pass.  `extreme_rays_loop` is double description as
+in one vectorized pass.  `satisfies_rows_reduction` is
+`sets._satisfies_rows`, and `cell_lookup_reduction` the projection's test
+of one kept cell, as both reduced their residuals, multipliers and slacks
+with numpy's `max` and `.all()` before they compared Python floats.
+`extreme_rays_loop` is double description as
 `polyhedra._extreme_rays` ran it before it took each cut's adjacency test
 in products, one ray p at a time, with `scipy.linalg.null_space` for its
 null-space basis, and `hausdorff_vertex_loop` is `polyhedra.hausdorff` as
@@ -298,6 +302,36 @@ def box_bounds_loop(S: PolyhedralSet):
         lo[j] = max(lo[j], v)
         hi[j] = min(hi[j], v)
     return lo, hi
+
+
+def satisfies_rows_reduction(S: PolyhedralSet, x, tol: float) -> bool:
+    """Whether every row of S holds at x within `tol`, each row block
+    reduced by numpy's max: a NaN residual makes its block's max NaN, which
+    compares False against `tol`, so that block holds."""
+    if S.num_eq and np.abs(S.eq_lhs @ x - S.eq_rhs).max() > tol:
+        return False
+    if S.num_ineq and (S.ineq_lhs @ x - S.ineq_rhs).max() > tol:
+        return False
+    return True
+
+
+def cell_lookup_reduction(cell, u, k_eq: int):
+    """The projection's lookup on one kept cell (a tuple of `optkernel._cell`)
+    for the target u, of a set with k_eq equality rows: the point w the
+    lookup returns when the multiplier test and the slack test, numpy's
+    `.all()` over each margin, both pass, and None when one fails."""
+    _, G, h, U, floor, outside, room, longest = cell
+    scale = 1.0 + math.sqrt(u @ u)
+    tol = FEAS_TOL * scale
+    nu = optkernel._potrs(U, G @ u - h)[0]
+    w = u - G.T @ nu
+    mu = nu[k_eq:]
+    if not (mu > scale * floor).all():
+        return None
+    margin = tol + longest * math.sqrt(tol * sum(mu.tolist()))
+    if not (room - outside @ w > margin).all():
+        return None
+    return w
 
 
 def _face(C: PolyhedralSet, active: tuple) -> PolyhedralSet:

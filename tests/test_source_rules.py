@@ -47,7 +47,10 @@ names `lstsq`, and `solve_projection_qp` calls `feasible_witness` only on
 its box path and where the dual loop finds no row to drop: the loop keeps
 its working rows independent and asks phase one only for a verdict on
 emptiness, so neither a least-squares fallback nor a phase-one start comes
-back into the projection.
+back into the projection.  The routines that run once per projection or
+once per iterate, listed in `HOT_ROUTINES`, write no `@`: their vector
+products are `ndarray.dot` calls, which give the same bits at about half
+the dispatch cost, so no `@` creeps back onto the hot path.
 """
 
 import argparse
@@ -903,3 +906,54 @@ def test_projection_rules_catch_an_injected_call():
     tree = ast.parse(source)
     assert _lstsq_names(tree) == [1, 2, 3]
     assert _stray_phase_ones(tree) == [12, 13]
+
+
+# The routines that run once per projection or once per iterate.  Their
+# vector products are `ndarray.dot` calls, which reach the same BLAS routine
+# as `@` at about half its dispatch cost, with the same bits
+# (`tests/test_hot_path.py`).  `optkernel._gram_solve` stays off the list:
+# its `G @ G.T` may take BLAS's syrk path, which `.dot` need not match.
+HOT_ROUTINES = {
+    ("sets.py", "_satisfies_rows"),
+    ("optkernel.py", "solve_projection_qp"),
+    ("avi.py", "residual"),
+    ("solvers.py", "solve"),
+}
+
+
+def _matmuls(tree):
+    """(line, enclosing routine) of every `@` and `@=`."""
+    return [
+        (node.lineno, scope) for node, scope in _scoped_nodes(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+    ]
+
+
+def test_the_hot_routines_make_no_matmul():
+    scopes, found = set(), []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes |= {(path.name, scope) for _, scope in _scoped_nodes(tree)}
+        found += [(path.name, line, scope) for line, scope in _matmuls(tree)
+                  if (path.name, scope) in HOT_ROUTINES]
+    assert HOT_ROUTINES <= scopes, f"hot routines not found: {sorted(HOT_ROUTINES - scopes)}"
+    assert not found, f"`@` in a hot routine, where `ndarray.dot` belongs: {found}"
+
+
+def test_matmul_rule_catches_an_injected_product():
+    optkernel = (SRC / "optkernel.py").read_text(encoding="utf-8")
+    lines = optkernel.splitlines(keepends=True)
+    at = lines.index("    k_eq = S.num_eq\n")
+    lines.insert(at, "    probe = S.ineq_lhs @ u\n")
+    assert (at + 1, "solve_projection_qp") in _matmuls(ast.parse("".join(lines)))
+    source = (
+        "def residual(inst, x):\n    return x - inst.m_op @ x\n"
+        "def solve(inst, x):\n    x @= inst.m_op\n"
+        "def _gram_solve(G, rhs):\n    return G @ G.T\n"
+        "class Cell:\n    def test(self, u):\n        return self.G.dot(u) @ u\n"
+        "y = A @ b\n"
+        "z = A.dot(b)\n"
+    )
+    assert _matmuls(ast.parse(source)) == [
+        (2, "residual"), (4, "solve"), (6, "_gram_solve"), (9, "Cell.test"), (10, ""),
+    ]
