@@ -122,15 +122,16 @@ def residual(inst: AviInstance, x) -> ResidualValue:
     """Natural residual R(x) = x - P_C(x - Mx - q).
 
     Callers mostly hand x over as an array they computed, so it is screened
-    the way the projection screens its target (type, dtype, shape, and a
-    finite x.x, which no x with an inf or NaN entry has), not scanned; only
-    a failed screen runs `_as_vector`, to convert or raise.  An x that
-    passes is not copied: the residual and the projected point are new
-    arrays either way.
+    the way the projection screens its target (type, dtype, shape, C order,
+    and a finite x.x, which no x with an inf or NaN entry has), not scanned;
+    only a failed screen runs `_as_vector`, to convert, copy into C order or
+    raise.  So a strided x gets the bits of its contiguous copy (BLAS sums
+    `M.dot(x)` over a strided x in another order).  An x that passes is not
+    copied: the residual and the projected point are new arrays either way.
     """
     n = inst.dim
     if not (isinstance(x, np.ndarray) and x.dtype == float and x.shape == (n,)
-            and math.isfinite(x.dot(x))):
+            and x.flags.c_contiguous and math.isfinite(x.dot(x))):
         x = _as_vector(x, n, "x")
     projected = solve_projection_qp(inst.c_set, x - inst.m_op.dot(x) - inst.q)
     r = x - projected

@@ -118,17 +118,6 @@ class GpMultifunction:
             raise SchemaError(f"malformed multifunction payload: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class DualMultiplier:
-    """Point of the dual ball: gamma >= 0 and ||lam||_1 + sum(gamma) <= 1."""
-
-    lam: np.ndarray
-    gamma: np.ndarray
-
-    def ball_norm(self) -> float:
-        return float(np.sum(np.abs(self.lam)) + np.sum(self.gamma))
-
-
 def evaluate(f: GpMultifunction, x) -> PolyhedralSet:
     """Section F(x) as a polyhedral set in the output space (may be empty)."""
     x = _as_vector(x, f.input_dim, "x")
@@ -216,21 +205,16 @@ def _dual_vertices(f: GpMultifunction):
     return f._dual_form
 
 
-def gap_dual(f: GpMultifunction, x):
-    """(value, multiplier) of the concave dual of the section gap: the
-    largest of H x + h over the vertices of the dual ball (`_dual_vertices`),
-    and that vertex as the multiplier, the lowest index on ties.
+def gap_dual(f: GpMultifunction, x) -> float:
+    """Value of the concave dual of the section gap at x: the largest of
+    H x + h over the vertices of the dual ball (`_dual_vertices`).
 
     The origin is a vertex, so the value is >= 0 up to rounding.  Without
-    rows the value is 0 and the multiplier empty.
+    rows the ball is the origin alone and the value is 0.
     """
     x = _as_vector(x, f.input_dim, "x")
-    V, H, h = _dual_vertices(f)
-    values = H @ x + h
-    best = int(np.argmax(values))
-    k, w = f.num_eq, V[best]
-    multiplier = DualMultiplier(lam=w[:k] - w[k:2 * k], gamma=np.maximum(w[2 * k:], 0.0))
-    return float(values[best]), multiplier
+    _, H, h = _dual_vertices(f)
+    return float((H @ x + h).max())
 
 
 @dataclass(frozen=True)
@@ -279,7 +263,7 @@ def verify_minimax(f: GpMultifunction, points) -> MinimaxReport:
     checks = []
     for x in points:
         primal = gap_primal(f, x)
-        dual = gap_dual(f, x)[0]
+        dual = gap_dual(f, x)
         checks.append(MinimaxCheck(point=np.asarray(x, dtype=float), primal=primal, dual=dual))
     return MinimaxReport(checks=checks)
 

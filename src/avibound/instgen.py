@@ -57,16 +57,6 @@ class TruncationFamily:
             c_set=nonnegative_orthant(n),
         )
 
-    def to_json_dict(self) -> dict:
-        return {"spectrum": self.spectrum}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TruncationFamily":
-        try:
-            return cls(spectrum=data["spectrum"])
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"malformed truncation family payload: {exc}") from exc
-
 
 def generate_random_avi(n: int, m: int, monotonicity: str, seed: int) -> AviInstance:
     """Random instance of the requested monotonicity class.
@@ -361,7 +351,6 @@ _KINDS = {
     "avi": AviInstance,
     "gpm": GpMultifunction,
     "polyhedral_set": PolyhedralSet,
-    "truncation_family": TruncationFamily,
     "manifest": InstanceManifest,
 }
 
@@ -404,10 +393,3 @@ def load(path: str):
     if cls is None:
         raise SchemaError(f"{path}: unknown kind {kind!r}")
     return cls.from_json_dict(data)
-
-
-def load_manifest(path: str) -> InstanceManifest:
-    manifest = load(path)
-    if not isinstance(manifest, InstanceManifest):
-        raise SchemaError(f"{path}: not a manifest file")
-    return manifest

@@ -67,12 +67,14 @@ the arithmetic.  So the hot path (`solve_projection_qp`, `_satisfies_rows`,
 `ndarray.dot`, which calls the same BLAS gemv or ddot as `@` on the same
 operands, at about half its dispatch cost, and so keeps every bit; and it
 tests Python floats, `min` and `max` over `.tolist()`, where numpy's
-`.max()` and `.all()` ran.  Those keep every verdict, a NaN's too (a row
-whose products overflow both ways): numpy's reductions returned NaN, which
-fails every comparison, and Python's `min` and `max` skip a NaN that is not
-first, so each test that passes checks for one by a sum that is NaN exactly
-when an entry is.  `_gram_solve` keeps `G @ G.T`, which BLAS may compute by
-syrk, so `.dot` need not match it.
+`.max()` and `.all()` ran.  Python's `min` and `max` skip a NaN that is not
+first, so each test also checks for one by a sum that is NaN when an entry
+is.  A NaN is never a pass: a NaN residual (a row whose products overflow
+both ways) is a violated row, in the row test and in the loop alike, and a
+NaN multiplier or slack fails a kept cell.  Every vector the hot path
+takes as handed is C-contiguous (the screens copy any other), so its bits
+do not depend on its memory layout.  `_gram_solve` keeps `G @ G.T`, which
+BLAS may compute by syrk, so `.dot` need not match it.
 
 A set's cache holds what its solves would otherwise repeat: its phase-one
 point, its box bounds, its stacked rows and its most recently used optimal
@@ -318,9 +320,9 @@ def solve_lp(S: PolyhedralSet, objective, sense: str = "minimize") -> SolveStatu
     classifying optimal / infeasible / unbounded exactly.  The variables are
     free reals; sign restrictions go in as inequality rows of S.
 
-    Callers compute the objective from validated arrays, so it is screened
-    (type, dtype, shape, and a finite c . c), not scanned; only a failed
-    screen runs `_as_vector`, to convert or raise.
+    The objective goes through `_as_vector`, which copies it into C order,
+    so its memory layout does not change the bits; an LP costs far more
+    than that copy.
 
     Phase one on the standard form from the slack basis, then Bland pivots
     on the objective; see the class docstring of `SolveStatus` for the dual
@@ -328,9 +330,7 @@ def solve_lp(S: PolyhedralSet, objective, sense: str = "minimize") -> SolveStatu
     by more than FEAS_TOL (1 + ||x||), the rule `feasible_witness` applies.
     """
     n = S.ambient_dim
-    if not (isinstance(objective, np.ndarray) and objective.dtype == float
-            and objective.shape == (n,) and math.isfinite(objective @ objective)):
-        objective = _as_vector(objective, n, "objective")
+    objective = _as_vector(objective, n, "objective")
     if sense not in ("minimize", "maximize"):
         raise ValueError(f"sense must be minimize or maximize, got {sense!r}")
     c_user = objective if sense == "minimize" else -objective
@@ -435,10 +435,10 @@ def _gram_solve(G, rhs):
     G, by Cholesky (LAPACK potrf/potrs), U the upper factor.  None when
     potrf fails or a pivot U_ii^2 is below 1e-10 of the largest, potrf's
     rule: the rows then count as dependent, and the loop does not take them
-    as its working set."""
+    as its working set.  A NaN pivot fails the rule too."""
     factor, info = _potrf(G @ G.T)
     pivots = np.square(factor.diagonal())
-    if info or pivots.min() < 1e-10 * pivots.max():
+    if info or not pivots.min() >= 1e-10 * pivots.max():
         return None
     return _potrs(factor, rhs)[0], factor
 
@@ -472,8 +472,11 @@ def solve_projection_qp(S: PolyhedralSet, u) -> np.ndarray:
     """Euclidean projection of the target `u` onto `S`.
 
     Callers compute u from validated arrays, so it is screened (type,
-    dtype, shape, and a finite 1 + ||u||), not scanned; only a failed screen
-    runs `_as_vector`, to convert or raise.
+    dtype, shape, C order, and a finite 1 + ||u||), not scanned; only a
+    failed screen runs `_as_vector`, to convert, copy into C order or raise.
+    BLAS sums a strided vector's products in another order, so a target
+    that is not C-contiguous is copied: its bits then do not depend on its
+    memory layout.
 
     If the target u holds every row within tol = FEAS_TOL (1 + ||u||) it is
     returned at once, and a box (`S.box_bounds()`) short-circuits to
@@ -517,9 +520,12 @@ def solve_projection_qp(S: PolyhedralSet, u) -> np.ndarray:
     end of a slab between near-parallel rows).  A dependent equality row
     within tol is implied by those before it and is skipped, and a loop
     that skips one keeps no cell.  The loop tests the rows at the w it
-    returns.  In exact arithmetic it ends (the dual objective rises at
-    every step that moves the primal iterate, so no working set repeats);
-    its iteration cap raises NumericalBreakdown.
+    returns, where a NaN residual (products that overflow both ways) is a
+    violation, as in the screen's `_satisfies_rows`, and a point that is
+    not finite raises NumericalBreakdown.  In exact arithmetic the loop
+    ends (the dual objective rises at every step that moves the primal
+    iterate, so no working set repeats); its iteration cap raises
+    NumericalBreakdown.
 
     So P_S(u) depends only on S's rows and u: the loop is a function of
     (S, u), and where the lookup accepts any kept cell W, a loop that ends
@@ -548,7 +554,8 @@ def solve_projection_qp(S: PolyhedralSet, u) -> np.ndarray:
     projection asks on its box path and where the loop has no row to drop.
     """
     n = S.ambient_dim
-    if not (isinstance(u, np.ndarray) and u.dtype == float and u.shape == (n,)):
+    if not (isinstance(u, np.ndarray) and u.dtype == float and u.shape == (n,)
+            and u.flags.c_contiguous):
         u = _as_vector(u, n, "target")
     scale = 1.0 + math.sqrt(u.dot(u))
     if not math.isfinite(scale):
@@ -592,7 +599,7 @@ def solve_projection_qp(S: PolyhedralSet, u) -> np.ndarray:
             gaps = S.ineq_lhs.dot(w) - S.ineq_rhs
             if joined < k_eq:
                 p, joined = joined, joined + 1
-            elif gaps.max(initial=0.0) > tol:
+            elif not gaps.max(initial=0.0) <= tol:  # a NaN gap is a violation
                 p = k_eq + int(gaps.argmax())
             else:
                 if working[:k_eq].all():
@@ -611,6 +618,8 @@ def solve_projection_qp(S: PolyhedralSet, u) -> np.ndarray:
             if not falling.any():
                 working, lam[grown], p = grown, np.maximum(nu, 0.0), -1
                 w, kkt = u - nu.dot(G), (G, h, U)
+                if not np.isfinite(w).all():  # w is the point the loop returns
+                    raise NumericalBreakdown("projection reached a non-finite point")
                 continue
             ratios = now[falling] / (now[falling] - nu[falling])
             lam[grown] = np.maximum(now + ratios.min() * (nu - now), 0.0)

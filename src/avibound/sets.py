@@ -178,25 +178,22 @@ def _satisfies_rows(S: PolyhedralSet, x: np.ndarray, tol: float) -> bool:
     """Whether every row of S holds at x within slack `tol`.
 
     x must be a finite float vector of length `S.ambient_dim`, validated
-    where it entered the program: a NaN residual compares False against
-    `tol`, so this test alone would accept a non-finite x.
-
-    Finite rows and a finite x can still give non-finite residuals: a row
-    whose products overflow has residual +inf or -inf, compared like any
-    other, and one whose products overflow both ways has residual NaN,
-    which makes its whole block hold (numpy's max returns NaN, and NaN > tol
-    is False).  The test compares Python floats, whose max and min skip a
-    NaN that is not first, so a block that fails one is tested for a NaN by
-    its residuals' sum of squares, NaN exactly when one residual is.
+    where it entered the program.  Finite rows and a finite x can still give
+    non-finite residuals: a row whose products overflow has residual +inf or
+    -inf, compared like any other, and one whose products overflow both ways
+    has residual NaN, which counts as a violation.  The test compares Python
+    floats, whose max and min skip a NaN that is not first, so each block is
+    also tested by the sum of its residuals: that sum is NaN when one
+    residual is, and otherwise only when it meets residuals of +-inf or
+    near the float limit, of which a row fails anyway.
     """
     if S.num_eq:
-        gaps = S.eq_lhs.dot(x) - S.eq_rhs
-        values = gaps.tolist()
-        if (max(values) > tol or -min(values) > tol) and not math.isnan(gaps.dot(gaps)):
+        values = (S.eq_lhs.dot(x) - S.eq_rhs).tolist()
+        if max(values) > tol or -min(values) > tol or math.isnan(sum(values)):
             return False
     if S.num_ineq:
-        gaps = S.ineq_lhs.dot(x) - S.ineq_rhs
-        if max(gaps.tolist()) > tol and not math.isnan(gaps.dot(gaps)):
+        values = (S.ineq_lhs.dot(x) - S.ineq_rhs).tolist()
+        if max(values) > tol or math.isnan(sum(values)):
             return False
     return True
 

@@ -158,9 +158,3 @@ def check_tail_bound(trace: SolveTrace, c_emp: float, epsilon: float,
         and ZERO_OVER_ZERO_FLOOR <= rec.residual_norm <= epsilon
     ]
     return holdout(samples, c_emp, slack)
-
-
-def solution_check_tolerance(inst: AviInstance, cfg: SolverConfig) -> float:
-    """Tolerance at which a converged iterate must pass the direct solution
-    test: 10 * stop_residual * (1 + ||M||)."""
-    return 10.0 * cfg.stop_residual * (1.0 + float(np.linalg.norm(inst.m_op, 2)))

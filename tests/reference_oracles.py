@@ -9,9 +9,10 @@ That elimination is `avi._PieceTemplate`: its fixed matrices `ineq_lhs` and
 `eq_lhs`, with the right-hand sides `section(y)` evaluates at each level.
 `reference_piece` writes the same piece with every row kept, those whose
 coefficients vanish included, for phase one to decide without the cells.
-`annihilator_residual` measures how far a gap-dual multiplier is from dual
-feasibility.  `from_generators` turns a V-representation back into an
-H-representation, for the round trips of the vertex enumeration.
+`annihilator_residual` measures how far a point (lam, gamma) of the gap
+dual is from dual feasibility.  `from_generators` turns a
+V-representation back into an H-representation, for the round trips of
+the vertex enumeration.
 `brute_force_projection` projects onto a polyhedron by trying every
 candidate working set, and `dedup_loop` is the pairwise loop the geometry
 dedup ran before it compared each point with all kept ones at once.
@@ -25,9 +26,10 @@ which slices C's rows itself, where each template keeps its face's rows as
 views of the stacks `avi._build_templates` filled.  `box_bounds_loop` is
 the row-by-row loop `PolyhedralSet.box_bounds` ran before it read all rows
 in one vectorized pass.  `satisfies_rows_reduction` is
-`sets._satisfies_rows`, and `cell_lookup_reduction` the projection's test
-of one kept cell, as both reduced their residuals, multipliers and slacks
-with numpy's `max` and `.all()` before they compared Python floats.
+`sets._satisfies_rows` in numpy's `.all()` over the rows that hold, where a
+NaN residual fails its row, and `cell_lookup_reduction` the projection's
+test of one kept cell, as it reduced its multipliers and slacks with
+numpy's `.all()` before it compared Python floats.
 `extreme_rays_loop` is double description as
 `polyhedra._extreme_rays` ran it before it took each cut's adjacency test
 in products, one ray p at a time, with `scipy.linalg.null_space` for its
@@ -52,7 +54,7 @@ from avibound import (
     optkernel,
 )
 from avibound.avi import AviInstance
-from avibound.gpm import DualMultiplier, GpMultifunction
+from avibound.gpm import GpMultifunction
 from avibound.optkernel import FEAS_TOL, solve_feasibility
 from avibound.polyhedra import (
     _RANK_TOL,
@@ -172,14 +174,14 @@ def piece_section_points(inst: AviInstance, active: tuple, y):
     return full
 
 
-def annihilator_residual(mult: DualMultiplier, f: GpMultifunction) -> float:
+def annihilator_residual(lam, gamma, f: GpMultifunction) -> float:
     """Max-norm of a2^T lam + sum_i gamma_i row_y_i (0 on the dual
     feasible set)."""
     vec = np.zeros(f.output_dim)
     if f.num_eq:
-        vec += f.a2.T @ mult.lam
+        vec += f.a2.T @ lam
     if f.num_ineq:
-        vec += f.row_y.T @ mult.gamma
+        vec += f.row_y.T @ gamma
     return float(np.max(np.abs(vec))) if vec.size else 0.0
 
 
@@ -306,13 +308,10 @@ def box_bounds_loop(S: PolyhedralSet):
 
 def satisfies_rows_reduction(S: PolyhedralSet, x, tol: float) -> bool:
     """Whether every row of S holds at x within `tol`, each row block
-    reduced by numpy's max: a NaN residual makes its block's max NaN, which
-    compares False against `tol`, so that block holds."""
-    if S.num_eq and np.abs(S.eq_lhs @ x - S.eq_rhs).max() > tol:
-        return False
-    if S.num_ineq and (S.ineq_lhs @ x - S.ineq_rhs).max() > tol:
-        return False
-    return True
+    reduced by numpy's `.all()` over the rows that hold: a NaN residual
+    compares False against `tol`, so its row, and its block, fails."""
+    return bool((np.abs(S.eq_lhs @ x - S.eq_rhs) <= tol).all()
+                and (S.ineq_lhs @ x - S.ineq_rhs <= tol).all())
 
 
 def cell_lookup_reduction(cell, u, k_eq: int):

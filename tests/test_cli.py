@@ -21,6 +21,7 @@ KIND_TO_SCHEMA = {
     "avi": "avi_instance.schema.json",
     "gpm": "gpm_instance.schema.json",
     "manifest": "manifest.schema.json",
+    "polyhedral_set": "polyhedral_set.schema.json",
     "error_bound": "bound_report.schema.json",
     "upper_lipschitz_inverse": "bound_report.schema.json",
     "minimax_report": "minimax_report.schema.json",
@@ -311,6 +312,26 @@ class TestReports:
         (manifest_path,) = (out / "manifests").glob("*.json")
         validate_against_schema(json.loads(instance_path.read_text()))
         validate_against_schema(json.loads(manifest_path.read_text()))
+
+    def test_every_file_kind_has_a_schema(self, tmp_path):
+        # one object of each kind `instgen.save` writes and `instgen.load`
+        # reads, saved and checked against its schema
+        suite = {entry.name: entry.payload for entry in instgen.canned_suite()}
+        examples = {
+            "avi": suite["lcp_1d"],
+            "gpm": suite["gpm_abs_interval"],
+            "polyhedral_set": suite["zero_op_box2"].c_set,
+            "manifest": instgen.InstanceManifest(
+                name="demo", seed=3, path="instances/demo.json",
+                params={"n": 2, "m": 3, "monotonicity": "indefinite"}),
+        }
+        for kind in instgen._KINDS:
+            assert kind in examples, f"no example of file kind {kind!r}"
+            path = tmp_path / f"{kind}.json"
+            instgen.save(examples[kind], str(path))
+            payload = json.loads(path.read_text())
+            assert payload["kind"] == kind
+            validate_against_schema(payload)
 
 
 class TestSuite:

@@ -145,18 +145,15 @@ class TestGap:
         for x in ([-2.0], [0.0], [7.5]):
             assert domain_contains(f, x)
             assert gap_primal(f, x) == pytest.approx(0.0, abs=1e-9)
-            assert gap_dual(f, x)[0] == pytest.approx(0.0, abs=1e-9)
+            assert gap_dual(f, x) == pytest.approx(0.0, abs=1e-9)
 
     def test_dual_is_nonnegative_and_matches_hand_value(self):
         # dual feasible set for the [-x, x] instance: gamma1 = gamma2 = t,
         # 2t <= 1; objective 2tx at -x, so the optimum at x = -1 is 1.
         f = abs_interval()
-        value, mult = gap_dual(f, [-1.0])
-        assert value == pytest.approx(1.0, abs=1e-9)
-        assert mult.ball_norm() <= 1.0 + 1e-9
-        assert annihilator_residual(mult, f) <= 1e-9
-        assert np.all(mult.gamma >= -1e-12)
-        assert gap_dual(f, [5.0])[0] >= -1e-12
+        assert gap_dual(f, [-1.0]) == pytest.approx(1.0, abs=1e-9)
+        assert_dual_ball(f)
+        assert gap_dual(f, [5.0]) >= -1e-12
 
     def test_gap_primal_matches_grid_on_random_scalar_sections(self):
         rng = SplitMix64(404)
@@ -170,6 +167,18 @@ class TestGap:
             assert gap_primal(f, x) == pytest.approx(oracle, abs=5e-4)
             done += 1
         assert done >= 5
+
+
+def assert_dual_ball(f):
+    """Every vertex w = (lam+, lam-, gamma) of f's dual ball, whichever one
+    gap_dual's maximum picks, is a point of the ball: gamma >= 0,
+    ||lam||_1 + sum(gamma) <= 1, and a2^T lam + row_y^T gamma = 0."""
+    k = f.num_eq
+    for w in gpm._dual_vertices(f)[0]:
+        lam, gamma = w[:k] - w[k:2 * k], w[2 * k:]
+        assert np.all(gamma >= -1e-12)
+        assert np.sum(np.abs(lam)) + np.sum(gamma) <= 1.0 + 1e-9
+        assert annihilator_residual(lam, gamma, f) <= 1e-9
 
 
 def reference_gap_primal(f, x):
@@ -215,7 +224,7 @@ class TestGapRowOrder:
         # the primal LP's block order is pinned here: any other order pivots
         # differently and moves the values in the last bits.  The dual is a
         # maximum over the ball's vertices, not an LP: it matches the dual LP
-        # to rounding, and its multiplier is a point of the ball
+        # to rounding, and every vertex is a point of the ball
         checked = 0
         seed = 0
         while checked < 24:
@@ -231,10 +240,9 @@ class TestGapRowOrder:
                 assert gap_primal(f, x) == primal.value
                 dual = reference_gap_dual(f, x)
                 assert dual.is_optimal
-                value, multiplier = gap_dual(f, x)
+                value = gap_dual(f, x)
                 assert abs(value - dual.value) <= 1e-9 * (1.0 + abs(dual.value))
-                assert multiplier.ball_norm() <= 1.0 + 1e-9
-                assert annihilator_residual(multiplier, f) <= 1e-9
+            assert_dual_ball(f)
             checked += 1
 
 
@@ -411,9 +419,8 @@ class TestMinimax:
         f = GpMultifunction(input_dim=2, output_dim=1)
         x = np.array([0.0, 1.0])
         assert gap_primal(f, x) == 0.0
-        value, mult = gap_dual(f, x)
-        assert value == 0.0
-        assert mult.lam.shape == (0,) and mult.gamma.shape == (0,)
+        assert gap_dual(f, x) == 0.0
+        assert gpm._dual_vertices(f)[0].shape == (1, 0)
         assert verify_minimax(f, [x, np.array([-3.0, 2.5])]).passed
         path = str(tmp_path / "rowless.json")
         instgen.save(f, path)

@@ -11,12 +11,16 @@ compare Python floats.  The tests here hold them to the forms they replaced:
   overflow to +-inf or to NaN, empty row blocks, a residual or a margin met
   exactly, -0.0, a cell with no inequality row), give the verdicts of
   numpy's reductions (`reference_oracles.satisfies_rows_reduction` and
-  `cell_lookup_reduction`), and a hit returns the oracle's bits;
+  `cell_lookup_reduction`), in which a NaN residual, multiplier or slack
+  never passes, and a hit returns the oracle's bits;
+- the projection neither returns its target nor a non-finite point where
+  a row's products overflow;
 - `ndarray.dot` gives the bits of `@` on the operand layouts the hot path
   uses, so a numpy or BLAS upgrade that breaks that fails here by name, not
   as a changed digest in `tests/data/projection_sha256.json`;
-- `residual` screens its point: a strided x, which passes uncopied, and a
-  list get the bits of the contiguous array.
+- the screens of the projection's target and of `residual`'s point, and
+  the LP, copy a strided vector into C order, so that it gets the bits of
+  the contiguous array.
 """
 
 import math
@@ -27,7 +31,16 @@ import numpy as np
 import pytest
 from reference_oracles import cell_lookup_reduction, satisfies_rows_reduction
 
-from avibound import PolyhedralSet, avi, optkernel, polyhedra, sets, solvers
+from avibound import (
+    EmptySet,
+    NumericalBreakdown,
+    PolyhedralSet,
+    avi,
+    optkernel,
+    polyhedra,
+    sets,
+    solvers,
+)
 from avibound.avi import residual
 from avibound.instgen import generate_random_avi
 from avibound.optkernel import FEAS_TOL
@@ -128,17 +141,17 @@ _INF, _NAN, _ONE = [_BIG, 0.0, 0.0, 0.0], [_BIG, _BIG, -_BIG, 0.0], [1.0, 0.0, 0
     # residuals of +inf fail, of -inf hold
     ([_INF], None, _X, 1e-9, False),
     ([_INF], None, [-1e10] * 4, 1e-9, True),
-    # a NaN residual holds its block wherever it sits, a failing row too
-    ([_ONE, _NAN], None, _X, 1e-9, True),
-    ([_NAN, _ONE], None, _X, 1e-9, True),
-    ([_ONE, _INF, _NAN], None, _X, 1e-9, True),
-    # ... but not the other block
+    # a NaN residual fails its block wherever it sits
+    ([_ONE, _NAN], None, _X, 1e-9, False),
+    ([_NAN, _ONE], None, _X, 1e-9, False),
+    ([_ONE, _INF, _NAN], None, _X, 1e-9, False),
+    # ... and whichever block it is in
     ([_ONE], [_NAN, _ONE], _X, 1e-9, False),
     ([_NAN, _ONE], [_ONE], _X, 1e-9, False),
-    # equality rows: +-inf fail, NaN holds
+    # equality rows: +-inf and NaN fail
     (None, [_INF], [-1e10] * 4, 1e-9, False),
-    (None, [_ONE, _NAN], _X, 1e-9, True),
-    (None, [_NAN, _ONE], _X, 1e-9, True),
+    (None, [_ONE, _NAN], _X, 1e-9, False),
+    (None, [_NAN, _ONE], _X, 1e-9, False),
     # empty row blocks
     (None, None, [5.0, -5.0, 0.0, 0.0], 0.0, True),
     ([_ONE], None, [0.5, 0.0, 0.0, 0.0], 1.0, True),
@@ -309,8 +322,8 @@ def test_dot_gives_the_bits_of_matmul():
 
 
 def test_residual_screens_its_point():
-    # a strided x passes the screen uncopied, and a list or a row fails it
-    # and is copied by `_as_vector`: each gets the bits of the contiguous x
+    # a strided x, a list or a row fails the screen and is copied into C
+    # order by `_as_vector`: each gets the bits of the contiguous x
     inst = generate_random_avi(n=9, m=7, monotonicity="indefinite", seed=43)
     rng = np.random.default_rng(7)
     for _ in range(100):
@@ -327,3 +340,56 @@ def test_residual_screens_its_point():
         with pytest.raises(ValueError, match="x contains non-finite entries"), \
                 np.errstate(over="ignore"):
             residual(inst, np.array(bad))
+
+
+@pytest.mark.parametrize("rows", [[_ONE, _NAN], [_NAN, _ONE], [_NAN]],
+                         ids=["one-then-nan", "nan-then-one", "nan-alone"])
+def test_overflowing_rows_never_pass_for_the_projection(rows):
+    # at X the row _ONE is violated by 1e10 and the products of _NAN
+    # overflow: to NaN beside _ONE, and to +inf alone with this BLAS.  The
+    # target lies outside the set, and the loop's arithmetic on these rows
+    # is not finite, so the projection raises: it returns neither the
+    # target nor a NaN point
+    S = PolyhedralSet(4, ineq_lhs=rows, ineq_rhs=[0.0] * len(rows))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises((NumericalBreakdown, EmptySet)):
+        optkernel.solve_projection_qp(S, np.array(_X))
+
+
+def _strided(x):
+    """x stored at every other entry of a larger array: a view that is not
+    C-contiguous."""
+    stored = np.zeros(2 * x.size)
+    stored[::2] = x
+    return stored[::2]
+
+
+def test_a_vectors_memory_layout_keeps_its_bits():
+    # 300 random 3-row sets in R^4-R^8 (two copies of each, so that neither
+    # projection sees the other's cells), 5 targets each, projected as a
+    # strided view and as its contiguous copy: 240 of the 1,500 differed
+    # while the screen passed a strided target uncopied
+    rng = np.random.default_rng(167)
+    for _ in range(300):
+        n = int(rng.integers(4, 9))
+        rows, rhs = rng.standard_normal((3, n)), rng.uniform(0.1, 1.0, 3)
+        S, twin = (PolyhedralSet(n, ineq_lhs=rows, ineq_rhs=rhs) for _ in range(2))
+        for _ in range(5):
+            u = _strided(rng.standard_normal(n) * 10.0 ** rng.uniform(-1.0, 3.0))
+            assert not u.flags.c_contiguous
+            z = optkernel.solve_projection_qp(S, u)
+            assert z.tobytes() == optkernel.solve_projection_qp(twin, u.copy()).tobytes()
+    # an LP over a generated C, whose value differed on the 14th objective
+    # while the LP passed a strided objective uncopied (`residual`'s strided
+    # point is `test_residual_screens_its_point`'s)
+    C = generate_random_avi(n=4, m=5, monotonicity="indefinite", seed=0).c_set
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        c = _strided(rng.standard_normal(4) * 10.0 ** rng.uniform(-1.0, 3.0))
+        assert _outcome(optkernel.solve_lp(C, c)) == _outcome(optkernel.solve_lp(C, c.copy()))
+
+
+def _outcome(status):
+    """An LP's status and value, and the bytes of its point and dual."""
+    arrays = (status.point, status.dual)
+    return status.status, status.value, [None if a is None else a.tobytes() for a in arrays]

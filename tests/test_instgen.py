@@ -14,10 +14,9 @@ from avibound.instgen import (
     canonical_json,
     generate_random_avi,
     load,
-    load_manifest,
     save,
 )
-from avibound.polyhedra import box, enumerate_vertices, is_nonempty
+from avibound.polyhedra import enumerate_vertices, is_nonempty
 from avibound.rng import SplitMix64
 
 
@@ -173,7 +172,7 @@ class TestSerialization:
         save(manifest.regenerate(), manifest.path)
         first = open(manifest.path, "rb").read()
         save(manifest, str(tmp_path / "demo.manifest.json"))
-        loaded = load_manifest(str(tmp_path / "demo.manifest.json"))
+        loaded = load(str(tmp_path / "demo.manifest.json"))
         assert loaded == manifest
         save(loaded.regenerate(), loaded.path)
         second = open(loaded.path, "rb").read()
@@ -183,13 +182,7 @@ class TestSerialization:
         path = tmp_path / "list.manifest.json"
         path.write_text(json.dumps([{"schema_version": "1", "kind": "manifest"}]))
         with pytest.raises(SchemaError, match="top-level JSON must be an object"):
-            load_manifest(str(path))
-
-    def test_manifest_reader_rejects_other_kinds(self, tmp_path):
-        path = tmp_path / "c.json"
-        save(box([0.0], [1.0]), str(path))
-        with pytest.raises(SchemaError, match="not a manifest file"):
-            load_manifest(str(path))
+            load(str(path))
 
     def test_canonical_json_is_stable(self):
         payload = {"b": 1, "a": [1.5, 2.25]}

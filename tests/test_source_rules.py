@@ -41,9 +41,8 @@ other module calls a scipy wrapper whose checks and bits may differ.  Arrays are
 validated where they enter the program: only the public constructors and
 the public functions listed in `VALIDATORS` call `_as_vector` or
 `_as_matrix`, each as often as listed, so no validation pass comes back
-inside the program, and the calls of the projection and the LP sit under
-the screens of the target and the objective.  No module of `src/avibound`
-names `lstsq`, and `solve_projection_qp` calls `feasible_witness` only on
+inside the program, and the projection's calls sit under the screen of its
+target.  No module of `src/avibound` names `lstsq`, and `solve_projection_qp` calls `feasible_witness` only on
 its box path and where the dual loop finds no row to drop: the loop keeps
 its working rows independent and asks phase one only for a verdict on
 emptiness, so neither a least-squares fallback nor a phase-one start comes
@@ -779,9 +778,9 @@ def test_box_bounds_rule_catches_a_call():
 # The routines that validate arrays where they enter the program, with the
 # number of `_as_vector`/`_as_matrix` calls each makes: the public
 # constructors and the public functions' own arguments.  The projection's
-# two run only when the screen of its target fails, and the LP's one only
-# when the screen of its objective fails; every other routine takes the
-# arrays it is handed, or computes, as validated.
+# two run only when the screen of its target fails, and the LP's one on
+# every objective, which it copies into C order; every other routine takes
+# the arrays it is handed, or computes, as validated.
 VALIDATORS = {
     ("avi.py", "AviInstance.__post_init__"): 2,
     ("avi.py", "inverse_residual"): 1,
