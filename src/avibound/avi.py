@@ -57,7 +57,7 @@ from .polyhedra import (
     is_nonempty,
 )
 from .ratios import CMP_TOL
-from .sets import _as_matrix, _as_vector, _satisfies_rows
+from .sets import _as_matrix, _as_vector, _satisfies_rows, _screened
 
 
 @dataclass(frozen=True)
@@ -122,35 +122,21 @@ def residual(inst: AviInstance, x) -> ResidualValue:
     """Natural residual R(x) = x - P_C(x - Mx - q).
 
     Callers mostly hand x over as an array they computed, so it is screened
-    the way the projection screens its target (type, dtype, shape, C order,
-    and a finite x.x, which no x with an inf or NaN entry has), not scanned;
-    only a failed screen runs `_as_vector`, to convert, copy into C order or
-    raise.  So a strided x gets the bits of its contiguous copy (BLAS sums
-    `M.dot(x)` over a strided x in another order).  An x that passes is not
-    copied: the residual and the projected point are new arrays either way.
+    by `_screened`, as the projection's target is, not scanned: a strided x
+    gets the bits of its contiguous copy.  An x that passes is not copied:
+    the residual and the projected point are new arrays either way.
     """
-    n = inst.dim
-    if not (isinstance(x, np.ndarray) and x.dtype == float and x.shape == (n,)
-            and x.flags.c_contiguous and math.isfinite(x.dot(x))):
-        x = _as_vector(x, n, "x")
+    x = _screened(x, inst.dim, "x")[0]
     projected = solve_projection_qp(inst.c_set, x - inst.m_op.dot(x) - inst.q)
     r = x - projected
     return ResidualValue(r=r, projected_point=projected, norm=math.sqrt(r.dot(r)))
 
 
-_RAY_BOX_RADIUS = 1e6
-
-
 def is_solution(inst: AviInstance, x) -> bool:
     """Direct check of <Mx + q, v - x> >= 0 for all v in C, via one LP,
-    within the slack CMP_TOL (1 + ||x||).
-
-    An unbounded objective means a genuine descent ray and fails the check,
-    but near a degenerate solution the drift <Mx + q, ray> can be at
-    floating-point scale, flipping the LP to "unbounded" spuriously.  Those
-    cases are re-solved over C intersected with a huge box around x, which
-    turns vanishing drift into a vanishing value gap while leaving real
-    descent rays failing by an enormous margin.
+    within the slack CMP_TOL (1 + ||x||): min (Mx + q) . v over C.  An
+    unbounded LP is a ray of C along which (Mx + q) . v descends without
+    bound, so x is no solution.
     """
     x = _as_vector(x, inst.dim, "x")
     scale = 1.0 + math.sqrt(x @ x)
@@ -159,14 +145,7 @@ def is_solution(inst: AviInstance, x) -> bool:
     w = inst.m_op @ x + inst.q
     res = solve_lp(inst.c_set, w)
     if res.status == "unbounded":
-        n = inst.dim
-        radius = _RAY_BOX_RADIUS * scale
-        boxed = PolyhedralSet._computed(
-            n,
-            ineq_lhs=np.vstack([inst.c_set.ineq_lhs, np.eye(n), -np.eye(n)]),
-            ineq_rhs=np.concatenate([inst.c_set.ineq_rhs, x + radius, radius - x]),
-        )
-        res = solve_lp(boxed, w)
+        return False
     if not res.is_optimal:  # C is nonempty by construction
         raise NumericalBreakdown(f"solution-test LP reported {res.status}")
     return res.value >= float(w @ x) - CMP_TOL * scale

@@ -7,8 +7,8 @@ as feasible within `FEAS_TOL`.  Instances are desk-scale (n + m up to
 ~100), so the pivots are chosen for determinism and exact classification,
 each kept cheap:
 
-- `solve_lp(S, objective, sense)`: two-phase dense revised simplex with
-  Bland's rule for anti-cycling, whose phase one starts from the slack
+- `solve_lp(S, objective)`: minimizes, by two-phase dense revised simplex
+  with Bland's rule for anti-cycling, whose phase one starts from the slack
   basis: an inequality row with rhs >= 0 starts with its slack basic, and
   only equality rows and rows with rhs < 0 start with an artificial
   (Bixby 1992's crash basis).
@@ -72,9 +72,9 @@ first, so each test also checks for one by a sum that is NaN when an entry
 is.  A NaN is never a pass: a NaN residual (a row whose products overflow
 both ways) is a violated row, in the row test and in the loop alike, and a
 NaN multiplier or slack fails a kept cell.  Every vector the hot path
-takes as handed is C-contiguous (the screens copy any other), so its bits
-do not depend on its memory layout.  `_gram_solve` keeps `G @ G.T`, which
-BLAS may compute by syrk, so `.dot` need not match it.
+takes as handed is C-contiguous (`sets._screened` copies any other), so
+its bits do not depend on its memory layout.  `_gram_solve` keeps
+`G @ G.T`, which BLAS may compute by syrk, so `.dot` need not match it.
 
 A set's cache holds what its solves would otherwise repeat: its phase-one
 point, its box bounds, its stacked rows and its most recently used optimal
@@ -108,7 +108,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .errors import EmptySet, NumericalBreakdown
-from .sets import PolyhedralSet, _as_vector, _satisfies_rows
+from .sets import PolyhedralSet, _as_vector, _satisfies_rows, _screened
 
 # The feasibility slack of every solve: phase one calls a set empty when its
 # artificials sum to more than FEAS_TOL, Bland's rule stops once no reduced
@@ -154,14 +154,15 @@ class SolveStatus:
     `point` is present exactly when status == "optimal".  `dual` is ordered
     [inequalities..., equalities...].  For an optimal LP it holds the row
     multipliers, with the convention value == ineq_rhs . dual_ineq +
-    eq_rhs . dual_eq; inequality multipliers are <= 0 when minimizing and
-    >= 0 when maximizing.  For status "infeasible" (an LP or a feasibility
-    solve) it is the Farkas ray z of the rows: rows^T z = 0 and z_ineq <= 0
-    up to FEAS_TOL, and rhs . z > 0.  Each solve reads its ray off its own
-    phase one, and an LP's (like the cached witness's) starts from the slack
-    basis, so it may report another ray than the all-artificial start of
-    `solve_feasibility` over the same rows.  A feasibility solve that finds
-    a point, and an unbounded LP, carry no `dual`.
+    eq_rhs . dual_eq; every LP minimizes, so inequality multipliers are
+    <= 0, an infeasible LP has value +inf and an unbounded one -inf.  For
+    status "infeasible" (an LP or a feasibility solve) it is the Farkas ray
+    z of the rows: rows^T z = 0 and z_ineq <= 0 up to FEAS_TOL, and
+    rhs . z > 0.  Each solve reads its ray off its own phase one, and an
+    LP's (like the cached witness's) starts from the slack basis, so it may
+    report another ray than the all-artificial start of `solve_feasibility`
+    over the same rows.  A feasibility solve that finds a point, and an
+    unbounded LP, carry no `dual`.
     """
 
     status: str
@@ -315,10 +316,11 @@ def _basic_point(A, b, basis, n):
     return v[:n] - v[n : 2 * n], lu
 
 
-def solve_lp(S: PolyhedralSet, objective, sense: str = "minimize") -> SolveStatus:
-    """Minimize or maximize (`sense`) `objective` . x over x in S,
-    classifying optimal / infeasible / unbounded exactly.  The variables are
-    free reals; sign restrictions go in as inequality rows of S.
+def solve_lp(S: PolyhedralSet, objective) -> SolveStatus:
+    """Minimize `objective` . x over x in S, classifying optimal /
+    infeasible / unbounded exactly; to maximize c, minimize -c.  The
+    variables are free reals; sign restrictions go in as inequality rows of
+    S.
 
     The objective goes through `_as_vector`, which copies it into C order,
     so its memory layout does not change the bits; an LP costs far more
@@ -330,33 +332,25 @@ def solve_lp(S: PolyhedralSet, objective, sense: str = "minimize") -> SolveStatu
     by more than FEAS_TOL (1 + ||x||), the rule `feasible_witness` applies.
     """
     n = S.ambient_dim
-    objective = _as_vector(objective, n, "objective")
-    if sense not in ("minimize", "maximize"):
-        raise ValueError(f"sense must be minimize or maximize, got {sense!r}")
-    c_user = objective if sense == "minimize" else -objective
+    c = _as_vector(objective, n, "objective")
     A_std, rhs, slacks, budget = _standard_form(S)
-    c_std = np.concatenate([c_user, -c_user, np.zeros(S.num_ineq)])
+    c_std = np.concatenate([c, -c, np.zeros(S.num_ineq)])
     ray, A1, b1, basis, kept = _phase_one(A_std, rhs, budget, slacks)
     if ray is not None:
-        inf_value = math.inf if sense == "minimize" else -math.inf
-        return SolveStatus(status="infeasible", value=inf_value, dual=ray)
+        return SolveStatus(status="infeasible", value=math.inf, dual=ray)
     if _bland_iterate(A1, b1, c_std, basis, A_std.shape[1], budget) == "unbounded":
-        unb_value = -math.inf if sense == "minimize" else math.inf
-        return SolveStatus(status="unbounded", value=unb_value)
+        return SolveStatus(status="unbounded", value=-math.inf)
     x, lu = _basic_point(A1, b1, basis, n)
     if not _satisfies_rows(S, x, FEAS_TOL * (1.0 + math.sqrt(x @ x))):
         # a final basis that lost primal feasibility on near-parallel rows,
         # which `_basic_point` clipped to a point outside the set
         raise NumericalBreakdown("simplex ended at a point that violates a row")
-    value = float(c_user @ x)
+    value = float(c @ x)
     # duals of the kept rows, undoing phase one's flips to a nonnegative rhs
     duals = np.zeros(A_std.shape[0])
     if lu is not None:
         signs = np.where(rhs < 0, -1.0, 1.0)
         duals[kept] = signs[kept] * lu_solve(lu, c_std[basis], trans=1)
-    if sense == "maximize":
-        duals = -duals
-        value = -value
     return SolveStatus(status="optimal", value=value, point=x, dual=duals)
 
 
@@ -471,12 +465,10 @@ def _keep_cell(S, cell):
 def solve_projection_qp(S: PolyhedralSet, u) -> np.ndarray:
     """Euclidean projection of the target `u` onto `S`.
 
-    Callers compute u from validated arrays, so it is screened (type,
-    dtype, shape, C order, and a finite 1 + ||u||), not scanned; only a
-    failed screen runs `_as_vector`, to convert, copy into C order or raise.
-    BLAS sums a strided vector's products in another order, so a target
-    that is not C-contiguous is copied: its bits then do not depend on its
-    memory layout.
+    Callers compute u from validated arrays, so it is screened by
+    `_screened`, not scanned, and ||u|| comes from the screen's u.u; a
+    target that is not C-contiguous is copied, so its bits do not depend on
+    its memory layout.
 
     If the target u holds every row within tol = FEAS_TOL (1 + ||u||) it is
     returned at once, and a box (`S.box_bounds()`) short-circuits to
@@ -554,12 +546,8 @@ def solve_projection_qp(S: PolyhedralSet, u) -> np.ndarray:
     projection asks on its box path and where the loop has no row to drop.
     """
     n = S.ambient_dim
-    if not (isinstance(u, np.ndarray) and u.dtype == float and u.shape == (n,)
-            and u.flags.c_contiguous):
-        u = _as_vector(u, n, "target")
-    scale = 1.0 + math.sqrt(u.dot(u))
-    if not math.isfinite(scale):
-        _as_vector(u, n, "target")
+    u, dot = _screened(u, n, "target")
+    scale = 1.0 + math.sqrt(dot)
     tol = FEAS_TOL * scale
     if _satisfies_rows(S, u, tol):
         return u.copy()

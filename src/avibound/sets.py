@@ -12,6 +12,8 @@ Arrays are validated once, where they enter the program, by `_as_matrix`
 and `_as_vector` (None or an empty array is a zero-row block): in the public
 constructors and each public function's own arguments.  Rows the program
 computes from validated arrays build their set by `PolyhedralSet._computed`.
+The projection's target and the residual's point, which callers compute
+from validated arrays, are screened by `_screened` instead of scanned.
 """
 
 from __future__ import annotations
@@ -42,6 +44,22 @@ def _as_vector(a, nrows: int, name: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def _screened(v, n: int, name: str):
+    """(v, v.v) for a vector the hot path takes as handed: screened, not
+    scanned.  A float ndarray of shape (n,) in C order with a finite v.v
+    (which no v with an inf or NaN entry has) passes as it is; anything else
+    goes through `_as_vector`, to convert, copy into C order or raise.  BLAS
+    sums a strided vector's products in another order, so the copy keeps
+    the bits of every later product independent of v's memory layout."""
+    if (isinstance(v, np.ndarray) and v.dtype == float and v.shape == (n,)
+            and v.flags.c_contiguous):
+        dot = v.dot(v)
+        if math.isfinite(dot):
+            return v, dot
+    v = _as_vector(v, n, name)
+    return v, v.dot(v)
 
 
 @dataclass(frozen=True)
@@ -97,12 +115,6 @@ class PolyhedralSet:
     def contains(self, x, tol: float = 1e-9) -> bool:
         """Membership within slack `tol` on every row."""
         return _satisfies_rows(self, _as_vector(x, self.ambient_dim, "x"), tol)
-
-    def violation(self, x) -> float:
-        """Largest constraint violation at x (0 inside)."""
-        x = _as_vector(x, self.ambient_dim, "x")
-        return max(0.0, float(np.abs(self.eq_lhs @ x - self.eq_rhs).max(initial=0.0)),
-                   float((self.ineq_lhs @ x - self.ineq_rhs).max(initial=0.0)))
 
     def box_bounds(self):
         """(lo, hi) coordinate bounds when every row has exactly one nonzero

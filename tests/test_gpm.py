@@ -215,7 +215,7 @@ def reference_gap_dual(f, x):
         eq_lhs=np.hstack([f.a2.T, -f.a2.T, f.row_y.T]),
         eq_rhs=np.zeros(r),
     )
-    return solve_lp(S, objective, sense="maximize")
+    return solve_lp(S, -objective)  # the maximum, negated
 
 
 class TestGapRowOrder:
@@ -241,7 +241,7 @@ class TestGapRowOrder:
                 dual = reference_gap_dual(f, x)
                 assert dual.is_optimal
                 value = gap_dual(f, x)
-                assert abs(value - dual.value) <= 1e-9 * (1.0 + abs(dual.value))
+                assert abs(value + dual.value) <= 1e-9 * (1.0 + abs(dual.value))
             assert_dual_ball(f)
             checked += 1
 

@@ -41,15 +41,19 @@ other module calls a scipy wrapper whose checks and bits may differ.  Arrays are
 validated where they enter the program: only the public constructors and
 the public functions listed in `VALIDATORS` call `_as_vector` or
 `_as_matrix`, each as often as listed, so no validation pass comes back
-inside the program, and the projection's calls sit under the screen of its
-target.  No module of `src/avibound` names `lstsq`, and `solve_projection_qp` calls `feasible_witness` only on
-its box path and where the dual loop finds no row to drop: the loop keeps
-its working rows independent and asks phase one only for a verdict on
-emptiness, so neither a least-squares fallback nor a phase-one start comes
-back into the projection.  The routines that run once per projection or
+inside the program, and the hot path's one call sits in `sets._screened`,
+under the screen of the vectors it takes as handed.  No module of
+`src/avibound` names `lstsq`, and `solve_projection_qp` calls
+`feasible_witness` only on its box path and where the dual loop finds no
+row to drop: the loop keeps its working rows independent and asks phase
+one only for a verdict on emptiness, so neither a least-squares fallback
+nor a phase-one start comes back into the projection.  The routines that run once per projection or
 once per iterate, listed in `HOT_ROUTINES`, write no `@`: their vector
 products are `ndarray.dot` calls, which give the same bits at about half
-the dispatch cost, so no `@` creeps back onto the hot path.
+the dispatch cost, so no `@` creeps back onto the hot path.  Only
+`sets._screened` reads `flags.c_contiguous`: the hot path screens the
+vectors it takes as handed in that one routine, so no inline copy of the
+screen comes back.
 """
 
 import argparse
@@ -777,27 +781,28 @@ def test_box_bounds_rule_catches_a_call():
 
 # The routines that validate arrays where they enter the program, with the
 # number of `_as_vector`/`_as_matrix` calls each makes: the public
-# constructors and the public functions' own arguments.  The projection's
-# two run only when the screen of its target fails, and the LP's one on
-# every objective, which it copies into C order; every other routine takes
-# the arrays it is handed, or computes, as validated.
+# constructors and the public functions' own arguments.  `sets._screened`'s
+# one runs only when its screen fails, for the projection's target and the
+# residual's point, which call none themselves (a 0 entry: the rule fails on
+# any call there); the LP's one runs on every objective, which it copies
+# into C order.  Every other routine takes the arrays it is handed, or
+# computes, as validated.
 VALIDATORS = {
     ("avi.py", "AviInstance.__post_init__"): 2,
     ("avi.py", "inverse_residual"): 1,
     ("avi.py", "is_solution"): 1,
-    ("avi.py", "residual"): 1,
     ("bounds.py", "verify_upper_lipschitz_inverse"): 1,
     ("gpm.py", "GpMultifunction.__post_init__"): 6,
     ("gpm.py", "evaluate"): 1,
     ("gpm.py", "gap_dual"): 1,
     ("gpm.py", "gap_primal"): 1,
     ("optkernel.py", "solve_lp"): 1,
-    ("optkernel.py", "solve_projection_qp"): 2,
+    ("optkernel.py", "solve_projection_qp"): 0,
     ("polyhedra.py", "cone_generators"): 1,
     ("polyhedra.py", "distance"): 1,
     ("sets.py", "PolyhedralSet.__post_init__"): 4,
     ("sets.py", "PolyhedralSet.contains"): 1,
-    ("sets.py", "PolyhedralSet.violation"): 1,
+    ("sets.py", "_screened"): 1,
     ("solvers.py", "solve"): 1,
 }
 
@@ -813,21 +818,22 @@ def _validation_calls(tree):
 
 
 def test_arrays_are_validated_where_they_enter():
-    found = {
+    found = collections.Counter({
         (path.name, scope): count
         for path in MODULES
         for scope, count in _validation_calls(ast.parse(path.read_text(encoding="utf-8"))).items()
-    }
-    assert found == VALIDATORS
+    })
+    # Counter equality reads a missing routine as 0 calls
+    assert found == collections.Counter(VALIDATORS)
 
 
 def test_validation_rule_catches_a_call_in_the_kernel():
     optkernel = (SRC / "optkernel.py").read_text(encoding="utf-8")
-    assert _validation_calls(ast.parse(optkernel))["solve_projection_qp"] == 2
+    assert _validation_calls(ast.parse(optkernel))["solve_projection_qp"] == 0
     lines = optkernel.splitlines(keepends=True)
     at = lines.index("    k_eq = S.num_eq\n")
     lines.insert(at, '    u = _as_vector(u, n, "target")\n')
-    assert _validation_calls(ast.parse("".join(lines)))["solve_projection_qp"] == 3
+    assert _validation_calls(ast.parse("".join(lines)))["solve_projection_qp"] == 1
     source = (
         "def distance(S, x):\n    x = _as_vector(x, 2, 'x')\n"
         "class Piece:\n"
@@ -914,6 +920,7 @@ def test_projection_rules_catch_an_injected_call():
 # its `G @ G.T` may take BLAS's syrk path, which `.dot` need not match.
 HOT_ROUTINES = {
     ("sets.py", "_satisfies_rows"),
+    ("sets.py", "_screened"),
     ("optkernel.py", "solve_projection_qp"),
     ("avi.py", "residual"),
     ("solvers.py", "solve"),
@@ -956,3 +963,34 @@ def test_matmul_rule_catches_an_injected_product():
     assert _matmuls(ast.parse(source)) == [
         (2, "residual"), (4, "solve"), (6, "_gram_solve"), (9, "Cell.test"), (10, ""),
     ]
+
+
+def _contiguity_reads(tree):
+    """(line, enclosing routine) of every read of an attribute `c_contiguous`."""
+    return [
+        (node.lineno, scope) for node, scope in _scoped_nodes(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "c_contiguous"
+    ]
+
+
+def test_one_screen_reads_the_memory_layout():
+    # the hot path screens the vectors it takes as handed in one place,
+    # `sets._screened`, so no second copy of the screen drifts from it
+    found = {(path.name, scope) for path in MODULES
+             for _, scope in _contiguity_reads(ast.parse(path.read_text(encoding="utf-8")))}
+    assert found == {("sets.py", "_screened")}
+
+
+def test_screen_rule_catches_a_second_screen():
+    avi = (SRC / "avi.py").read_text(encoding="utf-8")
+    lines = avi.splitlines(keepends=True)
+    at = lines.index('    x = _screened(x, inst.dim, "x")[0]\n')
+    lines[at + 1:at + 1] = ["    if not x.flags.c_contiguous:\n", "        x = x.copy()\n"]
+    assert (at + 2, "residual") in _contiguity_reads(ast.parse("".join(lines)))
+    source = (
+        "def screen(v):\n    return v.flags.c_contiguous\n"
+        "class Cell:\n    def test(self, u):\n        return u.flags.c_contiguous\n"
+        "ok = np.ascontiguousarray(v).flags.c_contiguous\n"
+        "contiguous = v.flags.f_contiguous\n"
+    )
+    assert _contiguity_reads(ast.parse(source)) == [(2, "screen"), (5, "Cell.test"), (6, "")]
