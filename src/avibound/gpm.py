@@ -167,10 +167,7 @@ def _solve_gap_primal(f: GpMultifunction, x: np.ndarray) -> float:
                                  f.rhs - f.row_x @ x, [0.0]]),
     )
     objective = np.concatenate([np.zeros(r), [1.0]])
-    status = solve_lp(epigraph, objective)
-    if not status.is_optimal:  # t >= 0 keeps this LP solvable
-        return -math.inf if status.status == "unbounded" else math.inf
-    return float(status.value)
+    return solve_lp(epigraph, objective).value
 
 
 def _dual_vertices(f: GpMultifunction):
@@ -393,10 +390,10 @@ def _domain_witness(f: GpMultifunction) -> np.ndarray:
         eq_lhs=np.hstack([f.a1, f.a2]),
         eq_rhs=f.z,
     )
-    res = solve_feasibility(graph)
-    if not res.is_optimal:
+    point = solve_feasibility(graph)
+    if point is None:
         raise DegenerateSampler("dom F is empty")
-    return res.point[:f.input_dim]
+    return point[:f.input_dim]
 
 
 def _sample_domain_point(f, center, stream):

@@ -13,9 +13,8 @@ each kept cheap:
   only equality rows and rows with rhs < 0 start with an artificial
   (Bixby 1992's crash basis).
 - `solve_feasibility`: phase one only, from the all-artificial basis or,
-  on request, the slack basis, returning a witness point (the origin, for
-  a set without rows), or for an empty set the Farkas ray read off phase
-  one's final basis.
+  on request, the slack basis, returning a point of the set (the origin,
+  for a set without rows), or None for an empty set.
 - `solve_projection_qp(S, u)`: a lookup of the set's most recently used
   optimal cells, then Goldfarb & Idnani's (1983) dual active-set method
   for the strictly convex problem min ||z - u||^2 over a polyhedron, which
@@ -28,8 +27,9 @@ budget, `_phase_one` finds a feasible basis (and is all
 `solve_feasibility` runs), and `_basic_point` reads x off the final basis.
 
 `feasible_witness` is the one place that decides whether a set is empty
-and which point it holds; `polyhedra.is_nonempty`, `feasible_point`,
-`enumerate_vertices` and the projection take its answer.  A
+and which point it holds; `polyhedra.is_nonempty`,
+`enumerate_vertices` and the projection take its answer, a point or
+None, which `solve_feasibility` gives in the same form.  A
 box (every row on one coordinate) is read off its bounds with no phase
 one.  Any other set runs phase one, and which basis it starts from depends on what
 the caller reads.  An LP returns only its final vertex, and
@@ -93,9 +93,11 @@ the dual loop only when every kept cell fails.  Both paths return the KKT
 point of their working set, computed by the same products from the same
 factor (potrf is deterministic), and the test's margins rule out every
 other working set at which the loop could stop, whichever kept cell is
-tried.  The loop starts from the target alone and ends (the dual objective
-rises at every step that moves its iterate, so no working set repeats), so
-a projection P_S(u) is a function of S's rows and u alone: it does not
+tried.  The loop starts from the target alone and picks only rows outside
+its working set; in exact arithmetic it ends (the dual objective rises at
+every step that moves its iterate, so no working set repeats), and its
+iteration cap raises NumericalBreakdown.  So a
+projection P_S(u) is a function of S's rows and u alone: it does not
 depend on the projections that ran before it or on who asks.
 """
 
@@ -149,20 +151,13 @@ def lu_solve(lu_piv, b, trans=0):
 
 @dataclass(frozen=True)
 class SolveStatus:
-    """Outcome of an LP / feasibility solve.
+    """Outcome of an LP: status "optimal", "infeasible" or "unbounded".
 
-    `point` is present exactly when status == "optimal".  `dual` is ordered
-    [inequalities..., equalities...].  For an optimal LP it holds the row
-    multipliers, with the convention value == ineq_rhs . dual_ineq +
+    `point` and `dual` are present exactly when status == "optimal".
+    `dual` holds the row multipliers, ordered [inequalities...,
+    equalities...], with the convention value == ineq_rhs . dual_ineq +
     eq_rhs . dual_eq; every LP minimizes, so inequality multipliers are
-    <= 0, an infeasible LP has value +inf and an unbounded one -inf.  For
-    status "infeasible" (an LP or a feasibility solve) it is the Farkas ray
-    z of the rows: rows^T z = 0 and z_ineq <= 0 up to FEAS_TOL, and
-    rhs . z > 0.  Each solve reads its ray off its own phase one, and an
-    LP's (like the cached witness's) starts from the slack basis, so it may
-    report another ray than the all-artificial start of `solve_feasibility`
-    over the same rows.  A feasibility solve that finds a point, and an
-    unbounded LP, carry no `dual`.
+    <= 0, an infeasible LP has value +inf and an unbounded one -inf.
     """
 
     status: str
@@ -228,12 +223,10 @@ def _phase_one(A, b, max_pivots, slacks=()):
     `slacks` phase one starts from the slack basis, without it from the
     all-artificial one; the Bland iteration from there is the same.
 
-    Returns (ray, A, b, basis, kept_rows).  When the artificials cannot be
-    driven below FEAS_TOL, the system is empty and `ray` is the phase-one
-    dual z of the final basis, read off its LU factors and with the row
-    flips undone: A^T z <= 0 up to FEAS_TOL and b . z > 0, the Farkas
-    certificate of emptiness.  Otherwise `ray` is None, redundant rows are
-    dropped and all artificial columns are eliminated from the basis.
+    Returns None when the artificials cannot be driven below FEAS_TOL: the
+    system is empty.  Otherwise redundant rows are dropped, all artificial
+    columns are eliminated from the basis, and it returns
+    (A, b, basis, kept_rows).
     """
     m, n = A.shape
     signs = np.where(b < 0, -1.0, 1.0)
@@ -246,15 +239,10 @@ def _phase_one(A, b, max_pivots, slacks=()):
     status = _bland_iterate(full, b, cost, basis, n, max_pivots)
     if status != "optimal":  # the phase-one objective is bounded below by 0
         raise NumericalBreakdown(f"phase one reported {status}")
-    if m:
-        lu = lu_factor(full[:, basis])
-        x_b = lu_solve(lu, b)
-    else:
-        x_b = np.zeros(0)
+    x_b = lu_solve(lu_factor(full[:, basis]), b) if m else np.zeros(0)
     infeas = sum(max(x_b[i], 0.0) for i in range(m) if basis[i] >= n)
     if infeas > FEAS_TOL:
-        ray = signs * lu_solve(lu, cost[basis], trans=1)
-        return ray, A, b, basis, list(range(m))
+        return None
     # Pivot artificials out of the basis; a row where no original column can
     # pivot is linearly dependent on the others and gets dropped.
     keep = list(range(m))
@@ -282,7 +270,7 @@ def _phase_one(A, b, max_pivots, slacks=()):
         basis = [basis[i] for i in keep]
     if any(v >= n for v in basis):
         raise NumericalBreakdown("an artificial variable stayed in the phase-one basis")
-    return None, A, b, basis, keep
+    return A, b, basis, keep
 
 
 def _standard_form(S: PolyhedralSet):
@@ -335,9 +323,10 @@ def solve_lp(S: PolyhedralSet, objective) -> SolveStatus:
     c = _as_vector(objective, n, "objective")
     A_std, rhs, slacks, budget = _standard_form(S)
     c_std = np.concatenate([c, -c, np.zeros(S.num_ineq)])
-    ray, A1, b1, basis, kept = _phase_one(A_std, rhs, budget, slacks)
-    if ray is not None:
-        return SolveStatus(status="infeasible", value=math.inf, dual=ray)
+    phase_one = _phase_one(A_std, rhs, budget, slacks)
+    if phase_one is None:
+        return SolveStatus(status="infeasible", value=math.inf)
+    A1, b1, basis, kept = phase_one
     if _bland_iterate(A1, b1, c_std, basis, A_std.shape[1], budget) == "unbounded":
         return SolveStatus(status="unbounded", value=-math.inf)
     x, lu = _basic_point(A1, b1, basis, n)
@@ -354,11 +343,9 @@ def solve_lp(S: PolyhedralSet, objective) -> SolveStatus:
     return SolveStatus(status="optimal", value=value, point=x, dual=duals)
 
 
-def solve_feasibility(S: PolyhedralSet, *, slack_start: bool = False) -> SolveStatus:
-    """Phase-one feasibility oracle for S.
-
-    Returns status "optimal" with a witness point, or "infeasible" with the
-    Farkas ray as `dual`.  A set without rows is witnessed by the origin.
+def solve_feasibility(S: PolyhedralSet, *, slack_start: bool = False) -> np.ndarray | None:
+    """Phase-one feasibility oracle for S: a fresh point of S, or None when
+    phase one finds S empty.  A set without rows is witnessed by the origin.
     Phase one starts from the all-artificial basis unless `slack_start`,
     and the witness is the vertex that start leads to.  `gpm`'s domain
     sampler, which is centered on that point, takes the all-artificial
@@ -367,11 +354,11 @@ def solve_feasibility(S: PolyhedralSet, *, slack_start: bool = False) -> SolveSt
     of S, takes the slack start.
     """
     A_std, rhs, slacks, budget = _standard_form(S)
-    ray, A1, b1, basis, _ = _phase_one(A_std, rhs, budget, slacks if slack_start else ())
-    if ray is not None:
-        return SolveStatus(status="infeasible", value=math.inf, dual=ray)
-    point = _basic_point(A1, b1, basis, S.ambient_dim)[0]
-    return SolveStatus(status="optimal", value=0.0, point=point)
+    phase_one = _phase_one(A_std, rhs, budget, slacks if slack_start else ())
+    if phase_one is None:
+        return None
+    A1, b1, basis, _ = phase_one
+    return _basic_point(A1, b1, basis, S.ambient_dim)[0]
 
 
 def feasible_witness(S: PolyhedralSet) -> np.ndarray | None:
@@ -380,8 +367,9 @@ def feasible_witness(S: PolyhedralSet) -> np.ndarray | None:
 
     A box (`S.box_bounds()`) is read in closed form: empty when some
     lo_j > hi_j + FEAS_TOL, and otherwise witnessed by the origin clipped
-    into [lo, hi], with no phase one.  Any other set runs phase one from the
-    slack basis, as an LP's does: an inequality row with rhs >= 0 starts
+    into [lo, hi], with no phase one.  Any other set takes
+    `solve_feasibility`'s point or None, from the slack basis, as an LP's
+    phase one starts: an inequality row with rhs >= 0 starts
     with its slack basic, so a set of inequality rows that holds the origin
     is witnessed by the origin without a pivot, and an empty set is usually
     proved so in fewer pivots than from the all-artificial start.  A point
@@ -395,12 +383,12 @@ def feasible_witness(S: PolyhedralSet) -> np.ndarray | None:
             lo, hi = bounds
             x = None if np.any(lo > hi + FEAS_TOL) else np.minimum(np.maximum(0.0, lo), hi)
         else:
-            x = solve_feasibility(S, slack_start=True).point
+            x = solve_feasibility(S, slack_start=True)
             if x is not None and not _satisfies_rows(S, x, FEAS_TOL * (1.0 + math.sqrt(x @ x))):
                 # on near-parallel rows the final basis can lose primal
                 # feasibility, and `_basic_point` then clips its way to a
                 # point outside S; the all-artificial start is the fallback
-                x = solve_feasibility(S).point
+                x = solve_feasibility(S)
         if x is not None:
             x.setflags(write=False)
         S._cache["phase one"] = x
@@ -492,11 +480,15 @@ def solve_projection_qp(S: PolyhedralSet, u) -> np.ndarray:
 
     The loop is Goldfarb & Idnani's (1983) dual active-set method for the
     identity Hessian.  It starts at w = u with no working row, takes up the
-    equality rows in order, and then, while some inequality row is violated
-    by more than tol at W's KKT point w, the most violated one, a_p (the
-    lowest on ties).  A step moves the multipliers linearly toward nu, those
-    of W + p (`_gram_solve` of its rows in S's order): a full step gets
-    there, adds a_p and moves w to u - G^T nu, the KKT point a hit computes;
+    equality rows in order, and then, while some inequality row outside W
+    is violated by more than tol at W's KKT point w, the most violated one,
+    a_p (the lowest on ties).  A row of W is not tested: it holds at w in
+    exact arithmetic and misses only by the Gram solve's rounding, which
+    grows with the multipliers and can pass tol when w lies far from a
+    small target, and picking it would grow W to itself and repeat the
+    step.  A step moves the multipliers linearly toward nu, those of W + p
+    (`_gram_solve` of its rows in S's order): a full step gets there, adds
+    a_p and moves w to u - G^T nu, the KKT point a hit computes;
     a partial one stops where the first inequality multiplier of W reaches
     0 and drops that row.  So the multipliers stay >= 0, and the working
     rows independent: a_p joins only when the factor of W + p passes
@@ -511,13 +503,15 @@ def solve_projection_qp(S: PolyhedralSet, u) -> np.ndarray:
     then holds rows too near to dependent for potrf's rule, as at the thin
     end of a slab between near-parallel rows).  A dependent equality row
     within tol is implied by those before it and is skipped, and a loop
-    that skips one keeps no cell.  The loop tests the rows at the w it
-    returns, where a NaN residual (products that overflow both ways) is a
-    violation, as in the screen's `_satisfies_rows`, and a point that is
-    not finite raises NumericalBreakdown.  In exact arithmetic the loop
-    ends (the dual objective rises at every step that moves the primal
-    iterate, so no working set repeats); its iteration cap raises
-    NumericalBreakdown.
+    that skips one keeps no cell.  The loop tests the rows outside W at the
+    w it returns, where a NaN residual (products that overflow both ways)
+    is a violation, as in the screen's `_satisfies_rows`, and a point that
+    is not finite raises NumericalBreakdown.  In exact arithmetic the loop
+    ends: the dual objective rises at every step that moves the primal
+    iterate, so no working set repeats.  Rounding can break that argument,
+    so the loop has an iteration cap, which raises NumericalBreakdown; none
+    of the 2,088 far projections onto pool cells that the tests pin
+    reaches it.
 
     So P_S(u) depends only on S's rows and u: the loop is a function of
     (S, u), and where the lookup accepts any kept cell W, a loop that ends
@@ -531,7 +525,8 @@ def solve_projection_qp(S: PolyhedralSet, u) -> np.ndarray:
         ||d||^2 = sum_P nu_i a_i.d - sum_Q nu'_j a_j.d.
 
     For j in Q, a_j.d is j's slack at w, and nu'_j >= 0.  For i in P, a_i.d
-    is i's violation at w', at most tol where the loop stops.  So
+    is i's violation at w', at most tol where the loop stops, since i is
+    outside W' and the loop tests it.  So
     ||d||^2 <= E, and every j in Q is slack at w by at most
     ||a_j|| ||d|| <= L sqrt(E), which the slack margin rules out.  If Q is
     empty, d = G_W^T (nu - nu') with nu' zero on P, so
@@ -583,8 +578,10 @@ def solve_projection_qp(S: PolyhedralSet, u) -> np.ndarray:
     for _ in range(50 * (rhs.size + n + 10)):
         if p < 0:
             # every equality row joins, in order, then the most violated
-            # inequality row (the lowest on ties)
+            # inequality row outside W (the lowest on ties): W's rows hold at
+            # w up to rounding
             gaps = S.ineq_lhs.dot(w) - S.ineq_rhs
+            gaps[working[k_eq:]] = -math.inf
             if joined < k_eq:
                 p, joined = joined, joined + 1
             elif not gaps.max(initial=0.0) <= tol:  # a NaN gap is a violation

@@ -34,7 +34,6 @@ __all__ = [
     "box",
     "nonnegative_orthant",
     "is_nonempty",
-    "feasible_point",
     "enumerate_vertices",
     "distance",
     "hausdorff",
@@ -79,14 +78,6 @@ def is_nonempty(S: PolyhedralSet) -> bool:
     """Whether S has a point within the kernel's `FEAS_TOL`: whether
     `feasible_witness`, which the projection shares, finds one."""
     return feasible_witness(S) is not None
-
-
-def feasible_point(S: PolyhedralSet) -> np.ndarray:
-    """A witness point of S (a fresh copy); raises EmptySet when S is empty."""
-    w = feasible_witness(S)
-    if w is None:
-        raise EmptySet("no feasible point")
-    return w.copy()
 
 
 def _dedup(vectors, relative: bool) -> list:
@@ -484,11 +475,18 @@ def hausdorff(a: PolyhedralSet, b: PolyhedralSet) -> float:
 
         margin = (1 + R) (FEAS_TOL / ell + 2 sqrt((n + 3) eps)).
 
-    Below: z leaves row i of S by at most (1 + |v|) FEAS_TOL (a target the
-    projection accepts as a point of S, or the point its loop returns,
-    whose rows the loop tests at that point; `solve_projection_qp`), so
-    d~(v) >= l(v) - (1 + R) FEAS_TOL / ell.  Above: z is the KKT point of
-    its working set W, v - z = G^T nu with G z = h and nu_i >= 0 on W's
+    Below: z leaves a row i of S outside its working set W by at most
+    (1 + |v|) FEAS_TOL (a target the projection accepts as a point of S,
+    or the point its loop returns, which tests those rows there;
+    `solve_projection_qp`).  A row of W is not tested at z: G z = h holds
+    in exact arithmetic, so it misses only by the rounding of the Gram
+    solve and of z = v - G^T nu, some small multiple of
+    eps |a_i| (|v| + sum_W nu_j |a_j|).  Since |G^T nu| = d~(v) <= 2R, the
+    roundoff term covers that miss while W's multipliers cancel by less
+    than about 1 / sqrt(eps), sum_W nu_j |a_j| <= 1e7 |G^T nu| say; this is
+    a condition on W's conditioning, not a theorem.  Then
+    d~(v) >= l(v) - (1 + R) (FEAS_TOL / ell + roundoff).  Above: z is the
+    KKT point of W, v - z = G^T nu with G z = h and nu_i >= 0 on W's
     inequality rows (the loop's multipliers, above 0 on a cell hit), and
     with p the exact projection, |v - p|^2 = d~^2 + 2 sum_W nu_i
     (h_i - a_i.p) + |z - p|^2 >= d~^2: an equality row adds 0, and an

@@ -366,7 +366,7 @@ def face_search_dfs(inst: AviInstance) -> list:
     while stack:
         active, point = stack.pop()
         if point is None or abs(A[active[-1]] @ point - alpha[active[-1]]) > FEAS_TOL:
-            point = solve_feasibility(_face(inst.c_set, active)).point
+            point = solve_feasibility(_face(inst.c_set, active))
             if point is None:
                 continue
         patterns.append(active)

@@ -36,7 +36,6 @@ from avibound.optkernel import (
 from avibound.polyhedra import (
     PolyhedralSet,
     enumerate_vertices,
-    feasible_point,
     is_nonempty,
     union_distance,
 )

@@ -46,12 +46,11 @@ from avibound.bounds import (
     verify_upper_lipschitz_inverse,
 )
 from avibound.instgen import MONOTONICITY_CLASSES, canned_suite, generate_random_avi
-from avibound.optkernel import FEAS_TOL, solve_projection_qp
+from avibound.optkernel import FEAS_TOL, feasible_witness, solve_projection_qp
 from avibound.polyhedra import (
     box,
     distance,
     enumerate_vertices,
-    feasible_point,
     is_nonempty,
     nonnegative_orthant,
     union_distance,
@@ -1043,7 +1042,7 @@ def test_near_parallel_preimages_of_zero():
         pieces = inverse_residual(inst, np.zeros(n))
         assert pieces, k
         for piece in pieces:
-            assert np.linalg.norm(feasible_point(piece) - nearest) <= 1e-8, k
+            assert np.linalg.norm(feasible_witness(piece) - nearest) <= 1e-8, k
         finished += 1
     assert finished == 40
 

@@ -35,7 +35,7 @@ from avibound.optkernel import (
     solve_lp,
     solve_projection_qp,
 )
-from avibound.polyhedra import enumerate_vertices, feasible_point, hausdorff, is_nonempty
+from avibound.polyhedra import distance, enumerate_vertices, hausdorff, is_nonempty
 from avibound.rng import SplitMix64
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
@@ -216,24 +216,21 @@ class TestSolveLp:
 
 class TestSolveFeasibility:
     def test_feasible_with_witness(self):
-        res = solve_feasibility(
+        x = solve_feasibility(
             PolyhedralSet(1, eq_lhs=[[1.0]], eq_rhs=[1.0], ineq_lhs=[[1.0]], ineq_rhs=[2.0])
         )
-        assert res.status == "optimal"
-        assert res.point[0] == pytest.approx(1.0, abs=1e-9)
+        assert x[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_infeasible(self):
-        res = solve_feasibility(
+        x = solve_feasibility(
             PolyhedralSet(1, eq_lhs=[[1.0]], eq_rhs=[1.0], ineq_lhs=[[1.0]], ineq_rhs=[0.0])
         )
-        assert res.status == "infeasible"
+        assert x is None
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_set_without_rows_is_witnessed_by_the_origin(self, n):
         # ordinary phase one with no row: no artificial, no pivot, v = 0
-        res = solve_feasibility(PolyhedralSet(n))
-        assert res.status == "optimal"
-        assert np.array_equal(res.point, np.zeros(n))
+        assert np.array_equal(solve_feasibility(PolyhedralSet(n)), np.zeros(n))
         assert np.array_equal(feasible_witness(PolyhedralSet(n)), np.zeros(n))
 
     def test_one_dimensional_kkt_system(self):
@@ -244,9 +241,8 @@ class TestSolveFeasibility:
         d = [-1.0, 0.0]
         A = [[-1.0, 0.0]]
         b = [0.0]
-        res = solve_feasibility(PolyhedralSet(2, eq_lhs=E, eq_rhs=d, ineq_lhs=A, ineq_rhs=b))
-        assert res.status == "optimal"
-        np.testing.assert_allclose(res.point, [1.0, 0.0], atol=1e-9)
+        x = solve_feasibility(PolyhedralSet(2, eq_lhs=E, eq_rhs=d, ineq_lhs=A, ineq_rhs=b))
+        np.testing.assert_allclose(x, [1.0, 0.0], atol=1e-9)
 
     def test_consistent_with_zero_objective_lp(self):
         rng = SplitMix64(99)
@@ -260,13 +256,13 @@ class TestSolveFeasibility:
             E = np.array([[rng.normal() for _ in range(n)] for _ in range(k)])
             d = np.array([rng.normal() for _ in range(k)])
             S = PolyhedralSet(n, ineq_lhs=A, ineq_rhs=b, eq_lhs=E, eq_rhs=d)
-            oracle = solve_feasibility(S)
+            x = solve_feasibility(S)
             lp = solve_lp(S, np.zeros(n))
-            assert (oracle.status == "optimal") == (lp.status == "optimal")
-            if oracle.status == "optimal":
-                assert np.max(A @ oracle.point - b) <= 1e-8
+            assert (x is not None) == lp.is_optimal
+            if x is not None:
+                assert np.max(A @ x - b) <= 1e-8
                 if k:
-                    assert np.max(np.abs(E @ oracle.point - d)) <= 1e-8
+                    assert np.max(np.abs(E @ x - d)) <= 1e-8
             agreements += 1
         assert agreements == 1000
 
@@ -420,34 +416,20 @@ def _farkas_corpus():
         yield S
 
 
-def _assert_farkas_ray(z, S):
-    # z with rows^T z = 0, z_ineq <= 0 and rhs . z > 0 certifies emptiness;
-    # phase one calls a set empty beyond FEAS_TOL, so the ray clears that
-    # margin too
-    scale = np.max(np.abs(z))
-    rows = np.vstack([S.ineq_lhs, S.eq_lhs])
-    rhs = np.concatenate([S.ineq_rhs, S.eq_rhs])
-    assert np.max(np.abs(rows.T @ z)) <= 1e-12 * scale
-    assert np.all(z[:S.num_ineq] <= 1e-12 * scale)
-    assert rhs @ z > FEAS_TOL * scale
-
-
-def test_infeasible_outcomes_carry_a_farkas_ray():
-    counts = {"optimal": 0, "infeasible": 0}
+def test_every_phase_one_agrees_on_empty_sets():
+    # the all-artificial phase one, the cached slack-basis witness and an
+    # LP's phase one give one verdict on each empty set, and an infeasible
+    # LP carries no multipliers
+    empty = nonempty = 0
     for S in _farkas_corpus():
-        res = solve_feasibility(S)
-        counts[res.status] += 1
-        if res.is_optimal:
-            assert res.dual is None
+        if solve_feasibility(S) is not None:
+            nonempty += 1
             continue
-        _assert_farkas_ray(res.dual, S)
-        # an LP's phase one starts from the slack basis, so it may end on
-        # another ray, but that ray certifies emptiness too
+        empty += 1
         assert not is_nonempty(S)
         lp = solve_lp(S, np.ones(S.ambient_dim))
-        assert lp.status == "infeasible"
-        _assert_farkas_ray(lp.dual, S)
-    assert counts["infeasible"] >= 100 and counts["optimal"] >= 30
+        assert lp.status == "infeasible" and lp.dual is None
+    assert empty >= 100 and nonempty >= 30
 
 
 def _phase_one_factorizations(monkeypatch, solve, *args):
@@ -502,8 +484,8 @@ def test_slack_start_finishes_on_near_parallel_rows():
             solve_feasibility(S)
         except NumericalBreakdown:
             broken.append(k)
-            assert is_nonempty(S)
-            x = feasible_point(S)
+            x = feasible_witness(S)
+            assert x is not None
             slack = FEAS_TOL * (1.0 + np.linalg.norm(x))
             assert np.max(S.ineq_lhs @ x - S.ineq_rhs) <= slack, k
     assert broken
@@ -544,7 +526,7 @@ def test_cached_witness_satisfies_its_rows_on_tilted_rows():
         T = PolyhedralSet(n, ineq_lhs=np.vstack([S.ineq_lhs, S.ineq_lhs[j] + 1e-7 * np.ones(n)]),
                           ineq_rhs=np.append(S.ineq_rhs, S.ineq_rhs[j]))
         try:
-            x = feasible_point(T)
+            x = feasible_witness(T)
         except NumericalBreakdown:
             broken.append(index)
             continue
@@ -560,7 +542,7 @@ class TestWitnessCache:
         # too
         for _ in range(2):
             assert is_nonempty(S)
-            feasible_point(S)
+            feasible_witness(S)
             for u in ([2.0, 2.0], [-1.0, 3.0], [3.0, -1.0], [-2.0, -2.0], [1.0, 1.0]):
                 project_onto(u, S)
             enumerate_vertices(S)
@@ -570,25 +552,25 @@ class TestWitnessCache:
 
     def test_returned_points_do_not_alias_the_cache(self):
         S = _triangle()
-        w = feasible_point(S)
+        w = feasible_witness(S).copy()
         # u - w lies in the normal cone at w, so the projection of u is w
         tight_rows = np.abs(S.ineq_rhs - S.ineq_lhs @ w) <= 1e-9
         u = w + S.ineq_lhs[tight_rows].sum(axis=0)
         z = project_onto(u, S)
         np.testing.assert_allclose(z, w, atol=1e-12)
         z += 5.0
-        p = feasible_point(S)
-        p += 7.0
+        # the cached point itself is read-only
+        with pytest.raises(ValueError):
+            feasible_witness(S)[0] += 7.0
         np.testing.assert_array_equal(project_onto(u, S), w)
-        np.testing.assert_array_equal(feasible_point(S), w)
+        np.testing.assert_array_equal(feasible_witness(S), w)
 
     def test_empty_set_cached_as_empty(self, feasibility_calls):
         S = PolyhedralSet(2, ineq_lhs=[[1.0, 1.0], [-1.0, -1.0]], ineq_rhs=[-1.0, 0.0])
         assert not is_nonempty(S)
         with pytest.raises(EmptySet):
             project_onto([0.5, 0.5], S)
-        with pytest.raises(EmptySet):
-            feasible_point(S)
+        assert feasible_witness(S) is None
         assert len(feasibility_calls) == 1
 
 
@@ -605,12 +587,12 @@ class TestBoxWitness:
 
     def test_a_box_runs_no_phase_one(self, feasibility_calls):
         pinned = PolyhedralSet(3, eq_lhs=np.eye(3), eq_rhs=[0.1, 0.2, 0.3])
-        np.testing.assert_array_equal(feasible_point(pinned), [0.1, 0.2, 0.3])
+        np.testing.assert_array_equal(feasible_witness(pinned), [0.1, 0.2, 0.3])
         np.testing.assert_array_equal(enumerate_vertices(pinned).vertices, [[0.1, 0.2, 0.3]])
         S = box([-1.0, 0.5, -2.0], [1.0, 2.0, -1.0])
         assert is_nonempty(S)
         # the origin clipped into the box
-        np.testing.assert_array_equal(feasible_point(S), [0.0, 0.5, -1.0])
+        np.testing.assert_array_equal(feasible_witness(S), [0.0, 0.5, -1.0])
         np.testing.assert_array_equal(project_onto([3.0, 0.0, 0.0], S), [1.0, 0.5, -1.0])
         assert feasibility_calls == []
 
@@ -619,8 +601,8 @@ class TestBoxWitness:
         # every entry point decides a fresh set, so none reads another's
         # verdict from the cache
         assert is_nonempty(_margin_box(gap)) is not empty
+        assert (feasible_witness(_margin_box(gap)) is None) is empty
         entries = (
-            feasible_point,
             lambda S: project_onto([5.0, 5.0], S),
             enumerate_vertices,
         )
@@ -1292,6 +1274,49 @@ def test_a_kept_cell_answers_where_the_loop_cycles():
     assert project_onto(u, S).tobytes() == fresh.tobytes()
 
 
+def _pool_cell(pool, index, active):
+    """The cell of pattern `active` of a benchmark pool's instance."""
+    return next(t.cell for t in avi._face_templates(pool.build(index)) if t.active == active)
+
+
+def test_a_far_projection_picks_no_working_row_again():
+    # `error_bound` pool index 15 (n = 3, m = 6, seed 2009), pattern (0, 5):
+    # the loop's last working set is rows (0, 4, 5), with multipliers near
+    # 1e7, at a point 1,071 from the target 0.  There row 5, in W, reads a
+    # gap of 1.41e-9 from the Gram solve's rounding, above tol = 1e-9;
+    # picking it would grow W to itself and repeat the step until the
+    # iteration cap
+    cell = _pool_cell(workloads.ErrorBound(), 15, (0, 5))
+    d = distance(cell, np.zeros(3))[0]
+    assert d == pytest.approx(1071.157, abs=1e-3)
+    assert d == pytest.approx(np.linalg.norm(brute_force_projection(np.zeros(3), cell)), rel=1e-6)
+
+
+def test_far_projections_onto_pool_cells_end():
+    # the origin projected onto every nonempty cell that misses it, over
+    # the `preimage`, `error_bound` and `solver_tail` pools: far targets,
+    # large multipliers.  A loop that picks a row of its working set runs
+    # to its cap on 11 of them (error_bound 15 once, solver_tail 9 twice
+    # and solver_tail 15 eight times)
+    cells, broken = 0, []
+    for pool in (workloads.Preimage(), workloads.ErrorBound(), workloads.SolverTail()):
+        for index in range(pool.pool_size):
+            for template in avi._face_templates(pool.build(index)):
+                S = template.cell
+                origin = np.zeros(S.ambient_dim)
+                if not is_nonempty(S) or S.contains(origin, FEAS_TOL):
+                    continue
+                cells += 1
+                try:
+                    z = solve_projection_qp(S, origin)
+                except NumericalBreakdown:
+                    broken.append((type(pool).__name__, index, template.active))
+                    continue
+                assert S.contains(z, FEAS_TOL * (1.0 + np.linalg.norm(z)))
+    assert cells == 2088
+    assert broken == []
+
+
 def _duplicate_and_scaled_rows():
     """150 seeded sets in R^1..R^4, one row of each copied exactly and
     doubled, with an objective and a target each.  Yields (A, b, c, u)."""
@@ -1594,6 +1619,15 @@ def _hex(arr):
     return None if arr is None else [float(v).hex() for v in arr]
 
 
+def _solve_record(result):
+    """An LP's status, point and dual; a feasibility solve's point or None
+    is recorded in the same three fields, with no dual."""
+    if isinstance(result, optkernel.SolveStatus):
+        return {"status": result.status, "point": _hex(result.point), "dual": _hex(result.dual)}
+    status = "infeasible" if result is None else "optimal"
+    return {"status": status, "point": _hex(result), "dual": None}
+
+
 def _run_pivot_corpus():
     record = {}
     original = optkernel.lu_factor
@@ -1610,10 +1644,7 @@ def _run_pivot_corpus():
             solves = thunk()
             record[name] = {
                 "lu_factor": calls[0],
-                "solves": [
-                    {"status": r.status, "point": _hex(r.point), "dual": _hex(r.dual)}
-                    for r in solves
-                ],
+                "solves": [_solve_record(r) for r in solves],
             }
     finally:
         optkernel.lu_factor = original

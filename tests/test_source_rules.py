@@ -10,7 +10,10 @@ name a module lists in `__all__` must be bound in that module, so no export
 outlives the code it named.  Every public function, method and class in
 `src/avibound` must be referenced by name somewhere in `src/`, `tests/` or
 `scripts/`, and every module-level private function, class and constant
-must be read there, so no dead code outlives its last caller.  No function in
+must be read there, so no dead code outlives its last caller.  A public
+definition that nothing in `src/`, `scripts/` or `perfbench/` references,
+only tests, must be listed in `TEST_ONLY`, which must name exactly those,
+so no public name lives on for its tests alone unnoticed.  No function in
 `src/avibound` imports: every import sits at the top of its module, where
 the layering between modules shows.  Every flag a CLI subcommand defines
 must be read by that subcommand's handler, so no option is parsed and
@@ -325,6 +328,39 @@ def test_reference_rule_catches_dead_definitions():
         "_helper()\n"
     )
     assert _unread_private(private, _names_referenced(private)) == ["_STORED", "_dead", "_Box"]
+
+
+# Public definitions that only tests call.  The rule below asserts this set
+# exactly, so a new public name whose only callers are tests fails until it
+# is listed, and so does an entry that the program comes to call or that is
+# deleted.
+TEST_ONLY = {"check_lipschitz_holdout", "regenerate", "uniform_in"}
+
+
+def _program_sources():
+    """Path -> source of every module under `src/`, `scripts/` and `perfbench/`."""
+    return {path: path.read_text(encoding="utf-8")
+            for folder in ("src", "scripts", "perfbench")
+            for path in sorted((ROOT / folder).rglob("*.py"))}
+
+
+def _test_only(sources):
+    """Public definitions of `src/avibound` that no source in `sources` references."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    referenced = set().union(*map(_names_referenced, trees.values()))
+    return {name for path in MODULES for name in _unreferenced(trees[path], referenced)}
+
+
+def test_public_definitions_only_tests_call_are_listed():
+    found = _test_only(_program_sources())
+    assert found == TEST_ONLY, (f"only tests call {sorted(found - TEST_ONLY)}; "
+                                f"listed but not test-only: {sorted(TEST_ONLY - found)}")
+
+
+def test_test_only_rule_catches_an_unlisted_function():
+    sources = _program_sources()
+    sources[SRC / "gpm.py"] += "\n\ndef only_tested():\n    return 0\n"
+    assert _test_only(sources) == TEST_ONLY | {"only_tested"}
 
 
 def _function_imports(tree):
