@@ -24,7 +24,8 @@ each kept cheap:
 The two simplex solves share one pipeline: `_standard_form` writes the
 rows once as {A_std v = rhs, v >= 0} with its slack columns and pivot
 budget, `_phase_one` finds a feasible basis (and is all
-`solve_feasibility` runs), and `_basic_point` reads x off the final basis.
+`solve_feasibility` runs), phase two starts from its factors, and
+`_basic_point` clips the final basis's values to x.
 
 `feasible_witness` is the one place that decides whether a set is empty
 and which point it holds; `polyhedra.is_nonempty`,
@@ -46,10 +47,11 @@ included, goes through `solve_feasibility`.
 Every simplex basis is factored by `lu_factor` and solved by `lu_solve`,
 which call LAPACK getrf/getrs directly, without scipy's batching and
 array-API checks; the factors, and hence the pivots, are those of
-`scipy.linalg.lu_factor`/`lu_solve`.  A pivot then costs one
-factorization, three solves with its factors, one vectorized scan for the
-entering column and a ratio test over Python floats.  This module is the
-only one that imports from `scipy.linalg`.
+`scipy.linalg.lu_factor`/`lu_solve`.  `_bland_iterate` factors each basis
+once and hands its factors, values and duals on; phase one factors again
+only where its pivot-out moved the basis.  A pivot costs one factorization,
+three solves with it, one vectorized scan for the entering column and a
+ratio test over Python floats.  Only this module imports `scipy.linalg`.
 
 The projection calls LAPACK the same way: each working set its loop
 visits gets one Gram solve, `_gram_solve`, a Cholesky factorization
@@ -170,19 +172,23 @@ class SolveStatus:
         return self.status == "optimal"
 
 
-def _bland_iterate(A, b, c, basis, num_enterable, max_pivots):
+def _bland_iterate(A, b, c, basis, num_enterable, max_pivots, lu=None):
     """Revised simplex loop on min c.v s.t. Av = b, v >= 0 with Bland's rule.
 
     Only the first `num_enterable` columns may enter the basis.  `basis` is
-    mutated in place.  Returns "optimal" or "unbounded".
+    mutated in place and factored only after a pivot: `lu` may hand in the
+    factors of the start basis.  Returns (status, lu, x_b, y) of the final
+    basis B, status "optimal" or "unbounded", with B x_b = b, B^T y = c_B.
     """
     m, n = A.shape
     if m == 0:
-        return "optimal" if np.all(c[:num_enterable] >= -FEAS_TOL) else "unbounded"
+        status = "optimal" if np.all(c[:num_enterable] >= -FEAS_TOL) else "unbounded"
+        return status, None, np.zeros(0), np.zeros(0)
     nonbasic = np.ones(n, dtype=bool)
     nonbasic[basis] = False
     for _ in range(max_pivots):
-        lu = lu_factor(A[:, basis])
+        if lu is None:
+            lu = lu_factor(A[:, basis])
         x_b = lu_solve(lu, b)
         if not np.isfinite(x_b).all():  # a singular basis solves to inf/nan
             raise NumericalBreakdown("singular or non-finite simplex basis")
@@ -191,14 +197,14 @@ def _bland_iterate(A, b, c, basis, num_enterable, max_pivots):
         candidates = nonbasic[:num_enterable] & (reduced[:num_enterable] < -FEAS_TOL)
         entering = int(candidates.argmax())
         if not candidates[entering]:
-            return "optimal"
+            return "optimal", lu, x_b, y
         direction = lu_solve(lu, A[:, entering]).tolist()
-        x_b = x_b.tolist()
+        values = x_b.tolist()
         best_ratio = math.inf
         leave_row = -1
         for i in range(m):
             if direction[i] > _PIVOT_TOL:
-                ratio = max(x_b[i], 0.0) / direction[i]
+                ratio = max(values[i], 0.0) / direction[i]
                 if ratio < best_ratio - _PIVOT_TOL or (
                     ratio <= best_ratio + _PIVOT_TOL
                     and (leave_row < 0 or basis[i] < basis[leave_row])
@@ -207,10 +213,11 @@ def _bland_iterate(A, b, c, basis, num_enterable, max_pivots):
                         best_ratio = ratio
                     leave_row = i
         if leave_row < 0:
-            return "unbounded"
+            return "unbounded", lu, x_b, y
         nonbasic[basis[leave_row]] = True
         nonbasic[entering] = False
         basis[leave_row] = entering
+        lu = None
     raise NumericalBreakdown("simplex pivot budget exhausted")
 
 
@@ -223,10 +230,11 @@ def _phase_one(A, b, max_pivots, slacks=()):
     `slacks` phase one starts from the slack basis, without it from the
     all-artificial one; the Bland iteration from there is the same.
 
-    Returns None when the artificials cannot be driven below FEAS_TOL: the
-    system is empty.  Otherwise redundant rows are dropped, all artificial
-    columns are eliminated from the basis, and it returns
-    (A, b, basis, kept_rows).
+    Returns None when the artificials sum to more than FEAS_TOL at Bland's
+    final basis: the system is empty.  Otherwise every artificial pivots
+    out, or its row, dependent on the others, is dropped, and it returns
+    (A, b, basis, kept_rows, lu, x_b) with the final basis's factors and
+    values, factored again only if the pivot-out changed it.
     """
     m, n = A.shape
     signs = np.where(b < 0, -1.0, 1.0)
@@ -236,23 +244,19 @@ def _phase_one(A, b, max_pivots, slacks=()):
     cost = np.concatenate([np.zeros(n), np.ones(m)])
     basis = [col if signs[i] > 0 else n + i for i, col in enumerate(slacks)]
     basis += range(n + len(basis), n + m)
-    status = _bland_iterate(full, b, cost, basis, n, max_pivots)
+    status, lu, x_b, _ = _bland_iterate(full, b, cost, basis, n, max_pivots)
     if status != "optimal":  # the phase-one objective is bounded below by 0
         raise NumericalBreakdown(f"phase one reported {status}")
-    x_b = lu_solve(lu_factor(full[:, basis]), b) if m else np.zeros(0)
     infeas = sum(max(x_b[i], 0.0) for i in range(m) if basis[i] >= n)
     if infeas > FEAS_TOL:
         return None
-    # Pivot artificials out of the basis; a row where no original column can
-    # pivot is linearly dependent on the others and gets dropped.
     keep = list(range(m))
     for row in range(m):
         if basis[row] < n:
             continue
-        lu = lu_factor(full[:, basis])
-        e_row = np.zeros(m)
-        e_row[row] = 1.0
-        w = lu_solve(lu, e_row, trans=1)
+        if lu is None:
+            lu = lu_factor(full[:, basis])
+        w = lu_solve(lu, np.eye(m)[row], trans=1)
         tableau_row = (full[:, :n].T @ w).tolist()
         in_basis = set(basis)
         pivot_col = -1
@@ -262,15 +266,16 @@ def _phase_one(A, b, max_pivots, slacks=()):
                 break
         if pivot_col >= 0:
             basis[row] = pivot_col
+            lu = None
         else:
             keep.remove(row)
     if len(keep) < m:
-        A = A[keep]
-        b = b[keep]
-        basis = [basis[i] for i in keep]
-    if any(v >= n for v in basis):
-        raise NumericalBreakdown("an artificial variable stayed in the phase-one basis")
-    return A, b, basis, keep
+        A, b, basis = A[keep], b[keep], [basis[i] for i in keep]
+        lu, x_b = None, np.zeros(0)
+    if lu is None and basis:
+        lu = lu_factor(A[:, basis])
+        x_b = lu_solve(lu, b)
+    return A, b, basis, keep, lu, x_b
 
 
 def _standard_form(S: PolyhedralSet):
@@ -290,18 +295,12 @@ def _standard_form(S: PolyhedralSet):
     return A_std, rhs, slacks, 200 + 50 * (A_std.shape[0] + A_std.shape[1])
 
 
-def _basic_point(A, b, basis, n):
-    """(x, LU factors of A[:, basis]) for the basic point of `basis`.
-
-    x = x+ - x- over the first 2n standard-form columns, with each basic
-    value clipped at 0.  The factors are None when no row is left.
-    """
-    v = np.zeros(A.shape[1])
-    lu = None
-    if A.shape[0]:
-        lu = lu_factor(A[:, basis])
-        v[basis] = np.maximum(lu_solve(lu, b), 0.0)
-    return v[:n] - v[n : 2 * n], lu
+def _basic_point(x_b, basis, columns, n):
+    """x = x+ - x- over the first 2n of `columns` standard-form columns,
+    with `basis` at its values x_b, each clipped at 0."""
+    v = np.zeros(columns)
+    v[basis] = np.maximum(x_b, 0.0)
+    return v[:n] - v[n : 2 * n]
 
 
 def solve_lp(S: PolyhedralSet, objective) -> SolveStatus:
@@ -314,10 +313,10 @@ def solve_lp(S: PolyhedralSet, objective) -> SolveStatus:
     so its memory layout does not change the bits; an LP costs far more
     than that copy.
 
-    Phase one on the standard form from the slack basis, then Bland pivots
-    on the objective; see the class docstring of `SolveStatus` for the dual
-    convention.  Raises NumericalBreakdown when the final point misses a row
-    by more than FEAS_TOL (1 + ||x||), the rule `feasible_witness` applies.
+    Phase one from the slack basis, then Bland pivots from its factors; x
+    and the duals (`SolveStatus`'s convention) come from the final basic
+    values and y, with no further solve.  Raises NumericalBreakdown when x
+    misses a row by more than FEAS_TOL (1 + ||x||), as `feasible_witness`.
     """
     n = S.ambient_dim
     c = _as_vector(objective, n, "objective")
@@ -326,10 +325,11 @@ def solve_lp(S: PolyhedralSet, objective) -> SolveStatus:
     phase_one = _phase_one(A_std, rhs, budget, slacks)
     if phase_one is None:
         return SolveStatus(status="infeasible", value=math.inf)
-    A1, b1, basis, kept = phase_one
-    if _bland_iterate(A1, b1, c_std, basis, A_std.shape[1], budget) == "unbounded":
+    A1, b1, basis, kept, lu, _ = phase_one
+    status, _, x_b, y = _bland_iterate(A1, b1, c_std, basis, A_std.shape[1], budget, lu)
+    if status == "unbounded":
         return SolveStatus(status="unbounded", value=-math.inf)
-    x, lu = _basic_point(A1, b1, basis, n)
+    x = _basic_point(x_b, basis, A_std.shape[1], n)
     if not _satisfies_rows(S, x, FEAS_TOL * (1.0 + math.sqrt(x @ x))):
         # a final basis that lost primal feasibility on near-parallel rows,
         # which `_basic_point` clipped to a point outside the set
@@ -337,9 +337,7 @@ def solve_lp(S: PolyhedralSet, objective) -> SolveStatus:
     value = float(c @ x)
     # duals of the kept rows, undoing phase one's flips to a nonnegative rhs
     duals = np.zeros(A_std.shape[0])
-    if lu is not None:
-        signs = np.where(rhs < 0, -1.0, 1.0)
-        duals[kept] = signs[kept] * lu_solve(lu, c_std[basis], trans=1)
+    duals[kept] = np.where(rhs < 0, -1.0, 1.0)[kept] * y
     return SolveStatus(status="optimal", value=value, point=x, dual=duals)
 
 
@@ -357,8 +355,8 @@ def solve_feasibility(S: PolyhedralSet, *, slack_start: bool = False) -> np.ndar
     phase_one = _phase_one(A_std, rhs, budget, slacks if slack_start else ())
     if phase_one is None:
         return None
-    A1, b1, basis, _ = phase_one
-    return _basic_point(A1, b1, basis, S.ambient_dim)[0]
+    _, _, basis, _, _, x_b = phase_one
+    return _basic_point(x_b, basis, A_std.shape[1], S.ambient_dim)
 
 
 def feasible_witness(S: PolyhedralSet) -> np.ndarray | None:

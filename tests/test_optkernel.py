@@ -459,8 +459,8 @@ def _phase_one_factorizations(monkeypatch, solve, *args):
 def test_lp_phase_one_starts_from_the_slack_basis(monkeypatch):
     # {Ax <= b} with every b_i >= 0, three of them zero: the slack basis is
     # feasible, so an LP's phase one pivots never.  Its Bland loop factors
-    # the start basis once to find it optimal, and the read-off of the
-    # basic point factors it once more.
+    # the start basis once to find it optimal and hands those factors on:
+    # neither the artificials' read-off nor phase two factors it again.
     rng = SplitMix64(31)
     n = 4
     A = np.array([rng.normals(n) for _ in range(12)])
@@ -468,10 +468,11 @@ def test_lp_phase_one_starts_from_the_slack_basis(monkeypatch):
     b[[1, 5, 9]] = 0.0
     S = PolyhedralSet(n, ineq_lhs=A, ineq_rhs=b)
     c = np.array(rng.normals(n))
-    assert _phase_one_factorizations(monkeypatch, solve_lp, S, c) == 2
+    assert _phase_one_factorizations(monkeypatch, solve_lp, S, c) == 1
     assert solve_lp(S, c).status == "optimal"
-    # the feasibility solve keeps its all-artificial start and its count
-    assert _phase_one_factorizations(monkeypatch, solve_feasibility, S) == 16
+    # the feasibility solve keeps its all-artificial start, from which it
+    # pivots; each basis it visits is factored once
+    assert _phase_one_factorizations(monkeypatch, solve_feasibility, S) == 15
 
 
 def test_slack_start_finishes_on_near_parallel_rows():
@@ -928,6 +929,37 @@ def test_pool_pass_keeps_four_cells_per_set(monkeypatch, pool, expected):
     # (potrf, potrs, hits, loops) over one pool pass: a change that loses a
     # set's kept cells raises the loops and the factorizations here
     assert _pass_counts(monkeypatch, pool())[0] == expected
+
+
+@pytest.mark.parametrize("pool, expected", [
+    # phase-one emptiness tests of the 2^m active patterns' sections
+    (workloads.Preimage, 120),
+    # phase one of C and of the solution pieces before their projections
+    (workloads.ErrorBound, 249),
+    (workloads.SolverTail, 59),
+    # section-gap LPs, domain witnesses and the polar cones' double
+    # description, whose one LU factorization is counted here too
+    (workloads.Multifunction, 5545),
+], ids=["preimage", "error_bound", "solver_tail", "multifunction"])
+def test_pool_pass_factors_each_simplex_basis_once(monkeypatch, pool, expected):
+    # `optkernel.lu_factor` calls over one pool pass.  `_bland_iterate`
+    # factors a basis only after a pivot and hands the factors, basic values
+    # and duals of the basis it stops on to phase one's read-off of the
+    # artificials, to phase two and to the LP's point and duals; phase one
+    # factors again only where its pivot-out changed the basis or dropped a
+    # row.  A read-off that factors its basis again raises the counts.
+    calls = [0]
+    lu_factor = optkernel.lu_factor
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return lu_factor(*args, **kwargs)
+
+    monkeypatch.setattr(optkernel, "lu_factor", counted)
+    pool = pool()
+    for index in range(pool.pool_size):
+        pool.run(index, pool.build(index))
+    assert calls[0] == expected
 
 
 def test_solver_tail_pass_calls_the_public_names(monkeypatch):

@@ -56,7 +56,10 @@ products are `ndarray.dot` calls, which give the same bits at about half
 the dispatch cost, so no `@` creeps back onto the hot path.  Only
 `sets._screened` reads `flags.c_contiguous`: the hot path screens the
 vectors it takes as handed in that one routine, so no inline copy of the
-screen comes back.
+screen comes back.  Every routine that calls `lu_factor` is listed in
+`LU_FACTORIZERS` with its number of calls: the simplex factors each basis
+in `_bland_iterate` and hands the factors on, so no read-off of a point or
+of duals factors a basis again.
 """
 
 import argparse
@@ -880,6 +883,67 @@ def test_validation_rule_catches_a_call_in_the_kernel():
         "_as_vector\n"
     )
     assert _validation_calls(ast.parse(source)) == {"distance": 1, "Piece.section": 2, "": 1}
+
+
+# Every routine that calls `lu_factor`, with the number of calls it makes.
+# The simplex factors each basis it visits in `_bland_iterate`, which hands
+# the factors, basic values and duals of its final basis on; `_phase_one`
+# factors only where its pivot-out moved the basis (once in that loop, once
+# after it for the final basis), and the read-off of x and the LP's duals
+# factor nothing.  `polyhedra._extreme_rays` factors the rows of the
+# simplicial cone its double description starts from.
+LU_FACTORIZERS = {
+    ("optkernel.py", "_bland_iterate"): 1,
+    ("optkernel.py", "_phase_one"): 2,
+    ("polyhedra.py", "_extreme_rays"): 1,
+}
+
+
+def _lu_factor_calls(tree):
+    """Calls of `lu_factor`, by name or as an attribute, counted by
+    enclosing routine."""
+    return collections.Counter(
+        scope for node, scope in _scoped_nodes(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "lu_factor"
+    )
+
+
+def _factorizers(sources):
+    """`lu_factor` calls by (module, routine) over `sources`, module file
+    names mapped to their text."""
+    return collections.Counter({
+        (name, scope): count
+        for name, text in sources.items()
+        for scope, count in _lu_factor_calls(ast.parse(text)).items()
+    })
+
+
+def test_each_simplex_basis_is_factored_in_one_place():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    # Counter equality reads a missing routine as 0 calls
+    assert _factorizers(sources) == collections.Counter(LU_FACTORIZERS)
+
+
+def test_factorization_rule_catches_a_refactoring_read_off():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    lines = sources["optkernel.py"].splitlines(keepends=True)
+    at = lines.index("    v = np.zeros(columns)\n")
+    lines.insert(at + 1, "    x_b = lu_solve(lu_factor(A[:, basis]), b)\n")
+    sources["optkernel.py"] = "".join(lines)
+    found = _factorizers(sources)
+    assert found[("optkernel.py", "_basic_point")] == 1
+    assert found != collections.Counter(LU_FACTORIZERS)
+    source = (
+        "def _basic_point(A, b, basis):\n    return lu_solve(lu_factor(A[:, basis]), b)\n"
+        "class Cone:\n"
+        "    def rays(self, G):\n"
+        "        return optkernel.lu_factor(G), scipy.linalg.lu_factor(G)\n"
+        "lu_factor(np.eye(2))\n"
+        "lu_solve(lu, b)\n"
+        "lu_factor\n"
+    )
+    assert _lu_factor_calls(ast.parse(source)) == {"_basic_point": 1, "Cone.rays": 2, "": 1}
 
 
 def _lstsq_names(tree):
